@@ -24,7 +24,7 @@ COVER_MIN_FLEET ?= 85.0
 COVER_MIN_SERVE ?= 85.0
 COVER_MIN_SNAPSHOT ?= 85.0
 
-.PHONY: build test test-e2e vet fmt fmt-check lint bench bench-smoke bench-json bench-baseline bench-gate cover-gate fuzz-smoke metrics-smoke serve-smoke doc-check vulncheck
+.PHONY: build test test-e2e vet fmt fmt-check lint bench bench-smoke bench-json bench-baseline bench-gate bench-harness-test cover-gate fuzz-smoke metrics-smoke serve-smoke doc-check vulncheck
 
 build:
 	$(GO) build ./...
@@ -132,6 +132,13 @@ bench-gate:
 	$(GO) run ./tools/benchjson -compare BENCH_baseline/BENCH_query.json bench-gate-query.json -tolerance $(BENCH_TOLERANCE) || fail=1; \
 	rm -f bench-gate.out bench-gate-build.json bench-gate-query.json; \
 	exit $$fail
+
+# The benchmark harness (bench/, the program BENCHMARK.json names) is a
+# module of its own, so root `go test ./...` never compiles it. Its
+# tests build it against this checkout's internal/... packages and
+# include the harness's -smoke run against real shard/serve processes.
+bench-harness-test:
+	cd bench && $(GO) test ./...
 
 # Run every wire-protocol fuzz target for FUZZ_TIME each, growing the
 # hostile-input corpus instead of only replaying committed seeds. Any

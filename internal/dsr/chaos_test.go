@@ -270,6 +270,45 @@ func TestQueryBatchErrPartialFailure(t *testing.T) {
 	}
 }
 
+// TestQueryBatchErrAcrossFinishChunks is the partial-failure contract
+// on a round big enough that the boundary finish sweeps it in three
+// chunks: every query below reaches the sweep, and the verdicts — a
+// `false` on short coverage fails, a proven `true` survives, covered
+// answers stand — must not depend on which chunk a query rode in.
+func TestQueryBatchErrAcrossFinishChunks(t *testing.T) {
+	e, f := chainEngine(t, 1)
+	defer e.Close()
+	f.Kill(2, 0) // partition 2 = vertices {4, 5}
+
+	pattern := []Query{
+		{S: V(3, 5), T: V(2)}, // 5 is lost with p2; 3 does not reach 2: an unproven false
+		{S: V(0, 5), T: V(3)}, // 5 is lost, but 0 → 3 is proven over the boundary
+		{S: V(3), T: V(2)},    // fully covered, genuinely false
+		{S: V(0), T: V(3)},    // fully covered, true over the boundary
+	}
+	wantFailed := []bool{true, false, false, false}
+	wantAns := []bool{false, true, false, true}
+	const reps = 40
+	var queries []Query
+	for r := 0; r < reps; r++ {
+		queries = append(queries, pattern...)
+	}
+	got, err := e.QueryBatchErr(queries)
+	var be *BatchError
+	if !errors.As(err, &be) {
+		t.Fatalf("want *BatchError, got %v", err)
+	}
+	if swept := sweptLastRound(e); swept != len(queries) || swept <= 2*finishChunk {
+		t.Fatalf("%d of %d queries reached the sweep, want all of them and more than two chunks", swept, len(queries))
+	}
+	for i := range queries {
+		if be.Failed[i] != wantFailed[i%len(pattern)] || got[i] != wantAns[i%len(pattern)] {
+			t.Errorf("query %d (pattern %d): failed = %v, answer = %v; want %v, %v",
+				i, i%len(pattern), be.Failed[i], got[i], wantFailed[i%len(pattern)], wantAns[i%len(pattern)])
+		}
+	}
+}
+
 // TestQueryBatchErrMultiplePartitionsDown: one error entry per dead
 // partition, in ascending partition order.
 func TestQueryBatchErrMultiplePartitionsDown(t *testing.T) {

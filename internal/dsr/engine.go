@@ -8,7 +8,9 @@
 //     a global boundary graph;
 //  2. at query time, per-partition shards run local searches (forward
 //     from S, backward from T) in parallel, and the coordinator finishes
-//     with a single search over the small boundary graph.
+//     over the small boundary graph — condensed to its component DAG at
+//     stitch time, and swept once per batch with every open query riding
+//     one bit of a machine word (boundary.go).
 //
 // Any s->t path decomposes as s ~> x0 -> e1 ~> x1 -> ... ek ~> t, where
 // each ~> stays inside one partition and each -> is a cross-partition
@@ -57,36 +59,6 @@ import (
 	"dsr/internal/wire"
 )
 
-// boundaryGraph is the compressed global view stitched from the shards'
-// boundary summaries: vertices are the boundary vertices of the
-// partitioned graph, edges are the per-partition entry->exit summaries
-// plus the raw cross-partition edges. Global IDs are compressed to
-// dense ids (indices into verts); adjacency is one flat CSR arena.
-type boundaryGraph struct {
-	verts  []uint32 // sorted global IDs of every boundary vertex
-	off    []int64  // CSR row offsets into arena, len(verts)+1
-	arena  []int32  // concatenated adjacency rows, dense ids
-	rowLen []int32  // live prefix of each row after in-place dedupe
-}
-
-// dense maps a global vertex ID to its dense boundary id.
-func (bg *boundaryGraph) dense(v uint32) (int32, bool) {
-	d, ok := slices.BinarySearch(bg.verts, v)
-	return int32(d), ok
-}
-
-// row returns the adjacency row of dense id d.
-func (bg *boundaryGraph) row(d int32) []int32 {
-	o := bg.off[d]
-	return bg.arena[o : o+int64(bg.rowLen[d])]
-}
-
-// residentBytes is the memory footprint of the stitched boundary graph
-// — the only per-graph state the coordinator retains.
-func (bg *boundaryGraph) residentBytes() int {
-	return 4*len(bg.verts) + 8*len(bg.off) + 4*len(bg.arena) + 4*len(bg.rowLen)
-}
-
 // parallelParts runs fn(p) for every partition p in [0, k) on a bounded
 // pool and waits for all of them.
 func parallelParts(k int, fn func(p int)) {
@@ -115,117 +87,6 @@ func parallelParts(k int, fn func(p int)) {
 	wg.Wait()
 }
 
-// stitchBoundary builds the global boundary graph from the k shards'
-// boundary summaries — nothing else. n is the global vertex count, used
-// only to range-check the summaries; the full graph is never consulted.
-//
-// The heavy phases are parallel over shards, which is safe because each
-// adjacency row is owned by exactly one shard: every stitched edge is
-// keyed by its source vertex, and the validation pass proves each
-// shard's edge sources lie in that shard's own boundary set before any
-// row is touched. The boundary sets themselves cannot overlap — a
-// duplicate across shards is rejected as a fleet inconsistency.
-func stitchBoundary(n int, sums []wire.Summary) (*boundaryGraph, error) {
-	k := len(sums)
-	total := 0
-	for p := range sums {
-		total += len(sums[p].Boundary)
-	}
-	verts := make([]uint32, 0, total)
-	for p := range sums {
-		verts = append(verts, sums[p].Boundary...)
-	}
-	slices.Sort(verts)
-	for i := 1; i < len(verts); i++ {
-		if verts[i] == verts[i-1] {
-			return nil, fmt.Errorf("dsr: boundary vertex %d claimed by two shards — the fleet was not built from one partitioning", verts[i])
-		}
-	}
-	if len(verts) > 0 && int64(verts[len(verts)-1]) >= int64(n) {
-		return nil, fmt.Errorf("dsr: boundary vertex %d out of range (graph has %d vertices)", verts[len(verts)-1], n)
-	}
-	nb := len(verts)
-	bg := &boundaryGraph{verts: verts, off: make([]int64, nb+1), rowLen: make([]int32, nb)}
-
-	// Validation before any stitching: each shard's edge sources must be
-	// its own boundary vertices (row ownership — the parallel count and
-	// fill below stay race-free even against a buggy or hostile shard)
-	// and each target must resolve to some shard's boundary vertex.
-	errs := make([]error, k)
-	parallelParts(k, func(p int) {
-		s := &sums[p]
-		check := func(pair [2]uint32, what string) error {
-			if _, ok := slices.BinarySearch(s.Boundary, pair[0]); !ok {
-				return fmt.Errorf("dsr: shard %d %s edge %d->%d: source is not one of its boundary vertices", p, what, pair[0], pair[1])
-			}
-			if _, ok := bg.dense(pair[1]); !ok {
-				return fmt.Errorf("dsr: shard %d %s edge %d->%d: target is not a boundary vertex of any shard", p, what, pair[0], pair[1])
-			}
-			return nil
-		}
-		for _, pr := range s.Edges {
-			if errs[p] = check(pr, "summary"); errs[p] != nil {
-				return
-			}
-		}
-		for _, pr := range s.Cross {
-			if errs[p] = check(pr, "cross"); errs[p] != nil {
-				return
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Count per-row degrees, lay out the CSR arena, fill rows (deg
-	// doubles as the per-row cursor), then sort + dedupe each row in
-	// place (multi-edges and entry==exit self-pairs add noise). rowLen
-	// records the live prefix, since dedupe shrinks rows inside the
-	// shared arena.
-	deg := make([]int32, nb)
-	parallelParts(k, func(p int) {
-		for _, pr := range sums[p].Edges {
-			d, _ := bg.dense(pr[0])
-			deg[d]++
-		}
-		for _, pr := range sums[p].Cross {
-			d, _ := bg.dense(pr[0])
-			deg[d]++
-		}
-	})
-	for i := 0; i < nb; i++ {
-		bg.off[i+1] = bg.off[i] + int64(deg[i])
-	}
-	bg.arena = make([]int32, bg.off[nb])
-	clear(deg)
-	parallelParts(k, func(p int) {
-		put := func(pr [2]uint32) {
-			d, _ := bg.dense(pr[0])
-			t, _ := bg.dense(pr[1])
-			bg.arena[bg.off[d]+int64(deg[d])] = t
-			deg[d]++
-		}
-		for _, pr := range sums[p].Edges {
-			put(pr)
-		}
-		for _, pr := range sums[p].Cross {
-			put(pr)
-		}
-	})
-	parallelParts(k, func(p int) {
-		for _, v := range sums[p].Boundary {
-			d, _ := bg.dense(v)
-			row := bg.arena[bg.off[d]:bg.off[d+1]]
-			slices.Sort(row)
-			bg.rowLen[d] = int32(len(slices.Compact(row)))
-		}
-	})
-	return bg, nil
-}
-
 // Query pairs one source set with one target set for QueryBatch.
 type Query struct {
 	S, T []graph.VertexID
@@ -233,8 +94,8 @@ type Query struct {
 
 // qstate is the coordinator's per-query bookkeeping within one batch.
 type qstate struct {
-	seeds  []int32 // dense boundary ids reached by forward local searches
-	goals  []int32 // dense boundary ids that reach a target locally
+	seeds  []int32 // boundary components reached by forward local searches
+	goals  []int32 // boundary components that reach a target locally
 	hit    bool    // some partition saw a local S ~> T path
 	done   bool    // answered during assembly (trivial/overlap cases)
 	ans    bool
@@ -353,9 +214,7 @@ type Engine struct {
 	// waiting for; the next round must start from fresh memory.
 	stale bool
 
-	bvisit *partition.Marks // boundary-BFS visited marks
-	bgoal  *partition.Marks // boundary-BFS goal marks
-	bqueue []int32          // boundary-BFS queue
+	fin *finisher // boundary-finish sweep state
 
 	// Telemetry. met's instruments are nil (no-op) without a registry;
 	// trace is engine-owned scratch reused across batches (safe under
@@ -642,9 +501,10 @@ func connect(ctx context.Context, tr shard.Transport, k, n int, tel telemetry) (
 	if err != nil {
 		return nil, err
 	}
-	tel.log.Infof("boundary graph stitched: %d vertices, %d edges, %d coordinator-resident bytes",
-		len(bg.verts), len(bg.arena), bg.residentBytes())
-	return newEngine(n, k, bg, tr, tel), nil
+	e := newEngine(n, k, bg, tr, tel)
+	tel.log.Infof("boundary graph stitched: %d vertices in %d components, %d component edges, %d coordinator-resident bytes",
+		len(bg.verts), bg.ncomp(), len(bg.succ), e.ResidentBytes())
+	return e, nil
 }
 
 // newEngine wires a coordinator over an already-stitched boundary graph
@@ -658,8 +518,7 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, tel telemetry) *
 		replyc: make(chan shard.Reply, k),
 		tset:   &vset{},
 		sset:   &vset{},
-		bvisit: partition.NewMarks(len(bg.verts)),
-		bgoal:  partition.NewMarks(len(bg.verts)),
+		fin:    newFinisher(bg.ncomp()),
 		met:    newEngineMetrics(tel.reg, k),
 		slow:   tel.slow,
 		log:    tel.log,
@@ -676,7 +535,8 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, tel telemetry) *
 	}
 	e.met.partitions.Set(int64(k))
 	e.met.boundaryVerts.Set(int64(len(bg.verts)))
-	e.met.residentBytes.Set(int64(bg.residentBytes()))
+	e.met.boundaryComps.Set(int64(bg.ncomp()))
+	e.met.residentBytes.Set(int64(e.ResidentBytes()))
 	return e
 }
 
@@ -711,11 +571,12 @@ func (e *Engine) NumPartitions() int { return e.k }
 func (e *Engine) NumBoundary() int { return len(e.bg.verts) }
 
 // ResidentBytes reports the coordinator's per-graph resident footprint:
-// the stitched boundary graph. It scales with boundary size only —
+// the stitched boundary graph in condensed form plus the finish scratch
+// sized to its components. It scales with boundary size only —
 // growing partition interiors (vertices and edges that never cross a
 // partition border) leaves it unchanged, which is the point of the
 // graph-free coordinator.
-func (e *Engine) ResidentBytes() int { return e.bg.residentBytes() }
+func (e *Engine) ResidentBytes() int { return e.bg.residentBytes() + e.fin.residentBytes() }
 
 // Close shuts the transport down deterministically: in-process shard
 // goroutines have exited (and TCP connections are closed with their
@@ -977,40 +838,27 @@ func (e *Engine) runBatch(queries []Query) error {
 		return terr
 	}
 
-	// Final pass: one BFS over the compressed boundary graph per
-	// undecided query, then the coverage verdict. Queries that lost a
-	// partition still run on whatever the survivors reported: results
-	// can only be missing, never wrong, so a local hit or a boundary
-	// path proves the query true regardless of shortfall — only a
-	// `false` built on incomplete coverage is untrustworthy and fails.
+	// Final pass: every undecided query with both seeds and goals joins
+	// the boundary sweep, 64 to a sweep, then the coverage verdict.
+	// Queries that lost a partition still run on whatever the survivors
+	// reported: results can only be missing, never wrong, so a local hit
+	// or a boundary path proves the query true regardless of shortfall —
+	// only a `false` built on incomplete coverage is untrustworthy and
+	// fails.
 	finStart := e.trace.Since()
 	fin := e.trace.Add("finish", 1, finStart, 0, -1, 0)
-	searches := 0
+	swept := e.fin.run(e.bg, e.qs[:len(queries)])
 	anyFailed := false
 	for i := range queries {
 		st := &e.qs[i]
-		if st.done {
-			continue
-		}
-		if st.hit {
-			st.ans = true
-			continue
-		}
-		if len(st.seeds) > 0 && len(st.goals) > 0 {
-			searches++
-			if e.boundaryReach(st.seeds, st.goals) {
-				st.ans = true
-				continue
-			}
-		}
-		if st.gotS < st.expS || st.gotT < st.expT {
+		if !st.done && !st.ans && (st.gotS < st.expS || st.gotT < st.expT) {
 			st.failed = true
 			anyFailed = true
 		}
 	}
 	finDur := e.trace.Since() - finStart
 	e.trace.SetDur(fin, finDur)
-	e.trace.SetN(fin, searches)
+	e.trace.SetN(fin, swept)
 	e.met.finish.Observe(int64(finDur))
 	if anyFailed && perr == nil {
 		// Every shard answered, yet some seed was owned by none of them:
@@ -1233,44 +1081,12 @@ func (e *Engine) absorb(queries []Query, rep *shard.Reply) error {
 				terr = fmt.Errorf("dsr: shard %d reported non-boundary vertex %d", rep.Shard, v)
 				break
 			}
-			if res.Kind == wire.Forward {
-				st.seeds = append(st.seeds, d)
+			if c := e.bg.comp[d]; res.Kind == wire.Forward {
+				st.seeds = append(st.seeds, c)
 			} else {
-				st.goals = append(st.goals, d)
+				st.goals = append(st.goals, c)
 			}
 		}
 	}
 	return terr
-}
-
-// boundaryReach runs the boundary-graph BFS from seeds and reports
-// whether it touches any goal. The queue is saved back on every return
-// path so its capacity survives early true-returns.
-func (e *Engine) boundaryReach(seeds, goals []int32) bool {
-	e.bgoal.Reset()
-	for _, d := range goals {
-		e.bgoal.Mark(d)
-	}
-	e.bvisit.Reset()
-	queue := e.bqueue[:0]
-	defer func() { e.bqueue = queue }()
-	for _, v := range seeds {
-		if e.bgoal.Seen(v) {
-			return true
-		}
-		if e.bvisit.Mark(v) {
-			queue = append(queue, v)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		for _, w := range e.bg.row(queue[head]) {
-			if e.bvisit.Mark(w) {
-				if e.bgoal.Seen(w) {
-					return true
-				}
-				queue = append(queue, w)
-			}
-		}
-	}
-	return false
 }

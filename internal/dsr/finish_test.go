@@ -1,0 +1,464 @@
+package dsr
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"dsr/internal/graph"
+	"dsr/internal/graph/gen"
+	"dsr/internal/partition"
+	"dsr/internal/partition/locality"
+	"dsr/internal/shard"
+	"dsr/internal/wire"
+)
+
+// boundaryReach is the reference the sweep is checked against — the
+// finish this package ran before it: one BFS per query over the
+// vertex-level boundary graph, from the seeds until any goal is touched.
+func boundaryReach(g *csr, seeds, goals []int32) bool {
+	goal := make([]bool, g.NumVertices())
+	for _, d := range goals {
+		goal[d] = true
+	}
+	visited := make([]bool, g.NumVertices())
+	var queue []int32
+	for _, v := range seeds {
+		if goal[v] {
+			return true
+		}
+		if !visited[v] {
+			visited[v] = true
+			queue = append(queue, v)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		for _, w := range g.Out(queue[head]) {
+			if !visited[w] {
+				if goal[w] {
+					return true
+				}
+				visited[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	return false
+}
+
+// summariesOf fabricates the two-shard fleet whose stitched boundary
+// graph is exactly the given edge list over nb vertices: global IDs are
+// spread out (3v+1) so dense ids differ from them, even vertices belong
+// to shard 0 and odd ones to shard 1, same-shard edges travel as
+// summary edges and the rest as cross edges.
+func summariesOf(nb int, edges [][2]int32) (n int, sums []wire.Summary) {
+	sums = make([]wire.Summary, 2)
+	for v := 0; v < nb; v++ {
+		sums[v%2].Boundary = append(sums[v%2].Boundary, uint32(3*v+1))
+	}
+	for _, e := range edges {
+		pr := [2]uint32{uint32(3*e[0] + 1), uint32(3*e[1] + 1)}
+		if s := &sums[e[0]%2]; e[0]%2 == e[1]%2 {
+			s.Edges = append(s.Edges, pr)
+		} else {
+			s.Cross = append(s.Cross, pr)
+		}
+	}
+	return 3*nb + 1, sums
+}
+
+// shapeVerts is the vertex count of every boundaryShapes graph.
+const shapeVerts = 300
+
+// boundaryShape is one fabricated boundary graph.
+type boundaryShape struct {
+	name  string
+	edges [][2]int32
+}
+
+// boundaryShapes are the boundary graphs the finish is exercised on.
+func boundaryShapes(rng *rand.Rand) []boundaryShape {
+	const nb = shapeVerts
+	random := func(m int) [][2]int32 {
+		edges := make([][2]int32, m)
+		for i := range edges {
+			edges[i] = [2]int32{int32(rng.Intn(nb)), int32(rng.Intn(nb))}
+		}
+		return edges
+	}
+	ring := make([][2]int32, nb)
+	for v := range ring {
+		ring[v] = [2]int32{int32(v), int32((v + 1) % nb)}
+	}
+	// A DAG whose topological order is a random relabelling, so dense
+	// ids say nothing about sweep positions.
+	label := rng.Perm(nb)
+	dag := random(3 * nb)
+	for i, e := range dag {
+		lo, hi := min(e[0], e[1]), max(e[0], e[1])
+		dag[i] = [2]int32{int32(label[lo]), int32(label[hi])}
+	}
+	return []boundaryShape{
+		{"giant-scc", random(3 * nb)}, // collapses into one big component plus fringe
+		{"one-ring", ring},            // exactly one component
+		{"dag", dag},                  // every component a singleton
+		{"sparse", random(nb / 2)},    // mostly isolated vertices
+		{"empty", nil},
+	}
+}
+
+// stitched stitches a shape, returning both the vertex-level graph (the
+// reference's input) and its condensation (the sweep's).
+func (s boundaryShape) stitched(t *testing.T) (*csr, *boundaryGraph) {
+	t.Helper()
+	n, sums := summariesOf(shapeVerts, s.edges)
+	verts, g, err := stitchRows(n, sums)
+	if err != nil {
+		t.Fatalf("%s: %v", s.name, err)
+	}
+	return g, condense(verts, g)
+}
+
+// TestCondenseInvariants checks what the sweep relies on: components
+// numbered so every edge points downwards (equal only inside a
+// component), DAG rows strictly downward and duplicate-free.
+func TestCondenseInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260925))
+	for _, shape := range boundaryShapes(rng) {
+		name := shape.name
+		g, bg := shape.stitched(t)
+		for u := int32(0); u < int32(g.NumVertices()); u++ {
+			for _, v := range g.Out(u) {
+				cu, cv := bg.comp[u], bg.comp[v]
+				if cu < cv {
+					t.Fatalf("%s: edge %d->%d runs up the numbering (%d < %d)", name, u, v, cu, cv)
+				}
+				if back := boundaryReach(g, []int32{v}, []int32{u}); (cu == cv) != back {
+					t.Fatalf("%s: edge %d->%d: same component = %v, but %d reaches %d = %v", name, u, v, cu == cv, v, u, back)
+				}
+				if cu != cv && !slices.Contains(bg.succ[bg.off[cu]:bg.off[cu+1]], cv) {
+					t.Fatalf("%s: edge %d->%d has no DAG edge %d->%d", name, u, v, cu, cv)
+				}
+			}
+		}
+		for c := 0; c < bg.ncomp(); c++ {
+			row := slices.Clone(bg.succ[bg.off[c]:bg.off[c+1]])
+			slices.Sort(row)
+			if len(slices.Compact(row)) != len(row) {
+				t.Fatalf("%s: component %d has duplicate successors", name, c)
+			}
+			if len(row) > 0 && row[len(row)-1] >= int32(c) {
+				t.Fatalf("%s: component %d has successor %d", name, c, row[len(row)-1])
+			}
+		}
+	}
+}
+
+// finishRoundSizes straddle the 64-query chunk: one query, one short of
+// a chunk, exactly one, one over, and several chunks.
+var finishRoundSizes = []int{1, 63, 64, 65, 200}
+
+// TestFinishSweepDifferential runs the finish on fabricated rounds —
+// decided, locally hit and open queries mixed, seed and goal lists that
+// may be empty, overlap, or repeat — and checks every answer against
+// the per-query BFS. One finisher serves every round of a shape, so
+// bits are reused across chunks and rounds, and its arrays must be back
+// to all-zero after each.
+func TestFinishSweepDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260926))
+	for _, shape := range boundaryShapes(rng) {
+		const nb = shapeVerts
+		name := shape.name
+		g, bg := shape.stitched(t)
+		fin := newFinisher(bg.ncomp())
+		pick := func() []int32 {
+			vs := make([]int32, rng.Intn(7))
+			for i := range vs {
+				vs[i] = int32(rng.Intn(nb))
+			}
+			return vs
+		}
+		for _, size := range append(finishRoundSizes, finishRoundSizes...) {
+			qs := make([]qstate, size)
+			want := make([]bool, size)
+			open := 0
+			for i := range qs {
+				seeds, goals := pick(), pick()
+				if len(seeds) > 0 && rng.Intn(8) == 0 {
+					goals = append(goals, seeds[0]) // seed == goal
+				}
+				for _, d := range seeds {
+					qs[i].seeds = append(qs[i].seeds, bg.comp[d])
+				}
+				for _, d := range goals {
+					qs[i].goals = append(qs[i].goals, bg.comp[d])
+				}
+				switch rng.Intn(6) {
+				case 0: // decided during assembly: the finish must not touch it
+					qs[i].done, qs[i].ans = true, rng.Intn(2) == 0
+					want[i] = qs[i].ans
+				case 1:
+					qs[i].hit = true
+					want[i] = true
+				default:
+					want[i] = boundaryReach(g, seeds, goals)
+					if len(seeds) > 0 && len(goals) > 0 {
+						open++
+					}
+				}
+			}
+			if swept := fin.run(bg, qs); swept != open {
+				t.Fatalf("%s round of %d: swept %d queries, want %d", name, size, swept, open)
+			}
+			for i := range qs {
+				if qs[i].ans != want[i] {
+					t.Fatalf("%s round of %d query %d: sweep = %v, per-query BFS = %v (seeds %v goals %v)",
+						name, size, i, qs[i].ans, want[i], qs[i].seeds, qs[i].goals)
+				}
+			}
+			for _, arr := range [][]uint64{fin.mask, fin.active, fin.goalAt} {
+				if slices.ContainsFunc(arr, func(w uint64) bool { return w != 0 }) {
+					t.Fatalf("%s round of %d: finisher scratch not zeroed after the round", name, size)
+				}
+			}
+		}
+	}
+}
+
+// communityGraph is a rank-oriented community graph: vertices fall into
+// scattered communities, ~intra edges per vertex stay inside one and
+// ~uniform go anywhere, and every edge points from lower to higher
+// random rank except a back fraction. Unlike a uniform or planted
+// random graph, which collapses into one strongly connected giant, it
+// is mostly acyclic with a few non-trivial components — false answers
+// exist and cost a full closure — and a locality partitioner finds a
+// small boundary in it while hashing makes nearly every vertex boundary.
+func communityGraph(rng *rand.Rand, n, communities int, intra, uniform, back float64) *graph.Graph {
+	order, rank := rng.Perm(n), rng.Perm(n)
+	per := (n + communities - 1) / communities
+	b := graph.NewBuilder(n)
+	add := func(u, v int) {
+		if (rank[u] > rank[v]) != (rng.Float64() < back) {
+			u, v = v, u
+		}
+		b.AddEdge(graph.VertexID(u), graph.VertexID(v))
+	}
+	for i := 0; i < int(intra*float64(n)); i++ {
+		pos := rng.Intn(n)
+		lo := pos / per * per
+		add(order[pos], order[lo+rng.Intn(min(per, n-lo))])
+	}
+	for i := 0; i < int(uniform*float64(n)); i++ {
+		add(rng.Intn(n), rng.Intn(n))
+	}
+	return b.Build()
+}
+
+// finishStrategies are the partitioners the engine-level finish tests
+// run under.
+func finishStrategies() []graph.Partitioner {
+	return []graph.Partitioner{graph.Hash(), graph.Range(), locality.New(locality.Options{Seed: 3})}
+}
+
+// sweptLastRound reads the last round's finish span: how many queries
+// went through the sweep.
+func sweptLastRound(e *Engine) int {
+	for _, s := range e.trace.Spans() {
+		if s.Name == "finish" {
+			return s.N
+		}
+	}
+	return 0
+}
+
+// TestFinishAgainstOracle drives whole rounds through the engine on a
+// cyclic graph (gen.Planted: the boundary graph is one giant component,
+// every seed and goal shares it) and a mostly acyclic one, under every
+// partitioner, in rounds that straddle the sweep's chunk size, against
+// the whole-graph oracle.
+func TestFinishAgainstOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260927))
+	const n = 600
+	planted, _, err := gen.Planted(gen.PlantedConfig{N: n, K: 4, IntraDeg: 2, InterDeg: 0.3, Seed: 5, Shuffle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{
+		"planted":   planted,
+		"community": communityGraph(rng, n, 4, 1.6, 0.1, 0.02),
+	}
+	for gname, g := range graphs {
+		for _, strat := range finishStrategies() {
+			e, err := Build(g, Options{K: 3, Partitioner: strat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxSwept := 0
+			// The last round is big enough that even a locality
+			// partitioning, which settles most queries inside one
+			// shard, leaves more than a chunk of them open.
+			for _, size := range append(finishRoundSizes, 1000) {
+				queries := make([]Query, size)
+				for i := range queries {
+					queries[i] = Query{S: randomSet(rng, n+5, 3), T: randomSet(rng, n+5, 3)}
+				}
+				got := e.QueryBatch(queries)
+				maxSwept = max(maxSwept, sweptLastRound(e))
+				for i, q := range queries {
+					if want := NaiveReach(g, q.S, q.T); got[i] != want {
+						t.Fatalf("%s/%s round of %d query %d: got %v, oracle %v (S=%v T=%v)",
+							gname, strat.Name(), size, i, got[i], want, q.S, q.T)
+					}
+				}
+			}
+			if maxSwept <= finishChunk {
+				t.Errorf("%s/%s: no round swept more than %d queries (max %d): the chunk boundary was never crossed",
+					gname, strat.Name(), finishChunk, maxSwept)
+			}
+			e.Close()
+		}
+	}
+}
+
+// TestBatchGroupingInvariance is the no-oracle property: a query's
+// answer does not depend on which batch it travels in or where in it.
+// Every query is answered once in one big round, then again in a
+// shuffled order cut into random groups, across all partitioners.
+func TestBatchGroupingInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260928))
+	const n, nq = 500, 300
+	g := communityGraph(rng, n, 4, 1.6, 0.1, 0.02)
+	queries := make([]Query, nq)
+	for i := range queries {
+		queries[i] = Query{S: randomSet(rng, n, 4), T: randomSet(rng, n, 4)}
+	}
+	var first []bool // the first partitioner's answers, to compare across partitioners
+	for _, strat := range finishStrategies() {
+		e, err := Build(g, Options{K: 4, Partitioner: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := e.QueryBatch(queries)
+		if first == nil {
+			first = whole
+		} else if !slices.Equal(first, whole) {
+			t.Fatalf("%s answers differ from %s's", strat.Name(), finishStrategies()[0].Name())
+		}
+		for trial := 0; trial < 4; trial++ {
+			perm := rng.Perm(nq)
+			for at := 0; at < nq; {
+				size := min(1+rng.Intn(100), nq-at)
+				group := make([]Query, size)
+				for i := range group {
+					group[i] = queries[perm[at+i]]
+				}
+				for i, ans := range e.QueryBatch(group) {
+					if qi := perm[at+i]; ans != whole[qi] {
+						t.Fatalf("%s trial %d: query %d answered %v alone in a group of %d at %d, %v in the whole batch",
+							strat.Name(), trial, qi, ans, size, i, whole[qi])
+					}
+				}
+				at += size
+			}
+		}
+		e.Close()
+	}
+}
+
+// captureRounds runs rounds of `batch` fresh queries through e and
+// keeps each round's per-query state as it stood before the finish
+// (seeds, goals, flags — the finish only ever writes ans).
+func captureRounds(e *Engine, rng *rand.Rand, n, batch, rounds int) [][]qstate {
+	out := make([][]qstate, rounds)
+	for r := range out {
+		queries := make([]Query, batch)
+		for i := range queries {
+			queries[i] = Query{S: randomSet(rng, n, 16), T: randomSet(rng, n, 16)}
+		}
+		e.QueryBatch(queries)
+		out[r] = make([]qstate, batch)
+		for i := range out[r] {
+			st := e.qs[i]
+			st.seeds, st.goals = slices.Clone(st.seeds), slices.Clone(st.goals)
+			st.ans = st.done && st.ans
+			out[r][i] = st
+		}
+	}
+	return out
+}
+
+// benchGraph is the graph the finish and stitch benchmarks share: the
+// benchmark harness's graph family at a quarter of its size.
+func benchGraph() (*graph.Graph, int) {
+	const n = 50_000
+	return communityGraph(rand.New(rand.NewSource(4)), n, 16, 2.5, 0.05, 0.01), n
+}
+
+// BenchmarkBoundaryFinish times the coordinator's finish alone — the
+// rounds' state is captured up front from real rounds — under the
+// partitioning that makes nearly every vertex boundary and the one that
+// keeps the boundary small. b.N counts rounds; ns/query divides by the
+// batch.
+func BenchmarkBoundaryFinish(b *testing.B) {
+	g, n := benchGraph()
+	for _, strat := range []graph.Partitioner{graph.Hash(), locality.New(locality.Options{Seed: 1})} {
+		e, err := Build(g, Options{K: 3, Partitioner: strat})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range []int{1, 8, 64} {
+			rounds := captureRounds(e, rand.New(rand.NewSource(int64(batch))), n, batch, 16)
+			b.Run(fmt.Sprintf("%s/batch=%d", strat.Name(), batch), func(b *testing.B) {
+				run := func(i int) {
+					qs := rounds[i%len(rounds)]
+					for j := range qs {
+						qs[j].ans = qs[j].done && qs[j].ans
+					}
+					e.fin.run(e.bg, qs)
+				}
+				for i := range rounds { // warm the goal table to its steady size
+					run(i)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run(i)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/query")
+			})
+		}
+		e.Close()
+	}
+}
+
+// BenchmarkStitchBoundary measures the coordinator's share of engine
+// construction — validating and stitching the k shipped summaries and
+// condensing the result — and reports the resulting coordinator-resident
+// footprint, the headline metric of the graph-free design.
+func BenchmarkStitchBoundary(b *testing.B) {
+	g, n := benchGraph()
+	for _, strat := range []graph.Partitioner{graph.Hash(), locality.New(locality.Options{Seed: 1})} {
+		const k = 3
+		pt, err := strat.Partition(g, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		subs, _ := partition.Extract(g, pt)
+		sums := make([]wire.Summary, k)
+		for p := range sums {
+			sums[p] = shard.New(p, subs[p]).Summary()
+		}
+		b.Run(strat.Name(), func(b *testing.B) {
+			var resident int
+			for i := 0; i < b.N; i++ {
+				bg, err := stitchBoundary(n, sums)
+				if err != nil {
+					b.Fatal(err)
+				}
+				resident = bg.residentBytes() + newFinisher(bg.ncomp()).residentBytes()
+			}
+			b.ReportMetric(float64(resident), "resident-B")
+		})
+	}
+}

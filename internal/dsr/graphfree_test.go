@@ -173,32 +173,3 @@ func TestChaosSummaryFetchFailover(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkCoordinatorBuild measures the coordinator's share of
-// engine construction — stitching the global boundary graph from the k
-// shipped summaries — and reports the resulting coordinator-resident
-// footprint, the headline metric of the graph-free design.
-func BenchmarkCoordinatorBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	const n, k = 10000, 4
-	g := randomGraph(rng, n, 4)
-	pt, err := graph.HashPartition(g, k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	subs, _ := partition.Extract(g, pt)
-	sums := make([]wire.Summary, k)
-	for p := 0; p < k; p++ {
-		sums[p] = shard.New(p, subs[p]).Summary()
-	}
-	var resident int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bg, err := stitchBoundary(n, sums)
-		if err != nil {
-			b.Fatal(err)
-		}
-		resident = bg.residentBytes()
-	}
-	b.ReportMetric(float64(resident), "resident-B")
-}

@@ -34,6 +34,7 @@ type engineMetrics struct {
 	hedgeWins []*obs.Counter   // dsr_hedge_wins_total{partition=p}
 
 	boundaryVerts *obs.Gauge // dsr_boundary_vertices
+	boundaryComps *obs.Gauge // dsr_boundary_components
 	residentBytes *obs.Gauge // dsr_resident_bytes
 	partitions    *obs.Gauge // dsr_partitions
 }
@@ -61,6 +62,7 @@ func newEngineMetrics(reg *obs.Registry, k int) engineMetrics {
 		hedges:        make([]*obs.Counter, k),
 		hedgeWins:     make([]*obs.Counter, k),
 		boundaryVerts: reg.Gauge("dsr_boundary_vertices"),
+		boundaryComps: reg.Gauge("dsr_boundary_components"),
 		residentBytes: reg.Gauge("dsr_resident_bytes"),
 		partitions:    reg.Gauge("dsr_partitions"),
 	}

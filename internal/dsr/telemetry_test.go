@@ -69,6 +69,9 @@ func TestEngineMetrics(t *testing.T) {
 	if got := snap.Gauges["dsr_boundary_vertices"]; got != int64(e.NumBoundary()) {
 		t.Errorf("dsr_boundary_vertices = %d, want %d", got, e.NumBoundary())
 	}
+	if got := snap.Gauges["dsr_boundary_components"]; got != int64(e.bg.ncomp()) || got == 0 || got > int64(e.NumBoundary()) {
+		t.Errorf("dsr_boundary_components = %d, want %d (at most the %d boundary vertices)", got, e.bg.ncomp(), e.NumBoundary())
+	}
 	if got := snap.Gauges["dsr_resident_bytes"]; got != int64(e.ResidentBytes()) {
 		t.Errorf("dsr_resident_bytes = %d, want %d", got, e.ResidentBytes())
 	}
