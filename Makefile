@@ -140,9 +140,12 @@ bench-gate:
 bench-harness-test:
 	cd bench && $(GO) test ./...
 
-# Run every wire-protocol fuzz target for FUZZ_TIME each, growing the
-# hostile-input corpus instead of only replaying committed seeds. Any
-# crasher go finds is written to testdata/fuzz and fails the run.
+# Run every fuzz target for FUZZ_TIME each — the wire-protocol and
+# snapshot decoders against hostile input, and the shard's batched
+# sweep against its scalar reference on graphs, partitionings and task
+# batches decoded from the fuzz bytes — growing the corpus instead of
+# only replaying committed seeds. Any crasher go finds is written to
+# testdata/fuzz and fails the run.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeTasks$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeResults$$' -fuzztime=$(FUZZ_TIME)
@@ -150,6 +153,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeSummary$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz='^FuzzDecodeSnapshotHeader$$' -fuzztime=$(FUZZ_TIME)
+	$(GO) test ./internal/shard -run='^$$' -fuzz='^FuzzShardRun$$' -fuzztime=$(FUZZ_TIME)
 
 # Observability smoke: build the real binaries, boot a k=2 loopback-TCP
 # fleet with every process serving -metrics-addr, run one query, and

@@ -208,6 +208,10 @@ func BenchmarkQuery(b *testing.B) {
 	for i := range queries {
 		queries[i] = [2][]graph.VertexID{randomSet(rng, n, 8), randomSet(rng, n, 8)}
 	}
+	for _, q := range queries { // warm scratch so steady state is 0 allocs/op
+		e.Query(q[0], q[1])
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%nq]

@@ -226,35 +226,6 @@ func TestFinishSweepDifferential(t *testing.T) {
 	}
 }
 
-// communityGraph is a rank-oriented community graph: vertices fall into
-// scattered communities, ~intra edges per vertex stay inside one and
-// ~uniform go anywhere, and every edge points from lower to higher
-// random rank except a back fraction. Unlike a uniform or planted
-// random graph, which collapses into one strongly connected giant, it
-// is mostly acyclic with a few non-trivial components — false answers
-// exist and cost a full closure — and a locality partitioner finds a
-// small boundary in it while hashing makes nearly every vertex boundary.
-func communityGraph(rng *rand.Rand, n, communities int, intra, uniform, back float64) *graph.Graph {
-	order, rank := rng.Perm(n), rng.Perm(n)
-	per := (n + communities - 1) / communities
-	b := graph.NewBuilder(n)
-	add := func(u, v int) {
-		if (rank[u] > rank[v]) != (rng.Float64() < back) {
-			u, v = v, u
-		}
-		b.AddEdge(graph.VertexID(u), graph.VertexID(v))
-	}
-	for i := 0; i < int(intra*float64(n)); i++ {
-		pos := rng.Intn(n)
-		lo := pos / per * per
-		add(order[pos], order[lo+rng.Intn(min(per, n-lo))])
-	}
-	for i := 0; i < int(uniform*float64(n)); i++ {
-		add(rng.Intn(n), rng.Intn(n))
-	}
-	return b.Build()
-}
-
 // finishStrategies are the partitioners the engine-level finish tests
 // run under.
 func finishStrategies() []graph.Partitioner {
@@ -286,7 +257,7 @@ func TestFinishAgainstOracle(t *testing.T) {
 	}
 	graphs := map[string]*graph.Graph{
 		"planted":   planted,
-		"community": communityGraph(rng, n, 4, 1.6, 0.1, 0.02),
+		"community": gen.Community(rng, n, 4, 1.6, 0.1, 0.02),
 	}
 	for gname, g := range graphs {
 		for _, strat := range finishStrategies() {
@@ -328,7 +299,7 @@ func TestFinishAgainstOracle(t *testing.T) {
 func TestBatchGroupingInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260928))
 	const n, nq = 500, 300
-	g := communityGraph(rng, n, 4, 1.6, 0.1, 0.02)
+	g := gen.Community(rng, n, 4, 1.6, 0.1, 0.02)
 	queries := make([]Query, nq)
 	for i := range queries {
 		queries[i] = Query{S: randomSet(rng, n, 4), T: randomSet(rng, n, 4)}
@@ -392,7 +363,7 @@ func captureRounds(e *Engine, rng *rand.Rand, n, batch, rounds int) [][]qstate {
 // benchmark harness's graph family at a quarter of its size.
 func benchGraph() (*graph.Graph, int) {
 	const n = 50_000
-	return communityGraph(rand.New(rand.NewSource(4)), n, 16, 2.5, 0.05, 0.01), n
+	return gen.Community(rand.New(rand.NewSource(4)), n, 16, 2.5, 0.05, 0.01), n
 }
 
 // BenchmarkBoundaryFinish times the coordinator's finish alone — the

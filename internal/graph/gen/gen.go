@@ -5,7 +5,8 @@
 // ~0 difference between partitioners by construction — every
 // partitioning of a structureless graph cuts the same expected number
 // of edges — so community structure is what makes partitioner quality
-// measurable at all.
+// measurable at all. The rank-oriented community model (Community) adds
+// direction: mostly acyclic, so reachability is not trivially true.
 package gen
 
 import (
@@ -97,4 +98,33 @@ func Planted(cfg PlantedConfig) (*graph.Graph, []int32, error) {
 		}
 	}
 	return b.Build(), truth, nil
+}
+
+// Community generates a rank-oriented community graph: vertices fall
+// into scattered communities, ~intra edges per vertex stay inside one
+// and ~uniform go anywhere, and every edge points from lower to higher
+// random rank except a back fraction. Unlike a uniform or planted
+// random graph, which collapses into one strongly connected giant, it
+// is mostly acyclic with a few non-trivial components — false answers
+// exist and cost a full closure — and a locality partitioner finds a
+// small boundary in it while hashing makes nearly every vertex boundary.
+func Community(rng *rand.Rand, n, communities int, intra, uniform, back float64) *graph.Graph {
+	order, rank := rng.Perm(n), rng.Perm(n)
+	per := (n + communities - 1) / communities
+	b := graph.NewBuilder(n)
+	add := func(u, v int) {
+		if (rank[u] > rank[v]) != (rng.Float64() < back) {
+			u, v = v, u
+		}
+		b.AddEdge(graph.VertexID(u), graph.VertexID(v))
+	}
+	for i := 0; i < int(intra*float64(n)); i++ {
+		pos := rng.Intn(n)
+		lo := pos / per * per
+		add(order[pos], order[lo+rng.Intn(min(per, n-lo))])
+	}
+	for i := 0; i < int(uniform*float64(n)); i++ {
+		add(rng.Intn(n), rng.Intn(n))
+	}
+	return b.Build()
 }

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math/rand"
 	"testing"
 
 	"dsr/internal/graph"
@@ -103,5 +104,22 @@ func TestPlantedRejectsBadConfig(t *testing.T) {
 	}
 	if g, _, err := Planted(PlantedConfig{N: 5, K: 1, IntraDeg: 2}); err != nil || g.NumVertices() != 5 {
 		t.Errorf("single community: %v, %v", g, err)
+	}
+}
+
+// TestCommunityShape: the vertex count and edge budget asked for, and
+// the same graph again from the same source.
+func TestCommunityShape(t *testing.T) {
+	const n = 2000
+	g := Community(rand.New(rand.NewSource(9)), n, 8, 2.0, 0.1, 0.01)
+	if g.NumVertices() != n {
+		t.Fatalf("got %d vertices, want %d", g.NumVertices(), n)
+	}
+	if m := g.NumEdges(); m > int(2.1*n) || m < int(1.8*n) {
+		t.Fatalf("got %d edges, want about %d (duplicates collapse)", m, int(2.1*n))
+	}
+	again := Community(rand.New(rand.NewSource(9)), n, 8, 2.0, 0.1, 0.01)
+	if g.Fingerprint() != again.Fingerprint() {
+		t.Fatal("same source, different graph")
 	}
 }

@@ -36,17 +36,7 @@ func (s *Shard) Snapshot(shardCount, totalVertices int, graphSum, partSum uint64
 // byte-identical on the wire to a freshly built shard.
 func FromSnapshot(sn *snapshot.Snapshot) *Shard {
 	s := New(sn.ShardID, sn.Sub)
-	var sum wire.Summary
-	for lv := int32(0); lv < int32(s.sub.NumVertices()); lv++ {
-		if s.isEntry[lv] || s.isExit[lv] {
-			sum.Boundary = append(sum.Boundary, uint32(s.sub.GlobalID(lv)))
-		}
-	}
-	sum.Edges = sn.SummaryEdges
-	for _, pr := range s.sub.Cross {
-		sum.Cross = append(sum.Cross, [2]uint32{uint32(pr[0]), uint32(pr[1])})
-	}
-	s.PresetSummary(sum)
+	s.PresetSummary(s.summaryWith(sn.SummaryEdges))
 	return s
 }
 

@@ -47,34 +47,47 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	met  netInstruments             // net_server_* frame counters
-	tim  atomic.Pointer[srvTimings] // shard_server_* phase histograms
+	srv  atomic.Pointer[srvMetrics] // shard_server_* per-batch metrics
 	logp atomic.Pointer[obs.Logger] // protocol-failure logging
 }
 
-// srvTimings holds the server's per-batch phase histograms: the same
-// four numbers the timing footer ships to the coordinator, kept locally
-// so a shard's own /metrics shows where its batches spend time even
-// when no coordinator asks for footers.
-type srvTimings struct {
+// srvMetrics holds the server's per-batch metrics. The phase
+// histograms are the same four numbers the timing footer ships to the
+// coordinator, kept locally so a shard's own /metrics shows where its
+// batches spend time even when no coordinator asks for footers. Beside
+// them, what the search did with the batch (Shard.LastRun): how many
+// tasks the broadcast delivered, how many of those held no seed of this
+// partition — the broadcast's waste — and how many components the
+// batch's sweeps expanded, which over the task count is the sharing the
+// batch size buys.
+type srvMetrics struct {
 	decode *obs.Histogram
 	queue  *obs.Histogram
 	search *obs.Histogram
 	encode *obs.Histogram
+
+	tasks   *obs.Counter
+	unowned *obs.Counter
+	swept   *obs.Histogram
 }
 
-func newSrvTimings(reg *obs.Registry) *srvTimings {
+func newSrvMetrics(reg *obs.Registry) *srvMetrics {
 	if reg == nil {
 		return nil
 	}
-	return &srvTimings{
+	return &srvMetrics{
 		decode: reg.Histogram("shard_server_decode_ns"),
 		queue:  reg.Histogram("shard_server_queue_ns"),
 		search: reg.Histogram("shard_server_search_ns"),
 		encode: reg.Histogram("shard_server_encode_ns"),
+
+		tasks:   reg.Counter("shard_server_tasks_total"),
+		unowned: reg.Counter("shard_server_tasks_unowned_total"),
+		swept:   reg.Histogram("shard_server_sweep_components"),
 	}
 }
 
-func (st *srvTimings) observe(t wire.ServerTiming) {
+func (st *srvMetrics) observe(t wire.ServerTiming, tasks int, run RunStats) {
 	if st == nil {
 		return
 	}
@@ -82,6 +95,9 @@ func (st *srvTimings) observe(t wire.ServerTiming) {
 	st.queue.Observe(int64(t.Queue))
 	st.search.Observe(int64(t.Search))
 	st.encode.Observe(int64(t.Encode))
+	st.tasks.Add(uint64(tasks))
+	st.unowned.Add(uint64(run.Unowned))
+	st.swept.Observe(int64(run.Components))
 }
 
 // Instrument wires telemetry into the server: frame and byte counters
@@ -91,8 +107,8 @@ func (st *srvTimings) observe(t wire.ServerTiming) {
 // leaves its slot untouched.
 func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger) {
 	s.met.set(newNetMetrics(reg, "net_server"))
-	if t := newSrvTimings(reg); t != nil {
-		s.tim.Store(t)
+	if t := newSrvMetrics(reg); t != nil {
+		s.srv.Store(t)
 	}
 	if log != nil {
 		s.logp.Store(log)
@@ -341,6 +357,7 @@ func (s *Server) handle(c net.Conn) {
 			t2 := time.Now()
 			results := s.sh.Run(tasks)
 			t3 := time.Now()
+			run := s.sh.LastRun()
 			wbuf = wire.AppendResults(wbuf[:0], hdr.Batch, hdr.Trace, results)
 			t4 := time.Now()
 			s.runMu.Unlock()
@@ -350,7 +367,7 @@ func (s *Server) handle(c net.Conn) {
 				Search: uint64(t3.Sub(t2)),
 				Encode: uint64(t4.Sub(t3)),
 			}
-			s.tim.Load().observe(timing)
+			s.srv.Load().observe(timing, len(tasks), run)
 			if hdr.Trace {
 				wbuf = wire.AppendServerTiming(wbuf, timing)
 			}

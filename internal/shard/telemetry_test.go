@@ -117,7 +117,9 @@ func TestTCPFrameCounters(t *testing.T) {
 // server's self-measured timing footer and the batch ID echoed; an
 // untraced one carries neither — but the server-side breakdown
 // histograms measure every batch regardless, feeding the shard's own
-// /metrics. The client surfaces each connection's identity (address,
+// /metrics, and beside them the server counts what the search did with
+// each batch: tasks delivered, tasks it owned no seed of, components
+// swept. The client surfaces each connection's identity (address,
 // announced ops endpoint, liveness) through Endpoints().
 func TestServerTimingAndEndpoints(t *testing.T) {
 	shards, _ := chainFixture(t)
@@ -158,7 +160,12 @@ func TestServerTimingAndEndpoints(t *testing.T) {
 	defer cl.Close()
 
 	replyc := make(chan Reply, 1)
-	task := []wire.Task{{Kind: wire.Forward, Query: 1, Seeds: []int32{0}}}
+	// Shard 0 holds {0,1}: the first task is its own (0 reaches 1: two
+	// components swept), the second is aimed at shard 2.
+	task := []wire.Task{
+		{Kind: wire.Forward, Query: 1, Seeds: []int32{0}},
+		{Kind: wire.Backward, Query: 1, Seeds: []int32{5}},
+	}
 	cl.Submit(0, wire.BatchHeader{Trace: true, Batch: 42}, task, replyc)
 	rep := <-replyc
 	if rep.Err != nil {
@@ -188,6 +195,15 @@ func TestServerTimingAndEndpoints(t *testing.T) {
 		if got := snap.Histograms[name].Count; got != 2 {
 			t.Errorf("%s observed %d batches, want 2 (traced and untraced)", name, got)
 		}
+	}
+	if got := snap.Counters["shard_server_tasks_total"]; got != 4 {
+		t.Errorf("shard_server_tasks_total = %d, want 4 (two batches of two)", got)
+	}
+	if got := snap.Counters["shard_server_tasks_unowned_total"]; got != 2 {
+		t.Errorf("shard_server_tasks_unowned_total = %d, want 2 (one per batch)", got)
+	}
+	if h := snap.Histograms["shard_server_sweep_components"]; h.Count != 2 || h.Sum != 4 {
+		t.Errorf("shard_server_sweep_components: %d batches summing to %d components, want 2 and 4", h.Count, h.Sum)
 	}
 
 	eps := cl.Endpoints()
