@@ -148,8 +148,8 @@ func main() {
 			graphSum, partSum = sn.GraphFingerprint, sn.PartitioningDigest
 			snapLoads.Inc()
 			snapBytes.Set(int64(sn.Size))
-			logger.Infof("loaded snapshot %s (%d bytes, graph file not read): %d of %d vertices, %d entries, %d exits",
-				snapPath, sn.Size, sh.NumVertices(), numVertices, len(sn.Sub.Entries), len(sn.Sub.Exits))
+			logger.Infof("loaded snapshot %s (%d bytes, graph file not read): %d of %d vertices, %d entries, %d exits, components: %v",
+				snapPath, sn.Size, sh.NumVertices(), numVertices, len(sn.Sub.Entries), len(sn.Sub.Exits), sh.Regions())
 		case errors.Is(err, fs.ErrNotExist):
 			logger.Infof("no snapshot at %s: building from -graph", snapPath)
 		default:
@@ -179,9 +179,9 @@ func main() {
 		sub := partition.ExtractOne(g, pt, *shardID)
 		sh = shard.New(*shardID, sub)
 		numVertices, graphSum, partSum = g.NumVertices(), g.Fingerprint(), pt.Digest()
-		logger.Infof("shard %d/%d (%s-partitioned): %d of %d vertices, %d entries, %d exits",
+		logger.Infof("shard %d/%d (%s-partitioned): %d of %d vertices, %d entries, %d exits, components: %v",
 			*shardID, *numShards, strat.Name(), sh.NumVertices(), numVertices,
-			len(sub.Entries), len(sub.Exits))
+			len(sub.Entries), len(sub.Exits), sh.Regions())
 
 		if snapPath != "" {
 			sn := sh.Snapshot(*numShards, numVertices, graphSum, partSum)

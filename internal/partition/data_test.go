@@ -42,12 +42,9 @@ func TestSubgraphDataRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: round trip changed the subgraph", seed)
 		}
 		// The reassembled subgraph answers searches identically.
-		sc1, sc2 := NewScratch(sub.NumVertices()), NewScratch(got.NumVertices())
 		for v := int32(0); v < int32(sub.NumVertices()); v++ {
-			a := append([]int32{}, sub.ReachForward([]int32{v}, sc1)...)
-			b := got.ReachForward([]int32{v}, sc2)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("seed %d: ReachForward(%d) differs: %v vs %v", seed, v, a, b)
+			if a, b := reach(sub, v, sub.Out), reach(got, v, got.Out); !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d: forward reach from %d differs: %v vs %v", seed, v, a, b)
 			}
 		}
 	}

@@ -220,40 +220,15 @@ func ExtractOne(g *graph.Graph, pt *graph.Partitioning, id int) *Subgraph {
 	return s
 }
 
-// Scratch is reusable per-worker working memory: an epoch-marked
-// visited set plus BFS queue for local searches, exit-membership marks
-// for SummaryBFS, and an scc workspace for condensation builds. Every
-// piece is created on first use, so callers that exercise only one path
-// (e.g. the index-based Summary, which needs just the scc workspace)
-// pay for nothing else. A Scratch sized for n vertices works for any
-// subgraph with at most n vertices, so one scratch can serve many
-// partitions.
+// Scratch is reusable per-worker working memory for index builds: the
+// scc workspace a condensation build runs in, created on first use. One
+// scratch can serve many partitions in turn.
 type Scratch struct {
-	n     int
-	marks *Marks // BFS visited set, lazy
-	queue []int32
-	xmark *Marks // exit membership for SummaryBFS, lazy
-	scc   *scc.Workspace
+	scc *scc.Workspace
 }
 
-// NewScratch returns scratch sized for a subgraph with n vertices.
-func NewScratch(n int) *Scratch { return &Scratch{n: n} }
-
-// searchMarks returns the BFS visited set, creating it on first use.
-func (sc *Scratch) searchMarks() *Marks {
-	if sc.marks == nil {
-		sc.marks = NewMarks(sc.n)
-	}
-	return sc.marks
-}
-
-// exitMarks returns the exit-membership set, creating it on first use.
-func (sc *Scratch) exitMarks() *Marks {
-	if sc.xmark == nil {
-		sc.xmark = NewMarks(sc.n)
-	}
-	return sc.xmark
-}
+// NewScratch returns an empty scratch.
+func NewScratch() *Scratch { return &Scratch{} }
 
 // sccWorkspace returns the scratch's scc workspace, creating it on
 // first use. A nil receiver yields a nil workspace, which the scc
@@ -266,43 +241,6 @@ func (sc *Scratch) sccWorkspace() *scc.Workspace {
 		sc.scc = &scc.Workspace{}
 	}
 	return sc.scc
-}
-
-func (sc *Scratch) reset() {
-	sc.searchMarks().Reset()
-	sc.queue = sc.queue[:0]
-}
-
-// ReachForward returns every local vertex reachable from seeds (seeds
-// included) following intra-partition edges forward. The returned slice
-// aliases sc and is valid until the next call with the same Scratch.
-func (s *Subgraph) ReachForward(seeds []int32, sc *Scratch) []int32 {
-	return s.reach(seeds, sc, s.foff, s.fedges)
-}
-
-// ReachBackward is ReachForward over reversed edges: every local vertex
-// that can reach one of seeds inside the partition.
-func (s *Subgraph) ReachBackward(seeds []int32, sc *Scratch) []int32 {
-	return s.reach(seeds, sc, s.roff, s.redges)
-}
-
-func (s *Subgraph) reach(seeds []int32, sc *Scratch, off []int64, edges []int32) []int32 {
-	sc.reset()
-	marks := sc.marks
-	for _, v := range seeds {
-		if marks.Mark(v) {
-			sc.queue = append(sc.queue, v)
-		}
-	}
-	for head := 0; head < len(sc.queue); head++ {
-		v := sc.queue[head]
-		for _, w := range edges[off[v]:off[v+1]] {
-			if marks.Mark(w) {
-				sc.queue = append(sc.queue, w)
-			}
-		}
-	}
-	return sc.queue
 }
 
 // Summary compresses the partition into boundary-to-boundary edges: one
@@ -320,33 +258,6 @@ func (s *Subgraph) Summary(sc *Scratch) [][2]graph.VertexID {
 		buf = ix.AppendExitsFrom(e, buf[:0])
 		for _, x := range buf {
 			pairs = append(pairs, [2]graph.VertexID{s.global[e], s.global[x]})
-		}
-	}
-	return pairs
-}
-
-// SummaryBFS is the reference implementation of Summary: one forward
-// BFS per entry, O(B·(V+E)) for B boundary entries. It is kept for
-// differential testing against the index-based path. sc, which may be
-// nil, provides reusable BFS scratch so repeated calls (e.g. across the
-// partitions of one graph) allocate nothing per call.
-func (s *Subgraph) SummaryBFS(sc *Scratch) [][2]graph.VertexID {
-	if sc == nil {
-		sc = NewScratch(s.NumVertices())
-	}
-	xmark := sc.exitMarks()
-	xmark.Reset()
-	for _, x := range s.Exits {
-		xmark.Mark(x)
-	}
-	var pairs [][2]graph.VertexID
-	seed := make([]int32, 1)
-	for _, e := range s.Entries {
-		seed[0] = e
-		for _, v := range s.ReachForward(seed, sc) {
-			if xmark.Seen(v) {
-				pairs = append(pairs, [2]graph.VertexID{s.global[e], s.global[v]})
-			}
 		}
 	}
 	return pairs

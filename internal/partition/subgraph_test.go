@@ -59,17 +59,53 @@ func TestExtractShape(t *testing.T) {
 	}
 }
 
+// reach is a plain BFS over the subgraph's own adjacency — adj is s.Out
+// or s.In — returning every local vertex reached from seed, seed first:
+// the reference the index-based Summary is checked against, and the
+// probe for what Extract put into the CSRs.
+func reach(s *Subgraph, seed int32, adj func(int32) []int32) []int32 {
+	seen := make([]bool, s.NumVertices())
+	seen[seed] = true
+	queue := []int32{seed}
+	for head := 0; head < len(queue); head++ {
+		for _, w := range adj(queue[head]) {
+			if !seen[w] {
+				seen[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	return queue
+}
+
+// summaryBFS is the reference implementation of Summary: one forward
+// BFS per entry, O(B·(V+E)) for B boundary entries.
+func summaryBFS(s *Subgraph) [][2]graph.VertexID {
+	isExit := make([]bool, s.NumVertices())
+	for _, x := range s.Exits {
+		isExit[x] = true
+	}
+	var pairs [][2]graph.VertexID
+	for _, e := range s.Entries {
+		for _, v := range reach(s, e, s.Out) {
+			if isExit[v] {
+				pairs = append(pairs, [2]graph.VertexID{s.GlobalID(e), s.GlobalID(v)})
+			}
+		}
+	}
+	return pairs
+}
+
 func TestReachForwardBackward(t *testing.T) {
 	g, pt := twoBlock(t)
 	subs, local := Extract(g, pt)
 	s0 := subs[pt.Part[0]]
-	sc := NewScratch(s0.NumVertices())
 
-	reach := s0.ReachForward([]int32{local[0]}, sc)
-	if len(reach) != 4 {
-		t.Fatalf("forward reach from 0 inside cycle = %d vertices, want 4", len(reach))
+	fwd := reach(s0, local[0], s0.Out)
+	if len(fwd) != 4 {
+		t.Fatalf("forward reach from 0 inside cycle = %d vertices, want 4", len(fwd))
 	}
-	back := s0.ReachBackward([]int32{local[0]}, sc)
+	back := reach(s0, local[0], s0.In)
 	if len(back) != 4 {
 		t.Fatalf("backward reach from 0 inside cycle = %d vertices, want 4", len(back))
 	}
@@ -79,10 +115,9 @@ func TestReachStaysInPartition(t *testing.T) {
 	g, pt := twoBlock(t)
 	subs, local := Extract(g, pt)
 	s0 := subs[pt.Part[3]]
-	sc := NewScratch(s0.NumVertices())
 	// The bridge 3->4 is cross-partition: forward reach from 3 must not
 	// include any vertex of partition 1.
-	for _, v := range s0.ReachForward([]int32{local[3]}, sc) {
+	for _, v := range reach(s0, local[3], s0.Out) {
 		if gid := s0.GlobalID(v); gid >= 4 {
 			t.Fatalf("local reach escaped partition: reached global %d", gid)
 		}
@@ -190,7 +225,7 @@ func TestSummaryIndexVsBFSDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260728))
 	const graphs = 220
 	const maxN = 120
-	sc := NewScratch(maxN)
+	sc := NewScratch()
 	checkedPartitions := 0
 	for gi := 0; gi < graphs; gi++ {
 		n := 1 + rng.Intn(maxN)
@@ -214,7 +249,7 @@ func TestSummaryIndexVsBFSDifferential(t *testing.T) {
 		subs, _ := Extract(g, pt)
 		for _, s := range subs {
 			got := s.Summary(sc)
-			want := s.SummaryBFS(sc)
+			want := summaryBFS(s)
 			sortPairs(got)
 			sortPairs(want)
 			if len(got) != len(want) {

@@ -8,6 +8,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -32,6 +33,19 @@ const sweepChunk = 64
 // sixty. Vertex-level answers (local hits, reached boundary vertices)
 // are read back through per-component boundary lists.
 //
+// Sweeps are boundary-directed. A partition's whole contribution to
+// global connectivity is what its entries reach and what reaches its
+// exits, so New classifies every component once (see the region bits)
+// and a sweep walks a copy of the DAG with everything else cut away: a
+// Backward sweep expands only components some entry reaches, a Forward
+// one never expands a sink-side component — one an entry reaches but
+// that reaches no exit. Every component that holds a boundary vertex a
+// task reaches is still expanded, in the same order, and the one other
+// thing a sweep answers — does a Forward task reach one of its targets
+// locally — is settled for targets below the cut by marking upwards
+// from them (see markTargets). Results are byte-identical to sweeping
+// the whole closure.
+//
 // All scratch (masks, bitmaps, result and boundary buffers) is owned by
 // the Shard, all-zero between sweeps and reused across Run calls, so
 // steady-state batches allocate nothing here. A Shard is not safe for
@@ -47,13 +61,30 @@ type Shard struct {
 	exitOff, entryOff []int32
 	exitAt, entryAt   []uint32
 
+	// region classifies every component (regionIn | regionOut). fwd and
+	// bwd are the condensation DAG pruned by it, which is all a sweep
+	// walks: fwd holds the forward edges among components that are not
+	// sink side, bwd the reverse edges among regionIn components. Pruning
+	// at build time means a pruned edge costs a sweep nothing, not even
+	// the test that would skip it.
+	region   []uint8
+	fwd, bwd csr
+
 	mask    []uint64        // per component: the chunk's tasks known to reach it
-	active  []uint64        // bitmap of components whose mask is still to be pushed on
-	top     []uint64        // bitmap of the non-zero words of active
+	todo    frontier        // components whose mask is still to be pushed on
 	touched []int32         // components the current sweep expanded, in sweep order
 	rim     []int32         // those of touched that hold boundary vertices
+	parked  []int32         // sink-side components holding a Forward seed: mask set, never expanded
 	chunk   []int32         // task indexes of the current sweep; bit b is chunk[b]
 	cursor  [sweepChunk]int // per bit: boundary count, then write position in arena
+
+	// Where a Forward chunk's targets are: one the sweep can reach is an
+	// aim, read off mask afterwards; one on the sink side is a mark, spread
+	// upwards before the sweep to where it will pass (markTargets).
+	aims   []aim
+	tmask  []uint64 // per component: the chunk's tasks with a target mark on it
+	marks  frontier // components whose target marks are still to be pushed up
+	marked []int32  // components with a non-zero tmask
 
 	results []wire.Result // reused result batch
 	arena   []uint32      // reused boundary-vertex storage
@@ -63,30 +94,152 @@ type Shard struct {
 	sum     wire.Summary
 }
 
+// Region bits of a component. Both are closed along DAG edges — every
+// successor of a regionIn component is regionIn, every predecessor of a
+// regionOut one is regionOut — which is what makes pruning exact: a
+// path into a regionOut component never leaves regionOut, a path out of
+// a regionIn component never leaves regionIn, and on any path the
+// sink-side components form a suffix.
+const (
+	regionIn  uint8 = 1 << iota // reached from a component holding an entry (itself included)
+	regionOut                   // reaches a component holding an exit (itself included)
+
+	regionSink = regionIn // sink side: an entry reaches it, it reaches no exit
+)
+
+// Regions counts a partition's components by what the boundary can see
+// of them: Path components lie on an entry→exit path, Sink ones are
+// reached from an entry but reach no exit, Source ones reach an exit
+// but no entry reaches them, Interior ones are neither. Forward sweeps
+// never expand Sink, Backward sweeps expand only Path and Sink.
+type Regions struct{ Path, Sink, Source, Interior int }
+
+// String is the census as dsr-shard's boot line prints it.
+func (r Regions) String() string {
+	return fmt.Sprintf("%d path, %d sink, %d source, %d interior", r.Path, r.Sink, r.Source, r.Interior)
+}
+
+// aim is a Forward task's target in a component the sweep does not
+// prune: the task, bit b of its chunk, hits if the swept mask of
+// component c holds b.
+type aim struct {
+	c int32
+	b uint8
+}
+
+// csr is a compressed adjacency over component ids.
+type csr struct{ off, edges []int32 }
+
+// frontier is a two-level bitmap of components waiting to be popped in
+// id order: top holds one bit per non-zero word of active, so finding
+// the next component costs a scan of one word per 4096 components.
+type frontier struct{ active, top []uint64 }
+
+func newFrontier(n int) frontier {
+	words := (n + 63) / 64
+	return frontier{make([]uint64, words), make([]uint64, (words+63)/64)}
+}
+
+// push queues component c.
+func (f *frontier) push(c int32) {
+	w := c >> 6
+	f.active[w] |= 1 << (c & 63)
+	f.top[w>>6] |= 1 << (w & 63)
+}
+
 // RunStats counts what one Run did, for the serving layer's waste and
 // sharing metrics.
 type RunStats struct {
 	Unowned    int // tasks of the batch none of whose seeds this shard owns
-	Components int // components expanded, summed over the batch's sweeps
+	Components int // components expanded (after pruning), summed over the batch's sweeps
 }
 
 // New builds a Shard over one partition's subgraph, building (or
-// reusing the cached) SCC condensation.
+// reusing the cached) SCC condensation, then classifying its components
+// and pruning the DAG for the two sweep directions — two linear passes
+// and two filtered copies, never persisted: a snapshot-restored shard
+// rebuilds them here.
 func New(id int, sub *partition.Subgraph) *Shard {
 	cond := sub.Condensation(nil)
-	words := (cond.N + 63) / 64
 	s := &Shard{
-		id:     id,
-		sub:    sub,
-		cond:   cond,
-		mask:   make([]uint64, cond.N),
-		active: make([]uint64, words),
-		top:    make([]uint64, (words+63)/64),
-		chunk:  make([]int32, 0, sweepChunk),
+		id:    id,
+		sub:   sub,
+		cond:  cond,
+		mask:  make([]uint64, cond.N),
+		todo:  newFrontier(cond.N),
+		tmask: make([]uint64, cond.N),
+		marks: newFrontier(cond.N),
+		chunk: make([]int32, 0, sweepChunk),
 	}
 	s.exitOff, s.exitAt = s.boundaryLists(sub.Exits)
 	s.entryOff, s.entryAt = s.boundaryLists(sub.Entries)
+	s.classify()
+	dag := cond.Data()
+	s.fwd = prune(csr{dag.FOff, dag.FEdges}, s.region, func(r uint8) bool { return r != regionSink })
+	s.bwd = prune(csr{dag.ROff, dag.REdges}, s.region, func(r uint8) bool { return r&regionIn != 0 })
 	return s
+}
+
+// classify fills region. scc numbers components in reverse topological
+// order, so every DAG edge points at a smaller id: one increasing pass
+// sees a component after all its successors (regionOut), one decreasing
+// pass after all its predecessors (regionIn).
+func (s *Shard) classify() {
+	n := int32(s.cond.N)
+	s.region = make([]uint8, n)
+	for c := int32(0); c < n; c++ {
+		out := s.exitOff[c+1] > s.exitOff[c]
+		for _, d := range s.cond.Out(c) {
+			out = out || s.region[d]&regionOut != 0
+		}
+		if out {
+			s.region[c] |= regionOut
+		}
+	}
+	for c := n - 1; c >= 0; c-- {
+		in := s.entryOff[c+1] > s.entryOff[c]
+		for _, p := range s.cond.In(c) {
+			in = in || s.region[p]&regionIn != 0
+		}
+		if in {
+			s.region[c] |= regionIn
+		}
+	}
+}
+
+// prune copies g keeping the edges both of whose ends keep admits by
+// region; the row of a component it rejects is empty.
+func prune(g csr, region []uint8, keep func(uint8) bool) csr {
+	out := csr{off: make([]int32, len(g.off))}
+	for c, r := range region {
+		if keep(r) {
+			for _, d := range g.edges[g.off[c]:g.off[c+1]] {
+				if keep(region[d]) {
+					out.edges = append(out.edges, d)
+				}
+			}
+		}
+		out.off[c+1] = int32(len(out.edges))
+	}
+	return out
+}
+
+// Regions reports how the partition's components split by region.
+func (s *Shard) Regions() Regions {
+	var r Regions
+	for _, b := range s.region {
+		switch b {
+		case regionIn | regionOut:
+			r.Path++
+		case regionSink:
+			r.Sink++
+		case regionOut:
+			r.Source++
+		default:
+			r.Interior++
+		}
+	}
+	return r
 }
 
 // boundaryLists groups boundary vertices (local ids, increasing) by
@@ -139,7 +292,9 @@ func (s *Shard) LastRun() RunStats { return s.stats }
 // not of the rest of the batch — so replicas and snapshot-restored
 // shards answer byte-identically: components in the order the sweep
 // expands them (decreasing component id for Forward, increasing for
-// Backward), and within a component increasing global ID.
+// Backward), and within a component increasing global ID. Pruning
+// changes none of it: a component holding an exit is regionOut and one
+// holding an entry regionIn, so every one a task reaches is expanded.
 func (s *Shard) Run(tasks []wire.Task) []wire.Result {
 	s.results = slices.Grow(s.results[:0], len(tasks))[:len(tasks)]
 	for i := range tasks {
@@ -155,7 +310,14 @@ func (s *Shard) Run(tasks []wire.Task) []wire.Result {
 // runKind answers the batch's tasks of one direction, sweepChunk at a
 // time. Only a task that owns a seed takes a bit: for the rest, which
 // the broadcast delivers all the same, the zero result already stands.
+//
+// A seed the direction's pruned DAG leaves out counts towards Owned and
+// is not expanded. A Backward seed no entry reaches reaches back to no
+// entry. A Forward seed on the sink side reaches no exit, but may reach
+// a target: its bit is parked in its component's mask for the target
+// marks to meet.
 func (s *Shard) runKind(tasks []wire.Task, kind wire.TaskKind) {
+	forward := kind == wire.Forward
 	for i := range tasks {
 		t := &tasks[i]
 		if t.Kind != kind {
@@ -164,56 +326,112 @@ func (s *Shard) runKind(tasks []wire.Task, kind wire.TaskKind) {
 		bit := uint64(1) << len(s.chunk)
 		owned := uint32(0)
 		for _, v := range t.Seeds {
-			if lv, ok := s.sub.Local(graph.VertexID(v)); ok {
-				owned++
-				c := s.cond.Comp[lv]
+			lv, ok := s.sub.Local(graph.VertexID(v))
+			if !ok {
+				continue
+			}
+			owned++
+			c := s.cond.Comp[lv]
+			switch r := s.region[c]; {
+			case forward && r == regionSink:
+				if s.mask[c] == 0 {
+					s.parked = append(s.parked, c)
+				}
 				s.mask[c] |= bit
-				s.activate(c)
+			case forward || r&regionIn != 0:
+				s.mask[c] |= bit
+				s.todo.push(c)
 			}
 		}
 		if owned == 0 {
 			s.stats.Unowned++
 			continue
 		}
+		if forward {
+			for _, v := range t.Targets {
+				lv, ok := s.sub.Local(graph.VertexID(v))
+				if !ok {
+					continue
+				}
+				if c := s.cond.Comp[lv]; s.region[c] == regionSink {
+					s.tmask[c] |= bit
+					s.marks.push(c)
+				} else {
+					s.aims = append(s.aims, aim{c, uint8(len(s.chunk))})
+				}
+			}
+		}
 		s.results[i].Owned = owned
 		s.chunk = append(s.chunk, int32(i))
 		if len(s.chunk) == sweepChunk {
-			s.sweep(tasks, kind == wire.Forward)
+			s.sweep(forward)
 		}
 	}
 	if len(s.chunk) > 0 {
-		s.sweep(tasks, kind == wire.Forward)
+		s.sweep(forward)
 	}
 }
 
-// activate queues component c for expansion.
-func (s *Shard) activate(c int32) {
-	w := c >> 6
-	s.active[w] |= 1 << (c & 63)
-	s.top[w>>6] |= 1 << (w & 63)
+// markTargets spreads a Forward chunk's target marks — its targets on
+// the sink side, where the sweep does not go — to where the sweep can
+// meet them, leaving marks all-zero and every marked component in
+// marked. A mark climbs the reverse edges through sink-side components
+// — whose successors are all sink side, so there tmask[c] is exactly
+// the tasks with a target c reaches — and one edge further, onto the
+// last component before the sink side, where it stops. On any seed ⇝
+// target path the sink-side components are a suffix: either there is
+// none and the target is an aim, or the sweep reaches the component
+// before the suffix exactly and finds the mark there, or the seed is
+// itself sink side and parked on a component whose marks are exact. So
+// Hit is mask & tmask on some marked component, or an aim met, and
+// nothing else.
+func (s *Shard) markTargets() {
+	tmask, active, top := s.tmask, s.marks.active, s.marks.top
+	marked := s.marked[:0]
+	for tw := range top {
+		for top[tw] != 0 {
+			w := tw<<6 + bits.TrailingZeros64(top[tw])
+			for active[w] != 0 {
+				b := bits.TrailingZeros64(active[w])
+				active[w] &^= 1 << b
+				c := int32(w<<6 + b)
+				// Predecessors have larger ids: c's marks are final.
+				marked = append(marked, c)
+				if s.region[c] != regionSink {
+					continue
+				}
+				for _, p := range s.cond.In(c) {
+					tmask[p] |= tmask[c]
+					s.marks.push(p)
+				}
+			}
+			top[tw] &^= 1 << (w & 63)
+		}
+	}
+	s.marked = marked
 }
 
 // sweep answers the chunk's tasks — Hit and Boundary of their results —
-// and empties the chunk, leaving mask, active and top all-zero again.
+// and empties the chunk, leaving every mask and bitmap all-zero again.
 //
-// scc numbers components in reverse topological order, so every DAG
-// edge points at a smaller id: a forward sweep pops the active bitmap
-// from the top down, a backward one (over the reverse edges) from the
-// bottom up, and either way a component is popped once, after every
-// component that pushes into it, when its mask is final. A sweep costs
-// the components and DAG edges its tasks reach, in word operations, the
-// boundary vertices it reports, and a scan of the top-level bitmap (one
-// word per 4096 components) — never the partition's size or its
-// boundary's.
-func (s *Shard) sweep(tasks []wire.Task, forward bool) {
-	dag := s.cond.Data()
-	edgeOff, edges, off, at := dag.ROff, dag.REdges, s.entryOff, s.entryAt
+// Every DAG edge points at a smaller id: a forward sweep pops the
+// frontier from the top down, a backward one (over the reverse edges)
+// from the bottom up, and either way a component is popped once, after
+// every component that pushes into it, when its mask is final. The
+// inner loop knows nothing of regions — it walks fwd or bwd, which hold
+// no pruned edge — so a sweep costs the unpruned components and edges
+// its tasks reach, in word operations, the boundary vertices it
+// reports, and a scan of the top-level bitmap (one word per 4096
+// components) — never the partition's size or its boundary's.
+func (s *Shard) sweep(forward bool) {
+	g, off, at := s.bwd, s.entryOff, s.entryAt
+	mask, active, top := s.mask, s.todo.active, s.todo.top
 	tw, step := 0, 1
 	if forward {
-		edgeOff, edges, off, at = dag.FOff, dag.FEdges, s.exitOff, s.exitAt
-		tw, step = len(s.top)-1, -1
+		s.markTargets()
+		g, off, at = s.fwd, s.exitOff, s.exitAt
+		tw, step = len(top)-1, -1
 	}
-	mask, active, top := s.mask, s.active, s.top
 	touched, rim := s.touched[:0], s.rim[:0]
 	for ; tw >= 0 && tw < len(top); tw += step {
 		for top[tw] != 0 {
@@ -232,7 +450,7 @@ func (s *Shard) sweep(tasks []wire.Task, forward bool) {
 						s.cursor[bits.TrailingZeros64(r)] += n
 					}
 				}
-				for _, d := range edges[edgeOff[c]:edgeOff[c+1]] {
+				for _, d := range g.edges[g.off[c]:g.off[c+1]] {
 					mask[d] |= m
 					active[d>>6] |= 1 << (d & 63)
 					top[d>>12] |= 1 << (d >> 6 & 63)
@@ -245,14 +463,21 @@ func (s *Shard) sweep(tasks []wire.Task, forward bool) {
 	s.stats.Components += len(touched)
 
 	if forward {
-		for b, ti := range s.chunk {
-			for _, v := range tasks[ti].Targets {
-				if lv, ok := s.sub.Local(graph.VertexID(v)); ok && s.mask[s.cond.Comp[lv]]>>b&1 != 0 {
-					s.results[ti].Hit = true
-					break
-				}
-			}
+		var hit uint64
+		for _, a := range s.aims {
+			hit |= mask[a.c] & (1 << a.b)
 		}
+		for _, c := range s.marked {
+			hit |= mask[c] & s.tmask[c]
+			s.tmask[c] = 0
+		}
+		for ; hit != 0; hit &= hit - 1 {
+			s.results[s.chunk[bits.TrailingZeros64(hit)]].Hit = true
+		}
+		for _, c := range s.parked {
+			mask[c] = 0
+		}
+		s.aims, s.marked, s.parked = s.aims[:0], s.marked[:0], s.parked[:0]
 	}
 
 	// Lay the chunk's boundaries out back to back in the arena, one

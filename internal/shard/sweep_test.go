@@ -16,28 +16,51 @@ import (
 )
 
 // reference runs batches the way this package did before the sweep —
-// one scalar component-level BFS per task, boundary vertices picked out
-// of every visited component's member list — and is what the sweep is
-// checked against. It reads the Shard's graph state and owns its own
-// scratch, so it can run beside the Shard's Run.
+// one scalar component-level BFS per task over the whole condensation,
+// to the task's full closure, boundary vertices picked out of every
+// visited component's member list — and is what the sweep is checked
+// against. It knows nothing of regions or pruning. It reads the Shard's
+// graph state and owns its own scratch, so it can run beside the
+// Shard's Run.
 type reference struct {
 	s       *Shard
 	isEntry []bool
 	isExit  []bool
-	cvisit  *partition.Marks
+	cvisit  markSet
 	cqueue  []int32
 	lseeds  []int32
 	results []wire.Result
 	arena   []uint32
 	visited int // components visited, summed over the last run's tasks
+	// Those of visited the pruned sweep may expand: not sink side for a
+	// Forward task, regionIn for a Backward one.
+	expandable int
 }
+
+// markSet is the reference's visited set, epoch-stamped so that
+// clearing it is O(1).
+type markSet struct {
+	at    []uint32
+	epoch uint32
+}
+
+func (m *markSet) reset() { m.epoch++ }
+
+// mark marks v and reports whether this generation had not yet.
+func (m *markSet) mark(v int32) bool {
+	fresh := m.at[v] != m.epoch
+	m.at[v] = m.epoch
+	return fresh
+}
+
+func (m *markSet) seen(v int32) bool { return m.at[v] == m.epoch }
 
 func newReference(s *Shard) *reference {
 	r := &reference{
 		s:       s,
 		isEntry: make([]bool, s.sub.NumVertices()),
 		isExit:  make([]bool, s.sub.NumVertices()),
-		cvisit:  partition.NewMarks(s.cond.N),
+		cvisit:  markSet{at: make([]uint32, s.cond.N)},
 	}
 	for _, e := range s.sub.Entries {
 		r.isEntry[e] = true
@@ -51,11 +74,11 @@ func newReference(s *Shard) *reference {
 // bfs runs a component-level BFS from the components of the given local
 // seed vertices, forward or backward over the condensation DAG, marking
 // what it visits in visit and returning the visited components in q.
-func (s *Shard) bfs(seeds []int32, forward bool, visit *partition.Marks, q []int32) []int32 {
-	visit.Reset()
+func (s *Shard) bfs(seeds []int32, forward bool, visit *markSet, q []int32) []int32 {
+	visit.reset()
 	q = q[:0]
 	for _, v := range seeds {
-		if c := s.cond.Comp[v]; visit.Mark(c) {
+		if c := s.cond.Comp[v]; visit.mark(c) {
 			q = append(q, c)
 		}
 	}
@@ -65,7 +88,7 @@ func (s *Shard) bfs(seeds []int32, forward bool, visit *partition.Marks, q []int
 			nbrs = s.cond.Out(q[head])
 		}
 		for _, d := range nbrs {
-			if visit.Mark(d) {
+			if visit.mark(d) {
 				q = append(q, d)
 			}
 		}
@@ -77,7 +100,7 @@ func (s *Shard) bfs(seeds []int32, forward bool, visit *partition.Marks, q []int
 func (r *reference) run(tasks []wire.Task) []wire.Result {
 	s := r.s
 	res, arena := r.results[:0], r.arena[:0]
-	r.visited = 0
+	r.visited, r.expandable = 0, 0
 	for i := range tasks {
 		t := &tasks[i]
 		out := wire.Result{Kind: t.Kind, Query: t.Query}
@@ -90,13 +113,18 @@ func (r *reference) run(tasks []wire.Task) []wire.Result {
 		r.lseeds = lseeds
 		out.Owned = uint32(len(lseeds))
 		forward := t.Kind == wire.Forward
-		r.cqueue = s.bfs(lseeds, forward, r.cvisit, r.cqueue)
+		r.cqueue = s.bfs(lseeds, forward, &r.cvisit, r.cqueue)
 		r.visited += len(r.cqueue)
+		for _, c := range r.cqueue {
+			if reg := s.region[c]; forward && reg != regionSink || !forward && reg&regionIn != 0 {
+				r.expandable++
+			}
+		}
 		rim := r.isEntry
 		if forward {
 			rim = r.isExit
 			for _, v := range t.Targets {
-				if lv, ok := s.sub.Local(graph.VertexID(v)); ok && r.cvisit.Seen(s.cond.Comp[lv]) {
+				if lv, ok := s.sub.Local(graph.VertexID(v)); ok && r.cvisit.seen(s.cond.Comp[lv]) {
 					out.Hit = true
 					break
 				}
@@ -117,27 +145,25 @@ func (r *reference) run(tasks []wire.Task) []wire.Result {
 	return res
 }
 
-// checkScratchClean asserts what every sweep relies on finding: mask,
-// both bitmaps, the per-bit cursors and the chunk all zero.
+// checkScratchClean asserts what every sweep relies on finding: the
+// task masks and the target marks, the two frontiers' bitmaps, the
+// per-bit cursors, the chunk and the parked, aims and marked lists all
+// zero.
 func checkScratchClean(t testing.TB, s *Shard) {
 	t.Helper()
-	for c, m := range s.mask {
-		if m != 0 {
-			t.Fatalf("shard %d: mask[%d] = %#x after Run", s.id, c, m)
+	for name, words := range map[string][]uint64{
+		"mask": s.mask, "todo.active": s.todo.active, "todo.top": s.todo.top,
+		"tmask": s.tmask, "marks.active": s.marks.active, "marks.top": s.marks.top,
+	} {
+		for i, w := range words {
+			if w != 0 {
+				t.Fatalf("shard %d: %s[%d] = %#x after Run", s.id, name, i, w)
+			}
 		}
 	}
-	for w := range s.active {
-		if s.active[w] != 0 {
-			t.Fatalf("shard %d: active[%d] = %#x after Run", s.id, w, s.active[w])
-		}
-	}
-	for w := range s.top {
-		if s.top[w] != 0 {
-			t.Fatalf("shard %d: top[%d] = %#x after Run", s.id, w, s.top[w])
-		}
-	}
-	if s.cursor != [sweepChunk]int{} || len(s.chunk) != 0 {
-		t.Fatalf("shard %d: cursor %v / chunk %v not reset after Run", s.id, s.cursor, s.chunk)
+	if s.cursor != [sweepChunk]int{} || len(s.chunk)+len(s.parked)+len(s.aims)+len(s.marked) != 0 {
+		t.Fatalf("shard %d: cursor %v / chunk %v / parked %v / aims %v / marked %v not reset after Run",
+			s.id, s.cursor, s.chunk, s.parked, s.aims, s.marked)
 	}
 }
 
@@ -172,9 +198,14 @@ func checkAgainstReference(t testing.TB, s *Shard, ref *reference, tasks []wire.
 	if st.Unowned != unowned {
 		t.Fatalf("shard %d: LastRun %+v, want %d of %d tasks unowned", s.id, st, unowned, len(tasks))
 	}
-	// Sharing can only save expansions, and saves none without it.
-	if st.Components > ref.visited || (st.Components == 0) != (ref.visited == 0) {
-		t.Fatalf("shard %d: swept %d components, the reference visited %d", s.id, st.Components, ref.visited)
+	// Sharing and pruning can only save expansions — a batch may expand
+	// nothing where the reference visits its seeds — and what is expanded
+	// is never a component the direction prunes: of the reference's
+	// closures only the expandable part counts, each component at most
+	// once per task, and at least once if there is any.
+	if st.Components > ref.expandable || ref.expandable > ref.visited || (st.Components == 0) != (ref.expandable == 0) {
+		t.Fatalf("shard %d: swept %d components, the reference visited %d of which %d survive pruning",
+			s.id, st.Components, ref.visited, ref.expandable)
 	}
 	checkScratchClean(t, s)
 	return got
@@ -187,10 +218,51 @@ type sweepFixture struct {
 	pt   *graph.Partitioning
 }
 
+// The gap graph: partition 0 (vertices 0-12) holds components of all
+// four regions, wired so that the only path from the source-region
+// component {0,1} down to the sink side runs source → interior → sink,
+// crossing the cut the forward sweep stops at one edge above vertex 6;
+// partition 1 (13, 14) is the outside world.
+//
+//	{0,1} source   → 2 (exit, source), → 3
+//	3     interior → 4 (interior), → {6,7}
+//	5     entry, sink side → {6,7}
+//	{6,7} sink side → 8 (sink side)
+//	9     entry, on a path → 10 (exit, on a path) → 8
+//	11    interior, isolated
+//	12    source → 10
+var (
+	gapEdges = [][2]int{
+		{0, 1}, {1, 0}, {0, 2}, {0, 3}, {3, 4}, {3, 6}, {5, 6}, {6, 7}, {7, 6}, {7, 8},
+		{9, 10}, {10, 8}, {12, 10},
+		{2, 13}, {10, 13}, {14, 5}, {14, 9}, {13, 14},
+	}
+	gapPart    = []int32{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1}
+	gapRegions = Regions{Path: 2, Sink: 3, Source: 3, Interior: 3}
+)
+
+// gapFixture builds the gap graph.
+func gapFixture(t testing.TB) sweepFixture {
+	t.Helper()
+	b := graph.NewBuilder(len(gapPart))
+	for _, e := range gapEdges {
+		b.AddEdge(graph.VertexID(e[0]), graph.VertexID(e[1]))
+	}
+	g := b.Build()
+	pt, err := graph.PartitionWith(g, 2, func(v graph.VertexID, _, _ int) int32 { return gapPart[v] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sweepFixture{"gap/by-hand/k=2", g, pt}
+}
+
 // sweepFixtures fabricates partitions of every shape the sweep must
 // handle: one giant component, no cycle at all, one long path, no edge
-// at all, no boundary at all, and the mostly acyclic community graph
-// under each partitioner.
+// at all, no boundary at all, the mostly acyclic community graph under
+// each partitioner, and the three shapes pruning could get wrong — a
+// partition with entries and no exit (nothing reaches an exit, so a
+// forward sweep serves Hit alone), one with exits and no entry (no
+// backward sweep expands anything), and the gap graph.
 func sweepFixtures(t testing.TB, rng *rand.Rand) []sweepFixture {
 	t.Helper()
 	const n = 400
@@ -227,6 +299,16 @@ func sweepFixtures(t testing.TB, rng *rand.Rand) []sweepFixture {
 		chain = append(chain, [2]int{v, v + 1})
 	}
 	community := gen.Community(rng, n, 4, 1.6, 0.1, 0.02)
+	// The community graph with every edge between the two halves of the
+	// vertex range pointing from the low half to the high one: the low
+	// partition has no entry, the high one no exit.
+	var oneWay [][2]int
+	community.Edges(func(u, v graph.VertexID) {
+		if (u < n/2) != (v < n/2) {
+			u, v = min(u, v), max(u, v)
+		}
+		oneWay = append(oneWay, [2]int{int(u), int(v)})
+	})
 
 	return []sweepFixture{
 		with("giant-scc", planted, graph.Hash(), 3),
@@ -239,6 +321,8 @@ func sweepFixtures(t testing.TB, rng *rand.Rand) []sweepFixture {
 		with("community", community, graph.Hash(), 3),
 		with("community", community, graph.Range(), 3),
 		with("community", community, locality.New(locality.Options{Seed: 3}), 3),
+		with("one-way", build(oneWay), graph.Range(), 2),
+		gapFixture(t),
 	}
 }
 
@@ -389,6 +473,143 @@ func TestShardRunBoundaryOrder(t *testing.T) {
 	}
 }
 
+// TestShardRegions checks the classification against its definition,
+// one reference BFS per component and direction, on every fixture; that
+// the fixtures between them hold every region, a partition with no
+// regionOut component and one with no regionIn component; and the gap
+// graph's census.
+func TestShardRegions(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260927))
+	var all Regions
+	noOut, noIn := false, false
+	for _, fx := range sweepFixtures(t, rng) {
+		subs, _ := partition.Extract(fx.g, fx.pt)
+		for p, sub := range subs {
+			s := New(p, sub)
+			ref := newReference(s)
+			holds := func(comps []int32, boundary []bool) bool {
+				for _, c := range comps {
+					for _, v := range s.cond.Members(c) {
+						if boundary[v] {
+							return true
+						}
+					}
+				}
+				return false
+			}
+			for c := int32(0); c < int32(s.cond.N); c++ {
+				seed := s.cond.Members(c)[:1]
+				var want uint8
+				if holds(s.bfs(seed, true, &ref.cvisit, nil), ref.isExit) {
+					want |= regionOut
+				}
+				if holds(s.bfs(seed, false, &ref.cvisit, nil), ref.isEntry) {
+					want |= regionIn
+				}
+				if s.region[c] != want {
+					t.Fatalf("%s shard %d: component %d classified %02b, want %02b", fx.name, p, c, s.region[c], want)
+				}
+			}
+			r := s.Regions()
+			if r.Path+r.Sink+r.Source+r.Interior != s.cond.N {
+				t.Fatalf("%s shard %d: regions %+v do not add up to %d components", fx.name, p, r, s.cond.N)
+			}
+			all.Path += r.Path
+			all.Sink += r.Sink
+			all.Source += r.Source
+			all.Interior += r.Interior
+			noOut = noOut || r.Sink > 0 && r.Path+r.Source == 0
+			noIn = noIn || r.Source > 0 && r.Path+r.Sink == 0
+			if fx.name == "gap/by-hand/k=2" && p == 0 && r != gapRegions {
+				t.Fatalf("gap partition: regions %+v, want %+v", r, gapRegions)
+			}
+		}
+	}
+	if all.Path == 0 || all.Sink == 0 || all.Source == 0 || all.Interior == 0 || !noOut || !noIn {
+		t.Errorf("fixtures miss a shape: regions %+v, a partition with entries and no exit %v, one with exits and no entry %v", all, noOut, noIn)
+	}
+}
+
+// TestShardSweepStaysInRegion looks at what a sweep expanded, not at
+// what it answered: on every fixture, no Forward sweep expands a
+// sink-side component and no Backward sweep one that no entry reaches.
+func TestShardSweepStaysInRegion(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260928))
+	for _, fx := range sweepFixtures(t, rng) {
+		subs, _ := partition.Extract(fx.g, fx.pt)
+		for p, sub := range subs {
+			s := New(p, sub)
+			for _, kind := range []wire.TaskKind{wire.Forward, wire.Backward} {
+				var tasks []wire.Task // one chunk's worth, so touched is the whole Run's
+				for _, task := range sweepBatch(rng, s, fx.g.NumVertices(), sweepChunk, false) {
+					if task.Kind == kind {
+						tasks = append(tasks, task)
+					}
+				}
+				s.Run(tasks)
+				if s.LastRun().Components != len(s.touched) {
+					t.Fatalf("%s shard %d kind %d: %d components counted, %d expanded", fx.name, p, kind, s.LastRun().Components, len(s.touched))
+				}
+				for _, c := range s.touched {
+					if r := s.region[c]; kind == wire.Forward && r == regionSink || kind == wire.Backward && r&regionIn == 0 {
+						t.Fatalf("%s shard %d kind %d: expanded component %d of region %02b", fx.name, p, kind, c, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardRunGapExhaustive puts the seed and the target of a Forward
+// task on every pair of vertices of the gap partition in turn, and a
+// Backward seed on every vertex: seed and target in one sink-side
+// component, a target exactly one edge below the last component the
+// forward sweep expands, a target in an interior component reached
+// without touching anything an entry reaches, and every other
+// combination of regions, in batches that fill and overflow a chunk
+// and alone.
+func TestShardRunGapExhaustive(t *testing.T) {
+	fx := gapFixture(t)
+	subs, _ := partition.Extract(fx.g, fx.pt)
+	s := New(0, subs[0])
+	ref := newReference(s)
+	n := int32(fx.g.NumVertices()) // the other partition's vertices too: unowned seeds and targets
+	var tasks []wire.Task
+	for u := int32(0); u < n; u++ {
+		for v := int32(0); v < n; v++ {
+			tasks = append(tasks, wire.Task{Kind: wire.Forward, Query: uint32(len(tasks)), Seeds: []int32{u}, Targets: []int32{v}})
+		}
+		tasks = append(tasks, wire.Task{Kind: wire.Backward, Query: uint32(len(tasks)), Seeds: []int32{u}})
+	}
+	hits := 0
+	for _, r := range checkAgainstReference(t, s, ref, tasks) {
+		if r.Hit {
+			hits++
+		}
+	}
+	// Counted by hand: how many of partition 0's vertices each of its
+	// vertices 0..12 reaches, itself included.
+	want := 0
+	for _, reach := range []int{8, 8, 1, 5, 1, 4, 3, 3, 1, 3, 2, 1, 3} {
+		want += reach
+	}
+	if hits != want {
+		t.Errorf("%d of the gap partition's vertex pairs hit, want %d", hits, want)
+	}
+	for i := range tasks {
+		checkAgainstReference(t, s, ref, tasks[i:i+1])
+	}
+	// The path the fixture is named for, end to end: 0 reaches 8 only
+	// through interior 3 and sink-side {6,7}.
+	far := []wire.Task{{Kind: wire.Forward, Seeds: []int32{0}, Targets: []int32{8}}}
+	if res := s.Run(far); !res[0].Hit || !slices.Equal(res[0].Boundary, []uint32{2}) {
+		t.Errorf("0 ⇝ 8 across the gap: %+v, want a hit and exit 2", res[0])
+	}
+	if got := s.LastRun().Components; got != 4 { // {0,1}, 2, 3, 4 — never {6,7} or 8
+		t.Errorf("0 ⇝ 8 expanded %d components, want 4", got)
+	}
+}
+
 // fuzzShard decodes a partitioned graph of at most 64 vertices and a
 // task batch from fuzz bytes: vertex and partition counts, an edge
 // count, one partition byte per vertex, two bytes per edge, then tasks
@@ -437,8 +658,9 @@ func fuzzShard(data []byte) (g *graph.Graph, part []int32, k int, tasks []wire.T
 // FuzzShardRun drives the sweep and the reference with whatever graph,
 // partitioning and batch the fuzz bytes decode to, on every partition.
 func FuzzShardRun(f *testing.F) {
-	// The committed corpus (testdata/fuzz) holds the small shapes; this
-	// seed has more owned tasks per direction and partition than a
+	// The committed corpus (testdata/fuzz) holds the small shapes, the
+	// gap graph (gapEdges, with seeds and targets in every region) among
+	// them; this seed has more owned tasks per direction and partition than a
 	// chunk holds: two four-vertex paths joined into one cycle, every
 	// vertex the seed of forward and backward tasks alike.
 	big := []byte{7, 1, 8, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 0}
@@ -460,22 +682,56 @@ func FuzzShardRun(f *testing.F) {
 	})
 }
 
-// benchShards builds the three shards of the benchmark harness's graph
-// family, at a quarter of its size, under the given partitioner.
-func benchShards(b *testing.B, strat graph.Partitioner) ([]*Shard, int) {
+// benchFleet is one fleet BenchmarkShardRun runs on: the benchmark
+// harness's graph family on n vertices, split three ways by strat.
+type benchFleet struct {
+	name    string
+	strat   graph.Partitioner
+	n       int
+	batches []int
+}
+
+// benchFleets lists the fleets. The first two sit at a quarter of the
+// harness's size, under the partitioning that leaves partition
+// interiors nearly edgeless and the one that keeps searches long and
+// overlapping: there a closure is ~100 components and resolving seeds
+// dominates a Run. The other two are the harness's own size, where a
+// locality closure is ~1,000 components and what a sweep expands is
+// what a Run costs — the rows that see pruning — and where hash, with
+// nothing to prune, shows what classifying seeds and marking targets
+// costs a fleet that gains nothing from it.
+func benchFleets() []benchFleet {
+	loc := locality.New(locality.Options{Seed: 1})
+	return []benchFleet{
+		{"hash", graph.Hash(), 50_000, []int{1, 8, 64}},
+		{"locality", loc, 50_000, []int{1, 8, 64}},
+		{"hash200k", graph.Hash(), 200_000, []int{1, 64}},
+		{"locality200k", loc, 200_000, []int{1, 64}},
+	}
+}
+
+// benchShardCache holds every fleet already built, so the sweep's and
+// the reference's benchmarks build each once per process.
+var benchShardCache = map[string][]*Shard{}
+
+// benchShards builds (or returns the cached) three shards of f.
+func benchShards(b *testing.B, f benchFleet) []*Shard {
 	b.Helper()
-	const n, k = 50_000, 3
-	g := gen.Community(rand.New(rand.NewSource(4)), n, 16, 2.5, 0.05, 0.01)
-	pt, err := strat.Partition(g, k)
+	if shards, ok := benchShardCache[f.name]; ok {
+		return shards
+	}
+	g := gen.Community(rand.New(rand.NewSource(4)), f.n, 16, 2.5, 0.05, 0.01)
+	pt, err := f.strat.Partition(g, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	subs, _ := partition.Extract(g, pt)
-	shards := make([]*Shard, k)
+	shards := make([]*Shard, len(subs))
 	for p := range shards {
 		shards[p] = New(p, subs[p])
 	}
-	return shards, n
+	benchShardCache[f.name] = shards
+	return shards
 }
 
 // benchRounds fabricates task batches the way the engine lays them out:
@@ -504,20 +760,19 @@ func benchRounds(rng *rand.Rand, n, batch, rounds int) [][]wire.Task {
 var benchSink int
 
 // benchShardRun times run — a Run implementation bound to one shard —
-// on every partition running the same broadcast batch, as a round does,
-// under the partitioning that leaves partition interiors nearly
-// edgeless and the one that keeps searches long and overlapping. b.N
-// counts batches; ns/task divides by the batch's tasks.
+// on every partition of every fleet running the same broadcast batch,
+// as a round does. b.N counts batches; ns/task divides by the batch's
+// tasks.
 func benchShardRun(b *testing.B, bind func(*Shard) func([]wire.Task) []wire.Result) {
-	for _, strat := range []graph.Partitioner{graph.Hash(), locality.New(locality.Options{Seed: 1})} {
-		shards, n := benchShards(b, strat)
+	for _, f := range benchFleets() {
+		shards := benchShards(b, f)
 		runs := make([]func([]wire.Task) []wire.Result, len(shards))
 		for p, s := range shards {
 			runs[p] = bind(s)
 		}
-		for _, batch := range []int{1, 8, 64} {
-			rounds := benchRounds(rand.New(rand.NewSource(int64(batch))), n, batch, 16)
-			b.Run(fmt.Sprintf("%s/batch=%d", strat.Name(), batch), func(b *testing.B) {
+		for _, batch := range f.batches {
+			rounds := benchRounds(rand.New(rand.NewSource(int64(batch))), f.n, batch, 16)
+			b.Run(fmt.Sprintf("%s/batch=%d", f.name, batch), func(b *testing.B) {
 				round := func(i int) {
 					for _, run := range runs {
 						benchSink += len(run(rounds[i%len(rounds)]))

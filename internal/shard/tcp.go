@@ -58,8 +58,8 @@ type Server struct {
 // them, what the search did with the batch (Shard.LastRun): how many
 // tasks the broadcast delivered, how many of those held no seed of this
 // partition — the broadcast's waste — and how many components the
-// batch's sweeps expanded, which over the task count is the sharing the
-// batch size buys.
+// batch's sweeps expanded, after pruning, which over the task count is
+// the sharing the batch size buys.
 type srvMetrics struct {
 	decode *obs.Histogram
 	queue  *obs.Histogram
@@ -101,14 +101,21 @@ func (st *srvMetrics) observe(t wire.ServerTiming, tasks int, run RunStats) {
 }
 
 // Instrument wires telemetry into the server: frame and byte counters
-// under net_server_* in reg, and a logger for connection-level protocol
-// failures. Safe to call at any time — before Serve in the normal case,
-// or while serving (the slots are swapped atomically). A nil argument
-// leaves its slot untouched.
+// under net_server_* in reg, the per-batch shard_server_* metrics, the
+// shard_components{region=…} gauges — how the partition's components
+// split by what its boundary can see of them (Shard.Regions), which is
+// how much of it no sweep ever expands — and a logger for
+// connection-level protocol failures. Safe to call at any time — before
+// Serve in the normal case, or while serving (the slots are swapped
+// atomically). A nil argument leaves its slot untouched.
 func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger) {
 	s.met.set(newNetMetrics(reg, "net_server"))
 	if t := newSrvMetrics(reg); t != nil {
 		s.srv.Store(t)
+		r := s.sh.Regions()
+		for region, n := range map[string]int{"path": r.Path, "sink": r.Sink, "source": r.Source, "interior": r.Interior} {
+			reg.Gauge(obs.Name("shard_components", "region", region)).Set(int64(n))
+		}
 	}
 	if log != nil {
 		s.logp.Store(log)

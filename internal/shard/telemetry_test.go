@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dsr/internal/obs"
+	"dsr/internal/partition"
 	"dsr/internal/wire"
 )
 
@@ -110,6 +111,25 @@ func TestTCPFrameCounters(t *testing.T) {
 	}
 	if out := logbuf.String(); !strings.Contains(out, "dropping connection") {
 		t.Errorf("protocol failure not logged:\n%s", out)
+	}
+}
+
+// TestServerRegionGauges: instrumenting a server publishes how its
+// partition's components split by region, on the gap partition, which
+// holds all four.
+func TestServerRegionGauges(t *testing.T) {
+	fx := gapFixture(t)
+	subs, _ := partition.Extract(fx.g, fx.pt)
+	reg := obs.NewRegistry()
+	NewServer(New(0, subs[0]), 2, fx.g.NumVertices(), testGraphSum, testPartSum).Instrument(reg, nil)
+	gauges := reg.Snapshot().Gauges
+	for region, want := range map[string]int{
+		"path": gapRegions.Path, "sink": gapRegions.Sink,
+		"source": gapRegions.Source, "interior": gapRegions.Interior,
+	} {
+		if got, ok := gauges[obs.Name("shard_components", "region", region)]; !ok || got != int64(want) {
+			t.Errorf("shard_components{region=%s} = %d (present %v), want %d", region, got, ok, want)
+		}
 	}
 }
 
