@@ -20,17 +20,16 @@ import (
 // reverse topological order (scc.Decompose): every DAG edge points at a
 // smaller number, so one pass in decreasing order sees each component
 // after all its predecessors.
+//
+// No vertex ID survives the stitch. A shard names a boundary vertex by
+// its ordinal in the boundary list of the shard's own summary, so all
+// the coordinator keeps per vertex is compOf: per partition, ordinal ->
+// component. Absorbing a reply is an index into it.
 type boundaryGraph struct {
-	verts []uint32 // sorted global IDs of every boundary vertex
-	comp  []int32  // dense id (index into verts) -> component
-	off   []int32  // component-DAG CSR offsets into succ, ncomp+1
-	succ  []int32  // successor components, deduped per row
-}
-
-// dense maps a global vertex ID to its dense boundary id.
-func (bg *boundaryGraph) dense(v uint32) (int32, bool) {
-	d, ok := slices.BinarySearch(bg.verts, v)
-	return int32(d), ok
+	nverts int       // boundary vertices, over all partitions
+	compOf [][]int32 // per partition: ordinal in its boundary list -> component
+	off    []int32   // component-DAG CSR offsets into succ, ncomp+1
+	succ   []int32   // successor components, deduped per row
 }
 
 // ncomp is the number of components.
@@ -40,7 +39,7 @@ func (bg *boundaryGraph) ncomp() int { return len(bg.off) - 1 }
 // — the only per-graph state the coordinator retains besides the
 // finish scratch sized to it.
 func (bg *boundaryGraph) residentBytes() int {
-	return 4 * (len(bg.verts) + len(bg.comp) + len(bg.off) + len(bg.succ))
+	return 4 * (bg.nverts + len(bg.off) + len(bg.succ))
 }
 
 // csr is the vertex-level boundary graph as stitchBoundary lays it out,
@@ -61,7 +60,7 @@ func stitchBoundary(n int, sums []wire.Summary) (*boundaryGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return condense(verts, g), nil
+	return condense(verts, sums, g), nil
 }
 
 // stitchRows validates the summaries and lays their edges out as the
@@ -73,12 +72,20 @@ func stitchBoundary(n int, sums []wire.Summary) (*boundaryGraph, error) {
 // keyed by its source vertex, and the validation pass proves each
 // shard's edge sources lie in that shard's own boundary set before any
 // row is touched. The boundary sets themselves cannot overlap — a
-// duplicate across shards is rejected as a fleet inconsistency.
+// duplicate across shards is rejected as a fleet inconsistency — and
+// each is strictly increasing, which is what gives its ordinals their
+// meaning.
 func stitchRows(n int, sums []wire.Summary) ([]uint32, *csr, error) {
 	k := len(sums)
 	total := 0
 	for p := range sums {
-		total += len(sums[p].Boundary)
+		b := sums[p].Boundary
+		for i := 1; i < len(b); i++ {
+			if b[i-1] >= b[i] {
+				return nil, nil, fmt.Errorf("dsr: shard %d boundary list is not strictly increasing at %d", p, i)
+			}
+		}
+		total += len(b)
 	}
 	verts := make([]uint32, 0, total)
 	for p := range sums {
@@ -168,12 +175,27 @@ func stitchRows(n int, sums []wire.Summary) ([]uint32, *csr, error) {
 }
 
 // condense reduces the vertex-level graph g over verts to what the
-// coordinator retains of it: the vertex -> component map and the
-// forward component DAG. The rest of the condensation (reverse edges,
-// member lists) is dropped with it.
-func condense(verts []uint32, g *csr) *boundaryGraph {
+// coordinator retains of it: the forward component DAG, and each
+// vertex's component filed under the name its shard will call it by —
+// partition and ordinal. Every sums[p].Boundary is a sorted subset of
+// the sorted verts, so one merge per partition lines ordinals up with
+// dense ids. The rest of the condensation (reverse edges, member lists)
+// and the vertex IDs themselves are dropped with g.
+func condense(verts []uint32, sums []wire.Summary, g *csr) *boundaryGraph {
 	d := scc.Condense(g, nil).Data()
-	return &boundaryGraph{verts: verts, comp: d.Comp, off: d.FOff, succ: d.FEdges}
+	bg := &boundaryGraph{nverts: len(verts), compOf: make([][]int32, len(sums)), off: d.FOff, succ: d.FEdges}
+	for p := range sums {
+		tab := make([]int32, len(sums[p].Boundary))
+		dense := 0
+		for ord, v := range sums[p].Boundary {
+			for verts[dense] != v {
+				dense++
+			}
+			tab[ord] = d.Comp[dense]
+		}
+		bg.compOf[p] = tab
+	}
+	return bg
 }
 
 // finishChunk is how many undecided queries one sweep answers: one bit

@@ -36,8 +36,8 @@ func newChaosEngine(t testing.TB, g *graph.Graph, strat graph.Partitioner, k, R 
 	// in-query redial, summary fetches), and the caches themselves are
 	// unsynchronized by design.
 	for _, sub := range subs {
-		sub.Condensation(nil)
-		sub.Index(nil)
+		sub.Condensation()
+		sub.Index()
 	}
 	groups := make([][]shard.ReplicaDialer, k)
 	for p := 0; p < k; p++ {

@@ -39,7 +39,11 @@
 // broadcast to all k shards with global vertex IDs, each shard runs the
 // seeds it owns and reports how many that was, and the coordinator
 // cross-checks those counts against the batch to detect uncovered seeds
-// (a shard down, or a fleet that disagrees about placement).
+// (a shard down, or a fleet that disagrees about placement). Vertex IDs
+// only travel outwards: a shard reports a reached boundary vertex as
+// its ordinal in the boundary list of its own summary, and the stitch
+// leaves the coordinator one table per partition from ordinal to
+// boundary component, so absorbing a reply searches for nothing.
 package dsr
 
 import (
@@ -503,7 +507,7 @@ func connect(ctx context.Context, tr shard.Transport, k, n int, tel telemetry) (
 	}
 	e := newEngine(n, k, bg, tr, tel)
 	tel.log.Infof("boundary graph stitched: %d vertices in %d components, %d component edges, %d coordinator-resident bytes",
-		len(bg.verts), bg.ncomp(), len(bg.succ), e.ResidentBytes())
+		bg.nverts, bg.ncomp(), len(bg.succ), e.ResidentBytes())
 	return e, nil
 }
 
@@ -534,7 +538,7 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, tel telemetry) *
 		}
 	}
 	e.met.partitions.Set(int64(k))
-	e.met.boundaryVerts.Set(int64(len(bg.verts)))
+	e.met.boundaryVerts.Set(int64(bg.nverts))
 	e.met.boundaryComps.Set(int64(bg.ncomp()))
 	e.met.residentBytes.Set(int64(e.ResidentBytes()))
 	return e
@@ -568,7 +572,7 @@ func (e *Engine) Endpoints() []shard.EndpointInfo {
 func (e *Engine) NumPartitions() int { return e.k }
 
 // NumBoundary returns the number of vertices in the boundary graph.
-func (e *Engine) NumBoundary() int { return len(e.bg.verts) }
+func (e *Engine) NumBoundary() int { return e.bg.nverts }
 
 // ResidentBytes reports the coordinator's per-graph resident footprint:
 // the stitched boundary graph in condensed form plus the finish scratch
@@ -819,14 +823,15 @@ func (e *Engine) runBatch(queries []Query) error {
 	// aborting the drain. A partition that answered nothing is a partial
 	// failure; which queries that actually fails falls out of coverage
 	// below. Malformed content inside a reply that did arrive (a shard
-	// disagreeing about the batch shape or the boundary set) poisons the
-	// whole round via terr: such a shard cannot be trusted retroactively.
+	// disagreeing about the batch shape, which task a result answers, or
+	// the size of its boundary) poisons the whole round via terr: such a
+	// shard cannot be trusted retroactively.
 	var perr []PartitionError
 	var terr error
 	if nsub > 0 && e.hedge != nil {
-		perr, terr = e.drainHedged(queries, hdr, tsub, roundStart)
+		perr, terr = e.drainHedged(hdr, tsub, roundStart)
 	} else {
-		perr, terr = e.drainPlain(queries, nsub, tsub, roundStart)
+		perr, terr = e.drainPlain(nsub, tsub, roundStart)
 	}
 	if round >= 0 {
 		wait := e.trace.Since() - roundStart
@@ -879,7 +884,7 @@ func (e *Engine) runBatch(queries []Query) error {
 
 // drainPlain is the unhedged fan-in: one reply per submitted partition,
 // drained in arrival order. Caller holds e.mu.
-func (e *Engine) drainPlain(queries []Query, nsub int, tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
+func (e *Engine) drainPlain(nsub int, tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
 	var perr []PartitionError
 	var terr error
 	for r := 0; r < nsub; r++ {
@@ -893,7 +898,7 @@ func (e *Engine) drainPlain(queries []Query, nsub int, tsub time.Time, roundStar
 			continue
 		}
 		e.observeReply(&rep, rpcDur, roundStart)
-		if err := e.absorb(queries, &rep); err != nil {
+		if err := e.absorb(&rep); err != nil {
 			terr = err
 		}
 	}
@@ -925,7 +930,7 @@ type partRound struct {
 // transport until they actually answer, and their content is never
 // read. A partition only fails the round when neither its primary
 // chain nor its hedge produced a reply. Caller holds e.mu.
-func (e *Engine) drainHedged(queries []Query, hdr wire.BatchHeader, tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
+func (e *Engine) drainHedged(hdr wire.BatchHeader, tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
 	if cap(e.pround) < e.k {
 		e.pround = make([]partRound, e.k)
 	}
@@ -969,7 +974,7 @@ func (e *Engine) drainHedged(queries []Query, hdr wire.BatchHeader, tsub time.Ti
 			return // race lost; identical duplicate, drop it
 		}
 		e.observeReply(rep, rpcDur, roundStart)
-		if err := e.absorb(queries, rep); err != nil {
+		if err := e.absorb(rep); err != nil {
 			terr = err
 		}
 		pr[p].done = true
@@ -1042,29 +1047,34 @@ func (e *Engine) observeReply(rep *shard.Reply, rpcDur time.Duration, roundStart
 
 // absorb merges one successful reply's content into the round's
 // per-query state: Owned counts into the coverage ledger, local hits,
-// and reached boundary vertices into each query's seed/goal lists. The
-// returned error is the round-poisoning kind — a shard disagreeing
-// about the batch identity, its shape, or the boundary set cannot be
-// trusted retroactively. Caller holds e.mu.
-func (e *Engine) absorb(queries []Query, rep *shard.Reply) error {
+// and reached boundary vertices — ordinals into the partition's
+// boundary list, one index away from their boundary components — into
+// each query's seed/goal lists. A result is attributed to the task it
+// sits opposite, and must say so itself: the returned error is the
+// round-poisoning kind — a shard disagreeing about the batch identity,
+// its shape, which task a result answers, or the size of its own
+// boundary cannot be trusted retroactively. Caller holds e.mu.
+func (e *Engine) absorb(rep *shard.Reply) error {
 	if rep.Batch != 0 && rep.Batch != e.batchID {
 		return fmt.Errorf("dsr: shard %d echoed batch %d during batch %d", rep.Shard, rep.Batch, e.batchID)
 	}
 	if len(rep.Results) != len(e.tasks) {
 		return fmt.Errorf("dsr: shard %d answered %d results for a %d-task batch", rep.Shard, len(rep.Results), len(e.tasks))
 	}
-	var terr error
+	compOf := e.bg.compOf[rep.Shard]
 	for ri := range rep.Results {
-		res := &rep.Results[ri]
-		if int(res.Query) >= len(queries) {
-			terr = fmt.Errorf("dsr: shard %d answered query %d of a %d-query batch", rep.Shard, res.Query, len(queries))
-			continue
+		res, task := &rep.Results[ri], &e.tasks[ri]
+		if res.Kind != task.Kind || res.Query != task.Query {
+			return fmt.Errorf("dsr: shard %d answered task %d (kind %d, query %d) as kind %d, query %d",
+				rep.Shard, ri, task.Kind, task.Query, res.Kind, res.Query)
 		}
-		st := &e.qs[res.Query]
+		st := &e.qs[task.Query]
 		// Coverage first, even when the answer is already known: the
 		// ledger must reflect every reply that arrived.
+		into := &st.goals
 		if res.Kind == wire.Forward {
 			st.gotS += int(res.Owned)
+			into = &st.seeds
 		} else {
 			st.gotT += int(res.Owned)
 		}
@@ -1075,18 +1085,12 @@ func (e *Engine) absorb(queries []Query, rep *shard.Reply) error {
 			st.hit = true
 			continue
 		}
-		for _, v := range res.Boundary {
-			d, ok := e.bg.dense(v)
-			if !ok {
-				terr = fmt.Errorf("dsr: shard %d reported non-boundary vertex %d", rep.Shard, v)
-				break
+		for _, ord := range res.Boundary {
+			if int(ord) >= len(compOf) {
+				return fmt.Errorf("dsr: shard %d reported boundary ordinal %d, its summary lists %d boundary vertices", rep.Shard, ord, len(compOf))
 			}
-			if c := e.bg.comp[d]; res.Kind == wire.Forward {
-				st.seeds = append(st.seeds, c)
-			} else {
-				st.goals = append(st.goals, c)
-			}
+			*into = append(*into, compOf[ord])
 		}
 	}
-	return terr
+	return nil
 }

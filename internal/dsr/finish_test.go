@@ -8,9 +8,7 @@ import (
 
 	"dsr/internal/graph"
 	"dsr/internal/graph/gen"
-	"dsr/internal/partition"
 	"dsr/internal/partition/locality"
-	"dsr/internal/shard"
 	"dsr/internal/wire"
 )
 
@@ -68,6 +66,10 @@ func summariesOf(nb int, edges [][2]int32) (n int, sums []wire.Summary) {
 	return 3*nb + 1, sums
 }
 
+// compOfDense is the component of a summariesOf fleet's boundary vertex
+// d as the coordinator files it: under its shard and its ordinal there.
+func (bg *boundaryGraph) compOfDense(d int32) int32 { return bg.compOf[d%2][d/2] }
+
 // shapeVerts is the vertex count of every boundaryShapes graph.
 const shapeVerts = 300
 
@@ -117,7 +119,7 @@ func (s boundaryShape) stitched(t *testing.T) (*csr, *boundaryGraph) {
 	if err != nil {
 		t.Fatalf("%s: %v", s.name, err)
 	}
-	return g, condense(verts, g)
+	return g, condense(verts, sums, g)
 }
 
 // TestCondenseInvariants checks what the sweep relies on: components
@@ -130,7 +132,7 @@ func TestCondenseInvariants(t *testing.T) {
 		g, bg := shape.stitched(t)
 		for u := int32(0); u < int32(g.NumVertices()); u++ {
 			for _, v := range g.Out(u) {
-				cu, cv := bg.comp[u], bg.comp[v]
+				cu, cv := bg.compOfDense(u), bg.compOfDense(v)
 				if cu < cv {
 					t.Fatalf("%s: edge %d->%d runs up the numbering (%d < %d)", name, u, v, cu, cv)
 				}
@@ -189,10 +191,10 @@ func TestFinishSweepDifferential(t *testing.T) {
 					goals = append(goals, seeds[0]) // seed == goal
 				}
 				for _, d := range seeds {
-					qs[i].seeds = append(qs[i].seeds, bg.comp[d])
+					qs[i].seeds = append(qs[i].seeds, bg.compOfDense(d))
 				}
 				for _, d := range goals {
-					qs[i].goals = append(qs[i].goals, bg.comp[d])
+					qs[i].goals = append(qs[i].goals, bg.compOfDense(d))
 				}
 				switch rng.Intn(6) {
 				case 0: // decided during assembly: the finish must not touch it
@@ -411,14 +413,9 @@ func BenchmarkStitchBoundary(b *testing.B) {
 	g, n := benchGraph()
 	for _, strat := range []graph.Partitioner{graph.Hash(), locality.New(locality.Options{Seed: 1})} {
 		const k = 3
-		pt, err := strat.Partition(g, k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		subs, _ := partition.Extract(g, pt)
 		sums := make([]wire.Summary, k)
-		for p := range sums {
-			sums[p] = shard.New(p, subs[p]).Summary()
+		for p, sh := range loopbackShards(b, g, strat, k) {
+			sums[p] = sh.Summary()
 		}
 		b.Run(strat.Name(), func(b *testing.B) {
 			var resident int

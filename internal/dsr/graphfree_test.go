@@ -76,9 +76,10 @@ func TestResidentBytesIndependentOfInterior(t *testing.T) {
 
 // TestStitchBoundaryRejectsBadSummaries covers the validation layer
 // that keeps the parallel stitch phases safe against inconsistent or
-// hostile fleets: overlapping boundary sets, out-of-range vertices,
-// edges whose source a shard does not own, and edges into vertices no
-// shard declared.
+// hostile fleets: overlapping boundary sets, a boundary list out of
+// order (ordinals would name the wrong vertices), out-of-range
+// vertices, edges whose source a shard does not own, and edges into
+// vertices no shard declared.
 func TestStitchBoundaryRejectsBadSummaries(t *testing.T) {
 	cases := []struct {
 		name string
@@ -89,6 +90,12 @@ func TestStitchBoundaryRejectsBadSummaries(t *testing.T) {
 		{"overlapping boundaries", 10, []wire.Summary{
 			{Boundary: []uint32{1, 3}}, {Boundary: []uint32{3, 5}},
 		}, "claimed by two shards"},
+		{"unsorted boundary", 10, []wire.Summary{
+			{Boundary: []uint32{3, 1}}, {Boundary: []uint32{5}},
+		}, "not strictly increasing"},
+		{"repeated boundary vertex", 10, []wire.Summary{
+			{Boundary: []uint32{1, 1}}, {Boundary: []uint32{5}},
+		}, "not strictly increasing"},
 		{"boundary out of range", 4, []wire.Summary{
 			{Boundary: []uint32{1}}, {Boundary: []uint32{9}},
 		}, "out of range"},
@@ -109,7 +116,7 @@ func TestStitchBoundaryRejectsBadSummaries(t *testing.T) {
 	}
 	// The empty fleet degenerates cleanly.
 	bg, err := stitchBoundary(5, []wire.Summary{{}, {}})
-	if err != nil || len(bg.verts) != 0 {
+	if err != nil || bg.nverts != 0 || bg.ncomp() != 0 {
 		t.Fatalf("empty summaries: bg=%v err=%v", bg, err)
 	}
 }
@@ -129,8 +136,8 @@ func TestChaosSummaryFetchFailover(t *testing.T) {
 	}
 	subs, _ := partition.Extract(g, pt)
 	for _, sub := range subs {
-		sub.Condensation(nil)
-		sub.Index(nil)
+		sub.Condensation()
+		sub.Index()
 	}
 	f := chaos.New(chaos.Options{})
 	groups := make([][]shard.ReplicaDialer, k)

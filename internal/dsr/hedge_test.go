@@ -87,8 +87,8 @@ func newHedgedEngine(t *testing.T, g *graph.Graph, k int, slow time.Duration, o 
 	}
 	subs, _ := partition.Extract(g, pt)
 	for _, sub := range subs {
-		sub.Condensation(nil)
-		sub.Index(nil)
+		sub.Condensation()
+		sub.Index()
 	}
 	groups := make([][]shard.ReplicaDialer, k)
 	for p := 0; p < k; p++ {

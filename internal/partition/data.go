@@ -2,7 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"slices"
 
 	"dsr/internal/graph"
 	"dsr/internal/scc"
@@ -85,11 +84,11 @@ func checkBoundaryList(name string, list []int32, n int) error {
 // SubgraphFromData validates d and reassembles a Subgraph with cond and
 // ix installed as its cached condensation and reachability index. The
 // slices are retained, not copied. Validation covers the invariants the
-// query path depends on: a strictly increasing local->global map (the
-// ownership binary search), well-formed forward/reverse CSR halves that
-// are transposes of each other, ordered boundary lists, cross-partition
-// edges whose sources are owned and destinations are not, and a
-// condensation sized for this subgraph.
+// query path depends on: a strictly increasing local->global map (what
+// makes a local ID a rank, see Local), well-formed forward/reverse CSR
+// halves that are transposes of each other, ordered boundary lists,
+// cross-partition edges whose sources are owned and destinations are
+// not, and a condensation sized for this subgraph.
 func SubgraphFromData(d SubgraphData, cond *scc.Condensation, ix *scc.Index) (*Subgraph, error) {
 	n := len(d.Global)
 	for i := 1; i < n; i++ {
@@ -129,21 +128,13 @@ func SubgraphFromData(d SubgraphData, cond *scc.Condensation, ix *scc.Index) (*S
 	if err := checkBoundaryList("Exits", d.Exits, n); err != nil {
 		return nil, err
 	}
-	for i, pr := range d.Cross {
-		if _, ok := slices.BinarySearch(d.Global, pr[0]); !ok {
-			return nil, fmt.Errorf("partition: cross edge %d source %d not owned by the partition", i, pr[0])
-		}
-		if _, ok := slices.BinarySearch(d.Global, pr[1]); ok {
-			return nil, fmt.Errorf("partition: cross edge %d destination %d owned by the partition", i, pr[1])
-		}
-	}
 	if cond == nil || ix == nil {
 		return nil, fmt.Errorf("partition: nil condensation or index")
 	}
 	if len(cond.Comp) != n {
 		return nil, fmt.Errorf("partition: condensation covers %d vertices, subgraph has %d", len(cond.Comp), n)
 	}
-	return &Subgraph{
+	s := &Subgraph{
 		ID:      d.ID,
 		global:  d.Global,
 		foff:    d.FOff,
@@ -155,5 +146,15 @@ func SubgraphFromData(d SubgraphData, cond *scc.Condensation, ix *scc.Index) (*S
 		Cross:   d.Cross,
 		cond:    cond,
 		index:   ix,
-	}, nil
+	}
+	s.buildRank()
+	for i, pr := range d.Cross {
+		if _, ok := s.Local(pr[0]); !ok {
+			return nil, fmt.Errorf("partition: cross edge %d source %d not owned by the partition", i, pr[0])
+		}
+		if _, ok := s.Local(pr[1]); ok {
+			return nil, fmt.Errorf("partition: cross edge %d destination %d owned by the partition", i, pr[1])
+		}
+	}
+	return s, nil
 }

@@ -23,8 +23,8 @@ func dataFixture(t *testing.T, seed int64, n, k, id int) *Subgraph {
 		t.Fatal(err)
 	}
 	sub := ExtractOne(g, pt, id)
-	sub.Condensation(nil)
-	sub.Index(nil)
+	sub.Condensation()
+	sub.Index()
 	return sub
 }
 
@@ -34,7 +34,7 @@ func dataFixture(t *testing.T, seed int64, n, k, id int) *Subgraph {
 func TestSubgraphDataRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		sub := dataFixture(t, seed, 40+int(seed)*7, 3, int(seed)%3)
-		got, err := SubgraphFromData(sub.Data(), sub.Condensation(nil), sub.Index(nil))
+		got, err := SubgraphFromData(sub.Data(), sub.Condensation(), sub.Index())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -55,7 +55,7 @@ func TestSubgraphDataRoundTrip(t *testing.T) {
 func TestSubgraphFromDataRejects(t *testing.T) {
 	g, pt := twoBlock(t)
 	sub := ExtractOne(g, pt, 0)
-	cond, ix := sub.Condensation(nil), sub.Index(nil)
+	cond, ix := sub.Condensation(), sub.Index()
 
 	cases := []struct {
 		name string
@@ -90,7 +90,7 @@ func TestSubgraphFromDataRejects(t *testing.T) {
 
 	// Condensation sized for a different subgraph, or missing outright.
 	other := dataFixture(t, 99, 30, 2, 0)
-	if _, err := SubgraphFromData(sub.Data(), other.Condensation(nil), other.Index(nil)); err == nil {
+	if _, err := SubgraphFromData(sub.Data(), other.Condensation(), other.Index()); err == nil {
 		t.Error("accepted condensation for a different subgraph")
 	}
 	if _, err := SubgraphFromData(sub.Data(), nil, nil); err == nil {

@@ -8,7 +8,7 @@
 package partition
 
 import (
-	"slices"
+	"math/bits"
 
 	"dsr/internal/graph"
 	"dsr/internal/scc"
@@ -34,6 +34,15 @@ type Subgraph struct {
 	// ships to a graph-free coordinator.
 	Cross [][2]graph.VertexID
 
+	// The rank index behind Local, derived from global by buildRank and
+	// never persisted: owned is a bitmap over the partition's ID span
+	// [base, global[len-1]] with bit gv-base set iff gv is owned, and
+	// rank[w] counts the owned IDs below word w — 1.5 bits per ID of the
+	// span.
+	base  graph.VertexID
+	owned []uint64
+	rank  []int32
+
 	// Lazily built and cached by Condensation/Index. Not synchronized:
 	// concurrent builders must each own distinct subgraphs (as the
 	// engine's build pool does).
@@ -50,13 +59,42 @@ func (s *Subgraph) GlobalID(local int32) graph.VertexID { return s.global[local]
 // Local maps a global vertex ID to its local ID within the partition,
 // or reports false if the vertex is not owned by it. The local→global
 // map is strictly increasing by construction (both Extract and
-// ExtractOne assign local IDs in global order), so a binary search
-// answers ownership without any per-vertex placement table — which is
-// what lets task seeds be global IDs that every shard resolves for
-// itself.
+// ExtractOne assign local IDs in global order), so a vertex's local ID
+// is its rank among the owned IDs: the count before its bitmap word
+// plus a popcount of the bits below it. A vertex the partition does not
+// own — what a broadcast seed is on all shards but one — costs one bit
+// test. Every shard resolves task seeds for itself this way, so the
+// coordinator needs no placement table.
 func (s *Subgraph) Local(gv graph.VertexID) (int32, bool) {
-	lv, ok := slices.BinarySearch(s.global, gv)
-	return int32(lv), ok
+	d := gv - s.base // wraps past the bitmap below the span
+	w := int(d >> 6)
+	if w >= len(s.owned) {
+		return 0, false
+	}
+	word, bit := s.owned[w], uint64(1)<<(d&63)
+	if word&bit == 0 {
+		return 0, false
+	}
+	return s.rank[w] + int32(bits.OnesCount64(word&(bit-1))), true
+}
+
+// buildRank derives the rank index from the finished local→global map.
+// Every constructor of a Subgraph ends with it.
+func (s *Subgraph) buildRank() {
+	if len(s.global) == 0 {
+		return
+	}
+	s.base = s.global[0]
+	words := int((s.global[len(s.global)-1]-s.base)>>6) + 1
+	s.owned = make([]uint64, words)
+	s.rank = make([]int32, words)
+	for _, gv := range s.global {
+		d := gv - s.base
+		s.owned[d>>6] |= 1 << (d & 63)
+	}
+	for w := 1; w < words; w++ {
+		s.rank[w] = s.rank[w-1] + int32(bits.OnesCount64(s.owned[w-1]))
+	}
 }
 
 // Out returns the local out-neighbors of v over intra-partition edges.
@@ -69,21 +107,19 @@ func (s *Subgraph) Out(v int32) []int32 { return s.fedges[s.foff[v]:s.foff[v+1]]
 func (s *Subgraph) In(v int32) []int32 { return s.redges[s.roff[v]:s.roff[v+1]] }
 
 // Condensation returns the SCC condensation of the subgraph, building
-// and caching it on first call. sc may be nil; when non-nil its scc
-// workspace is reused for the build.
-func (s *Subgraph) Condensation(sc *Scratch) *scc.Condensation {
+// and caching it on first call.
+func (s *Subgraph) Condensation() *scc.Condensation {
 	if s.cond == nil {
-		s.cond = scc.Condense(s, sc.sccWorkspace())
+		s.cond = scc.Condense(s, nil)
 	}
 	return s.cond
 }
 
 // Index returns the bitset reachability index over the subgraph's
 // exits, building and caching it (and the condensation) on first call.
-// sc may be nil.
-func (s *Subgraph) Index(sc *Scratch) *scc.Index {
+func (s *Subgraph) Index() *scc.Index {
 	if s.index == nil {
-		s.index = scc.BuildIndex(s.Condensation(sc), s.Exits)
+		s.index = scc.BuildIndex(s.Condensation(), s.Exits)
 	}
 	return s.index
 }
@@ -103,6 +139,7 @@ func Extract(g *graph.Graph, pt *graph.Partitioning) ([]*Subgraph, []int32) {
 		s.global = append(s.global, graph.VertexID(v))
 	}
 	for _, s := range subs {
+		s.buildRank()
 		s.foff = make([]int64, s.NumVertices()+1)
 		s.roff = make([]int64, s.NumVertices()+1)
 	}
@@ -182,6 +219,7 @@ func ExtractOne(g *graph.Graph, pt *graph.Partitioning, id int) *Subgraph {
 			s.global = append(s.global, graph.VertexID(v))
 		}
 	}
+	s.buildRank()
 	s.foff = make([]int64, s.NumVertices()+1)
 	s.roff = make([]int64, s.NumVertices()+1)
 	// Two passes over this partition's out-edges only: count, then fill.
@@ -220,38 +258,14 @@ func ExtractOne(g *graph.Graph, pt *graph.Partitioning, id int) *Subgraph {
 	return s
 }
 
-// Scratch is reusable per-worker working memory for index builds: the
-// scc workspace a condensation build runs in, created on first use. One
-// scratch can serve many partitions in turn.
-type Scratch struct {
-	scc *scc.Workspace
-}
-
-// NewScratch returns an empty scratch.
-func NewScratch() *Scratch { return &Scratch{} }
-
-// sccWorkspace returns the scratch's scc workspace, creating it on
-// first use. A nil receiver yields a nil workspace, which the scc
-// package accepts as "allocate privately".
-func (sc *Scratch) sccWorkspace() *scc.Workspace {
-	if sc == nil {
-		return nil
-	}
-	if sc.scc == nil {
-		sc.scc = &scc.Workspace{}
-	}
-	return sc.scc
-}
-
 // Summary compresses the partition into boundary-to-boundary edges: one
 // (entry, exit) pair of global IDs for every exit reachable from each
 // entry without leaving the partition. An entry that is itself an exit
 // yields the pair (e, e). It reads off the SCC bitset index — one
 // O(V+E) condensation plus word-parallel propagation covers all
-// entries, instead of one BFS per entry. sc, which may be nil, provides
-// reusable working memory for the index build.
-func (s *Subgraph) Summary(sc *Scratch) [][2]graph.VertexID {
-	ix := s.Index(sc)
+// entries, instead of one BFS per entry.
+func (s *Subgraph) Summary() [][2]graph.VertexID {
+	ix := s.Index()
 	var pairs [][2]graph.VertexID
 	var buf []int32
 	for _, e := range s.Entries {

@@ -137,15 +137,15 @@ func TestSummaryCompression(t *testing.T) {
 		t.Fatal(err)
 	}
 	subs, _ := Extract(g, pt)
-	pairs := subs[1].Summary(nil)
+	pairs := subs[1].Summary()
 	if len(pairs) != 1 || pairs[0] != [2]graph.VertexID{2, 3} {
 		t.Fatalf("middle partition summary = %v, want [[2 3]]", pairs)
 	}
 	// First partition has no entries -> empty summary; last has no exits.
-	if got := subs[0].Summary(nil); len(got) != 0 {
+	if got := subs[0].Summary(); len(got) != 0 {
 		t.Fatalf("first partition summary = %v, want empty", got)
 	}
-	if got := subs[2].Summary(nil); len(got) != 0 {
+	if got := subs[2].Summary(); len(got) != 0 {
 		t.Fatalf("last partition summary = %v, want empty", got)
 	}
 }
@@ -162,7 +162,7 @@ func TestSummaryEntryIsExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	subs, _ := Extract(g, pt)
-	pairs := subs[1].Summary(nil)
+	pairs := subs[1].Summary()
 	if len(pairs) != 1 || pairs[0] != [2]graph.VertexID{1, 1} {
 		t.Fatalf("singleton boundary summary = %v, want [[1 1]]", pairs)
 	}
@@ -180,7 +180,7 @@ func TestSummaryDisconnectedBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	subs, _ := Extract(g, pt)
-	if got := subs[1].Summary(nil); len(got) != 0 {
+	if got := subs[1].Summary(); len(got) != 0 {
 		t.Fatalf("disconnected boundary summary = %v, want empty", got)
 	}
 }
@@ -208,7 +208,7 @@ func TestSummaryMultipleExits(t *testing.T) {
 		t.Fatal(err)
 	}
 	subs, _ := Extract(g, pt)
-	pairs := subs[1].Summary(nil)
+	pairs := subs[1].Summary()
 	sortPairs(pairs)
 	want := [][2]graph.VertexID{{2, 2}, {2, 3}}
 	if len(pairs) != 2 || pairs[0] != want[0] || pairs[1] != want[1] {
@@ -218,14 +218,11 @@ func TestSummaryMultipleExits(t *testing.T) {
 
 // TestSummaryIndexVsBFSDifferential pits the SCC-bitset-index summary
 // against the per-entry-BFS reference on randomized graphs across both
-// partitioners: after sorting, the pair sets must be identical. One
-// shared Scratch serves every partition of every graph, exercising the
-// scratch-reuse path as well.
+// partitioners: after sorting, the pair sets must be identical.
 func TestSummaryIndexVsBFSDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260728))
 	const graphs = 220
 	const maxN = 120
-	sc := NewScratch()
 	checkedPartitions := 0
 	for gi := 0; gi < graphs; gi++ {
 		n := 1 + rng.Intn(maxN)
@@ -248,7 +245,7 @@ func TestSummaryIndexVsBFSDifferential(t *testing.T) {
 		}
 		subs, _ := Extract(g, pt)
 		for _, s := range subs {
-			got := s.Summary(sc)
+			got := s.Summary()
 			want := summaryBFS(s)
 			sortPairs(got)
 			sortPairs(want)

@@ -66,8 +66,8 @@ func TestServeSoak(t *testing.T) {
 	}
 	subs, _ := partition.Extract(g, pt)
 	for _, sub := range subs {
-		sub.Condensation(nil)
-		sub.Index(nil)
+		sub.Condensation()
+		sub.Index()
 	}
 	groups := make([][]shard.ReplicaDialer, k)
 	for p := 0; p < k; p++ {

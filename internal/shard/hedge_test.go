@@ -72,7 +72,7 @@ func TestSubmitHedgeGoesToIdleSibling(t *testing.T) {
 		if rep.Err != nil {
 			t.Fatalf("hedge did not reach the idle sibling: %v", rep.Err)
 		}
-		if rep.Shard != 0 || len(rep.Results) != 1 || !slices.Equal(rep.Results[0].Boundary, []uint32{1}) {
+		if rep.Shard != 0 || len(rep.Results) != 1 || !slices.Equal(chainReached(0, rep.Results[0].Boundary), []uint32{1}) {
 			t.Fatalf("hedge answered wrong: %+v", rep)
 		}
 	case <-time.After(10 * time.Second):
@@ -82,7 +82,7 @@ func TestSubmitHedgeGoesToIdleSibling(t *testing.T) {
 	close(slow.gate)
 	select {
 	case rep := <-replyc:
-		if rep.Err != nil || len(rep.Results) != 1 || !slices.Equal(rep.Results[0].Boundary, []uint32{1}) {
+		if rep.Err != nil || len(rep.Results) != 1 || !slices.Equal(chainReached(0, rep.Results[0].Boundary), []uint32{1}) {
 			t.Fatalf("released primary answered wrong: %+v", rep)
 		}
 	case <-time.After(10 * time.Second):
@@ -167,7 +167,7 @@ func TestReplicatedReplyOwnsMemory(t *testing.T) {
 	if second.Err != nil {
 		t.Fatal(second.Err)
 	}
-	if len(first.Results) != 1 || !slices.Equal(first.Results[0].Boundary, []uint32{1}) {
+	if len(first.Results) != 1 || !slices.Equal(chainReached(0, first.Results[0].Boundary), []uint32{1}) {
 		t.Fatalf("first reply mutated by a later submit: %+v", first.Results)
 	}
 }

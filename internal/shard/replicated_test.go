@@ -120,7 +120,7 @@ func TestReplicatedFailsOverMidQuery(t *testing.T) {
 		if rep.Err != nil {
 			t.Fatalf("round %d: failover did not rescue the batch: %v", round, rep.Err)
 		}
-		if len(rep.Results) != 1 || !slices.Equal(rep.Results[0].Boundary, []uint32{1}) {
+		if len(rep.Results) != 1 || !slices.Equal(chainReached(0, rep.Results[0].Boundary), []uint32{1}) {
 			t.Fatalf("round %d: wrong failover result: %+v", round, rep.Results)
 		}
 		if rep.Shard != 0 {
@@ -395,7 +395,7 @@ func TestReplicatedTCPFailover(t *testing.T) {
 		if rep.Err != nil {
 			t.Fatalf("reply errored despite a live sibling: %v", rep.Err)
 		}
-		if len(rep.Results) != 1 || !slices.Equal(rep.Results[0].Boundary, []uint32{1}) {
+		if len(rep.Results) != 1 || !slices.Equal(chainReached(0, rep.Results[0].Boundary), []uint32{1}) {
 			t.Fatalf("wrong answer during failover: %+v", rep.Results)
 		}
 		if time.Now().After(deadline) {
@@ -477,7 +477,7 @@ func TestServerShutdownDrains(t *testing.T) {
 				results <- fmt.Errorf("corrupt response during drain: %v", err)
 				return
 			}
-			if len(res) != 1 || !slices.Equal(res[0].Boundary, []uint32{1}) {
+			if len(res) != 1 || !slices.Equal(chainReached(0, res[0].Boundary), []uint32{1}) {
 				results <- fmt.Errorf("wrong response during drain: %+v", res)
 				return
 			}

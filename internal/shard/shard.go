@@ -33,6 +33,14 @@ const sweepChunk = 64
 // sixty. Vertex-level answers (local hits, reached boundary vertices)
 // are read back through per-component boundary lists.
 //
+// Vertex IDs cost one table access each way. Seeds and targets arrive
+// as global IDs and resolve through the subgraph's rank index
+// (partition.Subgraph.Local); reached boundary vertices leave as
+// ordinals — positions in the boundary list, which every replica and
+// every snapshot-restored copy of the shard derives identically from
+// the subgraph and which the coordinator already holds from the
+// boundary summary — so no end searches for anything.
+//
 // Sweeps are boundary-directed. A partition's whole contribution to
 // global connectivity is what its entries reach and what reaches its
 // exits, so New classifies every component once (see the region bits)
@@ -55,8 +63,13 @@ type Shard struct {
 	sub  *partition.Subgraph
 	cond *scc.Condensation
 
+	// boundary is the partition's boundary vertices, entries ∪ exits, as
+	// strictly increasing global IDs: the Boundary list of the summary,
+	// and what a result's ordinals index.
+	boundary []uint32
+
 	// Per-component boundary lists as CSRs over component ids: the
-	// global IDs of a component's exits and of its entries, increasing
+	// ordinals of a component's exits and of its entries, increasing
 	// within a component.
 	exitOff, entryOff []int32
 	exitAt, entryAt   []uint32
@@ -160,7 +173,7 @@ type RunStats struct {
 // and two filtered copies, never persisted: a snapshot-restored shard
 // rebuilds them here.
 func New(id int, sub *partition.Subgraph) *Shard {
-	cond := sub.Condensation(nil)
+	cond := sub.Condensation()
 	s := &Shard{
 		id:    id,
 		sub:   sub,
@@ -171,8 +184,9 @@ func New(id int, sub *partition.Subgraph) *Shard {
 		marks: newFrontier(cond.N),
 		chunk: make([]int32, 0, sweepChunk),
 	}
-	s.exitOff, s.exitAt = s.boundaryLists(sub.Exits)
-	s.entryOff, s.entryAt = s.boundaryLists(sub.Entries)
+	entryOrd, exitOrd := s.mergeBoundary()
+	s.exitOff, s.exitAt = s.boundaryLists(sub.Exits, exitOrd)
+	s.entryOff, s.entryAt = s.boundaryLists(sub.Entries, entryOrd)
 	s.classify()
 	dag := cond.Data()
 	s.fwd = prune(csr{dag.FOff, dag.FEdges}, s.region, func(r uint8) bool { return r != regionSink })
@@ -242,10 +256,34 @@ func (s *Shard) Regions() Regions {
 	return r
 }
 
+// mergeBoundary fills boundary by merging the entry and exit lists —
+// both increasing in local and so in global ID, a vertex that is both
+// listed once — and returns the ordinal of every entry and of every
+// exit in it.
+func (s *Shard) mergeBoundary() (entryOrd, exitOrd []uint32) {
+	en, ex := s.sub.Entries, s.sub.Exits
+	entryOrd, exitOrd = make([]uint32, 0, len(en)), make([]uint32, 0, len(ex))
+	for len(en) > 0 || len(ex) > 0 {
+		ord := uint32(len(s.boundary))
+		var lv int32
+		switch {
+		case len(ex) == 0 || len(en) > 0 && en[0] < ex[0]:
+			lv, en, entryOrd = en[0], en[1:], append(entryOrd, ord)
+		case len(en) == 0 || ex[0] < en[0]:
+			lv, ex, exitOrd = ex[0], ex[1:], append(exitOrd, ord)
+		default: // an entry that is also an exit
+			lv, en, ex = en[0], en[1:], ex[1:]
+			entryOrd, exitOrd = append(entryOrd, ord), append(exitOrd, ord)
+		}
+		s.boundary = append(s.boundary, s.sub.GlobalID(lv))
+	}
+	return entryOrd, exitOrd
+}
+
 // boundaryLists groups boundary vertices (local ids, increasing) by
-// component: row c of the returned CSR holds the global IDs of the ones
-// in component c, still increasing.
-func (s *Shard) boundaryLists(verts []int32) (off []int32, at []uint32) {
+// component: row c of the returned CSR holds the ordinals (ords[i] is
+// that of verts[i]) of the ones in component c, still increasing.
+func (s *Shard) boundaryLists(verts []int32, ords []uint32) (off []int32, at []uint32) {
 	n := s.cond.N
 	off = make([]int32, n+1)
 	for _, v := range verts {
@@ -257,9 +295,9 @@ func (s *Shard) boundaryLists(verts []int32) (off []int32, at []uint32) {
 	// off[c] is the fill cursor of row c and ends at the start of row
 	// c+1: shifting the array up by one restores the offsets.
 	at = make([]uint32, len(verts))
-	for _, v := range verts {
+	for i, v := range verts {
 		c := s.cond.Comp[v]
-		at[off[c]] = s.sub.GlobalID(v)
+		at[off[c]] = ords[i]
 		off[c]++
 	}
 	copy(off[1:], off[:n])
@@ -283,18 +321,20 @@ func (s *Shard) LastRun() RunStats { return s.stats }
 //
 // Seeds and targets are global vertex IDs: the coordinator broadcasts
 // the same batch to every shard, and each shard resolves ownership for
-// itself (binary search over its sorted local→global map), silently
+// itself (partition.Subgraph.Local, one table access), silently
 // skipping seeds it does not hold. The per-task Owned count reports how
 // many seeds this shard did hold, which is how a placement-free
 // coordinator knows the fleet collectively covered every seed.
 //
-// A result's Boundary is a function of the shard and the task alone —
-// not of the rest of the batch — so replicas and snapshot-restored
-// shards answer byte-identically: components in the order the sweep
-// expands them (decreasing component id for Forward, increasing for
-// Backward), and within a component increasing global ID. Pruning
-// changes none of it: a component holding an exit is regionOut and one
-// holding an entry regionIn, so every one a task reaches is expanded.
+// A result's Boundary holds ordinals into Summary().Boundary, not
+// vertex IDs, and is a function of the shard and the task alone — not
+// of the rest of the batch — so replicas and snapshot-restored shards
+// answer byte-identically: components in the order the sweep expands
+// them (decreasing component id for Forward, increasing for Backward),
+// and within a component increasing ordinal, which is increasing
+// global ID. Pruning changes none of it: a component holding an exit is
+// regionOut and one holding an entry regionIn, so every one a task
+// reaches is expanded.
 func (s *Shard) Run(tasks []wire.Task) []wire.Result {
 	s.results = slices.Grow(s.results[:0], len(tasks))[:len(tasks)]
 	for i := range tasks {
@@ -529,29 +569,13 @@ func nextBit(x uint64, forward bool) int {
 // (the first call builds the SCC reachability index) and cached;
 // subsequent calls are free and safe concurrently with each other.
 func (s *Shard) Summary() wire.Summary {
-	s.sumOnce.Do(func() { s.sum = s.summaryWith(s.sub.Summary(nil)) })
+	s.sumOnce.Do(func() { s.sum = s.summaryWith(s.sub.Summary()) })
 	return s.sum
 }
 
 // summaryWith assembles the boundary summary around the given
-// entry→exit edges: the boundary vertices — the union of the entry and
-// exit lists, both increasing in local and so in global ID, merged into
-// the strictly increasing order DecodeSummary enforces — and a copy of
-// the cross edges.
+// entry→exit edges: the boundary list — in the strictly increasing
+// order DecodeSummary enforces — and a copy of the cross edges.
 func (s *Shard) summaryWith(edges [][2]uint32) wire.Summary {
-	en, ex := s.sub.Entries, s.sub.Exits
-	sum := wire.Summary{Edges: edges, Cross: slices.Clone(s.sub.Cross)}
-	for len(en) > 0 || len(ex) > 0 {
-		var lv int32
-		switch {
-		case len(ex) == 0 || len(en) > 0 && en[0] < ex[0]:
-			lv, en = en[0], en[1:]
-		case len(en) == 0 || ex[0] < en[0]:
-			lv, ex = ex[0], ex[1:]
-		default: // an entry that is also an exit, listed once
-			lv, en, ex = en[0], en[1:], ex[1:]
-		}
-		sum.Boundary = append(sum.Boundary, s.sub.GlobalID(lv))
-	}
-	return sum
+	return wire.Summary{Boundary: s.boundary, Edges: edges, Cross: slices.Clone(s.sub.Cross)}
 }

@@ -36,6 +36,20 @@ func chainFixture(t testing.TB) ([]*Shard, *graph.Partitioning) {
 	return buildShards(t, 6, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}, 3)
 }
 
+// chainBoundary is the chain fixture's boundary list per partition
+// (pinned by TestShardSummary): what a result's Boundary ordinals index.
+var chainBoundary = [3][]uint32{{1}, {2, 3}, {4}}
+
+// chainReached translates the Boundary of a result from the chain
+// fixture's partition p — ordinals — into the vertices it stands for.
+func chainReached(p int, ords []uint32) []uint32 {
+	verts := make([]uint32, len(ords))
+	for i, o := range ords {
+		verts[i] = chainBoundary[p][o]
+	}
+	return verts
+}
+
 func TestShardRunForwardBackward(t *testing.T) {
 	shards, _ := chainFixture(t)
 
@@ -52,7 +66,7 @@ func TestShardRunForwardBackward(t *testing.T) {
 	if res[0].Owned != 1 {
 		t.Fatalf("Owned = %d, want 1", res[0].Owned)
 	}
-	if !slices.Equal(res[0].Boundary, []uint32{1}) {
+	if !slices.Equal(chainReached(0, res[0].Boundary), []uint32{1}) {
 		t.Fatalf("forward boundary = %v, want [1]", res[0].Boundary)
 	}
 
@@ -68,7 +82,7 @@ func TestShardRunForwardBackward(t *testing.T) {
 	res = shards[2].Run([]wire.Task{
 		{Kind: wire.Backward, Query: 3, Seeds: []int32{5}},
 	})
-	if !slices.Equal(res[0].Boundary, []uint32{4}) {
+	if !slices.Equal(chainReached(2, res[0].Boundary), []uint32{4}) {
 		t.Fatalf("backward boundary = %v, want [4]", res[0].Boundary)
 	}
 
@@ -80,10 +94,10 @@ func TestShardRunForwardBackward(t *testing.T) {
 	if len(res) != 2 || res[0].Query != 1 || res[1].Query != 2 {
 		t.Fatalf("batch order broken: %+v", res)
 	}
-	if !slices.Equal(res[0].Boundary, []uint32{3}) { // 2 ~> exit 3
+	if !slices.Equal(chainReached(1, res[0].Boundary), []uint32{3}) { // 2 ~> exit 3
 		t.Fatalf("batch forward boundary = %v, want [3]", res[0].Boundary)
 	}
-	if !slices.Equal(res[1].Boundary, []uint32{2}) { // entry 2 ~> 3
+	if !slices.Equal(chainReached(1, res[1].Boundary), []uint32{2}) { // entry 2 ~> 3
 		t.Fatalf("batch backward boundary = %v, want [2]", res[1].Boundary)
 	}
 }
@@ -106,7 +120,7 @@ func TestShardSkipsUnownedSeeds(t *testing.T) {
 	if res[0].Hit {
 		t.Fatal("unowned target counted as local hit")
 	}
-	if !slices.Equal(res[0].Boundary, []uint32{1}) {
+	if !slices.Equal(chainReached(0, res[0].Boundary), []uint32{1}) {
 		t.Fatalf("boundary = %v, want [1]", res[0].Boundary)
 	}
 
@@ -188,7 +202,7 @@ func TestLoopbackTransport(t *testing.T) {
 		if rep.Err != nil {
 			t.Fatal(rep.Err)
 		}
-		seen[rep.Shard] = slices.Clone(rep.Results[0].Boundary)
+		seen[rep.Shard] = chainReached(rep.Shard, rep.Results[0].Boundary)
 	}
 	if !slices.Equal(seen[0], []uint32{1}) || !slices.Equal(seen[2], []uint32{4}) {
 		t.Fatalf("loopback replies = %v", seen)

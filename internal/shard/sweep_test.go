@@ -96,7 +96,9 @@ func (s *Shard) bfs(seeds []int32, forward bool, visit *markSet, q []int32) []in
 	return q
 }
 
-// run is the reference Run: same contract, Boundary in BFS order.
+// run is the reference Run: same contract, except that Boundary holds
+// the reached boundary vertices themselves — global IDs, in BFS order —
+// where Run reports their ordinals.
 func (r *reference) run(tasks []wire.Task) []wire.Result {
 	s := r.s
 	res, arena := r.results[:0], r.arena[:0]
@@ -145,6 +147,22 @@ func (r *reference) run(tasks []wire.Task) []wire.Result {
 	return res
 }
 
+// reached translates a result's Boundary — ordinals into the shard's
+// boundary list, the one its summary ships — into the vertices they
+// stand for.
+func reached(t testing.TB, s *Shard, r wire.Result) []uint32 {
+	t.Helper()
+	list := s.Summary().Boundary
+	verts := make([]uint32, len(r.Boundary))
+	for i, ord := range r.Boundary {
+		if int(ord) >= len(list) {
+			t.Fatalf("shard %d: result %+v reports ordinal %d of a %d-vertex boundary", s.id, r, ord, len(list))
+		}
+		verts[i] = list[ord]
+	}
+	return verts
+}
+
 // checkScratchClean asserts what every sweep relies on finding: the
 // task masks and the target marks, the two frontiers' bitmaps, the
 // per-bit cursors, the chunk and the parked, aims and marked lists all
@@ -169,8 +187,8 @@ func checkScratchClean(t testing.TB, s *Shard) {
 
 // checkAgainstReference runs the batch through the sweep and through
 // the reference and compares task by task: Kind, Query, Hit and Owned
-// exactly, Boundary as a set (the two order it differently; neither may
-// repeat a vertex). It also checks LastRun against what the reference
+// exactly, Boundary — the sweep's translated from ordinals — as a set
+// (the two order it differently; neither may repeat a vertex). It also checks LastRun against what the reference
 // saw, and that the scratch is clean afterwards.
 func checkAgainstReference(t testing.TB, s *Shard, ref *reference, tasks []wire.Task) []wire.Result {
 	t.Helper()
@@ -184,7 +202,7 @@ func checkAgainstReference(t testing.TB, s *Shard, ref *reference, tasks []wire.
 		if g.Kind != w.Kind || g.Query != w.Query || g.Hit != w.Hit || g.Owned != w.Owned {
 			t.Fatalf("shard %d task %d %+v:\nsweep     %+v\nreference %+v", s.id, i, tasks[i], g, w)
 		}
-		gb, wb := slices.Clone(g.Boundary), slices.Clone(w.Boundary)
+		gb, wb := reached(t, s, g), slices.Clone(w.Boundary)
 		slices.Sort(gb)
 		slices.Sort(wb)
 		if !slices.Equal(gb, wb) {
@@ -425,8 +443,9 @@ func TestShardRunSweepDifferential(t *testing.T) {
 }
 
 // TestShardRunBoundaryOrder pins the documented order of a result's
-// Boundary — sweep order of the components, increasing global ID inside
-// one — and that it does not depend on the rest of the batch.
+// Boundary — sweep order of the components, increasing ordinal and so
+// increasing global ID inside one — and that it does not depend on the
+// rest of the batch.
 func TestShardRunBoundaryOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
 	g := gen.Community(rng, 400, 4, 1.6, 0.1, 0.02)
@@ -454,7 +473,7 @@ func TestShardRunBoundaryOrder(t *testing.T) {
 	}
 	for i, r := range full {
 		keys := make([]key, len(r.Boundary))
-		for j, v := range r.Boundary {
+		for j, v := range reached(t, s, r) {
 			lv, ok := s.sub.Local(v)
 			if !ok {
 				t.Fatalf("task %d reports boundary vertex %d, which the shard does not own", i, v)
@@ -469,6 +488,78 @@ func TestShardRunBoundaryOrder(t *testing.T) {
 		}
 		if alone := s.Run(tasks[i : i+1])[0]; !slices.Equal(alone.Boundary, r.Boundary) {
 			t.Fatalf("task %d: boundary %v alone, %v inside the batch", i, alone.Boundary, r.Boundary)
+		}
+	}
+}
+
+// TestShardBoundaryOrdinals pins what the coordinator relies on when it
+// indexes instead of searching. On every fixture the boundary list is
+// strictly increasing and is exactly the entries and exits; every
+// Boundary value is an ordinal into it, strictly increasing inside a
+// component; translated, a result is exactly the vertices the scalar
+// reference reports, in the documented order — components as the sweep
+// expands them, increasing global ID inside one; and a shard rebuilt
+// from the graph or restored from a snapshot answers byte-identically,
+// so an ordinal means the same vertex on every replica.
+func TestShardBoundaryOrdinals(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260929))
+	for _, fx := range sweepFixtures(t, rng) {
+		subs, _ := partition.Extract(fx.g, fx.pt)
+		for p, sub := range subs {
+			s := New(p, sub)
+			ref := newReference(s)
+			list := s.Summary().Boundary
+			var want []uint32
+			for lv := int32(0); lv < int32(sub.NumVertices()); lv++ {
+				if ref.isEntry[lv] || ref.isExit[lv] {
+					want = append(want, sub.GlobalID(lv))
+				}
+			}
+			if !slices.Equal(list, want) {
+				t.Fatalf("%s shard %d: boundary list %v, want entries ∪ exits %v", fx.name, p, list, want)
+			}
+			for _, at := range [][]uint32{s.exitAt, s.entryAt} {
+				for _, ord := range at {
+					if int(ord) >= len(list) {
+						t.Fatalf("%s shard %d: ordinal %d in a component's boundary row, the list has %d", fx.name, p, ord, len(list))
+					}
+				}
+			}
+
+			tasks := sweepBatch(rng, s, fx.g.NumVertices(), 70, false)
+			got := s.Run(tasks)
+			first := wire.AppendResults(nil, 1, false, got)
+			for i, w := range ref.run(tasks) {
+				// The reference's vertices, put in the documented order.
+				sign := int32(1)
+				if w.Kind == wire.Forward {
+					sign = -1
+				}
+				comp := func(v uint32) int32 {
+					lv, _ := sub.Local(v)
+					return sign * s.cond.Comp[lv]
+				}
+				ordered := slices.Clone(w.Boundary)
+				slices.SortFunc(ordered, func(a, b uint32) int {
+					if ca, cb := comp(a), comp(b); ca != cb {
+						return int(ca - cb)
+					}
+					return int(int64(a) - int64(b))
+				})
+				if verts := reached(t, s, got[i]); !slices.Equal(verts, ordered) {
+					t.Fatalf("%s shard %d task %d %+v: ordinals %v stand for %v, the reference reached %v",
+						fx.name, p, i, tasks[i], got[i].Boundary, verts, ordered)
+				}
+			}
+			rebuilt := New(p, partition.ExtractOne(fx.g, fx.pt, p))
+			for name, twin := range map[string]*Shard{"rebuilt": rebuilt, "snapshot-restored": restored(t, s, fx)} {
+				if !slices.Equal(twin.Summary().Boundary, list) {
+					t.Fatalf("%s shard %d: a %s shard lists a different boundary", fx.name, p, name)
+				}
+				if again := wire.AppendResults(nil, 1, false, twin.Run(tasks)); !bytes.Equal(first, again) {
+					t.Fatalf("%s shard %d: a %s shard answered differently", fx.name, p, name)
+				}
+			}
 		}
 	}
 }
@@ -602,7 +693,7 @@ func TestShardRunGapExhaustive(t *testing.T) {
 	// The path the fixture is named for, end to end: 0 reaches 8 only
 	// through interior 3 and sink-side {6,7}.
 	far := []wire.Task{{Kind: wire.Forward, Seeds: []int32{0}, Targets: []int32{8}}}
-	if res := s.Run(far); !res[0].Hit || !slices.Equal(res[0].Boundary, []uint32{2}) {
+	if res := s.Run(far); !res[0].Hit || !slices.Equal(reached(t, s, res[0]), []uint32{2}) {
 		t.Errorf("0 ⇝ 8 across the gap: %+v, want a hit and exit 2", res[0])
 	}
 	if got := s.LastRun().Components; got != 4 { // {0,1}, 2, 3, 4 — never {6,7} or 8

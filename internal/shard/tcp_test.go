@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"net"
 	"slices"
 	"strings"
@@ -74,7 +75,7 @@ func TestTCPTransportMatchesLoopback(t *testing.T) {
 	if rep.Shard != 0 || len(rep.Results) != 1 || rep.Results[0].Query != 4 {
 		t.Fatalf("bad reply: %+v", rep)
 	}
-	if !slices.Equal(rep.Results[0].Boundary, []uint32{1}) {
+	if !slices.Equal(chainReached(0, rep.Results[0].Boundary), []uint32{1}) {
 		t.Fatalf("boundary = %v, want [1]", rep.Results[0].Boundary)
 	}
 
@@ -85,7 +86,7 @@ func TestTCPTransportMatchesLoopback(t *testing.T) {
 		if rep.Err != nil {
 			t.Fatal(rep.Err)
 		}
-		if rep.Results[0].Query != uint32(round) || !slices.Equal(rep.Results[0].Boundary, []uint32{4}) {
+		if rep.Results[0].Query != uint32(round) || !slices.Equal(chainReached(2, rep.Results[0].Boundary), []uint32{4}) {
 			t.Fatalf("round %d: %+v", round, rep.Results[0])
 		}
 	}
@@ -125,6 +126,52 @@ func TestTCPDialRejectsMismatch(t *testing.T) {
 		t.Fatalf("fingerprint opt-out rejected: %v", err)
 	} else {
 		cl.Close()
+	}
+}
+
+// TestTCPDialRefusesOlderProtocol: the protocol version is settled at
+// the handshake, in both directions. A server still speaking DSR3 —
+// whose results would carry vertex IDs where this build reads ordinals
+// — is refused by Dial with wire.ErrBadMagic before any batch is sent;
+// and this build's server leads its hello with DSR4, which is all a
+// DSR3 client needs to refuse it the same way.
+func TestTCPDialRefusesOlderProtocol(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		old := wire.AppendHello(nil, wire.Hello{ShardID: 0, NumShards: 1, NumVertices: 6})
+		copy(old[1:5], "DSR3")
+		wire.WriteFrame(c, old)
+	}()
+	if cl, err := Dial(t.Context(), []string{ln.Addr().String()}, 6, 0, 0); !errors.Is(err, wire.ErrBadMagic) {
+		if err == nil {
+			cl.Close()
+		}
+		t.Fatalf("dialing a DSR3 server: err = %v, want wire.ErrBadMagic", err)
+	}
+
+	shards, _ := chainFixture(t)
+	addrs, stop := serveShards(t, shards[:1], 6)
+	defer stop()
+	c, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hello, err := wire.ReadFrame(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hello) < 5 || hello[0] != wire.MsgHello || string(hello[1:5]) != "DSR4" {
+		t.Fatalf("server hello leads with % x, want MsgHello and DSR4", hello[:min(len(hello), 5)])
 	}
 }
 
@@ -224,14 +271,14 @@ func TestTCPSummaryFetch(t *testing.T) {
 	// Interleave: batch, summary, batch on the same connection.
 	replyc := make(chan Reply, 1)
 	cl.Submit(1, wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 0, Seeds: []int32{2}}}, replyc)
-	if rep := <-replyc; rep.Err != nil || !slices.Equal(rep.Results[0].Boundary, []uint32{3}) {
+	if rep := <-replyc; rep.Err != nil || !slices.Equal(chainReached(1, rep.Results[0].Boundary), []uint32{3}) {
 		t.Fatalf("batch before summary: %+v / %v", rep.Results, rep.Err)
 	}
 	if _, err := cl.Summary(t.Context(), 1); err != nil {
 		t.Fatal(err)
 	}
 	cl.Submit(1, wire.BatchHeader{}, []wire.Task{{Kind: wire.Backward, Query: 1, Seeds: []int32{3}}}, replyc)
-	if rep := <-replyc; rep.Err != nil || !slices.Equal(rep.Results[0].Boundary, []uint32{2}) {
+	if rep := <-replyc; rep.Err != nil || !slices.Equal(chainReached(1, rep.Results[0].Boundary), []uint32{2}) {
 		t.Fatalf("batch after summary: %+v / %v", rep.Results, rep.Err)
 	}
 }

@@ -212,8 +212,8 @@ func Encode(sn *Snapshot) ([]byte, error) {
 		return nil, fmt.Errorf("snapshot: nil subgraph")
 	}
 	d := sn.Sub.Data()
-	cd := sn.Sub.Condensation(nil).Data()
-	ixd := sn.Sub.Index(nil).Data()
+	cd := sn.Sub.Condensation().Data()
+	ixd := sn.Sub.Index().Data()
 
 	secs := []section{
 		{secGlobal, 4, len(d.Global), func(b []byte) { putVIDs(b, d.Global) }},

@@ -24,7 +24,10 @@
 //     whose trace flag asks the server to measure itself.
 //   - MsgResults  — server -> client: one result per task, in task
 //     order, carrying local-hit flags, owned-seed counts, and
-//     boundary-vertex sets. Echoes the batch ID, and when the batch
+//     boundary-vertex sets — as ordinals into the Boundary list of the
+//     shard's own MsgSummary, which the coordinator already holds, so
+//     neither end searches for a vertex and a reached boundary vertex
+//     costs a byte or two whatever its ID. Echoes the batch ID, and when the batch
 //     requested tracing the payload ends with a server-timing footer
 //     (decode, queue-wait, local-search, and encode nanoseconds) so
 //     the coordinator can split round-trip time into network vs shard
@@ -32,10 +35,11 @@
 //   - MsgError    — server -> client: a fatal protocol error as text;
 //     the connection is closed afterwards.
 //
-// Vertex IDs are packed as unsigned varints: boundary sets are the
-// dominant payload and real-world IDs are small, so varints beat fixed
-// 4-byte encoding on exactly the traffic DSR is designed to bound
-// (boundary vertices only, never partition interiors).
+// Vertex IDs and boundary ordinals are packed as unsigned varints:
+// boundary sets are the dominant payload and both are small numbers, so
+// varints beat fixed 4-byte encoding on exactly the traffic DSR is
+// designed to bound (boundary vertices only, never partition
+// interiors).
 //
 // Every Decode* function is hardened against hostile input: lengths are
 // capped before any allocation, element counts are validated against
@@ -68,9 +72,12 @@ const (
 
 // helloMagic guards against a client speaking to something that is not
 // a DSR shard — and against an old one: it leads the hello payload
-// ("DSR3"; the bump from DSR2 covers the task-batch header, the
-// server-timing footer on results, and the hello's metrics address).
-const helloMagic = 0x44535233
+// ("DSR4"; DSR3 added the task-batch header, the server-timing footer
+// on results and the hello's metrics address, DSR4 turned a result's
+// boundary vertices from global IDs into ordinals — bytes an older
+// peer would decode without complaint and misread, which is why the
+// handshake has to refuse it).
+const helloMagic = 0x44535234
 
 // Task-batch header flags (the byte after the MsgTasks type byte).
 // Unknown bits are rejected by DecodeTasks: a flag this build does not
@@ -130,8 +137,12 @@ type Task struct {
 	Targets []int32
 }
 
-// Result answers one Task. Boundary holds global vertex IDs: exits
-// reached (Forward) or entries that reach a target (Backward). Owned
+// Result answers one Task. Boundary holds the boundary vertices the
+// search reached — exits (Forward) or entries that reach a target
+// (Backward) — each as its ordinal in the answering shard's
+// Summary.Boundary list, not as a vertex ID: the list is sorted, the
+// same on every replica of the partition, and already with the
+// coordinator, so an ordinal is all either end needs. Owned
 // counts how many of the task's Seeds this shard owned — summed over
 // all shards it tells the broadcast coordinator whether every seed was
 // actually searched (a dead partition's seeds go missing, which must

@@ -73,6 +73,24 @@ func TestDecodeHelloRejectsOversizedMetricsAddr(t *testing.T) {
 	}
 }
 
+// TestDecodeHelloRejectsOlderMagic: the previous protocol version's
+// hello — identical but for the magic, whose results carry vertex IDs
+// where this build reads ordinals — is refused with ErrBadMagic, as is
+// the one before it.
+func TestDecodeHelloRejectsOlderMagic(t *testing.T) {
+	h := Hello{ShardID: 1, NumShards: 3, NumVertices: 100, Graph: 7, Partitioning: 9}
+	for _, magic := range []string{"DSR3", "DSR2"} {
+		p := AppendHello(nil, h)
+		copy(p[1:5], magic)
+		if _, err := DecodeHello(p); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%s hello: err = %v, want ErrBadMagic", magic, err)
+		}
+	}
+	if p := AppendHello(nil, h); string(p[1:5]) != "DSR4" {
+		t.Errorf("hello magic = %q, want DSR4", p[1:5])
+	}
+}
+
 func taskEqual(a, b Task) bool {
 	return a.Kind == b.Kind && a.Query == b.Query &&
 		idsEqual(a.Seeds, b.Seeds) && idsEqual(a.Targets, b.Targets)
