@@ -29,7 +29,7 @@ COVER_GATE ?= \
 	internal/snapshot:85.0 \
 	internal/partition:92.0
 
-.PHONY: build test test-e2e vet fmt fmt-check lint bench bench-smoke bench-json bench-baseline bench-gate bench-harness-test cover-gate fuzz-smoke metrics-smoke serve-smoke doc-check vulncheck
+.PHONY: build test test-e2e vet fmt fmt-check lint bench bench-smoke bench-json bench-baseline bench-gate bench-harness-test cover-gate fuzz-smoke doc-check vulncheck
 
 build:
 	$(GO) build ./...
@@ -156,22 +156,6 @@ fuzz-smoke:
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz='^FuzzDecodeSnapshotHeader$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/shard -run='^$$' -fuzz='^FuzzShardRun$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzSubgraphLocal$$' -fuzztime=$(FUZZ_TIME)
-
-# Observability smoke: build the real binaries, boot a k=2 loopback-TCP
-# fleet with every process serving -metrics-addr, run one query, and
-# assert that /metrics and /fleet on the coordinator parse as JSON with
-# the required sections (build info, merged per-shard registries). The
-# driver lives in tools/metricssmoke and must run from the repo root.
-metrics-smoke:
-	$(GO) run ./tools/metricssmoke
-
-# Serving-layer smoke: build the real binaries, boot a k=2 fleet with
-# dsr-serve in front, run queries through the serving protocol, and
-# assert the cache hit and serving counters on /metrics plus a clean
-# SIGTERM drain. The driver lives in tools/servesmoke and must run from
-# the repo root.
-serve-smoke:
-	$(GO) run ./tools/servesmoke
 
 # Godoc hygiene gate: every package must carry a package comment, and
 # the packages tools/doccheck lists as strict (internal/serve) must

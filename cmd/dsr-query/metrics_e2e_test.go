@@ -141,9 +141,27 @@ func TestBinariesTCPMetricsEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: status %s", metricsURL, resp.Status)
 		}
-		var snap obs.Snapshot
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", metricsURL, err)
+		}
+		// The document's shape is the scrape contract: all four registry
+		// sections under their names, whatever they hold.
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(body, &doc); err != nil {
 			t.Fatalf("decode /metrics JSON: %v", err)
+		}
+		for _, key := range []string{"build", "counters", "gauges", "histograms"} {
+			if _, ok := doc[key]; !ok {
+				t.Fatalf("/metrics JSON missing %q section", key)
+			}
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatalf("decode /metrics JSON: %v", err)
+		}
+		if snap.Build.GoVersion == "" {
+			t.Fatalf("/metrics build section unusable: %s", doc["build"])
 		}
 		return snap
 	}

@@ -138,12 +138,12 @@ func (e *Engine) ResidentBytes() int { return e.inner.ResidentBytes() }
 
 // Endpoints lists the shard replicas behind the engine — RPC address,
 // announced ops address, liveness — for fleet-wide metrics scraping.
-// Nil for in-process engines, whose shards have no addresses.
+// Empty for in-process engines, whose shards have no addresses.
 func (e *Engine) Endpoints() []EndpointInfo { return e.inner.Endpoints() }
 
-// Health reports per-partition replica health for replicated
-// deployments (live counts, retries, failovers, redials since connect);
-// nil for in-process and single-replica engines.
+// Health reports per-partition replica health (live counts, retries,
+// failovers, redials since connect) for every engine, in-process and
+// single-replica ones included.
 func (e *Engine) Health() []PartitionHealth { return e.inner.Health() }
 
 // Close shuts the engine down deterministically: in-process shard

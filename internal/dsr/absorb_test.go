@@ -20,13 +20,13 @@ import (
 // or a frame corrupted into something that still decodes. A reply is
 // copied first — its results alias the shard's own buffers.
 type tamperTransport struct {
-	*shard.Loopback
+	*shard.Replicated
 	tamper func(rep *shard.Reply)
 }
 
 func (t *tamperTransport) Submit(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- shard.Reply) {
 	mid := make(chan shard.Reply, 1)
-	t.Loopback.Submit(p, h, tasks, mid)
+	t.Replicated.Submit(p, h, tasks, mid)
 	rep := <-mid
 	if t.tamper != nil {
 		rep.Results = slices.Clone(rep.Results)
@@ -64,7 +64,7 @@ func TestAbsorbRejectsTamperedReplies(t *testing.T) {
 	const n, k = 300, 3
 	g := gen.Community(rng, n, 4, 1.6, 0.1, 0.02)
 	shards := loopbackShards(t, g, graph.Hash(), k)
-	tr := &tamperTransport{Loopback: shard.NewLoopback(shards)}
+	tr := &tamperTransport{Replicated: shard.NewLoopback(shards)}
 	e, err := ConnectTransport(t.Context(), tr, k, n, Options{})
 	if err != nil {
 		tr.Close()

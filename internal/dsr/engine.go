@@ -27,8 +27,9 @@
 // interiors exist only inside the shards.
 //
 // Two constructors cover the two deployments. Build partitions a graph
-// and runs everything in one process over shard.Loopback (the shards
-// still ship summaries — the same code path as the wire). Connect joins
+// and runs everything in one process over in-process replicas
+// (shard.NewLoopback; the shards still ship summaries — the same code
+// path as the wire). Connect joins
 // an existing fleet of shard servers over TCP, knowing nothing but
 // their addresses: identity (vertex count, graph fingerprint,
 // partitioning digest) comes from the handshake, structure from the
@@ -209,7 +210,7 @@ type Engine struct {
 	// Hedging. hedge is nil unless enabled on a sibling-capable
 	// transport; hedged replies arrive on their own channel so a
 	// duplicate can never be mistaken for a primary. pround is the
-	// hedged fan-in's per-partition ledger, reused across rounds.
+	// fan-in's per-partition ledger, reused across rounds.
 	hedge  *hedgeState
 	hedgec chan shard.Reply
 	pround []partRound
@@ -260,18 +261,18 @@ type Options struct {
 	// SlowQuery, if positive, logs a structured span trace (at WARN) for
 	// every batch that takes longer end to end. 0 disables.
 	SlowQuery time.Duration
-	// Hedge configures hedged shard requests. Only effective on
-	// transports with sibling replicas (ConnectTransport over a
-	// replicated transport); Build's loopback shards have none, so it is
-	// ignored there.
+	// Hedge configures hedged shard requests. Only effective where
+	// partitions have sibling replicas (ConnectTransport over replica
+	// groups of two or more); Build's partitions are sets of one, so it
+	// is ignored there.
 	Hedge HedgeOptions
 }
 
 // Build partitions g and builds an in-process engine over it: one
-// shard.Loopback shard per partition, each of which compresses its
+// in-process shard per partition, each of which compresses its
 // partition and ships a boundary summary exactly as a remote shard
-// would — Build and Connect share the summary-stitching path, the only
-// difference is the transport underneath.
+// would — Build and Connect share the summary-stitching path and the
+// transport, the only difference is the kind of replica underneath.
 func Build(g *graph.Graph, o Options) (*Engine, error) {
 	var pt *graph.Partitioning
 	var err error
@@ -328,10 +329,10 @@ type ClusterSpec struct {
 	// ExpectDigest, if non-zero, pins the partitioning digest
 	// (graph.Partitioning.Digest) the same way.
 	ExpectDigest uint64
-	// ReconnectEvery is the background redial cadence for dead replicas
-	// (replicated deployments only): 0 means the default, negative
-	// disables background reconnection (dead replicas are then only
-	// redialed on demand, when a round needs them).
+	// ReconnectEvery is the background redial cadence for dead replicas:
+	// 0 means the default, negative disables background reconnection
+	// (dead replicas are then only redialed on demand, when a round
+	// needs them).
 	ReconnectEvery time.Duration
 	// Log, if non-nil, receives human-readable connect progress — one
 	// line per shard summary fetched, one for the stitched result — and
@@ -346,8 +347,8 @@ type ClusterSpec struct {
 	SlowQuery time.Duration
 	// Hedge configures hedged shard requests: when a round waits past a
 	// high quantile of a partition's usual latency, the batch is re-sent
-	// to an idle sibling replica and the first reply wins. Requires
-	// replica groups; ignored (with a warning) otherwise.
+	// to an idle sibling replica and the first reply wins. A partition
+	// with a single replica has no sibling and is never hedged.
 	Hedge HedgeOptions
 }
 
@@ -363,39 +364,14 @@ type ClusterSpec struct {
 // and cancels in-flight redials when the engine is closed; it does not
 // bound later queries.
 func Connect(ctx context.Context, spec ClusterSpec) (*Engine, error) {
-	if len(spec.Groups) == 0 {
-		return nil, fmt.Errorf("dsr: no shard addresses")
-	}
 	groups, err := shard.ParseGroups(spec.Groups)
 	if err != nil {
 		return nil, err
 	}
-	replicated := false
-	for _, grp := range groups {
-		if len(grp) > 1 {
-			replicated = true
-			break
-		}
-	}
-	var tr shard.Transport
-	if replicated {
-		tr, err = shard.DialReplicated(ctx, groups, -1, spec.ExpectGraph, spec.ExpectDigest,
-			shard.ReplicatedOptions{ReconnectEvery: spec.ReconnectEvery, Metrics: spec.Metrics})
-	} else {
-		// Single-replica deployments keep the plain per-shard connection:
-		// same failure semantics, no per-submit goroutine. Dial the
-		// parsed (trimmed) addresses, not the raw specs.
-		single := make([]string, len(groups))
-		for i, grp := range groups {
-			single[i] = grp[0]
-		}
-		tr, err = shard.Dial(ctx, single, -1, spec.ExpectGraph, spec.ExpectDigest)
-	}
+	tr, err := shard.DialReplicated(ctx, groups, -1, spec.ExpectGraph, spec.ExpectDigest,
+		shard.ReplicatedOptions{ReconnectEvery: spec.ReconnectEvery, Metrics: spec.Metrics})
 	if err != nil {
 		return nil, err
-	}
-	if c, ok := tr.(*shard.Client); ok {
-		c.Instrument(spec.Metrics)
 	}
 	e, err := connect(ctx, tr, len(groups), -1, telemetry{
 		reg: spec.Metrics, log: spec.Log, slow: spec.SlowQuery, hedge: spec.Hedge,
@@ -420,6 +396,18 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 	return connect(ctx, tr, k, n, telemetry{
 		reg: o.Metrics, log: o.Log, slow: o.SlowQuery, hedge: o.Hedge,
 	})
+}
+
+// replicaSets is what shard.Replicated offers beyond shard.Transport —
+// identity pinning, the replica books, re-submitting to a sibling — and
+// a transport wrapped or faked by a test or the benchmark may not: it is
+// one assertion, so a wrapper keeps all of it (by embedding the
+// *shard.Replicated) or none.
+type replicaSets interface {
+	Pin(shard.Expect)
+	Health() []shard.PartitionHealth
+	Endpoints() []shard.EndpointInfo
+	SubmitHedge(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- shard.Reply)
 }
 
 // telemetry bundles the observability and hedging knobs threaded from
@@ -490,7 +478,7 @@ func connect(ctx context.Context, tr shard.Transport, k, n int, tel telemetry) (
 	// Pin the verified fleet identity on the transport, so every future
 	// redial of an individual replica is held to what the fleet reported
 	// at connect time — not just to what the caller chose to expect.
-	if r, ok := tr.(*shard.Replicated); ok && ref >= 0 {
+	if r, ok := tr.(replicaSets); ok && ref >= 0 {
 		r.Pin(shard.Expect{
 			NumVertices: n,
 			Graph:       infos[ref].Hello.Graph,
@@ -520,6 +508,7 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, tel telemetry) *
 		bg:     bg,
 		tr:     tr,
 		replyc: make(chan shard.Reply, k),
+		pround: make([]partRound, k),
 		tset:   &vset{},
 		sset:   &vset{},
 		fin:    newFinisher(bg.ncomp()),
@@ -530,11 +519,11 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, tel telemetry) *
 		wantTiming: tel.reg != nil || tel.slow > 0,
 	}
 	if tel.hedge.Enabled {
-		if ht, ok := tr.(hedgeTransport); ok {
+		if ht, ok := tr.(replicaSets); ok {
 			e.hedge = newHedgeState(ht, k, tel.hedge)
 			e.hedgec = make(chan shard.Reply, k)
 		} else {
-			tel.log.Warnf("hedged requests enabled but the transport has no sibling replicas; hedging disabled")
+			tel.log.Warnf("hedged requests enabled but the transport cannot re-submit to siblings; hedging disabled")
 		}
 	}
 	e.met.partitions.Set(int64(k))
@@ -544,25 +533,24 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, tel telemetry) *
 	return e
 }
 
-// Health reports the per-partition replica health of a replicated
-// deployment — live replica counts and cumulative retry, failover, and
-// redial totals since connect. It returns nil for non-replicated
-// transports (in-process engines, single-replica TCP): there is no
-// failover machinery to report on.
+// Health reports per-partition replica health — live replica counts
+// and cumulative retry, failover, and redial totals since connect —
+// for every deployment shape, in-process and single-replica ones
+// included. Nil only over a substituted transport that keeps no books.
 func (e *Engine) Health() []shard.PartitionHealth {
-	if r, ok := e.tr.(*shard.Replicated); ok {
-		return r.Health()
+	if t, ok := e.tr.(replicaSets); ok {
+		return t.Health()
 	}
 	return nil
 }
 
 // Endpoints describes the engine's shard endpoints — one entry per
 // (partition, replica) with the dialed address, the metrics address
-// each shard announced at handshake, and liveness. Nil for transports
-// that have no endpoints to describe (in-process engines); the fleet
-// metrics aggregator feeds on this.
+// each shard announced at handshake, and liveness. Empty for engines
+// whose replicas have no address (in-process ones); the fleet metrics
+// aggregator feeds on this.
 func (e *Engine) Endpoints() []shard.EndpointInfo {
-	if t, ok := e.tr.(interface{ Endpoints() []shard.EndpointInfo }); ok {
+	if t, ok := e.tr.(replicaSets); ok {
 		return t.Endpoints()
 	}
 	return nil
@@ -797,43 +785,29 @@ func (e *Engine) runBatch(queries []Query) error {
 
 	// Fan out: broadcast the one task batch to every shard. Which shard
 	// owns which seed is the shards' business.
-	nsub := 0
-	var hdr wire.BatchHeader
-	var tsub time.Time
-	var roundStart time.Duration
-	round := -1
-	if len(e.tasks) > 0 {
-		e.batchID++
-		hdr = wire.BatchHeader{Trace: e.wantTiming, Batch: e.batchID}
-		tsub = time.Now()
-		roundStart = e.trace.Since()
-		round = e.trace.Add("round", 1, roundStart, 0, -1, len(e.tasks))
-		for p := 0; p < e.k; p++ {
-			e.met.rpcs[p].Inc()
-			e.tr.Submit(p, hdr, e.tasks, e.replyc)
-		}
-		nsub = e.k
-	}
-
+	//
 	// Fan in: exits reached from S seed each query's boundary search;
 	// entries that locally reach T are its goals; Owned counts feed the
-	// coverage ledger. The reply channel is always drained in full — the
-	// shared arena and shard result buffers must be quiescent before the
-	// next round rewrites them — and failures are collected rather than
-	// aborting the drain. A partition that answered nothing is a partial
-	// failure; which queries that actually fails falls out of coverage
-	// below. Malformed content inside a reply that did arrive (a shard
+	// coverage ledger. Failures are collected rather than aborting the
+	// drain. A partition that answered nothing is a partial failure;
+	// which queries that actually fails falls out of coverage below.
+	// Malformed content inside a reply that did arrive (a shard
 	// disagreeing about the batch shape, which task a result answers, or
 	// the size of its boundary) poisons the whole round via terr: such a
 	// shard cannot be trusted retroactively.
 	var perr []PartitionError
 	var terr error
-	if nsub > 0 && e.hedge != nil {
-		perr, terr = e.drainHedged(hdr, tsub, roundStart)
-	} else {
-		perr, terr = e.drainPlain(nsub, tsub, roundStart)
-	}
-	if round >= 0 {
+	if len(e.tasks) > 0 {
+		e.batchID++
+		hdr := wire.BatchHeader{Trace: e.wantTiming, Batch: e.batchID}
+		tsub := time.Now()
+		roundStart := e.trace.Since()
+		round := e.trace.Add("round", 1, roundStart, 0, -1, len(e.tasks))
+		for p := 0; p < e.k; p++ {
+			e.met.rpcs[p].Inc()
+			e.tr.Submit(p, hdr, e.tasks, e.replyc)
+		}
+		perr, terr = e.drain(hdr, tsub, roundStart)
 		wait := e.trace.Since() - roundStart
 		e.trace.SetDur(round, wait)
 		e.met.faninWait.Observe(int64(wait))
@@ -872,7 +846,6 @@ func (e *Engine) runBatch(queries []Query) error {
 		return fmt.Errorf("dsr: fleet does not cover the batch's seeds (inconsistent partitioning across shards)")
 	}
 	if perr != nil {
-		slices.SortFunc(perr, func(a, b PartitionError) int { return a.Partition - b.Partition })
 		failed := make([]bool, len(queries))
 		for i := range queries {
 			failed[i] = e.qs[i].failed
@@ -882,44 +855,29 @@ func (e *Engine) runBatch(queries []Query) error {
 	return nil
 }
 
-// drainPlain is the unhedged fan-in: one reply per submitted partition,
-// drained in arrival order. Caller holds e.mu.
-func (e *Engine) drainPlain(nsub int, tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
-	var perr []PartitionError
-	var terr error
-	for r := 0; r < nsub; r++ {
-		rep := <-e.replyc
-		rpcDur := time.Since(tsub)
-		e.met.rpcLat[rep.Shard].Observe(int64(rpcDur))
-		if rep.Err != nil {
-			e.met.rpcErrs[rep.Shard].Inc()
-			e.trace.Add("rpc", 2, roundStart, rpcDur, rep.Shard, 0)
-			perr = append(perr, PartitionError{Partition: rep.Shard, Err: rep.Err})
-			continue
-		}
-		e.observeReply(&rep, rpcDur, roundStart)
-		if err := e.absorb(&rep); err != nil {
-			terr = err
-		}
-	}
-	return perr, terr
-}
-
-// partRound is one partition's ledger within a hedged fan-in round.
+// partRound is one partition's ledger within a fan-in round.
 type partRound struct {
 	done bool  // a successful reply (primary or hedge) was absorbed
-	err  error // first failure seen; cleared once done
+	err  error // the primary's failure; cleared once done
 }
 
-// drainHedged is the fan-in with hedged requests armed: it drains
-// primary replies as usual, but if the round outlasts the hedge
-// deadline (a high quantile of primary latency — see hedgeState.delay)
+// drain is the round's fan-in: primary replies are absorbed in arrival
+// order, and the round ends when every partition has answered or every
+// reply owed has arrived. A partition fails the round only when no
+// submit for it produced a reply. Without hedging that is all of it:
+// one reply per partition, the reply channel drained in full, so the
+// shared arena and the replicas' result buffers are quiescent before
+// the next round rewrites them.
+//
+// With hedging armed there is also a deadline (a high quantile of
+// primary latency — see hedgeState.delay): if the round outlasts it,
 // every partition still outstanding gets its batch re-sent to an idle
 // sibling replica, and per partition the first successful reply wins.
 // Duplicates are dropped unabsorbed: local searches are idempotent
-// reads, so the loser carries the same content, and replies own their
-// memory (the replicated transport copies results out of connection
-// arenas), so an unread duplicate can't clobber anything.
+// reads, so the loser carries the same content, and replies from a
+// partition with siblings own their memory (the transport copies
+// results out of replica arenas there), so an unread duplicate can't
+// clobber anything.
 //
 // The round returns the moment every partition is answered — that is
 // the entire point of hedging: the coordinator must not wait for a
@@ -928,71 +886,31 @@ type partRound struct {
 // round's buffered channels and task memory (e.stale makes the next
 // round start fresh), their replicas stay marked busy inside the
 // transport until they actually answer, and their content is never
-// read. A partition only fails the round when neither its primary
-// chain nor its hedge produced a reply. Caller holds e.mu.
-func (e *Engine) drainHedged(hdr wire.BatchHeader, tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
-	if cap(e.pround) < e.k {
-		e.pround = make([]partRound, e.k)
-	}
-	pr := e.pround[:e.k]
-	for p := range pr {
-		pr[p] = partRound{}
-	}
+// read. Caller holds e.mu.
+func (e *Engine) drain(hdr wire.BatchHeader, tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
+	pr := e.pround
+	clear(pr)
 	var terr error
 	remaining := e.k // primary replies still owed
 	hedges := 0      // hedged replies still owed
 	pending := e.k   // partitions not yet answered
-	timer := time.NewTimer(e.hedge.delay())
-	defer timer.Stop()
-	timerC := timer.C
+	var timerC <-chan time.Time
+	if e.hedge != nil {
+		timer := time.NewTimer(e.hedge.delay())
+		defer timer.Stop()
+		timerC = timer.C
+	}
 	var thsub time.Time // when the hedges were sent
 
-	handle := func(rep *shard.Reply, hedged bool) {
-		p := rep.Shard
-		t0 := tsub
-		if hedged {
-			t0 = thsub
-		}
-		rpcDur := time.Since(t0)
-		if rep.Err != nil {
-			e.met.rpcErrs[p].Inc()
-			e.trace.Add("rpc", 2, roundStart, rpcDur, p, 0)
-			if !pr[p].done && pr[p].err == nil {
-				pr[p].err = rep.Err
-			}
-			return
-		}
-		if !hedged {
-			// Only primary round trips feed the RPC histograms and the
-			// hedge deadline estimator: a hedge measures a sibling from a
-			// later start, not the partition's true latency.
-			e.met.rpcLat[p].Observe(int64(rpcDur))
-			e.hedge.observe(p, rpcDur)
-		}
-		if pr[p].done {
-			e.trace.Add("rpc", 2, roundStart, rpcDur, p, 0)
-			return // race lost; identical duplicate, drop it
-		}
-		e.observeReply(rep, rpcDur, roundStart)
-		if err := e.absorb(rep); err != nil {
-			terr = err
-		}
-		pr[p].done = true
-		pr[p].err = nil
-		pending--
-		if hedged {
-			e.met.hedgeWins[p].Inc()
-		}
-	}
-
 	for pending > 0 && (remaining > 0 || hedges > 0) {
+		var rep shard.Reply
+		t0, hedged := tsub, false
 		select {
-		case rep := <-e.replyc:
+		case rep = <-e.replyc:
 			remaining--
-			handle(&rep, false)
-		case rep := <-e.hedgec:
+		case rep = <-e.hedgec:
 			hedges--
-			handle(&rep, true)
+			t0, hedged = thsub, true
 		case <-timerC:
 			timerC = nil // the deadline fires at most once per round
 			thsub = time.Now()
@@ -1003,7 +921,50 @@ func (e *Engine) drainHedged(hdr wire.BatchHeader, tsub time.Time, roundStart ti
 					hedges++
 				}
 			}
+			continue
 		}
+		p := rep.Shard
+		rpcDur := time.Since(t0)
+		if !hedged {
+			// Only primary round trips feed the RPC histograms and the
+			// hedge deadline estimator: a hedge measures a sibling from a
+			// later start, not the partition's true latency.
+			e.met.rpcLat[p].Observe(int64(rpcDur))
+		}
+		if rep.Err != nil {
+			e.trace.Add("rpc", 2, roundStart, rpcDur, p, 0)
+			// Only a primary's failure is the partition's: by the time a
+			// round ends unanswered every primary reply is in, and a
+			// refused hedge (shard.ErrNoIdleSibling) is not an outage.
+			if !hedged {
+				e.met.rpcErrs[p].Inc()
+				if !pr[p].done {
+					pr[p].err = rep.Err
+				}
+			}
+			continue
+		}
+		if !hedged && e.hedge != nil {
+			e.hedge.observe(p, rpcDur)
+		}
+		if pr[p].done {
+			e.trace.Add("rpc", 2, roundStart, rpcDur, p, 0)
+			continue // race lost; identical duplicate, drop it
+		}
+		e.observeReply(&rep, rpcDur, roundStart)
+		if err := e.absorb(&rep); err != nil {
+			terr = err
+		}
+		pr[p] = partRound{done: true}
+		pending--
+		if hedged {
+			e.met.hedgeWins[p].Inc()
+		}
+	}
+	// A hedge reply that has already arrived — a refusal is sent before
+	// SubmitHedge returns — is no straggler, whatever it says.
+	for ; hedges > 0 && len(e.hedgec) > 0; hedges-- {
+		<-e.hedgec
 	}
 	if remaining > 0 || hedges > 0 {
 		e.stale = true // stragglers own this round's scratch now

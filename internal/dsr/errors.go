@@ -22,10 +22,9 @@ func (e *MismatchError) Error() string {
 }
 
 // PartitionError is one partition that answered nothing for a batch
-// round: on a replicated transport this means every replica of the
-// partition failed (Err carries the per-replica detail, see
-// shard.ReplicaSetError); on a plain TCP transport it is the single
-// connection's failure.
+// round: every replica of the partition failed, be that one or several
+// (Err carries the per-replica detail and unwraps to the causes, see
+// shard.ReplicaSetError).
 type PartitionError struct {
 	Partition int
 	Err       error

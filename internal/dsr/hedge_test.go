@@ -68,9 +68,8 @@ type slowReplica struct {
 	d     time.Duration
 }
 
-func (s *slowReplica) Submit(h wire.BatchHeader, tasks []wire.Task, replyc chan<- shard.Reply) {
-	time.Sleep(s.d)
-	s.inner.Submit(h, tasks, replyc)
+func (s *slowReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(shard.Reply)) {
+	time.AfterFunc(s.d, func() { s.inner.Submit(h, tasks, done) })
 }
 func (s *slowReplica) Summary(ctx context.Context) (wire.Summary, error) { return s.inner.Summary(ctx) }
 func (s *slowReplica) Hello() wire.Hello                                 { return s.inner.Hello() }
@@ -158,6 +157,85 @@ func TestHedgedEngineDifferential(t *testing.T) {
 	}
 	if wins > hedges {
 		t.Fatalf("hedge wins (%d) exceed hedges sent (%d)", wins, hedges)
+	}
+}
+
+// TestHedgeOverSetsOfOne: hedging armed over partitions that are sets of
+// one — the in-process transport and a TCP R = 1 fleet — with a
+// deadline so short that it fires in nearly every round. A set of one
+// must refuse every hedge rather than re-run the batch on the replica
+// whose reply the coordinator is still reading: answers stay
+// oracle-correct (and race-free under -race), no round errors, no
+// replica is ever retried or failed over, and no round leaves stragglers
+// behind.
+func TestHedgeOverSetsOfOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260926))
+	const k, n = 3, 400
+	g := randomGraph(rng, n, 2)
+	hedge := HedgeOptions{Enabled: true, Min: time.Nanosecond, Max: 20 * time.Microsecond}
+	fleets := map[string]func(*testing.T, *obs.Registry) *Engine{
+		"in-process": func(t *testing.T, reg *obs.Registry) *Engine {
+			tr := shard.NewLoopback(loopbackShards(t, g, graph.Hash(), k))
+			e, err := ConnectTransport(t.Context(), tr, k, n, Options{Metrics: reg, Hedge: hedge})
+			if err != nil {
+				tr.Close()
+				t.Fatal(err)
+			}
+			return e
+		},
+		"tcp": func(t *testing.T, reg *obs.Registry) *Engine {
+			addrs, stop := bootShardServers(t, g, k)
+			t.Cleanup(stop)
+			e, err := Connect(t.Context(), ClusterSpec{Groups: addrs, Metrics: reg, Hedge: hedge})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		},
+	}
+	for name, boot := range fleets {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			e := boot(t, reg)
+			defer e.Close()
+			if e.hedge == nil {
+				t.Fatal("hedging not armed; the test would prove nothing")
+			}
+			for round := 0; round < 300; round++ {
+				queries := make([]Query, 16)
+				for i := range queries {
+					queries[i] = Query{S: randomSet(rng, n, 4), T: randomSet(rng, n, 4)}
+				}
+				got, err := e.QueryBatchErr(queries)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				for i, q := range queries {
+					if want := NaiveReach(g, q.S, q.T); got[i] != want {
+						t.Fatalf("round %d query %d: got %v, oracle %v (S=%v T=%v)", round, i, got[i], want, q.S, q.T)
+					}
+				}
+				if e.stale {
+					t.Fatalf("round %d left stragglers: a refused hedge is answered before SubmitHedge returns", round)
+				}
+			}
+			var hedges, wins uint64
+			for p := 0; p < k; p++ {
+				hedges += reg.Counter(obs.Name("dsr_hedges_total", "partition", p)).Load()
+				wins += reg.Counter(obs.Name("dsr_hedge_wins_total", "partition", p)).Load()
+			}
+			if hedges == 0 {
+				t.Fatal("the deadline never fired; the test proved nothing")
+			}
+			if wins != 0 {
+				t.Fatalf("%d hedges won on partitions with no sibling", wins)
+			}
+			for _, h := range e.Health() {
+				if h.Replicas != 1 || h.Live != 1 || h.Retries != 0 || h.Failovers != 0 {
+					t.Fatalf("hedging disturbed a set of one: %+v", h)
+				}
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"dsr/internal/graph"
 	"dsr/internal/obs"
+	"dsr/internal/shard"
 )
 
 // TestEngineMetrics runs batches through an instrumented in-process
@@ -131,8 +132,9 @@ func TestSlowQueryLogDisabled(t *testing.T) {
 	}
 }
 
-// TestEngineHealthLoopback pins Health's contract for non-replicated
-// transports: nil, not an empty slice.
+// TestEngineHealthLoopback pins Health's contract for in-process
+// engines: every partition is a set of one live replica with nothing to
+// report yet, and no replica has an address to list.
 func TestEngineHealthLoopback(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 50, 1)
@@ -141,8 +143,17 @@ func TestEngineHealthLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if h := e.Health(); h != nil {
-		t.Fatalf("Health() on a Loopback engine = %v, want nil", h)
+	h := e.Health()
+	if len(h) != 2 {
+		t.Fatalf("Health() on an in-process engine = %v, want one entry per partition", h)
+	}
+	for p, ph := range h {
+		if ph != (shard.PartitionHealth{Partition: p, Replicas: 1, Live: 1}) {
+			t.Errorf("Health()[%d] = %+v, want one quiet live replica", p, ph)
+		}
+	}
+	if eps := e.Endpoints(); len(eps) != 0 {
+		t.Errorf("Endpoints() on an in-process engine = %v, want none", eps)
 	}
 }
 

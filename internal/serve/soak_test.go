@@ -23,9 +23,8 @@ type lagReplica struct {
 	d     time.Duration
 }
 
-func (s *lagReplica) Submit(h wire.BatchHeader, tasks []wire.Task, replyc chan<- shard.Reply) {
-	time.Sleep(s.d)
-	s.inner.Submit(h, tasks, replyc)
+func (s *lagReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(shard.Reply)) {
+	time.AfterFunc(s.d, func() { s.inner.Submit(h, tasks, done) })
 }
 func (s *lagReplica) Summary(ctx context.Context) (wire.Summary, error) { return s.inner.Summary(ctx) }
 func (s *lagReplica) Hello() wire.Hello                                 { return s.inner.Hello() }

@@ -227,16 +227,18 @@ type chaosReplica struct {
 	inner         shard.Replica
 }
 
-func (cr *chaosReplica) Submit(h wire.BatchHeader, tasks []wire.Task, replyc chan<- shard.Reply) {
+// Submit decides the batch's fate now — scripted schedules count
+// submits — and acts on it after the injected delay, off the caller's
+// goroutine: a Replica must not make its submitter wait.
+func (cr *chaosReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(shard.Reply)) {
 	delay, err := cr.f.decide(cr.part, cr.replica)
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	if err != nil {
-		replyc <- shard.Reply{Shard: cr.part, Err: err}
-		return
-	}
-	cr.inner.Submit(h, tasks, replyc)
+	time.AfterFunc(delay, func() {
+		if err != nil {
+			done(shard.Reply{Shard: cr.part, Err: err})
+			return
+		}
+		cr.inner.Submit(h, tasks, done)
+	})
 }
 
 // Summary fails only while the replica is killed; it deliberately does

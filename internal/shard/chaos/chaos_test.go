@@ -20,8 +20,8 @@ import (
 // stubReplica answers every submit successfully with a canned result.
 type stubReplica struct{}
 
-func (stubReplica) Submit(h wire.BatchHeader, tasks []wire.Task, replyc chan<- shard.Reply) {
-	replyc <- shard.Reply{Results: []wire.Result{{Query: 42}}}
+func (stubReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(shard.Reply)) {
+	done(shard.Reply{Results: []wire.Result{{Query: 42}}})
 }
 func (stubReplica) Summary(ctx context.Context) (wire.Summary, error) {
 	return wire.Summary{Boundary: []uint32{42}}, nil
@@ -34,7 +34,7 @@ func (stubReplica) Close() error      { return nil }
 func submit(t *testing.T, rep shard.Replica) error {
 	t.Helper()
 	replyc := make(chan shard.Reply, 1)
-	rep.Submit(wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward}}, replyc)
+	rep.Submit(wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward}}, func(r shard.Reply) { replyc <- r })
 	select {
 	case r := <-replyc:
 		return r.Err

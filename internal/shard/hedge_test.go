@@ -11,18 +11,21 @@ import (
 	"dsr/internal/wire"
 )
 
-// gatedReplica blocks every Submit until the gate is released — a
-// deterministic "slow replica" for hedging tests.
+// gatedReplica holds every submitted batch until the gate is released —
+// a deterministic "slow replica" for hedging tests. Like any Replica it
+// does the waiting on a goroutine of its own, not the submitter's.
 type gatedReplica struct {
 	inner   Replica
 	gate    chan struct{}
 	submits atomic.Int32
 }
 
-func (g *gatedReplica) Submit(h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
+func (g *gatedReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(Reply)) {
 	g.submits.Add(1)
-	<-g.gate
-	g.inner.Submit(h, tasks, replyc)
+	go func() {
+		<-g.gate
+		g.inner.Submit(h, tasks, done)
+	}()
 }
 
 func (g *gatedReplica) Summary(ctx context.Context) (wire.Summary, error) {
@@ -142,14 +145,48 @@ func TestSubmitHedgeNoIdleSibling(t *testing.T) {
 	}
 }
 
-// TestReplicatedReplyOwnsMemory: a Reply from the replica-aware
-// transport must stay valid after further submits to the same
-// partition — with hedging, two batches for one partition are in
-// flight at once, so replies cannot alias replica decode buffers.
-func TestReplicatedReplyOwnsMemory(t *testing.T) {
+// TestSubmitHedgeSetOfOneRefuses: a set of one refuses a hedge even
+// while its replica sits idle — the primary's reply may be waiting,
+// unread, in the coordinator's channel, aliasing that replica's buffers
+// — and the refusal is on the channel before SubmitHedge returns.
+func TestSubmitHedgeSetOfOneRefuses(t *testing.T) {
 	shards, _ := chainFixture(t)
+	tr := NewLoopback(shards)
+	defer tr.Close()
+
+	first := submitOne(t, tr, 0, 0)
+	if first.Err != nil {
+		t.Fatal(first.Err)
+	}
+	want := slices.Clone(first.Results[0].Boundary)
+
+	tasks := []wire.Task{{Kind: wire.Forward, Query: 1, Seeds: []int32{5}}}
+	hedgec := make(chan Reply, 1)
+	tr.SubmitHedge(0, wire.BatchHeader{}, tasks, hedgec)
+	if len(hedgec) != 1 {
+		t.Fatal("SubmitHedge returned before the refusal was delivered")
+	}
+	if rep := <-hedgec; !errors.Is(rep.Err, ErrNoIdleSibling) || rep.Shard != 0 {
+		t.Fatalf("hedge on an idle set of one = %+v, want ErrNoIdleSibling from shard 0", rep)
+	}
+	if got := first.Results[0].Boundary; !slices.Equal(got, want) {
+		t.Fatalf("the hedge ran over the primary's reply: boundary %v, was %v", got, want)
+	}
+	if h := tr.Health()[0]; h.Live != 1 || h.Retries != 0 || h.Failovers != 0 {
+		t.Fatalf("a refused hedge moved the books: %+v", h)
+	}
+}
+
+// TestReplicatedReplyOwnsMemory: a Reply from a partition with sibling
+// replicas must stay valid after further submits to the same partition
+// — with hedging, two batches for one partition are in flight at once,
+// so replies cannot alias replica decode buffers.
+func TestReplicatedReplyOwnsMemory(t *testing.T) {
+	shardsA, _ := chainFixture(t)
+	shardsB, _ := chainFixture(t)
 	groups := [][]ReplicaDialer{{
-		func(ctx context.Context) (Replica, error) { return NewLocalReplica(shards[0]), nil },
+		func(ctx context.Context) (Replica, error) { return NewLocalReplica(shardsA[0]), nil },
+		func(ctx context.Context) (Replica, error) { return NewLocalReplica(shardsB[0]), nil },
 	}}
 	tr, err := NewReplicated(t.Context(), groups, ReplicatedOptions{ReconnectEvery: -1})
 	if err != nil {
@@ -161,11 +198,13 @@ func TestReplicatedReplyOwnsMemory(t *testing.T) {
 	if first.Err != nil {
 		t.Fatal(first.Err)
 	}
-	// A different batch on the same replica would scribble over the
-	// first reply's arena if run didn't copy results out.
-	second := submitOne(t, tr, 0, 1)
-	if second.Err != nil {
-		t.Fatal(second.Err)
+	// Different batches — an unowned seed, so an empty result — once
+	// round the rotation and back onto the replica that served the first
+	// would scribble over its arena if the reply hadn't been copied out.
+	for i := 0; i < 2; i++ {
+		if later := submitOne(t, tr, 0, 5); later.Err != nil {
+			t.Fatal(later.Err)
+		}
 	}
 	if len(first.Results) != 1 || !slices.Equal(chainReached(0, first.Results[0].Boundary), []uint32{1}) {
 		t.Fatalf("first reply mutated by a later submit: %+v", first.Results)

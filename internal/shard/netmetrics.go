@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"sync/atomic"
-
-	"dsr/internal/obs"
-)
+import "dsr/internal/obs"
 
 // netMetrics counts the frames and bytes crossing one side of the TCP
 // protocol, plus frames that failed to decode. A nil *netMetrics is a
@@ -59,18 +55,3 @@ func (m *netMetrics) decodeErr() {
 	}
 	m.decodeErrs.Inc()
 }
-
-// netInstruments is the swappable telemetry slot shared by Server and
-// clientConn: Instrument may be called while reader goroutines are
-// already running, so the pointer is installed and read atomically.
-type netInstruments struct {
-	p atomic.Pointer[netMetrics]
-}
-
-func (ni *netInstruments) set(m *netMetrics) {
-	if m != nil {
-		ni.p.Store(m)
-	}
-}
-
-func (ni *netInstruments) get() *netMetrics { return ni.p.Load() }

@@ -2,49 +2,11 @@ package shard
 
 import (
 	"context"
-	"slices"
 	"strings"
 	"testing"
 
 	"dsr/internal/wire"
 )
-
-// TestLoopbackSummary: the in-process transport serves the same
-// boundary summaries a TCP fleet would ship, with a position-only Hello
-// (nothing to cross-check against — the coordinator built the shards).
-func TestLoopbackSummary(t *testing.T) {
-	shards, _ := chainFixture(t)
-	total := 0
-	for _, sh := range shards {
-		total += sh.NumVertices()
-	}
-	if total != 6 {
-		t.Fatalf("shards own %d vertices in total, want 6", total)
-	}
-	lb := NewLoopback(shards)
-	defer lb.Close()
-	for p := 0; p < 3; p++ {
-		info, err := lb.Summary(t.Context(), p)
-		if err != nil {
-			t.Fatalf("shard %d: %v", p, err)
-		}
-		if info.Hello.ShardID != uint32(p) || info.Hello.NumShards != 3 ||
-			info.Hello.NumVertices != 0 || info.Hello.Graph != 0 || info.Hello.Partitioning != 0 {
-			t.Fatalf("shard %d: hello %+v, want position-only", p, info.Hello)
-		}
-		want := shards[p].Summary()
-		if !slices.Equal(info.Summary.Boundary, want.Boundary) ||
-			!slices.Equal(info.Summary.Edges, want.Edges) ||
-			!slices.Equal(info.Summary.Cross, want.Cross) {
-			t.Fatalf("shard %d: summary %+v, want %+v", p, info.Summary, want)
-		}
-	}
-	ctx, cancel := context.WithCancel(t.Context())
-	cancel()
-	if _, err := lb.Summary(ctx, 0); err == nil {
-		t.Fatal("cancelled context not honored")
-	}
-}
 
 // TestReplicatedPinSweepsMismatches: Pin must kill currently-live
 // replicas whose dial-time hello contradicts the pinned fleet identity,

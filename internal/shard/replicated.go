@@ -15,7 +15,7 @@ import (
 // replicas when ReplicatedOptions doesn't say otherwise.
 const defaultReconnectEvery = time.Second
 
-// ReplicatedOptions tunes the replica-aware transport.
+// ReplicatedOptions tunes the transport.
 type ReplicatedOptions struct {
 	// ReconnectEvery is the period of the background loop that redials
 	// dead replicas (every redial re-runs the full handshake, so a
@@ -41,99 +41,139 @@ func counterOr(reg *obs.Registry, name string) *obs.Counter {
 	return &obs.Counter{}
 }
 
-// Replicated is the replica-aware Transport: partition p is served by
-// one of several interchangeable replicas. Submit routes each task
-// batch to a healthy replica (rotating between them to spread load),
-// and because local searches are idempotent — pure reads over an
-// immutable subgraph — a batch whose send or receive fails mid-query
-// is simply retried on a sibling replica. A replica that fails is
-// marked dead and periodically redialed in the background; only when
-// every replica of a partition fails within one Submit does the
-// coordinator see an error Reply, and that Reply's Err details every
-// replica's failure.
+// Replicated is the coordinator's Transport: partition p is served by a
+// set of one or more interchangeable replicas — TCP connections to
+// dsr-shard servers (Dial, DialReplicated), in-process workers
+// (NewLoopback), or anything else behind a ReplicaDialer. Submit routes
+// each task batch to a healthy replica (rotating between them to spread
+// load), and because local searches are idempotent — pure reads over an
+// immutable subgraph — a batch whose send or receive fails mid-query is
+// simply retried on a sibling replica. A replica that fails is marked
+// dead and periodically redialed in the background; only when every
+// replica of a partition fails within one Submit does the coordinator
+// see an error Reply, and that Reply's Err details every replica's
+// failure. A set of one is the same machinery with no sibling: a
+// failure fails that batch, and the next redials.
+//
+// A batch that succeeds at its first replica costs no goroutine and no
+// allocation: the replica's own goroutine hands the Reply over.
 type Replicated struct {
 	sets []*replicaSet
-	opts ReplicatedOptions
 
-	// ctx is the transport's lifetime: cancelled by Close so background
-	// redials (reconnect loop, in-query last resorts) abort promptly
-	// instead of finishing a doomed dial against a dead deployment.
+	// ctx is the transport's lifetime: cancelled by Close so redials
+	// (reconnect loop, in-query last resorts) abort promptly instead of
+	// finishing a doomed dial against a dead deployment.
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	loopWG sync.WaitGroup // background reconnect loop
-	subWG  sync.WaitGroup // in-flight Submit goroutines
+	calls  sync.WaitGroup // batches and summary fetches in flight
 
 	mu     sync.Mutex
 	closed bool
 }
 
-// Expect pins the fleet identity every redialed replica must present. A
-// graph-free coordinator learns the deployment's vertex count, graph
-// fingerprint, and partitioning digest from the fleet itself at connect
-// time; pinning them makes every later redial re-verify that a restarted
-// replica still serves the same deployment. NumVertices < 0 skips the
-// vertex-count check; a zero fingerprint or digest skips that check
-// (matching the dial-time handshake rules). Replicas with no handshake
-// identity at all (hello NumShards == 0, i.e. in-process replicas) are
-// exempt.
+// Expect is a deployment identity a replica's hello is held to: the
+// caller's expectation at every dial and, once pinned (Pin), what the
+// fleet itself reported at connect time — a graph-free coordinator
+// learns vertex count, graph fingerprint and partitioning digest from
+// the fleet, and pinning them makes every redial re-verify that a
+// restarted replica still serves the same deployment. NumVertices < 0
+// skips the vertex-count check; a zero fingerprint or digest on either
+// side skips that check. Replicas with no handshake identity (hello
+// NumShards == 0, i.e. in-process replicas) are exempt.
 type Expect struct {
 	NumVertices int
 	Graph       uint64
 	Part        uint64
 }
 
-// check validates a replica's dial-time hello against the pin.
-func (e *Expect) check(part int, h wire.Hello) error {
-	if e == nil || h.NumShards == 0 {
+// check validates a replica's dial-time hello against e.
+func (e *Expect) check(h wire.Hello) error {
+	switch {
+	case e == nil || h.NumShards == 0:
 		return nil
-	}
-	if e.NumVertices >= 0 && int(h.NumVertices) != e.NumVertices {
-		return fmt.Errorf("shard %d: replica serves %d vertices, fleet pinned %d", part, h.NumVertices, e.NumVertices)
-	}
-	if e.Graph != 0 && h.Graph != 0 && h.Graph != e.Graph {
-		return fmt.Errorf("shard %d: replica built from a different graph (fingerprint %#x, fleet pinned %#x)", part, h.Graph, e.Graph)
-	}
-	if e.Part != 0 && h.Partitioning != 0 && h.Partitioning != e.Part {
-		return fmt.Errorf("shard %d: replica built with a different partitioning (digest %#x, fleet pinned %#x)", part, h.Partitioning, e.Part)
+	case e.NumVertices >= 0 && int(h.NumVertices) != e.NumVertices:
+		return fmt.Errorf("server graph has %d vertices, expected %d", h.NumVertices, e.NumVertices)
+	case e.Graph != 0 && h.Graph != 0 && h.Graph != e.Graph:
+		return fmt.Errorf("server built from a different graph (fingerprint %#x, expected %#x)", h.Graph, e.Graph)
+	case e.Part != 0 && h.Partitioning != 0 && h.Partitioning != e.Part:
+		return fmt.Errorf("server built with a different partitioning (digest %#x, expected %#x — same -partitioner spec everywhere?)", h.Partitioning, e.Part)
 	}
 	return nil
 }
 
-// replicaSet is one partition's replicas: dialers are fixed at
-// construction, live[i] is the connected Replica for dialers[i] or nil
-// while it is dead, and lastErr[i] remembers why it died (for the
-// all-replicas-failed error detail).
+// verify holds rep to the pinned fleet identity, if any.
+func (rs *replicaSet) verify(rep Replica) error {
+	if err := rs.expect.check(rep.Hello()); err != nil {
+		return fmt.Errorf("shard %d: fleet identity pinned at connect: %w", rs.part, err)
+	}
+	return nil
+}
+
+// replicaSet is one partition's replicas: the endpoints are fixed at
+// construction, each holding the conn currently dialed to it or nil
+// while it is dead.
 type replicaSet struct {
-	part    int
-	dialers []ReplicaDialer
+	tr   *Replicated
+	part int
 
-	mu      sync.Mutex
-	live    []Replica
-	lastErr []error
-	busy    []bool // replica i is serving an in-flight batch or summary fetch
-	rr      int    // round-robin cursor over replica indices
-	closed  bool
-	expect  *Expect // pinned fleet identity, nil until Pin
-
-	// Endpoint identity as last observed at a successful dial: addrs[i]
-	// is replica i's dialed address and hellos[i] the hello it presented
-	// — kept even while the replica is dead, so Endpoints() can still
-	// name what used to serve the slot. Empty for replicas that don't
-	// expose an endpoint (in-process ones). Guarded by mu.
-	addrs  []string
-	hellos []wire.Hello
+	mu     sync.Mutex
+	eps    []endpoint
+	live   int // endpoints holding a conn; liveG mirrors it
+	rr     int // round-robin cursor over endpoint indices
+	closed bool
+	expect *Expect // pinned fleet identity, nil until Pin
 
 	dialMu sync.Mutex // serializes redials so loop and Submit don't race a dial
 
 	// Failover telemetry. The counters are never nil (counterOr) so
 	// Health() reports real numbers even without a registry; liveG and
-	// lat may be nil instruments (no-ops) when metrics are disabled.
-	retries   *obs.Counter     // shard_retries_total{partition=p}
-	failovers *obs.Counter     // shard_failovers_total{partition=p}
-	redials   *obs.Counter     // shard_redials_total{partition=p}
-	liveG     *obs.Gauge       // shard_replicas_live{partition=p}
-	lat       []*obs.Histogram // shard_rpc_latency_ns{partition=p,replica=i}
+	// the endpoints' lat may be nil instruments (no-ops) when metrics are
+	// disabled.
+	retries   *obs.Counter // shard_retries_total{partition=p}
+	failovers *obs.Counter // shard_failovers_total{partition=p}
+	redials   *obs.Counter // shard_redials_total{partition=p}
+	liveG     *obs.Gauge   // shard_replicas_live{partition=p}
+}
+
+// endpoint is one replica slot of a partition. Everything but dial and
+// lat is guarded by the set's mu.
+type endpoint struct {
+	dial    ReplicaDialer
+	lat     *obs.Histogram // shard_rpc_latency_ns{partition=p,replica=i}
+	conn    *conn          // the live replica, nil while dead
+	lastErr error          // why it died, for the all-replicas-failed detail
+
+	// Identity as last observed at a successful dial — kept while the
+	// replica is dead, so Endpoints() can still name what used to serve
+	// the slot. Empty for replicas without a network endpoint
+	// (in-process ones).
+	addr  string
+	hello wire.Hello
+}
+
+// conn is one dialed Replica occupying an endpoint. The in-flight batch
+// lives here rather than in the endpoint because a redial can fill the
+// slot with a fresh conn while a failed one still owes its answer.
+type conn struct {
+	rs   *replicaSet
+	idx  int
+	rep  Replica
+	done func(Reply) // cn.deliver, bound once so a Submit allocates nothing
+
+	busy bool // serving a batch or summary fetch; guarded by rs.mu
+	call call // that batch; owned by whoever holds busy
+}
+
+// call is one Submit's progress through a replica set.
+type call struct {
+	hdr    wire.BatchHeader
+	tasks  []wire.Task
+	replyc chan<- Reply
+	hedge  bool
+	tried  []bool    // endpoints that already failed this batch; nil until one has
+	start  time.Time // when the current attempt was handed to its replica
 }
 
 // NewReplicated dials every replica of every partition and returns the
@@ -146,10 +186,7 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 	if len(groups) == 0 {
 		return nil, errors.New("shard: no replica groups")
 	}
-	r := &Replicated{
-		sets: make([]*replicaSet, len(groups)),
-		opts: opts,
-	}
+	r := &Replicated{sets: make([]*replicaSet, len(groups))}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	for p, dialers := range groups {
 		if len(dialers) == 0 {
@@ -157,38 +194,28 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 			return nil, fmt.Errorf("shard: partition %d has no replicas", p)
 		}
 		rs := &replicaSet{
+			tr:        r,
 			part:      p,
-			dialers:   dialers,
-			live:      make([]Replica, len(dialers)),
-			lastErr:   make([]error, len(dialers)),
-			busy:      make([]bool, len(dialers)),
+			eps:       make([]endpoint, len(dialers)),
 			retries:   counterOr(opts.Metrics, obs.Name("shard_retries_total", "partition", p)),
 			failovers: counterOr(opts.Metrics, obs.Name("shard_failovers_total", "partition", p)),
 			redials:   counterOr(opts.Metrics, obs.Name("shard_redials_total", "partition", p)),
 			liveG:     opts.Metrics.Gauge(obs.Name("shard_replicas_live", "partition", p)),
-			lat:       make([]*obs.Histogram, len(dialers)),
-			addrs:     make([]string, len(dialers)),
-			hellos:    make([]wire.Hello, len(dialers)),
 		}
-		for i := range dialers {
-			rs.lat[i] = opts.Metrics.Histogram(obs.Name("shard_rpc_latency_ns", "partition", p, "replica", i))
-		}
-		nlive := 0
+		r.sets[p] = rs
 		for i, dial := range dialers {
+			rs.eps[i].dial = dial
+			rs.eps[i].lat = opts.Metrics.Histogram(obs.Name("shard_rpc_latency_ns", "partition", p, "replica", i))
 			rep, err := dial(ctx)
 			if err != nil {
-				rs.lastErr[i] = err
+				rs.eps[i].lastErr = err
 				continue
 			}
-			rs.live[i] = rep
-			rs.recordEndpointLocked(i, rep)
-			nlive++
+			rs.install(i, rep, false)
 		}
-		rs.liveG.Set(int64(nlive))
-		r.sets[p] = rs
-		if nlive == 0 {
+		if rs.live == 0 { // nothing else can see rs yet
 			r.shutdown()
-			return nil, fmt.Errorf("shard: partition %d: no replica reachable: %v", p, rs.describeFailures())
+			return nil, fmt.Errorf("shard: partition %d: no replica reachable: %w", p, rs.allFailed())
 		}
 	}
 	every := opts.ReconnectEvery
@@ -202,21 +229,37 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 	return r, nil
 }
 
-// DialReplicated connects to a replicated TCP deployment: groups[p]
-// lists the dsr-shard addresses serving partition p (any of them may be
-// down, as long as each partition has at least one up). ctx bounds the
-// construction dials. Handshake expectations follow Dial: wantVertices
-// < 0 skips the vertex-count check, 0 skips either digest.
+// DialReplicated connects to a TCP deployment: groups[p] lists the
+// dsr-shard addresses serving partition p (any of them may be down, as
+// long as each partition has at least one up). ctx bounds the
+// construction dials. Every dial — at construction and on every redial
+// — runs the full hello handshake: wantVertices < 0 skips the
+// vertex-count check, a zero wantGraph or wantPart skips that digest.
 func DialReplicated(ctx context.Context, groups [][]string, wantVertices int, wantGraph, wantPart uint64, opts ReplicatedOptions) (*Replicated, error) {
+	// One set of net_client_* frame counters for every connection: the
+	// first to each address and each redial.
 	met := newNetMetrics(opts.Metrics, "net_client")
+	want := Expect{NumVertices: wantVertices, Graph: wantGraph, Part: wantPart}
 	dialers := make([][]ReplicaDialer, len(groups))
 	for p, addrs := range groups {
 		dialers[p] = make([]ReplicaDialer, len(addrs))
 		for i, addr := range addrs {
-			dialers[p][i] = tcpReplicaDialer(p, addr, len(groups), wantVertices, wantGraph, wantPart, met)
+			dialers[p][i] = func(ctx context.Context) (Replica, error) {
+				return dialShard(ctx, p, addr, len(groups), want, met)
+			}
 		}
 	}
 	return NewReplicated(ctx, dialers, opts)
+}
+
+// Dial is DialReplicated for an unreplicated deployment with default
+// options: addrs[p] is the one server of partition p.
+func Dial(ctx context.Context, addrs []string, wantVertices int, wantGraph, wantPart uint64) (*Replicated, error) {
+	groups := make([][]string, len(addrs))
+	for p, addr := range addrs {
+		groups[p] = []string{addr}
+	}
+	return DialReplicated(ctx, groups, wantVertices, wantGraph, wantPart, ReplicatedOptions{})
 }
 
 // Pin stores the fleet identity every future redial must re-verify and
@@ -227,33 +270,34 @@ func DialReplicated(ctx context.Context, groups [][]string, wantVertices int, wa
 // replica restarted from a different deployment could rejoin unnoticed.
 func (r *Replicated) Pin(e Expect) {
 	for _, rs := range r.sets {
-		rs.pin(&e)
+		rs.mu.Lock()
+		rs.expect = &e
+		rs.mu.Unlock()
+		rs.evict(rs.verify)
 	}
 }
 
-func (rs *replicaSet) pin(e *Expect) {
+// evict empties every live endpoint that verdict condemns, recording
+// its error as why the replica died, and closes those replicas —
+// outside the lock: closing one waits for its goroutine.
+func (rs *replicaSet) evict(verdict func(Replica) error) {
 	rs.mu.Lock()
-	rs.expect = e
 	var bad []Replica
-	for i, rep := range rs.live {
-		if rep == nil {
-			continue
-		}
-		if err := e.check(rs.part, rep.Hello()); err != nil {
-			rs.live[i] = nil
-			rs.lastErr[i] = err
-			bad = append(bad, rep)
+	for i := range rs.eps {
+		if ep := &rs.eps[i]; ep.conn != nil {
+			if err := verdict(ep.conn.rep); err != nil {
+				bad = append(bad, ep.conn.rep)
+				ep.conn, ep.lastErr = nil, err
+				rs.live--
+			}
 		}
 	}
-	rs.updateLiveLocked()
+	rs.liveG.Set(int64(rs.live))
 	rs.mu.Unlock()
 	for _, rep := range bad {
 		rep.Close()
 	}
 }
-
-// NumShards returns the partition count.
-func (r *Replicated) NumShards() int { return len(r.sets) }
 
 // PartitionHealth is one partition's replica-health snapshot: how many
 // replicas are configured and live, and the cumulative failover activity
@@ -269,21 +313,17 @@ type PartitionHealth struct {
 
 // Health snapshots every partition's replica health. It works whether or
 // not the transport was built with a metrics registry — the counters it
-// reads always count.
+// reads always count. Live is observability, not a correctness signal:
+// a "live" replica may die on next use.
 func (r *Replicated) Health() []PartitionHealth {
 	out := make([]PartitionHealth, len(r.sets))
 	for p, rs := range r.sets {
 		rs.mu.Lock()
-		live := 0
-		for _, rep := range rs.live {
-			if rep != nil {
-				live++
-			}
-		}
+		live := rs.live
 		rs.mu.Unlock()
 		out[p] = PartitionHealth{
 			Partition: p,
-			Replicas:  len(rs.dialers),
+			Replicas:  len(rs.eps),
 			Live:      live,
 			Retries:   rs.retries.Load(),
 			Failovers: rs.failovers.Load(),
@@ -293,47 +333,32 @@ func (r *Replicated) Health() []PartitionHealth {
 	return out
 }
 
-// NumLive returns how many of partition p's replicas are currently
-// connected — observability for tests and operators, not a correctness
-// signal (a "live" replica may die on next use).
-func (r *Replicated) NumLive(p int) int {
-	rs := r.sets[p]
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	n := 0
-	for _, rep := range rs.live {
-		if rep != nil {
-			n++
-		}
+// begin admits one batch or summary fetch unless the transport is
+// closed; an admitted call ends with calls.Done, which Close waits for.
+func (r *Replicated) begin() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.closed {
+		r.calls.Add(1)
 	}
-	return n
+	return !r.closed
 }
 
 // Submit routes the batch to a healthy replica of partition p,
 // retrying siblings on failure; the final Reply (success from whichever
 // replica answered, or an all-replicas-failed error) is delivered on
-// replyc. Each Submit runs in its own goroutine so the coordinator's
-// fan-out never blocks on a slow or dying replica.
+// replyc. It never waits on a replica — the write to one aside — so the
+// coordinator's fan-out is not held up by a slow or dying one.
 func (r *Replicated) Submit(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		replyc <- Reply{Shard: p, Err: ErrClosed}
-		return
-	}
-	r.subWG.Add(1)
-	r.mu.Unlock()
-	go func() {
-		defer r.subWG.Done()
-		replyc <- r.sets[p].run(r.ctx, h, tasks, false)
-	}()
+	r.submit(p, call{hdr: h, tasks: tasks, replyc: replyc})
 }
 
 // ErrNoIdleSibling is SubmitHedge's fail-fast answer when partition p
 // has no live replica sitting idle: every replica is either serving an
-// in-flight batch (most likely the very submit being hedged) or dead.
-// Hedging is a latency tool, not an availability tool, so this is not
-// an outage signal — the primary submit still owns retries and redials.
+// in-flight batch (most likely the very submit being hedged) or dead —
+// always so in a set of one. Hedging is a latency tool, not an
+// availability tool, so this is not an outage signal — the primary
+// submit still owns retries and redials.
 var ErrNoIdleSibling = errors.New("shard: no idle sibling replica to hedge on")
 
 // SubmitHedge re-sends a round's task batch for partition p to an idle
@@ -343,40 +368,59 @@ var ErrNoIdleSibling = errors.New("shard: no idle sibling replica to hedge on")
 // on the same partition: a busy replica is never picked, so a hedge can
 // never interleave two batches on one replica connection (whose decode
 // buffers hold one reply at a time). Unlike Submit it never redials
-// dead endpoints and never waits: with no idle live sibling the Reply
-// carries ErrNoIdleSibling immediately. The caller must be draining
-// replyc for both the primary and the hedged reply — both arrive.
+// dead endpoints and never waits: with no idle live sibling — always, in
+// a set of one — the Reply carries ErrNoIdleSibling, sent on replyc
+// before SubmitHedge returns. The caller must be draining replyc for
+// both the primary and the hedged reply — both arrive.
 func (r *Replicated) SubmitHedge(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		replyc <- Reply{Shard: p, Err: ErrClosed}
-		return
-	}
-	r.subWG.Add(1)
-	r.mu.Unlock()
-	go func() {
-		defer r.subWG.Done()
-		replyc <- r.sets[p].run(r.ctx, h, tasks, true)
-	}()
+	r.submit(p, call{hdr: h, tasks: tasks, replyc: replyc, hedge: true})
 }
 
-// Endpoints describes every (partition, replica) endpoint: the address
-// each replica was dialed at, the metrics address it announced in its
-// hello, and whether it is currently live. Dead replicas keep the
-// identity they last presented, so a fleet view can still name them.
+func (r *Replicated) submit(p int, c call) {
+	if !r.begin() {
+		c.replyc <- Reply{Shard: p, Err: ErrClosed}
+		return
+	}
+	rs := r.sets[p]
+	var cn *conn
+	// A set of one never serves a hedge, idle or not: its replica is the
+	// primary's, and the primary's reply aliases that replica's buffers
+	// until the coordinator has finished the round.
+	if !c.hedge || len(rs.eps) > 1 {
+		cn = rs.pick(nil)
+	}
+	switch {
+	case cn != nil:
+		cn.send(c)
+	case c.hedge:
+		rs.finish(c, Reply{Err: ErrNoIdleSibling})
+	default:
+		// No idle live replica: a last-resort redial can take as long as
+		// a dial does, so it runs beside the caller, not in front of it.
+		go rs.attempt(c)
+	}
+}
+
+// Endpoints describes every (partition, replica) endpoint that was
+// dialed at an address: that address, the metrics address the replica
+// announced in its hello, and whether it is currently live. Dead
+// replicas keep the identity they last presented, so a fleet view can
+// still name them; in-process replicas have no address and are left
+// out.
 func (r *Replicated) Endpoints() []EndpointInfo {
 	var eps []EndpointInfo
 	for _, rs := range r.sets {
 		rs.mu.Lock()
-		for i := range rs.dialers {
-			eps = append(eps, EndpointInfo{
-				Partition:   rs.part,
-				Replica:     i,
-				Addr:        rs.addrs[i],
-				MetricsAddr: rs.hellos[i].MetricsAddr,
-				Live:        rs.live[i] != nil,
-			})
+		for i := range rs.eps {
+			if ep := &rs.eps[i]; ep.addr != "" {
+				eps = append(eps, EndpointInfo{
+					Partition:   rs.part,
+					Replica:     i,
+					Addr:        ep.addr,
+					MetricsAddr: ep.hello.MetricsAddr,
+					Live:        ep.conn != nil,
+				})
+			}
 		}
 		rs.mu.Unlock()
 	}
@@ -388,32 +432,49 @@ func (r *Replicated) Endpoints() []EndpointInfo {
 // as a last resort, each failure marking that replica dead — so a
 // replica dying mid-fetch is transparently replaced by a sibling. The
 // SummaryInfo pairs the summary with the serving replica's dial-time
-// hello. ctx bounds the whole attempt chain.
+// hello. ctx bounds the whole attempt chain: it bails out early rather
+// than burning the remaining candidates on a deadline that already
+// passed.
 func (r *Replicated) Summary(ctx context.Context, p int) (SummaryInfo, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	if !r.begin() {
 		return SummaryInfo{}, ErrClosed
 	}
-	r.subWG.Add(1)
-	r.mu.Unlock()
-	defer r.subWG.Done()
-	return r.sets[p].summary(ctx)
+	defer r.calls.Done()
+	rs := r.sets[p]
+	tried := make([]bool, len(rs.eps))
+	for attempts := 0; ; attempts++ {
+		if err := ctx.Err(); err != nil {
+			return SummaryInfo{}, fmt.Errorf("shard %d: summary: %w", rs.part, err)
+		}
+		cn := rs.acquire(ctx, tried, true)
+		if cn == nil {
+			return SummaryInfo{}, rs.allFailed()
+		}
+		if attempts > 0 {
+			rs.retries.Inc()
+		}
+		tried[cn.idx] = true
+		sum, err := cn.rep.Summary(ctx)
+		if err == nil {
+			rs.release(cn)
+			return SummaryInfo{Hello: cn.rep.Hello(), Summary: sum}, nil
+		}
+		rs.markDead(cn, err)
+	}
 }
 
 // Close stops the reconnect loop, closes every live replica (failing
-// any in-flight batch, whose Submit goroutine then delivers an error
-// Reply), and waits for all transport-owned goroutines. Safe to call
-// more than once.
+// any in-flight batch, whose retry chain then ends in an error Reply),
+// and waits for all transport-owned goroutines. Safe to call more than
+// once.
 func (r *Replicated) Close() error {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
+	already := r.closed
 	r.closed = true
 	r.mu.Unlock()
-	r.shutdown()
+	if !already {
+		r.shutdown()
+	}
 	return nil
 }
 
@@ -425,7 +486,7 @@ func (r *Replicated) shutdown() {
 		}
 	}
 	r.loopWG.Wait()
-	r.subWG.Wait()
+	r.calls.Wait()
 }
 
 func (r *Replicated) reconnectLoop(every time.Duration) {
@@ -438,65 +499,86 @@ func (r *Replicated) reconnectLoop(every time.Duration) {
 			return
 		case <-t.C:
 			for _, rs := range r.sets {
-				rs.reconnect(r.ctx)
+				rs.redial(r.ctx, nil, false)
 			}
 		}
 	}
 }
 
-// run executes one batch against the set, trying each replica at most
-// once: healthy replicas first in round-robin order, then — only if no
-// healthy replica remains — a last-resort redial of the dead ones. A
-// replica that fails mid-batch is marked dead (and closed); the batch
-// is retried on the next candidate, which is correct because local
-// searches are idempotent reads. Only when every replica has failed
-// does the caller get an error Reply, carrying each replica's failure.
+// attempt hands c to the next replica worth trying, each at most once
+// per batch: idle healthy replicas first in round-robin order, then —
+// only if none remains — a last-resort redial of the dead ones. Only
+// when every replica has failed does the caller get an error Reply,
+// carrying each replica's failure.
 //
-// In hedge mode the candidate pool shrinks to idle live replicas: no
+// For a hedge the candidate pool shrinks to idle live replicas: no
 // redial of dead endpoints, and ErrNoIdleSibling the moment the pool is
 // empty — a hedge races the primary submit, so spending seconds dialing
 // would defeat its purpose.
-//
-// Replies from a replicaSet own their memory: a replica's decode
-// buffers are valid only until its next submit, and with hedging two
-// submits to one partition are in flight at once, so the successful
-// reply's Boundary lists are copied out of the replica's arena before
-// the replica is released for reuse. That keeps every Reply valid until
-// the coordinator finishes the whole round, however the round's submits
-// interleave.
-func (rs *replicaSet) run(ctx context.Context, h wire.BatchHeader, tasks []wire.Task, hedge bool) Reply {
-	tried := make([]bool, len(rs.dialers))
-	inner := make(chan Reply, 1)
-	attempts := 0
-	for {
-		idx, rep := rs.pick(tried)
-		if rep == nil && !hedge {
-			idx, rep = rs.redialDead(ctx, tried)
-		}
-		if rep == nil {
-			if hedge {
-				return Reply{Shard: rs.part, Err: ErrNoIdleSibling}
-			}
-			return Reply{Shard: rs.part, Err: &ReplicaSetError{Part: rs.part, Replicas: rs.describeFailures()}}
-		}
-		if attempts > 0 {
-			rs.retries.Inc() // this batch is being re-run on a sibling
-		}
-		attempts++
-		tried[idx] = true
-		t0 := time.Now()
-		rep.Submit(h, tasks, inner)
-		reply := <-inner
-		rs.lat[idx].ObserveSince(t0)
-		if reply.Err == nil {
-			reply.Shard = rs.part
-			reply.Results = copyResults(reply.Results)
-			rs.setBusy(idx, false)
-			return reply
-		}
-		rs.setBusy(idx, false)
-		rs.markDead(idx, rep, reply.Err)
+func (rs *replicaSet) attempt(c call) {
+	if cn := rs.acquire(rs.tr.ctx, c.tried, !c.hedge); cn != nil {
+		cn.send(c)
+	} else if c.hedge {
+		rs.finish(c, Reply{Err: ErrNoIdleSibling})
+	} else {
+		rs.finish(c, Reply{Err: rs.allFailed()})
 	}
+}
+
+// send starts c on the replica the caller has claimed.
+func (cn *conn) send(c call) {
+	if c.tried != nil {
+		cn.rs.retries.Inc() // this batch is being re-run on a sibling
+	}
+	c.start = time.Now()
+	cn.call = c
+	cn.rep.Submit(c.hdr, c.tasks, cn.done)
+}
+
+// deliver is the replica's answer to the conn's in-flight batch, on the
+// replica's goroutine. A failure gets a goroutine of its own to retry
+// on: closing the failed replica waits for the very goroutine this may
+// be running on, and a redial may follow.
+//
+// Where two submits to one partition can overlap — a hedge beside its
+// primary, so any set with a sibling — a reply must own its memory: a
+// replica's decode buffers are valid only until its next submit, so the
+// Boundary lists are copied out of its arena before the replica is
+// released for reuse. That keeps every Reply valid until the
+// coordinator finishes the whole round, however the round's submits
+// interleave. A set of one serves one batch at a time, and its replies
+// keep aliasing the replica's buffers, as Transport allows.
+func (cn *conn) deliver(reply Reply) {
+	rs, c := cn.rs, cn.call
+	rs.eps[cn.idx].lat.ObserveSince(c.start)
+	if reply.Err != nil {
+		go rs.failed(cn, c, reply.Err)
+		return
+	}
+	if len(rs.eps) > 1 {
+		reply.Results = copyResults(reply.Results)
+	}
+	rs.release(cn)
+	rs.finish(c, reply)
+}
+
+// failed retires the replica that failed c and moves c on to the next
+// candidate, which is correct because local searches are idempotent
+// reads.
+func (rs *replicaSet) failed(cn *conn, c call, err error) {
+	rs.markDead(cn, err)
+	if c.tried == nil {
+		c.tried = make([]bool, len(rs.eps))
+	}
+	c.tried[cn.idx] = true
+	rs.attempt(c)
+}
+
+// finish delivers c's one Reply and retires the call.
+func (rs *replicaSet) finish(c call, reply Reply) {
+	reply.Shard = rs.part
+	c.replyc <- reply
+	rs.tr.calls.Done()
 }
 
 // copyResults rebinds results onto a freshly allocated backing array —
@@ -520,44 +602,21 @@ func copyResults(results []wire.Result) []wire.Result {
 	return out
 }
 
-// setBusy releases (or re-marks) replica idx; acquisition happens
-// inside pick/redialDead under rs.mu.
-func (rs *replicaSet) setBusy(idx int, b bool) {
-	rs.mu.Lock()
-	rs.busy[idx] = b
-	rs.mu.Unlock()
+// acquire claims the next replica to try for a batch or fetch that has
+// already tried the given endpoints (nil: none yet): an idle live one,
+// or with redial set, failing that, a dead one brought back.
+func (rs *replicaSet) acquire(ctx context.Context, tried []bool, redial bool) *conn {
+	if cn := rs.pick(tried); cn != nil || !redial {
+		return cn
+	}
+	return rs.redial(ctx, tried, true)
 }
 
-// summary mirrors run for boundary-summary fetches: same candidate
-// order, same mark-dead-and-retry failover, same all-replicas-failed
-// error. Bails out early when ctx is done rather than burning the
-// remaining candidates on a deadline that already passed.
-func (rs *replicaSet) summary(ctx context.Context) (SummaryInfo, error) {
-	tried := make([]bool, len(rs.dialers))
-	attempts := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return SummaryInfo{}, fmt.Errorf("shard %d: summary: %w", rs.part, err)
-		}
-		idx, rep := rs.pick(tried)
-		if rep == nil {
-			idx, rep = rs.redialDead(ctx, tried)
-		}
-		if rep == nil {
-			return SummaryInfo{}, &ReplicaSetError{Part: rs.part, Replicas: rs.describeFailures()}
-		}
-		if attempts > 0 {
-			rs.retries.Inc()
-		}
-		attempts++
-		tried[idx] = true
-		sum, err := rep.Summary(ctx)
-		rs.setBusy(idx, false)
-		if err == nil {
-			return SummaryInfo{Hello: rep.Hello(), Summary: sum}, nil
-		}
-		rs.markDead(idx, rep, err)
-	}
+// release returns a claimed conn to the idle pool.
+func (rs *replicaSet) release(cn *conn) {
+	rs.mu.Lock()
+	cn.busy, cn.call = false, call{}
+	rs.mu.Unlock()
 }
 
 // pick returns the next untried idle healthy replica in round-robin
@@ -566,200 +625,126 @@ func (rs *replicaSet) summary(ctx context.Context) (SummaryInfo, error) {
 // primary's own sibling retries) on disjoint replicas: each replica
 // serves at most one in-flight batch, so its decode buffers hold one
 // reply at a time.
-func (rs *replicaSet) pick(tried []bool) (int, Replica) {
+func (rs *replicaSet) pick(tried []bool) *conn {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if rs.closed {
-		return -1, nil
+		return nil
 	}
-	n := len(rs.live)
+	n := len(rs.eps)
 	for i := 0; i < n; i++ {
 		idx := (rs.rr + i) % n
-		if !tried[idx] && !rs.busy[idx] && rs.live[idx] != nil {
+		if cn := rs.eps[idx].conn; cn != nil && !cn.busy && !(tried != nil && tried[idx]) {
 			rs.rr = idx + 1
-			rs.busy[idx] = true
-			return idx, rs.live[idx]
+			cn.busy = true
+			return cn
 		}
 	}
-	return -1, nil
+	return nil
 }
 
-// redialDead is the in-query last resort: with no healthy replica left
-// the batch would fail anyway, so attempting a fresh dial of each
-// untried dead endpoint is strictly better — it catches a replica that
-// came back between reconnect ticks. Dials are serialized with the
-// background loop so an endpoint is never dialed twice concurrently.
-func (rs *replicaSet) redialDead(ctx context.Context, tried []bool) (int, Replica) {
+// redial dials every untried dead endpoint once; the reconnect loop
+// parks whatever comes back for future picks. With claim set it is the
+// in-query last resort — with no healthy replica left the batch would
+// fail anyway, and a fresh dial catches a replica that came back
+// between reconnect ticks — and returns the first replica to come up,
+// claimed for the caller. Dials are serialized so an endpoint is never
+// dialed twice concurrently.
+func (rs *replicaSet) redial(ctx context.Context, tried []bool, claim bool) *conn {
 	rs.dialMu.Lock()
 	defer rs.dialMu.Unlock()
-	for idx := range rs.dialers {
-		if tried[idx] {
-			continue
+	if claim {
+		// Another redial may have revived one while we waited for dialMu.
+		if cn := rs.pick(tried); cn != nil {
+			return cn
 		}
-		rs.mu.Lock()
-		if rs.closed {
-			rs.mu.Unlock()
-			return -1, nil
-		}
-		if rep := rs.live[idx]; rep != nil {
-			// Revived by the background loop while we waited for dialMu.
-			if rs.busy[idx] {
-				rs.mu.Unlock()
-				continue // revived and immediately claimed by another batch
-			}
-			rs.busy[idx] = true
-			rs.mu.Unlock()
-			return idx, rep
-		}
-		rs.mu.Unlock()
-		if ctx.Err() != nil {
-			return -1, nil // transport closed (or deadline hit) mid-redial
-		}
-		rs.redials.Inc()
-		rep, err := rs.dialers[idx](ctx)
-		if err != nil {
-			rs.mu.Lock()
-			rs.lastErr[idx] = err
-			rs.mu.Unlock()
-			continue
-		}
-		installed, closed := rs.install(idx, rep, true)
-		if closed {
-			return -1, nil // closed while dialing
-		}
-		if !installed {
-			continue // pinned-identity mismatch; recorded, try the next
-		}
-		return idx, rep
 	}
-	return -1, nil
-}
-
-// reconnect redials every currently-dead endpoint once.
-func (rs *replicaSet) reconnect(ctx context.Context) {
-	rs.dialMu.Lock()
-	defer rs.dialMu.Unlock()
-	for idx := range rs.dialers {
+	for idx := range rs.eps {
 		rs.mu.Lock()
-		dead := rs.live[idx] == nil && !rs.closed
+		dead := rs.eps[idx].conn == nil && !rs.closed
 		rs.mu.Unlock()
-		if !dead || ctx.Err() != nil {
+		// A done ctx: transport closed (or deadline hit) mid-redial.
+		if !dead || (tried != nil && tried[idx]) || ctx.Err() != nil {
 			continue
 		}
 		rs.redials.Inc()
-		rep, err := rs.dialers[idx](ctx)
+		rep, err := rs.eps[idx].dial(ctx)
 		if err != nil {
 			rs.mu.Lock()
-			rs.lastErr[idx] = err
+			rs.eps[idx].lastErr = err
 			rs.mu.Unlock()
 			continue
 		}
-		if _, closed := rs.install(idx, rep, false); closed {
-			return
+		if cn := rs.install(idx, rep, claim); cn != nil && claim {
+			return cn
 		}
 	}
+	return nil
 }
 
-// install stores a freshly dialed replica after re-verifying it against
-// the pinned fleet identity (if any). installed reports whether the
-// replica went live; closed reports that the set was closed while the
-// dial was in flight (the caller should stop redialing). A verify
-// failure records the mismatch as the endpoint's lastErr and closes the
-// replica — it stays dead until it comes back serving the right
-// deployment. claim marks the installed replica busy for the caller's
-// own use (redialDead submits to it immediately; the reconnect loop
-// just parks it live for future picks).
-func (rs *replicaSet) install(idx int, rep Replica, claim bool) (installed, closed bool) {
+// install stores a freshly dialed replica, returning its conn — marked
+// busy for the caller's own use if claim is set. A replica that fails
+// the pinned fleet identity is closed, with the mismatch as the
+// endpoint's lastErr — it stays dead until it comes back serving the
+// right deployment — as is one whose set was closed mid-dial.
+func (rs *replicaSet) install(idx int, rep Replica, claim bool) *conn {
 	rs.mu.Lock()
-	if rs.closed {
+	ep := &rs.eps[idx]
+	if !rs.closed {
+		ep.lastErr = rs.verify(rep)
+	}
+	if rs.closed || ep.lastErr != nil {
 		rs.mu.Unlock()
 		rep.Close()
-		return false, true
+		return nil
 	}
-	if err := rs.expect.check(rs.part, rep.Hello()); err != nil {
-		rs.lastErr[idx] = err
-		rs.mu.Unlock()
-		rep.Close()
-		return false, false
+	cn := &conn{rs: rs, idx: idx, rep: rep, busy: claim}
+	cn.done = cn.deliver
+	ep.conn = cn
+	if cc, ok := rep.(*clientConn); ok {
+		ep.addr, ep.hello = cc.addr, cc.hello
 	}
-	rs.live[idx] = rep
-	rs.lastErr[idx] = nil
-	rs.busy[idx] = claim
-	rs.recordEndpointLocked(idx, rep)
-	rs.updateLiveLocked()
+	rs.live++
+	rs.liveG.Set(int64(rs.live))
 	rs.mu.Unlock()
-	return true, false
+	return cn
 }
 
-// recordEndpointLocked caches a freshly dialed replica's endpoint
-// identity for Endpoints(). Caller holds rs.mu (or owns the set
-// exclusively during construction). Replicas without a network
-// endpoint leave the slot as-is.
-func (rs *replicaSet) recordEndpointLocked(idx int, rep Replica) {
-	if ep, ok := rep.(interface{ Endpoint() (string, wire.Hello) }); ok {
-		rs.addrs[idx], rs.hellos[idx] = ep.Endpoint()
-	}
-}
-
-// updateLiveLocked refreshes the live-replica gauge. Caller holds rs.mu.
-func (rs *replicaSet) updateLiveLocked() {
-	n := 0
-	for _, rep := range rs.live {
-		if rep != nil {
-			n++
-		}
-	}
-	rs.liveG.Set(int64(n))
-}
-
-// markDead records why replica idx failed and closes it, unless a
-// reconnect already replaced it with a fresh instance (then the fresh
-// one is left alone and only the failed instance is closed).
-func (rs *replicaSet) markDead(idx int, failed Replica, err error) {
+// markDead releases a claimed conn that failed, records why and closes
+// it — unless a redial already replaced it with a fresh conn (then the
+// fresh one is left alone and only the failed one is closed).
+func (rs *replicaSet) markDead(cn *conn, err error) {
 	rs.mu.Lock()
-	if rs.live[idx] == failed {
-		rs.live[idx] = nil
-		rs.lastErr[idx] = err
+	cn.busy, cn.call = false, call{}
+	if ep := &rs.eps[cn.idx]; ep.conn == cn {
+		ep.conn, ep.lastErr = nil, err
 		rs.failovers.Inc() // a live replica just transitioned to dead
-		rs.updateLiveLocked()
+		rs.live--
+		rs.liveG.Set(int64(rs.live))
 	}
 	rs.mu.Unlock()
-	failed.Close()
+	cn.rep.Close()
 }
 
 func (rs *replicaSet) closeAll() {
 	rs.mu.Lock()
 	rs.closed = true
-	live := make([]Replica, len(rs.live))
-	copy(live, rs.live)
-	for i := range rs.live {
-		rs.live[i] = nil
-	}
-	rs.updateLiveLocked()
 	rs.mu.Unlock()
-	for _, rep := range live {
-		if rep != nil {
-			rep.Close()
-		}
-	}
+	rs.evict(func(Replica) error { return ErrClosed })
 }
 
-// describeFailures snapshots the per-replica failure detail.
-func (rs *replicaSet) describeFailures() []ReplicaError {
+// allFailed snapshots the per-replica failure detail.
+func (rs *replicaSet) allFailed() *ReplicaSetError {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	out := make([]ReplicaError, len(rs.dialers))
-	for i := range rs.dialers {
-		out[i] = ReplicaError{Replica: i, Err: rs.lastErr[i]}
-		if out[i].Err == nil {
-			if rs.closed {
-				out[i].Err = ErrClosed
-			} else {
-				out[i].Err = errors.New("failed during this batch")
-			}
+	e := &ReplicaSetError{Part: rs.part, Replicas: make([]ReplicaError, len(rs.eps))}
+	for i := range rs.eps {
+		e.Replicas[i] = ReplicaError{Replica: i, Err: rs.eps[i].lastErr}
+		if e.Replicas[i].Err == nil {
+			e.Replicas[i].Err = errors.New("failed during this batch")
 		}
 	}
-	return out
+	return e
 }
 
 // ReplicaError is one replica's failure within a ReplicaSetError.
@@ -769,11 +754,20 @@ type ReplicaError struct {
 }
 
 // ReplicaSetError reports that every replica of a partition failed for
-// one task batch — the only condition under which the replica-aware
-// transport surfaces an error to the coordinator.
+// one task batch — the only condition under which the transport
+// surfaces an error to the coordinator.
 type ReplicaSetError struct {
 	Part     int
 	Replicas []ReplicaError
+}
+
+// Unwrap exposes the per-replica causes to errors.Is and errors.As.
+func (e *ReplicaSetError) Unwrap() []error {
+	errs := make([]error, len(e.Replicas))
+	for i, re := range e.Replicas {
+		errs[i] = re.Err
+	}
+	return errs
 }
 
 func (e *ReplicaSetError) Error() string {

@@ -41,7 +41,7 @@ type flakyReplica struct {
 	inner Replica
 }
 
-func (f *flakyReplica) Submit(h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
+func (f *flakyReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(Reply)) {
 	f.ctl.submits.Add(1)
 	for {
 		n := f.ctl.failNext.Load()
@@ -49,11 +49,11 @@ func (f *flakyReplica) Submit(h wire.BatchHeader, tasks []wire.Task, replyc chan
 			break
 		}
 		if f.ctl.failNext.CompareAndSwap(n, n-1) {
-			replyc <- Reply{Err: errors.New("flaky: injected failure")}
+			done(Reply{Err: errors.New("flaky: injected failure")})
 			return
 		}
 	}
-	f.inner.Submit(h, tasks, replyc)
+	f.inner.Submit(h, tasks, done)
 }
 
 func (f *flakyReplica) Summary(ctx context.Context) (wire.Summary, error) {
@@ -66,6 +66,9 @@ func (f *flakyReplica) Summary(ctx context.Context) (wire.Summary, error) {
 func (f *flakyReplica) Hello() wire.Hello { return f.inner.Hello() }
 
 func (f *flakyReplica) Close() error { return f.inner.Close() }
+
+// numLive reads partition p's live-replica count off Health.
+func numLive(tr *Replicated, p int) int { return tr.Health()[p].Live }
 
 // localGroups builds R flaky-wrapped local replicas per partition of
 // the chain fixture; each replica gets its own Shard instance, as the
@@ -176,15 +179,12 @@ func TestReplicatedReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if tr.NumShards() != 1 {
-		t.Fatalf("NumShards = %d, want 1", tr.NumShards())
-	}
 
 	// Kill replica 0: its next submit fails, marking it dead, while the
 	// dialer also refuses — NumLive must drop to 1.
 	ctlA.dialDown.Store(true)
 	ctlA.failNext.Store(1000)
-	for tr.NumLive(0) == 2 {
+	for numLive(tr, 0) == 2 {
 		if rep := submitOne(t, tr, 0, 0); rep.Err != nil {
 			t.Fatalf("submit during failover: %v", rep.Err)
 		}
@@ -194,9 +194,9 @@ func TestReplicatedReconnects(t *testing.T) {
 	ctlA.failNext.Store(0)
 	ctlA.dialDown.Store(false)
 	deadline := time.Now().Add(10 * time.Second)
-	for tr.NumLive(0) != 2 {
+	for numLive(tr, 0) != 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("replica never reconnected: NumLive = %d", tr.NumLive(0))
+			t.Fatalf("replica never reconnected: NumLive = %d", numLive(tr, 0))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -234,8 +234,8 @@ func TestReplicatedRedialsWhenNoneLive(t *testing.T) {
 	if rep := submitOne(t, tr, 0, 0); rep.Err != nil {
 		t.Fatalf("submit after endpoint returned: %v", rep.Err)
 	}
-	if tr.NumLive(0) != 1 {
-		t.Fatalf("NumLive = %d after redial, want 1", tr.NumLive(0))
+	if numLive(tr, 0) != 1 {
+		t.Fatalf("NumLive = %d after redial, want 1", numLive(tr, 0))
 	}
 }
 
@@ -281,8 +281,8 @@ func TestReplicatedConstructionNeedsOneLivePerPartition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("one-live partition refused: %v", err)
 	}
-	if tr.NumLive(0) != 1 {
-		t.Fatalf("NumLive = %d, want 1", tr.NumLive(0))
+	if numLive(tr, 0) != 1 {
+		t.Fatalf("NumLive = %d, want 1", numLive(tr, 0))
 	}
 	tr.Close()
 }
@@ -390,7 +390,7 @@ func TestReplicatedTCPFailover(t *testing.T) {
 	// stay correct throughout — mid-query failover rescues the batches
 	// that hit the corpse.
 	deadline := time.Now().Add(10 * time.Second)
-	for tr.NumLive(0) != 1 {
+	for numLive(tr, 0) != 1 {
 		rep := submitOne(t, tr, 0, 0)
 		if rep.Err != nil {
 			t.Fatalf("reply errored despite a live sibling: %v", rep.Err)

@@ -1,10 +1,12 @@
 // Package shard is the DSR execution runtime: a Shard executes local
 // searches over one partition's subgraph, and a Transport carries task
-// batches from the coordinator to shards — in-process (Loopback) or
-// over TCP (Client/Server) with the internal/wire protocol. The
-// coordinator in internal/dsr only ever speaks Transport, so the
-// single-process engine is literally the distributed one running over
-// Loopback.
+// batches from the coordinator to shards. There is one transport,
+// Replicated — a set of interchangeable replicas per partition — and
+// two kinds of Replica under it: an in-process worker (NewLoopback) and
+// a TCP connection to a Server speaking the internal/wire protocol
+// (Dial, DialReplicated). The coordinator in internal/dsr only ever
+// speaks Transport, so the single-process engine is literally the
+// distributed one running over in-process replicas.
 package shard
 
 import (

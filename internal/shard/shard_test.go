@@ -185,37 +185,3 @@ func TestShardSummary(t *testing.T) {
 		t.Fatal("Summary rebuilt instead of returning the cached value")
 	}
 }
-
-func TestLoopbackTransport(t *testing.T) {
-	shards, _ := chainFixture(t)
-	lb := NewLoopback(shards)
-	defer lb.Close()
-	if lb.NumShards() != 3 {
-		t.Fatalf("NumShards = %d, want 3", lb.NumShards())
-	}
-	replyc := make(chan Reply, 3)
-	lb.Submit(0, wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 0, Seeds: []int32{0}}}, replyc)
-	lb.Submit(2, wire.BatchHeader{}, []wire.Task{{Kind: wire.Backward, Query: 0, Seeds: []int32{5}}}, replyc)
-	seen := map[int][]uint32{}
-	for i := 0; i < 2; i++ {
-		rep := <-replyc
-		if rep.Err != nil {
-			t.Fatal(rep.Err)
-		}
-		seen[rep.Shard] = chainReached(rep.Shard, rep.Results[0].Boundary)
-	}
-	if !slices.Equal(seen[0], []uint32{1}) || !slices.Equal(seen[2], []uint32{4}) {
-		t.Fatalf("loopback replies = %v", seen)
-	}
-}
-
-func TestLoopbackCloseIdempotent(t *testing.T) {
-	shards, _ := chainFixture(t)
-	lb := NewLoopback(shards)
-	if err := lb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lb.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -41,12 +41,12 @@ type Server struct {
 
 	mu       sync.Mutex // guards ln, conns, closed, draining
 	ln       net.Listener
-	conns    map[net.Conn]*connState
+	conns    map[net.Conn]bool // value: mid-batch (busy) rather than between batches
 	closed   bool
 	draining bool
 	wg       sync.WaitGroup
 
-	met  netInstruments             // net_server_* frame counters
+	met  atomic.Pointer[netMetrics] // net_server_* frame counters
 	srv  atomic.Pointer[srvMetrics] // shard_server_* per-batch metrics
 	logp atomic.Pointer[obs.Logger] // protocol-failure logging
 }
@@ -72,9 +72,6 @@ type srvMetrics struct {
 }
 
 func newSrvMetrics(reg *obs.Registry) *srvMetrics {
-	if reg == nil {
-		return nil
-	}
 	return &srvMetrics{
 		decode: reg.Histogram("shard_server_decode_ns"),
 		queue:  reg.Histogram("shard_server_queue_ns"),
@@ -109,9 +106,9 @@ func (st *srvMetrics) observe(t wire.ServerTiming, tasks int, run RunStats) {
 // Serve in the normal case, or while serving (the slots are swapped
 // atomically). A nil argument leaves its slot untouched.
 func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger) {
-	s.met.set(newNetMetrics(reg, "net_server"))
-	if t := newSrvMetrics(reg); t != nil {
-		s.srv.Store(t)
+	if reg != nil {
+		s.met.Store(newNetMetrics(reg, "net_server"))
+		s.srv.Store(newSrvMetrics(reg))
 		r := s.sh.Regions()
 		for region, n := range map[string]int{"path": r.Path, "sink": r.Sink, "source": r.Source, "interior": r.Interior} {
 			reg.Gauge(obs.Name("shard_components", "region", region)).Set(int64(n))
@@ -137,13 +134,6 @@ func (s *Server) AnnounceMetrics(addr string) {
 // logger returns the instrumented logger (nil, a no-op, by default).
 func (s *Server) logger() *obs.Logger { return s.logp.Load() }
 
-// connState tracks whether a connection is between batches (idle) or
-// mid-batch (busy): a graceful Shutdown closes idle connections
-// immediately but lets busy ones finish writing their response.
-type connState struct {
-	busy bool
-}
-
 // NewServer returns a server for sh. numShards and numVertices describe
 // the whole deployment, graphSum fingerprints the exact edge set the
 // shard was built from (graph.Fingerprint), and partSum digests the
@@ -168,7 +158,7 @@ func NewServer(sh *Shard, numShards, numVertices int, graphSum, partSum uint64) 
 		// connect), and every MsgSummaryRequest is answered by writing the
 		// same immutable payload — no lock, no re-encoding.
 		summary: wire.AppendSummary(nil, sh.Summary()),
-		conns:   make(map[net.Conn]*connState),
+		conns:   make(map[net.Conn]bool),
 	}
 }
 
@@ -200,7 +190,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			c.Close()
 			return nil
 		}
-		s.conns[c] = &connState{}
+		s.conns[c] = false
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go s.handle(c)
@@ -242,8 +232,8 @@ func (s *Server) Shutdown() error {
 	s.draining = true
 	ln := s.ln
 	if !already {
-		for c, st := range s.conns {
-			if !st.busy {
+		for c, busy := range s.conns {
+			if !busy {
 				c.Close()
 			} else {
 				// Busy handlers get drainTimeout to flush their response;
@@ -270,9 +260,7 @@ func (s *Server) beginBatch(c net.Conn) bool {
 	if s.closed || s.draining {
 		return false
 	}
-	if st, ok := s.conns[c]; ok {
-		st.busy = true
-	}
+	s.conns[c] = true
 	return true
 }
 
@@ -282,9 +270,7 @@ func (s *Server) beginBatch(c net.Conn) bool {
 func (s *Server) endBatch(c net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st, ok := s.conns[c]; ok {
-		st.busy = false
-	}
+	s.conns[c] = false
 	return !(s.closed || s.draining)
 }
 
@@ -296,6 +282,19 @@ func (s *Server) dropConn(c net.Conn) {
 	s.wg.Done()
 }
 
+// sendFrame writes p as one frame, flushes it, and on success counts it
+// in met.
+func sendFrame(bw *bufio.Writer, p []byte, met *netMetrics) error {
+	err := wire.WriteFrame(bw, p)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		met.frameOut(len(p))
+	}
+	return err
+}
+
 func (s *Server) handle(c net.Conn) {
 	defer s.dropConn(c)
 	bw := bufio.NewWriter(c)
@@ -305,28 +304,21 @@ func (s *Server) handle(c net.Conn) {
 	var seedArena []int32
 
 	wbuf = wire.AppendHello(wbuf[:0], s.hello)
-	if err := wire.WriteFrame(bw, wbuf); err != nil {
+	if sendFrame(bw, wbuf, s.met.Load()) != nil {
 		return
 	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
-	s.met.get().frameOut(len(wbuf))
 
 	fail := func(msg string) {
 		s.logger().Warnf("dropping connection from %s: %s", c.RemoteAddr(), msg)
 		wbuf = wire.AppendError(wbuf[:0], msg)
-		if wire.WriteFrame(bw, wbuf) == nil {
-			bw.Flush()
-			s.met.get().frameOut(len(wbuf))
-		}
+		sendFrame(bw, wbuf, s.met.Load())
 	}
 	for {
 		p, err := wire.ReadFrame(br, rbuf)
 		if err != nil {
 			return // EOF or broken conn: just drop it
 		}
-		met := s.met.get()
+		met := s.met.Load()
 		met.frameIn(len(p))
 		if !s.beginBatch(c) {
 			return // draining: refuse batches that haven't started executing
@@ -336,13 +328,9 @@ func (s *Server) handle(c net.Conn) {
 		switch {
 		case err == nil && ty == wire.MsgSummaryRequest:
 			// Served from the immutable pre-encoded frame; no shard lock.
-			if err := wire.WriteFrame(bw, s.summary); err != nil {
+			if sendFrame(bw, s.summary, met) != nil {
 				return
 			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			met.frameOut(len(s.summary))
 		case err == nil && ty == wire.MsgTasks:
 			// Each phase is timed: the breakdown feeds the shard's own
 			// shard_server_* histograms on every batch, and rides back to
@@ -378,13 +366,9 @@ func (s *Server) handle(c net.Conn) {
 			if hdr.Trace {
 				wbuf = wire.AppendServerTiming(wbuf, timing)
 			}
-			if err := wire.WriteFrame(bw, wbuf); err != nil {
+			if sendFrame(bw, wbuf, met) != nil {
 				return
 			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			met.frameOut(len(wbuf))
 		default:
 			met.decodeErr()
 			fail(fmt.Sprintf("shard %d: want MsgTasks or MsgSummaryRequest, got %#02x", s.sh.ID(), ty))
@@ -396,19 +380,11 @@ func (s *Server) handle(c net.Conn) {
 	}
 }
 
-// Client is the TCP Transport: one connection per shard, requests
-// written in Submit order and responses matched back FIFO (the server
-// answers a connection's requests strictly in order).
-type Client struct {
-	conns []*clientConn
-	once  sync.Once
-}
-
-// clientConn is one live connection to a shard server. It implements
-// Replica, which is how the replica-aware transport (Replicated) holds
-// one clientConn per replica endpoint and fails batches over between
-// them; the plain Client is the degenerate one-replica-per-partition
-// arrangement of the same type.
+// clientConn is one live connection to a shard server, the TCP kind of
+// Replica: requests are written in Submit order and responses matched
+// back FIFO (the server answers a connection's requests strictly in
+// order) by the connection's reader goroutine, which is also the
+// goroutine that hands each Reply to its submitter.
 type clientConn struct {
 	shard int
 	addr  string
@@ -421,18 +397,18 @@ type clientConn struct {
 	broken  error
 	wbuf    []byte
 
-	met netInstruments // net_client_* frame counters
+	met *netMetrics // net_client_* frame counters; nil (a no-op) without a registry
 
 	done chan struct{} // closed when the reader goroutine exits
 }
 
 // pendingReq is one in-flight request awaiting its response frame.
-// Exactly one of replyc (a task batch) and sumc (a summary request) is
+// Exactly one of done (a task batch) and sumc (a summary request) is
 // non-nil; the reader uses the tag to decide which decoder a response
 // frame feeds.
 type pendingReq struct {
-	replyc chan<- Reply
-	sumc   chan summaryReply
+	done func(Reply)
+	sumc chan summaryReply
 }
 
 type summaryReply struct {
@@ -440,37 +416,11 @@ type summaryReply struct {
 	err error
 }
 
-// Dial connects to one shard server per address (addrs[i] must be shard
-// i), verifies each hello against the expected deployment shape, and
-// returns the transport. ctx bounds the whole dial sequence.
-// wantVertices < 0 skips the vertex-count check; wantGraph is the
-// caller's graph fingerprint and wantPart its partitioning digest — for
-// either, 0 skips the check (either side not computing one opts out,
-// since a server may also send 0).
-func Dial(ctx context.Context, addrs []string, wantVertices int, wantGraph, wantPart uint64) (*Client, error) {
-	cl := &Client{}
-	for i, addr := range addrs {
-		cc, err := dialShard(ctx, i, addr, len(addrs), wantVertices, wantGraph, wantPart, nil)
-		if err != nil {
-			cl.Close()
-			return nil, err
-		}
-		cl.conns = append(cl.conns, cc)
-	}
-	return cl, nil
-}
-
-// Instrument wires the client's frame and byte counters (net_client_*)
-// into reg. Safe to call while connections are live — reader goroutines
-// pick the instruments up atomically. Nil reg is a no-op.
-func (cl *Client) Instrument(reg *obs.Registry) {
-	met := newNetMetrics(reg, "net_client")
-	for _, cc := range cl.conns {
-		cc.met.set(met)
-	}
-}
-
-func dialShard(ctx context.Context, i int, addr string, numShards, wantVertices int, wantGraph, wantPart uint64, met *netMetrics) (*clientConn, error) {
+// dialShard connects to the dsr-shard server at addr and verifies its
+// hello: it must identify as shard i of numShards and present the
+// deployment identity want describes (Expect's rules). ctx bounds the
+// dial and the handshake.
+func dialShard(ctx context.Context, i int, addr string, numShards int, want Expect, met *netMetrics) (*clientConn, error) {
 	d := net.Dialer{Timeout: handshakeTimeout}
 	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -481,130 +431,66 @@ func dialShard(ctx context.Context, i int, addr string, numShards, wantVertices 
 		helloDeadline = dl
 	}
 	c.SetReadDeadline(helloDeadline)
+	var h wire.Hello
 	p, err := wire.ReadFrame(c, nil)
+	if err == nil {
+		h, err = wire.DecodeHello(p)
+	}
+	switch {
+	case err != nil:
+		err = fmt.Errorf("hello: %w", err)
+	case int(h.ShardID) != i:
+		err = fmt.Errorf("server identifies as shard %d", h.ShardID)
+	case int(h.NumShards) != numShards:
+		err = fmt.Errorf("server built for %d shards, dialing %d", h.NumShards, numShards)
+	default:
+		err = want.check(h)
+	}
 	if err != nil {
 		c.Close()
-		return nil, fmt.Errorf("shard %d (%s): hello: %w", i, addr, err)
-	}
-	h, err := wire.DecodeHello(p)
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("shard %d (%s): hello: %w", i, addr, err)
-	}
-	if int(h.ShardID) != i {
-		c.Close()
-		return nil, fmt.Errorf("shard %d (%s): server identifies as shard %d", i, addr, h.ShardID)
-	}
-	if int(h.NumShards) != numShards {
-		c.Close()
-		return nil, fmt.Errorf("shard %d (%s): server built for %d shards, dialing %d", i, addr, h.NumShards, numShards)
-	}
-	if wantVertices >= 0 && int(h.NumVertices) != wantVertices {
-		c.Close()
-		return nil, fmt.Errorf("shard %d (%s): server graph has %d vertices, coordinator has %d", i, addr, h.NumVertices, wantVertices)
-	}
-	if wantGraph != 0 && h.Graph != 0 && h.Graph != wantGraph {
-		c.Close()
-		return nil, fmt.Errorf("shard %d (%s): server built from a different graph (fingerprint %#x, coordinator %#x)", i, addr, h.Graph, wantGraph)
-	}
-	if wantPart != 0 && h.Partitioning != 0 && h.Partitioning != wantPart {
-		c.Close()
-		return nil, fmt.Errorf("shard %d (%s): server built with a different partitioning (digest %#x, coordinator %#x — same -partitioner spec everywhere?)", i, addr, h.Partitioning, wantPart)
+		return nil, fmt.Errorf("shard %d (%s): %w", i, addr, err)
 	}
 	c.SetReadDeadline(time.Time{})
-	cc := &clientConn{shard: i, addr: addr, c: c, bw: bufio.NewWriter(c), hello: h, done: make(chan struct{})}
-	cc.met.set(met)
-	cc.met.get().frameIn(len(p)) // the hello frame consumed above
+	cc := &clientConn{shard: i, addr: addr, c: c, bw: bufio.NewWriter(c), hello: h, met: met, done: make(chan struct{})}
+	cc.met.frameIn(len(p)) // the hello frame consumed above
 	go cc.readLoop()
 	return cc, nil
 }
 
-// NumShards returns the shard count.
-func (cl *Client) NumShards() int { return len(cl.conns) }
-
-// Submit encodes and writes the batch to shard p's connection. The
-// Reply arrives on replyc when the response frame is read (or an error
-// Reply immediately if the connection is broken).
-func (cl *Client) Submit(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
-	cl.conns[p].Submit(h, tasks, replyc)
-}
-
-// Endpoints describes every connection: one entry per partition (the
-// plain Client has exactly one replica per partition), carrying the
-// dialed address, the metrics address the server announced in its
-// hello, and whether the connection is still live.
-func (cl *Client) Endpoints() []EndpointInfo {
-	eps := make([]EndpointInfo, len(cl.conns))
-	for i, cc := range cl.conns {
-		cc.mu.Lock()
-		live := cc.broken == nil
-		cc.mu.Unlock()
-		eps[i] = EndpointInfo{
-			Partition:   i,
-			Addr:        cc.addr,
-			MetricsAddr: cc.hello.MetricsAddr,
-			Live:        live,
-		}
+// request registers pr as pending and writes its request frame — the
+// task batch, or for a summary request (pr.sumc set) the bare request —
+// reporting the error of a connection that is, or hereby becomes,
+// broken; pr is then not pending.
+func (cc *clientConn) request(pr pendingReq, h wire.BatchHeader, tasks []wire.Task) error {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.broken != nil {
+		return cc.broken
 	}
-	return eps
-}
-
-// Summary fetches shard p's boundary summary over its connection,
-// paired with the hello identity the server presented at dial time.
-func (cl *Client) Summary(ctx context.Context, p int) (SummaryInfo, error) {
-	cc := cl.conns[p]
-	sum, err := cc.Summary(ctx)
-	if err != nil {
-		return SummaryInfo{}, err
+	// Register before writing: the reader pops pending FIFO as response
+	// frames arrive, and a response can only follow a completed write.
+	cc.pending = append(cc.pending, pr)
+	if pr.sumc != nil {
+		cc.wbuf = wire.AppendSummaryRequest(cc.wbuf[:0])
+	} else {
+		cc.wbuf = wire.AppendTasks(cc.wbuf[:0], h, tasks)
 	}
-	return SummaryInfo{Hello: cc.hello, Summary: sum}, nil
-}
-
-// Close closes every connection and waits for the reader goroutines to
-// exit; outstanding Submits receive error replies.
-func (cl *Client) Close() error {
-	cl.once.Do(func() {
-		for _, cc := range cl.conns {
-			cc.fail(ErrClosed)
-			cc.c.Close()
-		}
-		for _, cc := range cl.conns {
-			<-cc.done
-		}
-	})
+	if err := sendFrame(cc.bw, cc.wbuf, cc.met); err != nil {
+		cc.broken = fmt.Errorf("shard %d (%s): write: %w", cc.shard, cc.addr, err)
+		cc.pending = cc.pending[:len(cc.pending)-1]
+		cc.c.Close() // wake the reader so it fails any earlier pending
+		return cc.broken
+	}
 	return nil
 }
 
 // Submit encodes and writes the batch to the connection (Replica
-// interface). The Reply arrives on replyc when the response frame is
-// read, or immediately with an error if the connection is broken.
-func (cc *clientConn) Submit(h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
-	cc.mu.Lock()
-	if cc.broken != nil {
-		err := cc.broken
-		cc.mu.Unlock()
-		replyc <- Reply{Shard: cc.shard, Err: err}
-		return
+// interface). The reader hands the Reply to done when the response
+// frame is read; a broken connection answers with its error at once.
+func (cc *clientConn) Submit(h wire.BatchHeader, tasks []wire.Task, done func(Reply)) {
+	if err := cc.request(pendingReq{done: done}, h, tasks); err != nil {
+		done(Reply{Shard: cc.shard, Err: err})
 	}
-	// Register before writing: the reader pops pending FIFO as response
-	// frames arrive, and a response can only follow a completed write.
-	cc.pending = append(cc.pending, pendingReq{replyc: replyc})
-	cc.wbuf = wire.AppendTasks(cc.wbuf[:0], h, tasks)
-	err := wire.WriteFrame(cc.bw, cc.wbuf)
-	if err == nil {
-		err = cc.bw.Flush()
-	}
-	if err != nil {
-		err = fmt.Errorf("shard %d (%s): write: %w", cc.shard, cc.addr, err)
-		cc.broken = err
-		cc.pending = cc.pending[:len(cc.pending)-1]
-		cc.mu.Unlock()
-		cc.c.Close() // wake the reader so it fails any earlier pending
-		replyc <- Reply{Shard: cc.shard, Err: err}
-		return
-	}
-	cc.met.get().frameOut(len(cc.wbuf))
-	cc.mu.Unlock()
 }
 
 // Summary requests the shard's boundary summary and waits for the
@@ -615,28 +501,9 @@ func (cc *clientConn) Submit(h wire.BatchHeader, tasks []wire.Task, replyc chan<
 // desynchronizing the FIFO.
 func (cc *clientConn) Summary(ctx context.Context) (wire.Summary, error) {
 	sumc := make(chan summaryReply, 1)
-	cc.mu.Lock()
-	if cc.broken != nil {
-		err := cc.broken
-		cc.mu.Unlock()
+	if err := cc.request(pendingReq{sumc: sumc}, wire.BatchHeader{}, nil); err != nil {
 		return wire.Summary{}, err
 	}
-	cc.pending = append(cc.pending, pendingReq{sumc: sumc})
-	cc.wbuf = wire.AppendSummaryRequest(cc.wbuf[:0])
-	err := wire.WriteFrame(cc.bw, cc.wbuf)
-	if err == nil {
-		err = cc.bw.Flush()
-	}
-	if err != nil {
-		err = fmt.Errorf("shard %d (%s): write: %w", cc.shard, cc.addr, err)
-		cc.broken = err
-		cc.pending = cc.pending[:len(cc.pending)-1]
-		cc.mu.Unlock()
-		cc.c.Close()
-		return wire.Summary{}, err
-	}
-	cc.met.get().frameOut(len(cc.wbuf))
-	cc.mu.Unlock()
 	select {
 	case sr := <-sumc:
 		return sr.sum, sr.err
@@ -656,10 +523,6 @@ func (cc *clientConn) Summary(ctx context.Context) (wire.Summary, error) {
 // Hello reports the identity the server presented at dial time (Replica
 // interface).
 func (cc *clientConn) Hello() wire.Hello { return cc.hello }
-
-// Endpoint reports the dialed address and dial-time hello; Replicated
-// detects it to cache endpoint identity for its Endpoints() view.
-func (cc *clientConn) Endpoint() (string, wire.Hello) { return cc.addr, cc.hello }
 
 // Close closes the connection and waits for its reader goroutine to
 // exit; pending Submits receive error replies (Replica interface).
@@ -684,8 +547,8 @@ func (cc *clientConn) fail(err error) {
 	cc.pending = nil
 	cc.mu.Unlock()
 	for _, pr := range pending {
-		if pr.replyc != nil {
-			pr.replyc <- Reply{Shard: cc.shard, Err: err}
+		if pr.done != nil {
+			pr.done(Reply{Shard: cc.shard, Err: err})
 		} else {
 			pr.sumc <- summaryReply{err: err}
 		}
@@ -704,7 +567,7 @@ func (cc *clientConn) readLoop() {
 			cc.fail(fmt.Errorf("shard %d (%s): read: %w", cc.shard, cc.addr, err))
 			return
 		}
-		cc.met.get().frameIn(len(p))
+		cc.met.frameIn(len(p))
 		rbuf = p
 		ty, err := wire.MsgType(p)
 		if err == nil && ty == wire.MsgError {
@@ -730,13 +593,13 @@ func (cc *clientConn) readLoop() {
 		}
 		cc.mu.Unlock()
 		switch {
-		case head.replyc == nil && head.sumc == nil:
+		case head.done == nil && head.sumc == nil:
 			cc.fail(fmt.Errorf("shard %d (%s): unsolicited response frame", cc.shard, cc.addr))
 			return
 		case head.sumc != nil:
 			sum, err := wire.DecodeSummary(p)
 			if err != nil {
-				cc.met.get().decodeErr()
+				cc.met.decodeErr()
 				cc.fail(fmt.Errorf("shard %d (%s): bad summary: %w", cc.shard, cc.addr, err))
 				return
 			}
@@ -747,18 +610,18 @@ func (cc *clientConn) readLoop() {
 			var info wire.ResultsInfo
 			info, results, arena, err = wire.DecodeResults(p, results[:0], arena[:0])
 			if err != nil {
-				cc.met.get().decodeErr()
+				cc.met.decodeErr()
 				cc.fail(fmt.Errorf("shard %d (%s): bad response: %w", cc.shard, cc.addr, err))
 				return
 			}
 			if cc.pop() {
-				head.replyc <- Reply{
+				head.done(Reply{
 					Shard:     cc.shard,
 					Results:   results,
 					Batch:     info.Batch,
 					HasTiming: info.HasTiming,
 					Timing:    info.Timing,
-				}
+				})
 			}
 		}
 	}

@@ -52,46 +52,6 @@ func serveShards(t testing.TB, shards []*Shard, numVertices int) ([]string, func
 	}
 }
 
-func TestTCPTransportMatchesLoopback(t *testing.T) {
-	shards, _ := chainFixture(t)
-	addrs, stop := serveShards(t, shards, 6)
-	defer stop()
-
-	cl, err := Dial(t.Context(), addrs, 6, testGraphSum, testPartSum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.NumShards() != 3 {
-		t.Fatalf("NumShards = %d, want 3", cl.NumShards())
-	}
-
-	replyc := make(chan Reply, 3)
-	cl.Submit(0, wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 4, Seeds: []int32{0}}}, replyc)
-	rep := <-replyc
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if rep.Shard != 0 || len(rep.Results) != 1 || rep.Results[0].Query != 4 {
-		t.Fatalf("bad reply: %+v", rep)
-	}
-	if !slices.Equal(chainReached(0, rep.Results[0].Boundary), []uint32{1}) {
-		t.Fatalf("boundary = %v, want [1]", rep.Results[0].Boundary)
-	}
-
-	// Several sequential batches on the same connection reuse buffers.
-	for round := 0; round < 5; round++ {
-		cl.Submit(2, wire.BatchHeader{}, []wire.Task{{Kind: wire.Backward, Query: uint32(round), Seeds: []int32{5}}}, replyc)
-		rep := <-replyc
-		if rep.Err != nil {
-			t.Fatal(rep.Err)
-		}
-		if rep.Results[0].Query != uint32(round) || !slices.Equal(chainReached(2, rep.Results[0].Boundary), []uint32{4}) {
-			t.Fatalf("round %d: %+v", round, rep.Results[0])
-		}
-	}
-}
-
 func TestTCPDialRejectsMismatch(t *testing.T) {
 	shards, _ := chainFixture(t)
 	addrs, stop := serveShards(t, shards, 6)
@@ -141,16 +101,7 @@ func TestTCPDialRefusesOlderProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		old := wire.AppendHello(nil, wire.Hello{ShardID: 0, NumShards: 1, NumVertices: 6})
-		copy(old[1:5], "DSR3")
-		wire.WriteFrame(c, old)
-	}()
+	oldProtocolServer(t, ln)
 	if cl, err := Dial(t.Context(), []string{ln.Addr().String()}, 6, 0, 0); !errors.Is(err, wire.ErrBadMagic) {
 		if err == nil {
 			cl.Close()
@@ -346,6 +297,7 @@ func TestTCPClientUnsolicitedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	cc := cl.sets[0].eps[0].conn.rep.(*clientConn)
 	replyc := make(chan Reply, 1)
 	cl.Submit(0, wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 0, Seeds: []int32{0}}}, replyc)
 	rep := <-replyc
@@ -359,9 +311,9 @@ func TestTCPClientUnsolicitedFrame(t *testing.T) {
 		if !slices.Equal(rep.Results[0].Boundary, []uint32{1, 2}) {
 			t.Fatalf("delivered reply mutated by unsolicited frame: %v", rep.Results[0].Boundary)
 		}
-		cl.conns[0].mu.Lock()
-		broken := cl.conns[0].broken
-		cl.conns[0].mu.Unlock()
+		cc.mu.Lock()
+		broken := cc.broken
+		cc.mu.Unlock()
 		if broken != nil {
 			if !strings.Contains(broken.Error(), "unsolicited") {
 				t.Fatalf("connection broken with %v, want unsolicited-frame error", broken)
@@ -390,21 +342,9 @@ func TestTCPDialUnreachable(t *testing.T) {
 func TestTCPClientCloseFailsPending(t *testing.T) {
 	// A server that handshakes but never answers: Close must deliver
 	// error replies to pending submits rather than leaking them.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		wire.WriteFrame(c, wire.AppendHello(nil, wire.Hello{ShardID: 0, NumShards: 1, NumVertices: 6}))
-		time.Sleep(5 * time.Second) // never answer
-	}()
-	cl, err := Dial(t.Context(), []string{ln.Addr().String()}, 6, 0, 0)
+	addr, stop := silentServer(t)
+	defer stop()
+	cl, err := Dial(t.Context(), []string{addr}, 6, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,12 +48,15 @@ func TestTCPFrameCounters(t *testing.T) {
 		}
 	}()
 
-	cl, err := Dial(t.Context(), addrs, 6, testGraphSum, testPartSum)
+	groups := make([][]string, len(addrs))
+	for p, addr := range addrs {
+		groups[p] = []string{addr}
+	}
+	cl, err := DialReplicated(t.Context(), groups, 6, testGraphSum, testPartSum, ReplicatedOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Instrument(reg)
 
 	replyc := make(chan Reply, 1)
 	for i := 0; i < 3; i++ {
@@ -243,26 +246,6 @@ func TestServerTimingAndEndpoints(t *testing.T) {
 	}
 }
 
-// TestReplicatedEndpoints: the replicated transport lists every
-// replica slot of every partition, in order.
-func TestReplicatedEndpoints(t *testing.T) {
-	groups, _ := localGroups(t, 2)
-	tr, err := NewReplicated(t.Context(), groups, ReplicatedOptions{ReconnectEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	eps := tr.Endpoints()
-	if len(eps) != len(groups)*2 {
-		t.Fatalf("Endpoints() has %d entries, want %d", len(eps), len(groups)*2)
-	}
-	for i, ep := range eps {
-		if ep.Partition != i/2 || ep.Replica != i%2 || !ep.Live {
-			t.Errorf("endpoint %d = %+v, want live p%d/r%d", i, ep, i/2, i%2)
-		}
-	}
-}
-
 // TestReplicatedHealthAndCounters: Health() and the registry report the
 // same failover story — a mid-query replica failure shows up as a
 // retry plus a failover, the reconnect loop's redial revives the
@@ -367,7 +350,7 @@ func TestTCPReplicaDialerHandshake(t *testing.T) {
 	}
 	defer rep.Close()
 	replyc := make(chan Reply, 1)
-	rep.Submit(wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 7, Seeds: []int32{0}}}, replyc)
+	rep.Submit(wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 7, Seeds: []int32{0}}}, func(r Reply) { replyc <- r })
 	if r := <-replyc; r.Err != nil || len(r.Results) != 1 || r.Results[0].Query != 7 {
 		t.Fatalf("bad reply through TCPReplicaDialer: %+v", r)
 	}

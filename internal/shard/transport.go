@@ -3,8 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"sync"
-	"time"
 
 	"dsr/internal/wire"
 )
@@ -13,8 +11,8 @@ import (
 // identity of the endpoint that served it, so a graph-free coordinator
 // can cross-check the fleet's vertex counts, graph fingerprints, and
 // partitioning digests against each other while stitching. In-process
-// transports leave Hello's NumVertices/Graph/Partitioning zero ("not
-// computed"), which every consumer treats as opting out of the check.
+// replicas present the zero Hello, which every consumer treats as
+// opting out of the check.
 type SummaryInfo struct {
 	Hello   wire.Hello
 	Summary wire.Summary
@@ -24,9 +22,9 @@ type SummaryInfo struct {
 // partition and replica slot it serves, its dialed address, the metrics
 // (ops-endpoint) address it announced in its hello — empty when the
 // server runs without -metrics-addr — and whether it is currently live.
-// Transports that know their endpoints (Client, Replicated) expose an
-// Endpoints() method returning one entry per (partition, replica); the
-// fleet aggregator uses it to find every shard registry worth scraping.
+// Replicated.Endpoints returns one entry per (partition, replica) that
+// was dialed at an address; the fleet aggregator uses it to find every
+// shard registry worth scraping.
 type EndpointInfo struct {
 	Partition   int
 	Replica     int
@@ -40,7 +38,7 @@ type EndpointInfo struct {
 // submitted header's batch ID (0 when the serving endpoint predates
 // batch IDs), and when the header requested tracing, Timing carries the
 // server's self-measured breakdown with HasTiming set — in-process
-// transports synthesize it (search time only), TCP servers measure all
+// replicas synthesize it (search time only), TCP servers measure all
 // four phases.
 type Reply struct {
 	Shard     int
@@ -60,10 +58,14 @@ type Reply struct {
 // guarantees by serializing rounds under its query lock.
 //
 // Close shuts the transport down deterministically: when it returns, no
-// transport-owned goroutine is still running. Submit after Close
-// panics.
-// Both implementations also expose NumShards(), but the coordinator
-// already knows its partition count, so the interface stays minimal.
+// transport-owned goroutine is still running. A Submit after Close is
+// answered with an ErrClosed Reply.
+//
+// Replicated is the one production implementation; the interface stays
+// so tests and the benchmark harness can substitute or wrap it. A
+// wrapper that should keep Replicated's extras for the engine (Pin,
+// Health, Endpoints, SubmitHedge — taken all or none) embeds the
+// *Replicated rather than forwarding the three methods below.
 type Transport interface {
 	// Submit ships the batch to shard p under the given batch header.
 	// tasks must be non-empty and remain untouched until the Reply
@@ -82,97 +84,19 @@ type Transport interface {
 // ErrClosed is reported by transports used after Close.
 var ErrClosed = errors.New("shard: transport closed")
 
-// Loopback is the in-process Transport: one goroutine per shard serving
-// batches from a channel — the original DSR channel fan-out/fan-in,
-// now behind the same interface as the TCP client. The fast path stays
-// allocation-free: a Submit is one channel send of a request struct,
-// and every buffer involved is owned by the Shard and reused.
-type Loopback struct {
-	shards []*Shard
-	reqs   []chan loopReq
-	wg     sync.WaitGroup
-	once   sync.Once
-}
-
-type loopReq struct {
-	hdr    wire.BatchHeader
-	tasks  []wire.Task
-	replyc chan<- Reply
-}
-
-// serveLocal runs one batch on sh and builds its Reply, synthesizing
-// the server-timing breakdown (search time only — there is no decode,
-// queue, or encode in process) when the header asks for tracing. Shared
-// by Loopback goroutines and localReplica so both transports feed the
-// engine's net-vs-server split. The timing branch is allocation-free:
-// the Reply is built by value.
-func serveLocal(sh *Shard, hdr wire.BatchHeader, tasks []wire.Task) Reply {
-	rep := Reply{Shard: sh.ID(), Batch: hdr.Batch}
-	if hdr.Trace {
-		start := time.Now()
-		rep.Results = sh.Run(tasks)
-		rep.Timing.Search = uint64(time.Since(start))
-		rep.HasTiming = true
-		return rep
+// NewLoopback returns the in-process transport over shards: partition
+// p is a replica set of one local replica of shards[p] (its worker is
+// the channel fan-out's goroutine), with no background redial — an
+// in-process replica only ever dies by being closed. Close stops and
+// joins every worker.
+func NewLoopback(shards []*Shard) *Replicated {
+	groups := make([][]ReplicaDialer, len(shards))
+	for p, sh := range shards {
+		groups[p] = []ReplicaDialer{func(context.Context) (Replica, error) { return NewLocalReplica(sh), nil }}
 	}
-	rep.Results = sh.Run(tasks)
-	return rep
-}
-
-// NewLoopback starts one serving goroutine per shard and returns the
-// transport. Close stops and joins all of them.
-func NewLoopback(shards []*Shard) *Loopback {
-	lb := &Loopback{
-		shards: shards,
-		reqs:   make([]chan loopReq, len(shards)),
+	r, err := NewReplicated(context.Background(), groups, ReplicatedOptions{ReconnectEvery: -1})
+	if err != nil {
+		panic(err) // no shards: local dialers themselves cannot fail
 	}
-	for i := range shards {
-		// Capacity 1: the engine submits at most one batch per shard per
-		// round, so sends never block on a busy shard goroutine.
-		lb.reqs[i] = make(chan loopReq, 1)
-		lb.wg.Add(1)
-		go func(sh *Shard, reqs <-chan loopReq) {
-			defer lb.wg.Done()
-			for req := range reqs {
-				req.replyc <- serveLocal(sh, req.hdr, req.tasks)
-			}
-		}(shards[i], lb.reqs[i])
-	}
-	return lb
-}
-
-// NumShards returns the shard count.
-func (lb *Loopback) NumShards() int { return len(lb.shards) }
-
-// Submit sends the batch to shard p's goroutine.
-func (lb *Loopback) Submit(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
-	lb.reqs[p] <- loopReq{hdr: h, tasks: tasks, replyc: replyc}
-}
-
-// Summary returns shard p's boundary summary directly — no goroutine
-// hop needed, the Shard caches it and concurrent reads are safe. The
-// Hello carries only the shard's position (NumVertices and the
-// fingerprints stay zero: in-process, the coordinator built the shards
-// itself and has nothing to cross-check).
-func (lb *Loopback) Summary(ctx context.Context, p int) (SummaryInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return SummaryInfo{}, err
-	}
-	return SummaryInfo{
-		Hello:   wire.Hello{ShardID: uint32(p), NumShards: uint32(len(lb.shards))},
-		Summary: lb.shards[p].Summary(),
-	}, nil
-}
-
-// Close stops every shard goroutine and waits until all have exited, so
-// callers observe no goroutine leak after it returns. Safe to call more
-// than once.
-func (lb *Loopback) Close() error {
-	lb.once.Do(func() {
-		for _, ch := range lb.reqs {
-			close(ch)
-		}
-		lb.wg.Wait()
-	})
-	return nil
+	return r
 }
