@@ -29,7 +29,7 @@ COVER_GATE ?= \
 	internal/snapshot:85.0 \
 	internal/partition:92.0
 
-.PHONY: build test test-e2e vet fmt fmt-check lint bench bench-smoke bench-json bench-baseline bench-gate bench-harness-test cover-gate fuzz-smoke doc-check vulncheck
+.PHONY: build test test-e2e vet fmt fmt-check lint bench bench-smoke bench-json bench-baseline bench-gate bench-harness-test cover-gate fuzz-smoke doc-check size vulncheck
 
 build:
 	$(GO) build ./...
@@ -157,11 +157,24 @@ fuzz-smoke:
 	$(GO) test ./internal/shard -run='^$$' -fuzz='^FuzzShardRun$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzSubgraphLocal$$' -fuzztime=$(FUZZ_TIME)
 
-# Godoc hygiene gate: every package must carry a package comment, and
-# the packages tools/doccheck lists as strict (internal/serve) must
-# document every exported symbol.
+# Godoc hygiene gate: every package must carry a package comment, the
+# packages tools/doccheck lists as strict (internal/serve) must
+# document every exported symbol, and every internal/, cmd/ or tools/
+# path README.md, PAPER.md and docs/*.md name must exist.
 doc-check:
 	$(GO) run ./tools/doccheck
+
+# The two numbers a simplicity change quotes, as one command: non-test
+# Go lines under internal/ cmd/ tools/ (the nested bench/ module is not
+# counted), and per package the exported top-level symbols — funcs,
+# methods on exported receivers, types, single-line vars and consts.
+# Informational: CI prints it, nothing gates on it.
+size:
+	@echo "non-test lines (internal/ cmd/ tools/): $$(find internal cmd tools -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "exported symbols per package:"
+	@for d in $$(find internal cmd tools -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do \
+		printf '  %-28s %s\n' $$d $$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -cE '^(func (\([a-z]+ \*?[A-Z][^)]*\) )?[A-Z]|type [A-Z]|(var|const) [A-Z])'); \
+	done
 
 # Scan dependencies and stdlib usage against the Go vulnerability
 # database (network access required; CI installs the tool pinned).

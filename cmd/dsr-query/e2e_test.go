@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dsr/internal/cli"
 )
 
 // TestBinariesTCPEndToEnd builds the real dsr-shard and dsr-query
@@ -63,7 +65,7 @@ func TestBinariesTCPEndToEnd(t *testing.T) {
 					args = append(args, "-batch")
 				}
 				out, code := runQueryBinary(t, filepath.Join(bin, "dsr-query"), args, queries, os.Stderr)
-				wantExit(t, fmt.Sprintf("clean session (batch=%v)", batch), code, exitOK)
+				cli.WantExit(t, fmt.Sprintf("clean session (batch=%v)", batch), code, cli.ExitOK)
 				if out != want {
 					t.Errorf("dsr-query (batch=%v) output:\n%swant:\n%s", batch, out, want)
 				}
@@ -81,21 +83,29 @@ func TestBinariesTCPEndToEnd(t *testing.T) {
 		var stderr strings.Builder
 		_, code := runQueryBinary(t, filepath.Join(bin, "dsr-query"),
 			[]string{"-shards", strings.Join(mixed, ",")}, "0 | 7", &stderr)
-		wantExit(t, "mixed fleet", code, exitMismatch)
+		cli.WantExit(t, "mixed fleet", code, cli.ExitMismatch)
 		if !strings.Contains(stderr.String(), "fleet mismatch") {
 			t.Errorf("mismatch error does not name the fleet mismatch:\n%s", stderr.String())
 		}
 	})
 
 	// Graph-describing flags make no sense on the graph-free coordinator
-	// and must be rejected as usage errors, not silently ignored.
+	// and must be rejected as usage errors, not silently ignored; a bad
+	// flag value is a usage error too, caught before the graph is read.
 	t.Run("flag-misuse", func(t *testing.T) {
-		var stderr strings.Builder
-		_, code := runQueryBinary(t, filepath.Join(bin, "dsr-query"),
-			[]string{"-graph", graphPath, "-shards", "127.0.0.1:1"}, "", &stderr)
-		wantExit(t, "-graph with -shards", code, exitUsage)
-		if !strings.Contains(stderr.String(), "cannot be combined with -shards") {
-			t.Errorf("usage error does not explain the conflict:\n%s", stderr.String())
+		for _, tc := range []struct {
+			what, wantErr string
+			args          []string
+		}{
+			{"-graph with -shards", "cannot be combined with -shards", []string{"-graph", graphPath, "-shards", "127.0.0.1:1"}},
+			{"bad -partitioner", "-partitioner", []string{"-graph", graphPath, "-partitioner", "psychic"}},
+		} {
+			var stderr strings.Builder
+			_, code := runQueryBinary(t, filepath.Join(bin, "dsr-query"), tc.args, "", &stderr)
+			cli.WantExit(t, tc.what, code, cli.ExitUsage)
+			if !strings.Contains(stderr.String(), tc.wantErr) {
+				t.Errorf("%s: usage error does not mention %q:\n%s", tc.what, tc.wantErr, stderr.String())
+			}
 		}
 	})
 
@@ -111,7 +121,7 @@ func TestBinariesTCPEndToEnd(t *testing.T) {
 			var stderr strings.Builder
 			out, code := runQueryBinary(t, filepath.Join(bin, "dsr-query"), args,
 				"0 | 7\nbogus line\n7 | 0", &stderr)
-			wantExit(t, fmt.Sprintf("malformed input (batch=%v)", batch), code, exitPartial)
+			cli.WantExit(t, fmt.Sprintf("malformed input (batch=%v)", batch), code, cli.ExitFailure)
 			if want := "true\nfalse\n"; out != want {
 				t.Errorf("batch=%v: output %q, want %q", batch, out, want)
 			}

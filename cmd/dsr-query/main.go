@@ -41,92 +41,34 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
-	"sync/atomic"
-	"time"
 
-	"dsr/internal/core"
+	"dsr/internal/cli"
+	"dsr/internal/dsr"
 	"dsr/internal/graph"
-	"dsr/internal/obs"
-	"dsr/internal/obs/fleet"
 	"dsr/internal/partition/locality"
-)
-
-// The process exit-code contract, documented in README.md ("Exit
-// codes") and shared by dsr-serve. Tests assert observed codes through
-// the wantExit helper (exitcode_test.go), so the table, the constants,
-// and every assertion stay one definition.
-const (
-	exitOK       = 0 // every line parsed, every query answered
-	exitPartial  = 1 // partial or runtime failure: malformed lines skipped, queries failed on unavailable partitions, connect/IO errors
-	exitUsage    = 2 // flag misuse: bad flag values, or graph-describing flags combined with -shards
-	exitMismatch = 3 // misassembled fleet: shards disagree about graph/partitioning (core.MismatchError)
+	"dsr/internal/shard"
 )
 
 func main() {
+	app := cli.NewCoordinator("dsr-query",
+		"comma-separated shard addresses (shard i at position i), each optionally a 'a|b' replica group; empty runs in-process",
+		"with -shards: time limit for dialing the fleet and fetching boundary summaries")
 	var (
-		graphPath      = flag.String("graph", "", "edge-list file for in-process mode: one 'u v' pair per line (forbidden with -shards)")
-		shards         = flag.String("shards", "", "comma-separated shard addresses (shard i at position i), each optionally a 'a|b' replica group; empty runs in-process")
-		k              = flag.Int("k", 4, "partition count for in-process mode (forbidden with -shards)")
-		batch          = flag.Bool("batch", false, "read all queries first and answer them as one batch")
-		partitioner    = flag.String("partitioner", "hash", "in-process partitioning strategy: hash, range, or locality[:seed=N,rounds=N,balance=F,refine=N] (forbidden with -shards)")
-		connectTimeout = flag.Duration("connect-timeout", 30*time.Second, "with -shards: time limit for dialing the fleet and fetching boundary summaries")
-		metricsAddr    = flag.String("metrics-addr", "", "serve the metrics registry (JSON at /metrics) and net/http/pprof on this address; empty disables")
-		slowQuery      = flag.Duration("slow-query", 0, "log a structured span trace for any batch slower than this; 0 disables")
-		logLevel       = flag.String("log-level", "info", "log level floor: debug, info, warn, or error")
+		graphPath   = flag.String("graph", "", "edge-list file for in-process mode: one 'u v' pair per line (forbidden with -shards)")
+		k           = flag.Int("k", 4, "partition count for in-process mode (forbidden with -shards)")
+		batch       = flag.Bool("batch", false, "read all queries first and answer them as one batch")
+		partitioner = flag.String("partitioner", "hash", "in-process partitioning strategy: hash, range, or locality[:seed=N,rounds=N,balance=F,refine=N] (forbidden with -shards)")
 	)
 	flag.Parse()
-
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsr-query: -log-level: %v\n", err)
-		os.Exit(exitUsage)
-	}
-	logger := obs.StderrLogger(level).With("component", "dsr-query")
-	reg := obs.NewRegistry()
-	// The ops endpoint must be up before the engine exists (connecting
-	// can take a while and operators want liveness meanwhile), so the
-	// fleet aggregator reads the engine through an atomic pointer that
-	// is filled in once connected. Until then /fleet serves just the
-	// coordinator's own registry.
-	var engPtr atomic.Pointer[core.Engine]
-	agg := fleet.New(reg, func() []fleet.Target {
-		e := engPtr.Load()
-		if e == nil {
-			return nil
-		}
-		eps := e.Endpoints()
-		targets := make([]fleet.Target, len(eps))
-		for i, ep := range eps {
-			targets[i] = fleet.Target{
-				Partition:   ep.Partition,
-				Replica:     ep.Replica,
-				Addr:        ep.Addr,
-				MetricsAddr: ep.MetricsAddr,
-				Live:        ep.Live,
-			}
-		}
-		return targets
-	}, 0)
-	var ops *obs.OpsServer // closed explicitly: os.Exit below skips defers
-	if *metricsAddr != "" {
-		ops, err = obs.StartOps(*metricsAddr, reg, obs.Mount{Pattern: "/fleet", Handler: agg.Handler()})
-		if err != nil {
-			logger.Errorf("metrics-addr: %v", err)
-			os.Exit(exitPartial)
-		}
-		logger.Infof("metrics on http://%s/metrics (fleet view at /fleet, pprof under /debug/pprof/)", ops.Addr())
-	}
-
-	var eng *core.Engine
-	if *shards != "" {
+	app.Start()
+	distributed := *app.Shards != ""
+	if distributed {
 		// Graph-free mode: the coordinator learns the deployment from the
 		// fleet itself. Flags that describe the graph belong to the
 		// shards; accepting them here would suggest they have an effect.
@@ -138,78 +80,56 @@ func main() {
 			}
 		})
 		if len(rejected) > 0 {
-			fmt.Fprintf(os.Stderr, "dsr-query: %s cannot be combined with -shards: the coordinator is graph-free and learns the deployment from the shard fleet\n",
+			app.Usagef("%s cannot be combined with -shards: the coordinator is graph-free and learns the deployment from the shard fleet",
 				strings.Join(rejected, ", "))
-			os.Exit(exitUsage)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), *connectTimeout)
-		eng, err = core.Connect(ctx, core.ClusterSpec{
-			Groups:    strings.Split(*shards, ","),
-			Log:       logger,
-			Metrics:   reg,
-			SlowQuery: *slowQuery,
-		})
-		cancel()
-		if err != nil {
-			logger.Errorf("connect shards: %v", err)
-			var me *core.MismatchError
-			if errors.As(err, &me) {
-				// The shards disagree with each other about the deployment —
-				// a misassembled fleet, distinct from any transport failure.
-				os.Exit(exitMismatch)
-			}
-			os.Exit(exitPartial)
-		}
-		logger.Infof("connected to %d shards, %d boundary vertices, %d coordinator-resident bytes",
-			eng.NumPartitions(), eng.NumBoundary(), eng.ResidentBytes())
+	} else if *graphPath == "" {
+		fmt.Fprintln(os.Stderr, "dsr-query: -graph is required (in-process mode) or -shards (distributed mode)")
+		flag.Usage()
+		os.Exit(cli.ExitUsage)
+	}
+	strat, err := locality.ParseSpec(*partitioner)
+	if err != nil {
+		app.Usagef("-partitioner: %v", err)
+	}
+	app.StartOps()
+
+	var eng *dsr.Engine
+	if distributed {
+		eng = app.Connect(dsr.HedgeOptions{})
 	} else {
-		if *graphPath == "" {
-			fmt.Fprintln(os.Stderr, "dsr-query: -graph is required (in-process mode) or -shards (distributed mode)")
-			flag.Usage()
-			os.Exit(exitUsage)
-		}
-		strat, err := locality.ParseSpec(*partitioner)
-		if err != nil {
-			logger.Errorf("-partitioner: %v", err)
-			os.Exit(exitPartial)
-		}
 		g, err := graph.LoadEdgeListFile(*graphPath)
 		if err != nil {
-			logger.Errorf("load graph: %v", err)
-			os.Exit(exitPartial)
+			app.Fatalf("load graph: %v", err)
 		}
-		eng, err = core.Build(g, core.Options{
+		eng, err = dsr.Build(g, dsr.Options{
 			K: *k, Partitioner: strat,
-			Metrics: reg, Log: logger, SlowQuery: *slowQuery,
+			Metrics: app.Reg, Log: app.Log, SlowQuery: *app.SlowQuery,
 		})
 		if err != nil {
-			logger.Errorf("build engine: %v", err)
-			os.Exit(exitPartial)
+			app.Fatalf("build engine: %v", err)
 		}
-		logger.Infof("in-process engine: %d %s-partitioned partitions, %d boundary vertices",
+		app.Log.Infof("in-process engine: %d %s-partitioned partitions, %d boundary vertices",
 			eng.NumPartitions(), strat.Name(), eng.NumBoundary())
 	}
-	engPtr.Store(eng) // /fleet now sees the shard endpoints
 	// Interactive distributed sessions report what the failover
 	// machinery did on the way out — invisible otherwise, since retried
 	// queries still answer normally. runQueries prints it on every
 	// ending, including error ones, where it matters most.
 	var healthLog func(string, ...any)
-	if *shards != "" && !*batch {
-		healthLog = logger.Infof
+	if distributed && !*batch {
+		healthLog = app.Log.Infof
 	}
-	// No defer: os.Exit skips deferred calls, so close explicitly.
 	code := runQueries(eng, os.Stdin, os.Stdout, os.Stderr, *batch, healthLog)
 	eng.Close()
-	ops.Close()
-	os.Exit(code)
+	app.Exit(code)
 }
 
-// engine is the slice of core.Engine a query session needs, narrowed
+// engine is the slice of dsr.Engine a query session needs, narrowed
 // so session tests can substitute a fake that fails on demand.
 type engine interface {
-	QueryBatchErr([]core.Query) ([]bool, error)
-	Health() []core.PartitionHealth
+	QueryBatchErr([]dsr.Query) ([]bool, error)
+	Health() []shard.PartitionHealth
 }
 
 // runQueries drives one query session: reads queries from in, writes
@@ -245,9 +165,9 @@ func runQueries(eng engine, in io.Reader, out, errw io.Writer, batch bool, healt
 	// emit answers one batch of queries, printing "error" in place of
 	// answers a partition outage invalidated. It reports false only on
 	// unrecoverable errors (protocol violation, closed transport).
-	emit := func(qs []core.Query) bool {
+	emit := func(qs []dsr.Query) bool {
 		answers, err := eng.QueryBatchErr(qs)
-		var be *core.BatchError
+		var be *dsr.BatchError
 		if err != nil && !errors.As(err, &be) {
 			fmt.Fprintf(errw, "dsr-query: query failed: %v\n", err)
 			return false
@@ -268,7 +188,7 @@ func runQueries(eng engine, in io.Reader, out, errw io.Writer, batch bool, healt
 		return true
 	}
 
-	var queries []core.Query
+	var queries []dsr.Query
 	lineno, badLines := 0, 0
 	for sc.Scan() {
 		lineno++
@@ -276,7 +196,7 @@ func runQueries(eng engine, in io.Reader, out, errw io.Writer, batch bool, healt
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		q, err := parseQuery(line)
+		q, err := dsr.ParseQuery(line)
 		if err != nil {
 			fmt.Fprintf(errw, "dsr-query: line %d: %v\n", lineno, err)
 			badLines++
@@ -286,8 +206,8 @@ func runQueries(eng engine, in io.Reader, out, errw io.Writer, batch bool, healt
 			queries = append(queries, q)
 			continue
 		}
-		if !emit([]core.Query{q}) {
-			return exitPartial
+		if !emit([]dsr.Query{q}) {
+			return cli.ExitFailure
 		}
 		// Interactive mode answers as it goes: flush per line so a piped
 		// driver sees each answer before sending the next query.
@@ -295,10 +215,10 @@ func runQueries(eng engine, in io.Reader, out, errw io.Writer, batch bool, healt
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintf(errw, "dsr-query: read input: %v\n", err)
-		return exitPartial
+		return cli.ExitFailure
 	}
 	if batch && len(queries) > 0 && !emit(queries) {
-		return exitPartial
+		return cli.ExitFailure
 	}
 	if badLines > 0 {
 		fmt.Fprintf(errw, "dsr-query: %d malformed line(s) skipped\n", badLines)
@@ -307,36 +227,7 @@ func runQueries(eng engine, in io.Reader, out, errw io.Writer, batch bool, healt
 		fmt.Fprintf(errw, "dsr-query: %d query(ies) failed on unavailable partitions\n", failedQueries)
 	}
 	if badLines > 0 || failedQueries > 0 {
-		return exitPartial
+		return cli.ExitFailure
 	}
-	return exitOK
-}
-
-// parseQuery parses "s1 s2 ... | t1 t2 ..." into a Query.
-func parseQuery(line string) (core.Query, error) {
-	var q core.Query
-	left, right, found := strings.Cut(line, "|")
-	if !found {
-		return q, fmt.Errorf("want 'sources | targets', got %q", line)
-	}
-	var err error
-	if q.S, err = parseIDs(left); err != nil {
-		return q, fmt.Errorf("sources: %v", err)
-	}
-	if q.T, err = parseIDs(right); err != nil {
-		return q, fmt.Errorf("targets: %v", err)
-	}
-	return q, nil
-}
-
-func parseIDs(s string) ([]graph.VertexID, error) {
-	var ids []graph.VertexID
-	for _, f := range strings.Fields(s) {
-		v, err := strconv.ParseUint(f, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad vertex %q: %v", f, err)
-		}
-		ids = append(ids, graph.VertexID(v))
-	}
-	return ids, nil
+	return cli.ExitOK
 }

@@ -9,19 +9,20 @@ import (
 	"testing"
 	"time"
 
-	"dsr/internal/core"
+	"dsr/internal/cli"
+	"dsr/internal/dsr"
 	"dsr/internal/graph"
 	"dsr/internal/partition"
 	"dsr/internal/shard"
 )
 
-func tinyEngine(t *testing.T) *core.Engine {
+func tinyEngine(t *testing.T) *dsr.Engine {
 	t.Helper()
 	g, err := graph.LoadEdgeListFile(filepath.Join("..", "..", "internal", "graph", "testdata", "tiny.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.Build(g, core.Options{K: 2})
+	eng, err := dsr.Build(g, dsr.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestRunQueriesMalformedLines(t *testing.T) {
 		}, "\n"))
 		var out, errw strings.Builder
 		code := runQueries(eng, in, &out, &errw, batch, nil)
-		wantExit(t, fmt.Sprintf("malformed lines (batch=%v)", batch), code, exitPartial)
+		cli.WantExit(t, fmt.Sprintf("malformed lines (batch=%v)", batch), code, cli.ExitFailure)
 		if got, want := out.String(), "true\nfalse\n"; got != want {
 			t.Errorf("batch=%v: stdout = %q, want %q", batch, got, want)
 		}
@@ -65,7 +66,7 @@ func TestRunQueriesCleanInput(t *testing.T) {
 		in := strings.NewReader("# comment\n\n0 | 7\n4 | 4\n")
 		var out, errw strings.Builder
 		code := runQueries(eng, in, &out, &errw, batch, nil)
-		wantExit(t, fmt.Sprintf("clean input (batch=%v)", batch), code, exitOK)
+		cli.WantExit(t, fmt.Sprintf("clean input (batch=%v)", batch), code, cli.ExitOK)
 		if got, want := out.String(), "true\ntrue\n"; got != want {
 			t.Errorf("batch=%v: stdout = %q, want %q", batch, got, want)
 		}
@@ -119,14 +120,14 @@ func TestRunQueriesPartialOutage(t *testing.T) {
 				srv.Serve(ln)
 			}(servers[i], ln)
 		}
-		eng, err := core.Connect(t.Context(), core.ClusterSpec{Groups: addrs})
+		eng, err := dsr.Connect(t.Context(), dsr.ClusterSpec{Groups: addrs})
 		if err != nil {
 			t.Fatal(err)
 		}
 		servers[1].Close() // partition 1 goes dark
 		// Wait until the engine observes the outage so the session below
 		// is deterministic.
-		probe := []core.Query{{S: []graph.VertexID{u[1]}, T: []graph.VertexID{u[0]}}}
+		probe := []dsr.Query{{S: []graph.VertexID{u[1]}, T: []graph.VertexID{u[0]}}}
 		for i := 0; ; i++ {
 			if _, err := eng.QueryBatchErr(probe); err != nil {
 				break
@@ -145,7 +146,7 @@ func TestRunQueriesPartialOutage(t *testing.T) {
 		}, "\n"))
 		var out, errw strings.Builder
 		code := runQueries(eng, in, &out, &errw, batch, nil)
-		wantExit(t, fmt.Sprintf("failed queries (batch=%v)", batch), code, exitPartial)
+		cli.WantExit(t, fmt.Sprintf("failed queries (batch=%v)", batch), code, cli.ExitFailure)
 		if want := "true\ntrue\nerror\nerror\n"; out.String() != want {
 			t.Errorf("batch=%v: stdout = %q, want %q", batch, out.String(), want)
 		}

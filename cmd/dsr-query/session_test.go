@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"dsr/internal/core"
+	"dsr/internal/cli"
+	"dsr/internal/dsr"
+	"dsr/internal/shard"
 )
 
 // fakeEngine satisfies the session's engine interface with scripted
@@ -14,17 +16,17 @@ import (
 // shard fleet.
 type fakeEngine struct {
 	err    error // returned by every QueryBatchErr when non-nil
-	health []core.PartitionHealth
+	health []shard.PartitionHealth
 }
 
-func (f *fakeEngine) QueryBatchErr(qs []core.Query) ([]bool, error) {
+func (f *fakeEngine) QueryBatchErr(qs []dsr.Query) ([]bool, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
 	return make([]bool, len(qs)), nil
 }
 
-func (f *fakeEngine) Health() []core.PartitionHealth { return f.health }
+func (f *fakeEngine) Health() []shard.PartitionHealth { return f.health }
 
 // TestHealthSummaryOnBothEndings: the replica-health summary must be
 // printed when the session ends cleanly AND when it ends in an
@@ -38,14 +40,14 @@ func TestHealthSummaryOnBothEndings(t *testing.T) {
 		err      error
 		wantCode int
 	}{
-		{name: "clean ending", err: nil, wantCode: exitOK},
-		{name: "error ending", err: errors.New("transport exploded"), wantCode: exitPartial},
+		{name: "clean ending", err: nil, wantCode: cli.ExitOK},
+		{name: "error ending", err: errors.New("transport exploded"), wantCode: cli.ExitFailure},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := &fakeEngine{
 				err: tc.err,
-				health: []core.PartitionHealth{
+				health: []shard.PartitionHealth{
 					{Partition: 0, Replicas: 2, Live: 1, Retries: 3, Failovers: 1, Redials: 2},
 				},
 			}
@@ -54,7 +56,7 @@ func TestHealthSummaryOnBothEndings(t *testing.T) {
 				fmt.Fprintf(&health, format+"\n", args...)
 			}
 			code := runQueries(eng, strings.NewReader("0 | 1\n"), &out, &errw, false, logf)
-			wantExit(t, tc.name, code, tc.wantCode)
+			cli.WantExit(t, tc.name, code, tc.wantCode)
 			want := "partition 0: 1/2 replicas live, retries=3 failovers=1 redials=2"
 			if !strings.Contains(health.String(), want) {
 				t.Errorf("health summary missing %q, got:\n%s", want, health.String())
@@ -70,9 +72,9 @@ func TestHealthSummaryOnBothEndings(t *testing.T) {
 // sessions) prints nothing and must not panic.
 func TestHealthSummaryNilLogger(t *testing.T) {
 	var out, errw strings.Builder
-	eng := &fakeEngine{health: []core.PartitionHealth{{Partition: 0}}}
+	eng := &fakeEngine{health: []shard.PartitionHealth{{Partition: 0}}}
 	code := runQueries(eng, strings.NewReader("0 | 1\n"), &out, &errw, false, nil)
-	wantExit(t, "nil health logger", code, exitOK)
+	cli.WantExit(t, "nil health logger", code, cli.ExitOK)
 	if errw.Len() != 0 {
 		t.Errorf("unexpected stderr: %s", errw.String())
 	}

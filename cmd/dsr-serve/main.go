@@ -30,42 +30,25 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
-	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"dsr/internal/core"
-	"dsr/internal/obs"
-	"dsr/internal/obs/fleet"
+	"dsr/internal/cli"
+	"dsr/internal/dsr"
 	"dsr/internal/serve"
 )
 
-// dsr-serve shares dsr-query's exit-code contract (README.md, "Exit
-// codes"): 0 clean shutdown, 1 runtime failure or incomplete drain,
-// 2 flag misuse, 3 misassembled fleet.
-const (
-	exitOK       = 0
-	exitFailure  = 1
-	exitUsage    = 2
-	exitMismatch = 3
-)
-
 func main() {
+	app := cli.NewCoordinator("dsr-serve",
+		"comma-separated shard addresses (shard i at position i), each optionally a 'a|b' replica group (required)",
+		"time limit for dialing the fleet and fetching boundary summaries")
 	var (
-		shards         = flag.String("shards", "", "comma-separated shard addresses (shard i at position i), each optionally a 'a|b' replica group (required)")
-		listen         = flag.String("listen", ":7200", "address to serve the query protocol on")
-		connectTimeout = flag.Duration("connect-timeout", 30*time.Second, "time limit for dialing the fleet and fetching boundary summaries")
-		metricsAddr    = flag.String("metrics-addr", "", "serve the metrics registry (JSON at /metrics) and net/http/pprof on this address; empty disables")
-		slowQuery      = flag.Duration("slow-query", 0, "log a structured span trace for any batch slower than this; 0 disables")
-		logLevel       = flag.String("log-level", "info", "log level floor: debug, info, warn, or error")
-		drain          = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
+		listen = flag.String("listen", ":7200", "address to serve the query protocol on")
+		drain  = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
 
 		batchWindow  = flag.Duration("batch-window", 250*time.Microsecond, "how long the first query of a batch waits for company before the batch departs")
 		batchMax     = flag.Int("batch-max", 64, "depart a batch early once it holds this many queries")
@@ -80,77 +63,19 @@ func main() {
 		hedgeMax        = flag.Duration("hedge-max", 100*time.Millisecond, "upper clamp on the hedge deadline, and the deadline while latency samples warm up")
 	)
 	flag.Parse()
-
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsr-serve: -log-level: %v\n", err)
-		os.Exit(exitUsage)
-	}
-	logger := obs.StderrLogger(level).With("component", "dsr-serve")
-	if *shards == "" {
+	app.Start()
+	if *app.Shards == "" {
 		fmt.Fprintln(os.Stderr, "dsr-serve: -shards is required: the serving layer fronts a running shard fleet")
 		flag.Usage()
-		os.Exit(exitUsage)
+		os.Exit(cli.ExitUsage)
 	}
-
-	reg := obs.NewRegistry()
-	// Same bring-up order as dsr-query: the ops endpoint is alive while
-	// the fleet connect is still in progress, reading the engine through
-	// an atomic pointer that fills in once connected.
-	var engPtr atomic.Pointer[core.Engine]
-	agg := fleet.New(reg, func() []fleet.Target {
-		e := engPtr.Load()
-		if e == nil {
-			return nil
-		}
-		eps := e.Endpoints()
-		targets := make([]fleet.Target, len(eps))
-		for i, ep := range eps {
-			targets[i] = fleet.Target{
-				Partition:   ep.Partition,
-				Replica:     ep.Replica,
-				Addr:        ep.Addr,
-				MetricsAddr: ep.MetricsAddr,
-				Live:        ep.Live,
-			}
-		}
-		return targets
-	}, 0)
-	var ops *obs.OpsServer // closed explicitly: os.Exit below skips defers
-	if *metricsAddr != "" {
-		ops, err = obs.StartOps(*metricsAddr, reg, obs.Mount{Pattern: "/fleet", Handler: agg.Handler()})
-		if err != nil {
-			logger.Errorf("metrics-addr: %v", err)
-			os.Exit(exitFailure)
-		}
-		logger.Infof("metrics on http://%s/metrics (fleet view at /fleet, pprof under /debug/pprof/)", ops.Addr())
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *connectTimeout)
-	eng, err := core.Connect(ctx, core.ClusterSpec{
-		Groups:    strings.Split(*shards, ","),
-		Log:       logger,
-		Metrics:   reg,
-		SlowQuery: *slowQuery,
-		Hedge: core.HedgeOptions{
-			Enabled:    *hedge,
-			Percentile: *hedgePercentile,
-			Min:        *hedgeMin,
-			Max:        *hedgeMax,
-		},
+	app.StartOps()
+	eng := app.Connect(dsr.HedgeOptions{
+		Enabled:    *hedge,
+		Percentile: *hedgePercentile,
+		Min:        *hedgeMin,
+		Max:        *hedgeMax,
 	})
-	cancel()
-	if err != nil {
-		logger.Errorf("connect shards: %v", err)
-		var me *core.MismatchError
-		if errors.As(err, &me) {
-			os.Exit(exitMismatch)
-		}
-		os.Exit(exitFailure)
-	}
-	engPtr.Store(eng)
-	logger.Infof("connected to %d shards, %d boundary vertices, %d coordinator-resident bytes",
-		eng.NumPartitions(), eng.NumBoundary(), eng.ResidentBytes())
 
 	srv := serve.New(eng, serve.Options{
 		BatchWindow:  *batchWindow,
@@ -159,40 +84,32 @@ func main() {
 		MaxQueued:    *maxQueued,
 		MaxPerClient: *maxPerClient,
 		MaxInFlight:  *maxInFlight,
-		Metrics:      reg,
-		Log:          logger,
+		Metrics:      app.Reg,
+		Log:          app.Log,
 	})
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		logger.Errorf("listen: %v", err)
-		eng.Close()
-		ops.Close()
-		os.Exit(exitFailure)
-	}
-	logger.Infof("serving on %s", ln.Addr())
+	ln := app.Listen(*listen)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	servec := make(chan error, 1)
 	go func() { servec <- srv.Serve(ln) }()
 
-	code := exitOK
+	code := cli.ExitOK
 	select {
 	case sig := <-sigc:
-		logger.Infof("%s: draining (up to %v)", sig, *drain)
+		app.Log.Infof("%s: draining (up to %v)", sig, *drain)
 		dctx, dcancel := context.WithTimeout(context.Background(), *drain)
 		if err := srv.Shutdown(dctx); err != nil {
-			logger.Warnf("drain incomplete: %v", err)
-			code = exitFailure
+			app.Log.Warnf("drain incomplete: %v", err)
+			code = cli.ExitFailure
 		}
 		dcancel()
 		<-servec
 	case err := <-servec:
 		// The accept loop died without a shutdown — a real failure.
-		logger.Errorf("serve: %v", err)
-		code = exitFailure
+		app.Log.Errorf("serve: %v", err)
+		code = cli.ExitFailure
 	}
 	eng.Close()
-	ops.Close()
-	os.Exit(code)
+	app.Exit(code)
 }

@@ -8,13 +8,15 @@
 // same -shards count and the same -partitioner spec: every partitioner
 // is deterministic, so all shards agree on vertex placement without
 // any coordination traffic. The coordinator (dsr-query, or
-// core.Connect) is graph-free — it takes only the shard addresses.
+// dsr.Connect) is graph-free — it takes only the shard addresses.
 // After the handshake each shard ships its boundary summary (boundary
 // vertices, entry→exit summary edges, cross-partition edges), which
 // the coordinator stitches into the global boundary graph; it verifies
 // the shards against each other via the handshake's vertex count,
 // graph fingerprint, and partitioning digest, and refuses a fleet
-// whose shards disagree.
+// whose shards disagree. A bad flag value — an unknown -partitioner, an
+// -id outside [0, shards) — exits 2 before anything is loaded; what only
+// the work can discover exits 1 (README.md, "Exit codes").
 //
 // Snapshots: with -snapshot-dir, a freshly built shard persists its
 // complete query state (subgraph, SCC condensation, bitset index,
@@ -45,14 +47,13 @@ import (
 	"flag"
 	"fmt"
 	"io/fs"
-	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"syscall"
 
+	"dsr/internal/cli"
 	"dsr/internal/graph"
-	"dsr/internal/obs"
 	"dsr/internal/partition"
 	"dsr/internal/partition/locality"
 	"dsr/internal/shard"
@@ -60,6 +61,7 @@ import (
 )
 
 func main() {
+	app := cli.New("dsr-shard")
 	var (
 		graphPath   = flag.String("graph", "", "edge-list file: one 'u v' pair per line (required unless a snapshot is loaded via -snapshot-dir)")
 		numShards   = flag.Int("shards", 1, "total shard count of the deployment")
@@ -69,34 +71,26 @@ func main() {
 		partitioner = flag.String("partitioner", "hash", "partitioning strategy: hash, range, or locality[:seed=N,rounds=N,balance=F,refine=N]; must match the coordinator's")
 		snapDir     = flag.String("snapshot-dir", "", "directory of persisted per-partition index snapshots: boot loads this partition's snapshot instead of rebuilding from -graph, and a rebuild writes one back")
 		snapVerify  = flag.Bool("snapshot-verify", false, "force a rebuild from -graph and byte-compare it against the stored snapshot; any disagreement is fatal")
-		metricsAddr = flag.String("metrics-addr", "", "serve the metrics registry (JSON at /metrics) and net/http/pprof on this address; empty disables")
-		logLevel    = flag.String("log-level", "info", "log level floor: debug, info, warn, or error")
 	)
 	flag.Parse()
 	if *graphPath == "" && *snapDir == "" {
 		fmt.Fprintln(os.Stderr, "dsr-shard: -graph is required (or -snapshot-dir to boot from a snapshot)")
 		flag.Usage()
-		os.Exit(2)
+		os.Exit(cli.ExitUsage)
 	}
 	if *snapVerify && (*graphPath == "" || *snapDir == "") {
 		fmt.Fprintln(os.Stderr, "dsr-shard: -snapshot-verify needs both -graph (to rebuild) and -snapshot-dir (to compare against)")
 		flag.Usage()
-		os.Exit(2)
-	}
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsr-shard: -log-level: %v\n", err)
-		os.Exit(2)
-	}
-	logger := obs.StderrLogger(level).
-		With("component", "dsr-shard", "partition", *shardID, "replica", *replica)
-	fatalf := func(format string, args ...any) {
-		logger.Errorf(format, args...)
-		os.Exit(1)
+		os.Exit(cli.ExitUsage)
 	}
 	if *shardID < 0 || *shardID >= *numShards {
-		fatalf("-id %d outside [0, %d)", *shardID, *numShards)
+		app.Usagef("-id %d outside [0, %d)", *shardID, *numShards)
 	}
+	strat, err := locality.ParseSpec(*partitioner)
+	if err != nil {
+		app.Usagef("-partitioner: %v", err)
+	}
+	app.Start("partition", *shardID, "replica", *replica)
 	// Register for drain signals before any real work: a SIGTERM that
 	// lands during the build (or between listen and the drain goroutine
 	// below) parks in the channel instead of killing the process with
@@ -104,22 +98,12 @@ func main() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 
-	reg := obs.NewRegistry()
-	var opsAddr string
-	if *metricsAddr != "" {
-		ops, err := obs.StartOps(*metricsAddr, reg)
-		if err != nil {
-			fatalf("metrics-addr: %v", err)
-		}
-		defer ops.Close()
-		opsAddr = ops.Addr()
-		logger.Infof("metrics on http://%s/metrics (pprof under /debug/pprof/)", opsAddr)
-	}
+	opsAddr := app.StartOps()
 	var (
-		snapLoads        = reg.Counter("dsr_snapshot_loads_total")
-		snapLoadFailures = reg.Counter("dsr_snapshot_load_failures_total")
-		snapWrites       = reg.Counter("dsr_snapshot_writes_total")
-		snapBytes        = reg.Gauge("dsr_snapshot_bytes")
+		snapLoads        = app.Reg.Counter("dsr_snapshot_loads_total")
+		snapLoadFailures = app.Reg.Counter("dsr_snapshot_load_failures_total")
+		snapWrites       = app.Reg.Counter("dsr_snapshot_writes_total")
+		snapBytes        = app.Reg.Gauge("dsr_snapshot_bytes")
 	)
 
 	var snapPath string
@@ -148,65 +132,57 @@ func main() {
 			graphSum, partSum = sn.GraphFingerprint, sn.PartitioningDigest
 			snapLoads.Inc()
 			snapBytes.Set(int64(sn.Size))
-			logger.Infof("loaded snapshot %s (%d bytes, graph file not read): %d of %d vertices, %d entries, %d exits, components: %v",
+			app.Log.Infof("loaded snapshot %s (%d bytes, graph file not read): %d of %d vertices, %d entries, %d exits, components: %v",
 				snapPath, sn.Size, sh.NumVertices(), numVertices, len(sn.Sub.Entries), len(sn.Sub.Exits), sh.Regions())
 		case errors.Is(err, fs.ErrNotExist):
-			logger.Infof("no snapshot at %s: building from -graph", snapPath)
+			app.Log.Infof("no snapshot at %s: building from -graph", snapPath)
 		default:
 			snapLoadFailures.Inc()
-			logger.Warnf("snapshot unusable, rebuilding from -graph: %v", err)
+			app.Log.Warnf("snapshot unusable, rebuilding from -graph: %v", err)
 		}
 		if sh == nil && *graphPath == "" {
-			fatalf("snapshot at %s unusable and no -graph to rebuild from", snapPath)
+			app.Fatalf("snapshot at %s unusable and no -graph to rebuild from", snapPath)
 		}
 	}
 
 	if sh == nil {
-		strat, err := locality.ParseSpec(*partitioner)
-		if err != nil {
-			fatalf("-partitioner: %v", err)
-		}
 		g, err := graph.LoadEdgeListFile(*graphPath)
 		if err != nil {
-			fatalf("load graph: %v", err)
+			app.Fatalf("load graph: %v", err)
 		}
 		pt, err := strat.Partition(g, *numShards)
 		if err != nil {
-			fatalf("partition (%s): %v", strat.Name(), err)
+			app.Fatalf("partition (%s): %v", strat.Name(), err)
 		}
 		// ExtractOne materializes only this shard's partition: startup memory
 		// scales with the shard's share of the graph, not all k partitions.
 		sub := partition.ExtractOne(g, pt, *shardID)
 		sh = shard.New(*shardID, sub)
 		numVertices, graphSum, partSum = g.NumVertices(), g.Fingerprint(), pt.Digest()
-		logger.Infof("shard %d/%d (%s-partitioned): %d of %d vertices, %d entries, %d exits, components: %v",
+		app.Log.Infof("shard %d/%d (%s-partitioned): %d of %d vertices, %d entries, %d exits, components: %v",
 			*shardID, *numShards, strat.Name(), sh.NumVertices(), numVertices,
 			len(sub.Entries), len(sub.Exits), sh.Regions())
 
 		if snapPath != "" {
 			sn := sh.Snapshot(*numShards, numVertices, graphSum, partSum)
 			if *snapVerify {
-				verifySnapshot(logger, fatalf, snapPath, sn)
+				verifySnapshot(app, snapPath, sn)
 			}
 			size, err := snapshot.WriteFile(snapPath, sn)
 			if err != nil {
 				// Serving matters more than persisting: log and carry on.
-				logger.Warnf("snapshot write failed (next boot rebuilds): %v", err)
+				app.Log.Warnf("snapshot write failed (next boot rebuilds): %v", err)
 			} else {
 				snapWrites.Inc()
 				snapBytes.Set(int64(size))
-				logger.Infof("wrote snapshot %s (%d bytes)", snapPath, size)
+				app.Log.Infof("wrote snapshot %s (%d bytes)", snapPath, size)
 			}
 		}
 	}
 
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	logger.Infof("serving on %s", ln.Addr())
+	ln := app.Listen(*listen)
 	srv := shard.NewServer(sh, *numShards, numVertices, graphSum, partSum)
-	srv.Instrument(reg, logger)
+	srv.Instrument(app.Reg, app.Log)
 	// Announce the ops address in the handshake so the coordinator's
 	// /fleet view can scrape this replica without extra configuration.
 	srv.AnnounceMetrics(opsAddr)
@@ -215,21 +191,22 @@ func main() {
 	// new connections, then exit 0 (Serve returns nil once draining).
 	go func() {
 		sig := <-sigc
-		logger.Infof("received %v: draining (answering in-flight batches, refusing new connections)", sig)
+		app.Log.Infof("received %v: draining (answering in-flight batches, refusing new connections)", sig)
 		srv.Shutdown()
-		logger.Infof("drained")
+		app.Log.Infof("drained")
 	}()
 
 	// ErrClosed means a drain began before Serve was entered (a SIGTERM
 	// racing startup) — that is a clean shutdown, not a serving failure.
 	if err := srv.Serve(ln); err != nil && !errors.Is(err, shard.ErrClosed) {
-		fatalf("serve: %v", err)
+		app.Fatalf("serve: %v", err)
 	}
 	// Make sure the drain fully finished before exiting (Serve can
 	// return the moment the listener closes, while a batch is still
 	// being answered).
 	srv.Shutdown()
-	logger.Infof("exiting")
+	app.Log.Infof("exiting")
+	app.Exit(cli.ExitOK)
 }
 
 // verifySnapshot byte-compares the freshly rebuilt state against the
@@ -239,26 +216,26 @@ func main() {
 // — is fatal, because an operator running -snapshot-verify wants the
 // discrepancy surfaced, not papered over. A missing snapshot passes
 // (the caller writes the first one).
-func verifySnapshot(logger *obs.Logger, fatalf func(string, ...any), snapPath string, sn *snapshot.Snapshot) {
+func verifySnapshot(app *cli.App, snapPath string, sn *snapshot.Snapshot) {
 	stored, err := os.ReadFile(snapPath)
 	if errors.Is(err, fs.ErrNotExist) {
-		logger.Infof("snapshot-verify: no snapshot at %s yet, writing one", snapPath)
+		app.Log.Infof("snapshot-verify: no snapshot at %s yet, writing one", snapPath)
 		return
 	}
 	if err != nil {
-		fatalf("snapshot-verify: read %s: %v", snapPath, err)
+		app.Fatalf("snapshot-verify: read %s: %v", snapPath, err)
 	}
 	fresh, err := snapshot.Encode(sn)
 	if err != nil {
-		fatalf("snapshot-verify: encode rebuilt state: %v", err)
+		app.Fatalf("snapshot-verify: encode rebuilt state: %v", err)
 	}
 	if !bytes.Equal(stored, fresh) {
 		if _, derr := snapshot.Decode(stored); derr != nil {
-			fatalf("snapshot-verify: %s does not match the rebuilt state (%d vs %d bytes) and fails to decode: %v",
+			app.Fatalf("snapshot-verify: %s does not match the rebuilt state (%d vs %d bytes) and fails to decode: %v",
 				snapPath, len(stored), len(fresh), derr)
 		}
-		fatalf("snapshot-verify: %s does not match the state rebuilt from -graph (%d vs %d bytes): stale snapshot or drifted graph/partitioner",
+		app.Fatalf("snapshot-verify: %s does not match the state rebuilt from -graph (%d vs %d bytes): stale snapshot or drifted graph/partitioner",
 			snapPath, len(stored), len(fresh))
 	}
-	logger.Infof("snapshot-verify: %s matches the rebuilt state (%d bytes)", snapPath, len(fresh))
+	app.Log.Infof("snapshot-verify: %s matches the rebuilt state (%d bytes)", snapPath, len(fresh))
 }

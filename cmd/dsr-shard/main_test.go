@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dsr/internal/cli"
 	"dsr/internal/obs"
 )
 
@@ -36,8 +37,9 @@ func buildShard(t *testing.T) (bin, graphPath string) {
 }
 
 // TestFlagValidationExits: bad invocations must fail fast with the
-// documented exit codes — 2 for usage errors caught before any work,
-// 1 for validation the logger reports — and name the offending flag.
+// documented exit codes — 2 for flag misuse and bad flag values, all
+// caught before any work, 1 for what only the work can discover — and
+// name the offending flag.
 func TestFlagValidationExits(t *testing.T) {
 	bin, graphPath := buildShard(t)
 	cases := []struct {
@@ -49,31 +51,31 @@ func TestFlagValidationExits(t *testing.T) {
 		{
 			name:     "missing -graph",
 			args:     []string{"-listen", "127.0.0.1:0"},
-			wantCode: 2,
+			wantCode: cli.ExitUsage,
 			wantErr:  "-graph is required",
 		},
 		{
 			name:     "bad -log-level",
 			args:     []string{"-graph", graphPath, "-log-level", "loud"},
-			wantCode: 2,
+			wantCode: cli.ExitUsage,
 			wantErr:  "-log-level",
 		},
 		{
 			name:     "-id out of range",
 			args:     []string{"-graph", graphPath, "-shards", "2", "-id", "5"},
-			wantCode: 1,
+			wantCode: cli.ExitUsage,
 			wantErr:  "outside",
 		},
 		{
 			name:     "bad -partitioner",
 			args:     []string{"-graph", graphPath, "-partitioner", "psychic"},
-			wantCode: 1,
+			wantCode: cli.ExitUsage,
 			wantErr:  "-partitioner",
 		},
 		{
 			name:     "unreadable graph",
 			args:     []string{"-graph", filepath.Join(t.TempDir(), "nope.txt")},
-			wantCode: 1,
+			wantCode: cli.ExitFailure,
 			wantErr:  "load graph",
 		},
 	}
@@ -84,11 +86,12 @@ func TestFlagValidationExits(t *testing.T) {
 			if !errors.As(err, &ee) {
 				t.Fatalf("want exit error, got %v\n%s", err, out)
 			}
-			if ee.ExitCode() != tc.wantCode {
-				t.Errorf("exit code = %d, want %d\n%s", ee.ExitCode(), tc.wantCode, out)
-			}
+			cli.WantExit(t, tc.name, ee.ExitCode(), tc.wantCode)
 			if !regexp.MustCompile(regexp.QuoteMeta(tc.wantErr)).Match(out) {
-				t.Errorf("stderr missing %q:\n%s", tc.wantErr, out)
+				t.Errorf("stderr missing %q", tc.wantErr)
+			}
+			if t.Failed() {
+				t.Logf("output:\n%s", out)
 			}
 		})
 	}

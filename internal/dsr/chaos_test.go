@@ -53,7 +53,7 @@ func newChaosEngine(t testing.TB, g *graph.Graph, strat graph.Partitioner, k, R 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := connect(t.Context(), tr, k, g.NumVertices(), telemetry{})
+	e, err := ConnectTransport(t.Context(), tr, k, g.NumVertices(), Options{})
 	if err != nil {
 		tr.Close()
 		t.Fatal(err)

@@ -301,9 +301,7 @@ func Build(g *graph.Graph, o Options) (*Engine, error) {
 		shards[i] = shard.New(i, s)
 	}
 	lb := shard.NewLoopback(shards)
-	e, err := connect(context.Background(), lb, pt.K, g.NumVertices(), telemetry{
-		reg: o.Metrics, log: o.Log, slow: o.SlowQuery,
-	})
+	e, err := ConnectTransport(context.Background(), lb, pt.K, g.NumVertices(), o)
 	if err != nil {
 		lb.Close()
 		return nil, err
@@ -373,29 +371,14 @@ func Connect(ctx context.Context, spec ClusterSpec) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := connect(ctx, tr, len(groups), -1, telemetry{
-		reg: spec.Metrics, log: spec.Log, slow: spec.SlowQuery, hedge: spec.Hedge,
+	e, err := ConnectTransport(ctx, tr, len(groups), -1, Options{
+		Metrics: spec.Metrics, Log: spec.Log, SlowQuery: spec.SlowQuery, Hedge: spec.Hedge,
 	})
 	if err != nil {
 		tr.Close()
 		return nil, err
 	}
 	return e, nil
-}
-
-// ConnectTransport builds the coordinator over an already-constructed
-// transport — the hook for embedders (the serving layer's harnesses,
-// chaos rigs) that assemble their own replica fleets in process via
-// shard.NewReplicated or shard.NewLoopback. k is the partition count tr
-// serves; n >= 0 pins the global vertex count, n < 0 derives it from
-// the shards' handshake identities (which fails for transports whose
-// replicas present none). Only o's telemetry and Hedge fields are
-// consulted. On success the engine owns tr (Close closes it); on error
-// the caller still owns it.
-func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Options) (*Engine, error) {
-	return connect(ctx, tr, k, n, telemetry{
-		reg: o.Metrics, log: o.Log, slow: o.SlowQuery, hedge: o.Hedge,
-	})
 }
 
 // replicaSets is what shard.Replicated offers beyond shard.Transport —
@@ -410,31 +393,28 @@ type replicaSets interface {
 	SubmitHedge(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- shard.Reply)
 }
 
-// telemetry bundles the observability and hedging knobs threaded from
-// Build/Connect into the engine. The zero value disables everything.
-type telemetry struct {
-	reg   *obs.Registry
-	log   *obs.Logger
-	slow  time.Duration
-	hedge HedgeOptions
-}
-
-// connect is the shared back half of Build and Connect: fetch every
-// shard's boundary summary over tr, cross-check the fleet's handshake
-// identities against each other, stitch, and wire the engine. n >= 0
-// pins the global vertex count (transports without a handshake, e.g.
-// in-process shards); n < 0 derives it from the hellos.
-func connect(ctx context.Context, tr shard.Transport, k, n int, tel telemetry) (*Engine, error) {
+// ConnectTransport is the shared back half of Build and Connect, and the
+// hook for embedders (the serving layer's harnesses, chaos rigs) that
+// assemble their own replica fleets in process via shard.NewReplicated
+// or shard.NewLoopback: fetch every shard's boundary summary over tr,
+// cross-check the fleet's handshake identities against each other,
+// stitch, and wire the engine. k is the partition count tr serves;
+// n >= 0 pins the global vertex count (transports without a handshake,
+// e.g. in-process shards), n < 0 derives it from the hellos (which
+// fails for transports whose replicas present none). Only o's telemetry
+// and Hedge fields are consulted. On success the engine owns tr (Close
+// closes it); on error the caller still owns it.
+func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Options) (*Engine, error) {
 	infos := make([]shard.SummaryInfo, k)
 	errs := make([]error, k)
-	sumFetch := tel.reg.Histogram("dsr_summary_fetch_ns")
+	sumFetch := o.Metrics.Histogram("dsr_summary_fetch_ns")
 	parallelParts(k, func(p int) {
 		t0 := time.Now()
 		infos[p], errs[p] = tr.Summary(ctx, p)
 		sumFetch.ObserveSince(t0)
 		if errs[p] == nil {
 			s := &infos[p].Summary
-			tel.log.Infof("shard %d/%d: summary received (%d boundary vertices, %d summary edges, %d cross edges)",
+			o.Log.Infof("shard %d/%d: summary received (%d boundary vertices, %d summary edges, %d cross edges)",
 				p+1, k, len(s.Boundary), len(s.Edges), len(s.Cross))
 		}
 	})
@@ -493,15 +473,15 @@ func connect(ctx context.Context, tr shard.Transport, k, n int, tel telemetry) (
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(n, k, bg, tr, tel)
-	tel.log.Infof("boundary graph stitched: %d vertices in %d components, %d component edges, %d coordinator-resident bytes",
+	e := newEngine(n, k, bg, tr, o)
+	o.Log.Infof("boundary graph stitched: %d vertices in %d components, %d component edges, %d coordinator-resident bytes",
 		bg.nverts, bg.ncomp(), len(bg.succ), e.ResidentBytes())
 	return e, nil
 }
 
 // newEngine wires a coordinator over an already-stitched boundary graph
 // and transport.
-func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, tel telemetry) *Engine {
+func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, o Options) *Engine {
 	e := &Engine{
 		n:      n,
 		k:      k,
@@ -512,25 +492,41 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, tel telemetry) *
 		tset:   &vset{},
 		sset:   &vset{},
 		fin:    newFinisher(bg.ncomp()),
-		met:    newEngineMetrics(tel.reg, k),
-		slow:   tel.slow,
-		log:    tel.log,
+		met:    newEngineMetrics(o.Metrics, k),
+		slow:   o.SlowQuery,
+		log:    o.Log,
 
-		wantTiming: tel.reg != nil || tel.slow > 0,
+		wantTiming: o.Metrics != nil || o.SlowQuery > 0,
 	}
-	if tel.hedge.Enabled {
-		if ht, ok := tr.(replicaSets); ok {
-			e.hedge = newHedgeState(ht, k, tel.hedge)
-			e.hedgec = make(chan shard.Reply, k)
-		} else {
-			tel.log.Warnf("hedged requests enabled but the transport cannot re-submit to siblings; hedging disabled")
-		}
+	if o.Hedge.Enabled {
+		e.armHedging(o.Hedge)
 	}
 	e.met.partitions.Set(int64(k))
 	e.met.boundaryVerts.Set(int64(bg.nverts))
 	e.met.boundaryComps.Set(int64(bg.ncomp()))
 	e.met.residentBytes.Set(int64(e.ResidentBytes()))
 	return e
+}
+
+// armHedging turns hedging on where a hedge has somewhere to go: for
+// the partitions whose replica set, on a transport that can re-submit
+// to a sibling, holds more than one. A fleet of singletons would pay a
+// timer per round and count hedges that sent nothing, so it is left
+// unarmed.
+func (e *Engine) armHedging(o HedgeOptions) {
+	sibling := make([]bool, e.k)
+	ht, ok := e.tr.(replicaSets)
+	if ok {
+		for _, h := range ht.Health() {
+			sibling[h.Partition] = h.Replicas > 1
+		}
+	}
+	if !slices.Contains(sibling, true) {
+		e.log.Warnf("hedged requests enabled but no partition has a sibling replica to re-submit to; hedging disabled")
+		return
+	}
+	e.hedge = newHedgeState(ht, sibling, o)
+	e.hedgec = make(chan shard.Reply, e.k)
 }
 
 // Health reports per-partition replica health — live replica counts
@@ -871,8 +867,9 @@ type partRound struct {
 //
 // With hedging armed there is also a deadline (a high quantile of
 // primary latency — see hedgeState.delay): if the round outlasts it,
-// every partition still outstanding gets its batch re-sent to an idle
-// sibling replica, and per partition the first successful reply wins.
+// every partition still outstanding that has a sibling replica gets its
+// batch re-sent to an idle one, and per partition the first successful
+// reply wins.
 // Duplicates are dropped unabsorbed: local searches are idempotent
 // reads, so the loser carries the same content, and replies from a
 // partition with siblings own their memory (the transport copies
@@ -915,7 +912,7 @@ func (e *Engine) drain(hdr wire.BatchHeader, tsub time.Time, roundStart time.Dur
 			timerC = nil // the deadline fires at most once per round
 			thsub = time.Now()
 			for p := 0; p < e.k; p++ {
-				if !pr[p].done {
+				if !pr[p].done && e.hedge.sibling[p] {
 					e.met.hedges[p].Inc()
 					e.hedge.tr.SubmitHedge(p, hdr, e.tasks, e.hedgec)
 					hedges++

@@ -17,20 +17,14 @@ func build(n int, edges [][2]graph.VertexID) *graph.Graph {
 }
 
 func TestQueryHandBuilt(t *testing.T) {
-	// Two 4-cycles joined by bridge 3->4, range-partitioned in half.
+	// Two 4-cycles joined by bridge 3->4 (internal/graph/testdata/tiny.txt).
 	g := build(8, [][2]graph.VertexID{
 		{0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 4},
 	})
-	pt, err := graph.RangePartition(g, 2)
+	halves, err := graph.RangePartition(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Build(g, Options{Partitioning: pt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
 	cases := []struct {
 		name string
 		S, T []graph.VertexID
@@ -45,10 +39,34 @@ func TestQueryHandBuilt(t *testing.T) {
 		{"empty targets", []graph.VertexID{1}, nil, false},
 		{"out of range ignored", []graph.VertexID{100}, []graph.VertexID{100}, false},
 	}
-	for _, c := range cases {
-		if got := e.Query(c.S, c.T); got != c.want {
-			t.Errorf("%s: Query(%v, %v) = %v, want %v", c.name, c.S, c.T, got, c.want)
+	// However Build is told to split the graph, the answers are the same;
+	// a partitioning only decides where the boundary lands. A precomputed
+	// range split and the locality partitioner both cut at the bridge (2
+	// boundary vertices), hashing scatters both cycles (7).
+	for _, split := range []struct {
+		name     string
+		o        Options
+		boundary int
+	}{
+		{"precomputed range halves", Options{Partitioning: halves}, 2},
+		{"hash", Options{K: 2}, 7},
+		{"locality", Options{K: 2, Partitioner: locality.New(locality.Options{})}, 2},
+	} {
+		e, err := Build(g, split.o)
+		if err != nil {
+			t.Fatalf("%s: %v", split.name, err)
 		}
+		if k, b := e.NumPartitions(), e.NumBoundary(); k != 2 || b != split.boundary {
+			t.Errorf("%s: %d partitions, %d boundary vertices; want 2, %d", split.name, k, b, split.boundary)
+		}
+		for _, c := range cases {
+			if got := e.Query(c.S, c.T); got != c.want {
+				t.Errorf("%s, %s: Query(%v, %v) = %v, want %v", split.name, c.name, c.S, c.T, got, c.want)
+			}
+		}
+		e.Close()
+	}
+	for _, c := range cases {
 		if got := NaiveReach(g, c.S, c.T); got != c.want {
 			t.Errorf("%s: oracle disagrees with expectation: %v", c.name, got)
 		}
@@ -164,6 +182,9 @@ func TestBuildPartitioningMismatch(t *testing.T) {
 	}
 	if _, err := Build(g, Options{Partitioning: pt}); err == nil {
 		t.Fatal("want error for mismatched partitioning")
+	}
+	if _, err := Build(g, Options{}); err == nil {
+		t.Fatal("want error for K = 0 with no partitioning to take it from")
 	}
 	// Hand-rolled partitioning with absent (or wrong) boundary marks is
 	// normalized: marks are recomputed from the edge set, so the engine

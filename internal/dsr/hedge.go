@@ -13,8 +13,8 @@ import (
 // Hedging is sound because local searches are idempotent reads over an
 // immutable subgraph — a duplicate answer is identical and is dropped.
 // It takes effect per partition, where the replica group has two or
-// more members: a hedge for a group of one finds no idle sibling
-// (shard.ErrNoIdleSibling) and the primary simply runs its course.
+// more members: a group of one is never hedged, and over a fleet of
+// nothing but singletons hedging is not armed at all.
 type HedgeOptions struct {
 	// Enabled turns hedging on.
 	Enabled bool
@@ -55,19 +55,20 @@ func (o HedgeOptions) withDefaults() HedgeOptions {
 const hedgeMinSamples = 16
 
 // hedgeState is the engine's hedging machinery: the transport that can
-// re-submit to a sibling (it answers shard.ErrNoIdleSibling where a
-// group has no idle one) plus a private per-partition histogram of
-// primary RPC latencies feeding the deadline estimate. The histograms
-// are engine-owned (not registry instruments) so hedging works
-// identically with metrics disabled.
+// re-submit to a sibling (it answers shard.ErrNoIdleSibling where every
+// sibling is busy), which partitions have one, plus a private
+// per-partition histogram of primary RPC latencies feeding the deadline
+// estimate. The histograms are engine-owned (not registry instruments)
+// so hedging works identically with metrics disabled.
 type hedgeState struct {
-	tr  replicaSets
-	opt HedgeOptions
-	lat []*obs.Histogram
+	tr      replicaSets
+	sibling []bool // per partition: its replica set holds more than one
+	opt     HedgeOptions
+	lat     []*obs.Histogram
 }
 
-func newHedgeState(tr replicaSets, k int, o HedgeOptions) *hedgeState {
-	h := &hedgeState{tr: tr, opt: o.withDefaults(), lat: make([]*obs.Histogram, k)}
+func newHedgeState(tr replicaSets, sibling []bool, o HedgeOptions) *hedgeState {
+	h := &hedgeState{tr: tr, sibling: sibling, opt: o.withDefaults(), lat: make([]*obs.Histogram, len(sibling))}
 	for p := range h.lat {
 		h.lat[p] = &obs.Histogram{}
 	}

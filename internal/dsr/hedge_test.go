@@ -3,6 +3,7 @@ package dsr
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 // [Min, Max].
 func TestHedgeDelay(t *testing.T) {
 	opt := HedgeOptions{Enabled: true, Percentile: 0.5, Min: time.Millisecond, Max: 50 * time.Millisecond}
-	h := newHedgeState(nil, 2, opt)
+	h := newHedgeState(nil, make([]bool, 2), opt)
 
 	if d := h.delay(); d != 50*time.Millisecond {
 		t.Fatalf("cold delay = %v, want Max", d)
@@ -46,7 +47,7 @@ func TestHedgeDelay(t *testing.T) {
 	if d := h.delay(); d != 50*time.Millisecond {
 		t.Fatalf("delay = %v, want Max clamp", d)
 	}
-	lo := newHedgeState(nil, 1, opt)
+	lo := newHedgeState(nil, make([]bool, 1), opt)
 	for i := 0; i < hedgeMinSamples; i++ {
 		lo.observe(0, 10*time.Microsecond)
 	}
@@ -160,21 +161,28 @@ func TestHedgedEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestHedgeOverSetsOfOne: hedging armed over partitions that are sets of
-// one — the in-process transport and a TCP R = 1 fleet — with a
-// deadline so short that it fires in nearly every round. A set of one
-// must refuse every hedge rather than re-run the batch on the replica
-// whose reply the coordinator is still reading: answers stay
-// oracle-correct (and race-free under -race), no round errors, no
-// replica is ever retried or failed over, and no round leaves stragglers
-// behind.
+// TestHedgeOverSetsOfOne: hedging enabled over partitions that are sets
+// of one — the in-process transport and a TCP R = 1 fleet under a
+// deadline so short that nearly every round outlasts it, and the two
+// singletons of a 2+1+1 fleet that answer well after the deadline. A
+// set of one has no sibling to hedge on (and re-running the batch on
+// the replica whose reply the coordinator is still reading would race),
+// so it must never be asked: hedging is not armed at all over a fleet
+// of nothing but singletons, dsr_hedges_total counts only partitions
+// that have a sibling, answers stay oracle-correct (and race-free under
+// -race), no round errors, and no singleton is ever retried or failed
+// over.
 func TestHedgeOverSetsOfOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
 	const k, n = 3, 400
 	g := randomGraph(rng, n, 2)
 	hedge := HedgeOptions{Enabled: true, Min: time.Nanosecond, Max: 20 * time.Microsecond}
-	fleets := map[string]func(*testing.T, *obs.Registry) *Engine{
-		"in-process": func(t *testing.T, reg *obs.Registry) *Engine {
+	fleets := []struct {
+		name   string
+		rounds int
+		boot   func(*testing.T, *obs.Registry) *Engine
+	}{
+		{"in-process", 300, func(t *testing.T, reg *obs.Registry) *Engine {
 			tr := shard.NewLoopback(loopbackShards(t, g, graph.Hash(), k))
 			e, err := ConnectTransport(t.Context(), tr, k, n, Options{Metrics: reg, Hedge: hedge})
 			if err != nil {
@@ -182,8 +190,8 @@ func TestHedgeOverSetsOfOne(t *testing.T) {
 				t.Fatal(err)
 			}
 			return e
-		},
-		"tcp": func(t *testing.T, reg *obs.Registry) *Engine {
+		}},
+		{"tcp", 300, func(t *testing.T, reg *obs.Registry) *Engine {
 			addrs, stop := bootShardServers(t, g, k)
 			t.Cleanup(stop)
 			e, err := Connect(t.Context(), ClusterSpec{Groups: addrs, Metrics: reg, Hedge: hedge})
@@ -191,17 +199,55 @@ func TestHedgeOverSetsOfOne(t *testing.T) {
 				t.Fatal(err)
 			}
 			return e
-		},
-	}
-	for name, boot := range fleets {
-		t.Run(name, func(t *testing.T) {
-			reg := obs.NewRegistry()
-			e := boot(t, reg)
-			defer e.Close()
-			if e.hedge == nil {
-				t.Fatal("hedging not armed; the test would prove nothing")
+		}},
+		// Partition 0 is a prompt replica beside a 30ms straggler, 1 and 2
+		// are singletons 5ms slow, the deadline is 2ms: every round finds
+		// the singletons unanswered when it fires, every other round the
+		// straggler too.
+		{"2+1+1", 20, func(t *testing.T, reg *obs.Registry) *Engine {
+			shards := func() []*shard.Shard { return loopbackShards(t, g, graph.Hash(), k) }
+			groups := make([][]shard.ReplicaDialer, k)
+			for p, sh := range shards() {
+				d := 5 * time.Millisecond
+				if p == 0 {
+					d = 30 * time.Millisecond
+				}
+				groups[p] = []shard.ReplicaDialer{func(context.Context) (shard.Replica, error) {
+					return &slowReplica{inner: shard.NewLocalReplica(sh), d: d}, nil
+				}}
 			}
-			for round := 0; round < 300; round++ {
+			twin := shards()[0]
+			groups[0] = append(groups[0], func(context.Context) (shard.Replica, error) {
+				return shard.NewLocalReplica(twin), nil
+			})
+			tr, err := shard.NewReplicated(t.Context(), groups, shard.ReplicatedOptions{ReconnectEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := ConnectTransport(t.Context(), tr, k, n, Options{
+				Metrics: reg,
+				Hedge:   HedgeOptions{Enabled: true, Min: time.Millisecond, Max: 2 * time.Millisecond},
+			})
+			if err != nil {
+				tr.Close()
+				t.Fatal(err)
+			}
+			return e
+		}},
+	}
+	for _, fleet := range fleets {
+		t.Run(fleet.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			e := fleet.boot(t, reg)
+			defer e.Close()
+			siblings := false
+			for _, h := range e.Health() {
+				siblings = siblings || h.Replicas > 1
+			}
+			if armed := e.hedge != nil; armed != siblings {
+				t.Fatalf("hedging armed = %v over a fleet with siblings = %v", armed, siblings)
+			}
+			for round := 0; round < fleet.rounds; round++ {
 				queries := make([]Query, 16)
 				for i := range queries {
 					queries[i] = Query{S: randomSet(rng, n, 4), T: randomSet(rng, n, 4)}
@@ -215,36 +261,36 @@ func TestHedgeOverSetsOfOne(t *testing.T) {
 						t.Fatalf("round %d query %d: got %v, oracle %v (S=%v T=%v)", round, i, got[i], want, q.S, q.T)
 					}
 				}
-				if e.stale {
-					t.Fatalf("round %d left stragglers: a refused hedge is answered before SubmitHedge returns", round)
+				if e.stale && !siblings {
+					t.Fatalf("round %d left stragglers though no hedge was ever sent", round)
 				}
 			}
-			var hedges, wins uint64
-			for p := 0; p < k; p++ {
-				hedges += reg.Counter(obs.Name("dsr_hedges_total", "partition", p)).Load()
-				wins += reg.Counter(obs.Name("dsr_hedge_wins_total", "partition", p)).Load()
-			}
-			if hedges == 0 {
-				t.Fatal("the deadline never fired; the test proved nothing")
-			}
-			if wins != 0 {
-				t.Fatalf("%d hedges won on partitions with no sibling", wins)
-			}
 			for _, h := range e.Health() {
-				if h.Replicas != 1 || h.Live != 1 || h.Retries != 0 || h.Failovers != 0 {
-					t.Fatalf("hedging disturbed a set of one: %+v", h)
+				hedges := reg.Counter(obs.Name("dsr_hedges_total", "partition", h.Partition)).Load()
+				if h.Replicas > 1 {
+					if hedges == 0 {
+						t.Errorf("partition %d has a sibling and was never hedged; the test proved nothing", h.Partition)
+					}
+					continue
+				}
+				if hedges != 0 {
+					t.Errorf("partition %d: %d hedges counted on a set of one", h.Partition, hedges)
+				}
+				if h.Live != 1 || h.Retries != 0 || h.Failovers != 0 {
+					t.Errorf("hedging disturbed a set of one: %+v", h)
 				}
 			}
 		})
 	}
 }
 
-// TestHedgeIgnoredWithoutSiblings: enabling hedging on a transport with
-// no sibling replicas (Build's loopback) must quietly disable it, not
-// break queries.
+// TestHedgeIgnoredWithoutSiblings: enabling hedging on a fleet with no
+// sibling replicas (Build's sets of one) must disable it with one
+// warning at construction, not break queries or warn per round.
 func TestHedgeIgnoredWithoutSiblings(t *testing.T) {
 	g := build(6, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
-	e, err := Build(g, Options{K: 3, Hedge: HedgeOptions{Enabled: true}})
+	var log strings.Builder
+	e, err := Build(g, Options{K: 3, Hedge: HedgeOptions{Enabled: true}, Log: obs.NewLogger(&log, obs.LevelWarn)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,5 +300,8 @@ func TestHedgeIgnoredWithoutSiblings(t *testing.T) {
 	}
 	if !e.Query(V(0), V(5)) || e.Query(V(5), V(0)) {
 		t.Fatal("wrong answers with hedging requested on loopback")
+	}
+	if got := log.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, "hedging disabled") {
+		t.Fatalf("want exactly one warning that hedging is disabled, got:\n%s", got)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"dsr/internal/core"
+	"dsr/internal/dsr"
 	"dsr/internal/obs"
 )
 
@@ -14,7 +14,7 @@ import (
 // ans/err until it closes ready; after that they are immutable and the
 // writer may read them.
 type pending struct {
-	q     core.Query
+	q     dsr.Query
 	key   string // canonical cache key; "" when the query skipped the cache
 	ans   bool
 	err   error
@@ -115,7 +115,7 @@ func (b *batcher) windowExpired() {
 }
 
 // run executes one shared batch against the engine and demuxes the
-// answers back to each pending. Partial failures (*core.BatchError)
+// answers back to each pending. Partial failures (*dsr.BatchError)
 // fail only the queries the error's mask flags; the rest are answered
 // and cached normally.
 func (b *batcher) run(batch []*pending) {
@@ -124,13 +124,13 @@ func (b *batcher) run(batch []*pending) {
 
 	b.batches.Inc()
 	b.batchSize.Observe(int64(len(batch)))
-	queries := make([]core.Query, len(batch))
+	queries := make([]dsr.Query, len(batch))
 	for i, p := range batch {
 		queries[i] = p.q
 	}
 	answers, err := b.q.QueryBatchErr(queries)
 
-	var be *core.BatchError
+	var be *dsr.BatchError
 	switch {
 	case err == nil:
 		for i, p := range batch {

@@ -13,7 +13,7 @@
 //   - Admission control (admission): a server-wide queue bound and a
 //     per-client outstanding bound shed load with a typed
 //     OverloadError instead of letting latency collapse.
-//   - Hedged requests: configured on the engine itself (core.Connect
+//   - Hedged requests: configured on the engine itself (dsr.Connect
 //     with HedgeOptions); the server's batches inherit straggler
 //     re-sends transparently.
 //
@@ -35,15 +35,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dsr/internal/core"
-	"dsr/internal/graph"
+	"dsr/internal/dsr"
 	"dsr/internal/obs"
 )
 
 // Querier is the engine capability the server needs: batch queries
-// with partial-failure reporting. *core.Engine satisfies it.
+// with partial-failure reporting. *dsr.Engine satisfies it.
 type Querier interface {
-	QueryBatchErr(queries []core.Query) ([]bool, error)
+	QueryBatchErr(queries []dsr.Query) ([]bool, error)
 }
 
 // ErrServerClosed is returned by Serve after Shutdown, and is the
@@ -294,12 +293,12 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) begin(sess *session, line string) *pending {
 	s.queries.Inc()
 	start := time.Now()
-	S, T, err := parseQuery(line)
+	q, err := parseQuery(line)
 	if err != nil {
 		s.parseErrs.Inc()
 		return settled(err, start)
 	}
-	key := Key(S, T)
+	key := Key(q.S, q.T)
 	if ans, ok := s.cache.Get(key); ok {
 		p := settled(nil, start)
 		p.ans = ans
@@ -309,7 +308,7 @@ func (s *Server) begin(sess *session, line string) *pending {
 		return settled(err, start)
 	}
 	p := &pending{
-		q:     core.Query{S: S, T: T},
+		q:     q,
 		key:   key,
 		ready: make(chan struct{}),
 		done:  func() { s.adm.release(sess) },
@@ -365,35 +364,21 @@ func respond(p *pending) string {
 	}
 }
 
-// parseQuery parses the request line "s1 s2 ... | t1 t2 ...": two
-// whitespace-separated lists of vertex IDs split by a pipe. This is
-// the same grammar dsr-query reads on stdin.
-func parseQuery(line string) (S, T []graph.VertexID, err error) {
-	left, right, ok := strings.Cut(line, "|")
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: missing '|' separator", errParse)
-	}
-	if S, err = parseIDs(left); err != nil {
-		return nil, nil, err
-	}
-	if T, err = parseIDs(right); err != nil {
-		return nil, nil, err
-	}
-	if len(S) == 0 || len(T) == 0 {
-		return nil, nil, fmt.Errorf("%w: empty vertex set", errParse)
-	}
-	return S, T, nil
-}
-
-func parseIDs(s string) ([]graph.VertexID, error) {
-	fields := strings.Fields(s)
-	ids := make([]graph.VertexID, len(fields))
-	for i, f := range fields {
-		v, err := strconv.ParseUint(f, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad vertex id %q", errParse, f)
+// parseQuery reads one request line with the tokenizer dsr-query's
+// stdin session shares (dsr.ParseQuery) and renders its failures as the
+// protocol's "parse: ..." errors. Rejecting an empty side is this
+// protocol's own policy; the stdin session answers such a query false.
+func parseQuery(line string) (dsr.Query, error) {
+	q, err := dsr.ParseQuery(line)
+	if err != nil {
+		var bad *strconv.NumError // declared on the error path only: it escapes
+		if errors.As(err, &bad) {
+			return q, fmt.Errorf("%w: bad vertex id %q", errParse, bad.Num)
 		}
-		ids[i] = graph.VertexID(v)
+		return q, fmt.Errorf("%w: missing '|' separator", errParse)
 	}
-	return ids, nil
+	if len(q.S) == 0 || len(q.T) == 0 {
+		return q, fmt.Errorf("%w: empty vertex set", errParse)
+	}
+	return q, nil
 }

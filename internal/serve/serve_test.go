@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"dsr/internal/core"
 	"dsr/internal/dsr"
 	"dsr/internal/graph"
 	"dsr/internal/obs"
@@ -27,9 +26,9 @@ func chainGraph(t *testing.T, n int) *graph.Graph {
 
 // startServer boots a server over an in-process engine on a loopback
 // listener and tears both down with the test.
-func startServer(t *testing.T, g *graph.Graph, o Options) (*Server, string, *core.Engine) {
+func startServer(t *testing.T, g *graph.Graph, o Options) (*Server, string, *dsr.Engine) {
 	t.Helper()
-	eng, err := core.Build(g, core.Options{K: 2})
+	eng, err := dsr.Build(g, dsr.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +277,7 @@ type fakeQuerier struct {
 	calls   int
 }
 
-func (f *fakeQuerier) QueryBatchErr(queries []core.Query) ([]bool, error) {
+func (f *fakeQuerier) QueryBatchErr(queries []dsr.Query) ([]bool, error) {
 	f.calls++
 	if f.answers != nil {
 		return f.answers[:len(queries)], f.err
@@ -298,8 +297,8 @@ func TestBatcherPartialFailure(t *testing.T) {
 	b := newBatcher(fq, cache, Options{MaxInFlight: 1}.withDefaults())
 
 	ps := []*pending{
-		{q: core.Query{S: ids(0), T: ids(1)}, key: "a", ready: make(chan struct{})},
-		{q: core.Query{S: ids(2), T: ids(3)}, key: "b", ready: make(chan struct{})},
+		{q: dsr.Query{S: ids(0), T: ids(1)}, key: "a", ready: make(chan struct{})},
+		{q: dsr.Query{S: ids(2), T: ids(3)}, key: "b", ready: make(chan struct{})},
 	}
 	b.run(ps)
 
@@ -326,7 +325,7 @@ func TestBatcherTotalFailure(t *testing.T) {
 	fq := &fakeQuerier{err: boom}
 	cache := NewCache(8, nil)
 	b := newBatcher(fq, cache, Options{MaxInFlight: 1}.withDefaults())
-	p := &pending{q: core.Query{S: ids(0), T: ids(1)}, key: "a", ready: make(chan struct{})}
+	p := &pending{q: dsr.Query{S: ids(0), T: ids(1)}, key: "a", ready: make(chan struct{})}
 	b.run([]*pending{p})
 	<-p.ready
 	if !errors.Is(p.err, boom) {
@@ -355,15 +354,15 @@ func TestBatcherClosedRejects(t *testing.T) {
 }
 
 func TestParseQuery(t *testing.T) {
-	S, T, err := parseQuery("3 1 2 | 9 8")
+	q, err := parseQuery("3 1 2 | 9 8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(S) != 3 || len(T) != 2 || S[0] != 3 || T[1] != 8 {
+	if S, T := q.S, q.T; len(S) != 3 || len(T) != 2 || S[0] != 3 || T[1] != 8 {
 		t.Fatalf("parsed S=%v T=%v", S, T)
 	}
 	for _, bad := range []string{"1 2 3", "| 1", "1 |", "a | 1", "1 | 4294967296"} {
-		if _, _, err := parseQuery(bad); !errors.Is(err, errParse) {
+		if _, err := parseQuery(bad); !errors.Is(err, errParse) {
 			t.Fatalf("parseQuery(%q) err = %v, want parse error", bad, err)
 		}
 	}

@@ -3,7 +3,10 @@
 // the module and fails if any lacks a package comment; for the
 // packages listed in strictPkgs it additionally requires a doc comment
 // on every exported top-level symbol (types, functions, methods,
-// consts, vars). Run it from the repository root.
+// consts, vars). It also fails when README.md, PAPER.md or a docs/*.md
+// names an internal/…, cmd/… or tools/… path that does not exist, so a
+// deleted package cannot live on in the prose. Run it from the
+// repository root.
 package main
 
 import (
@@ -14,6 +17,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -77,7 +81,31 @@ func check(root string) ([]string, error) {
 		}
 		problems = append(problems, ps...)
 	}
-	return problems, nil
+	return append(problems, checkPaths(root)...), nil
+}
+
+// repoPath matches a source path as the docs write one: it ends on a
+// word character, so the dots of "internal/..." and a sentence's
+// closing punctuation stay outside it.
+var repoPath = regexp.MustCompile(`\b(?:internal|cmd|tools)/[\w./-]*\w`)
+
+// checkPaths reports every source path the top-level docs name that is
+// not on disk.
+func checkPaths(root string) []string {
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	docs = append(docs, filepath.Join(root, "README.md"), filepath.Join(root, "PAPER.md"))
+	var problems []string
+	for _, doc := range docs {
+		text, _ := os.ReadFile(doc) // a repository without that document names nothing in it
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, p := range repoPath.FindAllString(line, -1) {
+				if _, err := os.Stat(filepath.Join(root, p)); err != nil {
+					problems = append(problems, fmt.Sprintf("%s:%d: names %s, which does not exist", doc, i+1, p))
+				}
+			}
+		}
+	}
+	return problems
 }
 
 func checkDir(dir string) ([]string, error) {
