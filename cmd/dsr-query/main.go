@@ -96,7 +96,7 @@ func main() {
 
 	var eng *dsr.Engine
 	if distributed {
-		eng = app.Connect(dsr.HedgeOptions{})
+		eng = app.Connect(shard.HedgeOptions{})
 	} else {
 		g, err := graph.LoadEdgeListFile(*graphPath)
 		if err != nil {

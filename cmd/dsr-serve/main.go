@@ -15,8 +15,8 @@
 //     entries; negative disables). Sound because the served graph is
 //     immutable for the life of the fleet.
 //   - Hedged requests (-hedge, replica groups required): batches that
-//     outlast a latency quantile are re-sent to an idle sibling
-//     replica, first answer wins.
+//     outlast a latency quantile are re-sent by the transport to an
+//     idle sibling replica, first answer wins.
 //   - Admission control: -max-queued bounds total outstanding work,
 //     -max-per-client keeps one connection from monopolizing it, and
 //     rejected queries get "error overload: <scope>" immediately
@@ -38,8 +38,8 @@ import (
 	"time"
 
 	"dsr/internal/cli"
-	"dsr/internal/dsr"
 	"dsr/internal/serve"
+	"dsr/internal/shard"
 )
 
 func main() {
@@ -70,7 +70,7 @@ func main() {
 		os.Exit(cli.ExitUsage)
 	}
 	app.StartOps()
-	eng := app.Connect(dsr.HedgeOptions{
+	eng := app.Connect(shard.HedgeOptions{
 		Enabled:    *hedge,
 		Percentile: *hedgePercentile,
 		Min:        *hedgeMin,

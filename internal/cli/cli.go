@@ -25,6 +25,7 @@ import (
 	"dsr/internal/dsr"
 	"dsr/internal/obs"
 	"dsr/internal/obs/fleet"
+	"dsr/internal/shard"
 )
 
 // The exit-code contract of all three binaries. Scripts branch on the
@@ -182,7 +183,7 @@ func (c *Coordinator) StartOps() {
 // the graph-free engine over it. Failure is fatal: ExitMismatch when the
 // shards disagree with each other about the deployment — a misassembled
 // fleet, distinct from any transport failure — ExitFailure otherwise.
-func (c *Coordinator) Connect(hedge dsr.HedgeOptions) *dsr.Engine {
+func (c *Coordinator) Connect(hedge shard.HedgeOptions) *dsr.Engine {
 	ctx, cancel := context.WithTimeout(context.Background(), *c.connectTimeout)
 	eng, err := dsr.Connect(ctx, dsr.ClusterSpec{
 		Groups:    strings.Split(*c.Shards, ","),

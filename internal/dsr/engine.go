@@ -194,8 +194,8 @@ type Engine struct {
 	mu     sync.Mutex // serializes query rounds: shards hold per-partition scratch
 	closed bool
 
-	// Reusable per-round scratch, safe under mu. A round fully drains
-	// the reply channel, so all of this — including the seed arena the
+	// Reusable per-round scratch, safe under mu. A round receives exactly
+	// one reply per submit, so all of this — including the seed arena the
 	// shards read from — is quiescent between rounds.
 	replyc chan shard.Reply
 	tset   *vset // per-query T membership + dedup
@@ -206,18 +206,6 @@ type Engine struct {
 
 	qs     []qstate
 	single [1]Query // reusable batch for Query
-
-	// Hedging. hedge is nil unless enabled on a sibling-capable
-	// transport; hedged replies arrive on their own channel so a
-	// duplicate can never be mistaken for a primary. pround is the
-	// fan-in's per-partition ledger, reused across rounds.
-	hedge  *hedgeState
-	hedgec chan shard.Reply
-	pround []partRound
-	// stale marks the round scratch (tasks, arena, both reply channels)
-	// as still owned by straggler replies the last hedged round stopped
-	// waiting for; the next round must start from fresh memory.
-	stale bool
 
 	fin *finisher // boundary-finish sweep state
 
@@ -261,11 +249,6 @@ type Options struct {
 	// SlowQuery, if positive, logs a structured span trace (at WARN) for
 	// every batch that takes longer end to end. 0 disables.
 	SlowQuery time.Duration
-	// Hedge configures hedged shard requests. Only effective where
-	// partitions have sibling replicas (ConnectTransport over replica
-	// groups of two or more); Build's partitions are sets of one, so it
-	// is ignored there.
-	Hedge HedgeOptions
 }
 
 // Build partitions g and builds an in-process engine over it: one
@@ -343,11 +326,12 @@ type ClusterSpec struct {
 	// SlowQuery, if positive, logs a structured span trace (at WARN) for
 	// every batch that takes longer end to end. 0 disables.
 	SlowQuery time.Duration
-	// Hedge configures hedged shard requests: when a round waits past a
-	// high quantile of a partition's usual latency, the batch is re-sent
-	// to an idle sibling replica and the first reply wins. A partition
-	// with a single replica has no sibling and is never hedged.
-	Hedge HedgeOptions
+	// Hedge configures hedged shard requests, which the transport owns
+	// (shard.ReplicatedOptions.Hedge): a batch that waits past a high
+	// quantile of the fleet's usual latency is re-sent to an idle sibling
+	// replica and the first reply wins. A partition with a single replica
+	// has no sibling and is never hedged.
+	Hedge shard.HedgeOptions
 }
 
 // Connect joins an existing shard fleet and builds the graph-free
@@ -366,13 +350,16 @@ func Connect(ctx context.Context, spec ClusterSpec) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if spec.Hedge.Enabled && !slices.ContainsFunc(groups, func(g []string) bool { return len(g) > 1 }) {
+		spec.Log.Warnf("hedged requests enabled but no partition has a sibling replica to re-submit to; hedging disabled")
+	}
 	tr, err := shard.DialReplicated(ctx, groups, -1, spec.ExpectGraph, spec.ExpectDigest,
-		shard.ReplicatedOptions{ReconnectEvery: spec.ReconnectEvery, Metrics: spec.Metrics})
+		shard.ReplicatedOptions{ReconnectEvery: spec.ReconnectEvery, Metrics: spec.Metrics, Hedge: spec.Hedge})
 	if err != nil {
 		return nil, err
 	}
 	e, err := ConnectTransport(ctx, tr, len(groups), -1, Options{
-		Metrics: spec.Metrics, Log: spec.Log, SlowQuery: spec.SlowQuery, Hedge: spec.Hedge,
+		Metrics: spec.Metrics, Log: spec.Log, SlowQuery: spec.SlowQuery,
 	})
 	if err != nil {
 		tr.Close()
@@ -381,16 +368,14 @@ func Connect(ctx context.Context, spec ClusterSpec) (*Engine, error) {
 	return e, nil
 }
 
-// replicaSets is what shard.Replicated offers beyond shard.Transport —
-// identity pinning, the replica books, re-submitting to a sibling — and
-// a transport wrapped or faked by a test or the benchmark may not: it is
-// one assertion, so a wrapper keeps all of it (by embedding the
-// *shard.Replicated) or none.
+// replicaSets is the read-only book-keeping shard.Replicated offers
+// beyond shard.Transport — identity pinning and the replica books —
+// and a transport wrapped or faked by a test or the benchmark may not.
+// Nothing on the query path asks for it.
 type replicaSets interface {
 	Pin(shard.Expect)
 	Health() []shard.PartitionHealth
 	Endpoints() []shard.EndpointInfo
-	SubmitHedge(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- shard.Reply)
 }
 
 // ConnectTransport is the shared back half of Build and Connect, and the
@@ -402,8 +387,8 @@ type replicaSets interface {
 // n >= 0 pins the global vertex count (transports without a handshake,
 // e.g. in-process shards), n < 0 derives it from the hellos (which
 // fails for transports whose replicas present none). Only o's telemetry
-// and Hedge fields are consulted. On success the engine owns tr (Close
-// closes it); on error the caller still owns it.
+// fields are consulted. On success the engine owns tr (Close closes it);
+// on error the caller still owns it.
 func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Options) (*Engine, error) {
 	infos := make([]shard.SummaryInfo, k)
 	errs := make([]error, k)
@@ -488,7 +473,6 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, o Options) *Engi
 		bg:     bg,
 		tr:     tr,
 		replyc: make(chan shard.Reply, k),
-		pround: make([]partRound, k),
 		tset:   &vset{},
 		sset:   &vset{},
 		fin:    newFinisher(bg.ncomp()),
@@ -498,35 +482,11 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, o Options) *Engi
 
 		wantTiming: o.Metrics != nil || o.SlowQuery > 0,
 	}
-	if o.Hedge.Enabled {
-		e.armHedging(o.Hedge)
-	}
 	e.met.partitions.Set(int64(k))
 	e.met.boundaryVerts.Set(int64(bg.nverts))
 	e.met.boundaryComps.Set(int64(bg.ncomp()))
 	e.met.residentBytes.Set(int64(e.ResidentBytes()))
 	return e
-}
-
-// armHedging turns hedging on where a hedge has somewhere to go: for
-// the partitions whose replica set, on a transport that can re-submit
-// to a sibling, holds more than one. A fleet of singletons would pay a
-// timer per round and count hedges that sent nothing, so it is left
-// unarmed.
-func (e *Engine) armHedging(o HedgeOptions) {
-	sibling := make([]bool, e.k)
-	ht, ok := e.tr.(replicaSets)
-	if ok {
-		for _, h := range ht.Health() {
-			sibling[h.Partition] = h.Replicas > 1
-		}
-	}
-	if !slices.Contains(sibling, true) {
-		e.log.Warnf("hedged requests enabled but no partition has a sibling replica to re-submit to; hedging disabled")
-		return
-	}
-	e.hedge = newHedgeState(ht, sibling, o)
-	e.hedgec = make(chan shard.Reply, e.k)
 }
 
 // Health reports per-partition replica health — live replica counts
@@ -708,17 +668,6 @@ func (e *Engine) runBatch(queries []Query) error {
 	for len(e.qs) < len(queries) {
 		e.qs = append(e.qs, qstate{})
 	}
-	if e.stale {
-		// Stragglers from the previous hedged round still hold the old
-		// scratch: their submit goroutines may yet read the old task
-		// arena and will deliver into the old (abandoned, buffered)
-		// channels. Start this round on fresh memory and let them finish
-		// against the old.
-		e.stale = false
-		e.tasks, e.arena = nil, nil
-		e.replyc = make(chan shard.Reply, e.k)
-		e.hedgec = make(chan shard.Reply, e.k)
-	}
 	e.tasks = e.tasks[:0]
 	e.arena = e.arena[:0]
 
@@ -803,7 +752,7 @@ func (e *Engine) runBatch(queries []Query) error {
 			e.met.rpcs[p].Inc()
 			e.tr.Submit(p, hdr, e.tasks, e.replyc)
 		}
-		perr, terr = e.drain(hdr, tsub, roundStart)
+		perr, terr = e.drain(tsub, roundStart)
 		wait := e.trace.Since() - roundStart
 		e.trace.SetDur(round, wait)
 		e.met.faninWait.Observe(int64(wait))
@@ -851,127 +800,32 @@ func (e *Engine) runBatch(queries []Query) error {
 	return nil
 }
 
-// partRound is one partition's ledger within a fan-in round.
-type partRound struct {
-	done bool  // a successful reply (primary or hedge) was absorbed
-	err  error // the primary's failure; cleared once done
-}
-
-// drain is the round's fan-in: primary replies are absorbed in arrival
-// order, and the round ends when every partition has answered or every
-// reply owed has arrived. A partition fails the round only when no
-// submit for it produced a reply. Without hedging that is all of it:
-// one reply per partition, the reply channel drained in full, so the
-// shared arena and the replicas' result buffers are quiescent before
-// the next round rewrites them.
-//
-// With hedging armed there is also a deadline (a high quantile of
-// primary latency — see hedgeState.delay): if the round outlasts it,
-// every partition still outstanding that has a sibling replica gets its
-// batch re-sent to an idle one, and per partition the first successful
-// reply wins.
-// Duplicates are dropped unabsorbed: local searches are idempotent
-// reads, so the loser carries the same content, and replies from a
-// partition with siblings own their memory (the transport copies
-// results out of replica arenas there), so an unread duplicate can't
-// clobber anything.
-//
-// The round returns the moment every partition is answered — that is
-// the entire point of hedging: the coordinator must not wait for a
-// straggling (or hung) replica once a sibling's answer is in hand.
-// Replies still owed at that point become stragglers: they keep the
-// round's buffered channels and task memory (e.stale makes the next
-// round start fresh), their replicas stay marked busy inside the
-// transport until they actually answer, and their content is never
-// read. Caller holds e.mu.
-func (e *Engine) drain(hdr wire.BatchHeader, tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
-	pr := e.pround
-	clear(pr)
+// drain is the round's fan-in: one reply per submit, k receives from
+// the one channel, absorbed in arrival order. That empties the channel,
+// so the shared arena and the replicas' result buffers are quiescent
+// before the next round rewrites them; which replica answered, and
+// whether the transport raced two of them for it, is the transport's
+// business. A partition that answered with an error is collected rather
+// than aborting the round. Caller holds e.mu.
+func (e *Engine) drain(tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
+	var perr []PartitionError
 	var terr error
-	remaining := e.k // primary replies still owed
-	hedges := 0      // hedged replies still owed
-	pending := e.k   // partitions not yet answered
-	var timerC <-chan time.Time
-	if e.hedge != nil {
-		timer := time.NewTimer(e.hedge.delay())
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	var thsub time.Time // when the hedges were sent
-
-	for pending > 0 && (remaining > 0 || hedges > 0) {
-		var rep shard.Reply
-		t0, hedged := tsub, false
-		select {
-		case rep = <-e.replyc:
-			remaining--
-		case rep = <-e.hedgec:
-			hedges--
-			t0, hedged = thsub, true
-		case <-timerC:
-			timerC = nil // the deadline fires at most once per round
-			thsub = time.Now()
-			for p := 0; p < e.k; p++ {
-				if !pr[p].done && e.hedge.sibling[p] {
-					e.met.hedges[p].Inc()
-					e.hedge.tr.SubmitHedge(p, hdr, e.tasks, e.hedgec)
-					hedges++
-				}
-			}
-			continue
-		}
-		p := rep.Shard
-		rpcDur := time.Since(t0)
-		if !hedged {
-			// Only primary round trips feed the RPC histograms and the
-			// hedge deadline estimator: a hedge measures a sibling from a
-			// later start, not the partition's true latency.
-			e.met.rpcLat[p].Observe(int64(rpcDur))
-		}
+	for range e.k {
+		rep := <-e.replyc
+		rpcDur := time.Since(tsub)
+		e.met.rpcLat[rep.Shard].Observe(int64(rpcDur))
 		if rep.Err != nil {
-			e.trace.Add("rpc", 2, roundStart, rpcDur, p, 0)
-			// Only a primary's failure is the partition's: by the time a
-			// round ends unanswered every primary reply is in, and a
-			// refused hedge (shard.ErrNoIdleSibling) is not an outage.
-			if !hedged {
-				e.met.rpcErrs[p].Inc()
-				if !pr[p].done {
-					pr[p].err = rep.Err
-				}
-			}
+			e.trace.Add("rpc", 2, roundStart, rpcDur, rep.Shard, 0)
+			e.met.rpcErrs[rep.Shard].Inc()
+			perr = append(perr, PartitionError{Partition: rep.Shard, Err: rep.Err})
 			continue
-		}
-		if !hedged && e.hedge != nil {
-			e.hedge.observe(p, rpcDur)
-		}
-		if pr[p].done {
-			e.trace.Add("rpc", 2, roundStart, rpcDur, p, 0)
-			continue // race lost; identical duplicate, drop it
 		}
 		e.observeReply(&rep, rpcDur, roundStart)
 		if err := e.absorb(&rep); err != nil {
 			terr = err
 		}
-		pr[p] = partRound{done: true}
-		pending--
-		if hedged {
-			e.met.hedgeWins[p].Inc()
-		}
 	}
-	// A hedge reply that has already arrived — a refusal is sent before
-	// SubmitHedge returns — is no straggler, whatever it says.
-	for ; hedges > 0 && len(e.hedgec) > 0; hedges-- {
-		<-e.hedgec
-	}
-	if remaining > 0 || hedges > 0 {
-		e.stale = true // stragglers own this round's scratch now
-	}
-	var perr []PartitionError
-	for p := range pr {
-		if !pr[p].done && pr[p].err != nil {
-			perr = append(perr, PartitionError{Partition: p, Err: pr[p].err})
-		}
-	}
+	slices.SortFunc(perr, func(a, b PartitionError) int { return a.Partition - b.Partition })
 	return perr, terr
 }
 

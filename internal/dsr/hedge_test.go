@@ -2,8 +2,12 @@ package dsr
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"net"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,54 +17,6 @@ import (
 	"dsr/internal/shard"
 	"dsr/internal/wire"
 )
-
-// TestHedgeDelay pins the deadline estimator: Max until every partition
-// has enough samples, then the slowest partition's quantile clamped to
-// [Min, Max].
-func TestHedgeDelay(t *testing.T) {
-	opt := HedgeOptions{Enabled: true, Percentile: 0.5, Min: time.Millisecond, Max: 50 * time.Millisecond}
-	h := newHedgeState(nil, make([]bool, 2), opt)
-
-	if d := h.delay(); d != 50*time.Millisecond {
-		t.Fatalf("cold delay = %v, want Max", d)
-	}
-	for i := 0; i < hedgeMinSamples; i++ {
-		h.observe(0, 2*time.Millisecond)
-	}
-	if d := h.delay(); d != 50*time.Millisecond {
-		t.Fatalf("delay with one cold partition = %v, want Max", d)
-	}
-	for i := 0; i < hedgeMinSamples; i++ {
-		h.observe(1, 4*time.Millisecond)
-	}
-	// The slowest partition (p1, ~4ms) governs; log-bucketing may round
-	// up by one bucket (<= 6.25%).
-	d := h.delay()
-	if d < 4*time.Millisecond || d > 5*time.Millisecond {
-		t.Fatalf("warm delay = %v, want ~4ms (slowest partition's quantile)", d)
-	}
-
-	// Clamps: huge samples hit Max, tiny ones hit Min.
-	for i := 0; i < hedgeMinSamples; i++ {
-		h.observe(0, time.Second)
-	}
-	if d := h.delay(); d != 50*time.Millisecond {
-		t.Fatalf("delay = %v, want Max clamp", d)
-	}
-	lo := newHedgeState(nil, make([]bool, 1), opt)
-	for i := 0; i < hedgeMinSamples; i++ {
-		lo.observe(0, 10*time.Microsecond)
-	}
-	if d := lo.delay(); d != time.Millisecond {
-		t.Fatalf("delay = %v, want Min clamp", d)
-	}
-
-	// Defaults fill zeros.
-	def := HedgeOptions{Enabled: true}.withDefaults()
-	if def.Percentile != 0.99 || def.Min != time.Millisecond || def.Max != 100*time.Millisecond {
-		t.Fatalf("bad defaults: %+v", def)
-	}
-}
 
 // slowReplica delays every submit by a fixed amount — a deterministic
 // straggler, unlike chaos's seeded delays.
@@ -76,10 +32,30 @@ func (s *slowReplica) Summary(ctx context.Context) (wire.Summary, error) { retur
 func (s *slowReplica) Hello() wire.Hello                                 { return s.inner.Hello() }
 func (s *slowReplica) Close() error                                      { return s.inner.Close() }
 
-// newHedgedEngine builds a k-partition R=2 in-process replicated engine
-// through the exported ConnectTransport hook: replica 0 of every
-// partition answers promptly, replica 1 sleeps `slow` per submit.
-func newHedgedEngine(t *testing.T, g *graph.Graph, k int, slow time.Duration, o Options) *Engine {
+// fleetCell is one cell of the ownership-and-hedging matrix: a
+// hash-partitioned k × R fleet of in-process or TCP replicas whose last
+// replica of every partition is a deterministic straggler (the only
+// replica, when R = 1), with the transport's hedging on or off.
+type fleetCell struct {
+	tcp   bool
+	R     int
+	hedge bool
+}
+
+func (c fleetCell) String() string {
+	kind := map[bool]string{false: "in-process", true: "tcp"}[c.tcp]
+	return fmt.Sprintf("%s/R=%d/hedge=%v", kind, c.R, c.hedge)
+}
+
+const (
+	cellStraggle = 15 * time.Millisecond
+	cellDeadline = 2 * time.Millisecond
+)
+
+// open stands the cell's fleet up over g and connects an engine to it
+// through the exported ConnectTransport hook, transport and engine
+// sharing reg.
+func (c fleetCell) open(t *testing.T, g *graph.Graph, k int, reg *obs.Registry) *Engine {
 	t.Helper()
 	pt, err := graph.Hash().Partition(g, k)
 	if err != nil {
@@ -87,50 +63,281 @@ func newHedgedEngine(t *testing.T, g *graph.Graph, k int, slow time.Duration, o 
 	}
 	subs, _ := partition.Extract(g, pt)
 	for _, sub := range subs {
-		sub.Condensation()
+		sub.Condensation() // replicas share the subgraph: warm its lazy caches first
 		sub.Index()
 	}
 	groups := make([][]shard.ReplicaDialer, k)
 	for p := 0; p < k; p++ {
-		sub, pp := subs[p], p
-		groups[p] = []shard.ReplicaDialer{
-			func(context.Context) (shard.Replica, error) {
-				return shard.NewLocalReplica(shard.New(pp, sub)), nil
-			},
-			func(context.Context) (shard.Replica, error) {
-				return &slowReplica{inner: shard.NewLocalReplica(shard.New(pp, sub)), d: slow}, nil
-			},
+		for r := 0; r < c.R; r++ {
+			sh := shard.New(p, subs[p])
+			dial := func(context.Context) (shard.Replica, error) { return shard.NewLocalReplica(sh), nil }
+			if c.tcp {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := shard.NewServer(sh, k, g.NumVertices(), g.Fingerprint(), pt.Digest())
+				go srv.Serve(ln)
+				t.Cleanup(func() { srv.Close() })
+				dial = shard.TCPReplicaDialer(p, ln.Addr().String(), k, g.NumVertices(), g.Fingerprint(), pt.Digest())
+			}
+			if r == c.R-1 {
+				fast := dial
+				dial = func(ctx context.Context) (shard.Replica, error) {
+					rep, err := fast(ctx)
+					if err != nil {
+						return nil, err
+					}
+					return &slowReplica{inner: rep, d: cellStraggle}, nil
+				}
+			}
+			groups[p] = append(groups[p], dial)
 		}
 	}
-	tr, err := shard.NewReplicated(t.Context(), groups, shard.ReplicatedOptions{ReconnectEvery: -1})
+	tr, err := shard.NewReplicated(t.Context(), groups, shard.ReplicatedOptions{
+		ReconnectEvery: -1,
+		Metrics:        reg,
+		Hedge:          shard.HedgeOptions{Enabled: c.hedge, Percentile: 0.95, Min: time.Millisecond, Max: cellDeadline},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := ConnectTransport(t.Context(), tr, k, g.NumVertices(), o)
+	e, err := ConnectTransport(t.Context(), tr, k, g.NumVertices(), Options{Metrics: reg})
 	if err != nil {
 		tr.Close()
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Close)
 	return e
 }
 
-// TestHedgedEngineDifferential: with one deterministically slow replica
-// per partition and hedging armed, every answer must still match the
-// whole-graph oracle, hedges must actually fire, and at least one hedge
-// must win its race (the primary is 30ms slower than the deadline).
-func TestHedgedEngineDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260808))
+// fixedPointReach is the second oracle: the reachable set grown to its
+// fixed point by relaxing every edge until a pass adds nothing — no
+// queue, no frontier, nothing shared with NaiveReach's BFS.
+func fixedPointReach(g *graph.Graph, S, T []graph.VertexID) bool {
+	in := func(v graph.VertexID) bool { return int(v) < g.NumVertices() }
+	reach := make([]bool, g.NumVertices())
+	for _, s := range S {
+		if in(s) {
+			reach[s] = true
+		}
+	}
+	for grew := true; grew; {
+		grew = false
+		g.Edges(func(u, v graph.VertexID) {
+			if reach[u] && !reach[v] {
+				reach[v], grew = true, true
+			}
+		})
+	}
+	return slices.ContainsFunc(T, func(t graph.VertexID) bool { return in(t) && reach[t] })
+}
+
+// transposed returns g with every edge reversed.
+func transposed(g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder(g.NumVertices())
+	g.Edges(func(u, v graph.VertexID) { b.AddEdge(v, u) })
+	return b.Build()
+}
+
+// TestFleetMatrixDifferential judges the transport's ownership and
+// hedging rules by answers: hedging on/off × R ∈ {1, 2, 3} × in-process
+// and TCP replicas, one straggler per partition, every round checked
+// against two independent oracles (BFS and edge relaxation to a fixed
+// point) and two properties that need none — union, Q(S₁∪S₂, T) =
+// Q(S₁, T) ∨ Q(S₂, T), and transpose, Q(S, T) on G = Q(T, S) on Gᵀ
+// through a second fleet of the same cell. A hedging cell with siblings
+// must see hedges fire and win against the straggler; any other cell
+// must count none.
+func TestFleetMatrixDifferential(t *testing.T) {
+	const k, n, rounds, batch = 3, 80, 12, 6
+	for _, tcp := range []bool{false, true} {
+		for _, R := range []int{1, 2, 3} {
+			for _, hedge := range []bool{false, true} {
+				cell := fleetCell{tcp: tcp, R: R, hedge: hedge}
+				t.Run(cell.String(), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(20260927))
+					g := randomGraph(rng, n, 2)
+					gT := transposed(g)
+					reg := obs.NewRegistry()
+					e, eT := cell.open(t, g, k, reg), cell.open(t, gT, k, nil)
+
+					for round := 0; round < rounds; round++ {
+						// Queries in threes: S₁, S₂ and their union against one T.
+						queries, flipped := make([]Query, batch), make([]Query, batch)
+						for i := 0; i < batch; i += 3 {
+							s1, s2, tt := randomSet(rng, n, 3), randomSet(rng, n, 3), randomSet(rng, n, 4)
+							queries[i], queries[i+1] = Query{S: s1, T: tt}, Query{S: s2, T: tt}
+							queries[i+2] = Query{S: slices.Concat(s1, s2), T: tt}
+						}
+						for i, q := range queries {
+							flipped[i] = Query{S: q.T, T: q.S}
+						}
+						got, err := e.QueryBatchErr(queries)
+						if err != nil {
+							t.Fatalf("round %d: %v", round, err)
+						}
+						gotT, err := eT.QueryBatchErr(flipped)
+						if err != nil {
+							t.Fatalf("round %d on the transpose: %v", round, err)
+						}
+						for i, q := range queries {
+							if bfs, fix := NaiveReach(g, q.S, q.T), fixedPointReach(g, q.S, q.T); got[i] != bfs || got[i] != fix {
+								t.Fatalf("round %d query %d: got %v, BFS oracle %v, fixed-point oracle %v (S=%v T=%v)", round, i, got[i], bfs, fix, q.S, q.T)
+							}
+							if gotT[i] != got[i] {
+								t.Fatalf("round %d query %d: %v on G, %v flipped on the transpose (S=%v T=%v)", round, i, got[i], gotT[i], q.S, q.T)
+							}
+						}
+						for i := 0; i < batch; i += 3 {
+							if got[i+2] != (got[i] || got[i+1]) {
+								t.Fatalf("round %d: Q(S1,T)=%v, Q(S2,T)=%v, Q(S1∪S2,T)=%v", round, got[i], got[i+1], got[i+2])
+							}
+						}
+					}
+
+					var hedges, wins uint64
+					for p := 0; p < k; p++ {
+						hedges += reg.Counter(obs.Name("dsr_hedges_total", "partition", p)).Load()
+						wins += reg.Counter(obs.Name("dsr_hedge_wins_total", "partition", p)).Load()
+					}
+					for _, h := range e.Health() {
+						if h.Live != R || h.Retries != 0 || h.Failovers != 0 || h.Redials != 0 {
+							t.Errorf("a clean run moved the failover books: %+v", h)
+						}
+					}
+					switch {
+					case !hedge || R == 1:
+						if hedges != 0 || wins != 0 {
+							t.Fatalf("%d hedges, %d wins in a cell that cannot hedge", hedges, wins)
+						}
+					case hedges == 0 || wins == 0 || wins > hedges:
+						t.Fatalf("%d hedges, %d wins against a %v straggler under a %v deadline", hedges, wins, cellStraggle, cellDeadline)
+					}
+				})
+			}
+		}
+	}
+}
+
+// hungReplica accepts batches and answers none of them until it is
+// closed.
+type hungReplica struct {
+	shard.Replica
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (h *hungReplica) Submit(hdr wire.BatchHeader, tasks []wire.Task, done func(shard.Reply)) {
+	go func() {
+		<-h.closed
+		h.Replica.Submit(hdr, tasks, done)
+	}()
+}
+
+func (h *hungReplica) Close() error {
+	h.once.Do(func() { close(h.closed) })
+	return h.Replica.Close()
+}
+
+// TestHedgedRoundReturnsPastHungSibling: a round is over as soon as
+// every partition has one answer. The second replica of every partition
+// hangs from its first batch on, for good; with hedging on, that round
+// is answered by the sibling, and every later one finds the hung replica
+// busy and never goes near it — the engine keeps no state on a
+// straggler's behalf, so nothing it does afterwards can wait on one.
+func TestHedgedRoundReturnsPastHungSibling(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260927))
 	const k, n = 3, 80
 	g := randomGraph(rng, n, 2)
+	groups := make([][]shard.ReplicaDialer, k)
+	for r := 0; r < 2; r++ {
+		for p, sh := range loopbackShards(t, g, graph.Hash(), k) {
+			groups[p] = append(groups[p], func(context.Context) (shard.Replica, error) {
+				if rep := shard.NewLocalReplica(sh); r == 0 {
+					return rep, nil
+				} else {
+					return &hungReplica{Replica: rep, closed: make(chan struct{})}, nil
+				}
+			})
+		}
+	}
 	reg := obs.NewRegistry()
-	e := newHedgedEngine(t, g, k, 30*time.Millisecond, Options{
-		Metrics: reg,
-		Hedge:   HedgeOptions{Enabled: true, Percentile: 0.95, Min: time.Millisecond, Max: 2 * time.Millisecond},
+	tr, err := shard.NewReplicated(t.Context(), groups, shard.ReplicatedOptions{
+		ReconnectEvery: -1,
+		Metrics:        reg,
+		Hedge:          shard.HedgeOptions{Enabled: true, Min: time.Millisecond, Max: cellDeadline},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := ConnectTransport(t.Context(), tr, k, n, Options{})
+	if err != nil {
+		tr.Close()
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for round := 0; round < 10; round++ {
+		S, T := randomSet(rng, n, 4), randomSet(rng, n, 4)
+		if got, want := e.Query(S, T), NaiveReach(g, S, T); got != want {
+			t.Fatalf("round %d: got %v, oracle %v (S=%v T=%v)", round, got, want, S, T)
+		}
+	}
+	for p := 0; p < k; p++ {
+		if wins := reg.Counter(obs.Name("dsr_hedge_wins_total", "partition", p)).Load(); wins != 1 {
+			t.Errorf("partition %d: %d hedge wins, want the one round that met the hung replica", p, wins)
+		}
+	}
+}
+
+// TestHedgeOverSetsOfOne: hedging enabled over the two singletons of a
+// 2+1+1 fleet, which answer well after the deadline. A set of one has
+// no sibling to hedge on (and re-running the batch on the replica whose
+// reply the coordinator is still reading would race), so only the set
+// with a sibling is ever hedged, answers stay oracle-correct, no round
+// errors, and no singleton is ever retried or failed over. (Fleets of
+// nothing but singletons are the R = 1 cells of the matrix above.)
+func TestHedgeOverSetsOfOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260926))
+	const k, n = 3, 400
+	g := randomGraph(rng, n, 2)
+	// Partition 0 is a prompt replica beside a 30ms straggler, 1 and 2
+	// are singletons 5ms slow, the deadline is 2ms: every round finds
+	// the singletons unanswered when it fires, every other round the
+	// straggler too.
+	shards := func() []*shard.Shard { return loopbackShards(t, g, graph.Hash(), k) }
+	groups := make([][]shard.ReplicaDialer, k)
+	for p, sh := range shards() {
+		d := 5 * time.Millisecond
+		if p == 0 {
+			d = 30 * time.Millisecond
+		}
+		groups[p] = []shard.ReplicaDialer{func(context.Context) (shard.Replica, error) {
+			return &slowReplica{inner: shard.NewLocalReplica(sh), d: d}, nil
+		}}
+	}
+	twin := shards()[0]
+	groups[0] = append(groups[0], func(context.Context) (shard.Replica, error) {
+		return shard.NewLocalReplica(twin), nil
+	})
+	reg := obs.NewRegistry()
+	tr, err := shard.NewReplicated(t.Context(), groups, shard.ReplicatedOptions{
+		ReconnectEvery: -1,
+		Metrics:        reg,
+		Hedge:          shard.HedgeOptions{Enabled: true, Min: time.Millisecond, Max: 2 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := ConnectTransport(t.Context(), tr, k, n, Options{Metrics: reg})
+	if err != nil {
+		tr.Close()
+		t.Fatal(err)
+	}
 	defer e.Close()
 
 	for round := 0; round < 20; round++ {
-		queries := make([]Query, 6)
+		queries := make([]Query, 16)
 		for i := range queries {
 			queries[i] = Query{S: randomSet(rng, n, 4), T: randomSet(rng, n, 4)}
 		}
@@ -144,164 +351,53 @@ func TestHedgedEngineDifferential(t *testing.T) {
 			}
 		}
 	}
-
-	var hedges, wins uint64
-	for p := 0; p < k; p++ {
-		hedges += reg.Counter(obs.Name("dsr_hedges_total", "partition", p)).Load()
-		wins += reg.Counter(obs.Name("dsr_hedge_wins_total", "partition", p)).Load()
-	}
-	if hedges == 0 {
-		t.Fatal("no hedge ever fired despite a 30ms straggler and a 2ms deadline")
-	}
-	if wins == 0 {
-		t.Fatal("no hedge ever won despite the sibling being 30ms faster")
-	}
-	if wins > hedges {
-		t.Fatalf("hedge wins (%d) exceed hedges sent (%d)", wins, hedges)
-	}
-}
-
-// TestHedgeOverSetsOfOne: hedging enabled over partitions that are sets
-// of one — the in-process transport and a TCP R = 1 fleet under a
-// deadline so short that nearly every round outlasts it, and the two
-// singletons of a 2+1+1 fleet that answer well after the deadline. A
-// set of one has no sibling to hedge on (and re-running the batch on
-// the replica whose reply the coordinator is still reading would race),
-// so it must never be asked: hedging is not armed at all over a fleet
-// of nothing but singletons, dsr_hedges_total counts only partitions
-// that have a sibling, answers stay oracle-correct (and race-free under
-// -race), no round errors, and no singleton is ever retried or failed
-// over.
-func TestHedgeOverSetsOfOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260926))
-	const k, n = 3, 400
-	g := randomGraph(rng, n, 2)
-	hedge := HedgeOptions{Enabled: true, Min: time.Nanosecond, Max: 20 * time.Microsecond}
-	fleets := []struct {
-		name   string
-		rounds int
-		boot   func(*testing.T, *obs.Registry) *Engine
-	}{
-		{"in-process", 300, func(t *testing.T, reg *obs.Registry) *Engine {
-			tr := shard.NewLoopback(loopbackShards(t, g, graph.Hash(), k))
-			e, err := ConnectTransport(t.Context(), tr, k, n, Options{Metrics: reg, Hedge: hedge})
-			if err != nil {
-				tr.Close()
-				t.Fatal(err)
+	for _, h := range e.Health() {
+		hedges := reg.Counter(obs.Name("dsr_hedges_total", "partition", h.Partition)).Load()
+		if h.Replicas > 1 {
+			if hedges == 0 {
+				t.Errorf("partition %d has a sibling and was never hedged; the test proved nothing", h.Partition)
 			}
-			return e
-		}},
-		{"tcp", 300, func(t *testing.T, reg *obs.Registry) *Engine {
-			addrs, stop := bootShardServers(t, g, k)
-			t.Cleanup(stop)
-			e, err := Connect(t.Context(), ClusterSpec{Groups: addrs, Metrics: reg, Hedge: hedge})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}},
-		// Partition 0 is a prompt replica beside a 30ms straggler, 1 and 2
-		// are singletons 5ms slow, the deadline is 2ms: every round finds
-		// the singletons unanswered when it fires, every other round the
-		// straggler too.
-		{"2+1+1", 20, func(t *testing.T, reg *obs.Registry) *Engine {
-			shards := func() []*shard.Shard { return loopbackShards(t, g, graph.Hash(), k) }
-			groups := make([][]shard.ReplicaDialer, k)
-			for p, sh := range shards() {
-				d := 5 * time.Millisecond
-				if p == 0 {
-					d = 30 * time.Millisecond
-				}
-				groups[p] = []shard.ReplicaDialer{func(context.Context) (shard.Replica, error) {
-					return &slowReplica{inner: shard.NewLocalReplica(sh), d: d}, nil
-				}}
-			}
-			twin := shards()[0]
-			groups[0] = append(groups[0], func(context.Context) (shard.Replica, error) {
-				return shard.NewLocalReplica(twin), nil
-			})
-			tr, err := shard.NewReplicated(t.Context(), groups, shard.ReplicatedOptions{ReconnectEvery: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := ConnectTransport(t.Context(), tr, k, n, Options{
-				Metrics: reg,
-				Hedge:   HedgeOptions{Enabled: true, Min: time.Millisecond, Max: 2 * time.Millisecond},
-			})
-			if err != nil {
-				tr.Close()
-				t.Fatal(err)
-			}
-			return e
-		}},
-	}
-	for _, fleet := range fleets {
-		t.Run(fleet.name, func(t *testing.T) {
-			reg := obs.NewRegistry()
-			e := fleet.boot(t, reg)
-			defer e.Close()
-			siblings := false
-			for _, h := range e.Health() {
-				siblings = siblings || h.Replicas > 1
-			}
-			if armed := e.hedge != nil; armed != siblings {
-				t.Fatalf("hedging armed = %v over a fleet with siblings = %v", armed, siblings)
-			}
-			for round := 0; round < fleet.rounds; round++ {
-				queries := make([]Query, 16)
-				for i := range queries {
-					queries[i] = Query{S: randomSet(rng, n, 4), T: randomSet(rng, n, 4)}
-				}
-				got, err := e.QueryBatchErr(queries)
-				if err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				for i, q := range queries {
-					if want := NaiveReach(g, q.S, q.T); got[i] != want {
-						t.Fatalf("round %d query %d: got %v, oracle %v (S=%v T=%v)", round, i, got[i], want, q.S, q.T)
-					}
-				}
-				if e.stale && !siblings {
-					t.Fatalf("round %d left stragglers though no hedge was ever sent", round)
-				}
-			}
-			for _, h := range e.Health() {
-				hedges := reg.Counter(obs.Name("dsr_hedges_total", "partition", h.Partition)).Load()
-				if h.Replicas > 1 {
-					if hedges == 0 {
-						t.Errorf("partition %d has a sibling and was never hedged; the test proved nothing", h.Partition)
-					}
-					continue
-				}
-				if hedges != 0 {
-					t.Errorf("partition %d: %d hedges counted on a set of one", h.Partition, hedges)
-				}
-				if h.Live != 1 || h.Retries != 0 || h.Failovers != 0 {
-					t.Errorf("hedging disturbed a set of one: %+v", h)
-				}
-			}
-		})
+			continue
+		}
+		if hedges != 0 {
+			t.Errorf("partition %d: %d hedges counted on a set of one", h.Partition, hedges)
+		}
+		if h.Live != 1 || h.Retries != 0 || h.Failovers != 0 {
+			t.Errorf("hedging disturbed a set of one: %+v", h)
+		}
 	}
 }
 
-// TestHedgeIgnoredWithoutSiblings: enabling hedging on a fleet with no
-// sibling replicas (Build's sets of one) must disable it with one
-// warning at construction, not break queries or warn per round.
-func TestHedgeIgnoredWithoutSiblings(t *testing.T) {
+// TestHedgeWarnsWithoutSiblings: asking Connect to hedge over a fleet in
+// which no partition has a sibling replica gets one warning at connect,
+// not one per round, and a fleet that answers and never hedges.
+func TestHedgeWarnsWithoutSiblings(t *testing.T) {
 	g := build(6, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
+	addrs, stop := bootShardServers(t, g, 3)
+	defer stop()
 	var log strings.Builder
-	e, err := Build(g, Options{K: 3, Hedge: HedgeOptions{Enabled: true}, Log: obs.NewLogger(&log, obs.LevelWarn)})
+	reg := obs.NewRegistry()
+	e, err := Connect(t.Context(), ClusterSpec{
+		Groups:  addrs,
+		Metrics: reg,
+		Hedge:   shard.HedgeOptions{Enabled: true, Min: time.Nanosecond, Max: time.Microsecond},
+		Log:     obs.NewLogger(&log, obs.LevelWarn),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.hedge != nil {
-		t.Fatal("hedge state exists on a sibling-less transport")
-	}
-	if !e.Query(V(0), V(5)) || e.Query(V(5), V(0)) {
-		t.Fatal("wrong answers with hedging requested on loopback")
+	for i := 0; i < 50; i++ {
+		if !e.Query(V(0), V(5)) || e.Query(V(5), V(0)) {
+			t.Fatal("wrong answers with hedging requested over sets of one")
+		}
 	}
 	if got := log.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, "hedging disabled") {
 		t.Fatalf("want exactly one warning that hedging is disabled, got:\n%s", got)
+	}
+	for p := 0; p < 3; p++ {
+		if n := reg.Counter(obs.Name("dsr_hedges_total", "partition", p)).Load(); n != 0 {
+			t.Errorf("partition %d: %d hedges counted on a set of one", p, n)
+		}
 	}
 }

@@ -30,8 +30,6 @@ type engineMetrics struct {
 	rpcLat    []*obs.Histogram // dsr_rpc_latency_ns{partition=p}
 	rpcServer []*obs.Histogram // dsr_rpc_server_ns{partition=p}
 	rpcNet    []*obs.Histogram // dsr_rpc_net_ns{partition=p}
-	hedges    []*obs.Counter   // dsr_hedges_total{partition=p}
-	hedgeWins []*obs.Counter   // dsr_hedge_wins_total{partition=p}
 
 	boundaryVerts *obs.Gauge // dsr_boundary_vertices
 	boundaryComps *obs.Gauge // dsr_boundary_components
@@ -59,8 +57,6 @@ func newEngineMetrics(reg *obs.Registry, k int) engineMetrics {
 		rpcLat:        make([]*obs.Histogram, k),
 		rpcServer:     make([]*obs.Histogram, k),
 		rpcNet:        make([]*obs.Histogram, k),
-		hedges:        make([]*obs.Counter, k),
-		hedgeWins:     make([]*obs.Counter, k),
 		boundaryVerts: reg.Gauge("dsr_boundary_vertices"),
 		boundaryComps: reg.Gauge("dsr_boundary_components"),
 		residentBytes: reg.Gauge("dsr_resident_bytes"),
@@ -72,8 +68,6 @@ func newEngineMetrics(reg *obs.Registry, k int) engineMetrics {
 		m.rpcLat[p] = reg.Histogram(obs.Name("dsr_rpc_latency_ns", "partition", p))
 		m.rpcServer[p] = reg.Histogram(obs.Name("dsr_rpc_server_ns", "partition", p))
 		m.rpcNet[p] = reg.Histogram(obs.Name("dsr_rpc_net_ns", "partition", p))
-		m.hedges[p] = reg.Counter(obs.Name("dsr_hedges_total", "partition", p))
-		m.hedgeWins[p] = reg.Counter(obs.Name("dsr_hedge_wins_total", "partition", p))
 	}
 	return m
 }

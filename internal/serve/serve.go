@@ -13,9 +13,10 @@
 //   - Admission control (admission): a server-wide queue bound and a
 //     per-client outstanding bound shed load with a typed
 //     OverloadError instead of letting latency collapse.
-//   - Hedged requests: configured on the engine itself (dsr.Connect
-//     with HedgeOptions); the server's batches inherit straggler
-//     re-sends transparently.
+//   - Hedged requests: configured where the fleet is joined
+//     (dsr.ClusterSpec.Hedge) and carried out by the replica-set
+//     transport; the server's batches inherit straggler re-sends
+//     transparently.
 //
 // Per connection, requests are answered in order even though their
 // batches complete out of order: a reader goroutine parses and admits,

@@ -80,15 +80,16 @@ func TestServeSoak(t *testing.T) {
 			},
 		}
 	}
-	tr, err := shard.NewReplicated(t.Context(), groups, shard.ReplicatedOptions{ReconnectEvery: -1})
+	reg := obs.NewRegistry()
+	tr, err := shard.NewReplicated(t.Context(), groups, shard.ReplicatedOptions{
+		ReconnectEvery: -1,
+		Metrics:        reg,
+		Hedge:          shard.HedgeOptions{Enabled: true, Percentile: 0.95, Min: time.Millisecond, Max: 2 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	eng, err := dsr.ConnectTransport(t.Context(), tr, k, n, dsr.Options{
-		Metrics: reg,
-		Hedge:   dsr.HedgeOptions{Enabled: true, Percentile: 0.95, Min: time.Millisecond, Max: 2 * time.Millisecond},
-	})
+	eng, err := dsr.ConnectTransport(t.Context(), tr, k, n, dsr.Options{Metrics: reg})
 	if err != nil {
 		tr.Close()
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,6 +30,10 @@ type ReplicatedOptions struct {
 	// and per-replica RPC latency histograms (see README.md). Health()
 	// works either way — the counters it reads always exist.
 	Metrics *obs.Registry
+	// Hedge configures hedged requests on the replica sets that have a
+	// sibling to hedge on; it also binds dsr_hedges_total{partition} and
+	// dsr_hedge_wins_total{partition} in Metrics.
+	Hedge HedgeOptions
 }
 
 // counterOr binds name in reg, or returns a standalone counter when reg
@@ -55,10 +60,17 @@ func counterOr(reg *obs.Registry, name string) *obs.Counter {
 // failure. A set of one is the same machinery with no sibling: a
 // failure fails that batch, and the next redials.
 //
-// A batch that succeeds at its first replica costs no goroutine and no
-// allocation: the replica's own goroutine hands the Reply over.
+// Built with ReplicatedOptions.Hedge, a set that has a sibling also owns
+// hedging end to end (hedge.go): a batch that outlasts the deadline is
+// re-sent to an idle sibling, the first success is the Submit's one
+// Reply, and the loser is dropped unread when it finally answers.
+//
+// Without hedging, a batch that succeeds at its first replica costs no
+// goroutine, no timer and no allocation: the replica's own goroutine
+// hands the Reply over, aliasing that replica's buffers.
 type Replicated struct {
-	sets []*replicaSet
+	sets  []*replicaSet
+	hedge HedgeOptions // defaults filled; Enabled only if some set has a sibling
 
 	// ctx is the transport's lifetime: cancelled by Close so redials
 	// (reconnect loop, in-query last resorts) abort promptly instead of
@@ -135,6 +147,16 @@ type replicaSet struct {
 	failovers *obs.Counter // shard_failovers_total{partition=p}
 	redials   *obs.Counter // shard_redials_total{partition=p}
 	liveG     *obs.Gauge   // shard_replicas_live{partition=p}
+
+	// Hedging. hedging marks a set that arms a deadline per call: one with
+	// a sibling, on a transport built to hedge. primary is such a
+	// transport's private sample of this partition's primary latency
+	// (every set feeds the deadline estimate; nil, a no-op, without
+	// hedging), so hedging works the same with metrics disabled.
+	hedging   bool
+	primary   *obs.Histogram
+	hedges    *obs.Counter // dsr_hedges_total{partition=p}: duplicates sent
+	hedgeWins *obs.Counter // dsr_hedge_wins_total{partition=p}: duplicates that answered first
 }
 
 // endpoint is one replica slot of a partition. Everything but dial and
@@ -171,9 +193,9 @@ type call struct {
 	hdr    wire.BatchHeader
 	tasks  []wire.Task
 	replyc chan<- Reply
-	hedge  bool
 	tried  []bool    // endpoints that already failed this batch; nil until one has
 	start  time.Time // when the current attempt was handed to its replica
+	race   *race     // shared with the call's hedge; nil unless the set is hedging
 }
 
 // NewReplicated dials every replica of every partition and returns the
@@ -186,7 +208,8 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 	if len(groups) == 0 {
 		return nil, errors.New("shard: no replica groups")
 	}
-	r := &Replicated{sets: make([]*replicaSet, len(groups))}
+	r := &Replicated{sets: make([]*replicaSet, len(groups)), hedge: opts.Hedge.withDefaults()}
+	r.hedge.Enabled = r.hedge.Enabled && slices.ContainsFunc(groups, func(g []ReplicaDialer) bool { return len(g) > 1 })
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	for p, dialers := range groups {
 		if len(dialers) == 0 {
@@ -201,6 +224,12 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 			failovers: counterOr(opts.Metrics, obs.Name("shard_failovers_total", "partition", p)),
 			redials:   counterOr(opts.Metrics, obs.Name("shard_redials_total", "partition", p)),
 			liveG:     opts.Metrics.Gauge(obs.Name("shard_replicas_live", "partition", p)),
+			hedging:   r.hedge.Enabled && len(dialers) > 1,
+			hedges:    opts.Metrics.Counter(obs.Name("dsr_hedges_total", "partition", p)),
+			hedgeWins: opts.Metrics.Counter(obs.Name("dsr_hedge_wins_total", "partition", p)),
+		}
+		if r.hedge.Enabled {
+			rs.primary = &obs.Histogram{}
 		}
 		r.sets[p] = rs
 		for i, dial := range dialers {
@@ -215,7 +244,7 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 		}
 		if rs.live == 0 { // nothing else can see rs yet
 			r.shutdown()
-			return nil, fmt.Errorf("shard: partition %d: no replica reachable: %w", p, rs.allFailed())
+			return nil, fmt.Errorf("shard: partition %d: no replica reachable: %w", p, rs.allFailed(nil))
 		}
 	}
 	every := opts.ReconnectEvery
@@ -345,59 +374,29 @@ func (r *Replicated) begin() bool {
 }
 
 // Submit routes the batch to a healthy replica of partition p,
-// retrying siblings on failure; the final Reply (success from whichever
-// replica answered, or an all-replicas-failed error) is delivered on
-// replyc. It never waits on a replica — the write to one aside — so the
-// coordinator's fan-out is not held up by a slow or dying one.
+// retrying siblings on failure; the one Reply (success from whichever
+// replica answered first, or an all-replicas-failed error) is delivered
+// on replyc. It never waits on a replica — the write to one aside — so
+// the coordinator's fan-out is not held up by a slow or dying one.
 func (r *Replicated) Submit(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
-	r.submit(p, call{hdr: h, tasks: tasks, replyc: replyc})
-}
-
-// ErrNoIdleSibling is SubmitHedge's fail-fast answer when partition p
-// has no live replica sitting idle: every replica is either serving an
-// in-flight batch (most likely the very submit being hedged) or dead —
-// always so in a set of one. Hedging is a latency tool, not an
-// availability tool, so this is not an outage signal — the primary
-// submit still owns retries and redials.
-var ErrNoIdleSibling = errors.New("shard: no idle sibling replica to hedge on")
-
-// SubmitHedge re-sends a round's task batch for partition p to an idle
-// sibling replica — one not currently serving any batch — implementing
-// the coordinator's hedged requests. It is sound because local searches
-// are idempotent reads, and safe concurrently with an in-flight Submit
-// on the same partition: a busy replica is never picked, so a hedge can
-// never interleave two batches on one replica connection (whose decode
-// buffers hold one reply at a time). Unlike Submit it never redials
-// dead endpoints and never waits: with no idle live sibling — always, in
-// a set of one — the Reply carries ErrNoIdleSibling, sent on replyc
-// before SubmitHedge returns. The caller must be draining replyc for
-// both the primary and the hedged reply — both arrive.
-func (r *Replicated) SubmitHedge(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
-	r.submit(p, call{hdr: h, tasks: tasks, replyc: replyc, hedge: true})
-}
-
-func (r *Replicated) submit(p int, c call) {
 	if !r.begin() {
-		c.replyc <- Reply{Shard: p, Err: ErrClosed}
+		replyc <- Reply{Shard: p, Err: ErrClosed}
 		return
 	}
 	rs := r.sets[p]
-	var cn *conn
-	// A set of one never serves a hedge, idle or not: its replica is the
-	// primary's, and the primary's reply aliases that replica's buffers
-	// until the coordinator has finished the round.
-	if !c.hedge || len(rs.eps) > 1 {
-		cn = rs.pick(nil)
+	c := call{hdr: h, tasks: tasks, replyc: replyc}
+	if rs.hedging {
+		c = rs.enter(c)
 	}
-	switch {
-	case cn != nil:
+	if cn := rs.pick(nil); cn != nil {
 		cn.send(c)
-	case c.hedge:
-		rs.finish(c, Reply{Err: ErrNoIdleSibling})
-	default:
+	} else {
 		// No idle live replica: a last-resort redial can take as long as
 		// a dial does, so it runs beside the caller, not in front of it.
 		go rs.attempt(c)
+	}
+	if rs.hedging {
+		rs.arm(c)
 	}
 }
 
@@ -446,9 +445,9 @@ func (r *Replicated) Summary(ctx context.Context, p int) (SummaryInfo, error) {
 		if err := ctx.Err(); err != nil {
 			return SummaryInfo{}, fmt.Errorf("shard %d: summary: %w", rs.part, err)
 		}
-		cn := rs.acquire(ctx, tried, true)
+		cn := rs.acquire(ctx, tried)
 		if cn == nil {
-			return SummaryInfo{}, rs.allFailed()
+			return SummaryInfo{}, rs.allFailed(tried)
 		}
 		if attempts > 0 {
 			rs.retries.Inc()
@@ -510,19 +509,23 @@ func (r *Replicated) reconnectLoop(every time.Duration) {
 // only if none remains — a last-resort redial of the dead ones. Only
 // when every replica has failed does the caller get an error Reply,
 // carrying each replica's failure.
-//
-// For a hedge the candidate pool shrinks to idle live replicas: no
-// redial of dead endpoints, and ErrNoIdleSibling the moment the pool is
-// empty — a hedge races the primary submit, so spending seconds dialing
-// would defeat its purpose.
 func (rs *replicaSet) attempt(c call) {
-	if cn := rs.acquire(rs.tr.ctx, c.tried, !c.hedge); cn != nil {
+	if cn := rs.acquire(rs.tr.ctx, c.tried); cn != nil {
 		cn.send(c)
-	} else if c.hedge {
-		rs.finish(c, Reply{Err: ErrNoIdleSibling})
 	} else {
-		rs.finish(c, Reply{Err: rs.allFailed()})
+		rs.exhausted(c)
 	}
+}
+
+// exhausted ends a chain of attempts that found no replica to answer
+// c: with the error Reply, unless c is a hedging call whose other chain
+// is still running or has already answered.
+func (rs *replicaSet) exhausted(c call) {
+	if c.race != nil && !rs.lost(c) {
+		rs.tr.calls.Done()
+		return
+	}
+	rs.finish(c, Reply{Err: rs.allFailed(c.tried)})
 }
 
 // send starts c on the replica the caller has claimed.
@@ -538,35 +541,37 @@ func (cn *conn) send(c call) {
 // deliver is the replica's answer to the conn's in-flight batch, on the
 // replica's goroutine. A failure gets a goroutine of its own to retry
 // on: closing the failed replica waits for the very goroutine this may
-// be running on, and a redial may follow.
-//
-// Where two submits to one partition can overlap — a hedge beside its
-// primary, so any set with a sibling — a reply must own its memory: a
-// replica's decode buffers are valid only until its next submit, so the
-// Boundary lists are copied out of its arena before the replica is
-// released for reuse. That keeps every Reply valid until the
-// coordinator finishes the whole round, however the round's submits
-// interleave. A set of one serves one batch at a time, and its replies
-// keep aliasing the replica's buffers, as Transport allows.
+// be running on, and a redial may follow. A success is handed over as it
+// is: its Results alias the replica's buffers, which stay untouched
+// until the replica's next submit — and the set hands a replica one
+// batch at a time, the next no sooner than the coordinator's next
+// Submit, as Transport allows. Only a call the set itself may overlap
+// with a second submit takes the detour through answered.
 func (cn *conn) deliver(reply Reply) {
 	rs, c := cn.rs, cn.call
 	rs.eps[cn.idx].lat.ObserveSince(c.start)
-	if reply.Err != nil {
+	switch {
+	case reply.Err != nil:
 		go rs.failed(cn, c, reply.Err)
-		return
+	case c.race != nil:
+		rs.answered(cn, c, reply)
+	default:
+		rs.primary.ObserveSince(c.start)
+		rs.release(cn)
+		rs.finish(c, reply)
 	}
-	if len(rs.eps) > 1 {
-		reply.Results = copyResults(reply.Results)
-	}
-	rs.release(cn)
-	rs.finish(c, reply)
 }
 
 // failed retires the replica that failed c and moves c on to the next
 // candidate, which is correct because local searches are idempotent
-// reads.
+// reads. A hedge is not moved on, nor is the primary of a call its
+// hedge has answered.
 func (rs *replicaSet) failed(cn *conn, c call, err error) {
 	rs.markDead(cn, err)
+	if c.race != nil && !rs.pursues(cn, c) {
+		rs.exhausted(c)
+		return
+	}
 	if c.tried == nil {
 		c.tried = make([]bool, len(rs.eps))
 	}
@@ -581,32 +586,11 @@ func (rs *replicaSet) finish(c call, reply Reply) {
 	rs.tr.calls.Done()
 }
 
-// copyResults rebinds results onto a freshly allocated backing array —
-// one arena for all Boundary lists — so the reply no longer aliases
-// the replica connection's reusable decode buffers.
-func copyResults(results []wire.Result) []wire.Result {
-	if len(results) == 0 {
-		return results
-	}
-	total := 0
-	for i := range results {
-		total += len(results[i].Boundary)
-	}
-	out := make([]wire.Result, len(results))
-	copy(out, results)
-	arena := make([]uint32, total)
-	for i := range out {
-		n := copy(arena, out[i].Boundary)
-		out[i].Boundary, arena = arena[:n:n], arena[n:]
-	}
-	return out
-}
-
 // acquire claims the next replica to try for a batch or fetch that has
 // already tried the given endpoints (nil: none yet): an idle live one,
-// or with redial set, failing that, a dead one brought back.
-func (rs *replicaSet) acquire(ctx context.Context, tried []bool, redial bool) *conn {
-	if cn := rs.pick(tried); cn != nil || !redial {
+// or failing that, a dead one brought back.
+func (rs *replicaSet) acquire(ctx context.Context, tried []bool) *conn {
+	if cn := rs.pick(tried); cn != nil {
 		return cn
 	}
 	return rs.redial(ctx, tried, true)
@@ -628,6 +612,10 @@ func (rs *replicaSet) release(cn *conn) {
 func (rs *replicaSet) pick(tried []bool) *conn {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	return rs.pickLocked(tried)
+}
+
+func (rs *replicaSet) pickLocked(tried []bool) *conn {
 	if rs.closed {
 		return nil
 	}
@@ -733,14 +721,23 @@ func (rs *replicaSet) closeAll() {
 	rs.evict(func(Replica) error { return ErrClosed })
 }
 
-// allFailed snapshots the per-replica failure detail.
-func (rs *replicaSet) allFailed() *ReplicaSetError {
+// allFailed snapshots the per-replica detail for a batch or fetch that
+// found no replica to answer it, having tried the given endpoints (nil:
+// none). A replica that is alive but still serving an earlier batch —
+// a straggler nothing is waiting for any more — says so: that is a gray
+// failure, not an outage.
+func (rs *replicaSet) allFailed(tried []bool) *ReplicaSetError {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	e := &ReplicaSetError{Part: rs.part, Replicas: make([]ReplicaError, len(rs.eps))}
 	for i := range rs.eps {
-		e.Replicas[i] = ReplicaError{Replica: i, Err: rs.eps[i].lastErr}
-		if e.Replicas[i].Err == nil {
+		ep := &rs.eps[i]
+		e.Replicas[i] = ReplicaError{Replica: i, Err: ep.lastErr}
+		switch {
+		case ep.lastErr != nil:
+		case ep.conn != nil && ep.conn.busy && !(tried != nil && tried[i]):
+			e.Replicas[i].Err = errors.New("live, but busy with an earlier batch")
+		default:
 			e.Replicas[i].Err = errors.New("failed during this batch")
 		}
 	}

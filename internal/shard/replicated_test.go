@@ -96,13 +96,7 @@ func submitOne(t *testing.T, tr Transport, p int, seed int32) Reply {
 	t.Helper()
 	replyc := make(chan Reply, 1)
 	tr.Submit(p, wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 1, Seeds: []int32{seed}}}, replyc)
-	select {
-	case rep := <-replyc:
-		return rep
-	case <-time.After(10 * time.Second):
-		t.Fatal("no reply")
-		return Reply{}
-	}
+	return recv(t, replyc)
 }
 
 // TestReplicatedFailsOverMidQuery: a batch whose chosen replica dies

@@ -5,8 +5,10 @@
 // two kinds of Replica under it: an in-process worker (NewLoopback) and
 // a TCP connection to a Server speaking the internal/wire protocol
 // (Dial, DialReplicated). The coordinator in internal/dsr only ever
-// speaks Transport, so the single-process engine is literally the
-// distributed one running over in-process replicas.
+// speaks Transport — one Reply per Submit; failover, redials and hedged
+// requests (ReplicatedOptions.Hedge) all happen behind it — so the
+// single-process engine is literally the distributed one running over
+// in-process replicas.
 package shard
 
 import (
