@@ -29,7 +29,7 @@ COVER_GATE ?= \
 	internal/snapshot:85.0 \
 	internal/partition:92.0
 
-.PHONY: build test test-e2e vet fmt fmt-check lint bench bench-smoke bench-json bench-baseline bench-gate bench-harness-test cover-gate fuzz-smoke doc-check size vulncheck
+.PHONY: build test test-e2e vet fmt fmt-check lint bench bench-smoke bench-json bench-baseline bench-gate bench-harness-test ab cover-gate fuzz-smoke doc-check size vulncheck
 
 build:
 	$(GO) build ./...
@@ -138,6 +138,23 @@ bench-gate:
 # include the harness's -smoke run against real shard/serve processes.
 bench-harness-test:
 	cd bench && $(GO) test ./...
+
+# Paired end-to-end evidence for a change: the benchmark BENCHMARK.json
+# names, on PARENT and on the working tree, PAIRS alternating pairs per
+# workload (order flipped every pair, one fresh seed per pair), each
+# side built and run by its own bench/run.sh. Prints per (workload,
+# metric) both medians and quartiles, the pairs won, and a verdict
+# under the metric's bound — `unresolved` where the parent's own spread
+# is wider than the bound (tools/ab has the rules). The parent is
+# exported under .bench_build/ab/, and nothing is written outside
+# .bench_build/. A full run is 4 workloads x 2 sides x PAIRS x ~65 s.
+PARENT ?= HEAD
+PAIRS ?= 10
+SECONDS ?= 15
+WORKLOADS ?=
+
+ab:
+	$(GO) run ./tools/ab -parent $(PARENT) -workloads "$(WORKLOADS)" -pairs $(PAIRS) -seconds $(SECONDS)
 
 # Run every fuzz target for FUZZ_TIME each — the wire-protocol and
 # snapshot decoders against hostile input, the shard's batched sweep

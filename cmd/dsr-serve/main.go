@@ -8,9 +8,12 @@
 //
 // What the layer adds over running dsr-query per client:
 //
-//   - Cross-client batching: queries arriving within -batch-window (from
-//     any connection) share one engine round, so shard RPC fan-out is
-//     paid per batch, not per query.
+//   - Cross-client batching: queries arriving while the engine is busy
+//     (from any connection) share the round that starts when it frees,
+//     up to -batch-max, so shard RPC fan-out is paid per batch, not per
+//     query; a query on an idle server leaves at once. -batch-window
+//     makes a first query wait for company even then (a timer: at
+//     least a millisecond, whatever smaller value is asked for).
 //   - Result cache: a 2Q LRU over canonicalized query sets (-cache
 //     entries; negative disables). Sound because the served graph is
 //     immutable for the life of the fleet.
@@ -50,12 +53,12 @@ func main() {
 		listen = flag.String("listen", ":7200", "address to serve the query protocol on")
 		drain  = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
 
-		batchWindow  = flag.Duration("batch-window", 250*time.Microsecond, "how long the first query of a batch waits for company before the batch departs")
+		batchWindow  = flag.Duration("batch-window", 0, "the most the first query of a batch waits for company while the engine is free; when set it is a timer, so 1ms at the least (default 0: depart at once)")
 		batchMax     = flag.Int("batch-max", 64, "depart a batch early once it holds this many queries")
 		cacheEntries = flag.Int("cache", 4096, "result-cache capacity in entries; negative disables caching")
 		maxQueued    = flag.Int("max-queued", 1024, "server-wide bound on queries admitted but not yet answered; beyond it clients get 'error overload: server'")
 		maxPerClient = flag.Int("max-per-client", 256, "per-connection outstanding-query bound; beyond it that client gets 'error overload: client'")
-		maxInFlight  = flag.Int("max-inflight", 4, "concurrent engine batch rounds; excess batches queue")
+		maxInFlight  = flag.Int("max-inflight", 1, "engine batch rounds in flight; queries arriving beyond it coalesce into the next batch")
 
 		hedge           = flag.Bool("hedge", false, "hedge slow shard rounds onto idle sibling replicas (requires replica groups in -shards)")
 		hedgePercentile = flag.Float64("hedge-percentile", 0.99, "latency quantile of a partition's primary RPCs that arms the hedge deadline")

@@ -32,29 +32,34 @@ func (p *pending) settle() {
 	close(p.ready)
 }
 
-// batcher assembles queries from every connection into shared batches:
-// the first query to arrive opens a window (BatchWindow); everything
-// that lands before it expires — from any client — rides the same
-// engine round, and a batch that reaches MaxBatch departs early. One
-// shard RPC round thus serves many clients, which is the point: the
-// engine's per-round cost is dominated by fan-out/fan-in, not by batch
-// size. The in-flight semaphore caps concurrent engine rounds so a
-// burst queues here (where admission can see and bound it) instead of
-// piling onto the engine.
+// batcher assembles queries from every connection into shared batches
+// and runs them in MaxInFlight round slots. Dispatch is driven by
+// events, not by a clock: a batch departs the moment a slot is free and
+// it is full or its window is spent — and with no window configured
+// (the default) a window is always spent. So the first query on an idle
+// server leaves at once, alone, and everything that arrives while the
+// slots are busy — from any client — coalesces, up to MaxBatch, into
+// the batch that leaves when a round returns. One shard RPC round thus
+// serves many clients exactly when there are many to serve, which is
+// the point: the engine's per-round cost is dominated by fan-out/fan-in,
+// not by batch size. Queries wait here, where admission can see and
+// bound them, never on the engine.
 type batcher struct {
 	q        Querier
 	cache    *Cache
 	window   time.Duration
 	maxBatch int
-	sem      chan struct{} // in-flight engine rounds
 
 	mu     sync.Mutex
-	cur    []*pending
-	timer  *time.Timer
+	cur    []*pending     // admitted, not yet in a round; oldest first
+	free   int            // round slots not in use
+	timer  *time.Timer    // created only under a configured window
+	rounds sync.WaitGroup // slots in use
 	closed bool
 
 	batches   *obs.Counter
 	batchSize *obs.Histogram
+	wait      *obs.Histogram
 }
 
 func newBatcher(q Querier, cache *Cache, o Options) *batcher {
@@ -63,14 +68,14 @@ func newBatcher(q Querier, cache *Cache, o Options) *batcher {
 		cache:     cache,
 		window:    o.BatchWindow,
 		maxBatch:  o.MaxBatch,
-		sem:       make(chan struct{}, o.MaxInFlight),
+		free:      o.MaxInFlight,
 		batches:   o.Metrics.Counter("dsr_serve_batches_total"),
 		batchSize: o.Metrics.Histogram("dsr_serve_batch_size"),
+		wait:      o.Metrics.Histogram("dsr_serve_dispatch_wait_ns"),
 	}
 }
 
-// enqueue adds p to the forming batch. The first entry arms the window
-// timer; reaching maxBatch flushes immediately.
+// enqueue adds p to the forming batch, which departs now if it may.
 func (b *batcher) enqueue(p *pending) {
 	b.mu.Lock()
 	if b.closed {
@@ -80,48 +85,78 @@ func (b *batcher) enqueue(p *pending) {
 		return
 	}
 	b.cur = append(b.cur, p)
-	if len(b.cur) >= b.maxBatch {
-		batch := b.takeLocked()
-		b.mu.Unlock()
-		go b.run(batch)
-		return
-	}
 	if len(b.cur) == 1 {
-		b.timer = time.AfterFunc(b.window, b.windowExpired)
+		b.armLocked()
 	}
+	b.dispatchLocked()
 	b.mu.Unlock()
 }
 
-// takeLocked detaches the forming batch and disarms its timer.
+// armLocked schedules a dispatch for the moment the forming batch's
+// window will be spent. With no window configured there is nothing to
+// wait out, and no timer ever exists.
+func (b *batcher) armLocked() {
+	if b.window == 0 {
+		return
+	}
+	d := b.window - time.Since(b.cur[0].start)
+	if b.timer == nil {
+		b.timer = time.AfterFunc(d, b.dispatch)
+	} else {
+		b.timer.Reset(d)
+	}
+}
+
+// takeLocked detaches the batch that may depart now: the oldest
+// MaxBatch waiting queries, if that many wait, the first of them has
+// waited out the window, or the batcher is closing. Otherwise nil. The
+// caller has a free slot for it.
 func (b *batcher) takeLocked() []*pending {
+	n := len(b.cur)
+	if n == 0 {
+		return nil
+	}
+	wait := time.Since(b.cur[0].start)
+	if n < b.maxBatch && wait < b.window && !b.closed {
+		return nil
+	}
 	batch := b.cur
 	b.cur = nil
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
+	if n > b.maxBatch {
+		batch, b.cur = batch[:b.maxBatch:b.maxBatch], batch[b.maxBatch:]
+		b.armLocked()
 	}
+	b.wait.Observe(int64(wait))
 	return batch
 }
 
-// windowExpired runs in the timer goroutine; the batch departs with
-// whatever accumulated.
-func (b *batcher) windowExpired() {
-	b.mu.Lock()
-	batch := b.takeLocked()
-	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.run(batch)
+// dispatchLocked puts free slots to work on whatever may depart.
+func (b *batcher) dispatchLocked() {
+	for b.free > 0 {
+		batch := b.takeLocked()
+		if batch == nil {
+			return
+		}
+		b.free--
+		b.rounds.Add(1)
+		go b.work(batch)
 	}
 }
 
-// run executes one shared batch against the engine and demuxes the
-// answers back to each pending. Partial failures (*dsr.BatchError)
-// fail only the queries the error's mask flags; the rest are answered
-// and cached normally.
-func (b *batcher) run(batch []*pending) {
-	b.sem <- struct{}{}
-	defer func() { <-b.sem }()
+// dispatch is the window timer's callback. A timer that fires late, for
+// a batch that already left full, finds nothing it may take.
+func (b *batcher) dispatch() {
+	b.mu.Lock()
+	b.dispatchLocked()
+	b.mu.Unlock()
+}
 
+// work is one round in its slot. The slot passes on the moment the
+// engine returns — to the batch that formed meanwhile, if it may depart
+// — and only then are this round's answers handed out, so demuxing one
+// round overlaps the engine's work on the next.
+func (b *batcher) work(batch []*pending) {
+	defer b.rounds.Done()
 	b.batches.Inc()
 	b.batchSize.Observe(int64(len(batch)))
 	queries := make([]dsr.Query, len(batch))
@@ -129,41 +164,42 @@ func (b *batcher) run(batch []*pending) {
 		queries[i] = p.q
 	}
 	answers, err := b.q.QueryBatchErr(queries)
+	b.mu.Lock()
+	b.free++
+	b.dispatchLocked()
+	b.mu.Unlock()
+	b.settle(batch, answers, err)
+}
 
+// settle demuxes a round's outcome back to each pending. Partial
+// failures (*dsr.BatchError) fail only the queries the error's mask
+// flags; the rest are answered and cached normally.
+func (b *batcher) settle(batch []*pending, answers []bool, err error) {
 	var be *dsr.BatchError
-	switch {
-	case err == nil:
-		for i, p := range batch {
+	partial := errors.As(err, &be)
+	// Last to first: a session's writer blocks on the oldest of its
+	// queries, so when that one wakes it every later answer this round
+	// holds for the session is readable too, and they leave in one
+	// socket write instead of one each.
+	for i := len(batch) - 1; i >= 0; i-- {
+		p := batch[i]
+		if err == nil || (partial && !be.Failed[i]) {
 			p.ans = answers[i]
 			b.cache.Put(p.key, p.ans)
-			p.settle()
-		}
-	case errors.As(err, &be):
-		for i, p := range batch {
-			if be.Failed[i] {
-				p.err = err
-			} else {
-				p.ans = answers[i]
-				b.cache.Put(p.key, p.ans)
-			}
-			p.settle()
-		}
-	default:
-		for _, p := range batch {
+		} else {
 			p.err = err
-			p.settle()
 		}
+		p.settle()
 	}
 }
 
-// close rejects future enqueues and flushes anything still forming, so
+// close rejects future enqueues, sends off anything still forming
+// without waiting out its window, and returns once every round has, so
 // no writer is left waiting on a batch that will never depart.
 func (b *batcher) close() {
 	b.mu.Lock()
 	b.closed = true
-	batch := b.takeLocked()
+	b.dispatchLocked()
 	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.run(batch)
-	}
+	b.rounds.Wait()
 }

@@ -16,9 +16,14 @@ import (
 // makes caching set-reachability answers sound: the answer depends only
 // on the sets and the (immutable) graph.
 func Key(S, T []graph.VertexID) string {
-	buf := make([]byte, 0, 8+5*(len(S)+len(T)))
+	// Scratch for one sorted side and for the packed key: on the stack
+	// for a query of up to 64 vertices a side and 128 in all, grown by
+	// append beyond that. The returned string is the one allocation.
+	var sorted [64]graph.VertexID
+	var packed [2 + 5*128]byte
+	vs, buf := sorted[:0], packed[:0]
 	for _, side := range [2][]graph.VertexID{S, T} {
-		vs := slices.Clone(side)
+		vs = append(vs[:0], side...)
 		slices.Sort(vs)
 		vs = slices.Compact(vs)
 		buf = binary.AppendUvarint(buf, uint64(len(vs)))

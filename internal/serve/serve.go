@@ -4,9 +4,10 @@
 // clients onto one coordinator. Four mechanisms make it a service
 // rather than a socket wrapper:
 //
-//   - Cross-client batching (batcher): queries arriving within a short
-//     window — from any connection — share one engine round, so shard
-//     RPC fan-out is paid per batch, not per query.
+//   - Cross-client batching (batcher): queries that arrive while the
+//     engine is busy — from any connection — share the round that
+//     starts when it frees, so shard RPC fan-out is paid per batch, not
+//     per query, and a query on an idle server waits for nothing.
 //   - Result caching (Cache): a 2Q LRU over canonicalized (S, T) keys,
 //     sound because the served graph is immutable, epoch-tagged for
 //     future graph swaps. Hits bypass batching and admission entirely.
@@ -21,7 +22,8 @@
 // Per connection, requests are answered in order even though their
 // batches complete out of order: a reader goroutine parses and admits,
 // a writer goroutine replies in arrival sequence as each answer
-// settles.
+// settles, and flushes whatever it has written before it waits for one
+// that has not.
 package serve
 
 import (
@@ -57,13 +59,15 @@ var errParse = errors.New("parse")
 // Options tunes the serving layer. The zero value serves: every field
 // has a production default, and tests override only what they pin.
 type Options struct {
-	// BatchWindow is how long the first query of a batch waits for
-	// company before the batch departs. 0 means 250µs — long enough to
-	// merge concurrent clients, short enough to be noise against an RPC
-	// round. Negative is treated as 0 (depart at the next timer tick).
+	// BatchWindow is the most the first query of a batch waits for
+	// company while a round slot is free. 0 (and negative) means none: a
+	// batch departs the moment a slot frees, and only queries that
+	// arrive while every slot is busy share a round. When set it is a
+	// timer, and a sub-millisecond Go timer on an idle Linux process
+	// fires after about 1.1ms — so any value is a wait of at least that.
 	BatchWindow time.Duration
-	// MaxBatch departs a batch early once it holds this many queries.
-	// 0 means 64.
+	// MaxBatch departs a batch under a window early once it holds this
+	// many queries, and caps what one round carries. 0 means 64.
 	MaxBatch int
 	// CacheEntries bounds the result cache. 0 means 4096; negative
 	// disables caching.
@@ -75,8 +79,11 @@ type Options struct {
 	// MaxPerClient bounds one connection's outstanding queries; beyond
 	// it that client is shed with OverloadError{"client"}. 0 means 256.
 	MaxPerClient int
-	// MaxInFlight caps concurrent engine batch rounds; excess batches
-	// wait in the batcher. 0 means 4.
+	// MaxInFlight is the number of round slots: how many batches may be
+	// inside the Querier at once. Arrivals beyond it coalesce in the
+	// batcher. 0 means 1, which is what a dsr.Engine overlaps: its rounds
+	// run one at a time under a lock, so more slots only split the
+	// waiting queries into smaller batches that queue on that lock.
 	MaxInFlight int
 	// Metrics receives the dsr_serve_* and dsr_cache_* instruments.
 	// Nil disables metrics.
@@ -87,9 +94,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.BatchWindow == 0 {
-		o.BatchWindow = 250 * time.Microsecond
-	}
 	if o.BatchWindow < 0 {
 		o.BatchWindow = 0
 	}
@@ -106,7 +110,7 @@ func (o Options) withDefaults() Options {
 		o.MaxPerClient = 256
 	}
 	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 4
+		o.MaxInFlight = 1
 	}
 	return o
 }
@@ -129,10 +133,11 @@ type Server struct {
 	adm   *admission
 	log   *obs.Logger
 
-	queries   *obs.Counter
-	parseErrs *obs.Counter
-	latency   *obs.Histogram
-	clients   *obs.Gauge
+	queries      *obs.Counter
+	parseErrs    *obs.Counter
+	socketWrites *obs.Counter
+	latency      *obs.Histogram
+	clients      *obs.Gauge
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -147,16 +152,17 @@ func New(q Querier, o Options) *Server {
 	o = o.withDefaults()
 	cache := NewCache(o.CacheEntries, o.Metrics)
 	return &Server{
-		opt:       o,
-		cache:     cache,
-		batch:     newBatcher(q, cache, o),
-		adm:       newAdmission(o.MaxQueued, o.MaxPerClient, o.Metrics),
-		log:       o.Log,
-		queries:   o.Metrics.Counter("dsr_serve_queries_total"),
-		parseErrs: o.Metrics.Counter("dsr_serve_parse_errors_total"),
-		latency:   o.Metrics.Histogram("dsr_serve_latency_ns"),
-		clients:   o.Metrics.Gauge("dsr_serve_clients"),
-		conns:     make(map[net.Conn]struct{}),
+		opt:          o,
+		cache:        cache,
+		batch:        newBatcher(q, cache, o),
+		adm:          newAdmission(o.MaxQueued, o.MaxPerClient, o.Metrics),
+		log:          o.Log,
+		queries:      o.Metrics.Counter("dsr_serve_queries_total"),
+		parseErrs:    o.Metrics.Counter("dsr_serve_parse_errors_total"),
+		socketWrites: o.Metrics.Counter("dsr_serve_socket_writes_total"),
+		latency:      o.Metrics.Histogram("dsr_serve_latency_ns"),
+		clients:      o.Metrics.Gauge("dsr_serve_clients"),
+		conns:        make(map[net.Conn]struct{}),
 	}
 }
 
@@ -297,16 +303,14 @@ func (s *Server) begin(sess *session, line string) *pending {
 	q, err := parseQuery(line)
 	if err != nil {
 		s.parseErrs.Inc()
-		return settled(err, start)
+		return settled(false, err, start)
 	}
 	key := Key(q.S, q.T)
 	if ans, ok := s.cache.Get(key); ok {
-		p := settled(nil, start)
-		p.ans = ans
-		return p
+		return settled(ans, nil, start)
 	}
 	if err := s.adm.admit(sess); err != nil {
-		return settled(err, start)
+		return settled(false, err, start)
 	}
 	p := &pending{
 		q:     q,
@@ -319,29 +323,47 @@ func (s *Server) begin(sess *session, line string) *pending {
 	return p
 }
 
+// closedc is the ready channel of every pending that never needs
+// settling.
+var closedc = make(chan struct{})
+
+func init() { close(closedc) }
+
 // settled builds a pending that is already answered (cache hit) or
 // already failed (parse error, overload) — the writer won't block.
-func settled(err error, start time.Time) *pending {
-	p := &pending{err: err, ready: make(chan struct{}), start: start}
-	close(p.ready)
-	return p
+func settled(ans bool, err error, start time.Time) *pending {
+	return &pending{ans: ans, err: err, ready: closedc, start: start}
 }
 
 // writeLoop replies to sess's requests in arrival order, waiting for
-// each answer to settle before formatting it.
+// each answer to settle before formatting it. Answers accumulate in w
+// for as long as the next one is at hand — which batches the writes of
+// a pipelining client for free — and reach the socket before the
+// writer blocks, on an unsettled answer or on an empty queue: an answer
+// that is ready never waits for one that is not.
 func (s *Server) writeLoop(sess *session) {
 	w := bufio.NewWriter(sess.conn)
-	for p := range sess.writec {
-		<-p.ready
-		s.latency.ObserveSince(p.start)
-		fmt.Fprintln(w, respond(p))
-		// Flush when no answer is immediately available to append —
-		// batches the writes of a pipelining client for free.
-		if len(sess.writec) == 0 {
+	flush := func() {
+		if w.Buffered() > 0 {
+			s.socketWrites.Inc() // first: whoever has read the bytes finds them counted
 			w.Flush()
 		}
 	}
-	w.Flush()
+	for p := range sess.writec {
+		select {
+		case <-p.ready:
+		default:
+			flush()
+			<-p.ready
+		}
+		s.latency.ObserveSince(p.start)
+		w.WriteString(respond(p))
+		w.WriteByte('\n')
+		if len(sess.writec) == 0 {
+			flush()
+		}
+	}
+	flush()
 }
 
 // respond renders one settled pending in the response grammar: "true",

@@ -294,13 +294,15 @@ func TestBatcherPartialFailure(t *testing.T) {
 	}
 	fq := &fakeQuerier{answers: []bool{true, false}, err: be}
 	cache := NewCache(8, nil)
-	b := newBatcher(fq, cache, Options{MaxInFlight: 1}.withDefaults())
+	// The window keeps the first query until the second fills the batch.
+	b := newBatcher(fq, cache, Options{BatchWindow: time.Hour, MaxBatch: 2}.withDefaults())
 
 	ps := []*pending{
-		{q: dsr.Query{S: ids(0), T: ids(1)}, key: "a", ready: make(chan struct{})},
-		{q: dsr.Query{S: ids(2), T: ids(3)}, key: "b", ready: make(chan struct{})},
+		{q: dsr.Query{S: ids(0), T: ids(1)}, key: "a", ready: make(chan struct{}), start: time.Now()},
+		{q: dsr.Query{S: ids(2), T: ids(3)}, key: "b", ready: make(chan struct{}), start: time.Now()},
 	}
-	b.run(ps)
+	b.enqueue(ps[0])
+	b.enqueue(ps[1])
 
 	<-ps[0].ready
 	if ps[0].err != nil || !ps[0].ans {
@@ -324,9 +326,9 @@ func TestBatcherTotalFailure(t *testing.T) {
 	boom := errors.New("engine gone")
 	fq := &fakeQuerier{err: boom}
 	cache := NewCache(8, nil)
-	b := newBatcher(fq, cache, Options{MaxInFlight: 1}.withDefaults())
+	b := newBatcher(fq, cache, Options{}.withDefaults())
 	p := &pending{q: dsr.Query{S: ids(0), T: ids(1)}, key: "a", ready: make(chan struct{})}
-	b.run([]*pending{p})
+	b.enqueue(p)
 	<-p.ready
 	if !errors.Is(p.err, boom) {
 		t.Fatalf("err = %v, want %v", p.err, boom)

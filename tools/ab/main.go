@@ -1,0 +1,268 @@
+// Command ab runs the repository's benchmark on a parent commit and on
+// the working tree in alternating pairs, and prints what the pairs
+// show under the bounds of BENCHMARK.json — the evidence a change that
+// claims (or disclaims) a performance effect has to bring:
+//
+//	make ab PARENT=HEAD~1 WORKLOADS="loc-open hash-closed" PAIRS=10 SECONDS=15
+//
+// The parent is exported with `git archive` into
+// .bench_build/ab/<commit>/ (nothing is registered in .git, and nothing
+// is written outside .bench_build/); each side is built and run by its
+// own bench/run.sh, so each side is measured by its own harness. Pair i
+// runs both sides at one fresh seed, parent first when i is odd, change
+// first when it is even. Every run's result line is appended to
+// .bench_build/ab/runs.jsonl as it arrives.
+//
+// Per (workload, end-to-end metric) the report gives both sides' median
+// and quartiles, the pairs the change won (ties count for neither), and
+// a verdict: "unresolved" when the parent's own interquartile range is
+// wider than the metric's bound, "worse" when the change's median is
+// worse than the parent's by more than the bound, "better" when the
+// change won at least nine pairs in ten and the medians differ by more
+// than the parent's interquartile range, "same" otherwise. Failed
+// operations are summed per side. Exit status 1 on any "worse", any
+// incorrect run, or a larger failed share on the change side.
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
+	"text/tabwriter"
+)
+
+// spec is the part of BENCHMARK.json the report needs.
+type spec struct {
+	Workloads []struct{ Name string }
+	EndToEnd  []metricSpec `json:"end_to_end"`
+}
+
+type metricSpec struct {
+	Name, Unit, Better string
+	Bound              float64
+}
+
+// result is the last line of a run's standard output.
+type result struct {
+	Correct   bool
+	Attempted int
+	Failed    int
+	Metrics   map[string]struct{ Value float64 }
+}
+
+// side is one checkout and what its runs returned, per workload in
+// pair order.
+type side struct {
+	name string
+	root string
+	runs map[string][]result
+}
+
+func main() {
+	parent := flag.String("parent", "HEAD", "commit the working tree is compared against")
+	workloads := flag.String("workloads", "", "space-separated workloads; empty means every workload of BENCHMARK.json")
+	pairs := flag.Int("pairs", 10, "parent/change pairs per workload")
+	seconds := flag.Int("seconds", 15, "measured window of each run (BENCHMARK.json's run_seconds is what the gate uses)")
+	seed := flag.Uint64("seed", 101, "seed of the first pair; pair i runs both sides at seed+i")
+	flag.Parse()
+	if err := run(*parent, strings.Fields(*workloads), *pairs, *seconds, *seed); err != nil {
+		fmt.Fprintln(os.Stderr, "ab:", err)
+		os.Exit(1)
+	}
+}
+
+func run(parent string, workloads []string, pairs, seconds int, seed uint64) error {
+	root, err := os.Getwd()
+	if err != nil {
+		return err
+	}
+	var sp spec
+	raw, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err == nil {
+		err = json.Unmarshal(raw, &sp)
+	}
+	if err != nil {
+		return fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if len(workloads) == 0 {
+		for _, w := range sp.Workloads {
+			workloads = append(workloads, w.Name)
+		}
+	}
+	abDir := filepath.Join(root, ".bench_build", "ab")
+	parentRoot, err := export(root, abDir, parent)
+	if err != nil {
+		return err
+	}
+	log, err := os.OpenFile(filepath.Join(abDir, "runs.jsonl"), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	defer log.Close()
+
+	sides := []*side{
+		{name: "parent", root: parentRoot, runs: make(map[string][]result)},
+		{name: "change", root: root, runs: make(map[string][]result)},
+	}
+	for i := 1; i <= pairs; i++ {
+		order := sides
+		if i%2 == 0 {
+			order = []*side{sides[1], sides[0]}
+		}
+		for _, wl := range workloads {
+			for _, s := range order {
+				r, line, err := s.bench(wl, seed+uint64(i), seconds)
+				if err != nil {
+					return fmt.Errorf("pair %d, %s on %s: %w", i, wl, s.name, err)
+				}
+				s.runs[wl] = append(s.runs[wl], r)
+				fmt.Fprintf(log, `{"pair":%d,"side":%q,"workload":%q,"seed":%d,"result":%s}`+"\n", i, s.name, wl, seed+uint64(i), line)
+				fmt.Fprintf(os.Stderr, "pair %d/%d %-12s %-6s %s\n", i, pairs, wl, s.name, line)
+			}
+		}
+	}
+	if !report(os.Stdout, sp.EndToEnd, workloads, sides[0], sides[1]) {
+		return fmt.Errorf("the change is worse than %s", parent)
+	}
+	return nil
+}
+
+// export unpacks commit ref of the repository at root under dir, once
+// per commit, and returns the checkout's path.
+func export(root, dir, ref string) (string, error) {
+	out, err := exec.Command("git", "-C", root, "rev-parse", "--verify", ref+"^{commit}").Output()
+	if err != nil {
+		return "", fmt.Errorf("git rev-parse %s: %w", ref, err)
+	}
+	dst := filepath.Join(dir, strings.TrimSpace(string(out))[:12])
+	if _, err := os.Stat(filepath.Join(dst, "bench", "run.sh")); err == nil {
+		return dst, nil
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return "", err
+	}
+	cmd := exec.Command("bash", "-o", "pipefail", "-c", `git -C "$1" archive "$2" | tar -x -C "$3"`, "ab", root, ref, dst)
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		return "", fmt.Errorf("git archive %s: %w", ref, err)
+	}
+	return dst, nil
+}
+
+// bench runs one workload through the side's own bench/run.sh and
+// parses the result line.
+func (s *side) bench(workload string, seed uint64, seconds int) (result, string, error) {
+	cmd := exec.Command("bash", "bench/run.sh", "--workload", workload,
+		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--trace", "0")
+	cmd.Dir = s.root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return result{}, "", fmt.Errorf("%w\n%s", err, stderr.Bytes())
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	line := lines[len(lines)-1]
+	var r result
+	if err := json.Unmarshal([]byte(line), &r); err != nil {
+		return r, line, fmt.Errorf("result line %q: %w", line, err)
+	}
+	return r, line, nil
+}
+
+// quartiles returns Q1, the median and Q3 by the exclusive method
+// (Python's statistics.quantiles(values, n=4)), as bench/ does.
+func quartiles(values []float64) (q1, q2, q3 float64) {
+	vs := slices.Clone(values)
+	slices.Sort(vs)
+	n := len(vs)
+	if n < 2 {
+		return math.NaN(), vs[0], math.NaN()
+	}
+	at := func(i int) float64 { // i-th of 4 cut points
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := i*(n+1) - j*4
+		return (vs[j-1]*float64(4-delta) + vs[j]*float64(delta)) / 4
+	}
+	return at(1), at(2), at(3)
+}
+
+// verdict judges one (workload, metric) cell from both sides' values
+// in pair order; wins counts the pairs the change won.
+func verdict(m metricSpec, parent, change []float64) (wins int, v string) {
+	sign := 1.0 // makes larger better
+	if m.Better == "lower" {
+		sign = -1
+	}
+	for i := range parent {
+		if sign*change[i] > sign*parent[i] {
+			wins++
+		}
+	}
+	p1, pm, p3 := quartiles(parent)
+	_, cm, _ := quartiles(change)
+	iqr, gain := p3-p1, sign*(cm-pm)
+	switch {
+	case iqr > m.Bound*math.Abs(pm):
+		return wins, "unresolved"
+	case -gain > m.Bound*math.Abs(pm):
+		return wins, "worse"
+	case 10*wins >= 9*len(parent) && gain > iqr:
+		return wins, "better"
+	}
+	return wins, "same"
+}
+
+// report prints the table and returns false when the change may not
+// land: a cell is worse, a run was incorrect, or a larger share of the
+// change's operations failed.
+func report(w *os.File, metrics []metricSpec, workloads []string, parent, change *side) bool {
+	ok := true
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "workload\tmetric\tparent median [q1, q3]\tchange median [q1, q3]\tchange\tbound\twins\tverdict")
+	for _, wl := range workloads {
+		for _, m := range metrics {
+			pv, cv := values(parent.runs[wl], m.Name), values(change.runs[wl], m.Name)
+			wins, v := verdict(m, pv, cv)
+			ok = ok && v != "worse"
+			p1, pm, p3 := quartiles(pv)
+			c1, cm, c3 := quartiles(cv)
+			fmt.Fprintf(tw, "%s\t%s\t%.4g [%.4g, %.4g]\t%.4g [%.4g, %.4g]\t%+.1f%%\t%.0f%%\t%d/%d\t%s\n",
+				wl, m.Name, pm, p1, p3, cm, c1, c3, 100*(cm-pm)/pm, 100*m.Bound, wins, len(pv), v)
+		}
+	}
+	tw.Flush()
+	for _, wl := range workloads {
+		pf, pa, pc := failures(parent.runs[wl])
+		cf, ca, cc := failures(change.runs[wl])
+		fmt.Fprintf(w, "%s: failed/attempted parent %d/%d, change %d/%d\n", wl, pf, pa, cf, ca)
+		// Cross-multiplied: a larger failed share on the change side.
+		ok = ok && pc && cc && cf*pa <= pf*ca
+	}
+	return ok
+}
+
+func values(runs []result, metric string) []float64 {
+	vs := make([]float64, len(runs))
+	for i, r := range runs {
+		vs[i] = r.Metrics[metric].Value
+	}
+	return vs
+}
+
+func failures(runs []result) (failed, attempted int, correct bool) {
+	correct = true
+	for _, r := range runs {
+		failed += r.Failed
+		attempted += r.Attempted
+		correct = correct && r.Correct
+	}
+	return failed, attempted, correct
+}

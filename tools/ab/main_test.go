@@ -1,0 +1,46 @@
+package main
+
+import "testing"
+
+func TestQuartiles(t *testing.T) {
+	// statistics.quantiles([1..10], n=4) = [2.75, 5.5, 8.25]
+	q1, q2, q3 := quartiles([]float64{10, 1, 9, 2, 8, 3, 7, 4, 6, 5})
+	if q1 != 2.75 || q2 != 5.5 || q3 != 8.25 {
+		t.Fatalf("quartiles = %v, %v, %v, want 2.75, 5.5, 8.25", q1, q2, q3)
+	}
+}
+
+func TestVerdict(t *testing.T) {
+	lower := metricSpec{Name: "p50_ms", Better: "lower", Bound: 0.25}
+	higher := metricSpec{Name: "qps", Better: "higher", Bound: 0.25}
+	tight := []float64{100, 101, 99, 100, 102, 98, 100, 101, 99, 100}
+	shifted := func(d float64) []float64 {
+		vs := make([]float64, len(tight))
+		for i, v := range tight {
+			vs[i] = v + d
+		}
+		return vs
+	}
+	wide := []float64{60, 140, 70, 130, 80, 120, 90, 110, 100, 100}
+	for _, c := range []struct {
+		name           string
+		m              metricSpec
+		parent, change []float64
+		wins           int
+		want           string
+	}{
+		{"lower is better, change lower", lower, tight, shifted(-10), 10, "better"},
+		{"lower is better, change higher inside the bound", lower, tight, shifted(10), 0, "same"},
+		{"lower is better, change past the bound", lower, tight, shifted(30), 0, "worse"},
+		{"higher is better, change higher", higher, tight, shifted(10), 10, "better"},
+		{"higher is better, change past the bound", higher, tight, shifted(-30), 0, "worse"},
+		{"a gain inside the parent's spread", higher, tight, shifted(1), 10, "same"},
+		{"ties win nothing", higher, tight, tight, 0, "same"},
+		{"parent spread wider than the bound", higher, wide, shifted(-50), 0, "unresolved"},
+	} {
+		wins, got := verdict(c.m, c.parent, c.change)
+		if wins != c.wins || got != c.want {
+			t.Errorf("%s: %d wins, %q; want %d, %q", c.name, wins, got, c.wins, c.want)
+		}
+	}
+}
