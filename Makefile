@@ -148,22 +148,30 @@ bench-harness-test:
 # is wider than the bound (tools/ab has the rules). The parent is
 # exported under .bench_build/ab/, and nothing is written outside
 # .bench_build/. A full run is 4 workloads x 2 sides x PAIRS x ~65 s.
+# With BENCH=<regexp> the pairs run PKG's Go benchmarks of that name
+# instead — each side's test binary built once, BENCH_TIME iterations a
+# row — through the same table on ns/op; a microbenchmark has no bound,
+# so its rows are reported and never fail the target.
 PARENT ?= HEAD
 PAIRS ?= 10
 SECONDS ?= 15
 WORKLOADS ?=
+BENCH ?=
+PKG ?= ./internal/dsr
 
 ab:
-	$(GO) run ./tools/ab -parent $(PARENT) -workloads "$(WORKLOADS)" -pairs $(PAIRS) -seconds $(SECONDS)
+	$(GO) run ./tools/ab -parent $(PARENT) -workloads "$(WORKLOADS)" -pairs $(PAIRS) -seconds $(SECONDS) \
+		-bench '$(BENCH)' -pkg $(PKG) -benchtime $(BENCH_TIME)
 
 # Run every fuzz target for FUZZ_TIME each — the wire-protocol and
 # snapshot decoders against hostile input, the shard's batched sweep
 # against its scalar reference on graphs, partitionings and task
-# batches decoded from the fuzz bytes, and the rank index behind
+# batches decoded from the fuzz bytes, the rank index behind
 # Subgraph.Local against a binary search on ownership sets and probes
-# decoded the same way — growing the corpus instead of only replaying
-# committed seeds. Any crasher go finds is written to testdata/fuzz and
-# fails the run.
+# decoded the same way, and the coordinator's two-cursor boundary finish
+# against a per-query BFS on boundary graphs and rounds decoded the same
+# way — growing the corpus instead of only replaying committed seeds.
+# Any crasher go finds is written to testdata/fuzz and fails the run.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeTasks$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeResults$$' -fuzztime=$(FUZZ_TIME)
@@ -173,6 +181,7 @@ fuzz-smoke:
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz='^FuzzDecodeSnapshotHeader$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/shard -run='^$$' -fuzz='^FuzzShardRun$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzSubgraphLocal$$' -fuzztime=$(FUZZ_TIME)
+	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzBoundaryFinish$$' -fuzztime=$(FUZZ_TIME)
 
 # Godoc hygiene gate: every package must carry a package comment, the
 # packages tools/doccheck lists as strict (internal/serve) must

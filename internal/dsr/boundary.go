@@ -18,8 +18,10 @@ import (
 // between them — because the finish asks nothing but "which components
 // does this set of components reach". Components are numbered in
 // reverse topological order (scc.Decompose): every DAG edge points at a
-// smaller number, so one pass in decreasing order sees each component
-// after all its predecessors.
+// smaller number, so a pass in decreasing order sees each component
+// after all its predecessors, and a pass in increasing order over the
+// transpose — kept beside the DAG, as scc.Condense builds both — sees
+// each after all its successors. The finish runs one of each.
 //
 // No vertex ID survives the stitch. A shard names a boundary vertex by
 // its ordinal in the boundary list of the shard's own summary, so all
@@ -30,6 +32,8 @@ type boundaryGraph struct {
 	compOf [][]int32 // per partition: ordinal in its boundary list -> component
 	off    []int32   // component-DAG CSR offsets into succ, ncomp+1
 	succ   []int32   // successor components, deduped per row
+	poff   []int32   // the DAG's transpose: offsets into pred, ncomp+1
+	pred   []int32   // predecessor components, deduped per row
 }
 
 // ncomp is the number of components.
@@ -39,7 +43,7 @@ func (bg *boundaryGraph) ncomp() int { return len(bg.off) - 1 }
 // — the only per-graph state the coordinator retains besides the
 // finish scratch sized to it.
 func (bg *boundaryGraph) residentBytes() int {
-	return 4 * (bg.nverts + len(bg.off) + len(bg.succ))
+	return 4 * (bg.nverts + len(bg.off) + len(bg.succ) + len(bg.poff) + len(bg.pred))
 }
 
 // csr is the vertex-level boundary graph as stitchBoundary lays it out,
@@ -175,15 +179,16 @@ func stitchRows(n int, sums []wire.Summary) ([]uint32, *csr, error) {
 }
 
 // condense reduces the vertex-level graph g over verts to what the
-// coordinator retains of it: the forward component DAG, and each
-// vertex's component filed under the name its shard will call it by —
-// partition and ordinal. Every sums[p].Boundary is a sorted subset of
-// the sorted verts, so one merge per partition lines ordinals up with
-// dense ids. The rest of the condensation (reverse edges, member lists)
-// and the vertex IDs themselves are dropped with g.
+// coordinator retains of it: the component DAG in both directions, and
+// each vertex's component filed under the name its shard will call it
+// by — partition and ordinal. Every sums[p].Boundary is a sorted subset
+// of the sorted verts, so one merge per partition lines ordinals up with
+// dense ids. The rest of the condensation (member lists) and the vertex
+// IDs themselves are dropped with g.
 func condense(verts []uint32, sums []wire.Summary, g *csr) *boundaryGraph {
 	d := scc.Condense(g, nil).Data()
-	bg := &boundaryGraph{nverts: len(verts), compOf: make([][]int32, len(sums)), off: d.FOff, succ: d.FEdges}
+	bg := &boundaryGraph{nverts: len(verts), compOf: make([][]int32, len(sums)),
+		off: d.FOff, succ: d.FEdges, poff: d.ROff, pred: d.REdges}
 	for p := range sums {
 		tab := make([]int32, len(sums[p].Boundary))
 		dense := 0
@@ -202,87 +207,50 @@ func condense(verts []uint32, sums []wire.Summary, g *csr) *boundaryGraph {
 // of a machine word each.
 const finishChunk = 64
 
-// goalTable maps a component to the queries of the current sweep with a
-// goal in it. Goals are few next to the components a sweep walks, so
-// the table is open-addressed and sized to them, not to the graph.
-type goalTable struct {
-	comp []int32 // -1 marks an empty slot
-	bits []uint64
+// cursor is one direction of a sweep: the forward one walks the
+// component DAG down from the seeds, the backward one its transpose up
+// from the goals. Words of active outside [lo, hi] are zero; the end of
+// that range a cursor pops from is its position in the sweep.
+type cursor struct {
+	down   bool     // forward: edges point at smaller numbers, so it pops from the top
+	mask   []uint64 // per component: queries whose seeds reach it (forward), whose goals it reaches (backward)
+	active []uint64 // bitmap of components with a non-zero mask not popped yet
+	lo, hi int      // words of active that may hold set bits
+	pops   int      // components popped this sweep
+	edges  int      // DAG edges pushed along this sweep
 }
-
-// reset empties the table and sizes it for n distinct components at a
-// load factor of at most 1/2.
-func (t *goalTable) reset(n int) {
-	size := 8
-	for size < 2*n {
-		size <<= 1
-	}
-	if size > cap(t.comp) {
-		t.comp = make([]int32, size)
-		t.bits = make([]uint64, size)
-	}
-	t.comp, t.bits = t.comp[:size], t.bits[:size]
-	for i := range t.comp {
-		t.comp[i] = -1
-	}
-	clear(t.bits)
-}
-
-// slot returns the slot holding c, or the empty one where c belongs.
-func (t *goalTable) slot(c int32) int {
-	m := uint32(len(t.comp) - 1)
-	i := uint32(c) * 2654435761 & m
-	for t.comp[i] != c && t.comp[i] != -1 {
-		i = (i + 1) & m
-	}
-	return int(i)
-}
-
-// add records that the queries in bits have a goal in component c.
-func (t *goalTable) add(c int32, bits uint64) {
-	i := t.slot(c)
-	t.comp[i] = c
-	t.bits[i] |= bits
-}
-
-// at returns the queries with a goal in component c, 0 if none.
-func (t *goalTable) at(c int32) uint64 { return t.bits[t.slot(c)] }
 
 // finisher is the per-round state of the boundary finish — the
 // coordinator's last step, deciding every query the local searches left
 // open: does any component a query's forward searches reached (its
 // seeds) lead to a component from which its backward searches were
 // reached (its goals)? Up to finishChunk queries share one sweep of the
-// component DAG, each owning one bit of every mask word. mask, active
-// and goalAt are all-zero between sweeps.
+// component DAG, each owning one bit of every mask word. Both cursors'
+// mask and active are all-zero between sweeps.
 type finisher struct {
-	mask   []uint64  // per component: queries known to reach it
-	active []uint64  // bitmap of components with a non-zero mask still to expand
-	goalAt []uint64  // bitmap of components holding a goal: spares most pops the table probe
-	goals  goalTable // component -> queries with a goal in it
-	chunk  []int32   // batch indexes of the queries in the current sweep; bit b is chunk[b]
+	fwd, bwd cursor
+	chunk    []int32 // batch indexes of the queries in the current sweep; bit b is chunk[b]
 }
 
 func newFinisher(ncomp int) *finisher {
+	words := (ncomp + 63) / 64
 	return &finisher{
-		mask:   make([]uint64, ncomp),
-		active: make([]uint64, (ncomp+63)/64),
-		goalAt: make([]uint64, (ncomp+63)/64),
-		chunk:  make([]int32, 0, finishChunk),
+		fwd:   cursor{down: true, mask: make([]uint64, ncomp), active: make([]uint64, words)},
+		bwd:   cursor{mask: make([]uint64, ncomp), active: make([]uint64, words)},
+		chunk: make([]int32, 0, finishChunk),
 	}
 }
 
 // residentBytes is the footprint of the scratch sized to the graph.
 func (f *finisher) residentBytes() int {
-	return 8 * (len(f.mask) + len(f.active) + len(f.goalAt))
+	return 8 * (len(f.fwd.mask) + len(f.fwd.active) + len(f.bwd.mask) + len(f.bwd.active))
 }
 
 // run settles every query of the round the local searches left open:
 // a local hit is an answer, and the rest — those with both seeds and
 // goals — go through the sweep, finishChunk at a time. It returns how
-// many were swept.
-func (f *finisher) run(bg *boundaryGraph, qs []qstate) int {
-	swept := 0
+// many queries were swept and how many components the sweeps popped.
+func (f *finisher) run(bg *boundaryGraph, qs []qstate) (swept, popped int) {
 	for i := range qs {
 		st := &qs[i]
 		switch {
@@ -291,90 +259,130 @@ func (f *finisher) run(bg *boundaryGraph, qs []qstate) int {
 			st.ans = true
 		case len(st.seeds) > 0 && len(st.goals) > 0:
 			if len(f.chunk) == finishChunk {
-				f.sweep(bg, qs)
+				popped += f.sweep(bg, qs)
 			}
 			f.chunk = append(f.chunk, int32(i))
 			swept++
 		}
 	}
 	if len(f.chunk) > 0 {
-		f.sweep(bg, qs)
+		popped += f.sweep(bg, qs)
 	}
-	return swept
+	return swept, popped
 }
 
 // sweep answers the chunk's queries — qs[i].ans is set for every one
-// whose seeds reach a goal — and empties the chunk.
+// whose seeds reach a goal — empties the chunk and returns how many
+// components it popped.
 //
-// Components are expanded in decreasing (topological) order off the
-// active bitmap, so each is popped at most once, after every
-// predecessor has pushed into its mask: the mask is final when read. A
-// popped component retires the queries whose goal it holds and pushes
-// the rest to its successors. Retired bits are masked out at every
-// later pop, so once nothing is pending — all answered, or the sweep is
-// past the last goal — the remaining pops only zero the arrays behind
-// them. A sweep therefore costs the components and DAG edges its
-// queries touch, in word operations, plus a scan of the bitmap words
-// between the first seed and the last touched component.
-func (f *finisher) sweep(bg *boundaryGraph, qs []qstate) {
-	ngoals := 0
-	for _, qi := range f.chunk {
-		ngoals += len(qs[qi].goals)
-	}
-	f.goals.reset(ngoals)
-	hi, lo := -1, len(f.active) // bitmap words that may hold set bits
-	last := int32(len(f.mask))  // smallest goal component: nothing below it matters
+// Two cursors share the walk. The forward one pops components in
+// decreasing order, so each is popped after every predecessor has
+// pushed into its mask, and pushes the mask on to the successors; the
+// backward one does the same in increasing order over the transpose.
+// Each step advances, by one bitmap word, the cursor that has done less
+// work so far, and the sweep ends when the cursors cross or no query is
+// pending: a word is popped by at most one cursor, and the seam falls
+// where the two sides' work balances, wherever the round's seeds and
+// goals put that.
+//
+// Every pop tests the popped mask against the other direction's mask on
+// the same component and retires the hits. That finds every answer:
+// component numbers strictly decrease along a seed→goal path, so either
+// the path has an edge u→v whose ends were popped by different cursors
+// — forward pushed the query onto v's forward mask when it popped u,
+// backward onto u's backward mask when it popped v, and whichever pop
+// came later saw the other's push — or one cursor walked the whole
+// path, onto a component carrying the other direction's seed bit. What
+// the loop leaves behind — seeds and goals beyond the seam, pushes that
+// crossed it, everything once nothing is pending — is never popped and
+// is zeroed by wipe.
+func (f *finisher) sweep(bg *boundaryGraph, qs []qstate) int {
+	fwd, bwd := &f.fwd, &f.bwd
+	fwd.reset()
+	bwd.reset()
 	for b, qi := range f.chunk {
 		st := &qs[qi]
 		bit := uint64(1) << b
-		for _, c := range st.goals {
-			f.goalAt[c>>6] |= 1 << (c & 63)
-			f.goals.add(c, bit)
-			last = min(last, c)
-		}
 		for _, c := range st.seeds {
-			f.mask[c] |= bit
-			w := int(c >> 6)
-			f.active[w] |= 1 << (c & 63)
-			hi, lo = max(hi, w), min(lo, w)
+			fwd.seed(c, bit)
+		}
+		for _, c := range st.goals {
+			bwd.seed(c, bit)
 		}
 	}
 	pending := ^uint64(0) >> (64 - len(f.chunk))
-	for w := hi; w >= lo; w-- {
-		for f.active[w] != 0 {
-			top := bits.Len64(f.active[w]) - 1
-			at := uint64(1) << top
-			f.active[w] &^= at
-			c := int32(w<<6 + top)
-			if c < last {
-				pending = 0
-			}
-			m := f.mask[c] & pending
-			f.mask[c] = 0
-			if m != 0 && f.goalAt[w]&at != 0 {
-				if hit := m & f.goals.at(c); hit != 0 {
-					pending &^= hit
-					m &^= hit
-					for ; hit != 0; hit &= hit - 1 {
-						qs[f.chunk[bits.TrailingZeros64(hit)]].ans = true
-					}
-				}
-			}
-			if m == 0 {
-				continue
-			}
-			for _, d := range bg.succ[bg.off[c]:bg.off[c+1]] {
-				f.mask[d] |= m
-				dw := int(d >> 6)
-				f.active[dw] |= 1 << (d & 63)
-				lo = min(lo, dw)
-			}
+	for fwd.hi >= bwd.lo && pending != 0 {
+		var hit uint64
+		if fwd.pops+fwd.edges <= bwd.pops+bwd.edges {
+			hit = fwd.pop(fwd.hi, bwd, bg.off, bg.succ, pending)
+			fwd.hi--
+		} else {
+			hit = bwd.pop(bwd.lo, fwd, bg.poff, bg.pred, pending)
+			bwd.lo++
+		}
+		pending &^= hit
+		for ; hit != 0; hit &= hit - 1 {
+			qs[f.chunk[bits.TrailingZeros64(hit)]].ans = true
 		}
 	}
-	for _, qi := range f.chunk {
-		for _, c := range qs[qi].goals {
-			f.goalAt[c>>6] = 0
-		}
-	}
+	fwd.wipe()
+	bwd.wipe()
 	f.chunk = f.chunk[:0]
+	return fwd.pops + bwd.pops
+}
+
+// reset readies the cursor for a sweep: nothing active, no work done.
+func (cu *cursor) reset() {
+	cu.lo, cu.hi, cu.pops, cu.edges = len(cu.active), -1, 0, 0
+}
+
+// seed adds the queries in bit to component c and activates it.
+func (cu *cursor) seed(c int32, bit uint64) {
+	cu.mask[c] |= bit
+	w := int(c >> 6)
+	cu.active[w] |= 1 << (c & 63)
+	cu.lo, cu.hi = min(cu.lo, w), max(cu.hi, w)
+}
+
+// pop expands every active component of bitmap word w along the
+// cursor's edges (off, adj) — in the direction they point, so a push
+// inside the word lands ahead of the scan and is popped by the same
+// call — and returns the pending queries that met the other cursor's
+// mask on a popped component.
+func (cu *cursor) pop(w int, other *cursor, off, adj []int32, pending uint64) (hits uint64) {
+	for cu.active[w] != 0 {
+		i := bits.TrailingZeros64(cu.active[w])
+		if cu.down {
+			i = bits.Len64(cu.active[w]) - 1
+		}
+		cu.active[w] &^= 1 << i
+		c := w<<6 + i
+		m := cu.mask[c] & pending
+		cu.mask[c] = 0
+		cu.pops++
+		if hit := m & other.mask[c]; hit != 0 {
+			hits |= hit
+			pending &^= hit
+			m &^= hit
+		}
+		if m == 0 {
+			continue
+		}
+		row := adj[off[c]:off[c+1]]
+		cu.edges += len(row)
+		for _, d := range row {
+			cu.seed(d, m)
+		}
+	}
+	return hits
+}
+
+// wipe zeroes the masks of the components still active and the bitmap.
+func (cu *cursor) wipe() {
+	for w := cu.lo; w <= cu.hi; w++ {
+		for a := cu.active[w]; a != 0; a &= a - 1 {
+			cu.mask[w<<6+bits.TrailingZeros64(a)] = 0
+		}
+		cu.active[w] = 0
+	}
 }

@@ -9,8 +9,9 @@
 //  2. at query time, per-partition shards run local searches (forward
 //     from S, backward from T) in parallel, and the coordinator finishes
 //     over the small boundary graph — condensed to its component DAG at
-//     stitch time, and swept once per batch with every open query riding
-//     one bit of a machine word (boundary.go).
+//     stitch time, and swept once per batch, from the seeds down and from
+//     the goals up until the two cursors cross, with every open query
+//     riding one bit of a machine word (boundary.go).
 //
 // Any s->t path decomposes as s ~> x0 -> e1 ~> x1 -> ... ek ~> t, where
 // each ~> stays inside one partition and each -> is a cross-partition
@@ -459,7 +460,7 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 		return nil, err
 	}
 	e := newEngine(n, k, bg, tr, o)
-	o.Log.Infof("boundary graph stitched: %d vertices in %d components, %d component edges, %d coordinator-resident bytes",
+	o.Log.Infof("boundary graph stitched: %d vertices in %d components, %d component edges kept forward and reversed, %d coordinator-resident bytes",
 		bg.nverts, bg.ncomp(), len(bg.succ), e.ResidentBytes())
 	return e, nil
 }
@@ -519,8 +520,8 @@ func (e *Engine) NumPartitions() int { return e.k }
 func (e *Engine) NumBoundary() int { return e.bg.nverts }
 
 // ResidentBytes reports the coordinator's per-graph resident footprint:
-// the stitched boundary graph in condensed form plus the finish scratch
-// sized to its components. It scales with boundary size only —
+// the stitched boundary graph in condensed form — the component DAG
+// and its transpose — plus the finish scratch sized to its components. It scales with boundary size only —
 // growing partition interiors (vertices and edges that never cross a
 // partition border) leaves it unchanged, which is the point of the
 // graph-free coordinator.
@@ -771,7 +772,7 @@ func (e *Engine) runBatch(queries []Query) error {
 	// fails.
 	finStart := e.trace.Since()
 	fin := e.trace.Add("finish", 1, finStart, 0, -1, 0)
-	swept := e.fin.run(e.bg, e.qs[:len(queries)])
+	swept, popped := e.fin.run(e.bg, e.qs[:len(queries)])
 	anyFailed := false
 	for i := range queries {
 		st := &e.qs[i]
@@ -784,6 +785,7 @@ func (e *Engine) runBatch(queries []Query) error {
 	e.trace.SetDur(fin, finDur)
 	e.trace.SetN(fin, swept)
 	e.met.finish.Observe(int64(finDur))
+	e.met.popped.Observe(int64(popped))
 	if anyFailed && perr == nil {
 		// Every shard answered, yet some seed was owned by none of them:
 		// the fleet disagrees with itself about placement. That is not a

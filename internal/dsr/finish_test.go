@@ -73,13 +73,19 @@ func (bg *boundaryGraph) compOfDense(d int32) int32 { return bg.compOf[d%2][d/2]
 // shapeVerts is the vertex count of every boundaryShapes graph.
 const shapeVerts = 300
 
-// boundaryShape is one fabricated boundary graph.
+// boundaryShape is one fabricated boundary graph, and where on it the
+// differential test puts a round's seeds and goals.
 type boundaryShape struct {
-	name  string
-	edges [][2]int32
+	name         string
+	nb           int // vertices
+	edges        [][2]int32
+	seeds, goals []int32 // the vertices seeds and goals are drawn from; nil means any
+	idle         bool    // every seed lies below every goal in topological order: a sweep pops nothing
+	waist        bool    // an hourglass: a sweep pops its queries' own seeds and goals and the waist, not a fan
 }
 
-// boundaryShapes are the boundary graphs the finish is exercised on.
+// boundaryShapes are the small boundary graphs the finish is exercised
+// on: five bitmap words each, seeds and goals anywhere.
 func boundaryShapes(rng *rand.Rand) []boundaryShape {
 	const nb = shapeVerts
 	random := func(m int) [][2]int32 {
@@ -102,19 +108,81 @@ func boundaryShapes(rng *rand.Rand) []boundaryShape {
 		dag[i] = [2]int32{int32(label[lo]), int32(label[hi])}
 	}
 	return []boundaryShape{
-		{"giant-scc", random(3 * nb)}, // collapses into one big component plus fringe
-		{"one-ring", ring},            // exactly one component
-		{"dag", dag},                  // every component a singleton
-		{"sparse", random(nb / 2)},    // mostly isolated vertices
-		{"empty", nil},
+		{name: "giant-scc", nb: nb, edges: random(3 * nb)}, // collapses into one big component plus fringe
+		{name: "one-ring", nb: nb, edges: ring},            // exactly one component
+		{name: "dag", nb: nb, edges: dag},                  // every component a singleton
+		{name: "sparse", nb: nb, edges: random(nb / 2)},    // mostly isolated vertices
+		{name: "empty", nb: nb},
+	}
+}
+
+// span is the vertices lo..hi-1.
+func span(lo, hi int) []int32 {
+	vs := make([]int32, hi-lo)
+	for i := range vs {
+		vs[i] = int32(lo + i)
+	}
+	return vs
+}
+
+// chainShape is the path 0 -> 1 -> ... -> nb-1: vertex v is component
+// nb-1-v, one component to a bitmap bit.
+func chainShape(name string, nb int, seeds, goals []int32, idle bool) boundaryShape {
+	edges := make([][2]int32, nb-1)
+	for v := range edges {
+		edges[v] = [2]int32{int32(v), int32(v + 1)}
+	}
+	return boundaryShape{name: name, nb: nb, edges: edges, seeds: seeds, goals: goals, idle: idle}
+}
+
+// hourglassShape is in sources -> u -> v -> out sinks, seeds among the
+// sources and goals among the sinks, so every path runs along the one
+// edge u -> v. Whatever order the decomposition visits vertices in, the
+// sinks complete first, then v, then u, then the sources: v is
+// component `out` and u is `out`+1, which is how a caller places the
+// edge against the bitmap's word boundaries, and the ratio of in to out
+// is how it places it against the point where the two cursors' work
+// balances.
+func hourglassShape(name string, in, out int) boundaryShape {
+	u, v := int32(in), int32(in+1)
+	edges := [][2]int32{{u, v}}
+	for a := 0; a < in; a++ {
+		edges = append(edges, [2]int32{int32(a), u})
+	}
+	for b := 0; b < out; b++ {
+		edges = append(edges, [2]int32{v, int32(in + 2 + b)})
+	}
+	return boundaryShape{name: name, nb: in + out + 2, edges: edges, seeds: span(0, in), goals: span(in+2, in+2+out), waist: true}
+}
+
+// seamShapes aim at the seam of the two-cursor sweep: graphs of many
+// bitmap words with the seeds and goals placed so the cursors must meet
+// on a chosen edge, inside one word, or not at all. words, even, is the
+// bitmap words a shape spans (the fuzz seeds use the same shapes,
+// smaller).
+func seamShapes(words int) []boundaryShape {
+	n := 64 * words
+	return []boundaryShape{
+		// Seeds at the head, goals at the tail: every path crosses every word.
+		chainShape("chain-down", n, span(0, 70), span(n-70, n), false),
+		// The other way round: nothing reaches anything, and nothing is popped.
+		chainShape("chain-up", n, span(n-70, n), span(0, 70), true),
+		// Seeds and goals share one bitmap word (components 64..127) of many.
+		chainShape("chain-one-word", n, span(n-128, n-64), span(n-128, n-64), false),
+		// Seeds and goals are the same few components, words apart.
+		chainShape("chain-same-components", n, []int32{3, int32(n / 2), int32(n - 3)}, []int32{3, int32(n / 2), int32(n - 3)}, false),
+		hourglassShape("hourglass-in-word", n/2, n/2-2),       // u, v = components n/2-1, n/2-2: one word, work balanced
+		hourglassShape("hourglass-word-boundary", n/2, n/2-1), // u, v = components n/2, n/2-1: a word apart
+		hourglassShape("hourglass-bottom", n, 63),             // the edge straddles words 0|1, all the work above it
+		hourglassShape("hourglass-top", 5, n-1),               // the edge straddles two words near the top, all the work below
 	}
 }
 
 // stitched stitches a shape, returning both the vertex-level graph (the
 // reference's input) and its condensation (the sweep's).
-func (s boundaryShape) stitched(t *testing.T) (*csr, *boundaryGraph) {
+func (s boundaryShape) stitched(t testing.TB) (*csr, *boundaryGraph) {
 	t.Helper()
-	n, sums := summariesOf(shapeVerts, s.edges)
+	n, sums := summariesOf(s.nb, s.edges)
 	verts, g, err := stitchRows(n, sums)
 	if err != nil {
 		t.Fatalf("%s: %v", s.name, err)
@@ -157,9 +225,107 @@ func TestCondenseInvariants(t *testing.T) {
 	}
 }
 
+// TestSeamShapesAim checks the seam shapes sit where their names say —
+// the component numbering is the decomposition's, not the test's.
+func TestSeamShapesAim(t *testing.T) {
+	for _, shape := range seamShapes(76) {
+		_, bg := shape.stitched(t)
+		if bg.ncomp() != shape.nb || bg.ncomp() < 4096 {
+			t.Fatalf("%s: %d components from %d vertices, want one each and at least 4096", shape.name, bg.ncomp(), shape.nb)
+		}
+		e := shape.edges[0] // a chain's head edge, an hourglass's waist
+		hi, lo := bg.compOfDense(e[0]), bg.compOfDense(e[1])
+		if hi != lo+1 {
+			t.Fatalf("%s: edge %v joins components %d and %d, want neighbours", shape.name, e, hi, lo)
+		}
+		switch shape.name {
+		case "chain-one-word":
+			for _, v := range slices.Concat(shape.seeds, shape.goals) {
+				if bg.compOfDense(v)>>6 != 1 {
+					t.Fatalf("%s: vertex %d is component %d, outside word 1", shape.name, v, bg.compOfDense(v))
+				}
+			}
+		case "hourglass-in-word":
+			if hi>>6 != lo>>6 {
+				t.Fatalf("%s: waist %d -> %d spans two words", shape.name, hi, lo)
+			}
+		case "hourglass-word-boundary", "hourglass-bottom", "hourglass-top":
+			if hi>>6 != lo>>6+1 {
+				t.Fatalf("%s: waist %d -> %d does not straddle a word boundary", shape.name, hi, lo)
+			}
+		}
+		if shape.idle {
+			top := int32(0)
+			for _, v := range shape.seeds {
+				top = max(top, bg.compOfDense(v))
+			}
+			for _, v := range shape.goals {
+				if bg.compOfDense(v)>>6 <= top>>6 {
+					t.Fatalf("%s: goal component %d is not words above seed component %d", shape.name, bg.compOfDense(v), top)
+				}
+			}
+		}
+	}
+}
+
 // finishRoundSizes straddle the 64-query chunk: one query, one short of
 // a chunk, exactly one, one over, and several chunks.
 var finishRoundSizes = []int{1, 63, 64, 65, 200}
+
+// roundQuery is one fabricated query of a round as the finish meets it:
+// seeds and goals in dense vertex ids, already decided (done, with its
+// answer), locally hit, or open.
+type roundQuery struct {
+	seeds, goals   []int32
+	done, ans, hit bool
+}
+
+// checkRound runs the finish on a fabricated round and checks every
+// answer against the per-query BFS, the swept count, and that all four
+// scratch arrays are back to all-zero. It returns the components popped.
+func checkRound(t testing.TB, name string, g *csr, bg *boundaryGraph, fin *finisher, round []roundQuery) int {
+	t.Helper()
+	qs := make([]qstate, len(round))
+	want := make([]bool, len(round))
+	open := 0
+	for i, q := range round {
+		for _, d := range q.seeds {
+			qs[i].seeds = append(qs[i].seeds, bg.compOfDense(d))
+		}
+		for _, d := range q.goals {
+			qs[i].goals = append(qs[i].goals, bg.compOfDense(d))
+		}
+		switch {
+		case q.done: // decided during assembly: the finish must not touch it
+			qs[i].done, qs[i].ans = true, q.ans
+			want[i] = q.ans
+		case q.hit:
+			qs[i].hit = true
+			want[i] = true
+		default:
+			want[i] = boundaryReach(g, q.seeds, q.goals)
+			if len(q.seeds) > 0 && len(q.goals) > 0 {
+				open++
+			}
+		}
+	}
+	swept, popped := fin.run(bg, qs)
+	if swept != open {
+		t.Fatalf("%s round of %d: swept %d queries, want %d", name, len(round), swept, open)
+	}
+	for i := range qs {
+		if qs[i].ans != want[i] {
+			t.Fatalf("%s round of %d query %d: sweep = %v, per-query BFS = %v (seeds %v goals %v)",
+				name, len(round), i, qs[i].ans, want[i], qs[i].seeds, qs[i].goals)
+		}
+	}
+	for _, arr := range [][]uint64{fin.fwd.mask, fin.fwd.active, fin.bwd.mask, fin.bwd.active} {
+		if slices.ContainsFunc(arr, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("%s round of %d: finisher scratch not zeroed after the round", name, len(round))
+		}
+	}
+	return popped
+}
 
 // TestFinishSweepDifferential runs the finish on fabricated rounds —
 // decided, locally hit and open queries mixed, seed and goal lists that
@@ -169,62 +335,73 @@ var finishRoundSizes = []int{1, 63, 64, 65, 200}
 // to all-zero after each.
 func TestFinishSweepDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
-	for _, shape := range boundaryShapes(rng) {
-		const nb = shapeVerts
-		name := shape.name
+	for _, shape := range append(boundaryShapes(rng), seamShapes(76)...) {
 		g, bg := shape.stitched(t)
 		fin := newFinisher(bg.ncomp())
-		pick := func() []int32 {
+		pick := func(from []int32) []int32 {
 			vs := make([]int32, rng.Intn(7))
 			for i := range vs {
-				vs[i] = int32(rng.Intn(nb))
+				if from == nil {
+					vs[i] = int32(rng.Intn(shape.nb))
+				} else {
+					vs[i] = from[rng.Intn(len(from))]
+				}
 			}
 			return vs
 		}
 		for _, size := range append(finishRoundSizes, finishRoundSizes...) {
-			qs := make([]qstate, size)
-			want := make([]bool, size)
-			open := 0
-			for i := range qs {
-				seeds, goals := pick(), pick()
-				if len(seeds) > 0 && rng.Intn(8) == 0 {
-					goals = append(goals, seeds[0]) // seed == goal
-				}
-				for _, d := range seeds {
-					qs[i].seeds = append(qs[i].seeds, bg.compOfDense(d))
-				}
-				for _, d := range goals {
-					qs[i].goals = append(qs[i].goals, bg.compOfDense(d))
+			round := make([]roundQuery, size)
+			for i := range round {
+				q := &round[i]
+				q.seeds, q.goals = pick(shape.seeds), pick(shape.goals)
+				if len(q.seeds) > 0 && rng.Intn(8) == 0 && !shape.idle {
+					q.goals = append(q.goals, q.seeds[0]) // seed == goal
 				}
 				switch rng.Intn(6) {
-				case 0: // decided during assembly: the finish must not touch it
-					qs[i].done, qs[i].ans = true, rng.Intn(2) == 0
-					want[i] = qs[i].ans
+				case 0:
+					q.done, q.ans = true, rng.Intn(2) == 0
 				case 1:
-					qs[i].hit = true
-					want[i] = true
-				default:
-					want[i] = boundaryReach(g, seeds, goals)
-					if len(seeds) > 0 && len(goals) > 0 {
-						open++
-					}
+					q.hit = true
 				}
 			}
-			if swept := fin.run(bg, qs); swept != open {
-				t.Fatalf("%s round of %d: swept %d queries, want %d", name, size, swept, open)
+			popped := checkRound(t, shape.name, g, bg, fin, round)
+			if shape.idle && popped != 0 {
+				t.Fatalf("%s round of %d: popped %d components with every seed below every goal", shape.name, size, popped)
 			}
-			for i := range qs {
-				if qs[i].ans != want[i] {
-					t.Fatalf("%s round of %d query %d: sweep = %v, per-query BFS = %v (seeds %v goals %v)",
-						name, size, i, qs[i].ans, want[i], qs[i].seeds, qs[i].goals)
-				}
-			}
-			for _, arr := range [][]uint64{fin.mask, fin.active, fin.goalAt} {
-				if slices.ContainsFunc(arr, func(w uint64) bool { return w != 0 }) {
-					t.Fatalf("%s round of %d: finisher scratch not zeroed after the round", name, size)
-				}
+			// At most 6 seeds and 7 goals a query, the waist once a sweep:
+			// a cursor that ran on alone would pop a whole fan, thousands.
+			if bound := 13*size + 2*(size/finishChunk+1); shape.waist && popped > bound {
+				t.Fatalf("%s round of %d: popped %d components, more than the %d its seeds, goals and waist account for",
+					shape.name, size, popped, bound)
 			}
 		}
+	}
+}
+
+// TestCursorPopOrder pins the order a cursor pops one bitmap word in:
+// on a diamond that fits a word, either direction must pop each of the
+// four components once, with its mask complete — popping from the wrong
+// end re-expands a component every time a push lands behind it, which
+// costs work and changes no answer.
+func TestCursorPopOrder(t *testing.T) {
+	// Components 3 -> 2 -> {1, 0}, 1 -> 0: one topological order, so the numbering is forced.
+	shape := boundaryShape{name: "diamond", nb: 4, edges: [][2]int32{{0, 1}, {1, 2}, {1, 3}, {2, 3}}}
+	_, bg := shape.stitched(t)
+	for v := int32(0); v < 4; v++ {
+		if bg.compOfDense(v) != 3-v {
+			t.Fatalf("vertex %d is component %d, want %d", v, bg.compOfDense(v), 3-v)
+		}
+	}
+	fin := newFinisher(bg.ncomp())
+	fin.fwd.reset()
+	fin.fwd.seed(3, 1)
+	fin.fwd.pop(0, &fin.bwd, bg.off, bg.succ, 1)
+	fin.bwd.reset()
+	fin.bwd.seed(0, 1)
+	fin.bwd.pop(0, &fin.fwd, bg.poff, bg.pred, 1)
+	if fin.fwd.pops != 4 || fin.fwd.edges != 4 || fin.bwd.pops != 4 || fin.bwd.edges != 4 {
+		t.Fatalf("forward popped %d components along %d edges, backward %d along %d; want 4 and 4 both ways",
+			fin.fwd.pops, fin.fwd.edges, fin.bwd.pops, fin.bwd.edges)
 	}
 }
 
@@ -372,7 +549,9 @@ func benchGraph() (*graph.Graph, int) {
 // rounds' state is captured up front from real rounds — under the
 // partitioning that makes nearly every vertex boundary and the one that
 // keeps the boundary small. b.N counts rounds; ns/query divides by the
-// batch.
+// batch, as does components/query — the components the rounds' sweeps
+// popped, a count that repeats exactly from run to run. batch=32 is
+// about what a closed-loop dsr-serve round carries.
 func BenchmarkBoundaryFinish(b *testing.B) {
 	g, n := benchGraph()
 	for _, strat := range []graph.Partitioner{graph.Hash(), locality.New(locality.Options{Seed: 1})} {
@@ -380,25 +559,29 @@ func BenchmarkBoundaryFinish(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, batch := range []int{1, 8, 64} {
+		for _, batch := range []int{1, 8, 32, 64} {
 			rounds := captureRounds(e, rand.New(rand.NewSource(int64(batch))), n, batch, 16)
 			b.Run(fmt.Sprintf("%s/batch=%d", strat.Name(), batch), func(b *testing.B) {
+				popped := 0
 				run := func(i int) {
 					qs := rounds[i%len(rounds)]
 					for j := range qs {
 						qs[j].ans = qs[j].done && qs[j].ans
 					}
-					e.fin.run(e.bg, qs)
+					_, n := e.fin.run(e.bg, qs)
+					popped += n
 				}
-				for i := range rounds { // warm the goal table to its steady size
+				for i := range rounds { // fault the scratch in and warm the caches
 					run(i)
 				}
+				popped = 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					run(i)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/query")
+				b.ReportMetric(float64(popped)/float64(b.N*batch), "components/query")
 			})
 		}
 		e.Close()

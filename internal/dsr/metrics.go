@@ -22,6 +22,7 @@ type engineMetrics struct {
 	batchSize *obs.Histogram // dsr_batch_size
 	faninWait *obs.Histogram // dsr_fanin_wait_ns
 	finish    *obs.Histogram // dsr_boundary_finish_ns
+	popped    *obs.Histogram // dsr_finish_sweep_components
 	frontier  *obs.Histogram // dsr_frontier_size
 	sumFetch  *obs.Histogram // dsr_summary_fetch_ns
 
@@ -50,6 +51,7 @@ func newEngineMetrics(reg *obs.Registry, k int) engineMetrics {
 		batchSize:     reg.Histogram("dsr_batch_size"),
 		faninWait:     reg.Histogram("dsr_fanin_wait_ns"),
 		finish:        reg.Histogram("dsr_boundary_finish_ns"),
+		popped:        reg.Histogram("dsr_finish_sweep_components"),
 		frontier:      reg.Histogram("dsr_frontier_size"),
 		sumFetch:      reg.Histogram("dsr_summary_fetch_ns"),
 		rpcs:          make([]*obs.Counter, k),

@@ -52,6 +52,13 @@ func TestEngineMetrics(t *testing.T) {
 			t.Errorf("histogram %s never observed", h)
 		}
 	}
+	// One observation per round, beside the finish's time; a round of
+	// four is one sweep, which pops a component at most once.
+	pops := snap.Histograms["dsr_finish_sweep_components"]
+	if pops.Count != snap.Histograms["dsr_boundary_finish_ns"].Count || pops.Sum == 0 || pops.Sum > uint64(rounds*e.bg.ncomp()) {
+		t.Errorf("dsr_finish_sweep_components: %d observations summing to %d, want one per finish and 1..%d components",
+			pops.Count, pops.Sum, rounds*e.bg.ncomp())
+	}
 	lat := snap.Histograms["dsr_query_latency_ns"]
 	if lat.P50 == 0 || lat.P99 < lat.P50 || lat.P999 < lat.P99 {
 		t.Errorf("latency quantiles not monotone: p50=%d p99=%d p999=%d", lat.P50, lat.P99, lat.P999)

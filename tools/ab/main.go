@@ -22,6 +22,18 @@
 // than the parent's interquartile range, "same" otherwise. Failed
 // operations are summed per side. Exit status 1 on any "worse", any
 // incorrect run, or a larger failed share on the change side.
+//
+// With -bench the pairs run Go microbenchmarks instead of the
+// workloads:
+//
+//	make ab PARENT=HEAD~1 BENCH=BoundaryFinish PKG=./internal/dsr PAIRS=10 BENCH_TIME=300x
+//
+// Each side's test binary for the package is built once (under
+// .bench_build/ab/, with the build cache bench/run.sh uses) and run
+// from its own package directory; every benchmark row both sides print
+// is a line of the same table, on ns/op, lower is better. No bound is
+// declared for a microbenchmark, so a row is "better" or "same" and is
+// only reported: it never fails the run.
 package main
 
 import (
@@ -34,6 +46,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 )
@@ -57,12 +70,13 @@ type result struct {
 	Metrics   map[string]struct{ Value float64 }
 }
 
-// side is one checkout and what its runs returned, per workload in
-// pair order.
+// side is one checkout and what its runs returned, per workload (or
+// benchmark row) in pair order.
 type side struct {
-	name string
-	root string
-	runs map[string][]result
+	name    string
+	root    string
+	testBin string // -bench only: the side's compiled test binary
+	runs    map[string][]result
 }
 
 func main() {
@@ -71,20 +85,56 @@ func main() {
 	pairs := flag.Int("pairs", 10, "parent/change pairs per workload")
 	seconds := flag.Int("seconds", 15, "measured window of each run (BENCHMARK.json's run_seconds is what the gate uses)")
 	seed := flag.Uint64("seed", 101, "seed of the first pair; pair i runs both sides at seed+i")
+	bench := flag.String("bench", "", "run the Go benchmarks matching this regexp, in -pkg, instead of the workloads")
+	pkg := flag.String("pkg", "./internal/dsr", "package whose benchmarks -bench names")
+	benchtime := flag.String("benchtime", "100x", "-test.benchtime of each -bench run")
 	flag.Parse()
-	if err := run(*parent, strings.Fields(*workloads), *pairs, *seconds, *seed); err != nil {
+	var err error
+	if *bench != "" {
+		err = runBench(*parent, *pkg, *bench, *benchtime, *pairs)
+	} else {
+		err = run(*parent, strings.Fields(*workloads), *pairs, *seconds, *seed)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(parent string, workloads []string, pairs, seconds int, seed uint64) error {
+// checkouts exports the parent and returns both sides, parent first,
+// and the directory the pairs' by-products go under.
+func checkouts(parent string) (sides []*side, abDir string, err error) {
 	root, err := os.Getwd()
+	if err != nil {
+		return nil, "", err
+	}
+	abDir = filepath.Join(root, ".bench_build", "ab")
+	parentRoot, err := export(root, abDir, parent)
+	if err != nil {
+		return nil, "", err
+	}
+	return []*side{
+		{name: "parent", root: parentRoot, runs: make(map[string][]result)},
+		{name: "change", root: root, runs: make(map[string][]result)},
+	}, abDir, nil
+}
+
+// inOrder returns the sides as pair i runs them: parent first when i is
+// odd, change first when it is even.
+func inOrder(sides []*side, i int) []*side {
+	if i%2 == 0 {
+		return []*side{sides[1], sides[0]}
+	}
+	return sides
+}
+
+func run(parent string, workloads []string, pairs, seconds int, seed uint64) error {
+	sides, abDir, err := checkouts(parent)
 	if err != nil {
 		return err
 	}
 	var sp spec
-	raw, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	raw, err := os.ReadFile(filepath.Join(sides[1].root, "BENCHMARK.json"))
 	if err == nil {
 		err = json.Unmarshal(raw, &sp)
 	}
@@ -96,28 +146,15 @@ func run(parent string, workloads []string, pairs, seconds int, seed uint64) err
 			workloads = append(workloads, w.Name)
 		}
 	}
-	abDir := filepath.Join(root, ".bench_build", "ab")
-	parentRoot, err := export(root, abDir, parent)
-	if err != nil {
-		return err
-	}
 	log, err := os.OpenFile(filepath.Join(abDir, "runs.jsonl"), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
 	defer log.Close()
 
-	sides := []*side{
-		{name: "parent", root: parentRoot, runs: make(map[string][]result)},
-		{name: "change", root: root, runs: make(map[string][]result)},
-	}
 	for i := 1; i <= pairs; i++ {
-		order := sides
-		if i%2 == 0 {
-			order = []*side{sides[1], sides[0]}
-		}
 		for _, wl := range workloads {
-			for _, s := range order {
+			for _, s := range inOrder(sides, i) {
 				r, line, err := s.bench(wl, seed+uint64(i), seconds)
 				if err != nil {
 					return fmt.Errorf("pair %d, %s on %s: %w", i, wl, s.name, err)
@@ -128,10 +165,75 @@ func run(parent string, workloads []string, pairs, seconds int, seed uint64) err
 			}
 		}
 	}
-	if !report(os.Stdout, sp.EndToEnd, workloads, sides[0], sides[1]) {
+	ok := report(os.Stdout, sp.EndToEnd, workloads, sides[0], sides[1])
+	if !failedShares(os.Stdout, workloads, sides[0], sides[1]) || !ok {
 		return fmt.Errorf("the change is worse than %s", parent)
 	}
 	return nil
+}
+
+// runBench is run for Go microbenchmarks: the rows of the table are the
+// benchmarks of pkg matching re that both sides have.
+func runBench(parent, pkg, re, benchtime string, pairs int) error {
+	sides, abDir, err := checkouts(parent)
+	if err != nil {
+		return err
+	}
+	for _, s := range sides {
+		if err := s.buildTest(abDir, pkg); err != nil {
+			return fmt.Errorf("building %s's %s tests: %w", s.name, pkg, err)
+		}
+	}
+	for i := 1; i <= pairs; i++ {
+		for _, s := range inOrder(sides, i) {
+			cmd := exec.Command(s.testBin, "-test.run", "^$", "-test.bench", re, "-test.benchtime", benchtime, "-test.timeout", "30m")
+			cmd.Dir = filepath.Join(s.root, pkg)
+			cmd.Stderr = os.Stderr
+			out, err := cmd.Output()
+			if err != nil {
+				return fmt.Errorf("pair %d on %s: %w", i, s.name, err)
+			}
+			for name, ns := range parseBench(string(out)) {
+				s.runs[name] = append(s.runs[name], result{Correct: true, Metrics: map[string]struct{ Value float64 }{"ns/op": {ns}}})
+			}
+			fmt.Fprintf(os.Stderr, "pair %d/%d %s\n", i, pairs, s.name)
+		}
+	}
+	var rows []string
+	for name, runs := range sides[0].runs {
+		if len(runs) == pairs && len(sides[1].runs[name]) == pairs {
+			rows = append(rows, name)
+		}
+	}
+	slices.Sort(rows)
+	report(os.Stdout, []metricSpec{{Name: "ns/op", Unit: "ns", Better: "lower"}}, rows, sides[0], sides[1])
+	return nil
+}
+
+// buildTest compiles the side's test binary for pkg into dir.
+func (s *side) buildTest(dir, pkg string) error {
+	s.testBin = filepath.Join(dir, s.name+".test")
+	cmd := exec.Command("go", "test", "-c", "-o", s.testBin, pkg)
+	cmd.Dir = s.root
+	build := filepath.Dir(dir) // .bench_build: the cache and path bench/run.sh builds with
+	cmd.Env = append(os.Environ(), "GOCACHE="+filepath.Join(build, "gocache"), "GOPATH="+filepath.Join(build, "gopath"), "GOTOOLCHAIN=local")
+	cmd.Stderr = os.Stderr
+	return cmd.Run()
+}
+
+// parseBench reads ns/op per benchmark off `go test -bench` output.
+func parseBench(out string) map[string]float64 {
+	rows := make(map[string]float64)
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
+			continue
+		}
+		if ns, err := strconv.ParseFloat(f[2], 64); err == nil {
+			rows[f[0]] = ns
+		}
+	}
+	return rows
 }
 
 // export unpacks commit ref of the repository at root under dir, once
@@ -195,7 +297,8 @@ func quartiles(values []float64) (q1, q2, q3 float64) {
 }
 
 // verdict judges one (workload, metric) cell from both sides' values
-// in pair order; wins counts the pairs the change won.
+// in pair order; wins counts the pairs the change won. A metric with no
+// bound (Bound 0) can be neither unresolved nor worse.
 func verdict(m metricSpec, parent, change []float64) (wins int, v string) {
 	sign := 1.0 // makes larger better
 	if m.Better == "lower" {
@@ -210,9 +313,9 @@ func verdict(m metricSpec, parent, change []float64) (wins int, v string) {
 	_, cm, _ := quartiles(change)
 	iqr, gain := p3-p1, sign*(cm-pm)
 	switch {
-	case iqr > m.Bound*math.Abs(pm):
+	case m.Bound > 0 && iqr > m.Bound*math.Abs(pm):
 		return wins, "unresolved"
-	case -gain > m.Bound*math.Abs(pm):
+	case m.Bound > 0 && -gain > m.Bound*math.Abs(pm):
 		return wins, "worse"
 	case 10*wins >= 9*len(parent) && gain > iqr:
 		return wins, "better"
@@ -220,9 +323,7 @@ func verdict(m metricSpec, parent, change []float64) (wins int, v string) {
 	return wins, "same"
 }
 
-// report prints the table and returns false when the change may not
-// land: a cell is worse, a run was incorrect, or a larger share of the
-// change's operations failed.
+// report prints the table and returns false when a cell is worse.
 func report(w *os.File, metrics []metricSpec, workloads []string, parent, change *side) bool {
 	ok := true
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
@@ -234,11 +335,23 @@ func report(w *os.File, metrics []metricSpec, workloads []string, parent, change
 			ok = ok && v != "worse"
 			p1, pm, p3 := quartiles(pv)
 			c1, cm, c3 := quartiles(cv)
-			fmt.Fprintf(tw, "%s\t%s\t%.4g [%.4g, %.4g]\t%.4g [%.4g, %.4g]\t%+.1f%%\t%.0f%%\t%d/%d\t%s\n",
-				wl, m.Name, pm, p1, p3, cm, c1, c3, 100*(cm-pm)/pm, 100*m.Bound, wins, len(pv), v)
+			bound := "-"
+			if m.Bound > 0 {
+				bound = fmt.Sprintf("%.0f%%", 100*m.Bound)
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%.4g [%.4g, %.4g]\t%.4g [%.4g, %.4g]\t%+.1f%%\t%s\t%d/%d\t%s\n",
+				wl, m.Name, pm, p1, p3, cm, c1, c3, 100*(cm-pm)/pm, bound, wins, len(pv), v)
 		}
 	}
 	tw.Flush()
+	return ok
+}
+
+// failedShares prints each workload's failed operations per side and
+// returns false when the change may not land for them: a run was
+// incorrect, or a larger share of the change's operations failed.
+func failedShares(w *os.File, workloads []string, parent, change *side) bool {
+	ok := true
 	for _, wl := range workloads {
 		pf, pa, pc := failures(parent.runs[wl])
 		cf, ca, cc := failures(change.runs[wl])

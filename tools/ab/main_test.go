@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"maps"
+	"testing"
+)
 
 func TestQuartiles(t *testing.T) {
 	// statistics.quantiles([1..10], n=4) = [2.75, 5.5, 8.25]
@@ -13,6 +16,7 @@ func TestQuartiles(t *testing.T) {
 func TestVerdict(t *testing.T) {
 	lower := metricSpec{Name: "p50_ms", Better: "lower", Bound: 0.25}
 	higher := metricSpec{Name: "qps", Better: "higher", Bound: 0.25}
+	unbound := metricSpec{Name: "ns/op", Better: "lower"}
 	tight := []float64{100, 101, 99, 100, 102, 98, 100, 101, 99, 100}
 	shifted := func(d float64) []float64 {
 		vs := make([]float64, len(tight))
@@ -37,10 +41,31 @@ func TestVerdict(t *testing.T) {
 		{"a gain inside the parent's spread", higher, tight, shifted(1), 10, "same"},
 		{"ties win nothing", higher, tight, tight, 0, "same"},
 		{"parent spread wider than the bound", higher, wide, shifted(-50), 0, "unresolved"},
+		{"no bound, change lower", unbound, tight, shifted(-10), 10, "better"},
+		{"no bound, change far higher: reported, never worse", unbound, tight, shifted(300), 0, "same"},
+		{"no bound, wide parent: never unresolved", unbound, wide, shifted(-20), 7, "same"},
 	} {
 		wins, got := verdict(c.m, c.parent, c.change)
 		if wins != c.wins || got != c.want {
 			t.Errorf("%s: %d wins, %q; want %d, %q", c.name, wins, got, c.wins, c.want)
 		}
+	}
+}
+
+func TestParseBench(t *testing.T) {
+	out := `goos: linux
+pkg: dsr/internal/dsr
+BenchmarkBoundaryFinish/hash/batch=1-2         	     300	      8855 ns/op	        114.6 components/query	      8848 ns/query	       0 B/op	       0 allocs/op
+BenchmarkBoundaryFinish/hash/batch=64-2        	     300	    133305.5 ns/op	      2083 ns/query
+BenchmarkNoTime-2   	     300	      12 widgets/op
+--- BENCH: BenchmarkBoundaryFinish
+PASS
+`
+	want := map[string]float64{
+		"BenchmarkBoundaryFinish/hash/batch=1-2":  8855,
+		"BenchmarkBoundaryFinish/hash/batch=64-2": 133305.5,
+	}
+	if got := parseBench(out); !maps.Equal(got, want) {
+		t.Fatalf("parseBench = %v, want %v", got, want)
 	}
 }
