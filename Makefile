@@ -21,7 +21,7 @@ FUZZ_TIME ?= 30s
 COVER_GATE ?= \
 	internal/shard:85.0 \
 	internal/shard/chaos:85.0 \
-	internal/dsr:87.0 \
+	internal/dsr:93.0 \
 	internal/wire:85.0 \
 	internal/obs:85.0 \
 	internal/obs/fleet:85.0 \

@@ -8,7 +8,7 @@
 //
 // sources left of '|', targets right, whitespace-separated; the answer
 // (true/false) is printed per line. With -batch all queries are read
-// first and shipped as one QueryBatch — one round-trip per shard for
+// first and shipped as one QueryBatchErr round — one round-trip per shard for
 // the entire workload. A malformed line is reported on stderr with its
 // line number and skipped; the process still answers every well-formed
 // query but exits non-zero, so pipelines can't silently lose queries.

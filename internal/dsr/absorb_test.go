@@ -56,9 +56,10 @@ func loopbackShards(t testing.TB, g *graph.Graph, strat graph.Partitioner, k int
 // TestAbsorbRejectsTamperedReplies: what a shard reports is attributed
 // by what it echoes, checked against what was asked, and a boundary
 // ordinal is checked against the boundary the shard declared at
-// connect. A reply that fails either poisons the round — an error and
-// no answers, never a wrong answer — and the next clean round is
-// answered correctly.
+// connect. Every reply must echo the round's batch ID — a 0 is stale or
+// corrupt, not a legacy peer (the hello refuses those). A reply that
+// fails any of it poisons the round — an error and no answers, never a
+// wrong answer — and the next clean round is answered correctly.
 func TestAbsorbRejectsTamperedReplies(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260930))
 	const n, k = 300, 3
@@ -127,6 +128,11 @@ func TestAbsorbRejectsTamperedReplies(t *testing.T) {
 				rep.Results[i].Boundary = append(rep.Results[i].Boundary, ^uint32(0))
 			}
 		}, "reported boundary ordinal"},
+		{"a reply echoing batch 0", func(rep *shard.Reply) {
+			if rep.Shard == 2 {
+				rep.Batch = 0
+			}
+		}, "echoed batch 0 during batch"},
 	}
 	for _, c := range cases {
 		tr.tamper = c.tamper
@@ -179,19 +185,22 @@ func BenchmarkAbsorb(b *testing.B) {
 				queries[i] = Query{S: randomSet(rng, n, 16), T: randomSet(rng, n, 16)}
 			}
 			e.QueryBatch(queries)
-			caps[r].tasks = slices.Clone(e.tasks)
-			for _, res := range shards[0].Run(e.tasks) {
+			caps[r].tasks = slices.Clone(e.r.tasks)
+			for _, res := range shards[0].Run(e.r.tasks) {
 				res.Boundary = slices.Clone(res.Boundary)
 				caps[r].rep.Results = append(caps[r].rep.Results, res)
 				ordinals += len(res.Boundary)
 			}
 		}
+		for r := range caps { // absorb holds every reply to the current batch ID
+			caps[r].rep.Batch = e.r.batchID
+		}
 		b.Run(strat.Name(), func(b *testing.B) {
 			pass := func() {
 				for r := range caps {
-					e.tasks = caps[r].tasks
-					for j := range e.qs[:batch] {
-						st := &e.qs[j]
+					e.r.tasks = caps[r].tasks
+					for j := range e.r.qs[:batch] {
+						st := &e.r.qs[j]
 						st.seeds, st.goals, st.hit = st.seeds[:0], st.goals[:0], false
 					}
 					if err := e.absorb(&caps[r].rep); err != nil {

@@ -1,13 +1,17 @@
 package dsr
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"dsr/internal/graph"
 	"dsr/internal/obs"
+	"dsr/internal/shard"
 )
 
 // TestQueryBatchDifferential compares QueryBatch against both the
@@ -92,9 +96,10 @@ func TestQueryBatchEmpty(t *testing.T) {
 }
 
 // TestQueryZeroAlloc locks the acceptance criterion that the in-process
-// Loopback query path stays allocation-free in steady state — with full
+// Loopback round stays allocation-free in steady state — with full
 // instrumentation enabled (metrics registry, slow-query tracing armed):
-// telemetry must be free when idle and allocation-free when hot.
+// telemetry must be free when idle and allocation-free when hot. Through
+// QueryBatchErr a round costs exactly the answer slice it returns.
 func TestQueryZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -114,6 +119,10 @@ func TestQueryZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() { e.Query(S, T) }); allocs != 0 {
 		t.Errorf("Query allocates %v/op in steady state with metrics enabled, want 0", allocs)
+	}
+	batch := []Query{{S: S, T: T}}
+	if allocs := testing.AllocsPerRun(200, func() { e.QueryBatchErr(batch) }); allocs != 1 {
+		t.Errorf("QueryBatchErr allocates %v/op in steady state with metrics enabled, want 1 (the answer slice)", allocs)
 	}
 	if got := reg.Counter("dsr_queries_total").Load(); got < 200 {
 		t.Errorf("dsr_queries_total = %d after 200+ queries", got)
@@ -149,6 +158,92 @@ func TestCloseStopsGoroutines(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after Close", before, runtime.NumGoroutine())
 		}
 		runtime.Gosched()
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCloseEndsStalledRound: a shard that takes a round and never
+// answers cannot hold Close up. Close ends the round instead — the
+// transport fails the stalled partition with shard.ErrClosed — and the
+// round reports it: the queries that needed the partition fail, the one
+// assembly settled is still answered, and nothing is left running.
+func TestCloseEndsStalledRound(t *testing.T) {
+	before := runtime.NumGoroutine()
+	// Chain 0→1→…→5 under range: partition 1 holds {2, 3}.
+	g := build(6, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
+	parked := make(chan struct{}, 1)
+	groups := make([][]shard.ReplicaDialer, 3)
+	for p, sh := range loopbackShards(t, g, graph.Range(), 3) {
+		groups[p] = []shard.ReplicaDialer{func(context.Context) (shard.Replica, error) {
+			if rep := shard.NewLocalReplica(sh); p != 1 {
+				return rep, nil
+			} else {
+				return &stallReplica{Replica: rep, parked: parked}, nil
+			}
+		}}
+	}
+	tr, err := shard.NewReplicated(t.Context(), groups, shard.ReplicatedOptions{ReconnectEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := ConnectTransport(t.Context(), tr, 3, g.NumVertices(), Options{})
+	if err != nil {
+		tr.Close()
+		t.Fatal(err)
+	}
+
+	queries := []Query{
+		{S: V(2), T: V(3)}, // inside the stalled partition
+		{S: V(3), T: V(5)}, // forward search lost with it
+		{S: V(0), T: V(2)}, // backward search lost with it
+		{S: V(2), T: V(2)}, // S ∩ T ≠ ∅: settled at assembly
+	}
+	type result struct {
+		got []bool
+		err error
+	}
+	roundc := make(chan result, 1)
+	go func() {
+		got, err := e.QueryBatchErr(queries)
+		roundc <- result{got, err}
+	}()
+	<-parked
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still blocked behind the stalled round after 5s")
+	}
+	res := <-roundc
+
+	var be *BatchError
+	if !errors.As(res.err, &be) {
+		t.Fatalf("stalled round: err = %v, want a *BatchError", res.err)
+	}
+	if !slices.ContainsFunc(be.Partitions, func(pe PartitionError) bool { return pe.Partition == 1 }) {
+		t.Errorf("partition 1 missing from %v", res.err)
+	}
+	for _, pe := range be.Partitions {
+		if !errors.Is(pe.Err, shard.ErrClosed) {
+			t.Errorf("partition %d: %v, want shard.ErrClosed", pe.Partition, pe.Err)
+		}
+	}
+	if want := []bool{true, true, true, false}; !slices.Equal(be.Failed, want) {
+		t.Errorf("Failed = %v, want %v", be.Failed, want)
+	}
+	if !res.got[3] {
+		t.Error("2 ~> 2 answered false")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after Close", before, runtime.NumGoroutine())
+		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }

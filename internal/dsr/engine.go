@@ -1,5 +1,5 @@
 // Package dsr implements distributed set reachability: given a directed
-// graph partitioned into k parts, Query(S, T) answers whether any source
+// graph partitioned into k parts, a query (S, T) asks whether any source
 // in S reaches any target in T. The engine follows the DSR decomposition
 // from Gurajada & Theobald (SIGMOD 2016):
 //
@@ -34,8 +34,8 @@
 // an existing fleet of shard servers over TCP, knowing nothing but
 // their addresses: identity (vertex count, graph fingerprint,
 // partitioning digest) comes from the handshake, structure from the
-// shipped summaries, and the same QueryBatch path amortizes one
-// round-trip per shard across an entire batch of queries.
+// shipped summaries. Either way QueryBatchErr is the one way in: a batch
+// is one round, one round-trip per shard for the whole batch.
 //
 // The coordinator holds no placement data either: every task batch is
 // broadcast to all k shards with global vertex IDs, each shard runs the
@@ -50,7 +50,6 @@ package dsr
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -93,7 +92,7 @@ func parallelParts(k int, fn func(p int)) {
 	wg.Wait()
 }
 
-// Query pairs one source set with one target set for QueryBatch.
+// Query pairs one source set with one target set for QueryBatchErr.
 type Query struct {
 	S, T []graph.VertexID
 }
@@ -192,38 +191,39 @@ type Engine struct {
 	bg *boundaryGraph
 	tr shard.Transport
 
-	mu     sync.Mutex // serializes query rounds: shards hold per-partition scratch
-	closed bool
-
-	// Reusable per-round scratch, safe under mu. A round receives exactly
-	// one reply per submit, so all of this — including the seed arena the
-	// shards read from — is quiescent between rounds.
-	replyc chan shard.Reply
-	tset   *vset // per-query T membership + dedup
-	sset   *vset // per-query S dedup
-
-	tasks []wire.Task // the round's batch, broadcast to every shard
-	arena []int32     // seed storage for the whole round; tasks alias it
-
-	qs     []qstate
-	single [1]Query // reusable batch for Query
-
-	fin *finisher // boundary-finish sweep state
-
-	// Telemetry. met's instruments are nil (no-op) without a registry;
-	// trace is engine-owned scratch reused across batches (safe under
-	// mu), so per-query tracing allocates nothing at steady state.
-	met   engineMetrics
-	trace obs.Trace
-	slow  time.Duration // slow-query log threshold, 0 disables
-	log   *obs.Logger
+	// Telemetry. met's instruments are nil (no-op) without a registry.
+	met  engineMetrics
+	slow time.Duration // slow-query log threshold, 0 disables
+	log  *obs.Logger
 
 	// wantTiming arms the wire-level trace flag: every task batch then
 	// asks its shard to self-measure and footer its reply, feeding the
 	// net-vs-server split (metrics and slow-query sub-spans). On when
 	// either consumer exists — a registry or a slow-query threshold.
 	wantTiming bool
-	batchID    uint64 // round counter; the wire batch ID (starts at 1)
+
+	// mu guards r, the engine's one round: shards hold per-partition
+	// scratch, so rounds run one at a time.
+	mu sync.Mutex
+	r  round
+}
+
+// round is the coordinator's per-round scratch, reused round after
+// round. A round receives exactly one reply per submit, so all of this —
+// including the seed arena the shards read from — is quiescent between
+// rounds, and steady-state rounds allocate nothing.
+type round struct {
+	replyc     chan shard.Reply
+	tset, sset vset // per-query T membership + dedup, S dedup
+
+	tasks []wire.Task // the round's batch, broadcast to every shard
+	arena []int32     // seed storage for the whole round; tasks alias it
+
+	qs    []qstate
+	fin   *finisher // boundary-finish sweep state
+	trace obs.Trace // span trace, reused: tracing allocates nothing when hot
+
+	batchID uint64 // round counter; the wire batch ID (starts at 1)
 }
 
 // Options configures Build.
@@ -469,19 +469,16 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 // and transport.
 func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, o Options) *Engine {
 	e := &Engine{
-		n:      n,
-		k:      k,
-		bg:     bg,
-		tr:     tr,
-		replyc: make(chan shard.Reply, k),
-		tset:   &vset{},
-		sset:   &vset{},
-		fin:    newFinisher(bg.ncomp()),
-		met:    newEngineMetrics(o.Metrics, k),
-		slow:   o.SlowQuery,
-		log:    o.Log,
+		n:    n,
+		k:    k,
+		bg:   bg,
+		tr:   tr,
+		met:  newEngineMetrics(o.Metrics, k),
+		slow: o.SlowQuery,
+		log:  o.Log,
 
 		wantTiming: o.Metrics != nil || o.SlowQuery > 0,
+		r:          round{replyc: make(chan shard.Reply, k), fin: newFinisher(bg.ncomp())},
 	}
 	e.met.partitions.Set(int64(k))
 	e.met.boundaryVerts.Set(int64(bg.nverts))
@@ -520,73 +517,32 @@ func (e *Engine) NumPartitions() int { return e.k }
 func (e *Engine) NumBoundary() int { return e.bg.nverts }
 
 // ResidentBytes reports the coordinator's per-graph resident footprint:
-// the stitched boundary graph in condensed form — the component DAG
-// and its transpose — plus the finish scratch sized to its components. It scales with boundary size only —
-// growing partition interiors (vertices and edges that never cross a
-// partition border) leaves it unchanged, which is the point of the
-// graph-free coordinator.
-func (e *Engine) ResidentBytes() int { return e.bg.residentBytes() + e.fin.residentBytes() }
+// the stitched boundary graph in condensed form — the component DAG and
+// its transpose — plus the finish scratch sized to its components. It
+// scales with boundary size only — growing partition interiors (vertices
+// and edges that never cross a partition border) leaves it unchanged,
+// which is the point of the graph-free coordinator.
+func (e *Engine) ResidentBytes() int { return e.bg.residentBytes() + e.r.fin.residentBytes() }
 
-// Close shuts the transport down deterministically: in-process shard
-// goroutines have exited (and TCP connections are closed with their
-// reader goroutines joined, in-flight redials cancelled) by the time it
-// returns. The engine must not be queried after Close.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	e.tr.Close()
-}
+// Close closes the transport, idempotently and deterministically:
+// in-process shard goroutines have exited (and TCP connections are
+// closed with their reader goroutines joined, in-flight redials
+// cancelled) by the time it returns. It does not wait for a round in
+// flight — a shard that never answers cannot hold it up — and that
+// round, like any query after Close, gets shard.ErrClosed from every
+// partition it still needed: its undecided queries fail inside a
+// *BatchError.
+func (e *Engine) Close() { e.tr.Close() }
 
-// Query reports whether any source in S reaches any target in T
-// (reachability is reflexive: a vertex reaches itself). Vertices outside
-// the graph are ignored; an empty side yields false. Query panics if the
-// engine has been closed — a silent false would be indistinguishable
-// from a genuine negative answer — and on a transport failure that
-// leaves the answer unknown (only possible on distributed engines; use
-// QueryBatchErr for recoverable error handling there). A lost partition
-// whose absence the query survived — it was proven reachable by the
-// partitions that did answer — still returns normally.
-func (e *Engine) Query(S, T []graph.VertexID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.single[0] = Query{S: S, T: T}
-	err := e.queryBatch(e.single[:])
-	e.single[0] = Query{}
-	if err != nil {
-		var be *BatchError
-		if !errors.As(err, &be) || be.Failed[0] {
-			panic(fmt.Sprintf("dsr: transport failure: %v", err))
-		}
-	}
-	return e.qs[0].ans
-}
-
-// QueryBatch answers many queries in one shard round-trip each way: all
-// local searches for the whole batch ship to each shard as a single
-// task batch, and every boundary fan-in is answered before replying.
-// Batching amortizes per-round transport overhead (one RPC per shard
-// instead of one per query per shard) and is the intended way to drive
-// distributed engines. It panics on closed engines and on any failure
-// that leaves an answer unknown, like Query; QueryBatchErr returns the
-// error instead.
-func (e *Engine) QueryBatch(queries []Query) []bool {
-	out, err := e.QueryBatchErr(queries)
-	if err != nil {
-		var be *BatchError
-		if !errors.As(err, &be) || slices.Contains(be.Failed, true) {
-			panic(fmt.Sprintf("dsr: transport failure: %v", err))
-		}
-	}
-	return out
-}
-
-// QueryBatchErr is QueryBatch with transport failures reported as an
-// error instead of a panic, and with partial-failure semantics: losing
-// a partition fails only the queries that needed it, not the batch.
+// QueryBatchErr answers a batch of queries in one round: all local
+// searches for the whole batch ship to each shard as a single task batch
+// (one RPC per shard, however many queries), and the coordinator settles
+// every query over the boundary graph before returning. A query (S, T)
+// is true when some source in S reaches some target in T (reachability
+// is reflexive: a vertex reaches itself). Vertices outside the graph are
+// ignored; an empty side yields false. Transport failures are reported
+// as an error, with partial-failure semantics: losing a partition fails
+// only the queries that needed it, not the batch.
 //
 // When the error is a *BatchError, the returned answers are still
 // valid for every query i with err.Failed[i] == false — queries whose
@@ -606,74 +562,36 @@ func (e *Engine) QueryBatchErr(queries []Query) ([]bool, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	err := e.queryBatch(queries)
-	if err != nil {
-		var be *BatchError
-		if !errors.As(err, &be) {
-			return nil, err
-		}
+	err := e.run(queries)
+	if _, partial := err.(*BatchError); err != nil && !partial {
+		return nil, err
 	}
 	out := make([]bool, len(queries))
 	for i := range out {
-		out[i] = e.qs[i].ans
+		out[i] = e.r.qs[i].ans
 	}
 	return out, err
 }
 
-// queryBatch runs one full coordinator round for the batch, leaving the
-// per-query answers in e.qs[i].ans, and wraps it in telemetry: the span
-// trace accumulates into engine-owned scratch (no allocation at steady
-// state), batch counters and the latency histogram are updated, and a
-// batch slower than the SlowQuery threshold logs its trace at WARN.
-// Caller holds e.mu.
-func (e *Engine) queryBatch(queries []Query) error {
-	if e.closed {
-		panic("dsr: query on closed Engine")
-	}
-	e.trace.Begin()
-	root := e.trace.Add("query_batch", 0, 0, 0, -1, len(queries))
-	err := e.runBatch(queries)
-	total := e.trace.Since()
-	e.trace.SetDur(root, total)
-	e.met.batches.Inc()
-	e.met.queries.Add(uint64(len(queries)))
-	e.met.batchSize.Observe(int64(len(queries)))
-	e.met.latency.Observe(int64(total))
-	if err != nil {
-		var be *BatchError
-		if errors.As(err, &be) {
-			for _, f := range be.Failed {
-				if f {
-					e.met.failed.Inc()
-				}
-			}
-		} else {
-			// The whole round was poisoned: no answer is trustworthy.
-			e.met.failed.Add(uint64(len(queries)))
-		}
-	}
-	if e.slow > 0 && total > e.slow {
-		e.met.slow.Inc()
-		if e.log.Enabled(obs.LevelWarn) {
-			e.log.Warnf("slow batch: %d queries took %v (threshold %v)\n%s",
-				len(queries), total, e.slow, e.trace.String())
-		}
-	}
-	return err
-}
-
-// runBatch is the coordinator round itself: assembly, broadcast, fan-in
-// drain, boundary finish. Caller holds e.mu.
-func (e *Engine) runBatch(queries []Query) error {
+// run is one coordinator round for the batch — assembly, broadcast,
+// fan-in drain, boundary finish — leaving the per-query answers in
+// e.r.qs[i].ans, and its telemetry: the span trace accumulates into the
+// round's scratch, batch counters and the latency histogram are updated,
+// and a round slower than the SlowQuery threshold logs its trace at
+// WARN. Caller holds e.mu.
+func (e *Engine) run(queries []Query) error {
+	r := &e.r
+	r.trace.Begin()
+	root := r.trace.Add("query_batch", 0, 0, 0, -1, len(queries))
 	n := graph.VertexID(e.n)
-	for len(e.qs) < len(queries) {
-		e.qs = append(e.qs, qstate{})
+	for len(r.qs) < len(queries) {
+		r.qs = append(r.qs, qstate{})
 	}
-	e.tasks = e.tasks[:0]
-	e.arena = e.arena[:0]
+	r.tasks = r.tasks[:0]
+	r.arena = r.arena[:0]
 
-	asmStart := e.trace.Since()
-	asm := e.trace.Add("assemble", 1, asmStart, 0, -1, 0)
+	asmStart := r.trace.Since()
+	asm := r.trace.Add("assemble", 1, asmStart, 0, -1, 0)
 
 	// Assembly: deduplicate every query's S and T into the shared seed
 	// arena and emit one Forward and one Backward task per undecided
@@ -684,50 +602,50 @@ func (e *Engine) runBatch(queries []Query) error {
 	// seeds, so earlier slices stay valid.
 	for i := range queries {
 		q := &queries[i]
-		st := &e.qs[i]
+		st := &r.qs[i]
 		st.seeds, st.goals = st.seeds[:0], st.goals[:0]
 		st.hit, st.done, st.ans, st.failed = false, false, false, false
 		st.expS, st.expT, st.gotS, st.gotT = 0, 0, 0, 0
-		e.tset.begin(len(q.T))
-		tOff := len(e.arena)
+		r.tset.begin(len(q.T))
+		tOff := len(r.arena)
 		for _, t := range q.T {
-			if t >= n || !e.tset.add(int32(t)) {
+			if t >= n || !r.tset.add(int32(t)) {
 				continue
 			}
-			e.arena = append(e.arena, int32(t))
+			r.arena = append(r.arena, int32(t))
 		}
-		tSl := e.arena[tOff:len(e.arena):len(e.arena)]
+		tSl := r.arena[tOff:len(r.arena):len(r.arena)]
 		if len(tSl) == 0 {
 			st.done = true
 			continue
 		}
-		e.sset.begin(len(q.S))
-		sOff := len(e.arena)
+		r.sset.begin(len(q.S))
+		sOff := len(r.arena)
 		for _, s := range q.S {
-			if s >= n || !e.sset.add(int32(s)) {
+			if s >= n || !r.sset.add(int32(s)) {
 				continue
 			}
-			if e.tset.has(int32(s)) {
+			if r.tset.has(int32(s)) {
 				st.done, st.ans = true, true
 				break
 			}
-			e.arena = append(e.arena, int32(s))
+			r.arena = append(r.arena, int32(s))
 		}
 		if st.done {
 			continue
 		}
-		sSl := e.arena[sOff:len(e.arena):len(e.arena)]
+		sSl := r.arena[sOff:len(r.arena):len(r.arena)]
 		if len(sSl) == 0 {
 			st.done = true
 			continue
 		}
-		e.tasks = append(e.tasks,
+		r.tasks = append(r.tasks,
 			wire.Task{Kind: wire.Forward, Query: uint32(i), Seeds: sSl, Targets: tSl},
 			wire.Task{Kind: wire.Backward, Query: uint32(i), Seeds: tSl})
 		st.expS, st.expT = len(sSl), len(tSl)
 	}
-	e.trace.SetDur(asm, e.trace.Since()-asmStart)
-	e.trace.SetN(asm, len(e.tasks))
+	r.trace.SetDur(asm, r.trace.Since()-asmStart)
+	r.trace.SetN(asm, len(r.tasks))
 
 	// Fan out: broadcast the one task batch to every shard. Which shard
 	// owns which seed is the shards' business.
@@ -742,25 +660,22 @@ func (e *Engine) runBatch(queries []Query) error {
 	// the size of its boundary) poisons the whole round via terr: such a
 	// shard cannot be trusted retroactively.
 	var perr []PartitionError
-	var terr error
-	if len(e.tasks) > 0 {
-		e.batchID++
-		hdr := wire.BatchHeader{Trace: e.wantTiming, Batch: e.batchID}
+	var err error
+	if len(r.tasks) > 0 {
+		r.batchID++
+		hdr := wire.BatchHeader{Trace: e.wantTiming, Batch: r.batchID}
 		tsub := time.Now()
-		roundStart := e.trace.Since()
-		round := e.trace.Add("round", 1, roundStart, 0, -1, len(e.tasks))
+		roundStart := r.trace.Since()
+		fan := r.trace.Add("round", 1, roundStart, 0, -1, len(r.tasks))
 		for p := 0; p < e.k; p++ {
 			e.met.rpcs[p].Inc()
-			e.tr.Submit(p, hdr, e.tasks, e.replyc)
+			e.tr.Submit(p, hdr, r.tasks, r.replyc)
 		}
-		perr, terr = e.drain(tsub, roundStart)
-		wait := e.trace.Since() - roundStart
-		e.trace.SetDur(round, wait)
+		perr, err = e.drain(tsub, roundStart)
+		wait := r.trace.Since() - roundStart
+		r.trace.SetDur(fan, wait)
 		e.met.faninWait.Observe(int64(wait))
 		e.met.rounds.Inc()
-	}
-	if terr != nil {
-		return terr
 	}
 
 	// Final pass: every undecided query with both seeds and goals joins
@@ -769,37 +684,56 @@ func (e *Engine) runBatch(queries []Query) error {
 	// reported: results can only be missing, never wrong, so a local hit
 	// or a boundary path proves the query true regardless of shortfall —
 	// only a `false` built on incomplete coverage is untrustworthy and
-	// fails.
-	finStart := e.trace.Since()
-	fin := e.trace.Add("finish", 1, finStart, 0, -1, 0)
-	swept, popped := e.fin.run(e.bg, e.qs[:len(queries)])
-	anyFailed := false
-	for i := range queries {
-		st := &e.qs[i]
-		if !st.done && !st.ans && (st.gotS < st.expS || st.gotT < st.expT) {
-			st.failed = true
-			anyFailed = true
-		}
-	}
-	finDur := e.trace.Since() - finStart
-	e.trace.SetDur(fin, finDur)
-	e.trace.SetN(fin, swept)
-	e.met.finish.Observe(int64(finDur))
-	e.met.popped.Observe(int64(popped))
-	if anyFailed && perr == nil {
-		// Every shard answered, yet some seed was owned by none of them:
-		// the fleet disagrees with itself about placement. That is not a
-		// per-partition outage, it poisons the whole round.
-		return fmt.Errorf("dsr: fleet does not cover the batch's seeds (inconsistent partitioning across shards)")
-	}
-	if perr != nil {
-		failed := make([]bool, len(queries))
+	// fails. A poisoned round skips it: every query fails.
+	failed := len(queries)
+	if err == nil {
+		finStart := r.trace.Since()
+		fin := r.trace.Add("finish", 1, finStart, 0, -1, 0)
+		swept, popped := r.fin.run(e.bg, r.qs[:len(queries)])
+		failed = 0
 		for i := range queries {
-			failed[i] = e.qs[i].failed
+			st := &r.qs[i]
+			if !st.done && !st.ans && (st.gotS < st.expS || st.gotT < st.expT) {
+				st.failed = true
+				failed++
+			}
 		}
-		return &BatchError{Partitions: perr, Failed: failed}
+		finDur := r.trace.Since() - finStart
+		r.trace.SetDur(fin, finDur)
+		r.trace.SetN(fin, swept)
+		e.met.finish.Observe(int64(finDur))
+		e.met.popped.Observe(int64(popped))
+		switch {
+		case perr != nil:
+			be := &BatchError{Partitions: perr, Failed: make([]bool, len(queries))}
+			for i := range queries {
+				be.Failed[i] = r.qs[i].failed
+			}
+			err = be
+		case failed > 0:
+			// Every shard answered, yet some seed was owned by none of them:
+			// the fleet disagrees with itself about placement. That is not a
+			// per-partition outage, it poisons the whole round.
+			err = fmt.Errorf("dsr: fleet does not cover the batch's seeds (inconsistent partitioning across shards)")
+			failed = len(queries)
+		}
 	}
-	return nil
+
+	total := r.trace.Since()
+	r.trace.SetDur(root, total)
+	e.met.batches.Inc()
+	e.met.queries.Add(uint64(len(queries)))
+	e.met.batchSize.Observe(int64(len(queries)))
+	e.met.latency.Observe(int64(total))
+	e.met.failed.Add(uint64(failed))
+	if e.slow > 0 && total > e.slow {
+		e.met.slow.Inc()
+		if e.log.Enabled(obs.LevelWarn) {
+			e.log.Warnf("slow batch: %d queries took %v (threshold %v)\n%s",
+				len(queries), total, e.slow, r.trace.String())
+		}
+	}
+	return err
 }
 
 // drain is the round's fan-in: one reply per submit, k receives from
@@ -813,11 +747,11 @@ func (e *Engine) drain(tsub time.Time, roundStart time.Duration) ([]PartitionErr
 	var perr []PartitionError
 	var terr error
 	for range e.k {
-		rep := <-e.replyc
+		rep := <-e.r.replyc
 		rpcDur := time.Since(tsub)
 		e.met.rpcLat[rep.Shard].Observe(int64(rpcDur))
 		if rep.Err != nil {
-			e.trace.Add("rpc", 2, roundStart, rpcDur, rep.Shard, 0)
+			e.r.trace.Add("rpc", 2, roundStart, rpcDur, rep.Shard, 0)
 			e.met.rpcErrs[rep.Shard].Inc()
 			perr = append(perr, PartitionError{Partition: rep.Shard, Err: rep.Err})
 			continue
@@ -839,7 +773,7 @@ func (e *Engine) observeReply(rep *shard.Reply, rpcDur time.Duration, roundStart
 		frontier += len(rep.Results[ri].Boundary)
 	}
 	e.met.frontier.Observe(int64(frontier))
-	e.trace.Add("rpc", 2, roundStart, rpcDur, rep.Shard, frontier)
+	e.r.trace.Add("rpc", 2, roundStart, rpcDur, rep.Shard, frontier)
 	if rep.HasTiming {
 		// Split the observed round trip into shard compute and
 		// everything else (wire time, queueing in the transport, the
@@ -854,8 +788,8 @@ func (e *Engine) observeReply(rep *shard.Reply, rpcDur time.Duration, roundStart
 		net := rpcDur - server
 		e.met.rpcServer[rep.Shard].Observe(int64(server))
 		e.met.rpcNet[rep.Shard].Observe(int64(net))
-		e.trace.Add("server", 3, roundStart, server, rep.Shard, 0)
-		e.trace.Add("net", 3, roundStart, net, rep.Shard, 0)
+		e.r.trace.Add("server", 3, roundStart, server, rep.Shard, 0)
+		e.r.trace.Add("net", 3, roundStart, net, rep.Shard, 0)
 	}
 }
 
@@ -869,20 +803,20 @@ func (e *Engine) observeReply(rep *shard.Reply, rpcDur time.Duration, roundStart
 // its shape, which task a result answers, or the size of its own
 // boundary cannot be trusted retroactively. Caller holds e.mu.
 func (e *Engine) absorb(rep *shard.Reply) error {
-	if rep.Batch != 0 && rep.Batch != e.batchID {
-		return fmt.Errorf("dsr: shard %d echoed batch %d during batch %d", rep.Shard, rep.Batch, e.batchID)
+	if rep.Batch != e.r.batchID {
+		return fmt.Errorf("dsr: shard %d echoed batch %d during batch %d", rep.Shard, rep.Batch, e.r.batchID)
 	}
-	if len(rep.Results) != len(e.tasks) {
-		return fmt.Errorf("dsr: shard %d answered %d results for a %d-task batch", rep.Shard, len(rep.Results), len(e.tasks))
+	if len(rep.Results) != len(e.r.tasks) {
+		return fmt.Errorf("dsr: shard %d answered %d results for a %d-task batch", rep.Shard, len(rep.Results), len(e.r.tasks))
 	}
 	compOf := e.bg.compOf[rep.Shard]
 	for ri := range rep.Results {
-		res, task := &rep.Results[ri], &e.tasks[ri]
+		res, task := &rep.Results[ri], &e.r.tasks[ri]
 		if res.Kind != task.Kind || res.Query != task.Query {
 			return fmt.Errorf("dsr: shard %d answered task %d (kind %d, query %d) as kind %d, query %d",
 				rep.Shard, ri, task.Kind, task.Query, res.Kind, res.Query)
 		}
-		st := &e.qs[task.Query]
+		st := &e.r.qs[task.Query]
 		// Coverage first, even when the answer is already known: the
 		// ledger must reflect every reply that arrived.
 		into := &st.goals

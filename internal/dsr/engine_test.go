@@ -1,12 +1,47 @@
 package dsr
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dsr/internal/graph"
 	"dsr/internal/partition/locality"
+	"dsr/internal/shard"
 )
+
+// Query is the tests' single-query round: it runs the round under e.mu
+// itself and reads the answer off the round's state, so a warm engine
+// answers without allocating. It panics on a failure that leaves the
+// answer unknown; a lost partition the query was proven true without
+// still answers normally.
+func (e *Engine) Query(S, T []graph.VertexID) bool {
+	q := [1]Query{{S: S, T: T}}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.run(q[:]); err != nil {
+		var be *BatchError
+		if !errors.As(err, &be) || be.Failed[0] {
+			panic(fmt.Sprintf("dsr: transport failure: %v", err))
+		}
+	}
+	return e.r.qs[0].ans
+}
+
+// QueryBatch is QueryBatchErr for tests that expect every answer: it
+// panics on any failure that leaves one unknown.
+func (e *Engine) QueryBatch(queries []Query) []bool {
+	out, err := e.QueryBatchErr(queries)
+	if err != nil {
+		var be *BatchError
+		if !errors.As(err, &be) || slices.Contains(be.Failed, true) {
+			panic(fmt.Sprintf("dsr: transport failure: %v", err))
+		}
+	}
+	return out
+}
 
 func build(n int, edges [][2]graph.VertexID) *graph.Graph {
 	b := graph.NewBuilder(n)
@@ -158,6 +193,9 @@ func TestQuerySingleVertexGraphs(t *testing.T) {
 	}
 }
 
+// TestQueryAfterClose: a closed engine answers what assembly settles —
+// a vertex reaches itself — and fails the rest with every partition's
+// shard.ErrClosed, never a silent false and never a panic.
 func TestQueryAfterClose(t *testing.T) {
 	g := build(2, [][2]graph.VertexID{{0, 1}})
 	e, err := Build(g, Options{K: 2})
@@ -166,12 +204,22 @@ func TestQueryAfterClose(t *testing.T) {
 	}
 	e.Close()
 	e.Close() // double close must be safe
-	defer func() {
-		if recover() == nil {
-			t.Error("Query on closed engine should panic, not silently answer")
+	got, err := e.QueryBatchErr([]Query{{S: V(0), T: V(1)}, {S: V(1), T: V(1)}})
+	var be *BatchError
+	if !errors.As(err, &be) {
+		t.Fatalf("query after Close: err = %v, want a *BatchError", err)
+	}
+	if len(be.Partitions) != 2 {
+		t.Fatalf("%d partition errors, want both partitions: %v", len(be.Partitions), err)
+	}
+	for _, pe := range be.Partitions {
+		if !errors.Is(pe.Err, shard.ErrClosed) {
+			t.Errorf("partition %d: %v, want shard.ErrClosed", pe.Partition, pe.Err)
 		}
-	}()
-	e.Query([]graph.VertexID{0}, []graph.VertexID{1})
+	}
+	if !slices.Equal(be.Failed, []bool{true, false}) || !slices.Equal(got, []bool{false, true}) {
+		t.Fatalf("Failed = %v, answers = %v; want [true false] and [false true]", be.Failed, got)
+	}
 }
 
 func TestBuildPartitioningMismatch(t *testing.T) {

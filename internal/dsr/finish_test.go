@@ -414,7 +414,7 @@ func finishStrategies() []graph.Partitioner {
 // sweptLastRound reads the last round's finish span: how many queries
 // went through the sweep.
 func sweptLastRound(e *Engine) int {
-	for _, s := range e.trace.Spans() {
+	for _, s := range e.r.trace.Spans() {
 		if s.Name == "finish" {
 			return s.N
 		}
@@ -529,7 +529,7 @@ func captureRounds(e *Engine, rng *rand.Rand, n, batch, rounds int) [][]qstate {
 		e.QueryBatch(queries)
 		out[r] = make([]qstate, batch)
 		for i := range out[r] {
-			st := e.qs[i]
+			st := e.r.qs[i]
 			st.seeds, st.goals = slices.Clone(st.seeds), slices.Clone(st.goals)
 			st.ans = st.done && st.ans
 			out[r][i] = st
@@ -568,7 +568,7 @@ func BenchmarkBoundaryFinish(b *testing.B) {
 					for j := range qs {
 						qs[j].ans = qs[j].done && qs[j].ans
 					}
-					_, n := e.fin.run(e.bg, qs)
+					_, n := e.r.fin.run(e.bg, qs)
 					popped += n
 				}
 				for i := range rounds { // fault the scratch in and warm the caches

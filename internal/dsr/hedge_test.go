@@ -220,24 +220,36 @@ func TestFleetMatrixDifferential(t *testing.T) {
 	}
 }
 
-// hungReplica accepts batches and answers none of them until it is
-// closed.
-type hungReplica struct {
+// stallReplica accepts batches and answers none of them until it is
+// closed; then it fails every batch it holds with shard.ErrClosed, as a
+// TCP connection fails its pending requests. The embedded replica serves
+// Summary and Hello. Each parked batch is signalled on parked, if set.
+type stallReplica struct {
 	shard.Replica
-	closed chan struct{}
-	once   sync.Once
+	parked chan<- struct{}
+
+	mu    sync.Mutex
+	dones []func(shard.Reply)
 }
 
-func (h *hungReplica) Submit(hdr wire.BatchHeader, tasks []wire.Task, done func(shard.Reply)) {
-	go func() {
-		<-h.closed
-		h.Replica.Submit(hdr, tasks, done)
-	}()
+func (s *stallReplica) Submit(_ wire.BatchHeader, _ []wire.Task, done func(shard.Reply)) {
+	s.mu.Lock()
+	s.dones = append(s.dones, done)
+	s.mu.Unlock()
+	if s.parked != nil {
+		s.parked <- struct{}{}
+	}
 }
 
-func (h *hungReplica) Close() error {
-	h.once.Do(func() { close(h.closed) })
-	return h.Replica.Close()
+func (s *stallReplica) Close() error {
+	s.mu.Lock()
+	dones := s.dones
+	s.dones = nil
+	s.mu.Unlock()
+	for _, done := range dones {
+		done(shard.Reply{Err: shard.ErrClosed})
+	}
+	return s.Replica.Close()
 }
 
 // TestHedgedRoundReturnsPastHungSibling: a round is over as soon as
@@ -257,7 +269,7 @@ func TestHedgedRoundReturnsPastHungSibling(t *testing.T) {
 				if rep := shard.NewLocalReplica(sh); r == 0 {
 					return rep, nil
 				} else {
-					return &hungReplica{Replica: rep, closed: make(chan struct{})}, nil
+					return &stallReplica{Replica: rep}, nil
 				}
 			})
 		}

@@ -3,8 +3,9 @@ package dsr
 import "dsr/internal/graph"
 
 // NaiveReach is the differential-testing oracle: a whole-graph BFS from
-// every source in S, answering the same question as Engine.Query without
-// any partitioning. Reachability is reflexive, matching Query.
+// every source in S, answering the same question as one query of
+// Engine.QueryBatchErr without any partitioning. Reachability is
+// reflexive, matching the engine.
 func NaiveReach(g *graph.Graph, S, T []graph.VertexID) bool {
 	n := graph.VertexID(g.NumVertices())
 	inT := make(map[graph.VertexID]bool, len(T))

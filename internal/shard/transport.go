@@ -35,11 +35,10 @@ type EndpointInfo struct {
 
 // Reply delivers one shard's results for a submitted batch. On a
 // transport failure Err is set and Results is nil. Batch echoes the
-// submitted header's batch ID (0 when the serving endpoint predates
-// batch IDs), and when the header requested tracing, Timing carries the
-// server's self-measured breakdown with HasTiming set — in-process
-// replicas synthesize it (search time only), TCP servers measure all
-// four phases.
+// submitted header's batch ID, and when the header requested tracing,
+// Timing carries the server's self-measured breakdown with HasTiming
+// set — in-process replicas synthesize it (search time only), TCP
+// servers measure all four phases.
 type Reply struct {
 	Shard     int
 	Results   []wire.Result

@@ -433,8 +433,12 @@ func TestSnapshotLoadOrRebuildDifferential(t *testing.T) {
 	}
 	for q := 0; q < 80; q++ {
 		S, T := set(), set()
-		if got, want := e.Query(S, T), dsr.NaiveReach(g, S, T); got != want {
-			t.Fatalf("query %d: Query(%v, %v) = %v, oracle = %v", q, S, T, got, want)
+		got, err := e.QueryBatchErr([]dsr.Query{{S: S, T: T}})
+		if err != nil {
+			t.Fatalf("query %d: %v", q, err)
+		}
+		if want := dsr.NaiveReach(g, S, T); got[0] != want {
+			t.Fatalf("query %d: Query(%v, %v) = %v, oracle = %v", q, S, T, got[0], want)
 		}
 	}
 }
