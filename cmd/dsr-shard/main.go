@@ -1,6 +1,7 @@
 // Command dsr-shard runs one DSR shard server: it loads the graph,
 // partitions it into the deployment's shard count, extracts and
-// indexes its own partition, and serves local-search RPCs over TCP.
+// condenses its own partition, sweeps its entries for the boundary
+// summary, and serves local-search RPCs over TCP.
 //
 //	dsr-shard -graph edges.txt -shards 3 -id 0 -listen 127.0.0.1:7000 -partitioner locality
 //
@@ -19,15 +20,15 @@
 // the work can discover exits 1 (README.md, "Exit codes").
 //
 // Snapshots: with -snapshot-dir, a freshly built shard persists its
-// complete query state (subgraph, SCC condensation, bitset index,
-// boundary summary) to <dir>/part<id>-of-<shards>.dsrsnap via a
-// temp-file+rename, and the next boot loads that file instead of
+// subgraph and SCC condensation to <dir>/part<id>-of-<shards>.dsrsnap
+// via a temp-file+rename, and the next boot loads that file instead of
 // rebuilding — skipping even the edge-list read, so -graph becomes
-// optional. A snapshot that is missing, corrupt, version-skewed, or
-// for the wrong partition falls back to the rebuild path (with a
-// logged warning), never to a wrong answer; -snapshot-verify forces a
-// rebuild from -graph and byte-compares it against the stored
-// snapshot, exiting non-zero on any disagreement.
+// optional; the boundary summary is re-derived from the loaded state.
+// A snapshot that is missing, corrupt, version-skewed, or for the wrong
+// partition falls back to the rebuild path (with a logged warning),
+// never to a wrong answer; -snapshot-verify forces a rebuild from
+// -graph and byte-compares it against the stored snapshot, exiting
+// non-zero on any disagreement.
 //
 // Replication: running several dsr-shard processes with the same -id
 // makes them interchangeable replicas of that partition — point the
@@ -69,7 +70,7 @@ func main() {
 		replica     = flag.Int("replica", 0, "replica label for this partition's server (logs only; replicas are interchangeable)")
 		listen      = flag.String("listen", "127.0.0.1:7000", "TCP address to serve on")
 		partitioner = flag.String("partitioner", "hash", "partitioning strategy: hash, range, or locality[:seed=N,rounds=N,balance=F,refine=N]; must match the coordinator's")
-		snapDir     = flag.String("snapshot-dir", "", "directory of persisted per-partition index snapshots: boot loads this partition's snapshot instead of rebuilding from -graph, and a rebuild writes one back")
+		snapDir     = flag.String("snapshot-dir", "", "directory of persisted per-partition snapshots: boot loads this partition's snapshot instead of rebuilding from -graph, and a rebuild writes one back")
 		snapVerify  = flag.Bool("snapshot-verify", false, "force a rebuild from -graph and byte-compare it against the stored snapshot; any disagreement is fatal")
 	)
 	flag.Parse()
@@ -111,12 +112,13 @@ func main() {
 		snapPath = filepath.Join(*snapDir, snapshot.Filename(*shardID, *numShards))
 	}
 
-	// Fast path: load this partition's finished query state from its
-	// snapshot — no edge-list read, no partitioning, no Tarjan, no index
-	// build. The header's shard ID/count are checked here; its graph
-	// fingerprint and partitioning digest become this shard's handshake
-	// identity, so a snapshot from a foreign graph is refused by the
-	// coordinator's fleet cross-check exactly like a mismatched hello.
+	// Fast path: load this partition's subgraph and condensation from
+	// its snapshot — no edge-list read, no partitioning, no Tarjan; the
+	// summary is one sweep of the entries. The header's shard ID/count
+	// are checked here; its graph fingerprint and partitioning digest
+	// become this shard's handshake identity, so a snapshot from a
+	// foreign graph is refused by the coordinator's fleet cross-check
+	// exactly like a mismatched hello.
 	var sh *shard.Shard
 	var numVertices int
 	var graphSum, partSum uint64

@@ -31,13 +31,11 @@ func newChaosEngine(t testing.TB, g *graph.Graph, strat graph.Partitioner, k, R 
 		t.Fatal(err)
 	}
 	subs, _ := partition.Extract(g, pt)
-	// Pre-warm the lazily cached condensations and reachability indexes:
-	// redials may construct Shards concurrently (reconnect loop vs.
-	// in-query redial, summary fetches), and the caches themselves are
-	// unsynchronized by design.
+	// Pre-warm the lazily cached condensations: redials may construct
+	// Shards concurrently (reconnect loop vs. in-query redial), and the
+	// cache itself is unsynchronized by design.
 	for _, sub := range subs {
 		sub.Condensation()
-		sub.Index()
 	}
 	groups := make([][]shard.ReplicaDialer, k)
 	for p := 0; p < k; p++ {

@@ -253,10 +253,11 @@ type Options struct {
 }
 
 // Build partitions g and builds an in-process engine over it: one
-// in-process shard per partition, each of which compresses its
-// partition and ships a boundary summary exactly as a remote shard
-// would — Build and Connect share the summary-stitching path and the
-// transport, the only difference is the kind of replica underneath.
+// in-process shard per partition, built in parallel, each of which
+// compresses its partition and ships a boundary summary exactly as a
+// remote shard would — Build and Connect share the summary-stitching
+// path and the transport, the only difference is the kind of replica
+// underneath.
 func Build(g *graph.Graph, o Options) (*Engine, error) {
 	var pt *graph.Partitioning
 	var err error
@@ -281,9 +282,7 @@ func Build(g *graph.Graph, o Options) (*Engine, error) {
 	}
 	subs, _ := partition.Extract(g, pt)
 	shards := make([]*shard.Shard, len(subs))
-	for i, s := range subs {
-		shards[i] = shard.New(i, s)
-	}
+	parallelParts(len(subs), func(p int) { shards[p] = shard.New(p, subs[p]) })
 	lb := shard.NewLoopback(shards)
 	e, err := ConnectTransport(context.Background(), lb, pt.K, g.NumVertices(), o)
 	if err != nil {

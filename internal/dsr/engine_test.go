@@ -289,11 +289,11 @@ func BenchmarkQuery(b *testing.B) {
 }
 
 // BenchmarkIndexBuild measures full engine construction — subgraph
-// extraction, SCC condensation, bitset index propagation, boundary
-// stitching — on a 50k-vertex hash-partitioned random graph where
-// nearly every vertex is boundary (~48k entries). This configuration
-// took ~50s with the per-entry-BFS summaries; the SCC bitset index
-// makes it word-parallel near-linear work.
+// extraction, SCC condensation, each shard's summary sweep over its
+// entries, boundary stitching — on a 50k-vertex hash-partitioned random
+// graph where nearly every vertex is boundary (~48k entries). This
+// configuration took ~50s with per-entry-BFS summaries; a sweep shares
+// each component among 64 entries and costs what they reach.
 func BenchmarkIndexBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 50000

@@ -136,8 +136,7 @@ func TestChaosSummaryFetchFailover(t *testing.T) {
 	}
 	subs, _ := partition.Extract(g, pt)
 	for _, sub := range subs {
-		sub.Condensation()
-		sub.Index()
+		sub.Condensation() // dialers may build Shards concurrently
 	}
 	f := chaos.New(chaos.Options{})
 	groups := make([][]shard.ReplicaDialer, k)

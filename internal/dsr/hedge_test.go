@@ -62,10 +62,6 @@ func (c fleetCell) open(t *testing.T, g *graph.Graph, k int, reg *obs.Registry) 
 		t.Fatal(err)
 	}
 	subs, _ := partition.Extract(g, pt)
-	for _, sub := range subs {
-		sub.Condensation() // replicas share the subgraph: warm its lazy caches first
-		sub.Index()
-	}
 	groups := make([][]shard.ReplicaDialer, k)
 	for p := 0; p < k; p++ {
 		for r := 0; r < c.R; r++ {

@@ -8,11 +8,11 @@ import (
 )
 
 // SubgraphData is the raw array content of a Subgraph, exposed so a
-// persisted index snapshot can round-trip the extracted partition
-// without re-reading the edge list or re-running ExtractOne. Data
-// returns live views (no copies); SubgraphFromData validates and
-// reassembles, attaching an already-reconstructed condensation and
-// reachability index so nothing is re-derived on load.
+// persisted snapshot can round-trip the extracted partition without
+// re-reading the edge list or re-running ExtractOne. Data returns live
+// views (no copies); SubgraphFromData validates and reassembles,
+// attaching an already-reconstructed condensation so Tarjan is not
+// re-run on load.
 type SubgraphData struct {
 	ID             int
 	Global         []graph.VertexID // local -> global, strictly increasing
@@ -68,7 +68,8 @@ func checkLocalCSR(name string, off []int64, edges []int32, n int) error {
 
 // checkBoundaryList validates an Entries/Exits list: strictly
 // increasing local IDs (the order Extract and ExtractOne produce, which
-// Summary and the canonical wire encoding rely on) within [0, n).
+// a shard's summary and the canonical wire encoding rely on) within
+// [0, n).
 func checkBoundaryList(name string, list []int32, n int) error {
 	for i, v := range list {
 		if v < 0 || int(v) >= n {
@@ -81,15 +82,15 @@ func checkBoundaryList(name string, list []int32, n int) error {
 	return nil
 }
 
-// SubgraphFromData validates d and reassembles a Subgraph with cond and
-// ix installed as its cached condensation and reachability index. The
-// slices are retained, not copied. Validation covers the invariants the
-// query path depends on: a strictly increasing local->global map (what
-// makes a local ID a rank, see Local), well-formed forward/reverse CSR
-// halves that are transposes of each other, ordered boundary lists,
-// cross-partition edges whose sources are owned and destinations are
-// not, and a condensation sized for this subgraph.
-func SubgraphFromData(d SubgraphData, cond *scc.Condensation, ix *scc.Index) (*Subgraph, error) {
+// SubgraphFromData validates d and reassembles a Subgraph with cond
+// installed as its cached condensation. The slices are retained, not
+// copied. Validation covers the invariants the query path depends on:
+// a strictly increasing local->global map (what makes a local ID a
+// rank, see Local), well-formed forward/reverse CSR halves that are
+// transposes of each other, ordered boundary lists, cross-partition
+// edges whose sources are owned and destinations are not, and a
+// condensation sized for this subgraph.
+func SubgraphFromData(d SubgraphData, cond *scc.Condensation) (*Subgraph, error) {
 	n := len(d.Global)
 	for i := 1; i < n; i++ {
 		if d.Global[i-1] >= d.Global[i] {
@@ -128,8 +129,8 @@ func SubgraphFromData(d SubgraphData, cond *scc.Condensation, ix *scc.Index) (*S
 	if err := checkBoundaryList("Exits", d.Exits, n); err != nil {
 		return nil, err
 	}
-	if cond == nil || ix == nil {
-		return nil, fmt.Errorf("partition: nil condensation or index")
+	if cond == nil {
+		return nil, fmt.Errorf("partition: nil condensation")
 	}
 	if len(cond.Comp) != n {
 		return nil, fmt.Errorf("partition: condensation covers %d vertices, subgraph has %d", len(cond.Comp), n)
@@ -145,7 +146,6 @@ func SubgraphFromData(d SubgraphData, cond *scc.Condensation, ix *scc.Index) (*S
 		Exits:   d.Exits,
 		Cross:   d.Cross,
 		cond:    cond,
-		index:   ix,
 	}
 	s.buildRank()
 	for i, pr := range d.Cross {

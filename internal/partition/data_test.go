@@ -9,7 +9,7 @@ import (
 )
 
 // dataFixture extracts one partition of a random hash-partitioned graph
-// and forces its condensation and index, ready for a Data round trip.
+// and forces its condensation, ready for a Data round trip.
 func dataFixture(t *testing.T, seed int64, n, k, id int) *Subgraph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -24,17 +24,16 @@ func dataFixture(t *testing.T, seed int64, n, k, id int) *Subgraph {
 	}
 	sub := ExtractOne(g, pt, id)
 	sub.Condensation()
-	sub.Index()
 	return sub
 }
 
 // TestSubgraphDataRoundTrip: Data -> SubgraphFromData rebuilds a
-// subgraph indistinguishable from the original, cached condensation and
-// index included.
+// subgraph indistinguishable from the original, cached condensation
+// included.
 func TestSubgraphDataRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		sub := dataFixture(t, seed, 40+int(seed)*7, 3, int(seed)%3)
-		got, err := SubgraphFromData(sub.Data(), sub.Condensation(), sub.Index())
+		got, err := SubgraphFromData(sub.Data(), sub.Condensation())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -55,7 +54,7 @@ func TestSubgraphDataRoundTrip(t *testing.T) {
 func TestSubgraphFromDataRejects(t *testing.T) {
 	g, pt := twoBlock(t)
 	sub := ExtractOne(g, pt, 0)
-	cond, ix := sub.Condensation(), sub.Index()
+	cond := sub.Condensation()
 
 	cases := []struct {
 		name string
@@ -83,17 +82,17 @@ func TestSubgraphFromDataRejects(t *testing.T) {
 		d.ROff = append([]int64{}, d.ROff...)
 		d.REdges = append([]int32{}, d.REdges...)
 		c.mut(&d)
-		if _, err := SubgraphFromData(d, cond, ix); err == nil {
+		if _, err := SubgraphFromData(d, cond); err == nil {
 			t.Errorf("%s: accepted invalid data", c.name)
 		}
 	}
 
 	// Condensation sized for a different subgraph, or missing outright.
 	other := dataFixture(t, 99, 30, 2, 0)
-	if _, err := SubgraphFromData(sub.Data(), other.Condensation(), other.Index()); err == nil {
+	if _, err := SubgraphFromData(sub.Data(), other.Condensation()); err == nil {
 		t.Error("accepted condensation for a different subgraph")
 	}
-	if _, err := SubgraphFromData(sub.Data(), nil, nil); err == nil {
-		t.Error("accepted nil condensation and index")
+	if _, err := SubgraphFromData(sub.Data(), nil); err == nil {
+		t.Error("accepted nil condensation")
 	}
 }

@@ -135,7 +135,7 @@ func TestSubgraphLocalPartitions(t *testing.T) {
 			owners := make([]int, n)
 			for p, s := range subs {
 				one := ExtractOne(g, pt, p)
-				restored, err := SubgraphFromData(s.Data(), s.Condensation(), s.Index())
+				restored, err := SubgraphFromData(s.Data(), s.Condensation())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,8 +1,9 @@
 // Package partition extracts per-partition subgraphs from a partitioned
-// graph and compresses each one into a small boundary-to-boundary edge
-// set: for every boundary in-node (entry) of the partition, the set of
-// boundary out-nodes (exits) it can reach without leaving the partition.
-// These summaries are what the DSR engine stitches into the global
+// graph: the induced CSR adjacency with dense local IDs, the boundary
+// in-nodes (entries) and out-nodes (exits), and the cross-partition
+// edges. A shard (internal/shard) compresses its subgraph into the
+// boundary summary — for every entry, the exits it reaches without
+// leaving the partition — which the DSR engine stitches into the global
 // boundary graph, so cross-partition query traffic only ever involves
 // boundary vertices.
 package partition
@@ -43,11 +44,10 @@ type Subgraph struct {
 	owned []uint64
 	rank  []int32
 
-	// Lazily built and cached by Condensation/Index. Not synchronized:
+	// Lazily built and cached by Condensation. Not synchronized:
 	// concurrent builders must each own distinct subgraphs (as the
-	// engine's build pool does).
-	cond  *scc.Condensation
-	index *scc.Index
+	// engine's build pool does), or build it before they share one.
+	cond *scc.Condensation
 }
 
 // NumVertices returns the number of vertices in the partition.
@@ -113,15 +113,6 @@ func (s *Subgraph) Condensation() *scc.Condensation {
 		s.cond = scc.Condense(s, nil)
 	}
 	return s.cond
-}
-
-// Index returns the bitset reachability index over the subgraph's
-// exits, building and caching it (and the condensation) on first call.
-func (s *Subgraph) Index() *scc.Index {
-	if s.index == nil {
-		s.index = scc.BuildIndex(s.Condensation(), s.Exits)
-	}
-	return s.index
 }
 
 // Extract splits g into one Subgraph per partition. The returned local
@@ -256,23 +247,4 @@ func ExtractOne(g *graph.Graph, pt *graph.Partitioning, id int) *Subgraph {
 		s.markBoundary(pt, u, local[u])
 	}
 	return s
-}
-
-// Summary compresses the partition into boundary-to-boundary edges: one
-// (entry, exit) pair of global IDs for every exit reachable from each
-// entry without leaving the partition. An entry that is itself an exit
-// yields the pair (e, e). It reads off the SCC bitset index — one
-// O(V+E) condensation plus word-parallel propagation covers all
-// entries, instead of one BFS per entry.
-func (s *Subgraph) Summary() [][2]graph.VertexID {
-	ix := s.Index()
-	var pairs [][2]graph.VertexID
-	var buf []int32
-	for _, e := range s.Entries {
-		buf = ix.AppendExitsFrom(e, buf[:0])
-		for _, x := range buf {
-			pairs = append(pairs, [2]graph.VertexID{s.global[e], s.global[x]})
-		}
-	}
-	return pairs
 }

@@ -3,7 +3,7 @@ package scc
 import "fmt"
 
 // CondensationData is the raw array content of a Condensation, exposed
-// so a persisted index snapshot can round-trip the SCC decomposition
+// so a persisted snapshot can round-trip the SCC decomposition
 // without re-running Tarjan. Data returns live views (no copies);
 // CondensationFromData validates and reassembles. The arrays are plain
 // fixed-width integers on purpose: they serialize as flat sections of
@@ -57,7 +57,7 @@ func checkCSR(name string, off, edges []int32, limit int32) error {
 
 // CondensationFromData validates d and reassembles a Condensation. The
 // slices are retained, not copied. Validation covers everything the
-// query path and the bitset index rely on: CSR well-formedness, member
+// query path relies on: CSR well-formedness, member
 // lists that partition the vertex set consistently with Comp, forward
 // and reverse adjacency being transposes of each other, and — the
 // property every increasing-ID sweep depends on — component IDs in
@@ -133,38 +133,4 @@ func CondensationFromData(d CondensationData) (*Condensation, error) {
 		roff: d.ROff, redges: d.REdges,
 		moff: d.MOff, members: d.Members,
 	}, nil
-}
-
-// IndexData is the raw content of an Index: the exit list (bit i owns
-// exits[i]) and the per-component bitsets, concatenated in component
-// order.
-type IndexData struct {
-	Exits []int32
-	Bits  []uint64
-}
-
-// Data returns views of the index's raw arrays; callers must treat
-// them as read-only.
-func (ix *Index) Data() IndexData { return IndexData{Exits: ix.exits, Bits: ix.bits} }
-
-// IndexFromData validates d against cond and reassembles an Index. The
-// slices are retained. Beyond shape checks, every exit's own bit must
-// be set in its component's bitset — the cheapest invariant that
-// catches bitsets not built for this exit list.
-func IndexFromData(cond *Condensation, d IndexData) (*Index, error) {
-	words := (len(d.Exits) + 63) / 64
-	if len(d.Bits) != cond.N*words {
-		return nil, fmt.Errorf("scc: %d bitset words for %d components x %d words", len(d.Bits), cond.N, words)
-	}
-	n := len(cond.Comp)
-	for i, x := range d.Exits {
-		if x < 0 || int(x) >= n {
-			return nil, fmt.Errorf("scc: exit %d is vertex %d, want [0,%d)", i, x, n)
-		}
-		cc := int(cond.Comp[x])
-		if d.Bits[cc*words+i/64]&(1<<uint(i%64)) == 0 {
-			return nil, fmt.Errorf("scc: exit %d (vertex %d) missing from its own component's bitset", i, x)
-		}
-	}
-	return &Index{cond: cond, exits: d.Exits, words: words, bits: d.Bits}, nil
 }

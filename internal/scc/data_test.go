@@ -71,62 +71,3 @@ func TestCondensationFromDataRejects(t *testing.T) {
 		}
 	}
 }
-
-// TestIndexDataRoundTrip: Data -> IndexFromData preserves reachability
-// answers bit for bit.
-func TestIndexDataRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(40)
-		a := randomAdj(rng, n, 2)
-		cond := Condense(a, nil)
-		// A few random vertices as exits, deduped and increasing.
-		seen := map[int32]bool{}
-		var exits []int32
-		for i := 0; i < 1+rng.Intn(5); i++ {
-			v := int32(rng.Intn(n))
-			if !seen[v] {
-				seen[v] = true
-				exits = append(exits, v)
-			}
-		}
-		for i := 1; i < len(exits); i++ {
-			for j := i; j > 0 && exits[j] < exits[j-1]; j-- {
-				exits[j], exits[j-1] = exits[j-1], exits[j]
-			}
-		}
-		ix := BuildIndex(cond, exits)
-		ix2, err := IndexFromData(cond, ix.Data())
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !reflect.DeepEqual(ix, ix2) {
-			t.Fatalf("trial %d: round trip changed the index", trial)
-		}
-	}
-}
-
-func TestIndexFromDataRejects(t *testing.T) {
-	a := buildAdj(3, [][2]int32{{0, 1}, {1, 2}})
-	cond := Condense(a, nil)
-	ix := BuildIndex(cond, []int32{2})
-	d := ix.Data()
-
-	short := IndexData{Exits: d.Exits, Bits: d.Bits[:len(d.Bits)-1]}
-	if _, err := IndexFromData(cond, short); err == nil {
-		t.Error("accepted truncated bitsets")
-	}
-	oob := IndexData{Exits: []int32{99}, Bits: d.Bits}
-	if _, err := IndexFromData(cond, oob); err == nil {
-		t.Error("accepted out-of-range exit")
-	}
-	// Clear exit 0's own bit in its component: bitsets weren't built for
-	// this exit list.
-	bits := append([]uint64{}, d.Bits...)
-	cc := int(cond.Comp[d.Exits[0]])
-	words := (len(d.Exits) + 63) / 64
-	bits[cc*words] &^= 1
-	if _, err := IndexFromData(cond, IndexData{Exits: d.Exits, Bits: bits}); err == nil {
-		t.Error("accepted bitset missing an exit's own bit")
-	}
-}

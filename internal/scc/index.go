@@ -6,9 +6,15 @@ import "math/bits"
 // owns bit i, and every component stores the bitset of exits reachable
 // from it (through any path in the condensation, exits in the component
 // itself included). Building it is one bottom-up sweep of the DAG —
-// O(V+E) for the decomposition plus O((V+E)·B/64) word-parallel OR
-// work for B exits — after which each entry's summary reads straight
-// out of its component's bitset in output-linear time.
+// O((V+E)·B/64) word-parallel OR work and N·⌈B/64⌉ words of memory for
+// N components and B exits — after which the exits an entry reaches
+// read straight out of its component's bitset.
+//
+// No product code builds one: a partition's summary is its shard's own
+// boundary-directed sweep (internal/shard), which costs what the
+// entries reach rather than components × exits. The index stays as an
+// independent oracle for that sweep's summaries and because the
+// benchmark harness times BuildIndex (scc.index_ms).
 type Index struct {
 	cond  *Condensation
 	exits []int32 // bit i <-> exits[i]

@@ -1,12 +1,11 @@
 // Package scc decomposes a directed graph into strongly connected
-// components and derives two build-time artifacts from the result: the
-// condensation (the SCC DAG in CSR form, with a vertex↔component
-// mapping) and a bitset reachability index over a designated set of
-// "exit" vertices. Together they replace per-entry BFS during boundary
-// compression: one O(V+E) decomposition plus word-parallel bitset
-// propagation answers "which exits does this entry reach?" for every
-// entry at once, and the condensation lets query-time searches walk
-// components instead of vertices.
+// components and builds the condensation from the result: the SCC DAG
+// in CSR form, both ways, with a vertex↔component mapping and its
+// serialisation (CondensationData). The condensation lets a shard's
+// searches — queries and the boundary summary alike — walk components
+// instead of vertices. A bitset reachability index over a set of exits
+// (Index) is kept beside it with no product caller: it is the summary's
+// independent oracle in tests and a timed layer of the benchmark.
 //
 // The decomposition is Tarjan's algorithm made fully iterative
 // (explicit DFS frames, no recursion), so partition-sized graphs with

@@ -65,8 +65,7 @@ func TestServeSoak(t *testing.T) {
 	}
 	subs, _ := partition.Extract(g, pt)
 	for _, sub := range subs {
-		sub.Condensation()
-		sub.Index()
+		sub.Condensation() // dialers may build Shards concurrently
 	}
 	groups := make([][]shard.ReplicaDialer, k)
 	for p := 0; p < k; p++ {

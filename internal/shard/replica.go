@@ -13,7 +13,7 @@ import (
 // Replica is one endpoint serving a single partition's local-search
 // task batches. It is the unit the transport (Replicated) routes to and
 // fails over between: every replica of a partition holds the same
-// subgraph and index, so any of them can answer any batch for that
+// subgraph and summary, so any of them can answer any batch for that
 // partition. Close releases the replica's resources; a closed replica
 // answers every further Submit with an error Reply.
 type Replica interface {
@@ -127,8 +127,8 @@ func (lr *localReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(
 	lr.mu.Unlock()
 }
 
-// Summary needs no hop through the worker: the Shard caches its summary
-// and concurrent reads are safe.
+// Summary needs no hop through the worker: the Shard built its summary
+// in New and concurrent reads are safe.
 func (lr *localReplica) Summary(ctx context.Context) (wire.Summary, error) {
 	lr.mu.Lock()
 	closed := lr.closed

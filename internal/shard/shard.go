@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"dsr/internal/graph"
 	"dsr/internal/partition"
@@ -107,8 +106,7 @@ type Shard struct {
 	arena   []uint32      // reused boundary-vertex storage
 	stats   RunStats      // what the last Run did
 
-	sumOnce sync.Once // guards the lazily built boundary summary
-	sum     wire.Summary
+	sum wire.Summary // built by New, immutable after
 }
 
 // Region bits of a component. Both are closed along DAG edges — every
@@ -172,10 +170,12 @@ type RunStats struct {
 }
 
 // New builds a Shard over one partition's subgraph, building (or
-// reusing the cached) SCC condensation, then classifying its components
-// and pruning the DAG for the two sweep directions — two linear passes
-// and two filtered copies, never persisted: a snapshot-restored shard
-// rebuilds them here.
+// reusing the cached) SCC condensation, then classifying its components,
+// pruning the DAG for the two sweep directions and sweeping its entries
+// for the boundary summary (summarize) — linear passes and filtered
+// copies, never persisted: a snapshot-restored shard rebuilds them here.
+// New reads sub and writes nothing to it once its condensation is
+// cached, so replicas may share one subgraph.
 func New(id int, sub *partition.Subgraph) *Shard {
 	cond := sub.Condensation()
 	s := &Shard{
@@ -195,7 +195,65 @@ func New(id int, sub *partition.Subgraph) *Shard {
 	dag := cond.Data()
 	s.fwd = prune(csr{dag.FOff, dag.FEdges}, s.region, func(r uint8) bool { return r != regionSink })
 	s.bwd = prune(csr{dag.ROff, dag.REdges}, s.region, func(r uint8) bool { return r&regionIn != 0 })
+	s.sum = wire.Summary{Boundary: s.boundary, Edges: s.summarize(), Cross: slices.Clone(sub.Cross)}
 	return s
+}
+
+// summarize computes the partition's entry→exit summary edges with the
+// query sweep itself: one Forward task per entry, seeded with the entry
+// alone, reaches exactly the exits that entry reaches inside the
+// partition (itself too, if it is an exit). Run reports a task's exits
+// in sweep order; two stable counting passes — by ordinal, then by task
+// — put each entry's in increasing ordinal order, which is increasing
+// global ID, so the edges list entries in Entries order and each one's
+// exits increasing. The scratch the sweeps grew is released and the
+// run statistics cleared: a new shard's first query starts from what
+// it would have without this.
+func (s *Shard) summarize() [][2]uint32 {
+	tasks := make([]wire.Task, len(s.sub.Entries))
+	seeds := make([]int32, len(tasks))
+	for i, e := range s.sub.Entries {
+		seeds[i] = int32(s.sub.GlobalID(e))
+		tasks[i] = wire.Task{Kind: wire.Forward, Seeds: seeds[i : i+1 : i+1]}
+	}
+	res := s.Run(tasks)
+
+	// By ordinal: row o of byOrd lists the tasks that reach ordinal o,
+	// in task order; end[o] ends the row.
+	end := make([]int, len(s.boundary)+1)
+	for _, r := range res {
+		for _, o := range r.Boundary {
+			end[o+1]++
+		}
+	}
+	for o := 1; o < len(end); o++ {
+		end[o] += end[o-1]
+	}
+	byOrd := make([]uint32, end[len(s.boundary)])
+	for i, r := range res {
+		for _, o := range r.Boundary {
+			byOrd[end[o]] = uint32(i)
+			end[o]++
+		}
+	}
+	// By task: at[i] is where task i's next edge goes.
+	at := make([]int, len(res))
+	n := 0
+	for i, r := range res {
+		at[i] = n
+		n += len(r.Boundary)
+	}
+	edges := make([][2]uint32, n)
+	lo := 0
+	for o, hi := range end[:len(s.boundary)] {
+		for _, i := range byOrd[lo:hi] {
+			edges[at[i]] = [2]uint32{uint32(seeds[i]), s.boundary[o]}
+			at[i]++
+		}
+		lo = hi
+	}
+	s.results, s.arena, s.stats = nil, nil, RunStats{}
+	return edges
 }
 
 // classify fills region. scc numbers components in reverse topological
@@ -568,18 +626,8 @@ func nextBit(x uint64, forward bool) int {
 
 // Summary returns the shard's boundary summary — its boundary-vertex
 // set, entry→exit summary edges, and outgoing cross-partition edges,
-// all as global IDs. This is everything a graph-free coordinator needs
-// from this partition to stitch the global boundary graph. Built once
-// (the first call builds the SCC reachability index) and cached;
-// subsequent calls are free and safe concurrently with each other.
-func (s *Shard) Summary() wire.Summary {
-	s.sumOnce.Do(func() { s.sum = s.summaryWith(s.sub.Summary()) })
-	return s.sum
-}
-
-// summaryWith assembles the boundary summary around the given
-// entry→exit edges: the boundary list — in the strictly increasing
-// order DecodeSummary enforces — and a copy of the cross edges.
-func (s *Shard) summaryWith(edges [][2]uint32) wire.Summary {
-	return wire.Summary{Boundary: s.boundary, Edges: edges, Cross: slices.Clone(s.sub.Cross)}
-}
+// all as global IDs, the boundary list in the strictly increasing order
+// DecodeSummary enforces. This is everything a graph-free coordinator
+// needs from this partition to stitch the global boundary graph. New
+// builds it; Summary is free and safe concurrently with anything.
+func (s *Shard) Summary() wire.Summary { return s.sum }

@@ -179,9 +179,9 @@ func TestShardSummary(t *testing.T) {
 		t.Fatalf("shard 2 edges/cross = %v/%v, want none", s2.Edges, s2.Cross)
 	}
 
-	// Cached: the second call returns the identical slices.
+	// Built once by New: the second call returns the identical slices.
 	again := shards[1].Summary()
-	if &again.Boundary[0] != &s1.Boundary[0] {
-		t.Fatal("Summary rebuilt instead of returning the cached value")
+	if &again.Boundary[0] != &s1.Boundary[0] || &again.Edges[0] != &s1.Edges[0] {
+		t.Fatal("Summary rebuilt instead of returning the stored value")
 	}
 }

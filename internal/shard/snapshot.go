@@ -1,19 +1,14 @@
 package shard
 
-import (
-	"dsr/internal/snapshot"
-	"dsr/internal/wire"
-)
+import "dsr/internal/snapshot"
 
-// Snapshot captures the shard's complete query state for persistence:
-// the subgraph with its condensation and reachability index, plus the
-// boundary summary edges, under a header carrying the deployment
-// identity (shard count, total vertex count, graph fingerprint,
-// partitioning digest — the same fields the hello handshake checks).
-// It forces the index and summary to be built first, so a snapshot
-// taken right after construction persists the finished state.
+// Snapshot captures what the shard persists: the subgraph with its SCC
+// condensation, under a header carrying the deployment identity (shard
+// count, total vertex count, graph fingerprint, partitioning digest —
+// the same fields the hello handshake checks). Everything else a shard
+// holds — regions, pruned DAGs, the boundary summary — New derives
+// from those in linear time.
 func (s *Shard) Snapshot(shardCount, totalVertices int, graphSum, partSum uint64) *snapshot.Snapshot {
-	sum := s.Summary()
 	return &snapshot.Snapshot{
 		Header: snapshot.Header{
 			Version:            snapshot.FormatVersion,
@@ -23,26 +18,13 @@ func (s *Shard) Snapshot(shardCount, totalVertices int, graphSum, partSum uint64
 			GraphFingerprint:   graphSum,
 			PartitioningDigest: partSum,
 		},
-		Sub:          s.sub,
-		SummaryEdges: sum.Edges,
+		Sub: s.sub,
 	}
 }
 
-// FromSnapshot reconstitutes a Shard from a decoded snapshot without
-// re-deriving anything: the condensation and index arrive attached to
-// the subgraph, and the boundary summary is preset from the persisted
-// edges (its boundary-vertex and cross-edge parts are re-emitted from
-// already-loaded state in output-linear time). The result is
-// byte-identical on the wire to a freshly built shard.
-func FromSnapshot(sn *snapshot.Snapshot) *Shard {
-	s := New(sn.ShardID, sn.Sub)
-	s.PresetSummary(s.summaryWith(sn.SummaryEdges))
-	return s
-}
-
-// PresetSummary installs a prebuilt boundary summary, skipping the
-// index-driven build Summary would otherwise perform on first call. A
-// no-op if the summary was already built or preset.
-func (s *Shard) PresetSummary(sum wire.Summary) {
-	s.sumOnce.Do(func() { s.sum = sum })
-}
+// FromSnapshot reconstitutes a Shard from a decoded snapshot. The
+// condensation arrives attached to the subgraph, so no Tarjan runs; New
+// derives the regions, the pruned DAGs and the boundary summary exactly
+// as for a freshly built shard, so the result is byte-identical on the
+// wire.
+func FromSnapshot(sn *snapshot.Snapshot) *Shard { return New(sn.ShardID, sn.Sub) }

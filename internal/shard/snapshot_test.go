@@ -44,8 +44,8 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("shard %d: identity changed: %d/%d -> %d/%d",
 				id, fresh.ID(), fresh.NumVertices(), restored.ID(), restored.NumVertices())
 		}
-		// The preset summary must match what a fresh build would emit —
-		// on the wire, not just semantically.
+		// The summary derived on load must match what a fresh build
+		// emits — on the wire, not just semantically.
 		a := wire.AppendSummary(nil, fresh.Summary())
 		bb := wire.AppendSummary(nil, restored.Summary())
 		if !reflect.DeepEqual(a, bb) {
@@ -70,23 +70,5 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("shard %d task %d: Run differs:\nfresh:    %+v\nrestored: %+v", id, q, ra, rb)
 			}
 		}
-	}
-}
-
-// TestPresetSummaryWinsOnce: a preset summary suppresses the built one,
-// and presetting after Summary has run is a no-op.
-func TestPresetSummaryWinsOnce(t *testing.T) {
-	shards, _ := chainFixture(t)
-
-	canned := wire.Summary{Boundary: []uint32{42}}
-	shards[0].PresetSummary(canned)
-	if got := shards[0].Summary(); !reflect.DeepEqual(got, canned) {
-		t.Fatalf("Summary = %+v, want the preset one", got)
-	}
-
-	built := shards[1].Summary()
-	shards[1].PresetSummary(canned)
-	if got := shards[1].Summary(); !reflect.DeepEqual(got, built) {
-		t.Fatal("PresetSummary after Summary must not replace the built summary")
 	}
 }

@@ -1,0 +1,242 @@
+package shard
+
+import (
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"dsr/internal/graph"
+	"dsr/internal/graph/gen"
+	"dsr/internal/partition"
+	"dsr/internal/partition/locality"
+	"dsr/internal/scc"
+	"dsr/internal/wire"
+)
+
+// summaryOf builds one shard per range partition of the n-vertex graph
+// with the given edges and returns each one's summary edges.
+func summaryOf(t *testing.T, n int, edges [][2]graph.VertexID, k int) [][][2]uint32 {
+	t.Helper()
+	shards, _ := buildShards(t, n, edges, k)
+	out := make([][][2]uint32, len(shards))
+	for p, s := range shards {
+		out[p] = s.Summary().Edges
+	}
+	return out
+}
+
+func TestSummaryCompression(t *testing.T) {
+	// Chain across three range partitions of {0,1},{2,3},{4,5}:
+	// 0->1->2->3->4->5. Middle partition: entry 2 reaches exit 3; the
+	// first has no entries and the last no exits, so neither has an edge.
+	got := summaryOf(t, 6, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}, 3)
+	for p, want := range [][][2]uint32{nil, {{2, 3}}, nil} {
+		if !slices.Equal(got[p], want) {
+			t.Fatalf("partition %d summary = %v, want %v", p, got[p], want)
+		}
+	}
+}
+
+func TestSummaryEntryIsExit(t *testing.T) {
+	// 0 -> 1 -> 2 with singleton middle partition {1}: vertex 1 is both
+	// entry and exit, so its summary must contain the pair (1, 1).
+	got := summaryOf(t, 3, [][2]graph.VertexID{{0, 1}, {1, 2}}, 3)[1]
+	if !slices.Equal(got, [][2]uint32{{1, 1}}) {
+		t.Fatalf("singleton boundary summary = %v, want [[1 1]]", got)
+	}
+}
+
+func TestSummaryDisconnectedBoundary(t *testing.T) {
+	// Middle partition {2,3} of 0->2, 3->4: entry 2 cannot reach exit 3,
+	// so no summary edge.
+	if got := summaryOf(t, 6, [][2]graph.VertexID{{0, 2}, {3, 4}}, 3)[1]; len(got) != 0 {
+		t.Fatalf("disconnected boundary summary = %v, want empty", got)
+	}
+}
+
+func TestSummaryMultipleExits(t *testing.T) {
+	// Middle partition {2,3} with entry 2, internal edge 2->3, and both
+	// 2 and 3 exiting: the summary is (2,2) then (2,3), exits increasing.
+	got := summaryOf(t, 6, [][2]graph.VertexID{{0, 2}, {2, 3}, {2, 4}, {3, 5}}, 3)[1]
+	if want := [][2]uint32{{2, 2}, {2, 3}}; !slices.Equal(got, want) {
+		t.Fatalf("summary = %v, want %v", got, want)
+	}
+}
+
+// summaryBFS is the reference summary: one forward vertex-level BFS per
+// entry over the subgraph's own adjacency, O(B·(V+E)) for B entries,
+// each entry's exits sorted by global ID — the order Summary promises.
+func summaryBFS(s *partition.Subgraph) [][2]uint32 {
+	isExit := make([]bool, s.NumVertices())
+	for _, x := range s.Exits {
+		isExit[x] = true
+	}
+	var pairs [][2]uint32
+	for _, e := range s.Entries {
+		seen := make([]bool, s.NumVertices())
+		seen[e] = true
+		var exits []uint32
+		for queue := []int32{e}; len(queue) > 0; queue = queue[1:] {
+			v := queue[0]
+			if isExit[v] {
+				exits = append(exits, s.GlobalID(v))
+			}
+			for _, w := range s.Out(v) {
+				if !seen[w] {
+					seen[w] = true
+					queue = append(queue, w)
+				}
+			}
+		}
+		slices.Sort(exits)
+		for _, x := range exits {
+			pairs = append(pairs, [2]uint32{s.GlobalID(e), x})
+		}
+	}
+	return pairs
+}
+
+// summaryIndex reads the summary off scc's bitset index, the mechanism
+// the sweep replaced: entries in order, each one's exits in bit order.
+func summaryIndex(s *partition.Subgraph) [][2]uint32 {
+	ix := scc.BuildIndex(s.Condensation(), s.Exits)
+	var pairs [][2]uint32
+	var buf []int32
+	for _, e := range s.Entries {
+		buf = ix.AppendExitsFrom(e, buf[:0])
+		for _, x := range buf {
+			pairs = append(pairs, [2]uint32{s.GlobalID(e), s.GlobalID(x)})
+		}
+	}
+	return pairs
+}
+
+// randomPartitions calls check on every partition of 220 random graphs
+// of up to 120 vertices and mean out-degree 0.5–4, each split 2–5 ways
+// by hash or range, and fails unless at least 200 were checked.
+func randomPartitions(t *testing.T, seed int64, check func(gi int, sub *partition.Subgraph)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	checked := 0
+	for gi := 0; gi < 220; gi++ {
+		n := 1 + rng.Intn(120)
+		deg := []float64{0.5, 1, 2, 4}[rng.Intn(4)]
+		b := graph.NewBuilder(n)
+		for i := 0; i < int(float64(n)*deg); i++ {
+			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
+		}
+		g := b.Build()
+		strat := []graph.Partitioner{graph.Hash(), graph.Range()}[rng.Intn(2)]
+		pt, err := strat.Partition(g, 2+rng.Intn(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs, _ := partition.Extract(g, pt)
+		for _, sub := range subs {
+			check(gi, sub)
+			checked++
+		}
+	}
+	if checked < 200 {
+		t.Fatalf("only %d partitions checked, want >= 200", checked)
+	}
+}
+
+// TestSummarySweepVsBFSDifferential pits the sweep's summary against the
+// per-entry BFS on random graphs and partitionings, pair for pair in
+// order.
+func TestSummarySweepVsBFSDifferential(t *testing.T) {
+	randomPartitions(t, 20260728, func(gi int, sub *partition.Subgraph) {
+		if got, want := New(sub.ID, sub).Summary().Edges, summaryBFS(sub); !slices.Equal(got, want) {
+			t.Fatalf("graph %d partition %d:\nsweep %v\nBFS   %v", gi, sub.ID, got, want)
+		}
+	})
+}
+
+// TestSummaryMatchesIndex pins that the sweep's summary is the bitset
+// index's, in sequence — so the wire summary, and with it the
+// coordinator's stitched boundary graph and its component numbering,
+// are what they were when the index computed them: on random partitions
+// and, outside -short, on the benchmark family's graph (200k vertices)
+// under hash and locality partitioning. The hash partitions' indexes
+// take ~400 MB each, so that half also skips under the race detector,
+// whose shadow memory multiplies it.
+func TestSummaryMatchesIndex(t *testing.T) {
+	randomPartitions(t, 20261015, func(gi int, sub *partition.Subgraph) {
+		if got, want := New(sub.ID, sub).Summary().Edges, summaryIndex(sub); !slices.Equal(got, want) {
+			t.Fatalf("graph %d partition %d:\nsweep %v\nindex %v", gi, sub.ID, got, want)
+		}
+	})
+	if testing.Short() || raceEnabled {
+		t.Skip("the benchmark graph's partitions: not under -short or -race")
+	}
+	g := gen.Community(rand.New(rand.NewSource(4)), 200_000, 16, 2.5, 0.05, 0.01)
+	for _, strat := range []graph.Partitioner{graph.Hash(), locality.New(locality.Options{Seed: 1})} {
+		pt, err := strat.Partition(g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 3; p++ {
+			sub := partition.ExtractOne(g, pt, p)
+			got := New(p, sub).Summary().Edges
+			if want := summaryIndex(sub); !slices.Equal(got, want) {
+				t.Fatalf("%s partition %d: the sweep's %d summary edges differ from the index's %d", strat.Name(), p, len(got), len(want))
+			}
+			if len(got) == 0 {
+				t.Fatalf("%s partition %d: no summary edges", strat.Name(), p)
+			}
+		}
+	}
+}
+
+// TestSummaryReplicasShareSubgraph builds three shards over one
+// subgraph, as R local replicas of a partition are, and reads their
+// summaries from three goroutines at once: nothing may be built lazily
+// on the shared subgraph (the race detector would see the writes), and
+// the three must agree.
+func TestSummaryReplicasShareSubgraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261016))
+	g := gen.Community(rng, 300, 4, 1.6, 0.1, 0.02)
+	pt, err := graph.HashPartition(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, _ := partition.Extract(g, pt)
+	replicas := []*Shard{New(1, subs[1]), New(1, subs[1]), New(1, subs[1])}
+	sums := make([][]byte, len(replicas))
+	var wg sync.WaitGroup
+	for i, s := range replicas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sums[i] = wire.AppendSummary(nil, s.Summary())
+		}()
+	}
+	wg.Wait()
+	for i := range sums {
+		if !slices.Equal(sums[i], sums[0]) {
+			t.Fatalf("replica %d's summary differs from replica 0's", i)
+		}
+	}
+	if len(replicas[0].Summary().Edges) == 0 {
+		t.Fatal("fixture has no summary edges")
+	}
+}
+
+// TestSummaryLeavesQueryStateFresh: building the summary runs the query
+// sweep, and a new shard must not show it — no run statistics, no
+// grown result or boundary buffers, all scratch zero.
+func TestSummaryLeavesQueryStateFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	for _, fx := range sweepFixtures(t, rng) {
+		subs, _ := partition.Extract(fx.g, fx.pt)
+		for p, sub := range subs {
+			s := New(p, sub)
+			if s.LastRun() != (RunStats{}) || s.results != nil || s.arena != nil {
+				t.Fatalf("%s shard %d: LastRun %+v, %d results, %d arena words after New", fx.name, p, s.LastRun(), len(s.results), len(s.arena))
+			}
+			checkScratchClean(t, s)
+		}
+	}
+}

@@ -747,7 +747,9 @@ func fuzzShard(data []byte) (g *graph.Graph, part []int32, k int, tasks []wire.T
 }
 
 // FuzzShardRun drives the sweep and the reference with whatever graph,
-// partitioning and batch the fuzz bytes decode to, on every partition.
+// partitioning and batch the fuzz bytes decode to, on every partition,
+// and checks each shard's summary — the same sweep over its entries —
+// against the per-entry BFS.
 func FuzzShardRun(f *testing.F) {
 	// The committed corpus (testdata/fuzz) holds the small shapes, the
 	// gap graph (gapEdges, with seeds and targets in every region) among
@@ -768,6 +770,9 @@ func FuzzShardRun(f *testing.F) {
 		subs, _ := partition.Extract(g, pt)
 		for p, sub := range subs {
 			s := New(p, sub)
+			if got, want := s.Summary().Edges, summaryBFS(sub); !slices.Equal(got, want) {
+				t.Fatalf("shard %d summary:\nsweep %v\nBFS   %v", p, got, want)
+			}
 			checkAgainstReference(t, s, newReference(s), tasks)
 		}
 	})

@@ -153,10 +153,9 @@ func NewServer(sh *Shard, numShards, numVertices int, graphSum, partSum uint64) 
 			Graph:        graphSum,
 			Partitioning: partSum,
 		},
-		// Encode the boundary summary once, eagerly: this builds the SCC
-		// reachability index at startup (not on the first coordinator's
-		// connect), and every MsgSummaryRequest is answered by writing the
-		// same immutable payload — no lock, no re-encoding.
+		// Encode the boundary summary New built once, eagerly: every
+		// MsgSummaryRequest is answered by writing the same immutable
+		// payload — no lock, no re-encoding.
 		summary: wire.AppendSummary(nil, sh.Summary()),
 		conns:   make(map[net.Conn]bool),
 	}

@@ -37,7 +37,7 @@ func benchSetup(tb testing.TB) *benchState {
 		}
 		// No tb.Cleanup here: the fixture outlives any one (sub)benchmark.
 		// Mostly-local edges + range partitioning keep the boundary (and
-		// so the bitset index) proportional to the cut, not the graph —
+		// so the summary sweep) proportional to the cut, not the graph —
 		// the regime the partitioned design targets.
 		rng := rand.New(rand.NewSource(50))
 		b := graph.NewBuilder(n)
@@ -78,7 +78,7 @@ func benchSetup(tb testing.TB) *benchState {
 
 // coldBuild is the no-snapshot boot path: read and parse the edge
 // list, partition the whole graph, extract this shard's partition, run
-// Tarjan + the bitset index, and emit the boundary summary.
+// Tarjan, and sweep the entries for the boundary summary (shard.New).
 func (st *benchState) coldBuild(tb testing.TB) *shard.Shard {
 	tb.Helper()
 	g, err := graph.LoadEdgeListFile(st.graphPath)
@@ -89,22 +89,19 @@ func (st *benchState) coldBuild(tb testing.TB) *shard.Shard {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sh := shard.New(0, partition.ExtractOne(g, pt, 0))
-	sh.Summary()
-	return sh
+	return shard.New(0, partition.ExtractOne(g, pt, 0))
 }
 
-// load is the snapshot boot path: read, checksum, validate, and preset
-// the summary — no graph file, no partitioner, no Tarjan.
+// load is the snapshot boot path: read, checksum, validate, and derive
+// the summary from the loaded condensation — no graph file, no
+// partitioner, no Tarjan.
 func (st *benchState) load(tb testing.TB) *shard.Shard {
 	tb.Helper()
 	sn, err := snapshot.ReadFile(st.snapPath)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sh := shard.FromSnapshot(sn)
-	sh.Summary()
-	return sh
+	return shard.FromSnapshot(sn)
 }
 
 func BenchmarkColdBuild(b *testing.B) {

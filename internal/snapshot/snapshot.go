@@ -1,9 +1,10 @@
-// Package snapshot persists one partition's complete query state — the
-// local CSR subgraph, its SCC condensation, the boundary bitset
-// reachability index, and the boundary summary edges — in a versioned,
-// checksummed, mmap-friendly on-disk layout, so a shard restart is a
-// file load instead of an edge-list read plus re-partition plus Tarjan
-// plus index build.
+// Package snapshot persists one partition's query state — the local CSR
+// subgraph and its SCC condensation — in a versioned, checksummed,
+// mmap-friendly on-disk layout, so a shard restart is a file load
+// instead of an edge-list read plus re-partition plus Tarjan. What a
+// shard derives from those in linear time (regions, pruned DAGs, the
+// boundary summary) is not persisted: shard.FromSnapshot derives it on
+// load.
 //
 // # Layout
 //
@@ -55,7 +56,7 @@ import (
 // snapshot with any other version is refused with ErrVersion (and the
 // caller rebuilds), so a format change never silently misreads old
 // files.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Sentinel errors, matched with errors.Is through the wrapped detail.
 var (
@@ -95,9 +96,7 @@ const (
 	secCondREdges             // condensation reverse CSR edges (int32)
 	secCondMOff               // condensation member-list offsets (int32)
 	secCondMembers            // condensation member lists (int32)
-	secIndexBits              // reachability bitsets, component-major (uint64)
-	secSummary                // entry->exit summary edges, flattened pairs (uint32)
-	numSections    = secSummary
+	numSections    = secCondMembers
 )
 
 // Header identifies a snapshot: the format version it was written
@@ -138,16 +137,12 @@ func (h Header) Expect(shardID, shardCount, totalVertices int, graphSum, partSum
 	return nil
 }
 
-// Snapshot is one partition's complete decoded query state plus the
-// identity header it was persisted under. Sub carries its condensation
-// and reachability index pre-attached, so shard.FromSnapshot derives
-// nothing.
+// Snapshot is one partition's decoded query state plus the identity
+// header it was persisted under. Sub carries its condensation
+// pre-attached, so shard.FromSnapshot runs no Tarjan.
 type Snapshot struct {
 	Header
 	Sub *partition.Subgraph
-	// SummaryEdges are the entry->exit boundary summary edges (global
-	// IDs), in the canonical order Shard.Summary emits.
-	SummaryEdges [][2]uint32
 	// Size is the encoded byte size; set by ReadFile and WriteFile.
 	Size int
 }
@@ -205,15 +200,14 @@ func putU64s(dst []byte, vals []int64) {
 }
 
 // Encode serializes sn to the on-disk format. Encoding the same built
-// state twice yields identical bytes. The subgraph's condensation and
-// index are built first if the caller has not already forced them.
+// state twice yields identical bytes. The subgraph's condensation is
+// built first if the caller has not already forced it.
 func Encode(sn *Snapshot) ([]byte, error) {
 	if sn.Sub == nil {
 		return nil, fmt.Errorf("snapshot: nil subgraph")
 	}
 	d := sn.Sub.Data()
 	cd := sn.Sub.Condensation().Data()
-	ixd := sn.Sub.Index().Data()
 
 	secs := []section{
 		{secGlobal, 4, len(d.Global), func(b []byte) { putVIDs(b, d.Global) }},
@@ -236,17 +230,6 @@ func Encode(sn *Snapshot) ([]byte, error) {
 		{secCondREdges, 4, len(cd.REdges), func(b []byte) { putU32s(b, cd.REdges) }},
 		{secCondMOff, 4, len(cd.MOff), func(b []byte) { putU32s(b, cd.MOff) }},
 		{secCondMembers, 4, len(cd.Members), func(b []byte) { putU32s(b, cd.Members) }},
-		{secIndexBits, 8, len(ixd.Bits), func(b []byte) {
-			for i, w := range ixd.Bits {
-				binary.LittleEndian.PutUint64(b[8*i:], w)
-			}
-		}},
-		{secSummary, 4, 2 * len(sn.SummaryEdges), func(b []byte) {
-			for i, pr := range sn.SummaryEdges {
-				binary.LittleEndian.PutUint32(b[8*i:], pr[0])
-				binary.LittleEndian.PutUint32(b[8*i+4:], pr[1])
-			}
-		}},
 	}
 
 	// Lay out: header, table, then 8-aligned payloads.
@@ -471,10 +454,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	for i, pr := range cross32 {
 		cross[i] = [2]graph.VertexID{graph.VertexID(pr[0]), graph.VertexID(pr[1])}
 	}
-	summary, err := decodePairs(payload[secSummary], counts[secSummary])
-	if err != nil {
-		return nil, err
-	}
 
 	cd := scc.CondensationData{
 		Comp:    decodeU32s(payload[secComp], counts[secComp]),
@@ -501,15 +480,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		Exits:   decodeU32s(payload[secExits], counts[secExits]),
 		Cross:   cross,
 	}
-	bits := make([]uint64, counts[secIndexBits])
-	for i := range bits {
-		bits[i] = binary.LittleEndian.Uint64(payload[secIndexBits][8*i:])
-	}
-	ix, err := scc.IndexFromData(cond, scc.IndexData{Exits: sd.Exits, Bits: bits})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	sub, err := partition.SubgraphFromData(sd, cond, ix)
+	sub, err := partition.SubgraphFromData(sd, cond)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -525,12 +496,7 @@ func Decode(data []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("%w: cross edge %d (%d->%d) outside graph of %d vertices", ErrCorrupt, i, pr[0], pr[1], h.TotalVertices)
 		}
 	}
-	for i, pr := range summary {
-		if int(pr[0]) >= h.TotalVertices || int(pr[1]) >= h.TotalVertices {
-			return nil, fmt.Errorf("%w: summary edge %d (%d->%d) outside graph of %d vertices", ErrCorrupt, i, pr[0], pr[1], h.TotalVertices)
-		}
-	}
-	return &Snapshot{Header: h, Sub: sub, SummaryEdges: summary, Size: len(data)}, nil
+	return &Snapshot{Header: h, Sub: sub, Size: len(data)}, nil
 }
 
 // ReadFile loads and decodes the snapshot at path. A missing file

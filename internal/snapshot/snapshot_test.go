@@ -93,6 +93,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if !bytes.Equal(buf, buf2) {
 			t.Fatalf("shard %d: decode/encode round trip not byte-identical (%d vs %d bytes)", i, len(buf), len(buf2))
 		}
+		// Version 2's layout: the subgraph's eight sections and the
+		// condensation's seven, nothing a shard derives on load.
+		if v, secs := binary.LittleEndian.Uint32(buf[8:]), binary.LittleEndian.Uint32(buf[56:]); v != 2 || secs != 15 {
+			t.Fatalf("shard %d: version %d with %d sections, want 2 with 15", i, v, secs)
+		}
 		// The reconstituted shard is indistinguishable from the fresh one.
 		restored := shard.FromSnapshot(dec)
 		if restored.NumVertices() != shards[i].NumVertices() {
@@ -259,12 +264,15 @@ func TestSnapshotCorruption(t *testing.T) {
 	})
 
 	t.Run("version skew", func(t *testing.T) {
-		mut := bytes.Clone(buf)
-		binary.LittleEndian.PutUint32(mut[8:], snapshot.FormatVersion+1)
-		reChecksum(mut) // a future writer would checksum its own bytes correctly
-		_, err := snapshot.Decode(mut)
-		if !errors.Is(err, snapshot.ErrVersion) {
-			t.Fatalf("err = %v, want ErrVersion", err)
+		// Version 1 carried the reachability index and the summary edges;
+		// a future writer would checksum its own bytes correctly.
+		for _, v := range []uint32{1, snapshot.FormatVersion + 1} {
+			mut := bytes.Clone(buf)
+			binary.LittleEndian.PutUint32(mut[8:], v)
+			reChecksum(mut)
+			if _, err := snapshot.Decode(mut); !errors.Is(err, snapshot.ErrVersion) {
+				t.Fatalf("version %d: err = %v, want ErrVersion", v, err)
+			}
 		}
 	})
 
@@ -318,7 +326,7 @@ func TestSnapshotCorruption(t *testing.T) {
 			name string
 			mut  func(b []byte)
 		}{
-			{"wrong section count", func(b []byte) { binary.LittleEndian.PutUint32(b[56:], 16) }},
+			{"wrong section count", func(b []byte) { binary.LittleEndian.PutUint32(b[56:], 17) }}, // version 1's
 			{"kind out of order", func(b []byte) { binary.LittleEndian.PutUint32(row(b, 1)[0:], 2) }},
 			{"bad element size", func(b []byte) { binary.LittleEndian.PutUint32(row(b, 1)[4:], 2) }},
 			{"unaligned offset", func(b []byte) {
@@ -340,13 +348,13 @@ func TestSnapshotCorruption(t *testing.T) {
 				off := binary.LittleEndian.Uint64(r[8:])
 				binary.LittleEndian.PutUint64(b[off:], ^uint64(0))
 			}},
-			{"summary edge outside graph", func(b []byte) {
-				r := row(b, 17)
+			{"cross edge outside graph", func(b []byte) {
+				r := row(b, 8)
 				if binary.LittleEndian.Uint64(r[16:]) == 0 {
-					t.Skip("no summary edges in fixture")
+					t.Skip("no cross edges in fixture")
 				}
 				off := binary.LittleEndian.Uint64(r[8:])
-				binary.LittleEndian.PutUint32(b[off:], 1<<30)
+				binary.LittleEndian.PutUint32(b[off+4:], 1<<30) // the first edge's destination
 			}},
 		}
 		for _, c := range cases {
