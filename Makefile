@@ -170,7 +170,9 @@ ab:
 # against its scalar reference on graphs, partitionings and task
 # batches decoded from the fuzz bytes, the rank index behind
 # Subgraph.Local against a binary search on ownership sets and probes
-# decoded the same way, and the coordinator's two-cursor boundary finish
+# decoded the same way, the edge-list loader's allocation-free line
+# reader against the general trim/split/ParseUint rule, and the
+# coordinator's two-cursor boundary finish
 # against a per-query BFS on boundary graphs and rounds decoded the same
 # way — growing the corpus instead of only replaying committed seeds.
 # Any crasher go finds is written to testdata/fuzz and fails the run.
@@ -183,6 +185,7 @@ fuzz-smoke:
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz='^FuzzDecodeSnapshotHeader$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/shard -run='^$$' -fuzz='^FuzzShardRun$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzSubgraphLocal$$' -fuzztime=$(FUZZ_TIME)
+	$(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzLoadEdgeList$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzBoundaryFinish$$' -fuzztime=$(FUZZ_TIME)
 
 # Godoc hygiene gate: every package must carry a package comment, the

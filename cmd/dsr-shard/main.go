@@ -19,6 +19,13 @@
 // -id outside [0, shards) — exits 2 before anything is loaded; what only
 // the work can discover exits 1 (README.md, "Exit codes").
 //
+// A shard built from -graph logs one boot line, "shard i/k
+// (<partitioner>-partitioned): … components: …; ms: load L, partition
+// P, extract E, build B": the build's phases in milliseconds (build is
+// shard.New, condensation and summary sweep), so a fleet's setup time
+// splits per process without a profiler. It is for operators: tests and
+// harnesses wait for the later "serving on <addr>" line instead.
+//
 // Snapshots: with -snapshot-dir, a freshly built shard persists its
 // subgraph and SCC condensation to <dir>/part<id>-of-<shards>.dsrsnap
 // via a temp-file+rename, and the next boot loads that file instead of
@@ -52,6 +59,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"syscall"
+	"time"
 
 	"dsr/internal/cli"
 	"dsr/internal/graph"
@@ -148,22 +156,33 @@ func main() {
 	}
 
 	if sh == nil {
+		// phase returns the milliseconds since its previous call.
+		mark := time.Now()
+		phase := func() int64 {
+			prev := mark
+			mark = time.Now()
+			return mark.Sub(prev).Milliseconds()
+		}
 		g, err := graph.LoadEdgeListFile(*graphPath)
 		if err != nil {
 			app.Fatalf("load graph: %v", err)
 		}
+		loadMS := phase()
 		pt, err := strat.Partition(g, *numShards)
 		if err != nil {
 			app.Fatalf("partition (%s): %v", strat.Name(), err)
 		}
+		partitionMS := phase()
 		// ExtractOne materializes only this shard's partition: startup memory
 		// scales with the shard's share of the graph, not all k partitions.
 		sub := partition.ExtractOne(g, pt, *shardID)
+		extractMS := phase()
 		sh = shard.New(*shardID, sub)
+		buildMS := phase()
 		numVertices, graphSum, partSum = g.NumVertices(), g.Fingerprint(), pt.Digest()
-		app.Log.Infof("shard %d/%d (%s-partitioned): %d of %d vertices, %d entries, %d exits, components: %v",
+		app.Log.Infof("shard %d/%d (%s-partitioned): %d of %d vertices, %d entries, %d exits, components: %v; ms: load %d, partition %d, extract %d, build %d",
 			*shardID, *numShards, strat.Name(), sh.NumVertices(), numVertices,
-			len(sub.Entries), len(sub.Exits), sh.Regions())
+			len(sub.Entries), len(sub.Exits), sh.Regions(), loadMS, partitionMS, extractMS, buildMS)
 
 		if snapPath != "" {
 			sn := sh.Snapshot(*numShards, numVertices, graphSum, partSum)

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,12 +63,103 @@ func TestLoadEdgeListErrors(t *testing.T) {
 		{"three fields", "1 2 3\n"},
 		{"non-numeric", "a b\n"},
 		{"negative", "-1 2\n"},
+		// IDs past int32 would have Build allocate offset arrays of up
+		// to 2^32+1 entries (an out-of-memory crash, not an error).
+		{"target 2^32-1", "0 4294967295\n"},
+		{"source 2^31-1", "2147483647 0\n"},
 	}
 	for _, c := range cases {
-		if _, err := LoadEdgeList(strings.NewReader(c.input)); err == nil {
+		_, err := LoadEdgeList(strings.NewReader(c.input))
+		if err == nil {
 			t.Errorf("%s: want error", c.name)
+		} else if !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("%s: error %q does not name line 1", c.name, err)
 		}
 	}
+	// The largest ID that still fits is accepted.
+	b := NewBuilder(0)
+	if err := b.readEdgeList(strings.NewReader("2147483646 0\n")); err != nil || b.n != maxVertices {
+		t.Errorf("ID 2^31-2: err %v, %d vertices; want nil, %d", err, b.n, maxVertices)
+	}
+}
+
+// TestParseEdgeFastPath: the shapes WriteEdgeList and hand-written files
+// use are read without the general rule, and the same numbers come out.
+func TestParseEdgeFastPath(t *testing.T) {
+	for _, c := range []struct {
+		line string
+		u, v VertexID
+	}{
+		{"0 1", 0, 1},
+		{"12 34", 12, 34},
+		{"\t12\t34\r", 12, 34},
+		{"  007   08  ", 7, 8},
+		{"2147483646 2147483646", 2147483646, 2147483646},
+		{"1\v2\f", 1, 2},
+	} {
+		u, v, ok := parseEdge([]byte(c.line))
+		if !ok || u != c.u || v != c.v {
+			t.Errorf("parseEdge(%q) = %d, %d, %v; want %d, %d, true", c.line, u, v, ok, c.u, c.v)
+		}
+	}
+	for _, line := range []string{
+		"", " ", "# vertices 3", "1", "1 2 3", "12", "+1 2", "-1 2", "1 a", "1a 2",
+		"1 2", "1\u00852", "2147483647 0", "0 4294967296", "1,2",
+	} {
+		if _, _, ok := parseEdge([]byte(line)); ok {
+			t.Errorf("parseEdge(%q) accepted a line for the general rule", line)
+		}
+	}
+}
+
+// referenceEdge is the general rule for an edge line, as the loader
+// applied it to every line before parseEdge: trim, split on white
+// space, two base-10 uint32s.
+func referenceEdge(line string) (u, v uint64, err error) {
+	fields := strings.Fields(strings.TrimSpace(line))
+	if len(fields) != 2 {
+		return 0, 0, fmt.Errorf("%d fields", len(fields))
+	}
+	if u, err = strconv.ParseUint(fields[0], 10, 32); err != nil {
+		return 0, 0, err
+	}
+	if v, err = strconv.ParseUint(fields[1], 10, 32); err != nil {
+		return 0, 0, err
+	}
+	return u, v, nil
+}
+
+// FuzzLoadEdgeList: every line the allocation-free reader accepts reads
+// as the same (u, v) under the general rule, and the loader never
+// panics — its errors all name a line. Graphs are built only when
+// small: a valid directive may ask for 2^31-1 vertices.
+func FuzzLoadEdgeList(f *testing.F) {
+	f.Add([]byte("# vertices 4\n0 1\n1 2\n2 3\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, line := range append(bytes.Split(data, []byte("\n")), data) {
+			u, v, ok := parseEdge(line)
+			if !ok {
+				continue
+			}
+			ru, rv, err := referenceEdge(string(line))
+			if err != nil || ru != uint64(u) || rv != uint64(v) {
+				t.Fatalf("parseEdge(%q) = %d, %d; general rule %d, %d, %v", line, u, v, ru, rv, err)
+			}
+		}
+		b := NewBuilder(0)
+		err := b.readEdgeList(bytes.NewReader(data))
+		switch {
+		case err != nil:
+			if !strings.HasPrefix(err.Error(), "graph: line ") {
+				t.Fatalf("error %q names no line", err)
+			}
+		case b.n <= 1<<16:
+			g := b.Build()
+			if g.NumEdges() != len(b.src) {
+				t.Fatalf("built %d edges from %d read", g.NumEdges(), len(b.src))
+			}
+		}
+	})
 }
 
 func TestRoundTripPreservesIsolatedVertices(t *testing.T) {
@@ -130,6 +223,8 @@ func TestVertexDirectiveMalformed(t *testing.T) {
 		{"negative", "0 1\n# vertices -5\n"},
 		{"uint32 overflow", "0 1\n# vertices 4294967296\n"},
 		{"float", "0 1\n# vertices 1.5\n"},
+		{"uint32 max", "0 1\n# vertices 4294967295\n"},
+		{"past int32", "0 1\n# vertices 2147483648\n"},
 	}
 	for _, c := range cases {
 		_, err := LoadEdgeList(strings.NewReader(c.input))

@@ -17,11 +17,23 @@
 //     partitions, largest cluster first, each placed on the partition
 //     it shares the most edge weight with among those with room
 //     (clusters that fit nowhere whole are split vertex-by-vertex, so
-//     the size cap holds unconditionally).
+//     the size cap holds unconditionally). The weights are summed from
+//     the cluster's members' adjacency rows at placement time.
 //  3. Refinement — Fiduccia–Mattheyses-style single-vertex moves: passes
 //     over the vertices move any vertex whose cut-edge gain (cross
 //     edges removed minus cross edges added) is strictly positive and
 //     whose destination partition has room, until a pass moves nothing.
+//
+// Phases 1 and 3 keep their full visit orders (every round's shuffle,
+// every pass's ID order) but evaluate only dirty vertices: those with a
+// neighbor that moved to another label since they last looked, and
+// those a full label kept from moving once it has room again. Every
+// other vertex would decide to stay — a decision is a function of the
+// neighbors' labels and of which labels are full, not of the order they
+// are met in — so the labels are exactly those of re-evaluating every
+// vertex every time, at a fraction of the work: on a 200k-vertex
+// community graph, rounds after the second look at a few thousand
+// vertices instead of all of them (dirtySet has the argument).
 //
 // The output is an ordinary *graph.Partitioning, so everything
 // downstream (subgraph extraction, boundary compression, shards) is
@@ -30,9 +42,10 @@
 package locality
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dsr/internal/graph"
 )
@@ -99,14 +112,7 @@ func Partition(g *graph.Graph, k int, opts Options) (*graph.Partitioning, error)
 		// Single partition (or empty graph): nothing to optimize.
 		return finish(g, k, labels)
 	}
-	// capacity is the hard per-partition (and per-cluster: a cluster
-	// larger than a partition could never be placed) size cap. It is
-	// always >= ceil(n/k), so packing every vertex is always possible.
-	capacity := int32(math.Ceil(opts.Balance * float64(n) / float64(k)))
-	if ideal := int32((n + k - 1) / k); capacity < ideal {
-		capacity = ideal
-	}
-
+	capacity := capacityFor(n, k, opts.Balance)
 	rng := newSplitMix(uint64(opts.Seed))
 	coarsen(g, labels, capacity, opts.Rounds, rng)
 	part := pack(g, labels, k, capacity)
@@ -114,6 +120,17 @@ func Partition(g *graph.Graph, k int, opts Options) (*graph.Partitioning, error)
 		refine(g, part, k, capacity, opts.RefinePasses)
 	}
 	return finish(g, k, part)
+}
+
+// capacityFor is the hard per-partition (and per-cluster: a cluster
+// larger than a partition could never be placed) size cap. It is always
+// >= ceil(n/k), so packing every vertex is always possible.
+func capacityFor(n, k int, balance float64) int32 {
+	capacity := int32(math.Ceil(balance * float64(n) / float64(k)))
+	if ideal := int32((n + k - 1) / k); capacity < ideal {
+		capacity = ideal
+	}
+	return capacity
 }
 
 // finish runs the labels through graph.PartitionWith, which validates
@@ -125,6 +142,8 @@ func finish(g *graph.Graph, k int, part []int32) (*graph.Partitioning, error) {
 // coarsen runs capped label propagation over the undirected view of g,
 // leaving the cluster label of every vertex in labels. Labels are drawn
 // from the vertex-ID space (a cluster is named after some member).
+// Every round shuffles the whole visit order, but only dirty vertices
+// (see dirtySet) are re-evaluated: a clean one would stay where it is.
 func coarsen(g *graph.Graph, labels []int32, capacity int32, rounds int, rng *splitMix) {
 	n := len(labels)
 	for v := range labels {
@@ -142,10 +161,14 @@ func coarsen(g *graph.Graph, labels []int32, capacity int32, rounds int, rng *sp
 	for i := range order {
 		order[i] = int32(i)
 	}
+	dirty := newDirtySet(n)
 	for round := 0; round < rounds; round++ {
 		rng.shuffle(order)
 		moved := 0
 		for _, v := range order {
+			if !dirty.take(v) {
+				continue
+			}
 			cur := labels[v]
 			touched = touched[:0]
 			for _, w := range g.Out(graph.VertexID(v)) {
@@ -172,8 +195,13 @@ func coarsen(g *graph.Graph, labels []int32, capacity int32, rounds int, rng *sp
 			// current label on ties (stability), then the smallest label
 			// (determinism regardless of visit order).
 			best, bestCount := cur, count[cur]
+			full := false
 			for _, l := range touched {
-				if l == cur || size[l] >= capacity {
+				if l == cur {
+					continue
+				}
+				if size[l] >= capacity {
+					full = true
 					continue
 				}
 				c := count[l]
@@ -184,6 +212,13 @@ func coarsen(g *graph.Graph, labels []int32, capacity int32, rounds int, rng *sp
 					best, bestCount = l, c
 				}
 			}
+			if full {
+				for _, l := range touched {
+					if size[l] >= capacity && count[l] > bestCount {
+						dirty.block(v, l)
+					}
+				}
+			}
 			for _, l := range touched {
 				count[l] = 0
 			}
@@ -192,6 +227,10 @@ func coarsen(g *graph.Graph, labels []int32, capacity int32, rounds int, rng *sp
 				size[best]++
 				labels[v] = best
 				moved++
+				dirty.moved(g, v, labels)
+				if size[cur] == capacity-1 {
+					dirty.freed(cur)
+				}
 			}
 		}
 		if moved == 0 {
@@ -227,27 +266,17 @@ func pack(g *graph.Graph, labels []int32, k int, capacity int32) []int32 {
 	}
 	nc := len(sizes)
 
-	// Inter-cluster edge weights, as adjacency lists (a -> (b, weight)).
-	type cnbr struct {
-		to int32
-		w  int64
+	// Cluster members, contiguous: a counting sort of vertices by
+	// cluster, members[start[c]:start[c+1]] being cluster c's.
+	start := make([]int32, nc+1)
+	for c := range sizes {
+		start[c+1] = start[c] + sizes[c]
 	}
-	weight := map[uint64]int64{}
-	g.Edges(func(u, v graph.VertexID) {
-		a, b := cluster[u], cluster[v]
-		if a == b {
-			return
-		}
-		if a > b {
-			a, b = b, a
-		}
-		weight[uint64(a)<<32|uint64(uint32(b))]++
-	})
-	cadj := make([][]cnbr, nc)
-	for key, w := range weight {
-		a, b := int32(key>>32), int32(uint32(key))
-		cadj[a] = append(cadj[a], cnbr{b, w})
-		cadj[b] = append(cadj[b], cnbr{a, w})
+	next := slices.Clone(start[:nc])
+	members := make([]graph.VertexID, n)
+	for v, c := range cluster {
+		members[next[c]] = graph.VertexID(v)
+		next[c]++
 	}
 
 	// Largest-first placement. Sorting is (size desc, id asc): fully
@@ -257,12 +286,11 @@ func pack(g *graph.Graph, labels []int32, k int, capacity int32) []int32 {
 	for i := range orderC {
 		orderC[i] = int32(i)
 	}
-	sort.Slice(orderC, func(i, j int) bool {
-		a, b := orderC[i], orderC[j]
+	slices.SortFunc(orderC, func(a, b int32) int {
 		if sizes[a] != sizes[b] {
-			return sizes[a] > sizes[b]
+			return cmp.Compare(sizes[b], sizes[a])
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	assign := make([]int32, nc)
 	for i := range assign {
@@ -270,14 +298,23 @@ func pack(g *graph.Graph, labels []int32, k int, capacity int32) []int32 {
 	}
 	load := make([]int32, k)
 	aff := make([]int64, k)
-	for _, c := range orderC {
-		for p := range aff {
-			aff[p] = 0
-		}
-		for _, nb := range cadj[c] {
-			if a := assign[nb.to]; a >= 0 {
-				aff[a] += nb.w
+	// affinity adds to aff every edge between c and an already placed
+	// cluster, once: a cut edge has exactly one endpoint among c's
+	// members, so it is read from that member's Out or In row alone.
+	affinity := func(c int32, nbrs []graph.VertexID) {
+		for _, w := range nbrs {
+			if d := cluster[w]; d != c {
+				if a := assign[d]; a >= 0 {
+					aff[a]++
+				}
 			}
+		}
+	}
+	for _, c := range orderC {
+		clear(aff)
+		for _, u := range members[start[c]:start[c+1]] {
+			affinity(c, g.Out(u))
+			affinity(c, g.In(u))
 		}
 		best := int32(-1)
 		for p := 0; p < k; p++ {
@@ -326,7 +363,8 @@ func pack(g *graph.Graph, labels []int32, k int, capacity int32) []int32 {
 // that strictly reduces the number of cut edges and the destination has
 // room. Each pass scans vertices in ID order; passes stop early once
 // nothing moves. Total cut weight strictly decreases with every move,
-// so termination is guaranteed without FM's tenure bookkeeping.
+// so termination is guaranteed without FM's tenure bookkeeping. As in
+// coarsen, only dirty vertices are re-evaluated.
 func refine(g *graph.Graph, part []int32, k int, capacity int32, passes int) {
 	n := len(part)
 	load := make([]int32, k)
@@ -334,22 +372,24 @@ func refine(g *graph.Graph, part []int32, k int, capacity int32, passes int) {
 		load[p]++
 	}
 	ext := make([]int64, k) // neighbors of v per partition, rebuilt per vertex
+	dirty := newDirtySet(n)
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
-		for v := 0; v < n; v++ {
-			p := part[v]
-			for q := range ext {
-				ext[q] = 0
+		for v := int32(0); v < int32(n); v++ {
+			if !dirty.take(v) {
+				continue
 			}
+			p := part[v]
+			clear(ext)
 			deg := 0
 			for _, w := range g.Out(graph.VertexID(v)) {
-				if int(w) != v {
+				if int32(w) != v {
 					ext[part[w]]++
 					deg++
 				}
 			}
 			for _, w := range g.In(graph.VertexID(v)) {
-				if int(w) != v {
+				if int32(w) != v {
 					ext[part[w]]++
 					deg++
 				}
@@ -358,8 +398,13 @@ func refine(g *graph.Graph, part []int32, k int, capacity int32, passes int) {
 				continue // isolated, or fully internal already
 			}
 			best, bestGain := p, int64(0)
+			full := false
 			for q := int32(0); q < int32(k); q++ {
-				if q == p || load[q]+1 > capacity {
+				if q == p {
+					continue
+				}
+				if load[q]+1 > capacity {
+					full = true
 					continue
 				}
 				// gain = cut edges removed - cut edges added when v moves
@@ -368,17 +413,94 @@ func refine(g *graph.Graph, part []int32, k int, capacity int32, passes int) {
 					best, bestGain = q, gain
 				}
 			}
+			if full {
+				for q := int32(0); q < int32(k); q++ {
+					if load[q]+1 > capacity && ext[q] > ext[best] {
+						dirty.block(v, q)
+					}
+				}
+			}
 			if best != p {
 				load[p]--
 				load[best]++
 				part[v] = best
 				moved++
+				dirty.moved(g, v, part)
+				if load[p] == capacity-1 {
+					dirty.freed(p)
+				}
 			}
 		}
 		if moved == 0 {
 			break
 		}
 	}
+}
+
+// dirtySet marks the vertices a round or pass must re-evaluate. A
+// vertex's decision, in coarsen and in refine alike, is a pure function
+// of its own label, the multiset of its neighbors' labels and which of
+// those labels are full — neither phase's choice depends on the order
+// it meets its neighbors in. A vertex is clean from the moment it
+// decides; clean, it would decide to stay (it stayed, or it just moved
+// to its best label, which it would not leave), and it stays clean while
+// the inputs of that decision hold:
+//
+//   - a neighbor changed label: the neighbor's move dirties it, unless
+//     the neighbor joined its label — that only makes staying stronger;
+//   - a label became full: that only removes candidates, and a vertex
+//     that stays with more candidates stays with fewer;
+//   - a full label regained room: that dirties exactly the vertices
+//     which, when they decided, had more neighbors in it than in their
+//     own label — the ones it blocked, recorded as they decided.
+//
+// So a skipped vertex is one the full scan would have left where it
+// is, and the labels are the full scan's, label for label.
+type dirtySet struct {
+	clean   []bool
+	blocked map[int32][]int32 // full label -> vertices it kept from moving
+}
+
+func newDirtySet(n int) dirtySet {
+	return dirtySet{clean: make([]bool, n), blocked: map[int32][]int32{}}
+}
+
+// take reports whether v is dirty and marks it clean: the caller
+// evaluates it now.
+func (d *dirtySet) take(v int32) bool {
+	if d.clean[v] {
+		return false
+	}
+	d.clean[v] = true
+	return true
+}
+
+// moved dirties the neighbors of v, which just changed label, that are
+// not in v's new label.
+func (d *dirtySet) moved(g *graph.Graph, v int32, labels []int32) {
+	l := labels[v]
+	for _, w := range g.Out(graph.VertexID(v)) {
+		if labels[w] != l {
+			d.clean[w] = false
+		}
+	}
+	for _, w := range g.In(graph.VertexID(v)) {
+		if labels[w] != l {
+			d.clean[w] = false
+		}
+	}
+}
+
+// block records that v, deciding now, would prefer the full label l to
+// the one it keeps.
+func (d *dirtySet) block(v, l int32) { d.blocked[l] = append(d.blocked[l], v) }
+
+// freed dirties the vertices the full label l blocked: it has room again.
+func (d *dirtySet) freed(l int32) {
+	for _, v := range d.blocked[l] {
+		d.clean[v] = false
+	}
+	delete(d.blocked, l)
 }
 
 // splitMix is a tiny deterministic PRNG (splitmix64) used for visit

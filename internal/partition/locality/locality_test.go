@@ -2,7 +2,9 @@ package locality_test
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"dsr/internal/graph"
@@ -237,21 +239,37 @@ func TestParseSpec(t *testing.T) {
 // speed) on the planted clustered graph: boundary vertices, cut edges,
 // and balance are reported as custom metrics, so the benchmark JSON
 // artifacts record partition quality per commit alongside ns/op.
+// locality-200k is the 200k-vertex community graph at k = 3, the scale
+// of the end-to-end benchmark's locality fleet.
 func BenchmarkPartitionQuality(b *testing.B) {
 	g, _ := plantedFixture(b)
 	const k = 4
+	community := sync.OnceValue(func() *graph.Graph {
+		return gen.Community(rand.New(rand.NewSource(4)), 200_000, 16, 2.5, 0.05, 0.01)
+	})
 	for _, bc := range []struct {
-		name string
-		part func() (*graph.Partitioning, error)
+		name  string
+		graph func() *graph.Graph
+		part  func(g *graph.Graph) (*graph.Partitioning, error)
 	}{
-		{"hash", func() (*graph.Partitioning, error) { return graph.HashPartition(g, k) }},
-		{"range", func() (*graph.Partitioning, error) { return graph.RangePartition(g, k) }},
-		{"locality", func() (*graph.Partitioning, error) { return locality.Partition(g, k, locality.Options{}) }},
+		{"hash", nil, func(g *graph.Graph) (*graph.Partitioning, error) { return graph.HashPartition(g, k) }},
+		{"range", nil, func(g *graph.Graph) (*graph.Partitioning, error) { return graph.RangePartition(g, k) }},
+		{"locality", nil, func(g *graph.Graph) (*graph.Partitioning, error) {
+			return locality.Partition(g, k, locality.Options{})
+		}},
+		{"locality-200k", community, func(g *graph.Graph) (*graph.Partitioning, error) {
+			return locality.Partition(g, 3, locality.Options{Seed: 1})
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			g := g
+			if bc.graph != nil {
+				g = bc.graph()
+				b.ResetTimer()
+			}
 			var st partition.Stats
 			for i := 0; i < b.N; i++ {
-				pt, err := bc.part()
+				pt, err := bc.part(g)
 				if err != nil {
 					b.Fatal(err)
 				}
