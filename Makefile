@@ -165,8 +165,11 @@ ab:
 	$(GO) run ./tools/ab -parent $(PARENT) -workloads "$(WORKLOADS)" -pairs $(PAIRS) -seconds $(SECONDS) \
 		-bench '$(BENCH)' -pkg $(PKG) -benchtime $(BENCH_TIME)
 
-# Run every fuzz target for FUZZ_TIME each — the wire-protocol and
-# snapshot decoders against hostile input, the shard's batched sweep
+# Run every fuzz target for FUZZ_TIME each — the wire-protocol decoders
+# and the snapshot header decoder against hostile input, the whole
+# snapshot decoder on inputs whose checksum is re-stamped (so mutations
+# reach the section validators) through shard.FromSnapshot and a
+# re-encode, the shard's batched sweep
 # against its scalar reference on graphs, partitionings and task
 # batches decoded from the fuzz bytes, the rank index behind
 # Subgraph.Local against a binary search on ownership sets and probes
@@ -183,6 +186,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeSummary$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz='^FuzzDecodeSnapshotHeader$$' -fuzztime=$(FUZZ_TIME)
+	$(GO) test ./internal/snapshot -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/shard -run='^$$' -fuzz='^FuzzShardRun$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzSubgraphLocal$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzLoadEdgeList$$' -fuzztime=$(FUZZ_TIME)

@@ -103,7 +103,7 @@ func TestRunQueriesPartialOutage(t *testing.T) {
 	}
 
 	for _, batch := range []bool{false, true} {
-		subs, _ := partition.Extract(g, pt)
+		subs := partition.Extract(g, pt)
 		servers := make([]*shard.Server, k)
 		addrs := make([]string, k)
 		var wg sync.WaitGroup

@@ -27,14 +27,15 @@
 // harnesses wait for the later "serving on <addr>" line instead.
 //
 // Snapshots: with -snapshot-dir, a freshly built shard persists its
-// subgraph and SCC condensation to <dir>/part<id>-of-<shards>.dsrsnap
-// via a temp-file+rename, and the next boot loads that file instead of
-// rebuilding — skipping even the edge-list read, so -graph becomes
-// optional; the boundary summary is re-derived from the loaded state.
-// A snapshot that is missing, corrupt, version-skewed, or for the wrong
-// partition falls back to the rebuild path (with a logged warning),
-// never to a wrong answer; -snapshot-verify forces a rebuild from
-// -graph and byte-compares it against the stored snapshot, exiting
+// forward-CSR subgraph and SCC condensation (snapshot format 3) to
+// <dir>/part<id>-of-<shards>.dsrsnap via a temp-file+rename, and the
+// next boot loads that file instead of rebuilding — skipping even the
+// edge-list read and Tarjan, so -graph becomes optional; the boundary
+// summary is re-derived from the loaded state. A snapshot that is
+// missing, corrupt, version-skewed (a file an older build wrote), or
+// for the wrong partition falls back to the rebuild path (with a logged
+// warning), never to a wrong answer; -snapshot-verify forces a rebuild
+// from -graph and byte-compares it against the stored snapshot, exiting
 // non-zero on any disagreement.
 //
 // Replication: running several dsr-shard processes with the same -id

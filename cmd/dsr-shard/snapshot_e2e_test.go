@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -137,11 +138,32 @@ func (p *shardProc) counter(name string) uint64 {
 	return snap.Counters[name]
 }
 
+// stampVersion returns a copy of a snapshot file with its format
+// version field (bytes 8..12) set to v and the whole-file FNV-1a
+// checksum (bytes 48..56, hashed as zero) recomputed: what a build of
+// another format version would have written for the same state.
+func stampVersion(data []byte, v uint32) []byte {
+	out := append([]byte{}, data...)
+	binary.LittleEndian.PutUint32(out[8:], v)
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i, b := range out {
+		if i >= 48 && i < 56 {
+			b = 0
+		}
+		h ^= uint64(b)
+		h *= prime64
+	}
+	binary.LittleEndian.PutUint64(out[48:], h)
+	return out
+}
+
 // TestSnapshotBootCycleTCP drives the full snapshot lifecycle through
 // the real binary: a cold boot from -graph writes a snapshot, the next
-// boot loads it with no -graph at all, a corrupted file falls back to a
-// rebuild (rewriting a good snapshot) with a logged warning, and a
-// corrupted file with no -graph to rebuild from is fatal.
+// boot loads it with no -graph at all, a corrupted or version-skewed
+// file falls back to a rebuild (rewriting a good snapshot) with a
+// logged warning, and a corrupted file with no -graph to rebuild from
+// is fatal.
 func TestSnapshotBootCycleTCP(t *testing.T) {
 	bin, graphPath := buildShard(t)
 	snapDir := t.TempDir()
@@ -195,7 +217,21 @@ func TestSnapshotBootCycleTCP(t *testing.T) {
 		t.Error("rebuild did not restore the original snapshot bytes (encoding should be deterministic)")
 	}
 
-	// Boot 4: corrupt snapshot and nothing to rebuild from — fatal.
+	// Boot 4: a file a format-2 build wrote (version field 2, checksum
+	// intact) is refused as version skew and rebuilt from -graph.
+	if err := os.WriteFile(snapPath, stampVersion(good, 2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p4 := startShard(t, bin, "-graph", graphPath, "-snapshot-dir", snapDir, "-listen", "127.0.0.1:0")
+	p4.waitLine(`snapshot unusable, rebuilding from -graph: .*version skew: file is version 2`)
+	p4.waitLine(`wrote snapshot`)
+	p4.waitServing()
+	p4.drain()
+	if rewritten, err := os.ReadFile(snapPath); err != nil || string(rewritten) != string(good) {
+		t.Errorf("rebuild after version skew did not rewrite the current snapshot (err %v)", err)
+	}
+
+	// Boot 5: corrupt snapshot and nothing to rebuild from — fatal.
 	if err := os.WriteFile(snapPath, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}

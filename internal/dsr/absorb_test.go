@@ -45,7 +45,7 @@ func loopbackShards(t testing.TB, g *graph.Graph, strat graph.Partitioner, k int
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
+	subs := partition.Extract(g, pt)
 	shards := make([]*shard.Shard, k)
 	for p := range shards {
 		shards[p] = shard.New(p, subs[p])

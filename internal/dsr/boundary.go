@@ -183,8 +183,8 @@ func stitchRows(n int, sums []wire.Summary) ([]uint32, *csr, error) {
 // each vertex's component filed under the name its shard will call it
 // by — partition and ordinal. Every sums[p].Boundary is a sorted subset
 // of the sorted verts, so one merge per partition lines ordinals up with
-// dense ids. The rest of the condensation (member lists) and the vertex
-// IDs themselves are dropped with g.
+// dense ids. The dense-id component map and the vertex IDs themselves
+// are dropped with g.
 func condense(verts []uint32, sums []wire.Summary, g *csr) *boundaryGraph {
 	d := scc.Condense(g, nil).Data()
 	bg := &boundaryGraph{nverts: len(verts), compOf: make([][]int32, len(sums)),

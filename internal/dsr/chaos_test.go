@@ -30,13 +30,7 @@ func newChaosEngine(t testing.TB, g *graph.Graph, strat graph.Partitioner, k, R 
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
-	// Pre-warm the lazily cached condensations: redials may construct
-	// Shards concurrently (reconnect loop vs. in-query redial), and the
-	// cache itself is unsynchronized by design.
-	for _, sub := range subs {
-		sub.Condensation()
-	}
+	subs := partition.Extract(g, pt)
 	groups := make([][]shard.ReplicaDialer, k)
 	for p := 0; p < k; p++ {
 		for r := 0; r < R; r++ {

@@ -33,7 +33,7 @@ func bootShardServersWith(t testing.TB, g *graph.Graph, k int, strat graph.Parti
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
+	subs := partition.Extract(g, pt)
 	addrs := make([]string, k)
 	servers := make([]*shard.Server, k)
 	var wg sync.WaitGroup

@@ -280,7 +280,7 @@ func Build(g *graph.Graph, o Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	subs, _ := partition.Extract(g, pt)
+	subs := partition.Extract(g, pt)
 	shards := make([]*shard.Shard, len(subs))
 	parallelParts(len(subs), func(p int) { shards[p] = shard.New(p, subs[p]) })
 	lb := shard.NewLoopback(shards)

@@ -134,10 +134,7 @@ func TestChaosSummaryFetchFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
-	for _, sub := range subs {
-		sub.Condensation() // dialers may build Shards concurrently
-	}
+	subs := partition.Extract(g, pt)
 	f := chaos.New(chaos.Options{})
 	groups := make([][]shard.ReplicaDialer, k)
 	for p := 0; p < k; p++ {

@@ -61,7 +61,7 @@ func (c fleetCell) open(t *testing.T, g *graph.Graph, k int, reg *obs.Registry) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
+	subs := partition.Extract(g, pt)
 	groups := make([][]shard.ReplicaDialer, k)
 	for p := 0; p < k; p++ {
 		for r := 0; r < c.R; r++ {

@@ -27,7 +27,7 @@ func TestTCPSingleReplicaFleetRecoversFromRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
+	subs := partition.Extract(g, pt)
 
 	// serve (re)starts partition p's server on addr, announcing graphSum
 	// as its graph fingerprint, and returns where it listens and its stop.

@@ -29,7 +29,7 @@ func bootReplicatedFleet(t testing.TB, g *graph.Graph, strat graph.Partitioner, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
+	subs := partition.Extract(g, pt)
 	specs := make([]string, k)
 	proxies := make([][]*chaos.Proxy, k)
 	var servers []*shard.Server

@@ -4,22 +4,17 @@ import (
 	"fmt"
 
 	"dsr/internal/graph"
-	"dsr/internal/scc"
 )
 
 // SubgraphData is the raw array content of a Subgraph, exposed so a
 // persisted snapshot can round-trip the extracted partition without
 // re-reading the edge list or re-running ExtractOne. Data returns live
-// views (no copies); SubgraphFromData validates and reassembles,
-// attaching an already-reconstructed condensation so Tarjan is not
-// re-run on load.
+// views (no copies); SubgraphFromData validates and reassembles.
 type SubgraphData struct {
 	ID             int
 	Global         []graph.VertexID // local -> global, strictly increasing
 	FOff           []int64
 	FEdges         []int32
-	ROff           []int64
-	REdges         []int32
 	Entries, Exits []int32
 	Cross          [][2]graph.VertexID
 }
@@ -32,42 +27,40 @@ func (s *Subgraph) Data() SubgraphData {
 		Global:  s.global,
 		FOff:    s.foff,
 		FEdges:  s.fedges,
-		ROff:    s.roff,
-		REdges:  s.redges,
 		Entries: s.Entries,
 		Exits:   s.Exits,
 		Cross:   s.Cross,
 	}
 }
 
-// checkLocalCSR validates one CSR half of the subgraph: offsets start
-// at 0, never decrease, end exactly at the edge-array length, and every
-// edge target is a valid local vertex.
-func checkLocalCSR(name string, off []int64, edges []int32, n int) error {
+// checkLocalCSR validates the subgraph's CSR: offsets start at 0, never
+// decrease, end exactly at the edge-array length, and every edge target
+// is a valid local vertex.
+func checkLocalCSR(off []int64, edges []int32, n int) error {
 	if len(off) != n+1 {
-		return fmt.Errorf("partition: %s offsets have %d entries for %d vertices", name, len(off), n)
+		return fmt.Errorf("partition: offsets have %d entries for %d vertices", len(off), n)
 	}
 	if off[0] != 0 {
-		return fmt.Errorf("partition: %s offsets must start at 0", name)
+		return fmt.Errorf("partition: offsets must start at 0")
 	}
 	for i := 1; i <= n; i++ {
 		if off[i] < off[i-1] {
-			return fmt.Errorf("partition: %s offsets decrease at %d", name, i)
+			return fmt.Errorf("partition: offsets decrease at %d", i)
 		}
 	}
 	if int(off[n]) != len(edges) {
-		return fmt.Errorf("partition: %s offsets end at %d, want %d", name, off[n], len(edges))
+		return fmt.Errorf("partition: offsets end at %d, want %d", off[n], len(edges))
 	}
 	for i, e := range edges {
 		if e < 0 || int(e) >= n {
-			return fmt.Errorf("partition: %s edge %d targets %d, want [0,%d)", name, i, e, n)
+			return fmt.Errorf("partition: edge %d targets %d, want [0,%d)", i, e, n)
 		}
 	}
 	return nil
 }
 
 // checkBoundaryList validates an Entries/Exits list: strictly
-// increasing local IDs (the order Extract and ExtractOne produce, which
+// increasing local IDs (the order ExtractOne produces, which
 // a shard's summary and the canonical wire encoding rely on) within
 // [0, n).
 func checkBoundaryList(name string, list []int32, n int) error {
@@ -82,46 +75,21 @@ func checkBoundaryList(name string, list []int32, n int) error {
 	return nil
 }
 
-// SubgraphFromData validates d and reassembles a Subgraph with cond
-// installed as its cached condensation. The slices are retained, not
-// copied. Validation covers the invariants the query path depends on:
-// a strictly increasing local->global map (what makes a local ID a
-// rank, see Local), well-formed forward/reverse CSR halves that are
-// transposes of each other, ordered boundary lists, cross-partition
-// edges whose sources are owned and destinations are not, and a
-// condensation sized for this subgraph.
-func SubgraphFromData(d SubgraphData, cond *scc.Condensation) (*Subgraph, error) {
+// SubgraphFromData validates d and reassembles a Subgraph. The slices
+// are retained, not copied. Validation covers the invariants the query
+// path depends on: a strictly increasing local->global map (what makes a
+// local ID a rank, see Local), a well-formed CSR, ordered boundary
+// lists, and cross-partition edges whose sources are owned and
+// destinations are not.
+func SubgraphFromData(d SubgraphData) (*Subgraph, error) {
 	n := len(d.Global)
 	for i := 1; i < n; i++ {
 		if d.Global[i-1] >= d.Global[i] {
 			return nil, fmt.Errorf("partition: local->global map not strictly increasing at %d", i)
 		}
 	}
-	if err := checkLocalCSR("forward", d.FOff, d.FEdges, n); err != nil {
+	if err := checkLocalCSR(d.FOff, d.FEdges, n); err != nil {
 		return nil, err
-	}
-	if err := checkLocalCSR("reverse", d.ROff, d.REdges, n); err != nil {
-		return nil, err
-	}
-	if len(d.FEdges) != len(d.REdges) {
-		return nil, fmt.Errorf("partition: %d forward edges vs %d reverse", len(d.FEdges), len(d.REdges))
-	}
-	// Transpose consistency between the halves, by degree counts.
-	indeg := make([]int32, n)
-	for _, e := range d.FEdges {
-		indeg[e]++
-	}
-	outdeg := make([]int32, n)
-	for _, e := range d.REdges {
-		outdeg[e]++
-	}
-	for v := 0; v < n; v++ {
-		if got := int32(d.ROff[v+1] - d.ROff[v]); got != indeg[v] {
-			return nil, fmt.Errorf("partition: vertex %d has %d reverse edges but forward in-degree %d", v, got, indeg[v])
-		}
-		if got := int32(d.FOff[v+1] - d.FOff[v]); got != outdeg[v] {
-			return nil, fmt.Errorf("partition: vertex %d has %d forward edges but reverse out-degree %d", v, got, outdeg[v])
-		}
 	}
 	if err := checkBoundaryList("Entries", d.Entries, n); err != nil {
 		return nil, err
@@ -129,23 +97,14 @@ func SubgraphFromData(d SubgraphData, cond *scc.Condensation) (*Subgraph, error)
 	if err := checkBoundaryList("Exits", d.Exits, n); err != nil {
 		return nil, err
 	}
-	if cond == nil {
-		return nil, fmt.Errorf("partition: nil condensation")
-	}
-	if len(cond.Comp) != n {
-		return nil, fmt.Errorf("partition: condensation covers %d vertices, subgraph has %d", len(cond.Comp), n)
-	}
 	s := &Subgraph{
 		ID:      d.ID,
 		global:  d.Global,
 		foff:    d.FOff,
 		fedges:  d.FEdges,
-		roff:    d.ROff,
-		redges:  d.REdges,
 		Entries: d.Entries,
 		Exits:   d.Exits,
 		Cross:   d.Cross,
-		cond:    cond,
 	}
 	s.buildRank()
 	for i, pr := range d.Cross {

@@ -8,10 +8,68 @@ import (
 	"dsr/internal/graph"
 )
 
+// extractReference is the k-way extraction this package had before
+// Extract became a loop over ExtractOne, kept as ExtractOne's
+// reference: one scan of the vertex set assigns every partition's local
+// IDs, and two scans of the whole edge set — count, then fill — build
+// every partition's CSR at once. It also returns the local-ID map. The
+// reverse CSR it once built beside the forward one is left out: a
+// Subgraph no longer has one.
+func extractReference(g *graph.Graph, pt *graph.Partitioning) ([]*Subgraph, []int32) {
+	n := g.NumVertices()
+	local := make([]int32, n)
+	subs := make([]*Subgraph, pt.K)
+	for p := range subs {
+		subs[p] = &Subgraph{ID: p}
+	}
+	for v := 0; v < n; v++ {
+		s := subs[pt.Part[v]]
+		local[v] = int32(len(s.global))
+		s.global = append(s.global, graph.VertexID(v))
+	}
+	for _, s := range subs {
+		s.buildRank()
+		s.foff = make([]int64, s.NumVertices()+1)
+	}
+	// Two passes over the edge set: count, then fill. Cross-partition
+	// edges are collected (keyed by their source's partition) on the
+	// count pass.
+	g.Edges(func(u, v graph.VertexID) {
+		if pt.Part[u] == pt.Part[v] {
+			s := subs[pt.Part[u]]
+			s.foff[local[u]+1]++
+		} else {
+			s := subs[pt.Part[u]]
+			s.Cross = append(s.Cross, [2]graph.VertexID{u, v})
+		}
+	})
+	for _, s := range subs {
+		for i := 1; i <= s.NumVertices(); i++ {
+			s.foff[i] += s.foff[i-1]
+		}
+		s.fedges = make([]int32, s.foff[s.NumVertices()])
+	}
+	fcur := make([]int64, n)
+	g.Edges(func(u, v graph.VertexID) {
+		if pt.Part[u] == pt.Part[v] {
+			s := subs[pt.Part[u]]
+			lu, lv := local[u], local[v]
+			s.fedges[s.foff[lu]+fcur[u]] = lv
+			fcur[u]++
+		}
+	})
+	for v := 0; v < n; v++ {
+		subs[pt.Part[v]].markBoundary(pt, graph.VertexID(v), local[v])
+	}
+	return subs, local
+}
+
 // TestExtractOneMatchesExtract differentially checks the single-
-// partition extraction (what shard servers use) against the full
-// Extract on randomized graphs: identical vertex sets, adjacency,
-// and boundary lists for every partition.
+// partition extraction (what shard servers use, and what Extract loops
+// over) against the k-way reference on randomized graphs: identical
+// vertex sets, adjacency in the same order, boundary lists and
+// cross-partition edges for every partition, and a Local that agrees
+// with the reference's local-ID map on every vertex of the graph.
 func TestExtractOneMatchesExtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 80; iter++ {
@@ -33,22 +91,16 @@ func TestExtractOneMatchesExtract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs, _ := Extract(g, pt)
+		subs, local := extractReference(g, pt)
 		for p := 0; p < k; p++ {
 			one := ExtractOne(g, pt, p)
 			want := subs[p]
-			if one.NumVertices() != want.NumVertices() {
-				t.Fatalf("iter %d part %d: %d vertices, want %d", iter, p, one.NumVertices(), want.NumVertices())
+			if !slices.Equal(one.global, want.global) {
+				t.Fatalf("iter %d part %d: Global %v, want %v", iter, p, one.global, want.global)
 			}
 			for lv := int32(0); lv < int32(want.NumVertices()); lv++ {
-				if one.GlobalID(lv) != want.GlobalID(lv) {
-					t.Fatalf("iter %d part %d: GlobalID(%d) = %d, want %d", iter, p, lv, one.GlobalID(lv), want.GlobalID(lv))
-				}
-				if !sameEdgeSet(one.Out(lv), want.Out(lv)) {
+				if !slices.Equal(one.Out(lv), want.Out(lv)) {
 					t.Fatalf("iter %d part %d vertex %d: Out %v, want %v", iter, p, lv, one.Out(lv), want.Out(lv))
-				}
-				if !sameEdgeSet(one.In(lv), want.In(lv)) {
-					t.Fatalf("iter %d part %d vertex %d: In %v, want %v", iter, p, lv, one.In(lv), want.In(lv))
 				}
 			}
 			if !slices.Equal(one.Entries, want.Entries) {
@@ -60,23 +112,21 @@ func TestExtractOneMatchesExtract(t *testing.T) {
 			if !samePairSet(one.Cross, want.Cross) {
 				t.Fatalf("iter %d part %d: Cross %v, want %v", iter, p, one.Cross, want.Cross)
 			}
-			for lv := int32(0); lv < int32(want.NumVertices()); lv++ {
-				if got, ok := one.Local(one.GlobalID(lv)); !ok || got != lv {
-					t.Fatalf("iter %d part %d: Local(GlobalID(%d)) = %d,%v", iter, p, lv, got, ok)
-				}
-			}
 			for v := 0; v < g.NumVertices(); v++ {
-				_, owned := one.Local(graph.VertexID(v))
-				if owned != (pt.Part[v] == int32(p)) {
-					t.Fatalf("iter %d part %d: Local(%d) ownership %v, want %v", iter, p, v, owned, !owned)
+				lv, owned := one.Local(graph.VertexID(v))
+				if wantOwned := pt.Part[v] == int32(p); owned != wantOwned || owned && lv != local[v] {
+					t.Fatalf("iter %d part %d: Local(%d) = %d,%v, reference says %d,%v", iter, p, v, lv, owned, local[v], wantOwned)
 				}
 			}
+		}
+		if extracted := Extract(g, pt); len(extracted) != k {
+			t.Fatalf("iter %d: Extract returned %d subgraphs, want %d", iter, len(extracted), k)
 		}
 	}
 }
 
-// samePairSet compares cross-edge lists as multisets: Extract collects
-// them in global edge-scan order, ExtractOne per source vertex.
+// samePairSet compares cross-edge lists as multisets: the reference
+// collects them in global edge-scan order, ExtractOne per source vertex.
 func samePairSet(a, b [][2]graph.VertexID) bool {
 	if len(a) != len(b) {
 		return false
@@ -90,18 +140,5 @@ func samePairSet(a, b [][2]graph.VertexID) bool {
 	}
 	slices.SortFunc(as, cmp)
 	slices.SortFunc(bs, cmp)
-	return slices.Equal(as, bs)
-}
-
-// sameEdgeSet compares adjacency lists as multisets: Extract orders
-// edges by global edge scan, ExtractOne per source vertex — both list
-// the same neighbors, possibly in different order.
-func sameEdgeSet(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as, bs := slices.Clone(a), slices.Clone(b)
-	slices.Sort(as)
-	slices.Sort(bs)
 	return slices.Equal(as, bs)
 }

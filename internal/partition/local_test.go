@@ -114,9 +114,10 @@ func localStrategies() []graph.Partitioner {
 }
 
 // TestSubgraphLocalPartitions checks Local on every partition the three
-// partitioners cut from a community graph, through both extraction
-// paths and a Data round trip, on every vertex of the graph and the
-// edge probes — and that every vertex is owned exactly once.
+// partitioners cut from a community graph, through Extract, the k-way
+// reference extraction and a Data round trip, on every vertex of the
+// graph and the edge probes — and that every vertex is owned exactly
+// once, under the local ID the reference assigned.
 func TestSubgraphLocalPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
 	const n = 3000
@@ -131,15 +132,14 @@ func TestSubgraphLocalPartitions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			subs, local := Extract(g, pt)
+			subs, local := extractReference(g, pt)
 			owners := make([]int, n)
-			for p, s := range subs {
-				one := ExtractOne(g, pt, p)
-				restored, err := SubgraphFromData(s.Data(), s.Condensation())
+			for p, s := range Extract(g, pt) {
+				restored, err := SubgraphFromData(s.Data())
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, sub := range []*Subgraph{s, one, restored} {
+				for _, sub := range []*Subgraph{s, subs[p], restored} {
 					checkLocal(t, sub, all)
 					checkLocal(t, sub, edgeProbes(sub))
 				}

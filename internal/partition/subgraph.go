@@ -1,30 +1,28 @@
 // Package partition extracts per-partition subgraphs from a partitioned
-// graph: the induced CSR adjacency with dense local IDs, the boundary
-// in-nodes (entries) and out-nodes (exits), and the cross-partition
-// edges. A shard (internal/shard) compresses its subgraph into the
-// boundary summary — for every entry, the exits it reaches without
-// leaving the partition — which the DSR engine stitches into the global
-// boundary graph, so cross-partition query traffic only ever involves
-// boundary vertices.
+// graph: the induced forward CSR adjacency with dense local IDs, the
+// boundary in-nodes (entries) and out-nodes (exits), and the
+// cross-partition edges. A shard (internal/shard) condenses its
+// subgraph into SCCs and compresses it into the boundary summary — for
+// every entry, the exits it reaches without leaving the partition —
+// which the DSR engine stitches into the global boundary graph, so
+// cross-partition query traffic only ever involves boundary vertices.
 package partition
 
 import (
 	"math/bits"
 
 	"dsr/internal/graph"
-	"dsr/internal/scc"
 )
 
 // Subgraph is the induced subgraph of one partition with dense local
-// vertex IDs and both forward and reverse CSR adjacency over the
-// intra-partition edges only.
+// vertex IDs and forward CSR adjacency over the intra-partition edges
+// only. It is immutable once built, so any number of shards — replicas
+// of one partition — may share it.
 type Subgraph struct {
 	ID     int
 	global []graph.VertexID // local -> global
 	foff   []int64
 	fedges []int32
-	roff   []int64
-	redges []int32
 	// Entries and Exits are local IDs of boundary in-/out-nodes.
 	Entries []int32
 	Exits   []int32
@@ -43,11 +41,6 @@ type Subgraph struct {
 	base  graph.VertexID
 	owned []uint64
 	rank  []int32
-
-	// Lazily built and cached by Condensation. Not synchronized:
-	// concurrent builders must each own distinct subgraphs (as the
-	// engine's build pool does), or build it before they share one.
-	cond *scc.Condensation
 }
 
 // NumVertices returns the number of vertices in the partition.
@@ -58,10 +51,10 @@ func (s *Subgraph) GlobalID(local int32) graph.VertexID { return s.global[local]
 
 // Local maps a global vertex ID to its local ID within the partition,
 // or reports false if the vertex is not owned by it. The local→global
-// map is strictly increasing by construction (both Extract and
-// ExtractOne assign local IDs in global order), so a vertex's local ID
-// is its rank among the owned IDs: the count before its bitmap word
-// plus a popcount of the bits below it. A vertex the partition does not
+// map is strictly increasing by construction (ExtractOne assigns local
+// IDs in global order), so a vertex's local ID is its rank among the
+// owned IDs: the count before its bitmap word plus a popcount of the
+// bits below it. A vertex the partition does not
 // own — what a broadcast seed is on all shards but one — costs one bit
 // test. Every shard resolves task seeds for itself this way, so the
 // coordinator needs no placement table.
@@ -102,102 +95,19 @@ func (s *Subgraph) buildRank() {
 // not mutate the returned slice.
 func (s *Subgraph) Out(v int32) []int32 { return s.fedges[s.foff[v]:s.foff[v+1]] }
 
-// In returns the local in-neighbors of v over intra-partition edges.
-// Callers must not mutate the returned slice.
-func (s *Subgraph) In(v int32) []int32 { return s.redges[s.roff[v]:s.roff[v+1]] }
-
-// Condensation returns the SCC condensation of the subgraph, building
-// and caching it on first call.
-func (s *Subgraph) Condensation() *scc.Condensation {
-	if s.cond == nil {
-		s.cond = scc.Condense(s, nil)
-	}
-	return s.cond
-}
-
-// Extract splits g into one Subgraph per partition. The returned local
-// slice maps every global vertex to its local ID within its partition.
-func Extract(g *graph.Graph, pt *graph.Partitioning) ([]*Subgraph, []int32) {
-	n := g.NumVertices()
-	local := make([]int32, n)
+// Extract splits g into one Subgraph per partition, each built by
+// ExtractOne.
+func Extract(g *graph.Graph, pt *graph.Partitioning) []*Subgraph {
 	subs := make([]*Subgraph, pt.K)
 	for p := range subs {
-		subs[p] = &Subgraph{ID: p}
+		subs[p] = ExtractOne(g, pt, p)
 	}
-	for v := 0; v < n; v++ {
-		s := subs[pt.Part[v]]
-		local[v] = int32(len(s.global))
-		s.global = append(s.global, graph.VertexID(v))
-	}
-	for _, s := range subs {
-		s.buildRank()
-		s.foff = make([]int64, s.NumVertices()+1)
-		s.roff = make([]int64, s.NumVertices()+1)
-	}
-	// Two passes over the edge set: count, then fill. Cross-partition
-	// edges are collected (keyed by their source's partition) on the
-	// count pass.
-	g.Edges(func(u, v graph.VertexID) {
-		if pt.Part[u] == pt.Part[v] {
-			s := subs[pt.Part[u]]
-			s.foff[local[u]+1]++
-			s.roff[local[v]+1]++
-		} else {
-			s := subs[pt.Part[u]]
-			s.Cross = append(s.Cross, [2]graph.VertexID{u, v})
-		}
-	})
-	for _, s := range subs {
-		s.finishOffsets()
-	}
-	fcur := make([]int64, n)
-	rcur := make([]int64, n)
-	g.Edges(func(u, v graph.VertexID) {
-		if pt.Part[u] == pt.Part[v] {
-			s := subs[pt.Part[u]]
-			lu, lv := local[u], local[v]
-			s.fedges[s.foff[lu]+fcur[u]] = lv
-			fcur[u]++
-			s.redges[s.roff[lv]+rcur[v]] = lu
-			rcur[v]++
-		}
-	})
-	for v := 0; v < n; v++ {
-		subs[pt.Part[v]].markBoundary(pt, graph.VertexID(v), local[v])
-	}
-	return subs, local
-}
-
-// finishOffsets turns the per-vertex degree counts accumulated in
-// foff/roff (at index i+1) into prefix-sum offsets and allocates the
-// edge arrays — the step between the count pass and the fill pass of
-// CSR construction.
-func (s *Subgraph) finishOffsets() {
-	for i := 1; i <= s.NumVertices(); i++ {
-		s.foff[i] += s.foff[i-1]
-		s.roff[i] += s.roff[i-1]
-	}
-	s.fedges = make([]int32, s.foff[s.NumVertices()])
-	s.redges = make([]int32, s.roff[s.NumVertices()])
-}
-
-// markBoundary appends local vertex lv (global gv) to the Entries/Exits
-// lists according to the partitioning's boundary marks. Absent marks (a
-// hand-rolled Partitioning) read as non-boundary, matching
-// Partitioning.IsBoundary.
-func (s *Subgraph) markBoundary(pt *graph.Partitioning, gv graph.VertexID, lv int32) {
-	if int(gv) < len(pt.Entry) && pt.Entry[gv] {
-		s.Entries = append(s.Entries, lv)
-	}
-	if int(gv) < len(pt.Exit) && pt.Exit[gv] {
-		s.Exits = append(s.Exits, lv)
-	}
+	return subs
 }
 
 // ExtractOne builds only partition id's Subgraph — what a standalone
-// shard server needs. Unlike Extract it never materializes the other
-// partitions' CSR copies: peak extra memory is one int32 per graph
-// vertex for the local-ID map plus this partition's own adjacency, so
+// shard server needs. Peak extra memory is one int32 per graph vertex
+// for the local-ID map plus this partition's own adjacency, so
 // shard-process startup memory scales with the shard's share of the
 // graph, not with all k partitions.
 func ExtractOne(g *graph.Graph, pt *graph.Partitioning, id int) *Subgraph {
@@ -211,35 +121,28 @@ func ExtractOne(g *graph.Graph, pt *graph.Partitioning, id int) *Subgraph {
 		}
 	}
 	s.buildRank()
-	s.foff = make([]int64, s.NumVertices()+1)
-	s.roff = make([]int64, s.NumVertices()+1)
 	// Two passes over this partition's out-edges only: count, then fill.
-	// Every intra-partition edge has its source here, so this covers the
-	// reverse adjacency too — and every cross-partition edge this
-	// partition contributes to the boundary graph has its source here,
-	// so the count pass collects them.
-	for _, u := range s.global {
+	// Every intra-partition edge and every cross-partition edge this
+	// partition contributes to the boundary graph has its source here, so
+	// the count pass collects the cross edges, and visiting sources in
+	// local order lays the fill pass out row after row.
+	s.foff = make([]int64, len(s.global)+1)
+	for i, u := range s.global {
+		intra := int64(0)
 		for _, v := range g.Out(u) {
 			if pt.Part[v] == int32(id) {
-				s.foff[local[u]+1]++
-				s.roff[local[v]+1]++
+				intra++
 			} else {
 				s.Cross = append(s.Cross, [2]graph.VertexID{u, v})
 			}
 		}
+		s.foff[i+1] = s.foff[i] + intra
 	}
-	s.finishOffsets()
-	fcur := make([]int64, s.NumVertices())
-	rcur := make([]int64, s.NumVertices())
+	s.fedges = make([]int32, 0, s.foff[len(s.global)])
 	for _, u := range s.global {
-		lu := local[u]
 		for _, v := range g.Out(u) {
 			if pt.Part[v] == int32(id) {
-				lv := local[v]
-				s.fedges[s.foff[lu]+fcur[lu]] = lv
-				fcur[lu]++
-				s.redges[s.roff[lv]+rcur[lv]] = lu
-				rcur[lv]++
+				s.fedges = append(s.fedges, local[v])
 			}
 		}
 	}
@@ -247,4 +150,17 @@ func ExtractOne(g *graph.Graph, pt *graph.Partitioning, id int) *Subgraph {
 		s.markBoundary(pt, u, local[u])
 	}
 	return s
+}
+
+// markBoundary appends local vertex lv (global gv) to the Entries/Exits
+// lists according to the partitioning's boundary marks. Absent marks (a
+// hand-rolled Partitioning) read as non-boundary, matching
+// Partitioning.IsBoundary.
+func (s *Subgraph) markBoundary(pt *graph.Partitioning, gv graph.VertexID, lv int32) {
+	if int(gv) < len(pt.Entry) && pt.Entry[gv] {
+		s.Entries = append(s.Entries, lv)
+	}
+	if int(gv) < len(pt.Exit) && pt.Exit[gv] {
+		s.Exits = append(s.Exits, lv)
+	}
 }

@@ -27,7 +27,7 @@ func twoBlock(t *testing.T) (*graph.Graph, *graph.Partitioning) {
 
 func TestExtractShape(t *testing.T) {
 	g, pt := twoBlock(t)
-	subs, local := Extract(g, pt)
+	subs := Extract(g, pt)
 	if len(subs) != 2 {
 		t.Fatalf("got %d subgraphs, want 2", len(subs))
 	}
@@ -37,8 +37,9 @@ func TestExtractShape(t *testing.T) {
 	// Each vertex maps back to itself through (partition, local).
 	for v := 0; v < g.NumVertices(); v++ {
 		s := subs[pt.Part[v]]
-		if got := s.GlobalID(local[v]); got != graph.VertexID(v) {
-			t.Errorf("GlobalID(local[%d]) = %d", v, got)
+		lv, ok := s.Local(graph.VertexID(v))
+		if got := s.GlobalID(lv); !ok || got != graph.VertexID(v) {
+			t.Errorf("GlobalID(Local(%d)) = %d,%v", v, got, ok)
 		}
 	}
 	// Partition 0 has no entries (nothing crosses into it) and one exit (3).
@@ -57,15 +58,15 @@ func TestExtractShape(t *testing.T) {
 	}
 }
 
-// reach is a plain BFS over the subgraph's own adjacency — adj is s.Out
-// or s.In — returning every local vertex reached from seed, seed first:
-// the probe for what Extract put into the CSRs.
-func reach(s *Subgraph, seed int32, adj func(int32) []int32) []int32 {
+// reach is a plain BFS over the subgraph's own adjacency, returning
+// every local vertex reached from seed, seed first: the probe for what
+// Extract put into the CSR.
+func reach(s *Subgraph, seed int32) []int32 {
 	seen := make([]bool, s.NumVertices())
 	seen[seed] = true
 	queue := []int32{seed}
 	for head := 0; head < len(queue); head++ {
-		for _, w := range adj(queue[head]) {
+		for _, w := range s.Out(queue[head]) {
 			if !seen[w] {
 				seen[w] = true
 				queue = append(queue, w)
@@ -75,28 +76,22 @@ func reach(s *Subgraph, seed int32, adj func(int32) []int32) []int32 {
 	return queue
 }
 
-func TestReachForwardBackward(t *testing.T) {
+func TestReachForward(t *testing.T) {
 	g, pt := twoBlock(t)
-	subs, local := Extract(g, pt)
-	s0 := subs[pt.Part[0]]
-
-	fwd := reach(s0, local[0], s0.Out)
-	if len(fwd) != 4 {
+	s0 := Extract(g, pt)[pt.Part[0]]
+	l0, _ := s0.Local(0)
+	if fwd := reach(s0, l0); len(fwd) != 4 {
 		t.Fatalf("forward reach from 0 inside cycle = %d vertices, want 4", len(fwd))
-	}
-	back := reach(s0, local[0], s0.In)
-	if len(back) != 4 {
-		t.Fatalf("backward reach from 0 inside cycle = %d vertices, want 4", len(back))
 	}
 }
 
 func TestReachStaysInPartition(t *testing.T) {
 	g, pt := twoBlock(t)
-	subs, local := Extract(g, pt)
-	s0 := subs[pt.Part[3]]
+	s0 := Extract(g, pt)[pt.Part[3]]
+	l3, _ := s0.Local(3)
 	// The bridge 3->4 is cross-partition: forward reach from 3 must not
 	// include any vertex of partition 1.
-	for _, v := range reach(s0, local[3], s0.Out) {
+	for _, v := range reach(s0, l3) {
 		if gid := s0.GlobalID(v); gid >= 4 {
 			t.Fatalf("local reach escaped partition: reached global %d", gid)
 		}

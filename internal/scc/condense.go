@@ -1,22 +1,20 @@
 package scc
 
-// Condensation is the SCC DAG of a graph: one node per component, a
+// Condensation is the SCC DAG of a graph: one node per component and a
 // deduped edge for every pair of components joined by at least one
-// original edge, in both forward and reverse CSR form, plus the member
-// list of every component. Component IDs are in reverse topological
-// order (see Decompose), which downstream consumers rely on: a single
+// original edge, in both forward and reverse CSR form, plus the
+// vertex→component map. Component IDs are in reverse topological order
+// (see Decompose), which downstream consumers rely on: a single
 // increasing-ID sweep visits every component after all of its
 // successors.
 type Condensation struct {
 	Comp []int32 // vertex -> component
 	N    int     // component count; IDs are 0..N-1
 
-	foff    []int32
-	fedges  []int32
-	roff    []int32
-	redges  []int32
-	moff    []int32
-	members []int32
+	foff   []int32
+	fedges []int32
+	roff   []int32
+	redges []int32
 }
 
 // Out returns the successor components of c in the DAG.
@@ -27,11 +25,6 @@ func (c *Condensation) Out(comp int32) []int32 {
 // In returns the predecessor components of c in the DAG.
 func (c *Condensation) In(comp int32) []int32 {
 	return c.redges[c.roff[comp]:c.roff[comp+1]]
-}
-
-// Members returns the vertices belonging to component c.
-func (c *Condensation) Members(comp int32) []int32 {
-	return c.members[c.moff[comp]:c.moff[comp+1]]
 }
 
 // NumEdges returns the number of deduped DAG edges.
@@ -48,20 +41,23 @@ func Condense(g Adjacency, ws *Workspace) *Condensation {
 	n := g.NumVertices()
 	c := &Condensation{Comp: comp, N: nc}
 
-	// Member lists: counting sort of vertices by component.
-	c.moff = make([]int32, nc+1)
+	// Member lists, scratch for the edge scan below: counting sort of
+	// vertices by component.
+	moff := ws.counters(nc + 1)
 	for _, cc := range comp {
-		c.moff[cc+1]++
+		moff[cc+1]++
 	}
 	for i := 1; i <= nc; i++ {
-		c.moff[i] += c.moff[i-1]
+		moff[i] += moff[i-1]
 	}
-	c.members = make([]int32, n)
-	cur := ws.counters(nc)
+	if cap(ws.members) < n {
+		ws.members = make([]int32, n)
+	}
+	members := ws.members[:n]
 	for v := 0; v < n; v++ {
 		cc := comp[v]
-		c.members[c.moff[cc]+cur[cc]] = int32(v)
-		cur[cc]++
+		members[moff[cc]] = int32(v)
+		moff[cc]++
 	}
 
 	// DAG edges, deduped per source component: members of a component
@@ -72,14 +68,13 @@ func Condense(g Adjacency, ws *Workspace) *Condensation {
 		seen[i] = -1
 	}
 	ws.esrc, ws.edst = ws.esrc[:0], ws.edst[:0]
-	for cc := int32(0); cc < int32(nc); cc++ {
-		for _, v := range c.Members(cc) {
-			for _, w := range g.Out(v) {
-				if d := comp[w]; d != cc && seen[d] != cc {
-					seen[d] = cc
-					ws.esrc = append(ws.esrc, cc)
-					ws.edst = append(ws.edst, d)
-				}
+	for _, v := range members {
+		cc := comp[v]
+		for _, w := range g.Out(v) {
+			if d := comp[w]; d != cc && seen[d] != cc {
+				seen[d] = cc
+				ws.esrc = append(ws.esrc, cc)
+				ws.edst = append(ws.edst, d)
 			}
 		}
 	}
@@ -97,7 +92,7 @@ func Condense(g Adjacency, ws *Workspace) *Condensation {
 	}
 	c.fedges = make([]int32, m)
 	c.redges = make([]int32, m)
-	cur = ws.counters(nc)
+	cur := ws.counters(nc)
 	for i := 0; i < m; i++ {
 		s := ws.esrc[i]
 		c.fedges[c.foff[s]+cur[s]] = ws.edst[i]

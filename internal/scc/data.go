@@ -9,26 +9,22 @@ import "fmt"
 // fixed-width integers on purpose: they serialize as flat sections of
 // an mmap-friendly file.
 type CondensationData struct {
-	Comp    []int32 // vertex -> component
-	FOff    []int32 // forward CSR offsets, len N+1
-	FEdges  []int32
-	ROff    []int32 // reverse CSR offsets, len N+1
-	REdges  []int32
-	MOff    []int32 // member-list offsets, len N+1
-	Members []int32
+	Comp   []int32 // vertex -> component
+	FOff   []int32 // forward CSR offsets, len N+1
+	FEdges []int32
+	ROff   []int32 // reverse CSR offsets, len N+1
+	REdges []int32
 }
 
 // Data returns views of the condensation's raw arrays. Callers must
 // treat them as read-only: they alias the live condensation.
 func (c *Condensation) Data() CondensationData {
 	return CondensationData{
-		Comp:    c.Comp,
-		FOff:    c.foff,
-		FEdges:  c.fedges,
-		ROff:    c.roff,
-		REdges:  c.redges,
-		MOff:    c.moff,
-		Members: c.members,
+		Comp:   c.Comp,
+		FOff:   c.foff,
+		FEdges: c.fedges,
+		ROff:   c.roff,
+		REdges: c.redges,
 	}
 }
 
@@ -57,45 +53,28 @@ func checkCSR(name string, off, edges []int32, limit int32) error {
 
 // CondensationFromData validates d and reassembles a Condensation. The
 // slices are retained, not copied. Validation covers everything the
-// query path relies on: CSR well-formedness, member
-// lists that partition the vertex set consistently with Comp, forward
-// and reverse adjacency being transposes of each other, and — the
-// property every increasing-ID sweep depends on — component IDs in
-// reverse topological order (every forward edge points at a smaller
-// ID).
+// query path relies on: CSR well-formedness, every vertex mapped to a
+// component in [0, N), forward and reverse adjacency being transposes
+// of each other, and — the property every increasing-ID sweep depends
+// on — component IDs in reverse topological order (every forward edge
+// points at a smaller ID).
 func CondensationFromData(d CondensationData) (*Condensation, error) {
-	if len(d.MOff) == 0 || len(d.FOff) != len(d.MOff) || len(d.ROff) != len(d.MOff) {
-		return nil, fmt.Errorf("scc: offset arrays disagree on component count (%d/%d/%d)",
-			len(d.FOff), len(d.ROff), len(d.MOff))
+	if len(d.FOff) == 0 || len(d.ROff) != len(d.FOff) {
+		return nil, fmt.Errorf("scc: offset arrays disagree on component count (%d/%d)", len(d.FOff), len(d.ROff))
 	}
-	nc := len(d.MOff) - 1
-	n := len(d.Comp)
+	nc := len(d.FOff) - 1
 	if err := checkCSR("forward", d.FOff, d.FEdges, int32(nc)); err != nil {
 		return nil, err
 	}
 	if err := checkCSR("reverse", d.ROff, d.REdges, int32(nc)); err != nil {
 		return nil, err
 	}
-	if err := checkCSR("member", d.MOff, d.Members, int32(n)); err != nil {
-		return nil, err
-	}
-	if len(d.Members) != n {
-		return nil, fmt.Errorf("scc: %d members for %d vertices", len(d.Members), n)
-	}
 	if len(d.FEdges) != len(d.REdges) {
 		return nil, fmt.Errorf("scc: %d forward edges vs %d reverse", len(d.FEdges), len(d.REdges))
 	}
-	// Members must list every vertex exactly once, in its Comp component.
-	seen := make([]bool, n)
-	for cc := 0; cc < nc; cc++ {
-		for _, v := range d.Members[d.MOff[cc]:d.MOff[cc+1]] {
-			if seen[v] {
-				return nil, fmt.Errorf("scc: vertex %d listed in two components", v)
-			}
-			seen[v] = true
-			if int(d.Comp[v]) != cc {
-				return nil, fmt.Errorf("scc: vertex %d in member list of %d but Comp says %d", v, cc, d.Comp[v])
-			}
+	for v, cc := range d.Comp {
+		if cc < 0 || int(cc) >= nc {
+			return nil, fmt.Errorf("scc: vertex %d in component %d, want [0,%d)", v, cc, nc)
 		}
 	}
 	// Reverse topological numbering: forward edges strictly decrease,
@@ -131,6 +110,5 @@ func CondensationFromData(d CondensationData) (*Condensation, error) {
 		Comp: d.Comp, N: nc,
 		foff: d.FOff, fedges: d.FEdges,
 		roff: d.ROff, redges: d.REdges,
-		moff: d.MOff, members: d.Members,
 	}, nil
 }

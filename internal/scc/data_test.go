@@ -38,12 +38,12 @@ func TestCondensationFromDataRejects(t *testing.T) {
 		mut  func(*CondensationData)
 	}{
 		{"offsets decrease", func(d *CondensationData) { d.FOff[1] = d.FOff[len(d.FOff)-1] + 1 }},
-		{"edge out of range", func(d *CondensationData) { d.FEdges[0] = int32(len(d.MOff)) }},
-		{"comp disagrees with members", func(d *CondensationData) { d.Comp[0], d.Comp[1] = d.Comp[1], d.Comp[0]+99 }},
-		{"vertex in two components", func(d *CondensationData) { d.Members[0] = d.Members[len(d.Members)-1] }},
+		{"edge out of range", func(d *CondensationData) { d.FEdges[0] = int32(len(d.FOff)) }},
+		{"component past the count", func(d *CondensationData) { d.Comp[0] = int32(len(d.FOff) - 1) }},
+		{"negative component", func(d *CondensationData) { d.Comp[3] = -1 }},
 		{"forward edge breaks topo order", func(d *CondensationData) {
 			// Point the one cross-component edge upward instead of down.
-			d.FEdges[0] = int32(len(d.MOff) - 2)
+			d.FEdges[0] = int32(len(d.FOff) - 2)
 		}},
 		{"transpose mismatch", func(d *CondensationData) {
 			// Drop a reverse edge but keep offsets consistent: degree
@@ -53,7 +53,6 @@ func TestCondensationFromDataRejects(t *testing.T) {
 			}
 			d.REdges = d.REdges[1:]
 		}},
-		{"member count mismatch", func(d *CondensationData) { d.Members = d.Members[:len(d.Members)-1] }},
 		{"offset arrays disagree", func(d *CondensationData) { d.ROff = d.ROff[:len(d.ROff)-1] }},
 	}
 	for _, c := range cases {
@@ -64,7 +63,6 @@ func TestCondensationFromDataRejects(t *testing.T) {
 		d.FEdges = append([]int32{}, d.FEdges...)
 		d.ROff = append([]int32{}, d.ROff...)
 		d.REdges = append([]int32{}, d.REdges...)
-		d.Members = append([]int32{}, d.Members...)
 		c.mut(&d)
 		if _, err := CondensationFromData(d); err == nil {
 			t.Errorf("%s: accepted invalid data", c.name)

@@ -1,6 +1,6 @@
 // Package scc decomposes a directed graph into strongly connected
 // components and builds the condensation from the result: the SCC DAG
-// in CSR form, both ways, with a vertex↔component mapping and its
+// in CSR form, both ways, with the vertex→component map and its
 // serialisation (CondensationData). The condensation lets a shard's
 // searches — queries and the boundary summary alike — walk components
 // instead of vertices. A bitset reachability index over a set of exits
@@ -43,6 +43,7 @@ type Workspace struct {
 	edst    []int32 // condensation edge staging: target components
 	seen    []int32 // per-source-component dedup marks
 	cnt     []int32 // CSR fill cursors
+	members []int32 // vertices grouped by component, for the edge scan
 }
 
 // grow readies the workspace for a graph with n vertices.

@@ -39,7 +39,6 @@ func Key(S, T []graph.VertexID) string {
 type centry struct {
 	key        string
 	ans        bool
-	epoch      uint64
 	protected  bool
 	prev, next *centry
 }
@@ -80,15 +79,11 @@ func (l *clist) back() *centry {
 // (scan-resistance: a one-off query can only ever displace other
 // one-offs); a second touch promotes to the protected LRU segment,
 // which holds the hot working set. Soundness rests on graph
-// immutability — a deployment's answer for a (S, T) pair never changes
-// — plus epoch tagging: every entry is stamped with the epoch current
-// at insert, and SetEpoch invalidates all earlier entries lazily, the
-// hook for future graph-epoch support.
+// immutability: a deployment's answer for a (S, T) pair never changes.
 //
 // All methods are safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
-	epoch   uint64
 	entries map[string]*centry
 	prob    clist // probation FIFO (first touch)
 	prot    clist // protected LRU (second touch and later)
@@ -121,8 +116,7 @@ func NewCache(capacity int, reg *obs.Registry) *Cache {
 }
 
 // Get looks the key up, reporting (answer, true) on a hit. A hit in
-// probation promotes the entry to the protected segment; an entry from
-// a past epoch is dead — removed and reported as a miss.
+// probation promotes the entry to the protected segment.
 func (c *Cache) Get(key string) (bool, bool) {
 	if c == nil {
 		return false, false
@@ -131,11 +125,6 @@ func (c *Cache) Get(key string) (bool, bool) {
 	defer c.mu.Unlock()
 	e := c.entries[key]
 	if e == nil {
-		c.misses.Inc()
-		return false, false
-	}
-	if e.epoch != c.epoch {
-		c.removeLocked(e)
 		c.misses.Inc()
 		return false, false
 	}
@@ -152,9 +141,8 @@ func (c *Cache) Get(key string) (bool, bool) {
 	return e.ans, true
 }
 
-// Put stores the answer under key at the current epoch. Existing
-// entries are refreshed in place (answer, epoch) without changing
-// segment.
+// Put stores the answer under key. An existing entry's answer is
+// refreshed in place without changing segment.
 func (c *Cache) Put(key string, ans bool) {
 	if c == nil {
 		return
@@ -162,10 +150,10 @@ func (c *Cache) Put(key string, ans bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.entries[key]; e != nil {
-		e.ans, e.epoch = ans, c.epoch
+		e.ans = ans
 		return
 	}
-	e := &centry{key: key, ans: ans, epoch: c.epoch}
+	e := &centry{key: key, ans: ans}
 	c.entries[key] = e
 	c.prob.pushFront(e)
 	if c.prob.n > c.probCap {
@@ -174,24 +162,7 @@ func (c *Cache) Put(key string, ans bool) {
 	}
 }
 
-// SetEpoch advances the cache epoch: every entry stored under an
-// earlier epoch is invalid from now on (dropped lazily on lookup).
-// Setting the current or an earlier epoch is a no-op — the epoch never
-// moves backwards, so a restarted or lagging caller announcing an old
-// epoch cannot resurrect entries that were already invalidated.
-func (c *Cache) SetEpoch(epoch uint64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if epoch > c.epoch {
-		c.epoch = epoch
-	}
-	c.mu.Unlock()
-}
-
-// Len reports how many entries the cache holds (including any
-// not-yet-swept dead-epoch entries).
+// Len reports how many entries the cache holds.
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0

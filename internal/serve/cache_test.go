@@ -60,60 +60,12 @@ func TestCacheHitPromoteEvict(t *testing.T) {
 	}
 }
 
-func TestCacheEpochInvalidates(t *testing.T) {
-	c := NewCache(8, nil)
-	k := Key(ids(1), ids(9))
-	c.Put(k, true)
-	c.SetEpoch(1)
-	if _, ok := c.Get(k); ok {
-		t.Fatal("entry from epoch 0 must miss after SetEpoch(1)")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("dead entry should be swept on lookup, Len=%d", c.Len())
-	}
-	c.Put(k, false)
-	if ans, ok := c.Get(k); !ok || ans {
-		t.Fatal("fresh entry at the new epoch must hit")
-	}
-}
-
-// TestCacheEpochNeverRegresses: once snapshots and restarts make epoch
-// regressions possible, an epoch lower than the current one must not be
-// accepted — it would resurrect entries that were already invalidated.
-func TestCacheEpochNeverRegresses(t *testing.T) {
-	c := NewCache(8, nil)
-	stale := Key(ids(1), ids(9))
-	c.Put(stale, true)
-	c.SetEpoch(5) // invalidates stale
-	fresh := Key(ids(2), ids(9))
-	c.Put(fresh, true)
-
-	c.SetEpoch(3) // a lagging caller announces an old epoch: clamped away
-	if _, ok := c.Get(stale); ok {
-		t.Fatal("backwards SetEpoch resurrected an invalidated entry")
-	}
-	if _, ok := c.Get(fresh); !ok {
-		t.Fatal("backwards SetEpoch must not disturb current-epoch entries")
-	}
-	// The epoch really stayed at 5: entries stored now survive a later
-	// SetEpoch(4) but not SetEpoch(6).
-	c.SetEpoch(4)
-	if _, ok := c.Get(fresh); !ok {
-		t.Fatal("SetEpoch(4) after clamp must still be a no-op")
-	}
-	c.SetEpoch(6)
-	if _, ok := c.Get(fresh); ok {
-		t.Fatal("advancing the epoch must still invalidate")
-	}
-}
-
-// TestCacheRefreshInPlace: Put on an existing key updates answer and
-// epoch without duplicating the entry.
+// TestCacheRefreshInPlace: Put on an existing key updates the answer
+// without duplicating the entry.
 func TestCacheRefreshInPlace(t *testing.T) {
 	c := NewCache(8, nil)
 	k := Key(ids(4), ids(5))
 	c.Put(k, false)
-	c.SetEpoch(3)
 	c.Put(k, true)
 	if ans, ok := c.Get(k); !ok || !ans {
 		t.Fatal("refreshed entry should hit with the new answer")
@@ -135,7 +87,6 @@ func TestCacheDisabled(t *testing.T) {
 		if _, ok := c.Get("k"); ok {
 			t.Fatal("nil cache hit")
 		}
-		c.SetEpoch(7)
 		if c.Len() != 0 {
 			t.Fatal("nil cache Len != 0")
 		}

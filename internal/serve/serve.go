@@ -9,8 +9,8 @@
 //     starts when it frees, so shard RPC fan-out is paid per batch, not
 //     per query, and a query on an idle server waits for nothing.
 //   - Result caching (Cache): a 2Q LRU over canonicalized (S, T) keys,
-//     sound because the served graph is immutable, epoch-tagged for
-//     future graph swaps. Hits bypass batching and admission entirely.
+//     sound because the served graph is immutable. Hits bypass batching
+//     and admission entirely.
 //   - Admission control (admission): a server-wide queue bound and a
 //     per-client outstanding bound shed load with a typed
 //     OverloadError instead of letting latency collapse.
@@ -165,11 +165,6 @@ func New(q Querier, o Options) *Server {
 		conns:        make(map[net.Conn]struct{}),
 	}
 }
-
-// Cache exposes the server's result cache, principally for SetEpoch
-// when the deployment behind the Querier is swapped. Nil when caching
-// is disabled.
-func (s *Server) Cache() *Cache { return s.cache }
 
 // Serve accepts connections on ln until Shutdown, spawning one handler
 // per connection. It returns ErrServerClosed after Shutdown, or the

@@ -63,10 +63,7 @@ func TestServeSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
-	for _, sub := range subs {
-		sub.Condensation() // dialers may build Shards concurrently
-	}
+	subs := partition.Extract(g, pt)
 	groups := make([][]shard.ReplicaDialer, k)
 	for p := 0; p < k; p++ {
 		sub, pp := subs[p], p

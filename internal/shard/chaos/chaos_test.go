@@ -278,7 +278,7 @@ func bootShard(t *testing.T) (string, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
+	subs := partition.Extract(g, pt)
 	srv := shard.NewServer(shard.New(0, subs[0]), 1, 3, 0, 0)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -169,15 +169,16 @@ type RunStats struct {
 	Components int // components expanded (after pruning), summed over the batch's sweeps
 }
 
-// New builds a Shard over one partition's subgraph, building (or
-// reusing the cached) SCC condensation, then classifying its components,
-// pruning the DAG for the two sweep directions and sweeping its entries
-// for the boundary summary (summarize) — linear passes and filtered
-// copies, never persisted: a snapshot-restored shard rebuilds them here.
-// New reads sub and writes nothing to it once its condensation is
-// cached, so replicas may share one subgraph.
-func New(id int, sub *partition.Subgraph) *Shard {
-	cond := sub.Condensation()
+// New builds a Shard over one partition's subgraph: it condenses the
+// subgraph into SCCs (scc.Condense), then classifies the components,
+// prunes the DAG for the two sweep directions and sweeps the entries for
+// the boundary summary (summarize) — linear passes and filtered copies,
+// never persisted: a snapshot-restored shard rebuilds them in
+// FromSnapshot. New only reads sub, so replicas may share one subgraph.
+func New(id int, sub *partition.Subgraph) *Shard { return build(id, sub, scc.Condense(sub, nil)) }
+
+// build is New over a subgraph whose condensation is already at hand.
+func build(id int, sub *partition.Subgraph, cond *scc.Condensation) *Shard {
 	s := &Shard{
 		id:    id,
 		sub:   sub,

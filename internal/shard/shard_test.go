@@ -21,7 +21,7 @@ func buildShards(t testing.TB, n int, edges [][2]graph.VertexID, k int) ([]*Shar
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
+	subs := partition.Extract(g, pt)
 	shards := make([]*Shard, len(subs))
 	for i, s := range subs {
 		shards[i] = New(i, s)

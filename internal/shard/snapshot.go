@@ -18,13 +18,15 @@ func (s *Shard) Snapshot(shardCount, totalVertices int, graphSum, partSum uint64
 			GraphFingerprint:   graphSum,
 			PartitioningDigest: partSum,
 		},
-		Sub: s.sub,
+		Sub:  s.sub,
+		Cond: s.cond,
 	}
 }
 
 // FromSnapshot reconstitutes a Shard from a decoded snapshot. The
-// condensation arrives attached to the subgraph, so no Tarjan runs; New
-// derives the regions, the pruned DAGs and the boundary summary exactly
-// as for a freshly built shard, so the result is byte-identical on the
-// wire.
-func FromSnapshot(sn *snapshot.Snapshot) *Shard { return New(sn.ShardID, sn.Sub) }
+// condensation arrives beside the subgraph, so no Tarjan runs; the
+// regions, the pruned DAGs and the boundary summary are derived exactly
+// as New derives them for a freshly built shard, so the result is
+// byte-identical on the wire. Like New it only reads the subgraph, so
+// replicas may share one decoded snapshot.
+func FromSnapshot(sn *snapshot.Snapshot) *Shard { return build(sn.ShardID, sn.Sub, sn.Cond) }

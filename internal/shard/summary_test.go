@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -100,7 +101,7 @@ func summaryBFS(s *partition.Subgraph) [][2]uint32 {
 // summaryIndex reads the summary off scc's bitset index, the mechanism
 // the sweep replaced: entries in order, each one's exits in bit order.
 func summaryIndex(s *partition.Subgraph) [][2]uint32 {
-	ix := scc.BuildIndex(s.Condensation(), s.Exits)
+	ix := scc.BuildIndex(scc.Condense(s, nil), s.Exits)
 	var pairs [][2]uint32
 	var buf []int32
 	for _, e := range s.Entries {
@@ -132,7 +133,7 @@ func randomPartitions(t *testing.T, seed int64, check func(gi int, sub *partitio
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs, _ := partition.Extract(g, pt)
+		subs := partition.Extract(g, pt)
 		for _, sub := range subs {
 			check(gi, sub)
 			checked++
@@ -202,7 +203,7 @@ func TestSummaryReplicasShareSubgraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
+	subs := partition.Extract(g, pt)
 	replicas := []*Shard{New(1, subs[1]), New(1, subs[1]), New(1, subs[1])}
 	sums := make([][]byte, len(replicas))
 	var wg sync.WaitGroup
@@ -224,13 +225,46 @@ func TestSummaryReplicasShareSubgraph(t *testing.T) {
 	}
 }
 
+// TestShardsShareSubgraph builds four shards over one freshly extracted
+// subgraph from four goroutines at once, as a fleet's replica dialers
+// may: New only reads the subgraph (the race detector would see any
+// write), and the four summaries must be equal.
+func TestShardsShareSubgraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261018))
+	g := gen.Community(rng, 400, 4, 1.6, 0.1, 0.02)
+	pt, err := graph.HashPartition(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 2
+	sub := partition.ExtractOne(g, pt, p)
+	sums := make([]wire.Summary, 4)
+	var wg sync.WaitGroup
+	for i := range sums {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sums[i] = New(p, sub).Summary()
+		}()
+	}
+	wg.Wait()
+	for i := range sums {
+		if !reflect.DeepEqual(sums[i], sums[0]) {
+			t.Fatalf("shard %d's summary differs from shard 0's", i)
+		}
+	}
+	if len(sums[0].Edges) == 0 {
+		t.Fatal("fixture has no summary edges")
+	}
+}
+
 // TestSummaryLeavesQueryStateFresh: building the summary runs the query
 // sweep, and a new shard must not show it — no run statistics, no
 // grown result or boundary buffers, all scratch zero.
 func TestSummaryLeavesQueryStateFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	for _, fx := range sweepFixtures(t, rng) {
-		subs, _ := partition.Extract(fx.g, fx.pt)
+		subs := partition.Extract(fx.g, fx.pt)
 		for p, sub := range subs {
 			s := New(p, sub)
 			if s.LastRun() != (RunStats{}) || s.results != nil || s.arena != nil {

@@ -24,6 +24,7 @@ import (
 // Shard's Run.
 type reference struct {
 	s       *Shard
+	members [][]int32 // per component, its vertices (memberLists)
 	isEntry []bool
 	isExit  []bool
 	cvisit  markSet
@@ -58,6 +59,7 @@ func (m *markSet) seen(v int32) bool { return m.at[v] == m.epoch }
 func newReference(s *Shard) *reference {
 	r := &reference{
 		s:       s,
+		members: memberLists(s.cond.Comp, s.cond.N),
 		isEntry: make([]bool, s.sub.NumVertices()),
 		isExit:  make([]bool, s.sub.NumVertices()),
 		cvisit:  markSet{at: make([]uint32, s.cond.N)},
@@ -69,6 +71,17 @@ func newReference(s *Shard) *reference {
 		r.isExit[x] = true
 	}
 	return r
+}
+
+// memberLists reads every component's member list off the
+// vertex→component map: row c holds the vertices of component c,
+// increasing.
+func memberLists(comp []int32, n int) [][]int32 {
+	rows := make([][]int32, n)
+	for v, c := range comp {
+		rows[c] = append(rows[c], int32(v))
+	}
+	return rows
 }
 
 // bfs runs a component-level BFS from the components of the given local
@@ -134,7 +147,7 @@ func (r *reference) run(tasks []wire.Task) []wire.Result {
 		}
 		start := len(arena)
 		for _, c := range r.cqueue {
-			for _, v := range s.cond.Members(c) {
+			for _, v := range r.members[c] {
 				if rim[v] {
 					arena = append(arena, s.sub.GlobalID(v))
 				}
@@ -413,7 +426,7 @@ func TestShardRunSweepDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260925))
 	bothWays := false // some fixture has an exit that is also an entry
 	for _, fx := range sweepFixtures(t, rng) {
-		subs, _ := partition.Extract(fx.g, fx.pt)
+		subs := partition.Extract(fx.g, fx.pt)
 		for p, sub := range subs {
 			s := New(p, sub)
 			ref := newReference(s)
@@ -453,7 +466,7 @@ func TestShardRunBoundaryOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
+	subs := partition.Extract(g, pt)
 	s := New(0, subs[0])
 	tasks := sweepBatch(rng, s, g.NumVertices(), 100, true)
 	type key struct {
@@ -504,7 +517,7 @@ func TestShardRunBoundaryOrder(t *testing.T) {
 func TestShardBoundaryOrdinals(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260929))
 	for _, fx := range sweepFixtures(t, rng) {
-		subs, _ := partition.Extract(fx.g, fx.pt)
+		subs := partition.Extract(fx.g, fx.pt)
 		for p, sub := range subs {
 			s := New(p, sub)
 			ref := newReference(s)
@@ -574,13 +587,13 @@ func TestShardRegions(t *testing.T) {
 	var all Regions
 	noOut, noIn := false, false
 	for _, fx := range sweepFixtures(t, rng) {
-		subs, _ := partition.Extract(fx.g, fx.pt)
+		subs := partition.Extract(fx.g, fx.pt)
 		for p, sub := range subs {
 			s := New(p, sub)
 			ref := newReference(s)
 			holds := func(comps []int32, boundary []bool) bool {
 				for _, c := range comps {
-					for _, v := range s.cond.Members(c) {
+					for _, v := range ref.members[c] {
 						if boundary[v] {
 							return true
 						}
@@ -589,7 +602,7 @@ func TestShardRegions(t *testing.T) {
 				return false
 			}
 			for c := int32(0); c < int32(s.cond.N); c++ {
-				seed := s.cond.Members(c)[:1]
+				seed := ref.members[c][:1]
 				var want uint8
 				if holds(s.bfs(seed, true, &ref.cvisit, nil), ref.isExit) {
 					want |= regionOut
@@ -627,7 +640,7 @@ func TestShardRegions(t *testing.T) {
 func TestShardSweepStaysInRegion(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260928))
 	for _, fx := range sweepFixtures(t, rng) {
-		subs, _ := partition.Extract(fx.g, fx.pt)
+		subs := partition.Extract(fx.g, fx.pt)
 		for p, sub := range subs {
 			s := New(p, sub)
 			for _, kind := range []wire.TaskKind{wire.Forward, wire.Backward} {
@@ -661,7 +674,7 @@ func TestShardSweepStaysInRegion(t *testing.T) {
 // and alone.
 func TestShardRunGapExhaustive(t *testing.T) {
 	fx := gapFixture(t)
-	subs, _ := partition.Extract(fx.g, fx.pt)
+	subs := partition.Extract(fx.g, fx.pt)
 	s := New(0, subs[0])
 	ref := newReference(s)
 	n := int32(fx.g.NumVertices()) // the other partition's vertices too: unowned seeds and targets
@@ -767,7 +780,7 @@ func FuzzShardRun(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs, _ := partition.Extract(g, pt)
+		subs := partition.Extract(g, pt)
 		for p, sub := range subs {
 			s := New(p, sub)
 			if got, want := s.Summary().Edges, summaryBFS(sub); !slices.Equal(got, want) {
@@ -821,7 +834,7 @@ func benchShards(b *testing.B, f benchFleet) []*Shard {
 	if err != nil {
 		b.Fatal(err)
 	}
-	subs, _ := partition.Extract(g, pt)
+	subs := partition.Extract(g, pt)
 	shards := make([]*Shard, len(subs))
 	for p := range shards {
 		shards[p] = New(p, subs[p])

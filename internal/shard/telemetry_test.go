@@ -122,7 +122,7 @@ func TestTCPFrameCounters(t *testing.T) {
 // holds all four.
 func TestServerRegionGauges(t *testing.T) {
 	fx := gapFixture(t)
-	subs, _ := partition.Extract(fx.g, fx.pt)
+	subs := partition.Extract(fx.g, fx.pt)
 	reg := obs.NewRegistry()
 	NewServer(New(0, subs[0]), 2, fx.g.NumVertices(), testGraphSum, testPartSum).Instrument(reg, nil)
 	gauges := reg.Snapshot().Gauges

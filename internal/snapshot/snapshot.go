@@ -1,10 +1,12 @@
-// Package snapshot persists one partition's query state — the local CSR
-// subgraph and its SCC condensation — in a versioned, checksummed,
-// mmap-friendly on-disk layout, so a shard restart is a file load
-// instead of an edge-list read plus re-partition plus Tarjan. What a
-// shard derives from those in linear time (regions, pruned DAGs, the
-// boundary summary) is not persisted: shard.FromSnapshot derives it on
-// load.
+// Package snapshot persists one partition's query state — the local
+// forward CSR subgraph and its SCC condensation — in a versioned,
+// checksummed, mmap-friendly on-disk layout, so a shard restart is a
+// file load instead of an edge-list read plus re-partition plus Tarjan.
+// What a shard derives from those in linear time (regions, pruned DAGs,
+// the boundary summary) is not persisted: shard.FromSnapshot derives it
+// on load. Format 3 holds eleven sections: the subgraph's six (global
+// IDs, CSR offsets and edges, entries, exits, cross edges) and the
+// condensation's five (component map, forward and reverse DAG CSR).
 //
 // # Layout
 //
@@ -56,7 +58,7 @@ import (
 // snapshot with any other version is refused with ErrVersion (and the
 // caller rebuilds), so a format change never silently misreads old
 // files.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // Sentinel errors, matched with errors.Is through the wrapped detail.
 var (
@@ -81,22 +83,18 @@ const (
 
 // Section kinds, in canonical file order.
 const (
-	secGlobal      = iota + 1 // subgraph local->global map (uint32)
-	secFOff                   // subgraph forward CSR offsets (uint64)
-	secFEdges                 // subgraph forward CSR edges (int32)
-	secROff                   // subgraph reverse CSR offsets (uint64)
-	secREdges                 // subgraph reverse CSR edges (int32)
-	secEntries                // boundary entry local IDs (int32)
-	secExits                  // boundary exit local IDs (int32)
-	secCross                  // cross-partition edges, flattened pairs (uint32)
-	secComp                   // vertex -> SCC component (int32)
-	secCondFOff               // condensation forward CSR offsets (int32)
-	secCondFEdges             // condensation forward CSR edges (int32)
-	secCondROff               // condensation reverse CSR offsets (int32)
-	secCondREdges             // condensation reverse CSR edges (int32)
-	secCondMOff               // condensation member-list offsets (int32)
-	secCondMembers            // condensation member lists (int32)
-	numSections    = secCondMembers
+	secGlobal     = iota + 1 // subgraph local->global map (uint32)
+	secFOff                  // subgraph forward CSR offsets (uint64)
+	secFEdges                // subgraph forward CSR edges (int32)
+	secEntries               // boundary entry local IDs (int32)
+	secExits                 // boundary exit local IDs (int32)
+	secCross                 // cross-partition edges, flattened pairs (uint32)
+	secComp                  // vertex -> SCC component (int32)
+	secCondFOff              // condensation forward CSR offsets (int32)
+	secCondFEdges            // condensation forward CSR edges (int32)
+	secCondROff              // condensation reverse CSR offsets (int32)
+	secCondREdges            // condensation reverse CSR edges (int32)
+	numSections   = secCondREdges
 )
 
 // Header identifies a snapshot: the format version it was written
@@ -138,11 +136,12 @@ func (h Header) Expect(shardID, shardCount, totalVertices int, graphSum, partSum
 }
 
 // Snapshot is one partition's decoded query state plus the identity
-// header it was persisted under. Sub carries its condensation
-// pre-attached, so shard.FromSnapshot runs no Tarjan.
+// header it was persisted under. Cond is Sub's SCC condensation, so
+// shard.FromSnapshot runs no Tarjan.
 type Snapshot struct {
 	Header
-	Sub *partition.Subgraph
+	Sub  *partition.Subgraph
+	Cond *scc.Condensation
 	// Size is the encoded byte size; set by ReadFile and WriteFile.
 	Size int
 }
@@ -200,21 +199,18 @@ func putU64s(dst []byte, vals []int64) {
 }
 
 // Encode serializes sn to the on-disk format. Encoding the same built
-// state twice yields identical bytes. The subgraph's condensation is
-// built first if the caller has not already forced it.
+// state twice yields identical bytes.
 func Encode(sn *Snapshot) ([]byte, error) {
-	if sn.Sub == nil {
-		return nil, fmt.Errorf("snapshot: nil subgraph")
+	if sn.Sub == nil || sn.Cond == nil {
+		return nil, fmt.Errorf("snapshot: nil subgraph or condensation")
 	}
 	d := sn.Sub.Data()
-	cd := sn.Sub.Condensation().Data()
+	cd := sn.Cond.Data()
 
 	secs := []section{
 		{secGlobal, 4, len(d.Global), func(b []byte) { putVIDs(b, d.Global) }},
 		{secFOff, 8, len(d.FOff), func(b []byte) { putU64s(b, d.FOff) }},
 		{secFEdges, 4, len(d.FEdges), func(b []byte) { putU32s(b, d.FEdges) }},
-		{secROff, 8, len(d.ROff), func(b []byte) { putU64s(b, d.ROff) }},
-		{secREdges, 4, len(d.REdges), func(b []byte) { putU32s(b, d.REdges) }},
 		{secEntries, 4, len(d.Entries), func(b []byte) { putU32s(b, d.Entries) }},
 		{secExits, 4, len(d.Exits), func(b []byte) { putU32s(b, d.Exits) }},
 		{secCross, 4, 2 * len(d.Cross), func(b []byte) {
@@ -228,8 +224,6 @@ func Encode(sn *Snapshot) ([]byte, error) {
 		{secCondFEdges, 4, len(cd.FEdges), func(b []byte) { putU32s(b, cd.FEdges) }},
 		{secCondROff, 4, len(cd.ROff), func(b []byte) { putU32s(b, cd.ROff) }},
 		{secCondREdges, 4, len(cd.REdges), func(b []byte) { putU32s(b, cd.REdges) }},
-		{secCondMOff, 4, len(cd.MOff), func(b []byte) { putU32s(b, cd.MOff) }},
-		{secCondMembers, 4, len(cd.Members), func(b []byte) { putU32s(b, cd.Members) }},
 	}
 
 	// Lay out: header, table, then 8-aligned payloads.
@@ -438,13 +432,15 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 
-	foff, err := decodeOffsets(payload[secFOff], counts[secFOff])
-	if err != nil {
-		return nil, err
-	}
-	roff, err := decodeOffsets(payload[secROff], counts[secROff])
-	if err != nil {
-		return nil, err
+	// Cross-object checks against the header first: every global ID this
+	// partition mentions must exist in the deployment's graph. They run
+	// before SubgraphFromData, whose rank index costs memory in the span
+	// of the owned IDs — which one stray ID would stretch to 2^32.
+	global := decodeVIDs(payload[secGlobal], counts[secGlobal])
+	for i, gv := range global {
+		if int(gv) >= h.TotalVertices {
+			return nil, fmt.Errorf("%w: local vertex %d is global %d, graph has %d", ErrCorrupt, i, gv, h.TotalVertices)
+		}
 	}
 	cross32, err := decodePairs(payload[secCross], counts[secCross])
 	if err != nil {
@@ -452,51 +448,42 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	cross := make([][2]graph.VertexID, len(cross32))
 	for i, pr := range cross32 {
-		cross[i] = [2]graph.VertexID{graph.VertexID(pr[0]), graph.VertexID(pr[1])}
-	}
-
-	cd := scc.CondensationData{
-		Comp:    decodeU32s(payload[secComp], counts[secComp]),
-		FOff:    decodeU32s(payload[secCondFOff], counts[secCondFOff]),
-		FEdges:  decodeU32s(payload[secCondFEdges], counts[secCondFEdges]),
-		ROff:    decodeU32s(payload[secCondROff], counts[secCondROff]),
-		REdges:  decodeU32s(payload[secCondREdges], counts[secCondREdges]),
-		MOff:    decodeU32s(payload[secCondMOff], counts[secCondMOff]),
-		Members: decodeU32s(payload[secCondMembers], counts[secCondMembers]),
-	}
-	cond, err := scc.CondensationFromData(cd)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-
-	sd := partition.SubgraphData{
-		ID:      h.ShardID,
-		Global:  decodeVIDs(payload[secGlobal], counts[secGlobal]),
-		FOff:    foff,
-		FEdges:  decodeU32s(payload[secFEdges], counts[secFEdges]),
-		ROff:    roff,
-		REdges:  decodeU32s(payload[secREdges], counts[secREdges]),
-		Entries: decodeU32s(payload[secEntries], counts[secEntries]),
-		Exits:   decodeU32s(payload[secExits], counts[secExits]),
-		Cross:   cross,
-	}
-	sub, err := partition.SubgraphFromData(sd, cond)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	// Cross-object checks against the header: every global ID this
-	// partition mentions must exist in the deployment's graph.
-	for i, gv := range sd.Global {
-		if int(gv) >= h.TotalVertices {
-			return nil, fmt.Errorf("%w: local vertex %d is global %d, graph has %d", ErrCorrupt, i, gv, h.TotalVertices)
-		}
-	}
-	for i, pr := range cross {
 		if int(pr[0]) >= h.TotalVertices || int(pr[1]) >= h.TotalVertices {
 			return nil, fmt.Errorf("%w: cross edge %d (%d->%d) outside graph of %d vertices", ErrCorrupt, i, pr[0], pr[1], h.TotalVertices)
 		}
+		cross[i] = [2]graph.VertexID{graph.VertexID(pr[0]), graph.VertexID(pr[1])}
 	}
-	return &Snapshot{Header: h, Sub: sub, Size: len(data)}, nil
+	foff, err := decodeOffsets(payload[secFOff], counts[secFOff])
+	if err != nil {
+		return nil, err
+	}
+
+	cond, err := scc.CondensationFromData(scc.CondensationData{
+		Comp:   decodeU32s(payload[secComp], counts[secComp]),
+		FOff:   decodeU32s(payload[secCondFOff], counts[secCondFOff]),
+		FEdges: decodeU32s(payload[secCondFEdges], counts[secCondFEdges]),
+		ROff:   decodeU32s(payload[secCondROff], counts[secCondROff]),
+		REdges: decodeU32s(payload[secCondREdges], counts[secCondREdges]),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if len(cond.Comp) != len(global) {
+		return nil, fmt.Errorf("%w: condensation covers %d vertices, subgraph has %d", ErrCorrupt, len(cond.Comp), len(global))
+	}
+	sub, err := partition.SubgraphFromData(partition.SubgraphData{
+		ID:      h.ShardID,
+		Global:  global,
+		FOff:    foff,
+		FEdges:  decodeU32s(payload[secFEdges], counts[secFEdges]),
+		Entries: decodeU32s(payload[secEntries], counts[secEntries]),
+		Exits:   decodeU32s(payload[secExits], counts[secExits]),
+		Cross:   cross,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return &Snapshot{Header: h, Sub: sub, Cond: cond, Size: len(data)}, nil
 }
 
 // ReadFile loads and decodes the snapshot at path. A missing file

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -93,10 +94,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if !bytes.Equal(buf, buf2) {
 			t.Fatalf("shard %d: decode/encode round trip not byte-identical (%d vs %d bytes)", i, len(buf), len(buf2))
 		}
-		// Version 2's layout: the subgraph's eight sections and the
-		// condensation's seven, nothing a shard derives on load.
-		if v, secs := binary.LittleEndian.Uint32(buf[8:]), binary.LittleEndian.Uint32(buf[56:]); v != 2 || secs != 15 {
-			t.Fatalf("shard %d: version %d with %d sections, want 2 with 15", i, v, secs)
+		// Version 3's layout: the subgraph's six sections and the
+		// condensation's five, nothing a shard derives on load.
+		if v, secs := binary.LittleEndian.Uint32(buf[8:]), binary.LittleEndian.Uint32(buf[56:]); v != 3 || secs != 11 {
+			t.Fatalf("shard %d: version %d with %d sections, want 3 with 11", i, v, secs)
 		}
 		// The reconstituted shard is indistinguishable from the fresh one.
 		restored := shard.FromSnapshot(dec)
@@ -177,6 +178,9 @@ func TestWriteToWriter(t *testing.T) {
 	}
 	if err := snapshot.Write(&buf, &snapshot.Snapshot{}); err == nil {
 		t.Fatal("Write of a nil-subgraph snapshot must error")
+	}
+	if err := snapshot.Write(&buf, &snapshot.Snapshot{Header: sns[0].Header, Sub: sns[0].Sub}); err == nil {
+		t.Fatal("Write of a snapshot without its condensation must error")
 	}
 }
 
@@ -264,9 +268,11 @@ func TestSnapshotCorruption(t *testing.T) {
 	})
 
 	t.Run("version skew", func(t *testing.T) {
-		// Version 1 carried the reachability index and the summary edges;
-		// a future writer would checksum its own bytes correctly.
-		for _, v := range []uint32{1, snapshot.FormatVersion + 1} {
+		// Version 1 carried the reachability index and the summary edges,
+		// version 2 the subgraph's reverse CSR and the condensation's
+		// member lists; a future writer would checksum its own bytes
+		// correctly.
+		for _, v := range []uint32{1, 2, snapshot.FormatVersion + 1} {
 			mut := bytes.Clone(buf)
 			binary.LittleEndian.PutUint32(mut[8:], v)
 			reChecksum(mut)
@@ -286,18 +292,18 @@ func TestSnapshotCorruption(t *testing.T) {
 	})
 
 	t.Run("invalid state behind valid checksum", func(t *testing.T) {
-		// Corrupt the component map (section kind 9) and fix the checksum:
-		// only the structural validators stand between this file and a
-		// wrong answer. Section table rows are 24 bytes from offset 64
-		// (documented format layout).
+		// Point the component map (section kind 7) past the components
+		// and fix the checksum: only the structural validators stand
+		// between this file and an out-of-range read. Section table rows
+		// are 24 bytes from offset 64 (documented format layout).
 		mut := bytes.Clone(buf)
-		row := mut[64+(9-1)*24:]
+		row := mut[64+(7-1)*24:]
 		off := binary.LittleEndian.Uint64(row[8:])
 		count := binary.LittleEndian.Uint64(row[16:])
 		if count == 0 {
 			t.Skip("empty component map")
 		}
-		binary.LittleEndian.PutUint32(mut[off:], binary.LittleEndian.Uint32(mut[off:])+1)
+		binary.LittleEndian.PutUint32(mut[off:], uint32(sns[0].Cond.N))
 		reChecksum(mut)
 		if _, err := snapshot.Decode(mut); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -335,8 +341,8 @@ func TestSnapshotCorruption(t *testing.T) {
 			}},
 			{"count past end of file", func(b []byte) { binary.LittleEndian.PutUint64(row(b, 1)[16:], 1<<40) }},
 			{"odd pair count", func(b []byte) {
-				// Cross section (kind 8) holds flattened pairs.
-				r := row(b, 8)
+				// Cross section (kind 6) holds flattened pairs.
+				r := row(b, 6)
 				n := binary.LittleEndian.Uint64(r[16:])
 				if n < 2 {
 					t.Skip("no cross edges in fixture")
@@ -349,7 +355,7 @@ func TestSnapshotCorruption(t *testing.T) {
 				binary.LittleEndian.PutUint64(b[off:], ^uint64(0))
 			}},
 			{"cross edge outside graph", func(b []byte) {
-				r := row(b, 8)
+				r := row(b, 6)
 				if binary.LittleEndian.Uint64(r[16:]) == 0 {
 					t.Skip("no cross edges in fixture")
 				}
@@ -364,6 +370,23 @@ func TestSnapshotCorruption(t *testing.T) {
 			if _, err := snapshot.Decode(mut); !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
 			}
+		}
+	})
+
+	t.Run("wide span under a small graph", func(t *testing.T) {
+		// Global IDs are checked against the header's vertex count before
+		// the rank index is built over their span: this file would
+		// otherwise cost 768 MB of bitmap before it was refused.
+		wide := wideSpanSnapshot(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := snapshot.Decode(wide)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("Decode allocated %d bytes before refusing a %d-byte file", alloc, len(wide))
 		}
 	})
 
@@ -449,6 +472,99 @@ func TestSnapshotLoadOrRebuildDifferential(t *testing.T) {
 			t.Fatalf("query %d: Query(%v, %v) = %v, oracle = %v", q, S, T, got[0], want)
 		}
 	}
+}
+
+// encodeShard encodes the snapshot of partition id of g under pt.
+func encodeShard(tb testing.TB, g *graph.Graph, pt *graph.Partitioning, id int) []byte {
+	tb.Helper()
+	sn := shard.New(id, partition.ExtractOne(g, pt, id)).Snapshot(pt.K, g.NumVertices(), g.Fingerprint(), pt.Digest())
+	buf, err := snapshot.Encode(sn)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf
+}
+
+// wideSpanSnapshot is a valid-checksum snapshot of a 4-vertex graph
+// whose partition lists global vertices 0 and 4,294,967,295: the
+// second global ID of a range partition's snapshot, rewritten.
+func wideSpanSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	g := b.Build()
+	pt, err := graph.RangePartition(g, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	buf := encodeShard(tb, g, pt, 0)
+	off := binary.LittleEndian.Uint64(buf[64+8:]) // section kind 1, the global IDs
+	binary.LittleEndian.PutUint32(buf[off+4:], 1<<32-1)
+	reChecksum(buf)
+	return buf
+}
+
+// FuzzDecodeSnapshot throws whole files at Decode with the checksum
+// re-stamped, so mutations reach the section validators rather than
+// stopping at the checksum: Decode must return an error or a snapshot,
+// never panic, and a snapshot it accepts must boot a shard
+// (shard.FromSnapshot) and re-encode to bytes that decode again. Seeds:
+// a hash and a range partition's snapshots, one holding a multi-vertex
+// SCC, and the wide-span file.
+func FuzzDecodeSnapshot(f *testing.F) {
+	_, _, _, sns := fixture(f, 9, 50, 2)
+	hashed, err := snapshot.Encode(sns[1])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hashed)
+	g := randomGraph(rand.New(rand.NewSource(10)), 40, 1.5)
+	pt, err := graph.RangePartition(g, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeShard(f, g, pt, 1))
+	// Two cycles, 0→1→2→0 and 3⇄4, bridged by 2→3 and range-split
+	// between them: partition 0 condenses three vertices into one.
+	b := graph.NewBuilder(5)
+	for _, e := range [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	g = b.Build()
+	if pt, err = graph.RangePartition(g, 2); err != nil {
+		f.Fatal(err)
+	}
+	multi := encodeShard(f, g, pt, 0)
+	if sn, err := snapshot.Decode(multi); err != nil || sn.Cond.N >= sn.Sub.NumVertices() {
+		f.Fatalf("seed holds no multi-vertex SCC (decode error %v)", err)
+	}
+	f.Add(multi)
+	f.Add(wideSpanSnapshot(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 64 {
+			// The header's vertex count bounds the span of the rank index
+			// behind Subgraph.Local (1.5 bits per ID), so a file that
+			// declares a huge graph may legitimately cost that much to
+			// load: keep the declared graph under 2^20 vertices.
+			data = bytes.Clone(data)
+			binary.LittleEndian.PutUint64(data[24:], binary.LittleEndian.Uint64(data[24:])%(1<<20))
+			reChecksum(data)
+		}
+		sn, err := snapshot.Decode(data)
+		if err != nil {
+			return
+		}
+		shard.FromSnapshot(sn)
+		buf, err := snapshot.Encode(sn)
+		if err != nil {
+			t.Fatalf("decoded snapshot fails to re-encode: %v", err)
+		}
+		if _, err := snapshot.Decode(buf); err != nil {
+			t.Fatalf("re-encoded snapshot fails to decode: %v", err)
+		}
+	})
 }
 
 // FuzzDecodeSnapshotHeader throws arbitrary bytes at the decode path:
