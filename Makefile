@@ -36,8 +36,11 @@ COVER_GATE ?= \
 build:
 	$(GO) build ./...
 
+# -timeout 5m (here and in test-e2e): the slowest package takes well
+# under a minute, so a hang fails in minutes with a goroutine dump
+# instead of at go test's 10-minute default.
 test:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 5m ./...
 
 # Localhost shard e2e under the race detector: boots real TCP shard
 # servers (in-process and as the actual dsr-shard/dsr-query binaries,
@@ -45,7 +48,7 @@ test:
 # suites (seeded fault injection, frame-cutting proxies), all checked
 # differentially against the oracle.
 test-e2e:
-	$(GO) test -race -count=1 -run 'TCP|Distributed|Chaos|Replicated|Proxy' ./...
+	$(GO) test -race -timeout 5m -count=1 -run 'TCP|Distributed|Chaos|Replicated|Proxy' ./...
 
 # Coverage gate: `go test -cover` on the packages COVER_GATE lists,
 # each compared against its committed minimum. A failing test, a

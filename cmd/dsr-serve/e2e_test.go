@@ -2,9 +2,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -21,12 +23,16 @@ import (
 
 // TestServeBinaryEndToEnd builds the real dsr-shard and dsr-serve
 // binaries and proves the four serving-layer claims against a live TCP
-// deployment: two clients' queries share one engine batch, a repeated
-// query is answered from the cache, a saturated server sheds with the
-// typed overload response, and with a chaos-delayed replica hedges
-// fire while every answer stays correct. Plus the contract edges:
-// missing -shards is a usage error (exit 2) and SIGTERM drains to exit
-// 0.
+// deployment: queries from two clients that arrive during a round share
+// the next engine batch, a repeated query is answered from the cache, a
+// saturated server sheds with the typed overload response, and with a
+// chaos-delayed replica hedges fire while every answer stays correct.
+// Plus the contract edges: missing -shards is a usage error (exit 2),
+// SIGTERM drains to exit 0, and a drain that a stalled shard keeps from
+// finishing exits 1 within its budget.
+//
+// A round is held by stopping one dsr-shard process (SIGSTOP): every
+// round broadcasts to all k shards, so none returns until it resumes.
 func TestServeBinaryEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -56,39 +62,40 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 		}
 	})
 
-	shardAddrs := bootShardFleet(t, bin, graphPath, 3, "hash")
+	shardAddrs, shards := bootShardFleet(t, bin, graphPath, 3, "hash")
 	fleetSpec := strings.Join(shardAddrs, ",")
 
 	t.Run("cross-client-batching", func(t *testing.T) {
-		// A 5s window with MaxBatch 2 means the only way both clients
-		// get answers promptly is by sharing one batch: the second
-		// arrival is what makes the batch depart.
-		sv := startServe(t, bin, "-shards", fleetSpec,
-			"-batch-window", "5s", "-batch-max", "2", "-cache", "-1")
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(v graph.VertexID) {
-				defer wg.Done()
-				c, err := serve.Dial(sv.addr)
-				if err != nil {
-					t.Errorf("dial: %v", err)
-					return
-				}
-				defer c.Close()
-				ans, err := c.Query([]graph.VertexID{v}, []graph.VertexID{7})
-				if err != nil || !ans {
-					t.Errorf("client %d: (%v, %v), want true", v, ans, err)
-				}
-			}(graph.VertexID(i))
+		// Client A's query holds a round; clients B and C arrive during
+		// it and share the next one: 2 batches for 3 queries.
+		sv := startServe(t, bin, "-shards", fleetSpec, "-cache", "-1")
+		clients := make([]*serve.Client, 3)
+		for i := range clients {
+			c, err := serve.Dial(sv.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			clients[i] = c
 		}
-		wg.Wait()
-		counters := scrapeCounters(t, sv.metricsAddr)
-		if got := counters["dsr_serve_batches_total"]; got != 1 {
-			t.Errorf("dsr_serve_batches_total = %d, want 1 shared batch", got)
+		resume := hold(t, shards[0])
+		clients[0].Send([]graph.VertexID{0}, []graph.VertexID{7})
+		sv.await(t, "dsr_serve_batches_total = 1", func(m metrics) bool { return m.Counters["dsr_serve_batches_total"] == 1 })
+		clients[1].Send([]graph.VertexID{1}, []graph.VertexID{7})
+		clients[2].Send([]graph.VertexID{2}, []graph.VertexID{7})
+		sv.await(t, "dsr_serve_queue_depth = 3", func(m metrics) bool { return m.Gauges["dsr_serve_queue_depth"] == 3 })
+		resume()
+		for i, c := range clients {
+			if ans, err := c.Recv(); err != nil || !ans {
+				t.Errorf("client %d: (%v, %v), want true", i, ans, err)
+			}
 		}
-		if got := counters["dsr_serve_queries_total"]; got != 2 {
-			t.Errorf("dsr_serve_queries_total = %d, want 2", got)
+		counters := sv.scrape(t).Counters
+		if got := counters["dsr_serve_batches_total"]; got != 2 {
+			t.Errorf("dsr_serve_batches_total = %d, want 2 for 3 queries", got)
+		}
+		if got := counters["dsr_serve_queries_total"]; got != 3 {
+			t.Errorf("dsr_serve_queries_total = %d, want 3", got)
 		}
 		sv.drain(t)
 	})
@@ -109,7 +116,7 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 		if ans, err := c.Query([]graph.VertexID{7, 0}, []graph.VertexID{7}); err != nil || !ans {
 			t.Fatalf("permuted query: (%v, %v), want true", ans, err)
 		}
-		counters := scrapeCounters(t, sv.metricsAddr)
+		counters := sv.scrape(t).Counters
 		if got := counters["dsr_cache_hits_total"]; got < 1 {
 			t.Errorf("dsr_cache_hits_total = %d, want >= 1", got)
 		}
@@ -117,21 +124,23 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 	})
 
 	t.Run("load-shedding", func(t *testing.T) {
-		// One admission slot per client and a window long enough to pin
-		// it: a pipeline of 3 gets exactly one answer and two typed
-		// overload rejections.
-		sv := startServe(t, bin, "-shards", fleetSpec,
-			"-batch-window", "300ms", "-max-per-client", "1", "-cache", "-1")
+		// One admission slot per client, pinned by a held round: a
+		// pipeline of 3 gets exactly one answer and two typed overload
+		// rejections.
+		sv := startServe(t, bin, "-shards", fleetSpec, "-max-per-client", "1", "-cache", "-1")
 		c, err := serve.Dial(sv.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		resume := hold(t, shards[0])
 		for i := 0; i < 3; i++ {
 			if err := c.Send([]graph.VertexID{0}, []graph.VertexID{graph.VertexID(5 + i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
+		sv.await(t, "2 client sheds", func(m metrics) bool { return m.Counters["dsr_serve_shed_total{scope=client}"] == 2 })
+		resume()
 		if ans, err := c.Recv(); err != nil || !ans {
 			t.Fatalf("admitted query: (%v, %v), want true", ans, err)
 		}
@@ -142,7 +151,7 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 				t.Fatalf("shed query %d: err = %v, want OverloadError{client}", i, err)
 			}
 		}
-		counters := scrapeCounters(t, sv.metricsAddr)
+		counters := sv.scrape(t).Counters
 		if got := counters["dsr_serve_shed_total{scope=client}"]; got != 2 {
 			t.Errorf("client sheds = %d, want 2", got)
 		}
@@ -154,7 +163,7 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 		// proxy that delays every frame up to 30ms. With round-robin
 		// replica pick, about half the rounds land on the slow primary;
 		// a 10ms hedge ceiling re-sends those to the fast sibling.
-		slowAddrs := bootShardFleet(t, bin, graphPath, 3, "hash")
+		slowAddrs, _ := bootShardFleet(t, bin, graphPath, 3, "hash")
 		groups := make([]string, 3)
 		for p := 0; p < 3; p++ {
 			proxy, err := chaos.NewProxy(slowAddrs[p], chaos.ProxyOptions{
@@ -182,7 +191,7 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 				t.Fatalf("round %d: 7->0 = (%v, %v), want false", i, ans, err)
 			}
 		}
-		counters := scrapeCounters(t, sv.metricsAddr)
+		counters := sv.scrape(t).Counters
 		var hedges uint64
 		for p := 0; p < 3; p++ {
 			hedges += counters[fmt.Sprintf("dsr_hedges_total{partition=%d}", p)]
@@ -192,6 +201,58 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 		}
 		sv.drain(t)
 	})
+
+	t.Run("drain-incomplete", func(t *testing.T) {
+		// A round stuck on a stopped shard outlives the drain budget:
+		// dsr-serve must give up on it, close the engine and exit 1.
+		sv := startServe(t, bin, "-shards", fleetSpec, "-cache", "-1", "-drain", "300ms")
+		c, err := serve.Dial(sv.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		hold(t, shards[0])
+		c.Send([]graph.VertexID{0}, []graph.VertexID{7})
+		sv.await(t, "dsr_serve_batches_total = 1", func(m metrics) bool { return m.Counters["dsr_serve_batches_total"] == 1 })
+		start := time.Now()
+		sv.cmd.Process.Signal(syscall.SIGTERM)
+		select {
+		case <-sv.exited:
+		case <-time.After(15 * time.Second):
+			t.Fatalf("dsr-serve still running %v after SIGTERM with a 300ms drain budget", time.Since(start))
+		}
+		var ee *exec.ExitError
+		if err := sv.cmd.Wait(); !isExit(err, &ee) || ee.ExitCode() != 1 {
+			t.Fatalf("exit after an incomplete drain: %v, want exit 1", err)
+		}
+		if !strings.Contains(sv.stderr.String(), "drain incomplete") {
+			t.Fatalf("no \"drain incomplete\" in stderr:\n%s", sv.stderr.String())
+		}
+	})
+}
+
+// hold stops p (SIGSTOP), which holds every round in the engine until
+// the returned resume (SIGCONT) runs — at the latest when the test
+// ends. Where /proc shows process states, hold returns only once p is
+// stopped, not merely signalled.
+func hold(t *testing.T, p *os.Process) (resume func()) {
+	t.Helper()
+	if err := p.Signal(syscall.SIGSTOP); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", p.Pid))
+		if err != nil || bytes.Contains(stat, []byte(") T ")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard %d not stopped 10s after SIGSTOP", p.Pid)
+		}
+	}
+	var once sync.Once
+	resume = func() { once.Do(func() { p.Signal(syscall.SIGCONT) }) }
+	t.Cleanup(resume)
+	return resume
 }
 
 // serveProc is one running dsr-serve process plus its parsed addresses.
@@ -199,6 +260,11 @@ type serveProc struct {
 	cmd         *exec.Cmd
 	addr        string // query protocol
 	metricsAddr string
+	// stderr collects what the process logs after announcing its
+	// listeners; it is complete, and safe to read, once exited is
+	// closed.
+	stderr strings.Builder
+	exited chan struct{}
 }
 
 // startServe boots dsr-serve with a metrics endpoint and waits for it
@@ -220,9 +286,10 @@ func startServe(t *testing.T, bin string, args ...string) *serveProc {
 
 	serveRe := regexp.MustCompile(`serving on (\S+)`)
 	metricsRe := regexp.MustCompile(`metrics on http://(\S+)/metrics`)
-	sv := &serveProc{cmd: cmd}
+	sv := &serveProc{cmd: cmd, exited: make(chan struct{})}
 	readyc := make(chan struct{})
 	go func() {
+		defer close(sv.exited)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -237,6 +304,7 @@ func startServe(t *testing.T, bin string, args ...string) *serveProc {
 		}
 		// Keep draining so the process never blocks on stderr.
 		for sc.Scan() {
+			sv.stderr.WriteString(sc.Text() + "\n")
 		}
 	}()
 	select {
@@ -256,31 +324,46 @@ func (sv *serveProc) drain(t *testing.T) {
 	}
 }
 
-// scrapeCounters fetches the ops endpoint's snapshot and returns the
-// counters map (labels rendered into the names).
-func scrapeCounters(t *testing.T, addr string) map[string]uint64 {
+// metrics is one snapshot of the ops endpoint (labels rendered into the
+// names).
+type metrics struct {
+	Counters map[string]uint64 `json:"counters"`
+	Gauges   map[string]int64  `json:"gauges"`
+}
+
+// scrape fetches the ops endpoint's snapshot.
+func (sv *serveProc) scrape(t *testing.T) metrics {
 	t.Helper()
-	resp, err := http.Get("http://" + addr + "/metrics")
+	resp, err := http.Get("http://" + sv.metricsAddr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var snap struct {
-		Counters map[string]uint64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	var m metrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	return snap.Counters
+	return m
+}
+
+// await scrapes until ok holds, failing the test after 10s.
+func (sv *serveProc) await(t *testing.T, what string, ok func(metrics) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !ok(sv.scrape(t)); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("waited 10s for %s", what)
+		}
+	}
 }
 
 // bootShardFleet starts k dsr-shard processes and returns their
-// addresses; killed on test cleanup. Same harness as the dsr-query
-// e2e.
-func bootShardFleet(t *testing.T, bin, graphPath string, k int, spec string) []string {
+// addresses and processes; killed on test cleanup. Same harness as the
+// dsr-query e2e.
+func bootShardFleet(t *testing.T, bin, graphPath string, k int, spec string) ([]string, []*os.Process) {
 	t.Helper()
 	addrRe := regexp.MustCompile(`serving on (\S+)`)
 	var addrs []string
+	var procs []*os.Process
 	for i := 0; i < k; i++ {
 		cmd := exec.Command(filepath.Join(bin, "dsr-shard"),
 			"-graph", graphPath, "-shards", fmt.Sprint(k), "-id", fmt.Sprint(i),
@@ -293,6 +376,7 @@ func bootShardFleet(t *testing.T, bin, graphPath string, k int, spec string) []s
 			t.Fatal(err)
 		}
 		proc := cmd.Process
+		procs = append(procs, proc)
 		t.Cleanup(func() { proc.Kill(); cmd.Wait() })
 
 		addrCh := make(chan string, 1)
@@ -311,7 +395,7 @@ func bootShardFleet(t *testing.T, bin, graphPath string, k int, spec string) []s
 			t.Fatalf("shard %d never reported its address", i)
 		}
 	}
-	return addrs
+	return addrs, procs
 }
 
 // isExit reports whether err is an *exec.ExitError, filling ee.

@@ -11,9 +11,7 @@
 //   - Cross-client batching: queries arriving while the engine is busy
 //     (from any connection) share the round that starts when it frees,
 //     up to -batch-max, so shard RPC fan-out is paid per batch, not per
-//     query; a query on an idle server leaves at once. -batch-window
-//     makes a first query wait for company even then (a timer: at
-//     least a millisecond, whatever smaller value is asked for).
+//     query; a query on an idle server leaves at once.
 //   - Result cache: a 2Q LRU over canonicalized query sets (-cache
 //     entries; negative disables). Sound because the served graph is
 //     immutable for the life of the fleet.
@@ -28,7 +26,9 @@
 // Flag misuse exits 2; a fleet whose shards disagree with each other
 // exits 3 (same contract as dsr-query); other startup failures exit 1.
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight
-// requests finish (bounded by -drain), then the process exits 0.
+// requests finish (bounded by -drain), then the process exits 0. A
+// drain that runs out of budget closes the engine — which ends a round
+// stuck on a silent shard — and exits 1.
 package main
 
 import (
@@ -53,12 +53,10 @@ func main() {
 		listen = flag.String("listen", ":7200", "address to serve the query protocol on")
 		drain  = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
 
-		batchWindow  = flag.Duration("batch-window", 0, "the most the first query of a batch waits for company while the engine is free; when set it is a timer, so 1ms at the least (default 0: depart at once)")
-		batchMax     = flag.Int("batch-max", 64, "depart a batch early once it holds this many queries")
+		batchMax     = flag.Int("batch-max", 64, "the most queries one engine round carries; the rest wait for the next round")
 		cacheEntries = flag.Int("cache", 4096, "result-cache capacity in entries; negative disables caching")
 		maxQueued    = flag.Int("max-queued", 1024, "server-wide bound on queries admitted but not yet answered; beyond it clients get 'error overload: server'")
 		maxPerClient = flag.Int("max-per-client", 256, "per-connection outstanding-query bound; beyond it that client gets 'error overload: client'")
-		maxInFlight  = flag.Int("max-inflight", 1, "engine batch rounds in flight; queries arriving beyond it coalesce into the next batch")
 
 		hedge           = flag.Bool("hedge", false, "hedge slow shard rounds onto idle sibling replicas (requires replica groups in -shards)")
 		hedgePercentile = flag.Float64("hedge-percentile", 0.99, "latency quantile of a partition's primary RPCs that arms the hedge deadline")
@@ -81,12 +79,10 @@ func main() {
 	})
 
 	srv := serve.New(eng, serve.Options{
-		BatchWindow:  *batchWindow,
 		MaxBatch:     *batchMax,
 		CacheEntries: *cacheEntries,
 		MaxQueued:    *maxQueued,
 		MaxPerClient: *maxPerClient,
-		MaxInFlight:  *maxInFlight,
 		Metrics:      app.Reg,
 		Log:          app.Log,
 	})

@@ -228,18 +228,11 @@ type round struct {
 
 // Options configures Build.
 type Options struct {
-	// K is the partition count. Ignored when Partitioning is set (it
-	// carries its own), except that a non-zero K must agree with it.
+	// K is the partition count.
 	K int
 	// Partitioner is the partitioning strategy — graph.Hash(),
 	// graph.Range(), or locality.New(opts). Nil means graph.Hash().
 	Partitioner graph.Partitioner
-	// Partitioning, if non-nil, supplies a precomputed vertex-to-
-	// partition assignment instead of a strategy. Only K and Part are
-	// consulted; the Entry/Exit boundary marks are recomputed from the
-	// edge set, so a hand-rolled partitioning cannot smuggle in marks
-	// that disagree with the graph.
-	Partitioning *graph.Partitioning
 	// Metrics, if non-nil, receives the engine's telemetry (see the
 	// catalog in README.md). Nil disables instrumentation at zero cost:
 	// every instrument degrades to a no-op.
@@ -259,24 +252,11 @@ type Options struct {
 // path and the transport, the only difference is the kind of replica
 // underneath.
 func Build(g *graph.Graph, o Options) (*Engine, error) {
-	var pt *graph.Partitioning
-	var err error
-	if o.Partitioning != nil {
-		if o.K != 0 && o.K != o.Partitioning.K {
-			return nil, fmt.Errorf("dsr: Options.K = %d conflicts with Partitioning.K = %d", o.K, o.Partitioning.K)
-		}
-		if len(o.Partitioning.Part) != g.NumVertices() {
-			return nil, fmt.Errorf("dsr: partitioning covers %d vertices, graph has %d", len(o.Partitioning.Part), g.NumVertices())
-		}
-		labels := o.Partitioning.Part
-		pt, err = graph.PartitionWith(g, o.Partitioning.K, func(v graph.VertexID, _, _ int) int32 { return labels[v] })
-	} else {
-		p := o.Partitioner
-		if p == nil {
-			p = graph.Hash()
-		}
-		pt, err = p.Partition(g, o.K)
+	p := o.Partitioner
+	if p == nil {
+		p = graph.Hash()
 	}
+	pt, err := p.Partition(g, o.K)
 	if err != nil {
 		return nil, err
 	}
@@ -310,11 +290,6 @@ type ClusterSpec struct {
 	// ExpectDigest, if non-zero, pins the partitioning digest
 	// (graph.Partitioning.Digest) the same way.
 	ExpectDigest uint64
-	// ReconnectEvery is the background redial cadence for dead replicas:
-	// 0 means the default, negative disables background reconnection
-	// (dead replicas are then only redialed on demand, when a round
-	// needs them).
-	ReconnectEvery time.Duration
 	// Log, if non-nil, receives human-readable connect progress — one
 	// line per shard summary fetched, one for the stitched result — and
 	// slow-query traces after connect.
@@ -354,7 +329,7 @@ func Connect(ctx context.Context, spec ClusterSpec) (*Engine, error) {
 		spec.Log.Warnf("hedged requests enabled but no partition has a sibling replica to re-submit to; hedging disabled")
 	}
 	tr, err := shard.DialReplicated(ctx, groups, -1, spec.ExpectGraph, spec.ExpectDigest,
-		shard.ReplicatedOptions{ReconnectEvery: spec.ReconnectEvery, Metrics: spec.Metrics, Hedge: spec.Hedge})
+		shard.ReplicatedOptions{Metrics: spec.Metrics, Hedge: spec.Hedge})
 	if err != nil {
 		return nil, err
 	}

@@ -56,10 +56,6 @@ func TestQueryHandBuilt(t *testing.T) {
 	g := build(8, [][2]graph.VertexID{
 		{0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 4},
 	})
-	halves, err := graph.RangePartition(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name string
 		S, T []graph.VertexID
@@ -75,15 +71,15 @@ func TestQueryHandBuilt(t *testing.T) {
 		{"out of range ignored", []graph.VertexID{100}, []graph.VertexID{100}, false},
 	}
 	// However Build is told to split the graph, the answers are the same;
-	// a partitioning only decides where the boundary lands. A precomputed
-	// range split and the locality partitioner both cut at the bridge (2
-	// boundary vertices), hashing scatters both cycles (7).
+	// a partitioning only decides where the boundary lands. A range split
+	// and the locality partitioner both cut at the bridge (2 boundary
+	// vertices), hashing scatters both cycles (7).
 	for _, split := range []struct {
 		name     string
 		o        Options
 		boundary int
 	}{
-		{"precomputed range halves", Options{Partitioning: halves}, 2},
+		{"range halves", Options{K: 2, Partitioner: graph.Range()}, 2},
 		{"hash", Options{K: 2}, 7},
 		{"locality", Options{K: 2, Partitioner: locality.New(locality.Options{})}, 2},
 	} {
@@ -141,20 +137,8 @@ func TestQueryDifferential(t *testing.T) {
 		deg := []float64{0.5, 1, 2, 4}[rng.Intn(4)]
 		g := randomGraph(rng, n, deg)
 		k := 2 + rng.Intn(4) // always >= 2 partitions
-		var pt *graph.Partitioning
-		var err error
-		switch gi % 3 {
-		case 0:
-			pt, err = graph.HashPartition(g, k)
-		case 1:
-			pt, err = graph.RangePartition(g, k)
-		case 2:
-			pt, err = locality.Partition(g, k, locality.Options{Seed: int64(gi)})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := Build(g, Options{Partitioning: pt})
+		p := []graph.Partitioner{graph.Hash(), graph.Range(), locality.New(locality.Options{Seed: int64(gi)})}[gi%3]
+		e, err := Build(g, Options{K: k, Partitioner: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,42 +206,35 @@ func TestQueryAfterClose(t *testing.T) {
 	}
 }
 
+// labels is a Partitioner that places vertex v in partition labels[v].
+type labels []int32
+
+func (l labels) Name() string { return "labels" }
+func (l labels) Partition(g *graph.Graph, k int) (*graph.Partitioning, error) {
+	return graph.PartitionWith(g, k, func(v graph.VertexID, _, _ int) int32 { return l[v] })
+}
+
 func TestBuildPartitioningMismatch(t *testing.T) {
 	g := build(3, [][2]graph.VertexID{{0, 1}})
-	pt, err := graph.HashPartition(build(5, nil), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Build(g, Options{Partitioning: pt}); err == nil {
-		t.Fatal("want error for mismatched partitioning")
-	}
 	if _, err := Build(g, Options{}); err == nil {
-		t.Fatal("want error for K = 0 with no partitioning to take it from")
+		t.Fatal("want error for K = 0")
 	}
-	// Hand-rolled partitioning with absent (or wrong) boundary marks is
-	// normalized: marks are recomputed from the edge set, so the engine
-	// still answers correctly instead of panicking or mis-answering.
-	bare := &graph.Partitioning{K: 2, Part: []int32{0, 1, 0}}
-	e, err := Build(g, Options{Partitioning: bare})
+	// A hand-placed partitioning: the boundary marks come from the edge
+	// set, so the engine answers across the cut it was given.
+	e, err := Build(g, Options{K: 2, Partitioner: labels{0, 1, 0}})
 	if err != nil {
-		t.Fatalf("bare partitioning rejected: %v", err)
+		t.Fatalf("hand-placed partitioning rejected: %v", err)
 	}
 	defer e.Close()
 	if !e.Query([]graph.VertexID{0}, []graph.VertexID{1}) {
-		t.Fatal("0 should reach 1 across recomputed boundary")
+		t.Fatal("0 should reach 1 across the boundary")
 	}
 	if e.Query([]graph.VertexID{1}, []graph.VertexID{0}) {
 		t.Fatal("1 must not reach 0")
 	}
 	// Partition labels outside [0, K) must be rejected, not panic.
-	oob := &graph.Partitioning{K: 2, Part: []int32{0, 5, 0}}
-	if _, err := Build(g, Options{Partitioning: oob}); err == nil {
+	if _, err := Build(g, Options{K: 2, Partitioner: labels{0, 5, 0}}); err == nil {
 		t.Fatal("want error for out-of-range partition label")
-	}
-	// An explicit K that disagrees with the supplied partitioning is a
-	// caller bug, not something to silently resolve either way.
-	if _, err := Build(g, Options{K: 3, Partitioning: bare}); err == nil {
-		t.Fatal("want error for K conflicting with Partitioning.K")
 	}
 }
 

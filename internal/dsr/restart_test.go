@@ -58,8 +58,17 @@ func TestTCPSingleReplicaFleetRecoversFromRestart(t *testing.T) {
 
 	// Background redial off: every redial below is a round's own last
 	// resort, so the test does not wait on a ticker.
-	e, err := Connect(t.Context(), ClusterSpec{Groups: addrs, ReconnectEvery: -1})
+	groups := make([][]string, k)
+	for p, addr := range addrs {
+		groups[p] = []string{addr}
+	}
+	tr, err := shard.DialReplicated(t.Context(), groups, -1, 0, 0, shard.ReplicatedOptions{ReconnectEvery: -1})
 	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := ConnectTransport(t.Context(), tr, k, -1, Options{})
+	if err != nil {
+		tr.Close()
 		t.Fatal(err)
 	}
 	defer e.Close()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,10 +19,12 @@ import (
 
 // gatedQuerier holds every QueryBatchErr until the test releases it: a
 // round announces itself on entered (carrying its batch) and answers
-// true for every query once it can receive from gate.
+// true for every query, with err, once it can receive from gate. A test
+// sets err before the release of the round that is to return it.
 type gatedQuerier struct {
 	entered chan []dsr.Query
 	gate    chan struct{}
+	err     error
 }
 
 func newGatedQuerier() *gatedQuerier {
@@ -37,7 +40,7 @@ func (g *gatedQuerier) QueryBatchErr(queries []dsr.Query) ([]bool, error) {
 	for i := range ans {
 		ans[i] = true
 	}
-	return ans, nil
+	return ans, g.err
 }
 
 // round waits for the next round to enter the querier and returns the
@@ -87,6 +90,16 @@ func waitForming(t *testing.T, b *batcher, n int) {
 	}
 }
 
+// waitCount blocks until c reads n.
+func waitCount(t *testing.T, c *obs.Counter, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); c.Load() != n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("counter at %d, want %d", c.Load(), n)
+		}
+	}
+}
+
 // seqPending is an admitted query whose sequence number is seq,
 // arrived now.
 func seqPending(seq int) *pending {
@@ -123,9 +136,8 @@ func wantSettled(t *testing.T, ps []*pending) {
 	}
 }
 
-// TestDispatchIdleDepartsAtOnce: with no window configured a lone
-// query on an idle batcher is a batch of one, at once, and no timer is
-// ever created.
+// TestDispatchIdleDepartsAtOnce: a lone query on an idle batcher is a
+// batch of one, at once.
 func TestDispatchIdleDepartsAtOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := newGatedQuerier()
@@ -136,9 +148,6 @@ func TestDispatchIdleDepartsAtOnce(t *testing.T) {
 	g.release()
 	wantSettled(t, []*pending{p})
 	b.close()
-	if b.timer != nil {
-		t.Fatal("a window timer was armed with no window configured")
-	}
 	if got := reg.Histogram("dsr_serve_dispatch_wait_ns").Count(); got != 1 {
 		t.Fatalf("dispatch wait samples = %d, want 1", got)
 	}
@@ -179,79 +188,103 @@ func TestDispatchCoalescesBehindRound(t *testing.T) {
 	b.close()
 }
 
-// TestDispatchTwoSlots: MaxInFlight 2 holds two rounds in the querier
-// at once and forms a third batch behind them.
-func TestDispatchTwoSlots(t *testing.T) {
-	g := newGatedQuerier()
-	b := newBatcher(g, nil, Options{MaxInFlight: 2}.withDefaults())
-	ps := make([]*pending, 5)
-	for i := range ps {
-		ps[i] = seqPending(i)
-	}
-	b.enqueue(ps[0])
-	wantSeq(t, g.round(t), 0, 1)
-	b.enqueue(ps[1])
-	wantSeq(t, g.round(t), 1, 1) // entered while round 0 is still held
-	b.enqueue(ps[2])
-	b.enqueue(ps[3])
-	b.enqueue(ps[4])
-	g.idle(t)
-	waitForming(t, b, 3)
-	g.release()
-	wantSeq(t, g.round(t), 2, 3)
-	g.release()
-	g.release()
-	wantSettled(t, ps)
-	b.close()
+// countingQuerier answers every query true, counting the queries it
+// was asked and noting whether two rounds were ever inside it at once.
+type countingQuerier struct {
+	in, queries atomic.Int64
+	overlapped  atomic.Bool
 }
 
-// TestDispatchWindowHoldsLoneQuery: an explicit window keeps a lone
-// query waiting for company on an idle batcher; MaxBatch arrivals end
-// the wait early, and so does the window.
-func TestDispatchWindowHoldsLoneQuery(t *testing.T) {
-	g := newGatedQuerier()
-	b := newBatcher(g, nil, Options{BatchWindow: time.Hour, MaxBatch: 3}.withDefaults())
-	ps := []*pending{seqPending(0), seqPending(1), seqPending(2)}
-	b.enqueue(ps[0])
-	b.enqueue(ps[1])
-	g.idle(t)
-	waitForming(t, b, 2)
-	b.enqueue(ps[2])
-	wantSeq(t, g.round(t), 0, 3)
-	g.release()
+func (c *countingQuerier) QueryBatchErr(queries []dsr.Query) ([]bool, error) {
+	if c.in.Add(1) > 1 {
+		c.overlapped.Store(true)
+	}
+	c.queries.Add(int64(len(queries)))
+	ans := make([]bool, len(queries))
+	for i := range ans {
+		ans[i] = true
+	}
+	runtime.Gosched() // widen the round, so an overlapping one would show
+	c.in.Add(-1)
+	return ans, nil
+}
+
+// TestDispatchOneRoundAtATime: concurrent senders never put two rounds
+// in the engine at once, every query goes to the engine and settles
+// exactly once — settle panics on a second close of ready — and no
+// query waits while the engine is free.
+func TestDispatchOneRoundAtATime(t *testing.T) {
+	const senders, perSender = 8, 250
+	var q countingQuerier
+	b := newBatcher(&q, nil, Options{MaxBatch: 16}.withDefaults())
+	var released atomic.Int64
+
+	stop := make(chan struct{})
+	stranded := make(chan int, 1)
+	go func() {
+		defer close(stranded)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			b.mu.Lock()
+			n, busy := len(b.cur), b.busy
+			b.mu.Unlock()
+			if n > 0 && !busy {
+				stranded <- n
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	ps := make([]*pending, senders*perSender)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := s * perSender; i < (s+1)*perSender; i++ {
+				ps[i] = seqPending(i)
+				ps[i].done = func() { released.Add(1) }
+				b.enqueue(ps[i])
+			}
+		}(s)
+	}
+	wg.Wait()
 	wantSettled(t, ps)
 	b.close()
-
-	// The window itself: the batch departs alone once it is spent.
-	b = newBatcher(g, nil, Options{BatchWindow: 20 * time.Millisecond}.withDefaults())
-	p := seqPending(7)
-	b.enqueue(p)
-	g.idle(t)
-	wantSeq(t, g.round(t), 7, 1)
-	if waited := time.Since(p.start); waited < 20*time.Millisecond {
-		t.Fatalf("batch departed after %v, before its 20ms window was spent", waited)
+	close(stop)
+	if n, ok := <-stranded; ok {
+		t.Fatalf("%d queries waited with no round in the engine", n)
 	}
-	g.release()
-	wantSettled(t, []*pending{p})
-	b.close()
+	if q.overlapped.Load() {
+		t.Fatal("two rounds were in the engine at once")
+	}
+	if got := q.queries.Load(); got != int64(len(ps)) {
+		t.Fatalf("the engine was asked %d queries, want %d", got, len(ps))
+	}
+	if got := released.Load(); got != int64(len(ps)) {
+		t.Fatalf("%d queries settled, want %d", got, len(ps))
+	}
 }
 
 // TestDispatchCloseDrains: close with one round held and a batch
-// forming behind it (under a window that would otherwise keep it)
-// answers every admitted query exactly once — settle panics on a
+// forming behind it answers every admitted query exactly once — settle panics on a
 // second close of ready — and returns only when no batcher goroutine
 // is left.
 func TestDispatchCloseDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
 	g := newGatedQuerier()
 	var released atomic.Int64
-	b := newBatcher(g, nil, Options{BatchWindow: time.Hour}.withDefaults())
+	b := newBatcher(g, nil, Options{}.withDefaults())
 	ps := make([]*pending, 4)
 	for i := range ps {
 		ps[i] = seqPending(i)
 		ps[i].done = func() { released.Add(1) }
 	}
-	ps[0].start = time.Time{} // its window is long spent: it departs alone
 	b.enqueue(ps[0])
 	wantSeq(t, g.round(t), 0, 1)
 	for _, p := range ps[1:] {
@@ -417,5 +450,51 @@ func TestServeShutdownDrainsHeldRound(t *testing.T) {
 	}
 	if line, err := r.ReadString('\n'); err == nil {
 		t.Fatalf("a fourth answer %q for three queries", line)
+	}
+}
+
+// TestServeShutdownBoundedByBudget: a round the engine never returns
+// does not hold Shutdown past its budget. Shutdown reports the expiry,
+// and once the engine ends the round (as closing it would) the batcher
+// has nothing left running.
+func TestServeShutdownBoundedByBudget(t *testing.T) {
+	g, srv, addr := gatedServer(t, Options{CacheEntries: -1})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Send(ids(0), ids(0))
+	wantSeq(t, g.round(t), 0, 1)
+
+	const budget = 100 * time.Millisecond
+	down := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		defer cancel()
+		down <- srv.Shutdown(ctx)
+	}()
+	select {
+	case err := <-down:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Shutdown = %v, want context.DeadlineExceeded", err)
+		}
+		t.Logf("Shutdown returned after %v on a %v budget", time.Since(start), budget)
+	case <-time.After(budget + 5*time.Second):
+		g.release() // so that the test's cleanup can shut down
+		t.Fatalf("Shutdown still blocked %v after its %v budget ran out", time.Since(start)-budget, budget)
+	}
+
+	g.release()
+	closed := make(chan struct{})
+	go func() {
+		srv.batch.close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("batcher still running a round the engine has returned")
 	}
 }

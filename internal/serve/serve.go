@@ -4,10 +4,11 @@
 // clients onto one coordinator. Four mechanisms make it a service
 // rather than a socket wrapper:
 //
-//   - Cross-client batching (batcher): queries that arrive while the
-//     engine is busy — from any connection — share the round that
-//     starts when it frees, so shard RPC fan-out is paid per batch, not
-//     per query, and a query on an idle server waits for nothing.
+//   - Cross-client batching (batcher): one round is in the engine at a
+//     time, and queries that arrive during it — from any connection —
+//     share the round that starts when it returns, so shard RPC fan-out
+//     is paid per batch, not per query, and a query on an idle server
+//     waits for nothing.
 //   - Result caching (Cache): a 2Q LRU over canonicalized (S, T) keys,
 //     sound because the served graph is immutable. Hits bypass batching
 //     and admission entirely.
@@ -59,15 +60,9 @@ var errParse = errors.New("parse")
 // Options tunes the serving layer. The zero value serves: every field
 // has a production default, and tests override only what they pin.
 type Options struct {
-	// BatchWindow is the most the first query of a batch waits for
-	// company while a round slot is free. 0 (and negative) means none: a
-	// batch departs the moment a slot frees, and only queries that
-	// arrive while every slot is busy share a round. When set it is a
-	// timer, and a sub-millisecond Go timer on an idle Linux process
-	// fires after about 1.1ms — so any value is a wait of at least that.
-	BatchWindow time.Duration
-	// MaxBatch departs a batch under a window early once it holds this
-	// many queries, and caps what one round carries. 0 means 64.
+	// MaxBatch caps what one round carries: a batch departs with the
+	// oldest MaxBatch waiting queries, and the rest wait for the next
+	// round. 0 means 64.
 	MaxBatch int
 	// CacheEntries bounds the result cache. 0 means 4096; negative
 	// disables caching.
@@ -79,12 +74,6 @@ type Options struct {
 	// MaxPerClient bounds one connection's outstanding queries; beyond
 	// it that client is shed with OverloadError{"client"}. 0 means 256.
 	MaxPerClient int
-	// MaxInFlight is the number of round slots: how many batches may be
-	// inside the Querier at once. Arrivals beyond it coalesce in the
-	// batcher. 0 means 1, which is what a dsr.Engine overlaps: its rounds
-	// run one at a time under a lock, so more slots only split the
-	// waiting queries into smaller batches that queue on that lock.
-	MaxInFlight int
 	// Metrics receives the dsr_serve_* and dsr_cache_* instruments.
 	// Nil disables metrics.
 	Metrics *obs.Registry
@@ -94,9 +83,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.BatchWindow < 0 {
-		o.BatchWindow = 0
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
 	}
@@ -108,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPerClient <= 0 {
 		o.MaxPerClient = 256
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 1
 	}
 	return o
 }
@@ -139,6 +122,11 @@ type Server struct {
 	latency      *obs.Histogram
 	clients      *obs.Gauge
 
+	// aborted is done once a Shutdown has run out of budget: writers
+	// stop waiting for answers the engine may never give.
+	aborted context.Context
+	abort   context.CancelFunc
+
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[net.Conn]struct{}
@@ -151,6 +139,7 @@ type Server struct {
 func New(q Querier, o Options) *Server {
 	o = o.withDefaults()
 	cache := NewCache(o.CacheEntries, o.Metrics)
+	aborted, abort := context.WithCancel(context.Background())
 	return &Server{
 		opt:          o,
 		cache:        cache,
@@ -163,6 +152,8 @@ func New(q Querier, o Options) *Server {
 		latency:      o.Metrics.Histogram("dsr_serve_latency_ns"),
 		clients:      o.Metrics.Gauge("dsr_serve_clients"),
 		conns:        make(map[net.Conn]struct{}),
+		aborted:      aborted,
+		abort:        abort,
 	}
 }
 
@@ -206,7 +197,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // Shutdown stops accepting, half-closes every connection's read side
 // (so in-flight requests finish and their answers still go out), and
 // waits for handlers to drain, up to ctx. On ctx expiry remaining
-// connections are force-closed and ctx.Err() is returned.
+// connections are force-closed, nothing waits on the engine any more,
+// and ctx.Err() is returned: a round still in the engine is its
+// owner's to end, by closing the engine.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -238,13 +231,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.batch.close()
 		return nil
 	case <-ctx.Done():
+		s.abort()
 		s.mu.Lock()
 		for c := range s.conns {
 			c.Close()
 		}
 		s.mu.Unlock()
 		<-done
-		s.batch.close()
+		s.batch.stop()
 		return ctx.Err()
 	}
 }
@@ -335,7 +329,9 @@ func settled(ans bool, err error, start time.Time) *pending {
 // for as long as the next one is at hand — which batches the writes of
 // a pipelining client for free — and reach the socket before the
 // writer blocks, on an unsettled answer or on an empty queue: an answer
-// that is ready never waits for one that is not.
+// that is ready never waits for one that is not. Once a Shutdown has
+// run out of budget the connection is closed, and an unsettled answer
+// is skipped instead of waited for.
 func (s *Server) writeLoop(sess *session) {
 	w := bufio.NewWriter(sess.conn)
 	flush := func() {
@@ -349,7 +345,11 @@ func (s *Server) writeLoop(sess *session) {
 		case <-p.ready:
 		default:
 			flush()
-			<-p.ready
+			select {
+			case <-p.ready:
+			case <-s.aborted.Done():
+				continue
+			}
 		}
 		s.latency.ObserveSince(p.start)
 		w.WriteString(respond(p))

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -153,65 +153,48 @@ func TestServePipelinedOrder(t *testing.T) {
 	}
 }
 
-// TestServeCrossClientBatching: two clients, one shared engine round.
-// MaxBatch 2 with a long window means the batch departs exactly when
-// the second client's query lands — if batching were per-connection,
-// each query would wait out the full window alone and form its own
-// batch.
+// TestServeCrossClientBatching: client A's query holds the engine;
+// clients B and C arrive during its round and share the next one. If
+// batching were per connection, B and C would take a round each.
 func TestServeCrossClientBatching(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, addr, _ := startServer(t, chainGraph(t, 8), Options{
-		Metrics:      reg,
-		BatchWindow:  5 * time.Second,
-		MaxBatch:     2,
-		CacheEntries: -1,
-	})
-
-	var wg sync.WaitGroup
-	answers := make([]bool, 2)
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer c.Close()
-			answers[i], errs[i] = c.Query(ids(graph.VertexID(i)), ids(7))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	g, srv, addr := gatedServer(t, Options{Metrics: reg, CacheEntries: -1})
+	clients := make([]*Client, 3)
+	for i := range clients {
+		c, err := Dial(addr)
 		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if !answers[i] {
-			t.Fatalf("client %d: got false, want true", i)
+		defer c.Close()
+		clients[i] = c
+	}
+
+	clients[0].Send(ids(0), ids(7))
+	wantSeq(t, g.round(t), 0, 1)
+	clients[1].Send(ids(1), ids(7))
+	clients[2].Send(ids(2), ids(7))
+	waitForming(t, srv.batch, 2)
+	g.release()
+	shared := g.round(t)
+	slices.Sort(shared)
+	wantSeq(t, shared, 1, 2)
+	g.release()
+	for i, c := range clients {
+		if ans, err := c.Recv(); err != nil || !ans {
+			t.Fatalf("client %d = (%v, %v), want true", i, ans, err)
 		}
 	}
-	if got := reg.Counter("dsr_serve_batches_total").Load(); got != 1 {
-		t.Fatalf("dsr_serve_batches_total = %d, want 1 shared batch", got)
-	}
-	if got := reg.Histogram("dsr_serve_batch_size").Count(); got != 1 {
-		t.Fatalf("batch size samples = %d, want 1", got)
+	if got := reg.Counter("dsr_serve_batches_total").Load(); got != 2 {
+		t.Fatalf("dsr_serve_batches_total = %d, want 2 for 3 queries", got)
 	}
 }
 
-// TestServeOverloadPerClient: with MaxPerClient 1 and a window long
-// enough to hold the first query open, a pipelining client's second
-// and third requests are shed with the client scope — and still
-// answered in order.
+// TestServeOverloadPerClient: with MaxPerClient 1 and the first query's
+// round held, a pipelining client's second and third requests are shed
+// with the client scope — and still answered in order.
 func TestServeOverloadPerClient(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, addr, _ := startServer(t, chainGraph(t, 8), Options{
-		Metrics:      reg,
-		BatchWindow:  300 * time.Millisecond,
-		MaxPerClient: 1,
-		CacheEntries: -1,
-	})
+	g, _, addr := gatedServer(t, Options{Metrics: reg, MaxPerClient: 1, CacheEntries: -1})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +206,9 @@ func TestServeOverloadPerClient(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	wantSeq(t, g.round(t), 0, 1)
+	waitCount(t, reg.Counter(obs.Name("dsr_serve_shed_total", "scope", "client")), 2)
+	g.release()
 	if ans, err := c.Recv(); err != nil || !ans {
 		t.Fatalf("first query = (%v, %v), want true", ans, err)
 	}
@@ -233,22 +219,13 @@ func TestServeOverloadPerClient(t *testing.T) {
 			t.Fatalf("shed query %d: err = %v, want OverloadError{client}", i, err)
 		}
 	}
-	if got := reg.Counter(obs.Name("dsr_serve_shed_total", "scope", "client")).Load(); got != 2 {
-		t.Fatalf("client sheds = %d, want 2", got)
-	}
 }
 
 // TestServeOverloadServer: the server-wide queue bound sheds with the
 // server scope once total outstanding crosses MaxQueued.
 func TestServeOverloadServer(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, addr, _ := startServer(t, chainGraph(t, 8), Options{
-		Metrics:      reg,
-		BatchWindow:  300 * time.Millisecond,
-		MaxQueued:    1,
-		MaxPerClient: 8,
-		CacheEntries: -1,
-	})
+	g, _, addr := gatedServer(t, Options{Metrics: reg, MaxQueued: 1, MaxPerClient: 8, CacheEntries: -1})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -257,6 +234,9 @@ func TestServeOverloadServer(t *testing.T) {
 
 	c.Send(ids(0), ids(5))
 	c.Send(ids(0), ids(6))
+	wantSeq(t, g.round(t), 0, 1)
+	waitCount(t, reg.Counter(obs.Name("dsr_serve_shed_total", "scope", "server")), 1)
+	g.release()
 	if ans, err := c.Recv(); err != nil || !ans {
 		t.Fatalf("first query = (%v, %v), want true", ans, err)
 	}
@@ -265,23 +245,14 @@ func TestServeOverloadServer(t *testing.T) {
 	if !errors.As(err, &oe) || oe.Scope != "server" {
 		t.Fatalf("err = %v, want OverloadError{server}", err)
 	}
-	if got := reg.Counter(obs.Name("dsr_serve_shed_total", "scope", "server")).Load(); got != 1 {
-		t.Fatalf("server sheds = %d, want 1", got)
-	}
 }
 
-// fakeQuerier scripts QueryBatchErr for batcher-level tests.
+// fakeQuerier fails every round with err.
 type fakeQuerier struct {
-	answers []bool
-	err     error
-	calls   int
+	err error
 }
 
 func (f *fakeQuerier) QueryBatchErr(queries []dsr.Query) ([]bool, error) {
-	f.calls++
-	if f.answers != nil {
-		return f.answers[:len(queries)], f.err
-	}
 	return make([]bool, len(queries)), f.err
 }
 
@@ -292,17 +263,22 @@ func TestBatcherPartialFailure(t *testing.T) {
 		Partitions: []dsr.PartitionError{{Partition: 1, Err: errors.New("down")}},
 		Failed:     []bool{false, true},
 	}
-	fq := &fakeQuerier{answers: []bool{true, false}, err: be}
+	g := newGatedQuerier()
 	cache := NewCache(8, nil)
-	// The window keeps the first query until the second fills the batch.
-	b := newBatcher(fq, cache, Options{BatchWindow: time.Hour, MaxBatch: 2}.withDefaults())
+	b := newBatcher(g, cache, Options{}.withDefaults())
+	defer b.close()
 
-	ps := []*pending{
-		{q: dsr.Query{S: ids(0), T: ids(1)}, key: "a", ready: make(chan struct{}), start: time.Now()},
-		{q: dsr.Query{S: ids(2), T: ids(3)}, key: "b", ready: make(chan struct{}), start: time.Now()},
-	}
+	// A held round keeps both queries waiting, so they share the next.
+	b.enqueue(seqPending(9))
+	wantSeq(t, g.round(t), 9, 1)
+	ps := []*pending{seqPending(0), seqPending(1)}
+	ps[0].key, ps[1].key = "a", "b"
 	b.enqueue(ps[0])
 	b.enqueue(ps[1])
+	g.release()
+	wantSeq(t, g.round(t), 0, 2)
+	g.err = be
+	g.release()
 
 	<-ps[0].ready
 	if ps[0].err != nil || !ps[0].ans {

@@ -92,11 +92,7 @@ func TestServeSoak(t *testing.T) {
 	}
 	defer eng.Close()
 
-	srv := New(eng, Options{
-		Metrics:     reg,
-		BatchWindow: time.Millisecond,
-		MaxBatch:    32,
-	})
+	srv := New(eng, Options{Metrics: reg, MaxBatch: 32})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
