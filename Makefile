@@ -177,10 +177,13 @@ ab:
 # batches decoded from the fuzz bytes, the rank index behind
 # Subgraph.Local against a binary search on ownership sets and probes
 # decoded the same way, the edge-list loader's allocation-free line
-# reader against the general trim/split/ParseUint rule, and the
+# reader against the general trim/split/ParseUint rule, the
 # coordinator's two-cursor boundary finish
 # against a per-query BFS on boundary graphs and rounds decoded the same
-# way — growing the corpus instead of only replaying committed seeds.
+# way, and the coordinator's bucketed boundary stitch against the
+# binary-search stitch it replaced on fleets of up to four summaries
+# decoded the same way — growing the corpus instead of only replaying
+# committed seeds.
 # Any crasher go finds is written to testdata/fuzz and fails the run.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeTasks$$' -fuzztime=$(FUZZ_TIME)
@@ -194,6 +197,7 @@ fuzz-smoke:
 	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzSubgraphLocal$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzLoadEdgeList$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzBoundaryFinish$$' -fuzztime=$(FUZZ_TIME)
+	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzStitchBoundary$$' -fuzztime=$(FUZZ_TIME)
 
 # Godoc hygiene gate: every package must carry a package comment, the
 # packages tools/doccheck lists as strict (internal/serve) must

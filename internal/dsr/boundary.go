@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"dsr/internal/scc"
 	"dsr/internal/wire"
@@ -27,6 +26,12 @@ import (
 // its ordinal in the boundary list of the shard's own summary, so all
 // the coordinator keeps per vertex is compOf: per partition, ordinal ->
 // component. Absorbing a reply is an index into it.
+//
+// The stitch itself holds nothing of size n either: it merges the k
+// sorted boundary lists into one, noting each vertex's partition, and
+// resolves every edge end through a bucketed index over that list (about
+// one bucket per boundary vertex, a binary search inside the bucket), all
+// dropped once the graph is condensed.
 type boundaryGraph struct {
 	nverts int       // boundary vertices, over all partitions
 	compOf [][]int32 // per partition: ordinal in its boundary list -> component
@@ -60,16 +65,17 @@ func (g *csr) Out(v int32) []int32 { return g.adj[g.off[v]:g.off[v+1]] }
 // boundary summaries — nothing else. n is the global vertex count, used
 // only to range-check the summaries; the full graph is never consulted.
 func stitchBoundary(n int, sums []wire.Summary) (*boundaryGraph, error) {
-	verts, g, err := stitchRows(n, sums)
+	owner, g, err := stitchRows(n, sums)
 	if err != nil {
 		return nil, err
 	}
-	return condense(verts, sums, g), nil
+	return condense(owner, sums, g), nil
 }
 
 // stitchRows validates the summaries and lays their edges out as the
-// vertex-level boundary graph over dense ids (indices into the returned
-// sorted vertex list).
+// vertex-level boundary graph over dense ids — positions in the merged,
+// sorted list of every shard's boundary vertices. owner[d] is the
+// partition whose boundary list holds dense id d.
 //
 // The heavy phases are parallel over shards, which is safe because each
 // adjacency row is owned by exactly one shard: every stitched edge is
@@ -79,7 +85,7 @@ func stitchBoundary(n int, sums []wire.Summary) (*boundaryGraph, error) {
 // duplicate across shards is rejected as a fleet inconsistency — and
 // each is strictly increasing, which is what gives its ordinals their
 // meaning.
-func stitchRows(n int, sums []wire.Summary) ([]uint32, *csr, error) {
+func stitchRows(n int, sums []wire.Summary) (owner []int32, g *csr, err error) {
 	k := len(sums)
 	total := 0
 	for p := range sums {
@@ -91,29 +97,24 @@ func stitchRows(n int, sums []wire.Summary) ([]uint32, *csr, error) {
 		}
 		total += len(b)
 	}
-	verts := make([]uint32, 0, total)
-	for p := range sums {
-		verts = append(verts, sums[p].Boundary...)
-	}
-	slices.Sort(verts)
-	for i := 1; i < len(verts); i++ {
-		if verts[i] == verts[i-1] {
-			return nil, nil, fmt.Errorf("dsr: boundary vertex %d claimed by two shards — the fleet was not built from one partitioning", verts[i])
-		}
+	verts, owner, err := mergeBoundaries(sums, total)
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(verts) > 0 && int64(verts[len(verts)-1]) >= int64(n) {
 		return nil, nil, fmt.Errorf("dsr: boundary vertex %d out of range (graph has %d vertices)", verts[len(verts)-1], n)
 	}
 	nb := len(verts)
+	ix := newVertIndex(verts)
 
 	// Validation before any stitching: each shard's edge sources must be
 	// its own boundary vertices (row ownership — the parallel count and
 	// fill below stay race-free even against a buggy or hostile shard)
 	// and each target must resolve to some shard's boundary vertex. This
-	// is the only pass that searches: it leaves every edge behind as a
-	// (source, target) pair of dense ids in ends[p] for the passes below.
-	// Summaries list an entry's edges consecutively, so a repeated source
-	// reuses the previous resolution.
+	// is the only pass that looks vertices up: it leaves every edge
+	// behind as a (source, target) pair of dense ids in ends[p] for the
+	// passes below. Summaries list an entry's edges consecutively, so a
+	// repeated source reuses the previous resolution.
 	ends := make([][]int32, k)
 	errs := make([]error, k)
 	parallelParts(k, func(p int) {
@@ -124,18 +125,17 @@ func stitchRows(n int, sums []wire.Summary) ([]uint32, *csr, error) {
 		resolve := func(edges [][2]uint32, what string) error {
 			for _, pr := range edges {
 				if d < 0 || pr[0] != src {
-					if _, ok := slices.BinarySearch(s.Boundary, pr[0]); !ok {
+					i, ok := ix.find(pr[0])
+					if !ok || owner[i] != int32(p) {
 						return fmt.Errorf("dsr: shard %d %s edge %d->%d: source is not one of its boundary vertices", p, what, pr[0], pr[1])
 					}
-					src = pr[0]
-					i, _ := slices.BinarySearch(verts, src)
-					d = int32(i)
+					src, d = pr[0], i
 				}
-				t, ok := slices.BinarySearch(verts, pr[1])
+				t, ok := ix.find(pr[1])
 				if !ok {
 					return fmt.Errorf("dsr: shard %d %s edge %d->%d: target is not a boundary vertex of any shard", p, what, pr[0], pr[1])
 				}
-				pairs = append(pairs, d, int32(t))
+				pairs = append(pairs, d, t)
 			}
 			return nil
 		}
@@ -153,7 +153,7 @@ func stitchRows(n int, sums []wire.Summary) ([]uint32, *csr, error) {
 	// Count per-row degrees, lay out the CSR, fill rows (deg doubles as
 	// the per-row cursor). Multi-edges and entry==exit self-pairs stay
 	// in: the decomposition tolerates them and the DAG build dedupes.
-	g := &csr{off: make([]int64, nb+1)}
+	g = &csr{off: make([]int64, nb+1)}
 	deg := make([]int32, nb)
 	parallelParts(k, func(p int) {
 		for i := 0; i < len(ends[p]); i += 2 {
@@ -175,30 +175,129 @@ func stitchRows(n int, sums []wire.Summary) ([]uint32, *csr, error) {
 			deg[d]++
 		}
 	})
-	return verts, g, nil
+	return owner, g, nil
 }
 
-// condense reduces the vertex-level graph g over verts to what the
-// coordinator retains of it: the component DAG in both directions, and
-// each vertex's component filed under the name its shard will call it
-// by — partition and ordinal. Every sums[p].Boundary is a sorted subset
-// of the sorted verts, so one merge per partition lines ordinals up with
-// dense ids. The dense-id component map and the vertex IDs themselves
-// are dropped with g.
-func condense(verts []uint32, sums []wire.Summary, g *csr) *boundaryGraph {
+// mergeBoundaries merges the k strictly increasing boundary lists into
+// one sorted list of total vertices, through a min-heap of the lists'
+// heads, and records beside each vertex the partition that listed it. A
+// vertex two shards list comes out as adjacent equal entries, so the
+// first such pair is the smallest vertex claimed twice.
+func mergeBoundaries(sums []wire.Summary, total int) (verts []uint32, owner []int32, err error) {
+	verts = make([]uint32, 0, total)
+	owner = make([]int32, 0, total)
+	pos := make([]int, len(sums))
+	head := func(p int32) uint32 { return sums[p].Boundary[pos[p]] }
+	heap := make([]int32, 0, len(sums)) // partitions with vertices left, keyed by head
+	down := func(i int) {
+		for {
+			m := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(heap) && head(heap[c]) < head(heap[m]) {
+					m = c
+				}
+			}
+			if m == i {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+	}
+	for p := range sums {
+		if len(sums[p].Boundary) > 0 {
+			heap = append(heap, int32(p))
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(heap) > 0 {
+		p := heap[0]
+		v := head(p)
+		if len(verts) > 0 && verts[len(verts)-1] == v {
+			return nil, nil, fmt.Errorf("dsr: boundary vertex %d claimed by two shards — the fleet was not built from one partitioning", v)
+		}
+		verts = append(verts, v)
+		owner = append(owner, p)
+		if pos[p]++; pos[p] == len(sums[p].Boundary) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+	return verts, owner, nil
+}
+
+// vertIndex finds a boundary vertex's dense id — its position in the
+// sorted verts — through buckets of 2^shift consecutive vertex IDs:
+// start[b] is the first position whose ID is at least b<<shift, so a
+// lookup binary-searches only its own bucket. There are about as many
+// buckets as vertices, so on spread-out IDs a bucket holds a vertex or
+// two and a lookup is O(1); on clustered ones it is never worse than a
+// binary search of the whole list. The index is O(boundary), like
+// everything else the coordinator holds, and lives only for the stitch.
+type vertIndex struct {
+	verts []uint32
+	start []int32 // per bucket, plus an end sentinel
+	shift uint
+}
+
+func newVertIndex(verts []uint32) vertIndex {
+	ix := vertIndex{verts: verts}
+	if len(verts) == 0 {
+		return ix
+	}
+	// The smallest shift that leaves no more buckets than vertices:
+	// top < 2^shift * len(verts).
+	top := verts[len(verts)-1]
+	ix.shift = uint(bits.Len64(uint64(top) / uint64(len(verts))))
+	nbuckets := int(top>>ix.shift) + 1
+	ix.start = make([]int32, nbuckets+1)
+	b := 0
+	for i, v := range verts {
+		for ; b <= int(v>>ix.shift); b++ {
+			ix.start[b] = int32(i)
+		}
+	}
+	ix.start[nbuckets] = int32(len(verts))
+	return ix
+}
+
+// find returns v's dense id and whether v is a boundary vertex at all.
+func (ix *vertIndex) find(v uint32) (int32, bool) {
+	b := int(v >> ix.shift)
+	if b >= len(ix.start)-1 {
+		return -1, false
+	}
+	lo, hi := ix.start[b], ix.start[b+1]
+	for lo < hi {
+		m := int32(uint32(lo+hi) >> 1)
+		if ix.verts[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < ix.start[b+1] && ix.verts[lo] == v
+}
+
+// condense reduces the vertex-level graph g to what the coordinator
+// retains of it: the component DAG in both directions, and each
+// vertex's component filed under the name its shard will call it by —
+// partition and ordinal. Dense ids run through every partition's
+// boundary list in increasing order, so one pass over them through
+// owner hands each partition its components in ordinal order. The
+// dense-id component map and owner are dropped with g.
+func condense(owner []int32, sums []wire.Summary, g *csr) *boundaryGraph {
 	d := scc.Condense(g, nil).Data()
-	bg := &boundaryGraph{nverts: len(verts), compOf: make([][]int32, len(sums)),
+	bg := &boundaryGraph{nverts: len(owner), compOf: make([][]int32, len(sums)),
 		off: d.FOff, succ: d.FEdges, poff: d.ROff, pred: d.REdges}
 	for p := range sums {
-		tab := make([]int32, len(sums[p].Boundary))
-		dense := 0
-		for ord, v := range sums[p].Boundary {
-			for verts[dense] != v {
-				dense++
-			}
-			tab[ord] = d.Comp[dense]
-		}
-		bg.compOf[p] = tab
+		bg.compOf[p] = make([]int32, 0, len(sums[p].Boundary))
+	}
+	for dense, p := range owner {
+		bg.compOf[p] = append(bg.compOf[p], d.Comp[dense])
 	}
 	return bg
 }

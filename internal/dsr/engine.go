@@ -368,6 +368,7 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 	infos := make([]shard.SummaryInfo, k)
 	errs := make([]error, k)
 	sumFetch := o.Metrics.Histogram("dsr_summary_fetch_ns")
+	fetchStart := time.Now()
 	parallelParts(k, func(p int) {
 		t0 := time.Now()
 		infos[p], errs[p] = tr.Summary(ctx, p)
@@ -378,6 +379,7 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 				p+1, k, len(s.Boundary), len(s.Edges), len(s.Cross))
 		}
 	})
+	fetch := time.Since(fetchStart)
 	for p, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("dsr: shard %d summary: %w", p, err)
@@ -429,13 +431,15 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 	for p := range infos {
 		sums[p] = infos[p].Summary
 	}
+	stitchStart := time.Now()
 	bg, err := stitchBoundary(n, sums)
 	if err != nil {
 		return nil, err
 	}
+	stitch := time.Since(stitchStart)
 	e := newEngine(n, k, bg, tr, o)
-	o.Log.Infof("boundary graph stitched: %d vertices in %d components, %d component edges kept forward and reversed, %d coordinator-resident bytes",
-		bg.nverts, bg.ncomp(), len(bg.succ), e.ResidentBytes())
+	o.Log.Infof("boundary graph stitched: %d vertices in %d components, %d component edges kept forward and reversed, %d coordinator-resident bytes; ms: fetch %d, stitch %d",
+		bg.nverts, bg.ncomp(), len(bg.succ), e.ResidentBytes(), fetch.Milliseconds(), stitch.Milliseconds())
 	return e, nil
 }
 

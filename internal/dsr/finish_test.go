@@ -183,11 +183,11 @@ func seamShapes(words int) []boundaryShape {
 func (s boundaryShape) stitched(t testing.TB) (*csr, *boundaryGraph) {
 	t.Helper()
 	n, sums := summariesOf(s.nb, s.edges)
-	verts, g, err := stitchRows(n, sums)
+	owner, g, err := stitchRows(n, sums)
 	if err != nil {
 		t.Fatalf("%s: %v", s.name, err)
 	}
-	return g, condense(verts, sums, g)
+	return g, condense(owner, sums, g)
 }
 
 // TestCondenseInvariants checks what the sweep relies on: components
@@ -591,16 +591,29 @@ func BenchmarkBoundaryFinish(b *testing.B) {
 // BenchmarkStitchBoundary measures the coordinator's share of engine
 // construction — validating and stitching the k shipped summaries and
 // condensing the result — and reports the resulting coordinator-resident
-// footprint, the headline metric of the graph-free design.
+// footprint, the headline metric of the graph-free design. hash-200k is
+// the benchmark harness's graph at full size under hash (193k boundary
+// vertices), where resolving edge ends by binary search once took about
+// half the stitch.
 func BenchmarkStitchBoundary(b *testing.B) {
-	g, n := benchGraph()
-	for _, strat := range []graph.Partitioner{graph.Hash(), locality.New(locality.Options{Seed: 1})} {
+	g, _ := benchGraph()
+	full := gen.Community(rand.New(rand.NewSource(4)), 200_000, 16, 2.5, 0.05, 0.01)
+	for _, c := range []struct {
+		name  string
+		g     *graph.Graph
+		strat graph.Partitioner
+	}{
+		{"hash", g, graph.Hash()},
+		{"locality", g, locality.New(locality.Options{Seed: 1})},
+		{"hash-200k", full, graph.Hash()},
+	} {
 		const k = 3
 		sums := make([]wire.Summary, k)
-		for p, sh := range loopbackShards(b, g, strat, k) {
+		for p, sh := range loopbackShards(b, c.g, c.strat, k) {
 			sums[p] = sh.Summary()
 		}
-		b.Run(strat.Name(), func(b *testing.B) {
+		n := c.g.NumVertices()
+		b.Run(c.name, func(b *testing.B) {
 			var resident int
 			for i := 0; i < b.N; i++ {
 				bg, err := stitchBoundary(n, sums)

@@ -3,6 +3,7 @@ package dsr
 import (
 	"bytes"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -165,7 +166,8 @@ func TestEngineHealthLoopback(t *testing.T) {
 }
 
 // TestConnectLogsProgress checks the connect-time log lines a
-// distributed operator sees: one per shard summary, one for the stitch.
+// distributed operator sees: one per shard summary, one for the stitch,
+// which ends with the connect's two phases in milliseconds.
 func TestConnectLogsProgress(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	g := randomGraph(rng, 120, 2)
@@ -180,5 +182,8 @@ func TestConnectLogsProgress(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("connect log missing %q:\n%s", want, out)
 		}
+	}
+	if !regexp.MustCompile(`boundary graph stitched: .*coordinator-resident bytes; ms: fetch \d+, stitch \d+\n`).MatchString(out) {
+		t.Errorf("stitch line does not end \"; ms: fetch F, stitch S\":\n%s", out)
 	}
 }

@@ -1,5 +1,7 @@
 package scc
 
+import "slices"
+
 // Condensation is the SCC DAG of a graph: one node per component and a
 // deduped edge for every pair of components joined by at least one
 // original edge, in both forward and reverse CSR form, plus the
@@ -60,49 +62,46 @@ func Condense(g Adjacency, ws *Workspace) *Condensation {
 		moff[cc]++
 	}
 
-	// DAG edges, deduped per source component: members of a component
-	// are scanned contiguously, so a seen-mark holding the current
-	// source component suffices.
+	// Forward DAG rows, deduped per source component and written in
+	// member order: members are grouped by ascending component, so each
+	// row is complete before the next begins and a seen-mark holding the
+	// current source component suffices. Every component has a member,
+	// so every offset is set.
 	seen := ws.seen[:nc]
 	for i := range seen {
 		seen[i] = -1
 	}
-	ws.esrc, ws.edst = ws.esrc[:0], ws.edst[:0]
+	c.foff = make([]int32, nc+1)
+	dag := ws.dag[:0]
 	for _, v := range members {
 		cc := comp[v]
 		for _, w := range g.Out(v) {
 			if d := comp[w]; d != cc && seen[d] != cc {
 				seen[d] = cc
-				ws.esrc = append(ws.esrc, cc)
-				ws.edst = append(ws.edst, d)
+				dag = append(dag, d)
 			}
 		}
+		c.foff[cc+1] = int32(len(dag))
 	}
+	ws.dag = dag
+	c.fedges = slices.Clone(dag)
 
-	m := len(ws.esrc)
-	c.foff = make([]int32, nc+1)
+	// Reverse rows: one counting scatter from the forward ones, sources
+	// in increasing order within every row.
 	c.roff = make([]int32, nc+1)
-	for i := 0; i < m; i++ {
-		c.foff[ws.esrc[i]+1]++
-		c.roff[ws.edst[i]+1]++
+	for _, d := range c.fedges {
+		c.roff[d+1]++
 	}
 	for i := 1; i <= nc; i++ {
-		c.foff[i] += c.foff[i-1]
 		c.roff[i] += c.roff[i-1]
 	}
-	c.fedges = make([]int32, m)
-	c.redges = make([]int32, m)
+	c.redges = make([]int32, len(c.fedges))
 	cur := ws.counters(nc)
-	for i := 0; i < m; i++ {
-		s := ws.esrc[i]
-		c.fedges[c.foff[s]+cur[s]] = ws.edst[i]
-		cur[s]++
-	}
-	cur = ws.counters(nc)
-	for i := 0; i < m; i++ {
-		d := ws.edst[i]
-		c.redges[c.roff[d]+cur[d]] = ws.esrc[i]
-		cur[d]++
+	for s := int32(0); s < int32(nc); s++ {
+		for _, d := range c.fedges[c.foff[s]:c.foff[s+1]] {
+			c.redges[c.roff[d]+cur[d]] = s
+			cur[d]++
+		}
 	}
 	return c
 }

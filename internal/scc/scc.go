@@ -9,7 +9,12 @@
 //
 // The decomposition is Tarjan's algorithm made fully iterative
 // (explicit DFS frames, no recursion), so partition-sized graphs with
-// deep path structure cannot overflow the goroutine stack.
+// deep path structure cannot overflow the goroutine stack. A frame is a
+// vertex and the index of its next edge; each time the walk resumes a
+// frame it fetches the vertex's row once and scans on until it finds an
+// unvisited successor or the row ends. The condensation writes the
+// forward DAG rows straight from the vertices grouped by component, and
+// the reverse rows with one counting scatter from the forward ones.
 package scc
 
 // Adjacency is the minimal read-only graph view the decomposition
@@ -39,8 +44,7 @@ type Workspace struct {
 	onStack []bool
 	stack   []int32 // Tarjan component stack
 	frames  []frame // explicit DFS stack
-	esrc    []int32 // condensation edge staging: source components
-	edst    []int32 // condensation edge staging: target components
+	dag     []int32 // forward DAG rows, staged until their total is known
 	seen    []int32 // per-source-component dedup marks
 	cnt     []int32 // CSR fill cursors
 	members []int32 // vertices grouped by component, for the edge scan
@@ -99,26 +103,32 @@ func Decompose(g Adjacency, ws *Workspace) (comp []int32, ncomp int) {
 		ws.stack = append(ws.stack, int32(r))
 		ws.onStack[r] = true
 		ws.frames = append(ws.frames, frame{v: int32(r)})
+	resume:
 		for len(ws.frames) > 0 {
-			f := &ws.frames[len(ws.frames)-1]
-			v := f.v
-			if out := g.Out(v); int(f.ei) < len(out) {
-				w := out[f.ei]
-				f.ei++
+			// Resume the top frame: fetch its row once, scan it from
+			// where the frame left off, and suspend the frame again at
+			// the first unvisited successor, which becomes the new top.
+			top := len(ws.frames) - 1
+			v := ws.frames[top].v
+			out := g.Out(v)
+			for ei := ws.frames[top].ei; int(ei) < len(out); ei++ {
+				w := out[ei]
 				if ws.num[w] == 0 {
+					ws.frames[top].ei = ei + 1
 					ws.num[w], ws.low[w] = next, next
 					next++
 					ws.stack = append(ws.stack, w)
 					ws.onStack[w] = true
 					ws.frames = append(ws.frames, frame{v: w})
-				} else if ws.onStack[w] && ws.num[w] < ws.low[v] {
+					continue resume
+				}
+				if ws.onStack[w] && ws.num[w] < ws.low[v] {
 					ws.low[v] = ws.num[w]
 				}
-				continue
 			}
 			// v is fully explored: return to the parent, then emit an
 			// SCC if v is its root.
-			ws.frames = ws.frames[:len(ws.frames)-1]
+			ws.frames = ws.frames[:top]
 			if len(ws.frames) > 0 {
 				if p := &ws.frames[len(ws.frames)-1]; ws.low[v] < ws.low[p.v] {
 					ws.low[p.v] = ws.low[v]
