@@ -15,8 +15,8 @@ FUZZ_TIME ?= 30s
 # Committed coverage minima, one pkg:min entry per gated package: the
 # replication/failover-critical packages plus the wire protocol, the
 # telemetry, the serving layer, the snapshot codec, the partition
-# extraction with its ownership index and the SCC condensation
-# (cover-gate). The slack absorbs
+# extraction with its ownership index, the locality partitioner, the
+# graph and its loader, and the SCC condensation (cover-gate). The slack absorbs
 # small refactors, while a real test deletion trips the gate. Gating
 # another package is one more entry here.
 COVER_GATE ?= \
@@ -29,6 +29,8 @@ COVER_GATE ?= \
 	internal/serve:85.0 \
 	internal/snapshot:92.0 \
 	internal/partition:92.0 \
+	internal/partition/locality:97.0 \
+	internal/graph:85.0 \
 	internal/scc:94.0
 
 .PHONY: build test test-e2e vet fmt fmt-check lint bench bench-smoke bench-json bench-baseline bench-gate bench-harness-test ab cover-gate fuzz-smoke doc-check size vulncheck
@@ -180,9 +182,11 @@ ab:
 # reader against the general trim/split/ParseUint rule, the
 # coordinator's two-cursor boundary finish
 # against a per-query BFS on boundary graphs and rounds decoded the same
-# way, and the coordinator's bucketed boundary stitch against the
+# way, the coordinator's bucketed boundary stitch against the
 # binary-search stitch it replaced on fleets of up to four summaries
-# decoded the same way — growing the corpus instead of only replaying
+# decoded the same way, and the locality partitioner against its
+# full-scan reference on small multigraphs and options decoded the same
+# way — growing the corpus instead of only replaying
 # committed seeds.
 # Any crasher go finds is written to testdata/fuzz and fails the run.
 fuzz-smoke:
@@ -198,6 +202,7 @@ fuzz-smoke:
 	$(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzLoadEdgeList$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzBoundaryFinish$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzStitchBoundary$$' -fuzztime=$(FUZZ_TIME)
+	$(GO) test ./internal/partition/locality -run='^$$' -fuzz='^FuzzPartitionMatchesReference$$' -fuzztime=$(FUZZ_TIME)
 
 # Godoc hygiene gate: every package must carry a package comment, the
 # packages tools/doccheck lists as strict (internal/serve) must

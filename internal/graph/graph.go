@@ -1,21 +1,20 @@
 // Package graph provides the in-memory directed graph used by the DSR
-// engine: a compact CSR (compressed sparse row) representation with both
-// forward and reverse adjacency, an incremental Builder, an edge-list
-// loader, and deterministic partitioners that label every vertex with a
-// partition and mark boundary vertices.
+// engine: a compact forward CSR (compressed sparse row) representation,
+// an incremental Builder, an edge-list loader, and deterministic
+// partitioners that label every vertex with a partition and mark
+// boundary vertices.
 package graph
 
 // VertexID identifies a vertex. Vertices are dense: 0..NumVertices()-1.
 type VertexID = uint32
 
-// Graph is an immutable directed graph in CSR form. Both forward and
-// reverse adjacency are materialized so that local backward searches
-// (needed for target-side set reachability) are as cheap as forward ones.
+// Graph is an immutable directed graph in CSR form, out-neighbors only.
+// Nothing reads a vertex's in-neighbors from it: backward searches run
+// on a partition's condensation (internal/scc), and the locality
+// partitioner builds the undirected view it walks itself.
 type Graph struct {
-	offsets  []int64
-	edges    []VertexID
-	roffsets []int64
-	redges   []VertexID
+	offsets []int64
+	edges   []VertexID
 }
 
 // NumVertices returns the number of vertices.
@@ -28,12 +27,6 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // mutate it.
 func (g *Graph) Out(v VertexID) []VertexID {
 	return g.edges[g.offsets[v]:g.offsets[v+1]]
-}
-
-// In returns the in-neighbors of v as a shared slice; callers must not
-// mutate it.
-func (g *Graph) In(v VertexID) []VertexID {
-	return g.redges[g.roffsets[v]:g.roffsets[v+1]]
 }
 
 // Edges calls fn for every directed edge (u, v).
@@ -52,25 +45,28 @@ func (g *Graph) Edges(fn func(u, v VertexID)) {
 // refuse a shard whose graph differs even when the vertex count
 // happens to match.
 func (g *Graph) Fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xFF
-			h *= prime64
-			x >>= 8
-		}
-	}
-	mix(uint64(g.NumVertices()))
+	h := fnvMix(fnvOffset, uint64(g.NumVertices()))
 	for u := 0; u < g.NumVertices(); u++ {
 		nbrs := g.Out(VertexID(u))
-		mix(uint64(len(nbrs)))
+		h = fnvMix(h, uint64(len(nbrs)))
 		for _, v := range nbrs {
-			mix(uint64(v))
+			h = fnvMix(h, uint64(v))
 		}
+	}
+	return h
+}
+
+// fnvOffset is the FNV-1a 64-bit offset basis, the state fnvMix starts
+// from.
+const fnvOffset = 14695981039346656037
+
+// fnvMix folds the 8 little-endian bytes of x into the FNV-1a 64-bit
+// state h.
+func fnvMix(h, x uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= x & 0xFF
+		h *= 1099511628211
+		x >>= 8
 	}
 	return h
 }
@@ -104,31 +100,21 @@ func (b *Builder) AddEdge(u, v VertexID) {
 // Build produces the CSR graph. The Builder may be reused afterwards, but
 // edges already added remain.
 func (b *Builder) Build() *Graph {
-	g := &Graph{
-		offsets:  make([]int64, b.n+1),
-		roffsets: make([]int64, b.n+1),
-		edges:    make([]VertexID, len(b.src)),
-		redges:   make([]VertexID, len(b.src)),
-	}
-	// Counting sort by source (forward CSR) and by destination (reverse).
+	// Counting sort by source, stable so a row keeps insertion order.
+	// Source u's count goes to off[u+2]; after the prefix sum off[u+1]
+	// is where row u starts, and it serves as u's cursor while filling,
+	// so it ends where row u+1 starts: off[:n+1] are the row offsets.
+	off := make([]int64, b.n+2)
 	for _, u := range b.src {
-		g.offsets[u+1]++
+		off[u+2]++
 	}
-	for _, v := range b.dst {
-		g.roffsets[v+1]++
+	for i := 2; i <= b.n+1; i++ {
+		off[i] += off[i-1]
 	}
-	for i := 1; i <= b.n; i++ {
-		g.offsets[i] += g.offsets[i-1]
-		g.roffsets[i] += g.roffsets[i-1]
+	edges := make([]VertexID, len(b.src))
+	for i, u := range b.src {
+		edges[off[u+1]] = b.dst[i]
+		off[u+1]++
 	}
-	fcur := make([]int64, b.n)
-	rcur := make([]int64, b.n)
-	for i := range b.src {
-		u, v := b.src[i], b.dst[i]
-		g.edges[g.offsets[u]+fcur[u]] = v
-		fcur[u]++
-		g.redges[g.roffsets[v]+rcur[v]] = u
-		rcur[v]++
-	}
-	return g
+	return &Graph{offsets: off[:b.n+1], edges: edges}
 }

@@ -27,21 +27,9 @@ type Partitioning struct {
 // about vertex placement. 0 is never returned, so a digest can always
 // be distinguished from "not computed".
 func (p *Partitioning) Digest() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xFF
-			h *= prime64
-			x >>= 8
-		}
-	}
-	mix(uint64(p.K))
+	h := fnvMix(fnvOffset, uint64(p.K))
 	for _, l := range p.Part {
-		mix(uint64(uint32(l)))
+		h = fnvMix(h, uint64(uint32(l)))
 	}
 	if h == 0 {
 		h = 1

@@ -5,6 +5,12 @@
 // partitioning makes nearly every vertex a boundary vertex on graphs
 // with community structure; this partitioner finds the communities.
 //
+// All three phases work on the undirected view of the graph, built
+// once per Partition from the out-rows by a counting sort: row v lists
+// v's out- and in-neighbors, self-loops dropped, multi-edges kept (an
+// edge u→w and an edge w→u both count, in both rows). Every phase reads
+// one row per vertex, and the graph itself keeps no reverse adjacency.
+//
 // Three phases, all deterministic for a fixed Options.Seed:
 //
 //  1. Coarsening — iterative label propagation (LPA): every vertex
@@ -18,7 +24,7 @@
 //     it shares the most edge weight with among those with room
 //     (clusters that fit nowhere whole are split vertex-by-vertex, so
 //     the size cap holds unconditionally). The weights are summed from
-//     the cluster's members' adjacency rows at placement time.
+//     the cluster's members' rows at placement time.
 //  3. Refinement — Fiduccia–Mattheyses-style single-vertex moves: passes
 //     over the vertices move any vertex whose cut-edge gain (cross
 //     edges removed minus cross edges added) is strictly positive and
@@ -35,6 +41,15 @@
 // community graph, rounds after the second look at a few thousand
 // vertices instead of all of them (dirtySet has the argument).
 //
+// What a decision reads per vertex is kept small: coarsening counts
+// the neighbor labels in a hash table of about twice the vertex's
+// degree (tally) instead of an n-sized count array, reads ahead of its
+// visit order (prefetchSink), and keeps which labels are full and which
+// vertices are clean in bitmaps; packing reads a neighbor's partition
+// from one per-vertex array. The labels are those of the plain scan,
+// bit for bit: TestPartitionMatchesReference and
+// FuzzPartitionMatchesReference hold them to it.
+//
 // The output is an ordinary *graph.Partitioning, so everything
 // downstream (subgraph extraction, boundary compression, shards) is
 // untouched; New adapts it to the graph.Partitioner interface used by
@@ -45,7 +60,9 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"dsr/internal/graph"
 )
@@ -59,9 +76,10 @@ type Options struct {
 	Seed int64
 	// Rounds caps LPA iterations. Default 10.
 	Rounds int
-	// Balance caps partition (and cluster) size at Balance * n/k.
-	// Default 1.15. Values <= 1 would make exact packing impossible and
-	// are rejected.
+	// Balance caps partition (and cluster) size at Balance * n/k, and
+	// never below ceil(n/k) nor above n. Default 1.15. Values <= 1 would
+	// make exact packing impossible and are rejected, as are NaN and
+	// infinities.
 	Balance float64
 	// RefinePasses caps refinement sweeps. Default 6; 0 means default,
 	// negative disables refinement.
@@ -100,8 +118,8 @@ func Partition(g *graph.Graph, k int, opts Options) (*graph.Partitioning, error)
 		return nil, fmt.Errorf("locality: partition count must be >= 1, got %d", k)
 	}
 	opts = opts.withDefaults()
-	if opts.Balance <= 1 {
-		return nil, fmt.Errorf("locality: balance must be > 1, got %g", opts.Balance)
+	if opts.Balance <= 1 || math.IsNaN(opts.Balance) || math.IsInf(opts.Balance, 0) {
+		return nil, fmt.Errorf("locality: balance must be a finite number > 1, got %g", opts.Balance)
 	}
 	if opts.Rounds < 1 {
 		return nil, fmt.Errorf("locality: rounds must be >= 1, got %d", opts.Rounds)
@@ -113,24 +131,62 @@ func Partition(g *graph.Graph, k int, opts Options) (*graph.Partitioning, error)
 		return finish(g, k, labels)
 	}
 	capacity := capacityFor(n, k, opts.Balance)
-	rng := newSplitMix(uint64(opts.Seed))
-	coarsen(g, labels, capacity, opts.Rounds, rng)
-	part := pack(g, labels, k, capacity)
+	adj := undirected(g)
+	coarsen(adj, labels, capacity, opts.Rounds, newSplitMix(uint64(opts.Seed)))
+	part := pack(adj, labels, k, capacity)
 	if opts.RefinePasses > 0 {
-		refine(g, part, k, capacity, opts.RefinePasses)
+		refine(adj, part, k, capacity, opts.RefinePasses)
 	}
 	return finish(g, k, part)
 }
 
 // capacityFor is the hard per-partition (and per-cluster: a cluster
 // larger than a partition could never be placed) size cap. It is always
-// >= ceil(n/k), so packing every vertex is always possible.
+// >= ceil(n/k), so packing every vertex is always possible, and <= n,
+// which already caps nothing (so a huge balance cannot overflow int32).
 func capacityFor(n, k int, balance float64) int32 {
-	capacity := int32(math.Ceil(balance * float64(n) / float64(k)))
-	if ideal := int32((n + k - 1) / k); capacity < ideal {
-		capacity = ideal
+	capacity := math.Ceil(balance * float64(n) / float64(k))
+	ideal := float64((n + k - 1) / k)
+	return int32(min(max(capacity, ideal), float64(n)))
+}
+
+// adjacency is the undirected view of a graph in CSR form: row v lists
+// v's out- and in-neighbors, self-loops dropped, multi-edges kept.
+type adjacency struct {
+	off []int64
+	nbr []graph.VertexID
+}
+
+func (a adjacency) row(v int32) []graph.VertexID { return a.nbr[a.off[v]:a.off[v+1]] }
+
+// undirected builds g's undirected view with a counting sort over its
+// out-rows. Offsets are int64 like the graph's own: a row total is at
+// most twice the edge count.
+func undirected(g *graph.Graph) adjacency {
+	n := g.NumVertices()
+	// Vertex v's degree goes to off[v+2]; after the prefix sum off[v+1]
+	// is where row v starts and serves as v's cursor while filling, so
+	// it ends where row v+1 starts: off[:n+1] are the row offsets.
+	off := make([]int64, n+2)
+	g.Edges(func(u, w graph.VertexID) {
+		if u != w {
+			off[u+2]++
+			off[w+2]++
+		}
+	})
+	for i := 2; i <= n+1; i++ {
+		off[i] += off[i-1]
 	}
-	return capacity
+	nbr := make([]graph.VertexID, off[n+1])
+	g.Edges(func(u, w graph.VertexID) {
+		if u != w {
+			nbr[off[u+1]] = w
+			off[u+1]++
+			nbr[off[w+1]] = u
+			off[w+1]++
+		}
+	})
+	return adjacency{off: off[:n+1], nbr: nbr}
 }
 
 // finish runs the labels through graph.PartitionWith, which validates
@@ -139,72 +195,60 @@ func finish(g *graph.Graph, k int, part []int32) (*graph.Partitioning, error) {
 	return graph.PartitionWith(g, k, func(v graph.VertexID, _, _ int) int32 { return part[v] })
 }
 
-// coarsen runs capped label propagation over the undirected view of g,
-// leaving the cluster label of every vertex in labels. Labels are drawn
-// from the vertex-ID space (a cluster is named after some member).
-// Every round shuffles the whole visit order, but only dirty vertices
-// (see dirtySet) are re-evaluated: a clean one would stay where it is.
-func coarsen(g *graph.Graph, labels []int32, capacity int32, rounds int, rng *splitMix) {
+// coarsen runs capped label propagation over adj, leaving the cluster
+// label of every vertex in labels. Labels are drawn from the vertex-ID
+// space (a cluster is named after some member). Every round shuffles
+// the whole visit order, but only dirty vertices (see dirtySet) are
+// re-evaluated: a clean one would stay where it is.
+func coarsen(adj adjacency, labels []int32, capacity int32, rounds int, rng *splitMix) {
 	n := len(labels)
-	for v := range labels {
-		labels[v] = int32(v)
-	}
-	size := make([]int32, n) // cluster label -> member count
-	for v := range size {
-		size[v] = 1
-	}
-	// count is an epoch-free scratch: count[l] is only meaningful for
-	// labels recorded in touched, and is re-zeroed after every vertex.
-	count := make([]int32, n)
-	touched := make([]int32, 0, 64)
+	size := make([]int32, n)  // cluster label -> member count
+	fullLabel := newBitset(n) // labels with size >= capacity
 	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+	for v := range labels {
+		labels[v], size[v], order[v] = int32(v), 1, int32(v)
+		if size[v] >= capacity {
+			fullLabel.set(int32(v))
+		}
 	}
+	var tl tally
 	dirty := newDirtySet(n)
+	var sink int64
 	for round := 0; round < rounds; round++ {
 		rng.shuffle(order)
 		moved := 0
-		for _, v := range order {
+		for i, v := range order {
+			if i+16 < n { // read ahead: see prefetchSink
+				if u := order[i+16]; !dirty.clean.has(u) {
+					sink += adj.off[u]
+				}
+				if u := order[i+8]; !dirty.clean.has(u) && adj.off[u] < adj.off[u+1] {
+					sink += int64(adj.nbr[adj.off[u]])
+				}
+				if u := order[i+4]; !dirty.clean.has(u) {
+					for _, w := range adj.row(u) {
+						sink += int64(labels[w])
+					}
+				}
+			}
 			if !dirty.take(v) {
 				continue
 			}
 			cur := labels[v]
-			touched = touched[:0]
-			for _, w := range g.Out(graph.VertexID(v)) {
-				if int32(w) == v {
-					continue
-				}
-				l := labels[w]
-				if count[l] == 0 {
-					touched = append(touched, l)
-				}
-				count[l]++
-			}
-			for _, w := range g.In(graph.VertexID(v)) {
-				if int32(w) == v {
-					continue
-				}
-				l := labels[w]
-				if count[l] == 0 {
-					touched = append(touched, l)
-				}
-				count[l]++
+			row := adj.row(v)
+			tl.reset(len(row))
+			for _, w := range row {
+				tl.add(labels[w])
 			}
 			// Pick the heaviest neighbor label with room; prefer the
 			// current label on ties (stability), then the smallest label
 			// (determinism regardless of visit order).
-			best, bestCount := cur, count[cur]
-			full := false
-			for _, l := range touched {
-				if l == cur {
+			best, bestCount := cur, tl.count[tl.slot(cur)]
+			for _, i := range tl.used {
+				l, c := tl.label[i], tl.count[i]
+				if l == cur || fullLabel.has(l) {
 					continue
 				}
-				if size[l] >= capacity {
-					full = true
-					continue
-				}
-				c := count[l]
 				// Only a strictly heavier label displaces the current one
 				// (stability); among equally-heavy challengers the smallest
 				// label wins (determinism regardless of visit order).
@@ -212,31 +256,85 @@ func coarsen(g *graph.Graph, labels []int32, capacity int32, rounds int, rng *sp
 					best, bestCount = l, c
 				}
 			}
-			if full {
-				for _, l := range touched {
-					if size[l] >= capacity && count[l] > bestCount {
-						dirty.block(v, l)
-					}
+			for _, i := range tl.used {
+				if l := tl.label[i]; tl.count[i] > bestCount && fullLabel.has(l) {
+					dirty.block(v, l)
 				}
-			}
-			for _, l := range touched {
-				count[l] = 0
 			}
 			if best != cur {
-				size[cur]--
-				size[best]++
-				labels[v] = best
-				moved++
-				dirty.moved(g, v, labels)
-				if size[cur] == capacity-1 {
+				if fullLabel.has(cur) {
+					fullLabel.unset(cur)
 					dirty.freed(cur)
 				}
+				size[cur]--
+				size[best]++
+				if size[best] == capacity {
+					fullLabel.set(best)
+				}
+				labels[v] = best
+				moved++
+				dirty.moved(adj, v, labels)
 			}
 		}
 		if moved == 0 {
 			break
 		}
 	}
+	prefetchSink.Add(sink)
+}
+
+// prefetchSink receives the sums of coarsen's read-ahead. Each visit
+// first reads what evaluating a vertex further down the visit order
+// will read — the row offsets of the vertex 16 places ahead, the row of
+// the one 8 ahead (its offsets read 8 visits ago), the neighbors'
+// labels of the one 4 ahead (its row read 4 visits ago) — skipping
+// clean vertices, which will not be evaluated. The cache misses of the
+// vertices to come then overlap with the work on the current one
+// instead of queuing behind it. Nothing reads the sink; storing the
+// sum only keeps the compiler from dropping the reads.
+var prefetchSink atomic.Int64
+
+// tally counts the labels of one vertex's neighbors in an
+// open-addressing table of at least twice the vertex's degree, so the
+// counts stay in cache however many labels the graph has.
+type tally struct {
+	label []int32 // per slot, -1 when empty
+	count []int32
+	used  []int32 // occupied slots, in the order they were filled
+	mask  uint32
+}
+
+// reset empties the table and readies it for a vertex of the given
+// degree.
+func (t *tally) reset(degree int) {
+	for _, i := range t.used {
+		t.label[i], t.count[i] = -1, 0
+	}
+	t.used = t.used[:0]
+	size := 1 << bits.Len(uint(2*degree))
+	for len(t.label) < size {
+		t.label, t.count = append(t.label, -1), append(t.count, 0)
+	}
+	t.mask = uint32(size - 1)
+}
+
+// slot returns the slot holding l, or the empty one where it would go.
+func (t *tally) slot(l int32) uint32 {
+	h := uint32(l) * 0x9E3779B1
+	i := (h ^ h>>15) & t.mask
+	for t.label[i] != l && t.label[i] >= 0 {
+		i = (i + 1) & t.mask
+	}
+	return i
+}
+
+func (t *tally) add(l int32) {
+	i := t.slot(l)
+	if t.label[i] < 0 {
+		t.label[i] = l
+		t.used = append(t.used, int32(i))
+	}
+	t.count[i]++
 }
 
 // pack densifies the cluster labels and greedily bin-packs clusters
@@ -246,7 +344,7 @@ func coarsen(g *graph.Graph, labels []int32, capacity int32, rounds int, rng *sp
 // fragmentation) is split across least-loaded partitions vertex by
 // vertex, so the capacity cap holds unconditionally. Returns the
 // per-vertex partition assignment.
-func pack(g *graph.Graph, labels []int32, k int, capacity int32) []int32 {
+func pack(adj adjacency, labels []int32, k int, capacity int32) []int32 {
 	n := len(labels)
 	// Densify cluster IDs.
 	dense := make([]int32, n) // label -> dense cluster id, lazily assigned
@@ -254,15 +352,12 @@ func pack(g *graph.Graph, labels []int32, k int, capacity int32) []int32 {
 		dense[i] = -1
 	}
 	var sizes []int32
-	cluster := make([]int32, n) // vertex -> dense cluster id
-	for v := 0; v < n; v++ {
-		l := labels[v]
+	for _, l := range labels {
 		if dense[l] < 0 {
 			dense[l] = int32(len(sizes))
 			sizes = append(sizes, 0)
 		}
-		cluster[v] = dense[l]
-		sizes[cluster[v]]++
+		sizes[dense[l]]++
 	}
 	nc := len(sizes)
 
@@ -273,9 +368,10 @@ func pack(g *graph.Graph, labels []int32, k int, capacity int32) []int32 {
 		start[c+1] = start[c] + sizes[c]
 	}
 	next := slices.Clone(start[:nc])
-	members := make([]graph.VertexID, n)
-	for v, c := range cluster {
-		members[next[c]] = graph.VertexID(v)
+	members := make([]int32, n)
+	for v, l := range labels {
+		c := dense[l]
+		members[next[c]] = int32(v)
 		next[c]++
 	}
 
@@ -292,29 +388,24 @@ func pack(g *graph.Graph, labels []int32, k int, capacity int32) []int32 {
 		}
 		return cmp.Compare(a, b)
 	})
-	assign := make([]int32, nc)
-	for i := range assign {
-		assign[i] = -1
+	part := make([]int32, n) // -1 until v's cluster is placed
+	for v := range part {
+		part[v] = -1
 	}
 	load := make([]int32, k)
 	aff := make([]int64, k)
-	// affinity adds to aff every edge between c and an already placed
-	// cluster, once: a cut edge has exactly one endpoint among c's
-	// members, so it is read from that member's Out or In row alone.
-	affinity := func(c int32, nbrs []graph.VertexID) {
-		for _, w := range nbrs {
-			if d := cluster[w]; d != c {
-				if a := assign[d]; a >= 0 {
-					aff[a]++
+	for _, c := range orderC {
+		// aff gets every edge between c and an already placed cluster,
+		// once: such an edge has exactly one endpoint among c's members,
+		// whose own partition is still -1.
+		clear(aff)
+		mem := members[start[c]:start[c+1]]
+		for _, u := range mem {
+			for _, w := range adj.row(u) {
+				if p := part[w]; p >= 0 {
+					aff[p]++
 				}
 			}
-		}
-	}
-	for _, c := range orderC {
-		clear(aff)
-		for _, u := range members[start[c]:start[c+1]] {
-			affinity(c, g.Out(u))
-			affinity(c, g.In(u))
 		}
 		best := int32(-1)
 		for p := 0; p < k; p++ {
@@ -332,15 +423,14 @@ func pack(g *graph.Graph, labels []int32, k int, capacity int32) []int32 {
 		// split vertex-by-vertex below instead of dumped whole onto one
 		// partition, which would silently blow the Balance cap.
 		if best >= 0 {
-			assign[c] = best
 			load[best] += sizes[c]
+			for _, u := range mem {
+				part[u] = best
+			}
 		}
 	}
-	part := make([]int32, n)
-	for v := 0; v < n; v++ {
-		c := cluster[v]
-		if assign[c] >= 0 {
-			part[v] = assign[c]
+	for v := range part {
+		if part[v] >= 0 {
 			continue
 		}
 		// Split-cluster vertex: least-loaded partition with room. One
@@ -358,14 +448,14 @@ func pack(g *graph.Graph, labels []int32, k int, capacity int32) []int32 {
 	return part
 }
 
-// refine performs FM-style single-vertex moves over the undirected view:
-// a vertex moves to the partition holding most of its neighbors when
-// that strictly reduces the number of cut edges and the destination has
-// room. Each pass scans vertices in ID order; passes stop early once
-// nothing moves. Total cut weight strictly decreases with every move,
-// so termination is guaranteed without FM's tenure bookkeeping. As in
+// refine performs FM-style single-vertex moves over adj: a vertex moves
+// to the partition holding most of its neighbors when that strictly
+// reduces the number of cut edges and the destination has room. Each
+// pass scans vertices in ID order; passes stop early once nothing
+// moves. Total cut weight strictly decreases with every move, so
+// termination is guaranteed without FM's tenure bookkeeping. As in
 // coarsen, only dirty vertices are re-evaluated.
-func refine(g *graph.Graph, part []int32, k int, capacity int32, passes int) {
+func refine(adj adjacency, part []int32, k int, capacity int32, passes int) {
 	n := len(part)
 	load := make([]int32, k)
 	for _, p := range part {
@@ -380,31 +470,17 @@ func refine(g *graph.Graph, part []int32, k int, capacity int32, passes int) {
 				continue
 			}
 			p := part[v]
+			row := adj.row(v)
 			clear(ext)
-			deg := 0
-			for _, w := range g.Out(graph.VertexID(v)) {
-				if int32(w) != v {
-					ext[part[w]]++
-					deg++
-				}
+			for _, w := range row {
+				ext[part[w]]++
 			}
-			for _, w := range g.In(graph.VertexID(v)) {
-				if int32(w) != v {
-					ext[part[w]]++
-					deg++
-				}
-			}
-			if deg == 0 || int64(deg) == ext[p] {
+			if int64(len(row)) == ext[p] {
 				continue // isolated, or fully internal already
 			}
 			best, bestGain := p, int64(0)
-			full := false
 			for q := int32(0); q < int32(k); q++ {
-				if q == p {
-					continue
-				}
-				if load[q]+1 > capacity {
-					full = true
+				if q == p || load[q]+1 > capacity {
 					continue
 				}
 				// gain = cut edges removed - cut edges added when v moves
@@ -413,11 +489,9 @@ func refine(g *graph.Graph, part []int32, k int, capacity int32, passes int) {
 					best, bestGain = q, gain
 				}
 			}
-			if full {
-				for q := int32(0); q < int32(k); q++ {
-					if load[q]+1 > capacity && ext[q] > ext[best] {
-						dirty.block(v, q)
-					}
+			for q := int32(0); q < int32(k); q++ {
+				if load[q]+1 > capacity && ext[q] > ext[best] {
+					dirty.block(v, q)
 				}
 			}
 			if best != p {
@@ -425,7 +499,7 @@ func refine(g *graph.Graph, part []int32, k int, capacity int32, passes int) {
 				load[best]++
 				part[v] = best
 				moved++
-				dirty.moved(g, v, part)
+				dirty.moved(adj, v, part)
 				if load[p] == capacity-1 {
 					dirty.freed(p)
 				}
@@ -457,36 +531,31 @@ func refine(g *graph.Graph, part []int32, k int, capacity int32, passes int) {
 // So a skipped vertex is one the full scan would have left where it
 // is, and the labels are the full scan's, label for label.
 type dirtySet struct {
-	clean   []bool
+	clean   bitset
 	blocked map[int32][]int32 // full label -> vertices it kept from moving
 }
 
 func newDirtySet(n int) dirtySet {
-	return dirtySet{clean: make([]bool, n), blocked: map[int32][]int32{}}
+	return dirtySet{clean: newBitset(n), blocked: map[int32][]int32{}}
 }
 
 // take reports whether v is dirty and marks it clean: the caller
 // evaluates it now.
 func (d *dirtySet) take(v int32) bool {
-	if d.clean[v] {
+	if d.clean.has(v) {
 		return false
 	}
-	d.clean[v] = true
+	d.clean.set(v)
 	return true
 }
 
 // moved dirties the neighbors of v, which just changed label, that are
 // not in v's new label.
-func (d *dirtySet) moved(g *graph.Graph, v int32, labels []int32) {
+func (d *dirtySet) moved(adj adjacency, v int32, labels []int32) {
 	l := labels[v]
-	for _, w := range g.Out(graph.VertexID(v)) {
+	for _, w := range adj.row(v) {
 		if labels[w] != l {
-			d.clean[w] = false
-		}
-	}
-	for _, w := range g.In(graph.VertexID(v)) {
-		if labels[w] != l {
-			d.clean[w] = false
+			d.clean.unset(int32(w))
 		}
 	}
 }
@@ -498,10 +567,20 @@ func (d *dirtySet) block(v, l int32) { d.blocked[l] = append(d.blocked[l], v) }
 // freed dirties the vertices the full label l blocked: it has room again.
 func (d *dirtySet) freed(l int32) {
 	for _, v := range d.blocked[l] {
-		d.clean[v] = false
+		d.clean.unset(v)
 	}
 	delete(d.blocked, l)
 }
+
+// bitset is a set of vertices or labels, one bit each: n/8 bytes, so
+// the per-vertex flags a phase tests on every visit stay in cache.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) set(i int32)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) unset(i int32)    { b[i>>6] &^= 1 << (i & 63) }
 
 // splitMix is a tiny deterministic PRNG (splitmix64) used for visit
 // order shuffles; math/rand would also work, but an explicit generator

@@ -88,6 +88,51 @@ func TestPartitionMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzPartitionMatchesReference holds Partition to the full-scan
+// reference on small multigraphs decoded from the fuzz bytes: a 6-byte
+// header — k, seed, rounds, balance, refine passes, vertex count — then
+// one edge per byte pair, taken modulo the vertex count, so self-loops,
+// multi-edges and isolated vertices all come up. Balances sit just
+// above 1, where capacity crossings are routine.
+func FuzzPartitionMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 7, 3, 0, 2, 11, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3, 2, 3, 7, 7, 0, 1})
+	f.Add([]byte{3, 1, 11, 255, 4, 40, 0, 1, 0, 1, 1, 0, 9, 9, 9, 30, 30, 9, 12, 13, 13, 14, 14, 12, 20, 21})
+	f.Add([]byte{0, 42, 0, 10, 0, 5, 0, 0, 1, 1, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		k := 2 + int(data[0]%7)
+		opts := Options{
+			Seed:         int64(data[1]),
+			Rounds:       1 + int(data[2]%12),
+			Balance:      1 + float64(1+int(data[3]))/1024,
+			RefinePasses: int(data[4]%12) - 1,
+		}
+		n := 1 + int(data[5]%64)
+		b := graph.NewBuilder(n)
+		for e := data[6:]; len(e) >= 2; e = e[2:] {
+			b.AddEdge(graph.VertexID(int(e[0])%n), graph.VertexID(int(e[1])%n))
+		}
+		g := b.Build()
+		pt, err := Partition(g, k, opts)
+		if err != nil {
+			t.Fatalf("n=%d, k=%d, %+v: %v", n, k, opts, err)
+		}
+		if want := referencePart(g, k, opts); !slices.Equal(pt.Part, want) {
+			t.Fatalf("n=%d, k=%d, %+v: labels %v, reference %v", n, k, opts, pt.Part, want)
+		}
+	})
+}
+
+// inNeighbors is the in-neighbor lookup the reference phases read
+// beside g.Out, in the order the graph's reverse CSR listed them.
+func inNeighbors(g *graph.Graph) [][]graph.VertexID {
+	in := make([][]graph.VertexID, g.NumVertices())
+	g.Edges(func(u, v graph.VertexID) { in[v] = append(in[v], u) })
+	return in
+}
+
 // referencePart is Partition's label pipeline over the reference phases.
 func referencePart(g *graph.Graph, k int, opts Options) []int32 {
 	opts = opts.withDefaults()
@@ -111,6 +156,7 @@ func referencePart(g *graph.Graph, k int, opts Options) []int32 {
 // from the vertex-ID space (a cluster is named after some member).
 func coarsenReference(g *graph.Graph, labels []int32, capacity int32, rounds int, rng *splitMix) {
 	n := len(labels)
+	in := inNeighbors(g)
 	for v := range labels {
 		labels[v] = int32(v)
 	}
@@ -142,7 +188,7 @@ func coarsenReference(g *graph.Graph, labels []int32, capacity int32, rounds int
 				}
 				count[l]++
 			}
-			for _, w := range g.In(graph.VertexID(v)) {
+			for _, w := range in[v] {
 				if int32(w) == v {
 					continue
 				}
@@ -313,6 +359,7 @@ func packReference(g *graph.Graph, labels []int32, k int, capacity int32) []int3
 // so termination is guaranteed without FM's tenure bookkeeping.
 func refineReference(g *graph.Graph, part []int32, k int, capacity int32, passes int) {
 	n := len(part)
+	in := inNeighbors(g)
 	load := make([]int32, k)
 	for _, p := range part {
 		load[p]++
@@ -332,7 +379,7 @@ func refineReference(g *graph.Graph, part []int32, k int, capacity int32, passes
 					deg++
 				}
 			}
-			for _, w := range g.In(graph.VertexID(v)) {
+			for _, w := range in[v] {
 				if int(w) != v {
 					ext[part[w]]++
 					deg++
