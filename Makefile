@@ -180,7 +180,10 @@ ab:
 # Subgraph.Local against a binary search on ownership sets and probes
 # decoded the same way, the edge-list loader's allocation-free line
 # reader against the general trim/split/ParseUint rule, the
-# coordinator's two-cursor boundary finish
+# single-partition extraction (ExtractOne: CSR, entries, exits, cross
+# edges) against the k-way reference on multigraphs and labellings
+# decoded the same way, with the exits a decode derives from the cross
+# edges in any order, the coordinator's two-cursor boundary finish
 # against a per-query BFS on boundary graphs and rounds decoded the same
 # way, the coordinator's bucketed boundary stitch against the
 # binary-search stitch it replaced on fleets of up to four summaries
@@ -199,6 +202,7 @@ fuzz-smoke:
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/shard -run='^$$' -fuzz='^FuzzShardRun$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzSubgraphLocal$$' -fuzztime=$(FUZZ_TIME)
+	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzExtractOne$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzLoadEdgeList$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzBoundaryFinish$$' -fuzztime=$(FUZZ_TIME)
 	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzStitchBoundary$$' -fuzztime=$(FUZZ_TIME)

@@ -99,6 +99,8 @@ func TestBinariesTCPEndToEnd(t *testing.T) {
 		}{
 			{"-graph with -shards", "cannot be combined with -shards", []string{"-graph", graphPath, "-shards", "127.0.0.1:1"}},
 			{"bad -partitioner", "-partitioner", []string{"-graph", graphPath, "-partitioner", "psychic"}},
+			{"-k 0", "-k must be >= 1", []string{"-graph", graphPath, "-k", "0"}},
+			{"negative -k", "-k must be >= 1", []string{"-graph", graphPath, "-k", "-3"}},
 		} {
 			var stderr strings.Builder
 			_, code := runQueryBinary(t, filepath.Join(bin, "dsr-query"), tc.args, "", &stderr)

@@ -87,6 +87,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dsr-query: -graph is required (in-process mode) or -shards (distributed mode)")
 		flag.Usage()
 		os.Exit(cli.ExitUsage)
+	} else if *k < 1 {
+		app.Usagef("-k must be >= 1, got %d", *k)
 	}
 	strat, err := locality.ParseSpec(*partitioner)
 	if err != nil {

@@ -62,6 +62,27 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 		}
 	})
 
+	// A bound below 1 is a bad flag value: exit 2 before the fleet is
+	// dialed (the address here has no shard behind it), not a silent
+	// rewrite to the default.
+	t.Run("bad-bounds", func(t *testing.T) {
+		for _, args := range [][]string{{"-batch-max", "0"}, {"-max-queued", "0"}, {"-max-per-client", "-1"}} {
+			var stderr strings.Builder
+			cmd := exec.Command(filepath.Join(bin, "dsr-serve"),
+				append([]string{"-shards", "127.0.0.1:1", "-connect-timeout", "2s"}, args...)...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var ee *exec.ExitError
+			if !isExit(err, &ee) || ee.ExitCode() != 2 {
+				t.Errorf("%v: %v, want exit 2\nstderr:\n%s", args, err, stderr.String())
+				continue
+			}
+			if want := args[0] + " must be >= 1"; !strings.Contains(stderr.String(), want) {
+				t.Errorf("%v: usage error does not say %q:\n%s", args, want, stderr.String())
+			}
+		}
+	})
+
 	shardAddrs, shards := bootShardFleet(t, bin, graphPath, 3, "hash")
 	fleetSpec := strings.Join(shardAddrs, ",")
 
@@ -119,6 +140,30 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 		counters := sv.scrape(t).Counters
 		if got := counters["dsr_cache_hits_total"]; got < 1 {
 			t.Errorf("dsr_cache_hits_total = %d, want >= 1", got)
+		}
+		sv.drain(t)
+	})
+
+	// -cache 0 is no cache, not the default size: sequential repeats
+	// all go to the engine.
+	t.Run("cache-off", func(t *testing.T) {
+		sv := startServe(t, bin, "-shards", fleetSpec, "-cache", "0")
+		c, err := serve.Dial(sv.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := 0; i < 3; i++ {
+			if ans, err := c.Query([]graph.VertexID{0}, []graph.VertexID{7}); err != nil || !ans {
+				t.Fatalf("query %d: (%v, %v), want true", i, ans, err)
+			}
+		}
+		counters := sv.scrape(t).Counters
+		if got := counters["dsr_cache_hits_total"]; got != 0 {
+			t.Errorf("dsr_cache_hits_total = %d, want 0 with -cache 0", got)
+		}
+		if got := counters["dsr_serve_batches_total"]; got != 3 {
+			t.Errorf("dsr_serve_batches_total = %d, want 3 rounds for 3 uncached queries", got)
 		}
 		sv.drain(t)
 	})

@@ -13,8 +13,8 @@
 //     up to -batch-max, so shard RPC fan-out is paid per batch, not per
 //     query; a query on an idle server leaves at once.
 //   - Result cache: a 2Q LRU over canonicalized query sets (-cache
-//     entries; negative disables). Sound because the served graph is
-//     immutable for the life of the fleet.
+//     entries; 0 or negative disables). Sound because the served graph
+//     is immutable for the life of the fleet.
 //   - Hedged requests (-hedge, replica groups required): batches that
 //     outlast a latency quantile are re-sent by the transport to an
 //     idle sibling replica, first answer wins.
@@ -23,8 +23,10 @@
 //     rejected queries get "error overload: <scope>" immediately
 //     instead of queueing forever.
 //
-// Flag misuse exits 2; a fleet whose shards disagree with each other
-// exits 3 (same contract as dsr-query); other startup failures exit 1.
+// Flag misuse exits 2 before the fleet is dialed, and so does a
+// -batch-max, -max-queued or -max-per-client below 1; a fleet whose
+// shards disagree with each other exits 3 (same contract as dsr-query);
+// other startup failures exit 1.
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight
 // requests finish (bounded by -drain), then the process exits 0. A
 // drain that runs out of budget closes the engine — which ends a round
@@ -54,7 +56,7 @@ func main() {
 		drain  = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
 
 		batchMax     = flag.Int("batch-max", 64, "the most queries one engine round carries; the rest wait for the next round")
-		cacheEntries = flag.Int("cache", 4096, "result-cache capacity in entries; negative disables caching")
+		cacheEntries = flag.Int("cache", 4096, "result-cache capacity in entries; 0 or negative disables caching")
 		maxQueued    = flag.Int("max-queued", 1024, "server-wide bound on queries admitted but not yet answered; beyond it clients get 'error overload: server'")
 		maxPerClient = flag.Int("max-per-client", 256, "per-connection outstanding-query bound; beyond it that client gets 'error overload: client'")
 
@@ -69,6 +71,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dsr-serve: -shards is required: the serving layer fronts a running shard fleet")
 		flag.Usage()
 		os.Exit(cli.ExitUsage)
+	}
+	for _, b := range []struct {
+		name string
+		v    int
+	}{{"-batch-max", *batchMax}, {"-max-queued", *maxQueued}, {"-max-per-client", *maxPerClient}} {
+		if b.v < 1 {
+			app.Usagef("%s must be >= 1, got %d", b.name, b.v)
+		}
+	}
+	if *cacheEntries < 1 {
+		*cacheEntries = -1 // serve.Options reads 0 as its default size
 	}
 	app.StartOps()
 	eng := app.Connect(shard.HedgeOptions{

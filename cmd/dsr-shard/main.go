@@ -15,9 +15,10 @@
 // the coordinator stitches into the global boundary graph; it verifies
 // the shards against each other via the handshake's vertex count,
 // graph fingerprint, and partitioning digest, and refuses a fleet
-// whose shards disagree. A bad flag value — an unknown -partitioner, an
-// -id outside [0, shards) — exits 2 before anything is loaded; what only
-// the work can discover exits 1 (README.md, "Exit codes").
+// whose shards disagree. A bad flag value — an unknown -partitioner, a
+// -shards below 1, an -id outside [0, shards) — exits 2 before anything
+// is loaded; what only the work can discover exits 1 (README.md, "Exit
+// codes").
 //
 // A shard built from -graph logs one boot line, "shard i/k
 // (<partitioner>-partitioned): … components: …; ms: load L, partition
@@ -92,6 +93,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dsr-shard: -snapshot-verify needs both -graph (to rebuild) and -snapshot-dir (to compare against)")
 		flag.Usage()
 		os.Exit(cli.ExitUsage)
+	}
+	if *numShards < 1 {
+		app.Usagef("-shards must be >= 1, got %d", *numShards)
 	}
 	if *shardID < 0 || *shardID >= *numShards {
 		app.Usagef("-id %d outside [0, %d)", *shardID, *numShards)

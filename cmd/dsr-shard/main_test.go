@@ -67,6 +67,12 @@ func TestFlagValidationExits(t *testing.T) {
 			wantErr:  "outside",
 		},
 		{
+			name:     "-shards below 1",
+			args:     []string{"-graph", graphPath, "-shards", "0"},
+			wantCode: cli.ExitUsage,
+			wantErr:  "-shards must be >= 1, got 0",
+		},
+		{
 			name:     "bad -partitioner",
 			args:     []string{"-graph", graphPath, "-partitioner", "psychic"},
 			wantCode: cli.ExitUsage,

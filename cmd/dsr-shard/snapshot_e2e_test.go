@@ -231,6 +231,20 @@ func TestSnapshotBootCycleTCP(t *testing.T) {
 		t.Errorf("rebuild after version skew did not rewrite the current snapshot (err %v)", err)
 	}
 
+	// Boot 4b: the same for a file a format-3 build wrote, the last
+	// format to store the exit list and the reverse DAG.
+	if err := os.WriteFile(snapPath, stampVersion(good, 3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p4b := startShard(t, bin, "-graph", graphPath, "-snapshot-dir", snapDir, "-listen", "127.0.0.1:0")
+	p4b.waitLine(`snapshot unusable, rebuilding from -graph: .*version skew: file is version 3`)
+	p4b.waitLine(`wrote snapshot`)
+	p4b.waitServing()
+	p4b.drain()
+	if rewritten, err := os.ReadFile(snapPath); err != nil || string(rewritten) != string(good) {
+		t.Errorf("rebuild after format-3 skew did not rewrite the current snapshot (err %v)", err)
+	}
+
 	// Boot 5: corrupt snapshot and nothing to rebuild from — fatal.
 	if err := os.WriteFile(snapPath, bad, 0o644); err != nil {
 		t.Fatal(err)

@@ -290,9 +290,11 @@ func (ix *vertIndex) find(v uint32) (int32, bool) {
 // owner hands each partition its components in ordinal order. The
 // dense-id component map and owner are dropped with g.
 func condense(owner []int32, sums []wire.Summary, g *csr) *boundaryGraph {
-	d := scc.Condense(g, nil).Data()
+	cond := scc.Condense(g, nil)
+	d := cond.Data()
+	poff, pred := cond.Reverse()
 	bg := &boundaryGraph{nverts: len(owner), compOf: make([][]int32, len(sums)),
-		off: d.FOff, succ: d.FEdges, poff: d.ROff, pred: d.REdges}
+		off: d.FOff, succ: d.FEdges, poff: poff, pred: pred}
 	for p := range sums {
 		bg.compOf[p] = make([]int32, 0, len(sums[p].Boundary))
 	}

@@ -132,9 +132,11 @@ func stitchRowsReference(n int, sums []wire.Summary) ([]uint32, *csr, error) {
 // condenseReference files components under partition and ordinal
 // with one merge walk per partition.
 func condenseReference(verts []uint32, sums []wire.Summary, g *csr) *boundaryGraph {
-	d := scc.Condense(g, nil).Data()
+	cond := scc.Condense(g, nil)
+	d := cond.Data()
+	poff, pred := cond.Reverse()
 	bg := &boundaryGraph{nverts: len(verts), compOf: make([][]int32, len(sums)),
-		off: d.FOff, succ: d.FEdges, poff: d.ROff, pred: d.REdges}
+		off: d.FOff, succ: d.FEdges, poff: poff, pred: pred}
 	for p := range sums {
 		tab := make([]int32, len(sums[p].Boundary))
 		dense := 0

@@ -1,8 +1,9 @@
 // Package graph provides the in-memory directed graph used by the DSR
 // engine: a compact forward CSR (compressed sparse row) representation,
 // an incremental Builder, an edge-list loader, and deterministic
-// partitioners that label every vertex with a partition and mark
-// boundary vertices.
+// partitioners that label every vertex with a partition. Boundary
+// vertices are not marked here: internal/partition derives them per
+// partition from its crossing edges.
 package graph
 
 // VertexID identifies a vertex. Vertices are dense: 0..NumVertices()-1.

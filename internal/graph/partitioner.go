@@ -2,21 +2,15 @@ package graph
 
 import "fmt"
 
-// Partitioning assigns every vertex to exactly one of K partitions and
-// records, per vertex, whether it sits on a partition boundary:
-//
-//   - Exit[v]  — v has an out-edge into another partition (boundary
-//     out-node; cross-partition paths leave v's partition through it).
-//   - Entry[v] — v has an in-edge from another partition (boundary
-//     in-node; cross-partition paths enter v's partition through it).
-//
-// Boundary vertices are the only vertices that appear in the compressed
-// boundary graph, which is what keeps cross-partition traffic small.
+// Partitioning assigns every vertex to exactly one of K partitions:
+// Part[v] is v's partition. It is only the labels. Which vertices sit on
+// a partition boundary — an entry with an in-edge from another
+// partition, an exit with an out-edge into one — is a fact about one
+// partition's crossing edges, and partition.ExtractOne derives it for
+// the partition it extracts.
 type Partitioning struct {
-	K     int
-	Part  []int32
-	Entry []bool
-	Exit  []bool
+	K    int
+	Part []int32
 }
 
 // Digest returns a deterministic FNV-1a digest of the partition
@@ -35,25 +29,6 @@ func (p *Partitioning) Digest() uint64 {
 		h = 1
 	}
 	return h
-}
-
-// IsBoundary reports whether v has any cross-partition edge. On a
-// hand-rolled Partitioning whose Entry/Exit marks were never computed
-// (PartitionWith fills them), absent marks read as non-boundary rather
-// than panicking.
-func (p *Partitioning) IsBoundary(v VertexID) bool {
-	return int(v) < len(p.Entry) && p.Entry[v] || int(v) < len(p.Exit) && p.Exit[v]
-}
-
-// NumBoundary returns the number of boundary vertices.
-func (p *Partitioning) NumBoundary() int {
-	c := 0
-	for v := range p.Part {
-		if p.IsBoundary(VertexID(v)) {
-			c++
-		}
-	}
-	return c
 }
 
 // Partitioner is a strategy for splitting a graph into k parts. All
@@ -123,19 +98,14 @@ func RangePartition(g *Graph, k int) (*Partitioning, error) {
 	return PartitionWith(g, k, RangePartitionFunc)
 }
 
-// PartitionWith labels every vertex with fn and then scans the edge set
-// once to mark boundary entry/exit vertices.
+// PartitionWith labels every vertex with fn, refusing a label outside
+// [0, k). It reads no edges.
 func PartitionWith(g *Graph, k int, fn PartitionFunc) (*Partitioning, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("graph: partition count must be >= 1, got %d", k)
 	}
 	n := g.NumVertices()
-	pt := &Partitioning{
-		K:     k,
-		Part:  make([]int32, n),
-		Entry: make([]bool, n),
-		Exit:  make([]bool, n),
-	}
+	pt := &Partitioning{K: k, Part: make([]int32, n)}
 	for v := 0; v < n; v++ {
 		p := fn(VertexID(v), n, k)
 		if p < 0 || int(p) >= k {
@@ -143,11 +113,5 @@ func PartitionWith(g *Graph, k int, fn PartitionFunc) (*Partitioning, error) {
 		}
 		pt.Part[v] = p
 	}
-	g.Edges(func(u, v VertexID) {
-		if pt.Part[u] != pt.Part[v] {
-			pt.Exit[u] = true
-			pt.Entry[v] = true
-		}
-	})
 	return pt, nil
 }

@@ -72,76 +72,3 @@ func TestHashPartitionDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestBoundaryDetection checks entry/exit marking on hand-built graphs.
-func TestBoundaryDetection(t *testing.T) {
-	// Two partitions by range over 4 vertices: {0,1} and {2,3}.
-	// Edges: 0->1 (internal), 1->2 (cross), 2->3 (internal), 3->0 (cross).
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 3)
-	b.AddEdge(3, 0)
-	g := b.Build()
-	pt, err := RangePartition(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEntry := []bool{true, false, true, false}
-	wantExit := []bool{false, true, false, true}
-	for v := 0; v < 4; v++ {
-		if pt.Entry[v] != wantEntry[v] {
-			t.Errorf("Entry[%d] = %v, want %v", v, pt.Entry[v], wantEntry[v])
-		}
-		if pt.Exit[v] != wantExit[v] {
-			t.Errorf("Exit[%d] = %v, want %v", v, pt.Exit[v], wantExit[v])
-		}
-		if pt.IsBoundary(VertexID(v)) != (wantEntry[v] || wantExit[v]) {
-			t.Errorf("IsBoundary(%d) wrong", v)
-		}
-	}
-	if got, want := pt.NumBoundary(), 4; got != want {
-		t.Errorf("NumBoundary = %d, want %d", got, want)
-	}
-}
-
-func TestIsBoundaryOnBarePartitioning(t *testing.T) {
-	// Hand-rolled value with no computed marks: must read as non-boundary,
-	// not panic.
-	p := &Partitioning{K: 2, Part: []int32{0, 1, 0}}
-	for v := 0; v < 3; v++ {
-		if p.IsBoundary(VertexID(v)) {
-			t.Errorf("IsBoundary(%d) on bare partitioning = true", v)
-		}
-	}
-	if got := p.NumBoundary(); got != 0 {
-		t.Errorf("NumBoundary on bare partitioning = %d, want 0", got)
-	}
-}
-
-func TestBoundaryNoneWhenSinglePartition(t *testing.T) {
-	g := chain(6)
-	pt, err := HashPartition(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pt.NumBoundary(); got != 0 {
-		t.Fatalf("k=1 graph has %d boundary vertices, want 0", got)
-	}
-}
-
-func TestBoundaryInternalEdgesOnly(t *testing.T) {
-	// All vertices in one range partition out of two: 0..2 in part 0,
-	// no vertex in part 1 touches an edge.
-	b := NewBuilder(6)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	g := b.Build()
-	pt, err := RangePartition(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pt.NumBoundary(); got != 0 {
-		t.Fatalf("internal-only edges produced %d boundary vertices, want 0", got)
-	}
-}

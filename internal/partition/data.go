@@ -9,26 +9,25 @@ import (
 // SubgraphData is the raw array content of a Subgraph, exposed so a
 // persisted snapshot can round-trip the extracted partition without
 // re-reading the edge list or re-running ExtractOne. Data returns live
-// views (no copies); SubgraphFromData validates and reassembles.
+// views (no copies); SubgraphFromData validates and reassembles. The
+// exits are not part of it: they are the sources of Cross, and
+// SubgraphFromData derives them.
 type SubgraphData struct {
-	ID             int
-	Global         []graph.VertexID // local -> global, strictly increasing
-	FOff           []int64
-	FEdges         []int32
-	Entries, Exits []int32
-	Cross          [][2]graph.VertexID
+	Global  []graph.VertexID // local -> global, strictly increasing
+	FOff    []int64
+	FEdges  []int32
+	Entries []int32
+	Cross   [][2]graph.VertexID
 }
 
 // Data returns views of the subgraph's raw arrays. Callers must treat
 // them as read-only: they alias the live subgraph.
 func (s *Subgraph) Data() SubgraphData {
 	return SubgraphData{
-		ID:      s.ID,
 		Global:  s.global,
 		FOff:    s.foff,
 		FEdges:  s.fedges,
 		Entries: s.Entries,
-		Exits:   s.Exits,
 		Cross:   s.Cross,
 	}
 }
@@ -59,17 +58,16 @@ func checkLocalCSR(off []int64, edges []int32, n int) error {
 	return nil
 }
 
-// checkBoundaryList validates an Entries/Exits list: strictly
-// increasing local IDs (the order ExtractOne produces, which
-// a shard's summary and the canonical wire encoding rely on) within
-// [0, n).
-func checkBoundaryList(name string, list []int32, n int) error {
+// checkEntries validates an Entries list: strictly increasing local IDs
+// (the order ExtractOne produces, which a shard's summary and the
+// canonical wire encoding rely on) within [0, n).
+func checkEntries(list []int32, n int) error {
 	for i, v := range list {
 		if v < 0 || int(v) >= n {
-			return fmt.Errorf("partition: %s[%d] = %d, want [0,%d)", name, i, v, n)
+			return fmt.Errorf("partition: Entries[%d] = %d, want [0,%d)", i, v, n)
 		}
 		if i > 0 && list[i-1] >= v {
-			return fmt.Errorf("partition: %s not strictly increasing at %d", name, i)
+			return fmt.Errorf("partition: Entries not strictly increasing at %d", i)
 		}
 	}
 	return nil
@@ -78,9 +76,11 @@ func checkBoundaryList(name string, list []int32, n int) error {
 // SubgraphFromData validates d and reassembles a Subgraph. The slices
 // are retained, not copied. Validation covers the invariants the query
 // path depends on: a strictly increasing local->global map (what makes a
-// local ID a rank, see Local), a well-formed CSR, ordered boundary
-// lists, and cross-partition edges whose sources are owned and
-// destinations are not.
+// local ID a rank, see Local), a well-formed CSR, an ordered entry list,
+// and cross-partition edges whose sources are owned and destinations
+// are not. Exits are derived from the cross edges by ExtractOne's rule —
+// every owned source, in increasing local ID — in whatever order the
+// cross edges come.
 func SubgraphFromData(d SubgraphData) (*Subgraph, error) {
 	n := len(d.Global)
 	for i := 1; i < n; i++ {
@@ -91,29 +91,28 @@ func SubgraphFromData(d SubgraphData) (*Subgraph, error) {
 	if err := checkLocalCSR(d.FOff, d.FEdges, n); err != nil {
 		return nil, err
 	}
-	if err := checkBoundaryList("Entries", d.Entries, n); err != nil {
-		return nil, err
-	}
-	if err := checkBoundaryList("Exits", d.Exits, n); err != nil {
+	if err := checkEntries(d.Entries, n); err != nil {
 		return nil, err
 	}
 	s := &Subgraph{
-		ID:      d.ID,
 		global:  d.Global,
 		foff:    d.FOff,
 		fedges:  d.FEdges,
 		Entries: d.Entries,
-		Exits:   d.Exits,
 		Cross:   d.Cross,
 	}
 	s.buildRank()
+	exit := make([]uint64, (n+63)/64)
 	for i, pr := range d.Cross {
-		if _, ok := s.Local(pr[0]); !ok {
+		lv, ok := s.Local(pr[0])
+		if !ok {
 			return nil, fmt.Errorf("partition: cross edge %d source %d not owned by the partition", i, pr[0])
 		}
 		if _, ok := s.Local(pr[1]); ok {
 			return nil, fmt.Errorf("partition: cross edge %d destination %d owned by the partition", i, pr[1])
 		}
+		exit[lv>>6] |= 1 << (lv & 63)
 	}
+	s.Exits = bitList(exit)
 	return s, nil
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dsr/internal/graph"
@@ -37,6 +38,17 @@ func TestSubgraphDataRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(sub, got) {
 			t.Fatalf("seed %d: round trip changed the subgraph", seed)
 		}
+		// The exits are derived from the cross edges, whatever their order.
+		d := sub.Data()
+		d.Cross = slices.Clone(d.Cross)
+		rand.New(rand.NewSource(seed)).Shuffle(len(d.Cross), func(i, j int) { d.Cross[i], d.Cross[j] = d.Cross[j], d.Cross[i] })
+		shuffled, err := SubgraphFromData(d)
+		if err != nil {
+			t.Fatalf("seed %d: cross edges reordered: %v", seed, err)
+		}
+		if !slices.Equal(shuffled.Exits, sub.Exits) {
+			t.Fatalf("seed %d: cross edges reordered: exits %v, want %v", seed, shuffled.Exits, sub.Exits)
+		}
 		// The reassembled subgraph answers searches identically.
 		for v := int32(0); v < int32(sub.NumVertices()); v++ {
 			if a, b := reach(sub, v), reach(got, v); !reflect.DeepEqual(a, b) {
@@ -61,7 +73,6 @@ func TestSubgraphFromDataRejects(t *testing.T) {
 		{"edge out of range", func(d *SubgraphData) { d.FEdges[0] = int32(len(d.Global)) }},
 		{"offsets short of the edges", func(d *SubgraphData) { d.FEdges = append(d.FEdges, 0) }},
 		{"offsets for another vertex count", func(d *SubgraphData) { d.FOff = d.FOff[1:] }},
-		{"exit list not increasing", func(d *SubgraphData) { d.Exits = []int32{1, 0} }},
 		{"entry out of range", func(d *SubgraphData) { d.Entries = []int32{99} }},
 		{"cross source not owned", func(d *SubgraphData) { d.Cross = [][2]graph.VertexID{{7, 5}} }},
 		{"cross destination owned", func(d *SubgraphData) { d.Cross = [][2]graph.VertexID{{3, 2}} }},

@@ -14,13 +14,14 @@ import (
 // IDs, and two scans of the whole edge set — count, then fill — build
 // every partition's CSR at once. It also returns the local-ID map. The
 // reverse CSR it once built beside the forward one is left out: a
-// Subgraph no longer has one.
+// Subgraph no longer has one. The boundary lists come from whole-graph
+// marks computed the way the partitioners once did (boundaryMarks).
 func extractReference(g *graph.Graph, pt *graph.Partitioning) ([]*Subgraph, []int32) {
 	n := g.NumVertices()
 	local := make([]int32, n)
 	subs := make([]*Subgraph, pt.K)
 	for p := range subs {
-		subs[p] = &Subgraph{ID: p}
+		subs[p] = &Subgraph{}
 	}
 	for v := 0; v < n; v++ {
 		s := subs[pt.Part[v]]
@@ -58,10 +59,30 @@ func extractReference(g *graph.Graph, pt *graph.Partitioning) ([]*Subgraph, []in
 			fcur[u]++
 		}
 	})
+	entry, exit := boundaryMarks(g, pt)
 	for v := 0; v < n; v++ {
-		subs[pt.Part[v]].markBoundary(pt, graph.VertexID(v), local[v])
+		s := subs[pt.Part[v]]
+		if entry[v] {
+			s.Entries = append(s.Entries, local[v])
+		}
+		if exit[v] {
+			s.Exits = append(s.Exits, local[v])
+		}
 	}
 	return subs, local
+}
+
+// boundaryMarks is the single whole-graph edge scan that marked entry
+// and exit vertices when a graph.Partitioning still carried the marks:
+// u is an exit and v an entry for every edge u→v between partitions.
+func boundaryMarks(g *graph.Graph, pt *graph.Partitioning) (entry, exit []bool) {
+	entry, exit = make([]bool, g.NumVertices()), make([]bool, g.NumVertices())
+	g.Edges(func(u, v graph.VertexID) {
+		if pt.Part[u] != pt.Part[v] {
+			exit[u], entry[v] = true, true
+		}
+	})
+	return entry, exit
 }
 
 // TestExtractOneMatchesExtract differentially checks the single-
@@ -141,4 +162,65 @@ func samePairSet(a, b [][2]graph.VertexID) bool {
 	slices.SortFunc(as, cmp)
 	slices.SortFunc(bs, cmp)
 	return slices.Equal(as, bs)
+}
+
+// FuzzExtractOne holds ExtractOne to extractReference on small
+// multigraphs and labellings decoded from the fuzz bytes: a 2-byte
+// header — k, vertex count n — then one label byte per vertex (taken
+// modulo k, so partitions may be empty), then one edge per byte pair,
+// taken modulo n, so self-loops, multi-edges and isolated vertices all
+// come up. Every partition must match the reference — global IDs, CSR,
+// entries, exits and cross edges, in order — and SubgraphFromData over
+// its Data must derive the same exits, with the cross edges in their
+// own order and reversed.
+func FuzzExtractOne(f *testing.F) {
+	f.Add([]byte{1, 6, 0, 0, 1, 1, 0, 1, 0, 1, 1, 2, 2, 3, 3, 0, 2, 2, 4, 5, 5, 4})
+	f.Add([]byte{2, 5, 0, 1, 2, 1, 0, 0, 1, 0, 1, 1, 1, 3, 4, 4, 3})
+	f.Add([]byte{0, 3, 0, 0, 0, 0, 1, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k, n := 1+int(data[0]%6), 1+int(data[1]%48)
+		data = data[2:]
+		pt := &graph.Partitioning{K: k, Part: make([]int32, n)}
+		for v := 0; v < n && v < len(data); v++ {
+			pt.Part[v] = int32(int(data[v]) % k)
+		}
+		b := graph.NewBuilder(n)
+		for e := data[min(n, len(data)):]; len(e) >= 2; e = e[2:] {
+			b.AddEdge(graph.VertexID(int(e[0])%n), graph.VertexID(int(e[1])%n))
+		}
+		g := b.Build()
+		subs, _ := extractReference(g, pt)
+		for p, want := range subs {
+			one := ExtractOne(g, pt, p)
+			switch {
+			case !slices.Equal(one.global, want.global):
+				t.Fatalf("part %d: Global %v, want %v", p, one.global, want.global)
+			case !slices.Equal(one.foff, want.foff) || !slices.Equal(one.fedges, want.fedges):
+				t.Fatalf("part %d: CSR %v %v, want %v %v", p, one.foff, one.fedges, want.foff, want.fedges)
+			case !slices.Equal(one.Entries, want.Entries):
+				t.Fatalf("part %d: Entries %v, want %v", p, one.Entries, want.Entries)
+			case !slices.Equal(one.Exits, want.Exits):
+				t.Fatalf("part %d: Exits %v, want %v", p, one.Exits, want.Exits)
+			case !slices.Equal(one.Cross, want.Cross):
+				t.Fatalf("part %d: Cross %v, want %v", p, one.Cross, want.Cross)
+			}
+			d := one.Data()
+			for _, reversed := range []bool{false, true} {
+				if reversed {
+					d.Cross = slices.Clone(d.Cross)
+					slices.Reverse(d.Cross)
+				}
+				back, err := SubgraphFromData(d)
+				if err != nil {
+					t.Fatalf("part %d (cross reversed: %v): SubgraphFromData: %v", p, reversed, err)
+				}
+				if !slices.Equal(back.Exits, one.Exits) {
+					t.Fatalf("part %d (cross reversed: %v): derived Exits %v, want %v", p, reversed, back.Exits, one.Exits)
+				}
+			}
+		}
+	})
 }

@@ -27,8 +27,8 @@ func checkLocal(t testing.TB, s *Subgraph, probes []graph.VertexID) {
 		got, ok := s.Local(gv)
 		want, wantOK := localBySearch(s, gv)
 		if ok != wantOK || ok && got != want {
-			t.Fatalf("partition %d (%d vertices, span %v): Local(%d) = %d,%v, binary search says %d,%v",
-				s.ID, len(s.global), spanOf(s), gv, got, ok, want, wantOK)
+			t.Fatalf("subgraph of %d vertices, span %v: Local(%d) = %d,%v, binary search says %d,%v",
+				len(s.global), spanOf(s), gv, got, ok, want, wantOK)
 		}
 	}
 }

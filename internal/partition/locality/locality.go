@@ -50,10 +50,12 @@
 // bit for bit: TestPartitionMatchesReference and
 // FuzzPartitionMatchesReference hold them to it.
 //
-// The output is an ordinary *graph.Partitioning, so everything
-// downstream (subgraph extraction, boundary compression, shards) is
-// untouched; New adapts it to the graph.Partitioner interface used by
-// core and the CLIs.
+// The output is an ordinary *graph.Partitioning — the labels, nothing
+// else: every label is in [0, k) by construction, and the boundary
+// vertices are derived per partition downstream (partition.ExtractOne),
+// so extraction, boundary compression and shards are untouched. New
+// adapts it to the graph.Partitioner interface used by core and the
+// CLIs.
 package locality
 
 import (
@@ -128,7 +130,7 @@ func Partition(g *graph.Graph, k int, opts Options) (*graph.Partitioning, error)
 	labels := make([]int32, n)
 	if k == 1 || n == 0 {
 		// Single partition (or empty graph): nothing to optimize.
-		return finish(g, k, labels)
+		return &graph.Partitioning{K: k, Part: labels}, nil
 	}
 	capacity := capacityFor(n, k, opts.Balance)
 	adj := undirected(g)
@@ -137,7 +139,7 @@ func Partition(g *graph.Graph, k int, opts Options) (*graph.Partitioning, error)
 	if opts.RefinePasses > 0 {
 		refine(adj, part, k, capacity, opts.RefinePasses)
 	}
-	return finish(g, k, part)
+	return &graph.Partitioning{K: k, Part: part}, nil
 }
 
 // capacityFor is the hard per-partition (and per-cluster: a cluster
@@ -187,12 +189,6 @@ func undirected(g *graph.Graph) adjacency {
 		}
 	})
 	return adjacency{off: off[:n+1], nbr: nbr}
-}
-
-// finish runs the labels through graph.PartitionWith, which validates
-// them and computes the entry/exit boundary marks from the edge set.
-func finish(g *graph.Graph, k int, part []int32) (*graph.Partitioning, error) {
-	return graph.PartitionWith(g, k, func(v graph.VertexID, _, _ int) int32 { return part[v] })
 }
 
 // coarsen runs capped label propagation over adj, leaving the cluster

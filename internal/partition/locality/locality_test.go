@@ -109,7 +109,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nb := pt.NumBoundary(); nb != 0 {
+	if nb := partition.ComputeStats(lg, pt).BoundaryVertices; nb != 0 {
 		t.Fatalf("k=1 has %d boundary vertices, want 0", nb)
 	}
 

@@ -43,12 +43,20 @@ func ComputeStats(g *graph.Graph, pt *graph.Partitioning) Stats {
 	} else {
 		st.MinPart = 0
 	}
-	st.BoundaryVertices = pt.NumBoundary()
+	// The cut-edge pass marks both ends of every cut edge: those are
+	// the boundary vertices.
+	boundary := make([]bool, n)
 	g.Edges(func(u, v graph.VertexID) {
 		if pt.Part[u] != pt.Part[v] {
 			st.CutEdges++
+			boundary[u], boundary[v] = true, true
 		}
 	})
+	for _, b := range boundary {
+		if b {
+			st.BoundaryVertices++
+		}
+	}
 	return st
 }
 

@@ -1,11 +1,15 @@
 // Package partition extracts per-partition subgraphs from a partitioned
 // graph: the induced forward CSR adjacency with dense local IDs, the
 // boundary in-nodes (entries) and out-nodes (exits), and the
-// cross-partition edges. A shard (internal/shard) condenses its
-// subgraph into SCCs and compresses it into the boundary summary — for
-// every entry, the exits it reaches without leaving the partition —
-// which the DSR engine stitches into the global boundary graph, so
-// cross-partition query traffic only ever involves boundary vertices.
+// cross-partition edges. The boundary is derived here, per partition,
+// from that partition's own crossing edges — an exit is the source of
+// one of its cross edges, an entry the target of another partition's —
+// since a graph.Partitioning is only the labels. A shard
+// (internal/shard) condenses its subgraph into SCCs and compresses it
+// into the boundary summary — for every entry, the exits it reaches
+// without leaving the partition — which the DSR engine stitches into
+// the global boundary graph, so cross-partition query traffic only ever
+// involves boundary vertices.
 package partition
 
 import (
@@ -19,11 +23,12 @@ import (
 // only. It is immutable once built, so any number of shards — replicas
 // of one partition — may share it.
 type Subgraph struct {
-	ID     int
 	global []graph.VertexID // local -> global
 	foff   []int64
 	fedges []int32
-	// Entries and Exits are local IDs of boundary in-/out-nodes.
+	// Entries and Exits are the local IDs of the boundary in-nodes
+	// (targets of another partition's cross edges) and out-nodes
+	// (sources of this partition's cross edges), each increasing.
 	Entries []int32
 	Exits   []int32
 	// Cross holds the cross-partition edges whose source lies in this
@@ -112,10 +117,11 @@ func Extract(g *graph.Graph, pt *graph.Partitioning) []*Subgraph {
 // graph, not with all k partitions.
 func ExtractOne(g *graph.Graph, pt *graph.Partitioning, id int) *Subgraph {
 	n := g.NumVertices()
-	s := &Subgraph{ID: id}
+	own := int32(id)
+	s := &Subgraph{}
 	local := make([]int32, n)
 	for v := 0; v < n; v++ {
-		if pt.Part[v] == int32(id) {
+		if pt.Part[v] == own {
 			local[v] = int32(len(s.global))
 			s.global = append(s.global, graph.VertexID(v))
 		}
@@ -124,43 +130,57 @@ func ExtractOne(g *graph.Graph, pt *graph.Partitioning, id int) *Subgraph {
 	// Two passes over this partition's out-edges only: count, then fill.
 	// Every intra-partition edge and every cross-partition edge this
 	// partition contributes to the boundary graph has its source here, so
-	// the count pass collects the cross edges, and visiting sources in
-	// local order lays the fill pass out row after row.
+	// the count pass collects the cross edges and with them the exits,
+	// and visiting sources in local order lays the fill pass out row
+	// after row.
 	s.foff = make([]int64, len(s.global)+1)
 	for i, u := range s.global {
-		intra := int64(0)
+		intra, cross := int64(0), len(s.Cross)
 		for _, v := range g.Out(u) {
-			if pt.Part[v] == int32(id) {
+			if pt.Part[v] == own {
 				intra++
 			} else {
 				s.Cross = append(s.Cross, [2]graph.VertexID{u, v})
 			}
+		}
+		if len(s.Cross) > cross {
+			s.Exits = append(s.Exits, int32(i))
 		}
 		s.foff[i+1] = s.foff[i] + intra
 	}
 	s.fedges = make([]int32, 0, s.foff[len(s.global)])
 	for _, u := range s.global {
 		for _, v := range g.Out(u) {
-			if pt.Part[v] == int32(id) {
+			if pt.Part[v] == own {
 				s.fedges = append(s.fedges, local[v])
 			}
 		}
 	}
-	for _, u := range s.global {
-		s.markBoundary(pt, u, local[u])
+	// The entries are the one fact that lives in the other partitions'
+	// rows: one scan of their out-edges marks every target owned here.
+	entry := make([]uint64, (len(s.global)+63)/64)
+	for u := 0; u < n; u++ {
+		if pt.Part[u] == own {
+			continue
+		}
+		for _, v := range g.Out(graph.VertexID(u)) {
+			if pt.Part[v] == own {
+				entry[local[v]>>6] |= 1 << (local[v] & 63)
+			}
+		}
 	}
+	s.Entries = bitList(entry)
 	return s
 }
 
-// markBoundary appends local vertex lv (global gv) to the Entries/Exits
-// lists according to the partitioning's boundary marks. Absent marks (a
-// hand-rolled Partitioning) read as non-boundary, matching
-// Partitioning.IsBoundary.
-func (s *Subgraph) markBoundary(pt *graph.Partitioning, gv graph.VertexID, lv int32) {
-	if int(gv) < len(pt.Entry) && pt.Entry[gv] {
-		s.Entries = append(s.Entries, lv)
+// bitList returns the positions of m's set bits in increasing order: a
+// boundary list from its marks.
+func bitList(m []uint64) []int32 {
+	var out []int32
+	for w, word := range m {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32(w<<6|bits.TrailingZeros64(word)))
+		}
 	}
-	if int(gv) < len(pt.Exit) && pt.Exit[gv] {
-		s.Exits = append(s.Exits, lv)
-	}
+	return out
 }

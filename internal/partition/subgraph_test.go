@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
 	"dsr/internal/graph"
@@ -55,6 +56,82 @@ func TestExtractShape(t *testing.T) {
 	}
 	if len(subs[1].Exits) != 0 {
 		t.Errorf("partition 1 exits = %v, want none", subs[1].Exits)
+	}
+}
+
+// boundaryOf extracts every partition of pt and returns the global IDs
+// of all entries and all exits, each in increasing order, beside the
+// boundary count ComputeStats reports for pt.
+func boundaryOf(t *testing.T, g *graph.Graph, pt *graph.Partitioning) (entries, exits []graph.VertexID, stats int) {
+	t.Helper()
+	for _, s := range Extract(g, pt) {
+		for _, lv := range s.Entries {
+			entries = append(entries, s.GlobalID(lv))
+		}
+		for _, lv := range s.Exits {
+			exits = append(exits, s.GlobalID(lv))
+		}
+	}
+	slices.Sort(entries)
+	slices.Sort(exits)
+	return entries, exits, ComputeStats(g, pt).BoundaryVertices
+}
+
+// TestBoundaryDetection checks the entries and exits extraction derives
+// on a hand-built graph, and the boundary count ComputeStats agrees on.
+func TestBoundaryDetection(t *testing.T) {
+	// Two partitions by range over 4 vertices: {0,1} and {2,3}.
+	// Edges: 0->1 (internal), 1->2 (cross), 2->3 (internal), 3->0 (cross).
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	b.AddEdge(3, 0)
+	g := b.Build()
+	pt, err := graph.RangePartition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, exits, nb := boundaryOf(t, g, pt)
+	if want := []graph.VertexID{0, 2}; !slices.Equal(entries, want) {
+		t.Errorf("entries %v, want %v", entries, want)
+	}
+	if want := []graph.VertexID{1, 3}; !slices.Equal(exits, want) {
+		t.Errorf("exits %v, want %v", exits, want)
+	}
+	if nb != 4 {
+		t.Errorf("ComputeStats boundary = %d, want 4", nb)
+	}
+}
+
+func TestBoundaryNoneWhenSinglePartition(t *testing.T) {
+	b := graph.NewBuilder(6)
+	for i := 0; i < 5; i++ {
+		b.AddEdge(graph.VertexID(i), graph.VertexID(i+1))
+	}
+	g := b.Build()
+	pt, err := graph.HashPartition(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries, exits, nb := boundaryOf(t, g, pt); len(entries)+len(exits)+nb != 0 {
+		t.Fatalf("k=1 graph has entries %v, exits %v, %d boundary vertices, want none", entries, exits, nb)
+	}
+}
+
+func TestBoundaryInternalEdgesOnly(t *testing.T) {
+	// All edges inside range partition 0 of two: 0..2 in part 0, no
+	// vertex in part 1 touches an edge.
+	b := graph.NewBuilder(6)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	g := b.Build()
+	pt, err := graph.RangePartition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries, exits, nb := boundaryOf(t, g, pt); len(entries)+len(exits)+nb != 0 {
+		t.Fatalf("internal-only edges gave entries %v, exits %v, %d boundary vertices, want none", entries, exits, nb)
 	}
 }
 

@@ -5,7 +5,8 @@ import "slices"
 // Condensation is the SCC DAG of a graph: one node per component and a
 // deduped edge for every pair of components joined by at least one
 // original edge, in both forward and reverse CSR form, plus the
-// vertex→component map. Component IDs are in reverse topological order
+// vertex→component map. The reverse form is always the transpose of
+// the forward one (transpose), whoever built the forward one. Component IDs are in reverse topological order
 // (see Decompose), which downstream consumers rely on: a single
 // increasing-ID sweep visits every component after all of its
 // successors.
@@ -28,6 +29,11 @@ func (c *Condensation) Out(comp int32) []int32 {
 func (c *Condensation) In(comp int32) []int32 {
 	return c.redges[c.roff[comp]:c.roff[comp+1]]
 }
+
+// Reverse returns the reverse DAG in CSR form: offsets (N+1 entries)
+// and predecessor components, each row increasing. Callers must treat
+// both as read-only views.
+func (c *Condensation) Reverse() (off, edges []int32) { return c.roff, c.redges }
 
 // NumEdges returns the number of deduped DAG edges.
 func (c *Condensation) NumEdges() int { return len(c.fedges) }
@@ -86,22 +92,32 @@ func Condense(g Adjacency, ws *Workspace) *Condensation {
 	ws.dag = dag
 	c.fedges = slices.Clone(dag)
 
-	// Reverse rows: one counting scatter from the forward ones, sources
-	// in increasing order within every row.
-	c.roff = make([]int32, nc+1)
-	for _, d := range c.fedges {
-		c.roff[d+1]++
+	c.roff, c.redges = transpose(c.foff, c.fedges)
+	return c
+}
+
+// transpose builds the reverse CSR of the forward DAG rows (off,
+// edges) with one counting scatter, sources in increasing order within
+// every row. It is the one producer of a condensation's reverse half:
+// Condense and CondensationFromData both call it.
+func transpose(off, edges []int32) (roff, redges []int32) {
+	nc := len(off) - 1
+	// Target d's count goes to roff[d+2]; after the prefix sum roff[d+1]
+	// is where row d starts and serves as d's cursor while filling, so
+	// it ends where row d+1 starts: roff[:nc+1] are the row offsets.
+	roff = make([]int32, nc+2)
+	for _, d := range edges {
+		roff[d+2]++
 	}
-	for i := 1; i <= nc; i++ {
-		c.roff[i] += c.roff[i-1]
+	for i := 2; i <= nc+1; i++ {
+		roff[i] += roff[i-1]
 	}
-	c.redges = make([]int32, len(c.fedges))
-	cur := ws.counters(nc)
+	redges = make([]int32, len(edges))
 	for s := int32(0); s < int32(nc); s++ {
-		for _, d := range c.fedges[c.foff[s]:c.foff[s+1]] {
-			c.redges[c.roff[d]+cur[d]] = s
-			cur[d]++
+		for _, d := range edges[off[s]:off[s+1]] {
+			redges[roff[d+1]] = s
+			roff[d+1]++
 		}
 	}
-	return c
+	return roff[:nc+1], redges
 }

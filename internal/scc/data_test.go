@@ -39,21 +39,15 @@ func TestCondensationFromDataRejects(t *testing.T) {
 	}{
 		{"offsets decrease", func(d *CondensationData) { d.FOff[1] = d.FOff[len(d.FOff)-1] + 1 }},
 		{"edge out of range", func(d *CondensationData) { d.FEdges[0] = int32(len(d.FOff)) }},
+		{"negative edge target", func(d *CondensationData) { d.FEdges[0] = -1 }},
+		{"offsets end short of the edges", func(d *CondensationData) { d.FEdges = append(d.FEdges, 0) }},
+		{"no offsets", func(d *CondensationData) { d.FOff = nil }},
 		{"component past the count", func(d *CondensationData) { d.Comp[0] = int32(len(d.FOff) - 1) }},
 		{"negative component", func(d *CondensationData) { d.Comp[3] = -1 }},
 		{"forward edge breaks topo order", func(d *CondensationData) {
 			// Point the one cross-component edge upward instead of down.
 			d.FEdges[0] = int32(len(d.FOff) - 2)
 		}},
-		{"transpose mismatch", func(d *CondensationData) {
-			// Drop a reverse edge but keep offsets consistent: degree
-			// counts no longer mirror the forward half.
-			for i := 1; i < len(d.ROff); i++ {
-				d.ROff[i]--
-			}
-			d.REdges = d.REdges[1:]
-		}},
-		{"offset arrays disagree", func(d *CondensationData) { d.ROff = d.ROff[:len(d.ROff)-1] }},
 	}
 	for _, c := range cases {
 		d := base()
@@ -61,8 +55,6 @@ func TestCondensationFromDataRejects(t *testing.T) {
 		d.Comp = append([]int32{}, d.Comp...)
 		d.FOff = append([]int32{}, d.FOff...)
 		d.FEdges = append([]int32{}, d.FEdges...)
-		d.ROff = append([]int32{}, d.ROff...)
-		d.REdges = append([]int32{}, d.REdges...)
 		c.mut(&d)
 		if _, err := CondensationFromData(d); err == nil {
 			t.Errorf("%s: accepted invalid data", c.name)

@@ -157,6 +157,8 @@ func csrOf(g *graph.Graph) *csrAdj {
 // differ, or "" when they are byte-identical.
 func sameCondensation(got, want *Condensation) string {
 	g, w := got.Data(), want.Data()
+	groff, gredges := got.Reverse()
+	wroff, wredges := want.Reverse()
 	switch {
 	case got.N != want.N:
 		return fmt.Sprintf("N %d, want %d", got.N, want.N)
@@ -166,10 +168,10 @@ func sameCondensation(got, want *Condensation) string {
 		return "FOff"
 	case !slices.Equal(g.FEdges, w.FEdges):
 		return "FEdges"
-	case !slices.Equal(g.ROff, w.ROff):
-		return "ROff"
-	case !slices.Equal(g.REdges, w.REdges):
-		return "REdges"
+	case !slices.Equal(groff, wroff):
+		return "reverse offsets"
+	case !slices.Equal(gredges, wredges):
+		return "reverse edges"
 	}
 	return ""
 }

@@ -1,7 +1,9 @@
 // Package scc decomposes a directed graph into strongly connected
 // components and builds the condensation from the result: the SCC DAG
 // in CSR form, both ways, with the vertex→component map and its
-// serialisation (CondensationData). The condensation lets a shard's
+// serialisation (CondensationData: the map and the forward DAG only —
+// the reverse DAG is one transpose of the forward rows, which Condense
+// and CondensationFromData both run). The condensation lets a shard's
 // searches — queries and the boundary summary alike — walk components
 // instead of vertices. A bitset reachability index over a set of exits
 // (Index) is kept beside it with no product caller: it is the summary's

@@ -194,8 +194,9 @@ func build(id int, sub *partition.Subgraph, cond *scc.Condensation) *Shard {
 	s.entryOff, s.entryAt = s.boundaryLists(sub.Entries, entryOrd)
 	s.classify()
 	dag := cond.Data()
+	roff, redges := cond.Reverse()
 	s.fwd = prune(csr{dag.FOff, dag.FEdges}, s.region, func(r uint8) bool { return r != regionSink })
-	s.bwd = prune(csr{dag.ROff, dag.REdges}, s.region, func(r uint8) bool { return r&regionIn != 0 })
+	s.bwd = prune(csr{roff, redges}, s.region, func(r uint8) bool { return r&regionIn != 0 })
 	s.sum = wire.Summary{Boundary: s.boundary, Edges: s.summarize(), Cross: slices.Clone(sub.Cross)}
 	return s
 }

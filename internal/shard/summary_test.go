@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -116,7 +118,7 @@ func summaryIndex(s *partition.Subgraph) [][2]uint32 {
 // randomPartitions calls check on every partition of 220 random graphs
 // of up to 120 vertices and mean out-degree 0.5–4, each split 2–5 ways
 // by hash or range, and fails unless at least 200 were checked.
-func randomPartitions(t *testing.T, seed int64, check func(gi int, sub *partition.Subgraph)) {
+func randomPartitions(t *testing.T, seed int64, check func(gi, p int, sub *partition.Subgraph)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	checked := 0
@@ -134,8 +136,8 @@ func randomPartitions(t *testing.T, seed int64, check func(gi int, sub *partitio
 			t.Fatal(err)
 		}
 		subs := partition.Extract(g, pt)
-		for _, sub := range subs {
-			check(gi, sub)
+		for p, sub := range subs {
+			check(gi, p, sub)
 			checked++
 		}
 	}
@@ -148,9 +150,9 @@ func randomPartitions(t *testing.T, seed int64, check func(gi int, sub *partitio
 // per-entry BFS on random graphs and partitionings, pair for pair in
 // order.
 func TestSummarySweepVsBFSDifferential(t *testing.T) {
-	randomPartitions(t, 20260728, func(gi int, sub *partition.Subgraph) {
-		if got, want := New(sub.ID, sub).Summary().Edges, summaryBFS(sub); !slices.Equal(got, want) {
-			t.Fatalf("graph %d partition %d:\nsweep %v\nBFS   %v", gi, sub.ID, got, want)
+	randomPartitions(t, 20260728, func(gi, p int, sub *partition.Subgraph) {
+		if got, want := New(p, sub).Summary().Edges, summaryBFS(sub); !slices.Equal(got, want) {
+			t.Fatalf("graph %d partition %d:\nsweep %v\nBFS   %v", gi, p, got, want)
 		}
 	})
 }
@@ -164,9 +166,9 @@ func TestSummarySweepVsBFSDifferential(t *testing.T) {
 // take ~400 MB each, so that half also skips under the race detector,
 // whose shadow memory multiplies it.
 func TestSummaryMatchesIndex(t *testing.T) {
-	randomPartitions(t, 20261015, func(gi int, sub *partition.Subgraph) {
-		if got, want := New(sub.ID, sub).Summary().Edges, summaryIndex(sub); !slices.Equal(got, want) {
-			t.Fatalf("graph %d partition %d:\nsweep %v\nindex %v", gi, sub.ID, got, want)
+	randomPartitions(t, 20261015, func(gi, p int, sub *partition.Subgraph) {
+		if got, want := New(p, sub).Summary().Edges, summaryIndex(sub); !slices.Equal(got, want) {
+			t.Fatalf("graph %d partition %d:\nsweep %v\nindex %v", gi, p, got, want)
 		}
 	})
 	if testing.Short() || raceEnabled {
@@ -187,6 +189,39 @@ func TestSummaryMatchesIndex(t *testing.T) {
 			if len(got) == 0 {
 				t.Fatalf("%s partition %d: no summary edges", strat.Name(), p)
 			}
+		}
+	}
+}
+
+// TestSummaryDigestPinned pins every partition's encoded summary —
+// boundary, entry→exit edges and cross edges, as the wire carries them
+// to the coordinator — on the benchmark family's graph (200k vertices,
+// instance 4) at k = 3 under hash and locality (seed 1) partitioning,
+// at the digests they had when the partitioner still marked boundary
+// vertices itself: where an entry or exit is derived may move, what a
+// shard ships may not.
+func TestSummaryDigestPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the benchmark graph's partitions: not under -short")
+	}
+	g := gen.Community(rand.New(rand.NewSource(4)), 200_000, 16, 2.5, 0.05, 0.01)
+	for _, c := range []struct {
+		strat graph.Partitioner
+		want  string
+	}{
+		{graph.Hash(), "0x1ce0588a6b5cc301"},
+		{locality.New(locality.Options{Seed: 1}), "0x15aa7c3b274927b3"},
+	} {
+		pt, err := c.strat.Partition(g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for p := 0; p < 3; p++ {
+			h.Write(wire.AppendSummary(nil, New(p, partition.ExtractOne(g, pt, p)).Summary()))
+		}
+		if got := fmt.Sprintf("%#x", h.Sum64()); got != c.want {
+			t.Errorf("%s: summaries digest %s, want %s", c.strat.Name(), got, c.want)
 		}
 	}
 }

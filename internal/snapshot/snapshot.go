@@ -2,11 +2,14 @@
 // forward CSR subgraph and its SCC condensation — in a versioned,
 // checksummed, mmap-friendly on-disk layout, so a shard restart is a
 // file load instead of an edge-list read plus re-partition plus Tarjan.
-// What a shard derives from those in linear time (regions, pruned DAGs,
-// the boundary summary) is not persisted: shard.FromSnapshot derives it
-// on load. Format 3 holds eleven sections: the subgraph's six (global
-// IDs, CSR offsets and edges, entries, exits, cross edges) and the
-// condensation's five (component map, forward and reverse DAG CSR).
+// Nothing a load can derive in linear time is persisted: Decode derives
+// the exits (the sources of the cross edges, by partition.ExtractOne's
+// rule) and the reverse DAG (the transpose scc.Condense runs), and
+// shard.FromSnapshot the regions, pruned DAGs and boundary summary.
+// Format 4 holds eight sections: the subgraph's five (global IDs, CSR
+// offsets and edges, entries, cross edges) and the condensation's three
+// (component map, forward DAG CSR). The subgraph's own CSR stays: the
+// snapshot is the partition itself, not only what a query reads.
 //
 // # Layout
 //
@@ -58,7 +61,7 @@ import (
 // snapshot with any other version is refused with ErrVersion (and the
 // caller rebuilds), so a format change never silently misreads old
 // files.
-const FormatVersion = 3
+const FormatVersion = 4
 
 // Sentinel errors, matched with errors.Is through the wrapped detail.
 var (
@@ -87,14 +90,11 @@ const (
 	secFOff                  // subgraph forward CSR offsets (uint64)
 	secFEdges                // subgraph forward CSR edges (int32)
 	secEntries               // boundary entry local IDs (int32)
-	secExits                 // boundary exit local IDs (int32)
 	secCross                 // cross-partition edges, flattened pairs (uint32)
 	secComp                  // vertex -> SCC component (int32)
 	secCondFOff              // condensation forward CSR offsets (int32)
 	secCondFEdges            // condensation forward CSR edges (int32)
-	secCondROff              // condensation reverse CSR offsets (int32)
-	secCondREdges            // condensation reverse CSR edges (int32)
-	numSections   = secCondREdges
+	numSections   = secCondFEdges
 )
 
 // Header identifies a snapshot: the format version it was written
@@ -212,7 +212,6 @@ func Encode(sn *Snapshot) ([]byte, error) {
 		{secFOff, 8, len(d.FOff), func(b []byte) { putU64s(b, d.FOff) }},
 		{secFEdges, 4, len(d.FEdges), func(b []byte) { putU32s(b, d.FEdges) }},
 		{secEntries, 4, len(d.Entries), func(b []byte) { putU32s(b, d.Entries) }},
-		{secExits, 4, len(d.Exits), func(b []byte) { putU32s(b, d.Exits) }},
 		{secCross, 4, 2 * len(d.Cross), func(b []byte) {
 			for i, pr := range d.Cross {
 				binary.LittleEndian.PutUint32(b[8*i:], uint32(pr[0]))
@@ -222,8 +221,6 @@ func Encode(sn *Snapshot) ([]byte, error) {
 		{secComp, 4, len(cd.Comp), func(b []byte) { putU32s(b, cd.Comp) }},
 		{secCondFOff, 4, len(cd.FOff), func(b []byte) { putU32s(b, cd.FOff) }},
 		{secCondFEdges, 4, len(cd.FEdges), func(b []byte) { putU32s(b, cd.FEdges) }},
-		{secCondROff, 4, len(cd.ROff), func(b []byte) { putU32s(b, cd.ROff) }},
-		{secCondREdges, 4, len(cd.REdges), func(b []byte) { putU32s(b, cd.REdges) }},
 	}
 
 	// Lay out: header, table, then 8-aligned payloads.
@@ -462,8 +459,6 @@ func Decode(data []byte) (*Snapshot, error) {
 		Comp:   decodeU32s(payload[secComp], counts[secComp]),
 		FOff:   decodeU32s(payload[secCondFOff], counts[secCondFOff]),
 		FEdges: decodeU32s(payload[secCondFEdges], counts[secCondFEdges]),
-		ROff:   decodeU32s(payload[secCondROff], counts[secCondROff]),
-		REdges: decodeU32s(payload[secCondREdges], counts[secCondREdges]),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -472,12 +467,10 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: condensation covers %d vertices, subgraph has %d", ErrCorrupt, len(cond.Comp), len(global))
 	}
 	sub, err := partition.SubgraphFromData(partition.SubgraphData{
-		ID:      h.ShardID,
 		Global:  global,
 		FOff:    foff,
 		FEdges:  decodeU32s(payload[secFEdges], counts[secFEdges]),
 		Entries: decodeU32s(payload[secEntries], counts[secEntries]),
-		Exits:   decodeU32s(payload[secExits], counts[secExits]),
 		Cross:   cross,
 	})
 	if err != nil {

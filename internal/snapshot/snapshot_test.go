@@ -94,10 +94,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if !bytes.Equal(buf, buf2) {
 			t.Fatalf("shard %d: decode/encode round trip not byte-identical (%d vs %d bytes)", i, len(buf), len(buf2))
 		}
-		// Version 3's layout: the subgraph's six sections and the
-		// condensation's five, nothing a shard derives on load.
-		if v, secs := binary.LittleEndian.Uint32(buf[8:]), binary.LittleEndian.Uint32(buf[56:]); v != 3 || secs != 11 {
-			t.Fatalf("shard %d: version %d with %d sections, want 3 with 11", i, v, secs)
+		// Version 4's layout: the subgraph's five sections and the
+		// condensation's three, nothing a load can derive — no exit
+		// list, no reverse DAG.
+		if v, secs := binary.LittleEndian.Uint32(buf[8:]), binary.LittleEndian.Uint32(buf[56:]); v != 4 || secs != 8 {
+			t.Fatalf("shard %d: version %d with %d sections, want 4 with 8", i, v, secs)
 		}
 		// The reconstituted shard is indistinguishable from the fresh one.
 		restored := shard.FromSnapshot(dec)
@@ -270,9 +271,9 @@ func TestSnapshotCorruption(t *testing.T) {
 	t.Run("version skew", func(t *testing.T) {
 		// Version 1 carried the reachability index and the summary edges,
 		// version 2 the subgraph's reverse CSR and the condensation's
-		// member lists; a future writer would checksum its own bytes
-		// correctly.
-		for _, v := range []uint32{1, 2, snapshot.FormatVersion + 1} {
+		// member lists, version 3 the exit list and the reverse DAG; a
+		// future writer would checksum its own bytes correctly.
+		for _, v := range []uint32{1, 2, 3, snapshot.FormatVersion + 1} {
 			mut := bytes.Clone(buf)
 			binary.LittleEndian.PutUint32(mut[8:], v)
 			reChecksum(mut)
@@ -292,12 +293,12 @@ func TestSnapshotCorruption(t *testing.T) {
 	})
 
 	t.Run("invalid state behind valid checksum", func(t *testing.T) {
-		// Point the component map (section kind 7) past the components
+		// Point the component map (section kind 6) past the components
 		// and fix the checksum: only the structural validators stand
 		// between this file and an out-of-range read. Section table rows
 		// are 24 bytes from offset 64 (documented format layout).
 		mut := bytes.Clone(buf)
-		row := mut[64+(7-1)*24:]
+		row := mut[64+(6-1)*24:]
 		off := binary.LittleEndian.Uint64(row[8:])
 		count := binary.LittleEndian.Uint64(row[16:])
 		if count == 0 {
@@ -341,8 +342,8 @@ func TestSnapshotCorruption(t *testing.T) {
 			}},
 			{"count past end of file", func(b []byte) { binary.LittleEndian.PutUint64(row(b, 1)[16:], 1<<40) }},
 			{"odd pair count", func(b []byte) {
-				// Cross section (kind 6) holds flattened pairs.
-				r := row(b, 6)
+				// Cross section (kind 5) holds flattened pairs.
+				r := row(b, 5)
 				n := binary.LittleEndian.Uint64(r[16:])
 				if n < 2 {
 					t.Skip("no cross edges in fixture")
@@ -355,7 +356,7 @@ func TestSnapshotCorruption(t *testing.T) {
 				binary.LittleEndian.PutUint64(b[off:], ^uint64(0))
 			}},
 			{"cross edge outside graph", func(b []byte) {
-				r := row(b, 6)
+				r := row(b, 5)
 				if binary.LittleEndian.Uint64(r[16:]) == 0 {
 					t.Skip("no cross edges in fixture")
 				}
