@@ -175,8 +175,10 @@ ab:
 # snapshot decoder on inputs whose checksum is re-stamped (so mutations
 # reach the section validators) through shard.FromSnapshot and a
 # re-encode, the shard's batched sweep
-# against its scalar reference on graphs, partitionings and task
-# batches decoded from the fuzz bytes, the rank index behind
+# against its first-boundary reference (a scalar BFS that stops at the
+# first component holding an entry, or an exit, on an entry→exit path)
+# on graphs, partitionings and task batches decoded from the fuzz
+# bytes, the rank index behind
 # Subgraph.Local against a binary search on ownership sets and probes
 # decoded the same way, the edge-list loader's allocation-free line
 # reader against the general trim/split/ParseUint rule, the

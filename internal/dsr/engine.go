@@ -628,11 +628,14 @@ func (e *Engine) run(queries []Query) error {
 	// Fan out: broadcast the one task batch to every shard. Which shard
 	// owns which seed is the shards' business.
 	//
-	// Fan in: exits reached from S seed each query's boundary search;
-	// entries that locally reach T are its goals; Owned counts feed the
-	// coverage ledger. Failures are collected rather than aborting the
-	// drain. A partition that answered nothing is a partial failure;
-	// which queries that actually fails falls out of coverage below.
+	// Fan in: boundary vertices reached from S seed each query's
+	// boundary search; boundary vertices that locally reach T are its
+	// goals (entry or exit alike: a shard's search stops at the first
+	// boundary component, and the summary edges carry the rest); Owned
+	// counts feed the coverage ledger. Failures are collected rather
+	// than aborting the drain. A partition that answered nothing is a
+	// partial failure; which queries that actually fails falls out of
+	// coverage below.
 	// Malformed content inside a reply that did arrive (a shard
 	// disagreeing about the batch shape, which task a result answers, or
 	// the size of its boundary) poisons the whole round via terr: such a

@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"dsr/internal/graph"
+	"dsr/internal/partition"
 	"dsr/internal/partition/locality"
 	"dsr/internal/shard"
+	"dsr/internal/wire"
 )
 
 // Query is the tests' single-query round: it runs the round under e.mu
@@ -101,6 +103,61 @@ func TestQueryHandBuilt(t *testing.T) {
 		if got := NaiveReach(g, c.S, c.T); got != c.want {
 			t.Errorf("%s: oracle disagrees with expectation: %v", c.name, got)
 		}
+	}
+}
+
+// TestQueryThroughStopComponents holds the engine to the oracle where a
+// shard's local search stops short of the target: partition 0 (range
+// split, vertices 0-3) is 0→1, with 1 an entry (from 4) that reaches an
+// exit, so 1's component is a stop and the forward search from 0 ends
+// there, reporting 1. With the target just past the stop the backward
+// search from it reaches 1 too, and the finish meets at a seed that is
+// also a goal; with an exit between stop and target the backward search
+// ends at the exit and the finish needs the summary edge 1→2. Either way
+// partition 0 reports no local hit, and the engine answers true.
+func TestQueryThroughStopComponents(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		edges    [][2]graph.VertexID
+		s, t     graph.VertexID
+		fwd, bwd []uint32 // partition 0's reported boundary vertices
+	}{
+		{"seed is goal", [][2]graph.VertexID{{0, 1}, {1, 2}, {1, 3}, {3, 5}, {4, 1}}, 0, 2, []uint32{1}, []uint32{1}},
+		{"one summary edge", [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {2, 5}, {4, 1}}, 0, 3, []uint32{1}, []uint32{2}},
+	} {
+		g := build(8, c.edges)
+		S, T := []graph.VertexID{c.s}, []graph.VertexID{c.t}
+		if !NaiveReach(g, S, T) {
+			t.Fatalf("%s: the oracle says %d does not reach %d", c.name, c.s, c.t)
+		}
+		pt, err := graph.Range().Partition(g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := shard.New(0, partition.ExtractOne(g, pt, 0))
+		res := sh.Run([]wire.Task{
+			{Kind: wire.Forward, Seeds: []int32{int32(c.s)}, Targets: []int32{int32(c.t)}},
+			{Kind: wire.Backward, Seeds: []int32{int32(c.t)}},
+		})
+		verts := func(r wire.Result) []uint32 {
+			out := make([]uint32, len(r.Boundary))
+			for i, o := range r.Boundary {
+				out[i] = sh.Summary().Boundary[o]
+			}
+			return out
+		}
+		if res[0].Hit || !slices.Equal(verts(res[0]), c.fwd) || !slices.Equal(verts(res[1]), c.bwd) {
+			t.Errorf("%s: partition 0 answered hit %v, forward %v, backward %v; want no hit, %v, %v",
+				c.name, res[0].Hit, verts(res[0]), verts(res[1]), c.fwd, c.bwd)
+		}
+		e, err := Build(g, Options{K: 2, Partitioner: graph.Range()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.Query(S, T) {
+			t.Errorf("%s: Query(%v, %v) = false, the oracle says true", c.name, S, T)
+		}
+		e.Close()
 	}
 }
 

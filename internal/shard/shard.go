@@ -1,6 +1,8 @@
 // Package shard is the DSR execution runtime: a Shard executes local
-// searches over one partition's subgraph, and a Transport carries task
-// batches from the coordinator to shards. There is one transport,
+// searches over one partition's subgraph — each stopping at the first
+// boundary component on its way, the coordinator's summary edges
+// carrying the rest — and a Transport carries task batches from the
+// coordinator to shards. There is one transport,
 // Replicated — a set of interchangeable replicas per partition — and
 // two kinds of Replica under it: an in-process worker (NewLoopback) and
 // a TCP connection to a Server speaking the internal/wire protocol
@@ -34,7 +36,7 @@ const sweepChunk = 64
 // — so a partition that is one big cycle costs O(1) work instead of
 // O(V), and a component sixty tasks reach costs one expansion, not
 // sixty. Vertex-level answers (local hits, reached boundary vertices)
-// are read back through per-component boundary lists.
+// are read back through a per-component boundary list.
 //
 // Vertex IDs cost one table access each way. Seeds and targets arrive
 // as global IDs and resolve through the subgraph's rank index
@@ -50,12 +52,27 @@ const sweepChunk = 64
 // and a sweep walks a copy of the DAG with everything else cut away: a
 // Backward sweep expands only components some entry reaches, a Forward
 // one never expands a sink-side component — one an entry reaches but
-// that reaches no exit. Every component that holds a boundary vertex a
-// task reaches is still expanded, in the same order, and the one other
-// thing a sweep answers — does a Forward task reach one of its targets
-// locally — is settled for targets below the cut by marking upwards
-// from them (see markTargets). Results are byte-identical to sweeping
-// the whole closure.
+// that reaches no exit.
+//
+// A sweep also stops at the first boundary component on every path.
+// The coordinator holds each entry's whole exit closure as summary
+// edges, so a Forward sweep that reaches an entry has nothing left to
+// learn past it, and neither has a Backward sweep that reaches an exit:
+// a component holding an entry that reaches an exit is popped and
+// reported by a Forward sweep but pushes nothing on, and a component
+// holding an exit that an entry reaches is the same for a Backward one
+// (the stops), seed components included. Every reported vertex is
+// still a fact — the seed reaches it, or it reaches the target — and
+// nothing is lost: a Forward path to an exit either crosses a stop,
+// whose entry is reported and whose summary edges reach the exit, or
+// it does not, and the exit is reported itself; Backward is the mirror
+// image. An entry on the sink side reaches no exit and is no stop. The
+// one other thing a sweep answers — does a Forward task reach one of
+// its targets locally — is settled for targets below the pruning by
+// marking upwards from them (see markTargets), and is exactly "a
+// target is reached without crossing a stop": a path through one
+// becomes, at the coordinator, a seed that is also a goal or one
+// summary edge from one.
 //
 // All scratch (masks, bitmaps, result and boundary buffers) is owned by
 // the Shard, all-zero between sweeps and reused across Run calls, so
@@ -71,16 +88,17 @@ type Shard struct {
 	// and what a result's ordinals index.
 	boundary []uint32
 
-	// Per-component boundary lists as CSRs over component ids: the
-	// ordinals of a component's exits and of its entries, increasing
-	// within a component.
-	exitOff, entryOff []int32
-	exitAt, entryAt   []uint32
+	// The per-component boundary list as a CSR over component ids: the
+	// ordinals of a component's entries and exits, increasing within a
+	// component. Both directions report a popped component's whole row.
+	boundOff []int32
+	boundAt  []uint32
 
-	// region classifies every component (regionIn | regionOut). fwd and
-	// bwd are the condensation DAG pruned by it, which is all a sweep
+	// region classifies every component (the region and holds bits). fwd
+	// and bwd are the condensation DAG pruned by it, which is all a sweep
 	// walks: fwd holds the forward edges among components that are not
-	// sink side, bwd the reverse edges among regionIn components. Pruning
+	// sink side, bwd the reverse edges among regionIn components, and the
+	// row of a stop component is empty in the direction it stops. Pruning
 	// at build time means a pruned edge costs a sweep nothing, not even
 	// the test that would skip it.
 	region   []uint8
@@ -114,12 +132,25 @@ type Shard struct {
 // regionOut one is regionOut — which is what makes pruning exact: a
 // path into a regionOut component never leaves regionOut, a path out of
 // a regionIn component never leaves regionIn, and on any path the
-// sink-side components form a suffix.
+// sink-side components form a suffix. The holds bits say what the
+// component itself holds.
 const (
-	regionIn  uint8 = 1 << iota // reached from a component holding an entry (itself included)
-	regionOut                   // reaches a component holding an exit (itself included)
+	regionIn   uint8 = 1 << iota // reached from a component holding an entry (itself included)
+	regionOut                    // reaches a component holding an exit (itself included)
+	holdsEntry                   // holds an entry
+	holdsExit                    // holds an exit
 
+	regionBits = regionIn | regionOut
 	regionSink = regionIn // sink side: an entry reaches it, it reaches no exit
+
+	// The stops: a Forward sweep goes no further than a component
+	// holding an entry that reaches an exit, a Backward one no further
+	// than a component holding an exit that an entry reaches. A stop is
+	// on an entry→exit path, never sink side; every component a Forward
+	// sweep walks that holds an entry is a Forward stop, and every one a
+	// Backward sweep walks that holds an exit a Backward stop.
+	stopForward  = holdsEntry | regionOut
+	stopBackward = holdsExit | regionIn
 )
 
 // Regions counts a partition's components by what the boundary can see
@@ -189,29 +220,34 @@ func build(id int, sub *partition.Subgraph, cond *scc.Condensation) *Shard {
 		marks: newFrontier(cond.N),
 		chunk: make([]int32, 0, sweepChunk),
 	}
-	entryOrd, exitOrd := s.mergeBoundary()
-	s.exitOff, s.exitAt = s.boundaryLists(sub.Exits, exitOrd)
-	s.entryOff, s.entryAt = s.boundaryLists(sub.Entries, entryOrd)
+	local, exit := s.mergeBoundary()
+	s.boundOff, s.boundAt = s.boundaryList(local)
 	s.classify()
 	dag := cond.Data()
 	roff, redges := cond.Reverse()
-	s.fwd = prune(csr{dag.FOff, dag.FEdges}, s.region, func(r uint8) bool { return r != regionSink })
 	s.bwd = prune(csr{roff, redges}, s.region, func(r uint8) bool { return r&regionIn != 0 })
-	s.sum = wire.Summary{Boundary: s.boundary, Edges: s.summarize(), Cross: slices.Clone(sub.Cross)}
+	s.bwd.cut(s.region, stopBackward)
+	// The summary needs every entry's whole closure: sweep before the
+	// Forward stops are cut.
+	s.fwd = prune(csr{dag.FOff, dag.FEdges}, s.region, func(r uint8) bool { return r&regionBits != regionSink })
+	s.sum = wire.Summary{Boundary: s.boundary, Edges: s.summarize(exit), Cross: slices.Clone(sub.Cross)}
+	s.fwd.cut(s.region, stopForward)
 	return s
 }
 
 // summarize computes the partition's entry→exit summary edges with the
-// query sweep itself: one Forward task per entry, seeded with the entry
-// alone, reaches exactly the exits that entry reaches inside the
-// partition (itself too, if it is an exit). Run reports a task's exits
-// in sweep order; two stable counting passes — by ordinal, then by task
-// — put each entry's in increasing ordinal order, which is increasing
-// global ID, so the edges list entries in Entries order and each one's
-// exits increasing. The scratch the sweeps grew is released and the
-// run statistics cleared: a new shard's first query starts from what
-// it would have without this.
-func (s *Shard) summarize() [][2]uint32 {
+// query sweep itself, before the Forward stops are cut: one Forward
+// task per entry, seeded with the entry alone, reaches exactly the
+// boundary vertices that entry reaches inside the partition, and the
+// ordinals exit marks are the exits among them (itself too, if it is
+// an exit). Run reports a task's ordinals in sweep order; two stable
+// counting passes over the exits — by ordinal, then by task — put each
+// entry's in increasing ordinal order, which is increasing global ID,
+// so the edges list entries in Entries order and each one's exits
+// increasing. The scratch the sweeps grew is released and the run
+// statistics cleared: a new shard's first query starts from what it
+// would have without this.
+func (s *Shard) summarize(exit []bool) [][2]uint32 {
 	tasks := make([]wire.Task, len(s.sub.Entries))
 	seeds := make([]int32, len(tasks))
 	for i, e := range s.sub.Entries {
@@ -225,25 +261,30 @@ func (s *Shard) summarize() [][2]uint32 {
 	end := make([]int, len(s.boundary)+1)
 	for _, r := range res {
 		for _, o := range r.Boundary {
-			end[o+1]++
+			if exit[o] {
+				end[o+1]++
+			}
 		}
 	}
 	for o := 1; o < len(end); o++ {
 		end[o] += end[o-1]
 	}
 	byOrd := make([]uint32, end[len(s.boundary)])
-	for i, r := range res {
-		for _, o := range r.Boundary {
-			byOrd[end[o]] = uint32(i)
-			end[o]++
-		}
-	}
 	// By task: at[i] is where task i's next edge goes.
 	at := make([]int, len(res))
-	n := 0
 	for i, r := range res {
+		for _, o := range r.Boundary {
+			if exit[o] {
+				byOrd[end[o]] = uint32(i)
+				end[o]++
+				at[i]++
+			}
+		}
+	}
+	n := 0
+	for i, c := range at {
 		at[i] = n
-		n += len(r.Boundary)
+		n += c
 	}
 	edges := make([][2]uint32, n)
 	lo := 0
@@ -265,22 +306,20 @@ func (s *Shard) summarize() [][2]uint32 {
 func (s *Shard) classify() {
 	n := int32(s.cond.N)
 	s.region = make([]uint8, n)
+	for _, e := range s.sub.Entries {
+		s.region[s.cond.Comp[e]] |= holdsEntry | regionIn
+	}
+	for _, x := range s.sub.Exits {
+		s.region[s.cond.Comp[x]] |= holdsExit | regionOut
+	}
 	for c := int32(0); c < n; c++ {
-		out := s.exitOff[c+1] > s.exitOff[c]
 		for _, d := range s.cond.Out(c) {
-			out = out || s.region[d]&regionOut != 0
-		}
-		if out {
-			s.region[c] |= regionOut
+			s.region[c] |= s.region[d] & regionOut
 		}
 	}
 	for c := n - 1; c >= 0; c-- {
-		in := s.entryOff[c+1] > s.entryOff[c]
 		for _, p := range s.cond.In(c) {
-			in = in || s.region[p]&regionIn != 0
-		}
-		if in {
-			s.region[c] |= regionIn
+			s.region[c] |= s.region[p] & regionIn
 		}
 	}
 }
@@ -302,11 +341,26 @@ func prune(g csr, region []uint8, keep func(uint8) bool) csr {
 	return out
 }
 
+// cut empties the row of every component whose region has every stop
+// bit, in place: a stop is popped and reported, but pushes nothing on.
+func (g *csr) cut(region []uint8, stop uint8) {
+	n := int32(0)
+	for c, r := range region {
+		lo, hi := g.off[c], g.off[c+1]
+		g.off[c] = n
+		if r&stop != stop {
+			n += int32(copy(g.edges[n:], g.edges[lo:hi]))
+		}
+	}
+	g.off[len(region)] = n
+	g.edges = g.edges[:n:n]
+}
+
 // Regions reports how the partition's components split by region.
 func (s *Shard) Regions() Regions {
 	var r Regions
 	for _, b := range s.region {
-		switch b {
+		switch b & regionBits {
 		case regionIn | regionOut:
 			r.Path++
 		case regionSink:
@@ -322,35 +376,36 @@ func (s *Shard) Regions() Regions {
 
 // mergeBoundary fills boundary by merging the entry and exit lists —
 // both increasing in local and so in global ID, a vertex that is both
-// listed once — and returns the ordinal of every entry and of every
-// exit in it.
-func (s *Shard) mergeBoundary() (entryOrd, exitOrd []uint32) {
+// listed once — and returns the local id of every ordinal and which
+// ordinals are exits.
+func (s *Shard) mergeBoundary() (local []int32, exit []bool) {
 	en, ex := s.sub.Entries, s.sub.Exits
-	entryOrd, exitOrd = make([]uint32, 0, len(en)), make([]uint32, 0, len(ex))
+	n := len(en) + len(ex)
+	local, exit = make([]int32, 0, n), make([]bool, 0, n)
 	for len(en) > 0 || len(ex) > 0 {
-		ord := uint32(len(s.boundary))
 		var lv int32
+		isExit := true
 		switch {
 		case len(ex) == 0 || len(en) > 0 && en[0] < ex[0]:
-			lv, en, entryOrd = en[0], en[1:], append(entryOrd, ord)
+			lv, en, isExit = en[0], en[1:], false
 		case len(en) == 0 || ex[0] < en[0]:
-			lv, ex, exitOrd = ex[0], ex[1:], append(exitOrd, ord)
+			lv, ex = ex[0], ex[1:]
 		default: // an entry that is also an exit
 			lv, en, ex = en[0], en[1:], ex[1:]
-			entryOrd, exitOrd = append(entryOrd, ord), append(exitOrd, ord)
 		}
+		local, exit = append(local, lv), append(exit, isExit)
 		s.boundary = append(s.boundary, s.sub.GlobalID(lv))
 	}
-	return entryOrd, exitOrd
+	return local, exit
 }
 
-// boundaryLists groups boundary vertices (local ids, increasing) by
-// component: row c of the returned CSR holds the ordinals (ords[i] is
-// that of verts[i]) of the ones in component c, still increasing.
-func (s *Shard) boundaryLists(verts []int32, ords []uint32) (off []int32, at []uint32) {
+// boundaryList groups the boundary vertices (local ids, listed by
+// ordinal) by component: row c of the returned CSR holds the ordinals
+// of the ones in component c, still increasing.
+func (s *Shard) boundaryList(local []int32) (off []int32, at []uint32) {
 	n := s.cond.N
 	off = make([]int32, n+1)
-	for _, v := range verts {
+	for _, v := range local {
 		off[s.cond.Comp[v]+1]++
 	}
 	for c := 1; c <= n; c++ {
@@ -358,10 +413,10 @@ func (s *Shard) boundaryLists(verts []int32, ords []uint32) (off []int32, at []u
 	}
 	// off[c] is the fill cursor of row c and ends at the start of row
 	// c+1: shifting the array up by one restores the offsets.
-	at = make([]uint32, len(verts))
-	for i, v := range verts {
+	at = make([]uint32, len(local))
+	for ord, v := range local {
 		c := s.cond.Comp[v]
-		at[off[c]] = ords[i]
+		at[off[c]] = uint32(ord)
 		off[c]++
 	}
 	copy(off[1:], off[:n])
@@ -390,15 +445,20 @@ func (s *Shard) LastRun() RunStats { return s.stats }
 // many seeds this shard did hold, which is how a placement-free
 // coordinator knows the fleet collectively covered every seed.
 //
-// A result's Boundary holds ordinals into Summary().Boundary, not
-// vertex IDs, and is a function of the shard and the task alone — not
-// of the rest of the batch — so replicas and snapshot-restored shards
-// answer byte-identically: components in the order the sweep expands
-// them (decreasing component id for Forward, increasing for Backward),
-// and within a component increasing ordinal, which is increasing
-// global ID. Pruning changes none of it: a component holding an exit is
-// regionOut and one holding an entry regionIn, so every one a task
-// reaches is expanded.
+// A result's Boundary holds the boundary vertices — entries and exits
+// alike — of every component the task's sweep pops: for Forward, those
+// its seeds reach before crossing a stop, for Backward those that reach
+// one of its seeds after the last stop, where a stop is a component on
+// an entry→exit path holding an entry (Forward) or an exit (Backward).
+// A Forward sweep pops only components that reach an exit, a Backward
+// one only components an entry reaches. Hit is set when a target is
+// reached before crossing a stop. Boundary holds ordinals into
+// Summary().Boundary, not vertex IDs, and is a function of the shard
+// and the task alone — not of the rest of the batch — so replicas and
+// snapshot-restored shards answer byte-identically: components in the
+// order the sweep expands them (decreasing component id for Forward,
+// increasing for Backward), and within a component increasing ordinal,
+// which is increasing global ID.
 func (s *Shard) Run(tasks []wire.Task) []wire.Result {
 	s.results = slices.Grow(s.results[:0], len(tasks))[:len(tasks)]
 	for i := range tasks {
@@ -436,7 +496,7 @@ func (s *Shard) runKind(tasks []wire.Task, kind wire.TaskKind) {
 			}
 			owned++
 			c := s.cond.Comp[lv]
-			switch r := s.region[c]; {
+			switch r := s.region[c] & regionBits; {
 			case forward && r == regionSink:
 				if s.mask[c] == 0 {
 					s.parked = append(s.parked, c)
@@ -457,7 +517,7 @@ func (s *Shard) runKind(tasks []wire.Task, kind wire.TaskKind) {
 				if !ok {
 					continue
 				}
-				if c := s.cond.Comp[lv]; s.region[c] == regionSink {
+				if c := s.cond.Comp[lv]; s.region[c]&regionBits == regionSink {
 					s.tmask[c] |= bit
 					s.marks.push(c)
 				} else {
@@ -480,15 +540,16 @@ func (s *Shard) runKind(tasks []wire.Task, kind wire.TaskKind) {
 // the sink side, where the sweep does not go — to where the sweep can
 // meet them, leaving marks all-zero and every marked component in
 // marked. A mark climbs the reverse edges through sink-side components
-// — whose successors are all sink side, so there tmask[c] is exactly
-// the tasks with a target c reaches — and one edge further, onto the
-// last component before the sink side, where it stops. On any seed ⇝
-// target path the sink-side components are a suffix: either there is
-// none and the target is an aim, or the sweep reaches the component
-// before the suffix exactly and finds the mark there, or the seed is
-// itself sink side and parked on a component whose marks are exact. So
-// Hit is mask & tmask on some marked component, or an aim met, and
-// nothing else.
+// — whose successors are all sink side and none of which is a stop, so
+// there tmask[c] is exactly the tasks with a target c reaches — and one
+// edge further, onto the last component before the sink side, where it
+// stops; a stop there pushes nothing on, so it takes no mark. On any
+// seed ⇝ target path the sink-side components are a suffix: either
+// there is none and the target is an aim, or the sweep reaches the
+// component before the suffix through no stop exactly when it finds the
+// mark there, or the seed is itself sink side and parked on a component
+// whose marks are exact. So Hit is mask & tmask on some marked
+// component, or an aim met, and nothing else.
 func (s *Shard) markTargets() {
 	tmask, active, top := s.tmask, s.marks.active, s.marks.top
 	marked := s.marked[:0]
@@ -501,12 +562,14 @@ func (s *Shard) markTargets() {
 				c := int32(w<<6 + b)
 				// Predecessors have larger ids: c's marks are final.
 				marked = append(marked, c)
-				if s.region[c] != regionSink {
+				if s.region[c]&regionBits != regionSink {
 					continue
 				}
 				for _, p := range s.cond.In(c) {
-					tmask[p] |= tmask[c]
-					s.marks.push(p)
+					if s.region[p]&stopForward != stopForward {
+						tmask[p] |= tmask[c]
+						s.marks.push(p)
+					}
 				}
 			}
 			top[tw] &^= 1 << (w & 63)
@@ -528,12 +591,12 @@ func (s *Shard) markTargets() {
 // reports, and a scan of the top-level bitmap (one word per 4096
 // components) — never the partition's size or its boundary's.
 func (s *Shard) sweep(forward bool) {
-	g, off, at := s.bwd, s.entryOff, s.entryAt
+	g, off, at := s.bwd, s.boundOff, s.boundAt
 	mask, active, top := s.mask, s.todo.active, s.todo.top
 	tw, step := 0, 1
 	if forward {
 		s.markTargets()
-		g, off, at = s.fwd, s.exitOff, s.exitAt
+		g = s.fwd
 		tw, step = len(top)-1, -1
 	}
 	touched, rim := s.touched[:0], s.rim[:0]
@@ -545,7 +608,8 @@ func (s *Shard) sweep(forward bool) {
 				active[w] &^= 1 << b
 				c := w<<6 + b
 				// c's mask is final: count its boundary vertices towards
-				// every task in it and push the mask on.
+				// every task in it and push the mask on (a stop's row is
+				// empty).
 				m := mask[c]
 				touched = append(touched, int32(c))
 				if n := int(off[c+1] - off[c]); n != 0 {

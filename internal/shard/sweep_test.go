@@ -15,24 +15,39 @@ import (
 	"dsr/internal/wire"
 )
 
-// reference runs batches the way this package did before the sweep —
-// one scalar component-level BFS per task over the whole condensation,
-// to the task's full closure, boundary vertices picked out of every
-// visited component's member list — and is what the sweep is checked
-// against. It knows nothing of regions or pruning. It reads the Shard's
-// graph state and owns its own scratch, so it can run beside the
-// Shard's Run.
+// reference runs batches the way the sweep's contract reads, one
+// scalar component-level BFS per task over the whole condensation, and
+// is what the sweep is checked against. It is a first-boundary search:
+// it visits a stop component, seed components included, but goes no
+// further — for a Forward task one holding an entry that reaches an
+// exit, for a Backward task one holding an exit that an entry reaches.
+// (An entry that reaches no exit is no stop: the coordinator's summary
+// carries nothing on from it, so a Forward search must go on past it
+// for the task's targets.) Hit is a target's component visited, and
+// Boundary the entries and exits of every visited component that
+// reaches an exit (Forward) or that an entry reaches (Backward), picked
+// out of its member list; the rest the coordinator can do nothing with.
+// Its answers owe nothing to the Shard's regions or pruned DAGs: it
+// derives what reaches an exit and what an entry reaches itself, with
+// one BFS each. It reads the Shard's graph state and owns its own
+// scratch, so it can run beside the Shard's Run.
 type reference struct {
 	s       *Shard
 	members [][]int32 // per component, its vertices (memberLists)
 	isEntry []bool
 	isExit  []bool
-	cvisit  markSet
-	cqueue  []int32
-	lseeds  []int32
-	results []wire.Result
-	arena   []uint32
-	visited int // components visited, summed over the last run's tasks
+	// Per component: it reaches a component holding an exit, an entry's
+	// component reaches it (each itself included).
+	toExit, fromEntry []bool
+	// Per component and direction: the search visits it, but goes no
+	// further.
+	stopFwd, stopBwd []bool
+	cvisit           markSet
+	cqueue           []int32
+	lseeds           []int32
+	results          []wire.Result
+	arena            []uint32
+	visited          int // components visited, summed over the last run's tasks
 	// Those of visited the pruned sweep may expand: not sink side for a
 	// Forward task, regionIn for a Backward one.
 	expandable int
@@ -57,18 +72,37 @@ func (m *markSet) mark(v int32) bool {
 func (m *markSet) seen(v int32) bool { return m.at[v] == m.epoch }
 
 func newReference(s *Shard) *reference {
+	n := s.cond.N
 	r := &reference{
-		s:       s,
-		members: memberLists(s.cond.Comp, s.cond.N),
-		isEntry: make([]bool, s.sub.NumVertices()),
-		isExit:  make([]bool, s.sub.NumVertices()),
-		cvisit:  markSet{at: make([]uint32, s.cond.N)},
+		s:         s,
+		members:   memberLists(s.cond.Comp, n),
+		isEntry:   make([]bool, s.sub.NumVertices()),
+		isExit:    make([]bool, s.sub.NumVertices()),
+		toExit:    make([]bool, n),
+		fromEntry: make([]bool, n),
+		stopFwd:   make([]bool, n),
+		stopBwd:   make([]bool, n),
+		cvisit:    markSet{at: make([]uint32, n)},
 	}
 	for _, e := range s.sub.Entries {
 		r.isEntry[e] = true
 	}
 	for _, x := range s.sub.Exits {
 		r.isExit[x] = true
+	}
+	for _, c := range s.bfs(s.sub.Exits, false, nil, &r.cvisit, nil) {
+		r.toExit[c] = true
+	}
+	for _, c := range s.bfs(s.sub.Entries, true, nil, &r.cvisit, nil) {
+		r.fromEntry[c] = true
+	}
+	for _, e := range s.sub.Entries {
+		c := s.cond.Comp[e]
+		r.stopFwd[c] = r.toExit[c]
+	}
+	for _, x := range s.sub.Exits {
+		c := s.cond.Comp[x]
+		r.stopBwd[c] = r.fromEntry[c]
 	}
 	return r
 }
@@ -86,8 +120,10 @@ func memberLists(comp []int32, n int) [][]int32 {
 
 // bfs runs a component-level BFS from the components of the given local
 // seed vertices, forward or backward over the condensation DAG, marking
-// what it visits in visit and returning the visited components in q.
-func (s *Shard) bfs(seeds []int32, forward bool, visit *markSet, q []int32) []int32 {
+// what it visits in visit and returning the visited components in q. A
+// component stop says true of is visited but not expanded; a nil stop
+// expands everything.
+func (s *Shard) bfs(seeds []int32, forward bool, stop []bool, visit *markSet, q []int32) []int32 {
 	visit.reset()
 	q = q[:0]
 	for _, v := range seeds {
@@ -96,6 +132,9 @@ func (s *Shard) bfs(seeds []int32, forward bool, visit *markSet, q []int32) []in
 		}
 	}
 	for head := 0; head < len(q); head++ {
+		if stop != nil && stop[q[head]] {
+			continue
+		}
 		nbrs := s.cond.In(q[head])
 		if forward {
 			nbrs = s.cond.Out(q[head])
@@ -110,8 +149,8 @@ func (s *Shard) bfs(seeds []int32, forward bool, visit *markSet, q []int32) []in
 }
 
 // run is the reference Run: same contract, except that Boundary holds
-// the reached boundary vertices themselves — global IDs, in BFS order —
-// where Run reports their ordinals.
+// the reported boundary vertices themselves — global IDs, in BFS order
+// — where Run reports their ordinals.
 func (r *reference) run(tasks []wire.Task) []wire.Result {
 	s := r.s
 	res, arena := r.results[:0], r.arena[:0]
@@ -128,16 +167,18 @@ func (r *reference) run(tasks []wire.Task) []wire.Result {
 		r.lseeds = lseeds
 		out.Owned = uint32(len(lseeds))
 		forward := t.Kind == wire.Forward
-		r.cqueue = s.bfs(lseeds, forward, &r.cvisit, r.cqueue)
+		stop, useful := r.stopBwd, r.fromEntry
+		if forward {
+			stop, useful = r.stopFwd, r.toExit
+		}
+		r.cqueue = s.bfs(lseeds, forward, stop, &r.cvisit, r.cqueue)
 		r.visited += len(r.cqueue)
 		for _, c := range r.cqueue {
-			if reg := s.region[c]; forward && reg != regionSink || !forward && reg&regionIn != 0 {
+			if reg := s.region[c] & regionBits; forward && reg != regionSink || !forward && reg&regionIn != 0 {
 				r.expandable++
 			}
 		}
-		rim := r.isEntry
 		if forward {
-			rim = r.isExit
 			for _, v := range t.Targets {
 				if lv, ok := s.sub.Local(graph.VertexID(v)); ok && r.cvisit.seen(s.cond.Comp[lv]) {
 					out.Hit = true
@@ -147,8 +188,11 @@ func (r *reference) run(tasks []wire.Task) []wire.Result {
 		}
 		start := len(arena)
 		for _, c := range r.cqueue {
+			if !useful[c] {
+				continue
+			}
 			for _, v := range r.members[c] {
-				if rim[v] {
+				if r.isEntry[v] || r.isExit[v] {
 					arena = append(arena, s.sub.GlobalID(v))
 				}
 			}
@@ -531,11 +575,9 @@ func TestShardBoundaryOrdinals(t *testing.T) {
 			if !slices.Equal(list, want) {
 				t.Fatalf("%s shard %d: boundary list %v, want entries ∪ exits %v", fx.name, p, list, want)
 			}
-			for _, at := range [][]uint32{s.exitAt, s.entryAt} {
-				for _, ord := range at {
-					if int(ord) >= len(list) {
-						t.Fatalf("%s shard %d: ordinal %d in a component's boundary row, the list has %d", fx.name, p, ord, len(list))
-					}
+			for _, ord := range s.boundAt {
+				if int(ord) >= len(list) {
+					t.Fatalf("%s shard %d: ordinal %d in a component's boundary row, the list has %d", fx.name, p, ord, len(list))
 				}
 			}
 
@@ -577,6 +619,128 @@ func TestShardBoundaryOrdinals(t *testing.T) {
 	}
 }
 
+// checkClosesOverSummary runs the batch through s and checks every
+// result, closed over the summary edges the coordinator holds, against
+// the full closure — the reference's BFS with no stop: a Forward task's
+// closure exits are exactly its reported exits and the summary
+// successors of its reported entries, a Backward task's closure entries
+// exactly its reported entries and the entries with a summary edge to
+// one of its reported exits. It returns how many boundary vertices the
+// results reported and the closures held.
+func checkClosesOverSummary(t testing.TB, s *Shard, ref *reference, tasks []wire.Task) (reported, closed int) {
+	t.Helper()
+	succ := map[uint32][]uint32{}
+	for _, e := range s.Summary().Edges {
+		succ[e[0]] = append(succ[e[0]], e[1])
+	}
+	isEntry := func(v uint32) bool { lv, _ := s.sub.Local(v); return ref.isEntry[lv] }
+	isExit := func(v uint32) bool { lv, _ := s.sub.Local(v); return ref.isExit[lv] }
+	var q []int32
+	for i, r := range s.Run(tasks) {
+		task := &tasks[i]
+		var lseeds []int32
+		for _, v := range task.Seeds {
+			if lv, ok := s.sub.Local(graph.VertexID(v)); ok {
+				lseeds = append(lseeds, lv)
+			}
+		}
+		forward := task.Kind == wire.Forward
+		q = s.bfs(lseeds, forward, nil, &ref.cvisit, q)
+		var want []uint32
+		for _, c := range q {
+			for _, v := range ref.members[c] {
+				if forward && ref.isExit[v] || !forward && ref.isEntry[v] {
+					want = append(want, s.sub.GlobalID(v))
+				}
+			}
+		}
+		got := map[uint32]bool{}
+		verts := reached(t, s, r)
+		for _, v := range verts {
+			if forward && isExit(v) || !forward && isEntry(v) {
+				got[v] = true
+			}
+		}
+		if forward {
+			for _, e := range verts {
+				for _, x := range succ[e] {
+					got[x] = true
+				}
+			}
+		} else {
+			met := map[uint32]bool{}
+			for _, x := range verts {
+				met[x] = isExit(x)
+			}
+			for e, xs := range succ {
+				for _, x := range xs {
+					if met[x] {
+						got[e] = true
+					}
+				}
+			}
+		}
+		have := make([]uint32, 0, len(got))
+		for v := range got {
+			have = append(have, v)
+		}
+		slices.Sort(have)
+		slices.Sort(want)
+		if !slices.Equal(have, want) {
+			t.Fatalf("shard %d task %d %+v: reported %v closes over the summary to %v, the full closure holds %v",
+				s.id, i, *task, verts, have, want)
+		}
+		reported += len(verts)
+		closed += len(want)
+	}
+	return reported, closed
+}
+
+// TestShardResultsCloseOverSummary checks that stopping at the first
+// boundary component loses nothing the coordinator needs: on every
+// fixture, and outside -short on the benchmark family's graph (200k
+// vertices, instance 4) at k = 3 under hash and locality (seed 1)
+// partitioning, every result closes over the partition's summary edges
+// to the whole closure. The benchmark graph's batches must also report
+// fewer boundary vertices than their closures hold.
+func TestShardResultsCloseOverSummary(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	for _, fx := range sweepFixtures(t, rng) {
+		subs := partition.Extract(fx.g, fx.pt)
+		for p, sub := range subs {
+			s := New(p, sub)
+			ref := newReference(s)
+			for _, perDir := range []int{1, 64, 200} {
+				checkClosesOverSummary(t, s, ref, sweepBatch(rng, s, fx.g.NumVertices(), perDir, false))
+			}
+		}
+	}
+	if testing.Short() {
+		t.Skip("the benchmark graph's partitions: not under -short")
+	}
+	const n = 200_000
+	g := gen.Community(rand.New(rand.NewSource(4)), n, 16, 2.5, 0.05, 0.01)
+	for _, strat := range []graph.Partitioner{graph.Hash(), locality.New(locality.Options{Seed: 1})} {
+		pt, err := strat.Partition(g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 3; p++ {
+			s := New(p, partition.ExtractOne(g, pt, p))
+			ref := newReference(s)
+			reported, closed := 0, 0
+			for _, tasks := range benchRounds(rand.New(rand.NewSource(int64(p))), n, 64, 2) {
+				r, c := checkClosesOverSummary(t, s, ref, tasks)
+				reported += r
+				closed += c
+			}
+			if reported >= closed {
+				t.Errorf("%s partition %d: %d boundary vertices reported, the closures hold %d", strat.Name(), p, reported, closed)
+			}
+		}
+	}
+}
+
 // TestShardRegions checks the classification against its definition,
 // one reference BFS per component and direction, on every fixture; that
 // the fixtures between them hold every region, a partition with no
@@ -604,13 +768,13 @@ func TestShardRegions(t *testing.T) {
 			for c := int32(0); c < int32(s.cond.N); c++ {
 				seed := ref.members[c][:1]
 				var want uint8
-				if holds(s.bfs(seed, true, &ref.cvisit, nil), ref.isExit) {
+				if holds(s.bfs(seed, true, nil, &ref.cvisit, nil), ref.isExit) {
 					want |= regionOut
 				}
-				if holds(s.bfs(seed, false, &ref.cvisit, nil), ref.isEntry) {
+				if holds(s.bfs(seed, false, nil, &ref.cvisit, nil), ref.isEntry) {
 					want |= regionIn
 				}
-				if s.region[c] != want {
+				if s.region[c]&regionBits != want {
 					t.Fatalf("%s shard %d: component %d classified %02b, want %02b", fx.name, p, c, s.region[c], want)
 				}
 			}
@@ -655,7 +819,7 @@ func TestShardSweepStaysInRegion(t *testing.T) {
 					t.Fatalf("%s shard %d kind %d: %d components counted, %d expanded", fx.name, p, kind, s.LastRun().Components, len(s.touched))
 				}
 				for _, c := range s.touched {
-					if r := s.region[c]; kind == wire.Forward && r == regionSink || kind == wire.Backward && r&regionIn == 0 {
+					if r := s.region[c] & regionBits; kind == wire.Forward && r == regionSink || kind == wire.Backward && r&regionIn == 0 {
 						t.Fatalf("%s shard %d kind %d: expanded component %d of region %02b", fx.name, p, kind, c, r)
 					}
 				}
@@ -692,9 +856,11 @@ func TestShardRunGapExhaustive(t *testing.T) {
 		}
 	}
 	// Counted by hand: how many of partition 0's vertices each of its
-	// vertices 0..12 reaches, itself included.
+	// vertices 0..12 reaches without crossing a stop, itself included.
+	// Entry 9 reaches exit 10, so its component is a stop and it hits
+	// only itself; entry 5 reaches no exit and is none.
 	want := 0
-	for _, reach := range []int{8, 8, 1, 5, 1, 4, 3, 3, 1, 3, 2, 1, 3} {
+	for _, reach := range []int{8, 8, 1, 5, 1, 4, 3, 3, 1, 1, 2, 1, 3} {
 		want += reach
 	}
 	if hits != want {

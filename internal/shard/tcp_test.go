@@ -222,14 +222,14 @@ func TestTCPSummaryFetch(t *testing.T) {
 	// Interleave: batch, summary, batch on the same connection.
 	replyc := make(chan Reply, 1)
 	cl.Submit(1, wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 0, Seeds: []int32{2}}}, replyc)
-	if rep := <-replyc; rep.Err != nil || !slices.Equal(chainReached(1, rep.Results[0].Boundary), []uint32{3}) {
+	if rep := <-replyc; rep.Err != nil || !slices.Equal(chainReached(1, rep.Results[0].Boundary), []uint32{2}) {
 		t.Fatalf("batch before summary: %+v / %v", rep.Results, rep.Err)
 	}
 	if _, err := cl.Summary(t.Context(), 1); err != nil {
 		t.Fatal(err)
 	}
 	cl.Submit(1, wire.BatchHeader{}, []wire.Task{{Kind: wire.Backward, Query: 1, Seeds: []int32{3}}}, replyc)
-	if rep := <-replyc; rep.Err != nil || !slices.Equal(chainReached(1, rep.Results[0].Boundary), []uint32{2}) {
+	if rep := <-replyc; rep.Err != nil || !slices.Equal(chainReached(1, rep.Results[0].Boundary), []uint32{3}) {
 		t.Fatalf("batch after summary: %+v / %v", rep.Results, rep.Err)
 	}
 }

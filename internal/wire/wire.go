@@ -115,12 +115,14 @@ var (
 type TaskKind uint8
 
 const (
-	// Forward is a BFS from the query's sources within the shard's
-	// partition: report a hit if a local target is reached, plus every
-	// reached exit vertex.
+	// Forward is a search from the query's sources within the shard's
+	// partition that stops at the first entry on the way to an exit:
+	// report a hit if a local target is reached, plus the boundary
+	// vertices reached up to there.
 	Forward TaskKind = iota
-	// Backward is a reverse BFS from the query's targets: report every
-	// entry vertex that can reach a target locally.
+	// Backward is a reverse search from the query's targets that stops
+	// at the first exit on the way back to an entry: report the
+	// boundary vertices that reach a target locally up to there.
 	Backward
 )
 
@@ -138,9 +140,13 @@ type Task struct {
 }
 
 // Result answers one Task. Boundary holds the boundary vertices the
-// search reached — exits (Forward) or entries that reach a target
-// (Backward) — each as its ordinal in the answering shard's
-// Summary.Boundary list, not as a vertex ID: the list is sorted, the
+// search reached, entries and exits alike — ones the sources reach
+// (Forward) or ones that reach a target (Backward) — each as its
+// ordinal in the answering shard's Summary.Boundary list, not as a
+// vertex ID. It need not be the whole closure: the search stops at the
+// first boundary component, and the coordinator's summary edges carry
+// a reached entry on to its exits (and an entry on to a reached exit),
+// so together they are. The list is sorted, the
 // same on every replica of the partition, and already with the
 // coordinator, so an ordinal is all either end needs. Owned
 // counts how many of the task's Seeds this shard owned — summed over
