@@ -172,7 +172,7 @@ func (c *Coordinator) StartOps() {
 		eps := e.Endpoints()
 		targets := make([]fleet.Target, len(eps))
 		for i, ep := range eps {
-			targets[i] = fleet.Target(ep)
+			targets[i] = fleet.Target{Partition: ep.Partition, Replica: ep.Replica, Addr: ep.Addr, MetricsAddr: ep.MetricsAddr, Live: ep.Live}
 		}
 		return targets
 	}, 0)

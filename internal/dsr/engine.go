@@ -417,19 +417,30 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 		}
 		n = int(infos[ref].Hello.NumVertices)
 	}
+	sums := make([]wire.Summary, k)
+	digests := make([]uint64, k)
+	for p := range infos {
+		sums[p] = infos[p].Summary
+		digests[p] = sums[p].Digest()
+	}
 	// Pin the verified fleet identity on the transport, so every future
 	// redial of an individual replica is held to what the fleet reported
-	// at connect time — not just to what the caller chose to expect.
+	// at connect time — not just to what the caller chose to expect — and
+	// to the summaries stitched here: every replica of a partition must
+	// ship the one its sibling did, or a round answered on it could
+	// assume summary edges the coordinator does not hold.
 	if r, ok := tr.(replicaSets); ok && ref >= 0 {
+		for _, ep := range r.Endpoints() {
+			if d, want := ep.SummaryDigest, digests[ep.Partition]; ep.Live && d != 0 && d != want {
+				return nil, &MismatchError{Field: "summary digest", PartA: ep.Partition, PartB: ep.Partition, A: want, B: d}
+			}
+		}
 		r.Pin(shard.Expect{
 			NumVertices: n,
 			Graph:       infos[ref].Hello.Graph,
 			Part:        infos[ref].Hello.Partitioning,
+			Summaries:   digests,
 		})
-	}
-	sums := make([]wire.Summary, k)
-	for p := range infos {
-		sums[p] = infos[p].Summary
 	}
 	stitchStart := time.Now()
 	bg, err := stitchBoundary(n, sums)

@@ -7,16 +7,23 @@ import (
 
 // MismatchError reports two shards of one fleet that disagree about the
 // deployment they serve — different vertex counts, graph fingerprints,
-// or partitioning digests. Connect refuses such a fleet outright: the
-// coordinator holds no graph of its own to arbitrate with, and a
-// placement disagreement would mean silently wrong answers, not errors.
+// or partitioning digests — or two replicas of one partition that ship
+// different boundary summaries (PartA == PartB; A is the digest of the
+// summary the coordinator stitched). Connect refuses such a fleet
+// outright: the coordinator holds no graph of its own to arbitrate
+// with, and a disagreement would mean silently wrong answers, not
+// errors.
 type MismatchError struct {
-	Field        string // "vertex count", "graph fingerprint", "partitioning digest"
+	Field        string // "vertex count", "graph fingerprint", "partitioning digest", "summary digest"
 	PartA, PartB int    // the two disagreeing partitions
 	A, B         uint64 // their reported values
 }
 
 func (e *MismatchError) Error() string {
+	if e.PartA == e.PartB {
+		return fmt.Sprintf("dsr: fleet mismatch: replicas of shard %d report %s %#x and %#x",
+			e.PartA, e.Field, e.A, e.B)
+	}
 	return fmt.Sprintf("dsr: fleet mismatch: shard %d reports %s %#x, shard %d reports %#x",
 		e.PartA, e.Field, e.A, e.PartB, e.B)
 }

@@ -28,6 +28,7 @@ func TestReplicatedPinSweepsMismatches(t *testing.T) {
 		{"vertex count mismatch", Expect{NumVertices: 5, Graph: testGraphSum, Part: testPartSum}, "vertices"},
 		{"graph fingerprint mismatch", Expect{NumVertices: 6, Graph: testGraphSum + 1, Part: testPartSum}, "different graph"},
 		{"partitioning digest mismatch", Expect{NumVertices: 6, Graph: testGraphSum, Part: testPartSum + 1}, "different partitioning"},
+		{"summary digest mismatch", Expect{NumVertices: 6, Graph: testGraphSum, Part: testPartSum, Summaries: []uint64{1, 1, 1}}, "different summary"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

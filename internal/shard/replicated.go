@@ -92,12 +92,16 @@ type Replicated struct {
 // the fleet, and pinning them makes every redial re-verify that a
 // restarted replica still serves the same deployment. NumVertices < 0
 // skips the vertex-count check; a zero fingerprint or digest on either
-// side skips that check. Replicas with no handshake identity (hello
+// side skips that check. Summaries, once pinned, holds per partition the
+// digest of the summary the coordinator stitched (wire.Summary.Digest):
+// a replica that ships another summary is refused like one built from
+// another graph. Replicas with no handshake identity (hello
 // NumShards == 0, i.e. in-process replicas) are exempt.
 type Expect struct {
 	NumVertices int
 	Graph       uint64
 	Part        uint64
+	Summaries   []uint64
 }
 
 // check validates a replica's dial-time hello against e.
@@ -111,6 +115,8 @@ func (e *Expect) check(h wire.Hello) error {
 		return fmt.Errorf("server built from a different graph (fingerprint %#x, expected %#x)", h.Graph, e.Graph)
 	case e.Part != 0 && h.Partitioning != 0 && h.Partitioning != e.Part:
 		return fmt.Errorf("server built with a different partitioning (digest %#x, expected %#x — same -partitioner spec everywhere?)", h.Partitioning, e.Part)
+	case int(h.ShardID) < len(e.Summaries) && e.Summaries[h.ShardID] != 0 && h.SummaryDigest != 0 && h.SummaryDigest != e.Summaries[h.ShardID]:
+		return fmt.Errorf("server ships a different summary (digest %#x, expected %#x — every replica from the same build?)", h.SummaryDigest, e.Summaries[h.ShardID])
 	}
 	return nil
 }
@@ -413,11 +419,12 @@ func (r *Replicated) Endpoints() []EndpointInfo {
 		for i := range rs.eps {
 			if ep := &rs.eps[i]; ep.addr != "" {
 				eps = append(eps, EndpointInfo{
-					Partition:   rs.part,
-					Replica:     i,
-					Addr:        ep.addr,
-					MetricsAddr: ep.hello.MetricsAddr,
-					Live:        ep.conn != nil,
+					Partition:     rs.part,
+					Replica:       i,
+					Addr:          ep.addr,
+					MetricsAddr:   ep.hello.MetricsAddr,
+					SummaryDigest: ep.hello.SummaryDigest,
+					Live:          ep.conn != nil,
 				})
 			}
 		}

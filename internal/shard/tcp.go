@@ -141,17 +141,19 @@ func (s *Server) logger() *obs.Logger { return s.logp.Load() }
 // check that catches a coordinator running a different partitioner (or
 // the same locality partitioner with a different seed) over the same
 // graph. 0 disables either check. All of it is echoed in the hello
-// frame so a mismatched coordinator refuses the shard instead of
-// silently mis-answering.
+// frame, with the digest of the shard's boundary summary, so a
+// mismatched coordinator refuses the shard instead of silently
+// mis-answering.
 func NewServer(sh *Shard, numShards, numVertices int, graphSum, partSum uint64) *Server {
 	return &Server{
 		sh: sh,
 		hello: wire.Hello{
-			ShardID:      uint32(sh.ID()),
-			NumShards:    uint32(numShards),
-			NumVertices:  uint32(numVertices),
-			Graph:        graphSum,
-			Partitioning: partSum,
+			ShardID:       uint32(sh.ID()),
+			NumShards:     uint32(numShards),
+			NumVertices:   uint32(numVertices),
+			Graph:         graphSum,
+			Partitioning:  partSum,
+			SummaryDigest: sh.Summary().Digest(),
 		},
 		// Encode the boundary summary New built once, eagerly: every
 		// MsgSummaryRequest is answered by writing the same immutable

@@ -93,8 +93,8 @@ func TestTCPDialRejectsMismatch(t *testing.T) {
 // the handshake, in both directions. A server still speaking DSR3 —
 // whose results would carry vertex IDs where this build reads ordinals
 // — is refused by Dial with wire.ErrBadMagic before any batch is sent;
-// and this build's server leads its hello with DSR4, which is all a
-// DSR3 client needs to refuse it the same way.
+// and this build's server leads its hello with DSR5, which is all a
+// DSR3 or DSR4 client needs to refuse it the same way.
 func TestTCPDialRefusesOlderProtocol(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -121,8 +121,8 @@ func TestTCPDialRefusesOlderProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hello) < 5 || hello[0] != wire.MsgHello || string(hello[1:5]) != "DSR4" {
-		t.Fatalf("server hello leads with % x, want MsgHello and DSR4", hello[:min(len(hello), 5)])
+	if len(hello) < 5 || hello[0] != wire.MsgHello || string(hello[1:5]) != "DSR5" {
+		t.Fatalf("server hello leads with % x, want MsgHello and DSR5", hello[:min(len(hello), 5)])
 	}
 }
 

@@ -21,16 +21,18 @@ type SummaryInfo struct {
 // EndpointInfo describes one endpoint a transport talks to: which
 // partition and replica slot it serves, its dialed address, the metrics
 // (ops-endpoint) address it announced in its hello — empty when the
-// server runs without -metrics-addr — and whether it is currently live.
-// Replicated.Endpoints returns one entry per (partition, replica) that
-// was dialed at an address; the fleet aggregator uses it to find every
-// shard registry worth scraping.
+// server runs without -metrics-addr — the digest of the summary it
+// ships, and whether it is currently live. Replicated.Endpoints returns
+// one entry per (partition, replica) that was dialed at an address; the
+// fleet aggregator uses it to find every shard registry worth scraping,
+// and the coordinator to hold every replica to the summary it stitched.
 type EndpointInfo struct {
-	Partition   int
-	Replica     int
-	Addr        string
-	MetricsAddr string
-	Live        bool
+	Partition     int
+	Replica       int
+	Addr          string
+	MetricsAddr   string
+	SummaryDigest uint64
+	Live          bool
 }
 
 // Reply delivers one shard's results for a submitted batch. On a

@@ -128,7 +128,7 @@ func TestTransportConformance(t *testing.T) {
 				}
 				wantHello := wire.Hello{} // in-process replicas have no handshake identity
 				if shape.tcp {
-					wantHello = wire.Hello{ShardID: uint32(p), NumShards: 3, NumVertices: 6, Graph: testGraphSum, Partitioning: testPartSum}
+					wantHello = wire.Hello{ShardID: uint32(p), NumShards: 3, NumVertices: 6, Graph: testGraphSum, Partitioning: testPartSum, SummaryDigest: want.Digest()}
 				}
 				if info.Hello != wantHello {
 					t.Errorf("summary %d: hello %+v, want %+v", p, info.Hello, wantHello)

@@ -6,8 +6,9 @@
 //
 //   - MsgHello    — server -> client on connect: shard identity
 //     (shard ID, shard count, vertex count, graph fingerprint,
-//     partitioning digest) so a coordinator can refuse a shard built
-//     from a different graph or partitioned differently.
+//     partitioning digest, summary digest) so a coordinator can refuse
+//     a shard built from a different graph, partitioned differently,
+//     or shipping a different boundary summary.
 //   - MsgSummaryRequest — client -> server: ask for the shard's
 //     boundary summary (no payload beyond the type byte).
 //   - MsgSummary  — server -> client: the shard's boundary summary —
@@ -51,6 +52,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 )
@@ -72,12 +74,14 @@ const (
 
 // helloMagic guards against a client speaking to something that is not
 // a DSR shard — and against an old one: it leads the hello payload
-// ("DSR4"; DSR3 added the task-batch header, the server-timing footer
+// ("DSR5"; DSR3 added the task-batch header, the server-timing footer
 // on results and the hello's metrics address, DSR4 turned a result's
 // boundary vertices from global IDs into ordinals — bytes an older
 // peer would decode without complaint and misread, which is why the
-// handshake has to refuse it).
-const helloMagic = 0x44535234
+// handshake has to refuse it — and DSR5 added the summary digest to
+// the hello, when summaries became first-boundary skeletons and
+// results stopped at every key component).
+const helloMagic = 0x44535235
 
 // Task-batch header flags (the byte after the MsgTasks type byte).
 // Unknown bits are rejected by DecodeTasks: a flag this build does not
@@ -177,23 +181,37 @@ type Summary struct {
 	Cross    [][2]uint32
 }
 
+// Digest is the FNV-1a hash of s's MsgSummary encoding: what a shard
+// announces in its hello and what a coordinator holds every replica of
+// a partition to. Encoding is canonical for a decoded Summary, so the
+// coordinator's digest of what it received is the shard's own.
+func (s Summary) Digest() uint64 {
+	h := fnv.New64a()
+	h.Write(AppendSummary(nil, s))
+	return h.Sum64()
+}
+
 // Hello identifies a shard server to a connecting coordinator. Graph
 // is a fingerprint of the exact edge set the shard was built from
 // (graph.Fingerprint) and Partitioning a digest of the vertex-to-
 // partition assignment (graph.Partitioning.Digest) — the latter catches
 // two processes that loaded the same graph but partitioned it
 // differently (e.g. hash vs locality, or locality with different
-// seeds). For either, 0 means "not computed" and skips the check.
-// MetricsAddr, when non-empty, is the host:port of the shard's ops
+// seeds). SummaryDigest is the shard's encoded boundary summary's
+// Summary.Digest: replicas of one partition must ship the summary the
+// coordinator stitched, so one that summarizes differently — another
+// build's summary semantics — is refused too. For any of the three, 0
+// means "not computed" and skips the check. MetricsAddr, when non-empty, is the host:port of the shard's ops
 // endpoint so a coordinator can aggregate the fleet's /metrics
 // registries without separate service discovery.
 type Hello struct {
-	ShardID      uint32
-	NumShards    uint32
-	NumVertices  uint32
-	Graph        uint64
-	Partitioning uint64
-	MetricsAddr  string
+	ShardID       uint32
+	NumShards     uint32
+	NumVertices   uint32
+	Graph         uint64
+	Partitioning  uint64
+	SummaryDigest uint64
+	MetricsAddr   string
 }
 
 // BatchHeader prefixes every MsgTasks batch. Batch is a coordinator-
@@ -292,6 +310,7 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = binary.AppendUvarint(dst, uint64(h.NumVertices))
 	dst = binary.AppendUvarint(dst, h.Graph)
 	dst = binary.AppendUvarint(dst, h.Partitioning)
+	dst = binary.AppendUvarint(dst, h.SummaryDigest)
 	dst = binary.AppendUvarint(dst, uint64(len(h.MetricsAddr)))
 	dst = append(dst, h.MetricsAddr...)
 	return dst
@@ -324,6 +343,9 @@ func DecodeHello(p []byte) (Hello, error) {
 		return h, err
 	}
 	if h.Partitioning, p, err = readUint64(p); err != nil {
+		return h, err
+	}
+	if h.SummaryDigest, p, err = readUint64(p); err != nil {
 		return h, err
 	}
 	alen, p, err := readCount(p)

@@ -52,6 +52,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	for _, h := range []Hello{
 		{},
 		{ShardID: 2, NumShards: 5, NumVertices: 1_000_000, Graph: 0xDEADBEEFCAFE},
+		{ShardID: 1, NumShards: 3, Partitioning: 9, SummaryDigest: math.MaxUint64},
 		{ShardID: math.MaxUint32, NumShards: math.MaxUint32, NumVertices: math.MaxUint32, Graph: math.MaxUint64},
 		{ShardID: 1, NumShards: 3, MetricsAddr: "127.0.0.1:9090"},
 		{MetricsAddr: strings.Repeat("a", maxMetricsAddr)},
@@ -73,21 +74,21 @@ func TestDecodeHelloRejectsOversizedMetricsAddr(t *testing.T) {
 	}
 }
 
-// TestDecodeHelloRejectsOlderMagic: the previous protocol version's
-// hello — identical but for the magic, whose results carry vertex IDs
-// where this build reads ordinals — is refused with ErrBadMagic, as is
-// the one before it.
+// TestDecodeHelloRejectsOlderMagic: the previous protocol versions'
+// hellos — here identical but for the magic; DSR4's carried no summary
+// digest, DSR3's results carry vertex IDs where this build reads
+// ordinals — are refused with ErrBadMagic.
 func TestDecodeHelloRejectsOlderMagic(t *testing.T) {
 	h := Hello{ShardID: 1, NumShards: 3, NumVertices: 100, Graph: 7, Partitioning: 9}
-	for _, magic := range []string{"DSR3", "DSR2"} {
+	for _, magic := range []string{"DSR4", "DSR3", "DSR2"} {
 		p := AppendHello(nil, h)
 		copy(p[1:5], magic)
 		if _, err := DecodeHello(p); !errors.Is(err, ErrBadMagic) {
 			t.Errorf("%s hello: err = %v, want ErrBadMagic", magic, err)
 		}
 	}
-	if p := AppendHello(nil, h); string(p[1:5]) != "DSR4" {
-		t.Errorf("hello magic = %q, want DSR4", p[1:5])
+	if p := AppendHello(nil, h); string(p[1:5]) != "DSR5" {
+		t.Errorf("hello magic = %q, want DSR5", p[1:5])
 	}
 }
 
