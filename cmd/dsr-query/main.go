@@ -20,7 +20,7 @@
 // With -shards the coordinator is graph-free: it takes no graph file
 // and no partitioner spec — those belong to the shards. At connect
 // time each shard ships its boundary summary (its boundary vertices,
-// entry→exit summary edges, and cross-partition edges) and the
+// first-boundary skeleton edges, and cross-partition edges) and the
 // coordinator stitches them into the global boundary graph; shard
 // identity comes from the handshake, and a fleet whose shards disagree
 // with each other (different graphs or partitionings) is refused with

@@ -204,10 +204,11 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 	})
 
 	t.Run("hedging", func(t *testing.T) {
-		// R=2 per partition: the second replica sits behind a chaos
-		// proxy that delays every frame up to 30ms. With round-robin
-		// replica pick, about half the rounds land on the slow primary;
-		// a 10ms hedge ceiling re-sends those to the fast sibling.
+		// R=2 per partition: the first replica sits behind a chaos
+		// proxy that delays every frame up to 30ms. Rounds land on the
+		// first idle replica, so whenever the slow one is idle it is the
+		// primary; a 10ms hedge ceiling re-sends those rounds to the
+		// fast sibling.
 		slowAddrs, _ := bootShardFleet(t, bin, graphPath, 3, "hash")
 		groups := make([]string, 3)
 		for p := 0; p < 3; p++ {
@@ -218,7 +219,7 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { proxy.Close() })
-			groups[p] = shardAddrs[p] + "|" + proxy.Addr()
+			groups[p] = proxy.Addr() + "|" + shardAddrs[p]
 		}
 		sv := startServe(t, bin, "-shards", strings.Join(groups, ","),
 			"-cache", "-1", "-hedge", "-hedge-max", "10ms", "-hedge-min", "1ms")

@@ -1,7 +1,7 @@
 // Command dsr-shard runs one DSR shard server: it loads the graph,
 // partitions it into the deployment's shard count, extracts and
-// condenses its own partition, sweeps its entries for the boundary
-// summary, and serves local-search RPCs over TCP.
+// condenses its own partition, sweeps its key components for the
+// boundary summary, and serves local-search RPCs over TCP.
 //
 //	dsr-shard -graph edges.txt -shards 3 -id 0 -listen 127.0.0.1:7000 -partitioner locality
 //
@@ -11,11 +11,12 @@
 // any coordination traffic. The coordinator (dsr-query, or
 // dsr.Connect) is graph-free — it takes only the shard addresses.
 // After the handshake each shard ships its boundary summary (boundary
-// vertices, entry→exit summary edges, cross-partition edges), which
-// the coordinator stitches into the global boundary graph; it verifies
-// the shards against each other via the handshake's vertex count,
-// graph fingerprint, and partitioning digest, and refuses a fleet
-// whose shards disagree. A bad flag value — an unknown -partitioner, a
+// vertices, first-boundary skeleton edges, cross-partition edges),
+// which the coordinator stitches into the global boundary graph; it
+// verifies the shards against each other via the handshake's vertex
+// count, graph fingerprint, and partitioning digest, refuses a fleet
+// whose shards disagree, and refuses a replica whose summary digest
+// differs from the summary it stitched for that partition. A bad flag value — an unknown -partitioner, a
 // -shards below 1, an -id outside [0, shards) — exits 2 before anything
 // is loaded; what only the work can discover exits 1 (README.md, "Exit
 // codes").
@@ -28,7 +29,7 @@
 // harnesses wait for the later "serving on <addr>" line instead.
 //
 // Snapshots: with -snapshot-dir, a freshly built shard persists its
-// forward-CSR subgraph and SCC condensation (snapshot format 3) to
+// forward-CSR subgraph and SCC condensation (snapshot format 4) to
 // <dir>/part<id>-of-<shards>.dsrsnap via a temp-file+rename, and the
 // next boot loads that file instead of rebuilding — skipping even the
 // edge-list read and Tarjan, so -graph becomes optional; the boundary

@@ -11,8 +11,9 @@ import (
 
 // boundaryGraph is the compressed global view stitched from the shards'
 // boundary summaries: vertices are the boundary vertices of the
-// partitioned graph, edges are the per-partition entry->exit summaries
-// plus the raw cross-partition edges. It is retained in condensed form
+// partitioned graph, edges are the per-partition summary edges — each
+// partition's first-boundary skeleton — plus the raw cross-partition
+// edges. It is retained in condensed form
 // only — the strongly connected components of that graph and the DAG
 // between them — because the finish asks nothing but "which components
 // does this set of components reach". Components are numbered in

@@ -15,13 +15,15 @@
 //
 // Any s->t path decomposes as s ~> x0 -> e1 ~> x1 -> ... ek ~> t, where
 // each ~> stays inside one partition and each -> is a cross-partition
-// edge. The forward local search finds x0, summary edges cover every
-// ei ~> xi hop, cross edges cover xi -> e(i+1), and the backward local
-// search marks ek; so the boundary search is exact, not approximate.
+// edge. The forward local search finds x0 (or the first key component
+// on the way to it), chains of summary edges cover every ei ~> xi hop,
+// cross edges cover xi -> e(i+1), and the backward local search marks
+// ek (or the last key component after it); so the boundary search is
+// exact, not approximate.
 //
 // The coordinator is graph-free: it never holds the full graph. Each
 // shard compresses its own partition and ships the result — boundary
-// vertices, entry→exit summary edges, outgoing cross-partition edges —
+// vertices, first-boundary skeleton edges, outgoing cross-partition edges —
 // as a boundary summary at connect time, and the coordinator stitches
 // the k summaries into the boundary graph. Its resident state is
 // therefore proportional to the boundary, not to the graph: partition
@@ -642,7 +644,7 @@ func (e *Engine) run(queries []Query) error {
 	// Fan in: boundary vertices reached from S seed each query's
 	// boundary search; boundary vertices that locally reach T are its
 	// goals (entry or exit alike: a shard's search stops at the first
-	// boundary component, and the summary edges carry the rest); Owned
+	// key component, and the summary edges carry the rest); Owned
 	// counts feed the coverage ledger. Failures are collected rather
 	// than aborting the drain. A partition that answered nothing is a
 	// partial failure; which queries that actually fails falls out of

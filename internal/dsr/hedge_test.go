@@ -77,7 +77,7 @@ func (c fleetCell) open(t *testing.T, g *graph.Graph, k int, reg *obs.Registry) 
 				t.Cleanup(func() { srv.Close() })
 				dial = shard.TCPReplicaDialer(p, ln.Addr().String(), k, g.NumVertices(), g.Fingerprint(), pt.Digest())
 			}
-			if r == c.R-1 {
+			if r == 0 { // the primary: rounds land on the first idle replica
 				fast := dial
 				dial = func(ctx context.Context) (shard.Replica, error) {
 					rep, err := fast(ctx)
@@ -138,7 +138,8 @@ func transposed(g *graph.Graph) *graph.Graph {
 
 // TestFleetMatrixDifferential judges the transport's ownership and
 // hedging rules by answers: hedging on/off × R ∈ {1, 2, 3} × in-process
-// and TCP replicas, one straggler per partition, every round checked
+// and TCP replicas, one straggler per partition — its first replica,
+// the one rounds land on while it is idle — every round checked
 // against two independent oracles (BFS and edge relaxation to a fixed
 // point) and two properties that need none — union, Q(S₁∪S₂, T) =
 // Q(S₁, T) ∨ Q(S₂, T), and transpose, Q(S, T) on G = Q(T, S) on Gᵀ
@@ -249,10 +250,10 @@ func (s *stallReplica) Close() error {
 }
 
 // TestHedgedRoundReturnsPastHungSibling: a round is over as soon as
-// every partition has one answer. The second replica of every partition
-// hangs from its first batch on, for good; with hedging on, that round
-// is answered by the sibling, and every later one finds the hung replica
-// busy and never goes near it — the engine keeps no state on a
+// every partition has one answer. The first replica of every partition
+// — the one rounds land on — hangs from its first batch on, for good;
+// with hedging on, that round is answered by the sibling, and every
+// later one finds the hung replica busy and never goes near it — the engine keeps no state on a
 // straggler's behalf, so nothing it does afterwards can wait on one.
 func TestHedgedRoundReturnsPastHungSibling(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260927))
@@ -262,7 +263,7 @@ func TestHedgedRoundReturnsPastHungSibling(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		for p, sh := range loopbackShards(t, g, graph.Hash(), k) {
 			groups[p] = append(groups[p], func(context.Context) (shard.Replica, error) {
-				if rep := shard.NewLocalReplica(sh); r == 0 {
+				if rep := shard.NewLocalReplica(sh); r == 1 {
 					return rep, nil
 				} else {
 					return &stallReplica{Replica: rep}, nil

@@ -33,7 +33,7 @@ type Subgraph struct {
 	Exits   []int32
 	// Cross holds the cross-partition edges whose source lies in this
 	// partition, as (source, destination) global-ID pairs. Together
-	// with the entry→exit summaries these are the partition's whole
+	// with the summary edges these are the partition's whole
 	// contribution to the global boundary graph, which is what a shard
 	// ships to a graph-free coordinator.
 	Cross [][2]graph.VertexID

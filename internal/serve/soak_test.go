@@ -50,7 +50,8 @@ func soakSet(rng *rand.Rand, n, size int) []graph.VertexID {
 
 // TestServeSoak is the serving layer's end-to-end: N concurrent
 // clients hammer one server backed by a k=3, R=2 replicated engine
-// whose second replica lags 20ms, with hedging armed at a 2ms ceiling.
+// whose first replica — the one rounds land on while it is idle — lags
+// 20ms, with hedging armed at a 2ms ceiling.
 // Every answer must match the whole-graph oracle, the shared cache
 // must actually hit, hedges must fire (and win) against the laggard,
 // and nothing may be shed at these limits.
@@ -69,10 +70,10 @@ func TestServeSoak(t *testing.T) {
 		sub, pp := subs[p], p
 		groups[p] = []shard.ReplicaDialer{
 			func(context.Context) (shard.Replica, error) {
-				return shard.NewLocalReplica(shard.New(pp, sub)), nil
+				return &lagReplica{inner: shard.NewLocalReplica(shard.New(pp, sub)), d: 20 * time.Millisecond}, nil
 			},
 			func(context.Context) (shard.Replica, error) {
-				return &lagReplica{inner: shard.NewLocalReplica(shard.New(pp, sub)), d: 20 * time.Millisecond}, nil
+				return shard.NewLocalReplica(shard.New(pp, sub)), nil
 			},
 		}
 	}

@@ -147,7 +147,7 @@ func recv(t *testing.T, replyc <-chan Reply) Reply {
 // re-sent, after the deadline and by the transport itself, to the idle
 // sibling, whose answer is the Submit's one Reply. The reply of a
 // hedged call owns its memory; the loser's late answer is dropped
-// unread, and its replica goes back into the rotation.
+// unread, and its replica goes back into the idle pool.
 func TestHedgeLandsOnIdleSibling(t *testing.T) {
 	shardsA, _ := chainFixture(t)
 	shardsB, _ := chainFixture(t)
@@ -263,8 +263,8 @@ func TestHedgeSetOfOne(t *testing.T) {
 		{"set of one beside a hedging set", hs.Replicated, 2, 1},
 		{"R = 2 without hedging", plain, 0, 2},
 	} {
-		// Once round the rotation and back onto the same replica, the
-		// reply is the same memory: nothing was copied out.
+		// Back onto the same replica, the reply is the same memory:
+		// nothing was copied out.
 		var results [3]*wire.Result
 		for i := range results {
 			path.tr.Submit(path.p, wire.BatchHeader{}, chainTask, replyc)

@@ -50,8 +50,9 @@ func counterOr(reg *obs.Registry, name string) *obs.Counter {
 // set of one or more interchangeable replicas — TCP connections to
 // dsr-shard servers (Dial, DialReplicated), in-process workers
 // (NewLoopback), or anything else behind a ReplicaDialer. Submit routes
-// each task batch to a healthy replica (rotating between them to spread
-// load), and because local searches are idempotent — pure reads over an
+// each task batch to the first idle healthy replica in endpoint order —
+// with one round in flight, a partition's rounds all land on one warm
+// replica and its siblings stand by — and because local searches are idempotent — pure reads over an
 // immutable subgraph — a batch whose send or receive fails mid-query is
 // simply retried on a sibling replica. A replica that fails is marked
 // dead and periodically redialed in the background; only when every
@@ -139,7 +140,6 @@ type replicaSet struct {
 	mu     sync.Mutex
 	eps    []endpoint
 	live   int // endpoints holding a conn; liveG mirrors it
-	rr     int // round-robin cursor over endpoint indices
 	closed bool
 	expect *Expect // pinned fleet identity, nil until Pin
 
@@ -434,7 +434,7 @@ func (r *Replicated) Endpoints() []EndpointInfo {
 }
 
 // Summary fetches partition p's boundary summary with the same failover
-// as Submit: healthy replicas in round-robin order, dead ones redialed
+// as Submit: healthy replicas in endpoint order, dead ones redialed
 // as a last resort, each failure marking that replica dead — so a
 // replica dying mid-fetch is transparently replaced by a sibling. The
 // SummaryInfo pairs the summary with the serving replica's dial-time
@@ -512,7 +512,7 @@ func (r *Replicated) reconnectLoop(every time.Duration) {
 }
 
 // attempt hands c to the next replica worth trying, each at most once
-// per batch: idle healthy replicas first in round-robin order, then —
+// per batch: idle healthy replicas first in endpoint order, then —
 // only if none remains — a last-resort redial of the dead ones. Only
 // when every replica has failed does the caller get an error Reply,
 // carrying each replica's failure.
@@ -610,8 +610,12 @@ func (rs *replicaSet) release(cn *conn) {
 	rs.mu.Unlock()
 }
 
-// pick returns the next untried idle healthy replica in round-robin
+// pick returns the first untried idle healthy replica in endpoint
 // order, or nil if none remains, marking the returned replica busy.
+// Fixed order, not rotation: a partition's rounds stay on the replica
+// whose caches the last round warmed, and a sibling serves only while it
+// is busy or dead — or as a hedge. A standby that dies while idle is
+// found when a round first fails over to it, like any dead replica.
 // Skipping busy replicas is what keeps a hedge and its primary (and the
 // primary's own sibling retries) on disjoint replicas: each replica
 // serves at most one in-flight batch, so its decode buffers hold one
@@ -626,11 +630,8 @@ func (rs *replicaSet) pickLocked(tried []bool) *conn {
 	if rs.closed {
 		return nil
 	}
-	n := len(rs.eps)
-	for i := 0; i < n; i++ {
-		idx := (rs.rr + i) % n
+	for idx := range rs.eps {
 		if cn := rs.eps[idx].conn; cn != nil && !cn.busy && !(tried != nil && tried[idx]) {
-			rs.rr = idx + 1
 			cn.busy = true
 			return cn
 		}

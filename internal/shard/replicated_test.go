@@ -233,9 +233,11 @@ func TestReplicatedRedialsWhenNoneLive(t *testing.T) {
 	}
 }
 
-// TestReplicatedRoundRobin: successive submits rotate across healthy
-// replicas so load spreads instead of hammering replica 0.
-func TestReplicatedRoundRobin(t *testing.T) {
+// TestReplicatedAffinity: successive submits land on the first idle
+// healthy replica, so a partition's rounds stay on one warm replica and
+// its sibling stands by; a batch that finds that replica busy goes to
+// the sibling.
+func TestReplicatedAffinity(t *testing.T) {
 	groups, flaky := localGroups(t, 2)
 	tr, err := NewReplicated(t.Context(), groups, ReplicatedOptions{ReconnectEvery: -1})
 	if err != nil {
@@ -248,8 +250,16 @@ func TestReplicatedRoundRobin(t *testing.T) {
 		}
 	}
 	a, b := flaky[2][0].submits.Load(), flaky[2][1].submits.Load()
-	if a != 4 || b != 4 {
-		t.Fatalf("submits not rotated: replica 0 served %d, replica 1 served %d", a, b)
+	if a != 8 || b != 0 {
+		t.Fatalf("submits not kept on the first replica: replica 0 served %d, replica 1 served %d", a, b)
+	}
+	held := tr.sets[2].pick(nil) // replica 0, busy as if serving a batch
+	if rep := submitOne(t, tr, 2, 4); rep.Err != nil {
+		t.Fatal(rep.Err)
+	}
+	tr.sets[2].release(held)
+	if b := flaky[2][1].submits.Load(); b != 1 {
+		t.Fatalf("a submit that found replica 0 busy: replica 1 served %d, want 1", b)
 	}
 }
 
@@ -379,7 +389,7 @@ func TestReplicatedTCPFailover(t *testing.T) {
 		t.Fatal(rep.Err)
 	}
 	stopA() // kill replica 0's server
-	// Keep submitting until round-robin lands on the dead connection and
+	// Keep submitting until a round lands on the dead connection and
 	// the transport notices (NumLive drops to 1). Every single reply must
 	// stay correct throughout — mid-query failover rescues the batches
 	// that hit the corpse.

@@ -1,6 +1,6 @@
 // Package shard is the DSR execution runtime: a Shard executes local
 // searches over one partition's subgraph — each stopping at the first
-// boundary component on its way, the coordinator's summary edges
+// key component on its way, the coordinator's skeleton of summary edges
 // carrying the rest — and a Transport carries task batches from the
 // coordinator to shards. There is one transport,
 // Replicated — a set of interchangeable replicas per partition — and
@@ -14,6 +14,7 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -54,25 +55,25 @@ const sweepChunk = 64
 // one never expands a sink-side component — one an entry reaches but
 // that reaches no exit.
 //
-// A sweep also stops at the first boundary component on every path.
-// The coordinator holds each entry's whole exit closure as summary
-// edges, so a Forward sweep that reaches an entry has nothing left to
-// learn past it, and neither has a Backward sweep that reaches an exit:
-// a component holding an entry that reaches an exit is popped and
-// reported by a Forward sweep but pushes nothing on, and a component
-// holding an exit that an entry reaches is the same for a Backward one
-// (the stops), seed components included. Every reported vertex is
-// still a fact — the seed reaches it, or it reaches the target — and
-// nothing is lost: a Forward path to an exit either crosses a stop,
-// whose entry is reported and whose summary edges reach the exit, or
-// it does not, and the exit is reported itself; Backward is the mirror
-// image. An entry on the sink side reaches no exit and is no stop. The
-// one other thing a sweep answers — does a Forward task reach one of
-// its targets locally — is settled for targets below the pruning by
-// marking upwards from them (see markTargets), and is exactly "a
-// target is reached without crossing a stop": a path through one
-// becomes, at the coordinator, a seed that is also a goal or one
-// summary edge from one.
+// A sweep also stops at the first key component on every path, in
+// either direction. A key component lies on an entry→exit path and
+// holds a boundary vertex, and the summary is the partition's
+// first-boundary skeleton (summarize): a cycle through each key
+// component's boundary vertices, and an edge from each key component
+// to every key component it reaches first. Between them the
+// coordinator holds everything that lies past a key component, so a
+// sweep pops and reports one — by a single ordinal, its representative,
+// which the cycle ties to all the others — but pushes nothing on, seed
+// components included. Every reported vertex is still a fact — the seed
+// reaches it, or it reaches the target — and nothing is lost: a Forward
+// path to an exit either crosses a key component, whose skeleton edges
+// lead on, key by key, to the exit's, or it does not, and the exit is
+// reported itself; Backward is the mirror image. The one other thing a
+// sweep answers — does a Forward task reach one of its targets locally
+// — is settled for targets below the pruning by marking upwards from
+// them (see markTargets), and is exactly "a target is reached without
+// crossing a key component": a path through one becomes, at the
+// coordinator, a seed that is also a goal or a skeleton path from one.
 //
 // All scratch (masks, bitmaps, result and boundary buffers) is owned by
 // the Shard, all-zero between sweeps and reused across Run calls, so
@@ -88,19 +89,20 @@ type Shard struct {
 	// and what a result's ordinals index.
 	boundary []uint32
 
-	// The per-component boundary list as a CSR over component ids: the
-	// ordinals of a component's entries and exits, increasing within a
-	// component. Both directions report a popped component's whole row.
+	// The per-component boundary list as a CSR over component ids: what a
+	// sweep reports of a popped component — the ordinals of its entries
+	// and exits, increasing, or for a key component only the first, its
+	// representative.
 	boundOff []int32
 	boundAt  []uint32
 
-	// region classifies every component (the region and holds bits). fwd
+	// region classifies every component (the region and key bits). fwd
 	// and bwd are the condensation DAG pruned by it, which is all a sweep
 	// walks: fwd holds the forward edges among components that are not
 	// sink side, bwd the reverse edges among regionIn components, and the
-	// row of a stop component is empty in the direction it stops. Pruning
-	// at build time means a pruned edge costs a sweep nothing, not even
-	// the test that would skip it.
+	// row of a key component is empty in both. Pruning at build time
+	// means a pruned edge costs a sweep nothing, not even the test that
+	// would skip it.
 	region   []uint8
 	fwd, bwd csr
 
@@ -132,25 +134,16 @@ type Shard struct {
 // regionOut one is regionOut — which is what makes pruning exact: a
 // path into a regionOut component never leaves regionOut, a path out of
 // a regionIn component never leaves regionIn, and on any path the
-// sink-side components form a suffix. The holds bits say what the
-// component itself holds.
+// sink-side components form a suffix. The key bit marks where every
+// sweep stops, in both directions: a path component, never sink side,
+// that holds a boundary vertex.
 const (
-	regionIn   uint8 = 1 << iota // reached from a component holding an entry (itself included)
-	regionOut                    // reaches a component holding an exit (itself included)
-	holdsEntry                   // holds an entry
-	holdsExit                    // holds an exit
+	regionIn  uint8 = 1 << iota // reached from a component holding an entry (itself included)
+	regionOut                   // reaches a component holding an exit (itself included)
+	key                         // regionIn|regionOut and holds a boundary vertex
 
 	regionBits = regionIn | regionOut
 	regionSink = regionIn // sink side: an entry reaches it, it reaches no exit
-
-	// The stops: a Forward sweep goes no further than a component
-	// holding an entry that reaches an exit, a Backward one no further
-	// than a component holding an exit that an entry reaches. A stop is
-	// on an entry→exit path, never sink side; every component a Forward
-	// sweep walks that holds an entry is a Forward stop, and every one a
-	// Backward sweep walks that holds an exit a Backward stop.
-	stopForward  = holdsEntry | regionOut
-	stopBackward = holdsExit | regionIn
 )
 
 // Regions counts a partition's components by what the boundary can see
@@ -202,10 +195,11 @@ type RunStats struct {
 
 // New builds a Shard over one partition's subgraph: it condenses the
 // subgraph into SCCs (scc.Condense), then classifies the components,
-// prunes the DAG for the two sweep directions and sweeps the entries for
-// the boundary summary (summarize) — linear passes and filtered copies,
-// never persisted: a snapshot-restored shard rebuilds them in
-// FromSnapshot. New only reads sub, so replicas may share one subgraph.
+// prunes the DAG for the two sweep directions and sweeps the key
+// components for the boundary summary (summarize) — linear passes and
+// filtered copies, never persisted: a snapshot-restored shard rebuilds
+// them in FromSnapshot. New only reads sub, so replicas may share one
+// subgraph.
 func New(id int, sub *partition.Subgraph) *Shard { return build(id, sub, scc.Condense(sub, nil)) }
 
 // build is New over a subgraph whose condensation is already at hand.
@@ -220,97 +214,105 @@ func build(id int, sub *partition.Subgraph, cond *scc.Condensation) *Shard {
 		marks: newFrontier(cond.N),
 		chunk: make([]int32, 0, sweepChunk),
 	}
-	local, exit := s.mergeBoundary()
-	s.boundOff, s.boundAt = s.boundaryList(local)
+	s.boundOff, s.boundAt = s.boundaryList(s.mergeBoundary())
 	s.classify()
+	cycles := s.keepReps()
 	dag := cond.Data()
 	roff, redges := cond.Reverse()
 	s.bwd = prune(csr{roff, redges}, s.region, func(r uint8) bool { return r&regionIn != 0 })
-	s.bwd.cut(s.region, stopBackward)
-	// The summary needs every entry's whole closure: sweep before the
-	// Forward stops are cut.
 	s.fwd = prune(csr{dag.FOff, dag.FEdges}, s.region, func(r uint8) bool { return r&regionBits != regionSink })
-	s.sum = wire.Summary{Boundary: s.boundary, Edges: s.summarize(exit), Cross: slices.Clone(sub.Cross)}
-	s.fwd.cut(s.region, stopForward)
+	s.sum = wire.Summary{Boundary: s.boundary, Edges: s.summarize(cycles), Cross: slices.Clone(sub.Cross)}
 	return s
 }
 
-// summarize computes the partition's entry→exit summary edges with the
-// query sweep itself, before the Forward stops are cut: one Forward
-// task per entry, seeded with the entry alone, reaches exactly the
-// boundary vertices that entry reaches inside the partition, and the
-// ordinals exit marks are the exits among them (itself too, if it is
-// an exit). Run reports a task's ordinals in sweep order; two stable
-// counting passes over the exits — by ordinal, then by task — put each
-// entry's in increasing ordinal order, which is increasing global ID,
-// so the edges list entries in Entries order and each one's exits
-// increasing. The scratch the sweeps grew is released and the run
-// statistics cleared: a new shard's first query starts from what it
-// would have without this.
-func (s *Shard) summarize(exit []bool) [][2]uint32 {
-	tasks := make([]wire.Task, len(s.sub.Entries))
-	seeds := make([]int32, len(tasks))
-	for i, e := range s.sub.Entries {
-		seeds[i] = int32(s.sub.GlobalID(e))
-		tasks[i] = wire.Task{Kind: wire.Forward, Seeds: seeds[i : i+1 : i+1]}
+// summarize computes the partition's summary edges, its first-boundary
+// skeleton: keepReps' cycles, passed in, and one edge rep(C) → rep(D)
+// for every key component D that a key component C reaches first —
+// through components that are not key, which on a path out of C are
+// all path components holding no boundary vertex. Those are found with
+// the query sweep itself, sweepChunk key components per sweep, each
+// seeded at its successors on a path: a Forward sweep pops and reports
+// key components by their representatives and goes no further, so C's
+// result is exactly the representatives it reaches first. Every edge
+// is a local path, and a chain of them covers every entry ⇝ exit path
+// of the partition, key component by key component. The edges are
+// sorted, so replicas ship identical bytes. The scratch the sweeps grew
+// is released and the run statistics cleared: a new shard's first query
+// starts from what it would have without this.
+func (s *Shard) summarize(edges [][2]uint32) [][2]uint32 {
+	var keys []int32
+	for c, r := range s.region {
+		if r&key != 0 {
+			keys = append(keys, int32(c))
+		}
 	}
-	res := s.Run(tasks)
-
-	// By ordinal: row o of byOrd lists the tasks that reach ordinal o,
-	// in task order; end[o] ends the row.
-	end := make([]int, len(s.boundary)+1)
-	for _, r := range res {
-		for _, o := range r.Boundary {
-			if exit[o] {
-				end[o+1]++
+	s.results = make([]wire.Result, len(keys))
+	for i, c := range keys {
+		bit := uint64(1) << len(s.chunk)
+		for _, d := range s.cond.Out(c) {
+			if s.region[d]&regionOut != 0 {
+				s.mask[d] |= bit
+				s.todo.push(d)
 			}
 		}
-	}
-	for o := 1; o < len(end); o++ {
-		end[o] += end[o-1]
-	}
-	byOrd := make([]uint32, end[len(s.boundary)])
-	// By task: at[i] is where task i's next edge goes.
-	at := make([]int, len(res))
-	for i, r := range res {
-		for _, o := range r.Boundary {
-			if exit[o] {
-				byOrd[end[o]] = uint32(i)
-				end[o]++
-				at[i]++
-			}
+		if s.chunk = append(s.chunk, int32(i)); len(s.chunk) == sweepChunk || i == len(keys)-1 {
+			s.sweep(true)
 		}
 	}
-	n := 0
-	for i, c := range at {
-		at[i] = n
-		n += c
-	}
-	edges := make([][2]uint32, n)
-	lo := 0
-	for o, hi := range end[:len(s.boundary)] {
-		for _, i := range byOrd[lo:hi] {
-			edges[at[i]] = [2]uint32{uint32(seeds[i]), s.boundary[o]}
-			at[i]++
+	for i, c := range keys {
+		from := s.boundary[s.boundAt[s.boundOff[c]]]
+		for _, o := range s.results[i].Boundary {
+			edges = append(edges, [2]uint32{from, s.boundary[o]})
 		}
-		lo = hi
 	}
+	slices.SortFunc(edges, func(a, b [2]uint32) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
 	s.results, s.arena, s.stats = nil, nil, RunStats{}
 	return edges
+}
+
+// keepReps cuts the boundary row of every key component down to its
+// first ordinal, the component's representative, in place, and returns
+// the edges of a cycle through the whole row — in increasing ordinal
+// order and back to the first — wherever it held more than one: what
+// lets a sweep report the representative alone.
+func (s *Shard) keepReps() (cycles [][2]uint32) {
+	off, at := s.boundOff, s.boundAt
+	n := int32(0)
+	for c, r := range s.region {
+		lo, hi := off[c], off[c+1]
+		off[c] = n
+		if r&key != 0 {
+			row := at[lo:hi]
+			for i := 1; i < len(row); i++ {
+				cycles = append(cycles, [2]uint32{s.boundary[row[i-1]], s.boundary[row[i]]})
+			}
+			if len(row) > 1 {
+				cycles = append(cycles, [2]uint32{s.boundary[row[len(row)-1]], s.boundary[row[0]]})
+			}
+			hi = lo + 1
+		}
+		n += int32(copy(at[n:], at[lo:hi]))
+	}
+	off[len(s.region)] = n
+	s.boundAt = at[:n:n]
+	return cycles
 }
 
 // classify fills region. scc numbers components in reverse topological
 // order, so every DAG edge points at a smaller id: one increasing pass
 // sees a component after all its successors (regionOut), one decreasing
-// pass after all its predecessors (regionIn).
+// pass after all its predecessors (regionIn), and then knows whether it
+// is key.
 func (s *Shard) classify() {
 	n := int32(s.cond.N)
 	s.region = make([]uint8, n)
 	for _, e := range s.sub.Entries {
-		s.region[s.cond.Comp[e]] |= holdsEntry | regionIn
+		s.region[s.cond.Comp[e]] |= regionIn
 	}
 	for _, x := range s.sub.Exits {
-		s.region[s.cond.Comp[x]] |= holdsExit | regionOut
+		s.region[s.cond.Comp[x]] |= regionOut
 	}
 	for c := int32(0); c < n; c++ {
 		for _, d := range s.cond.Out(c) {
@@ -321,15 +323,19 @@ func (s *Shard) classify() {
 		for _, p := range s.cond.In(c) {
 			s.region[c] |= s.region[p] & regionIn
 		}
+		if s.region[c]&regionBits == regionBits && s.boundOff[c+1] > s.boundOff[c] {
+			s.region[c] |= key
+		}
 	}
 }
 
 // prune copies g keeping the edges both of whose ends keep admits by
-// region; the row of a component it rejects is empty.
+// region; the row of a component it rejects, and of a key component — a
+// sweep pops and reports one, but pushes nothing on — is empty.
 func prune(g csr, region []uint8, keep func(uint8) bool) csr {
 	out := csr{off: make([]int32, len(g.off))}
 	for c, r := range region {
-		if keep(r) {
+		if keep(r) && r&key == 0 {
 			for _, d := range g.edges[g.off[c]:g.off[c+1]] {
 				if keep(region[d]) {
 					out.edges = append(out.edges, d)
@@ -339,21 +345,6 @@ func prune(g csr, region []uint8, keep func(uint8) bool) csr {
 		out.off[c+1] = int32(len(out.edges))
 	}
 	return out
-}
-
-// cut empties the row of every component whose region has every stop
-// bit, in place: a stop is popped and reported, but pushes nothing on.
-func (g *csr) cut(region []uint8, stop uint8) {
-	n := int32(0)
-	for c, r := range region {
-		lo, hi := g.off[c], g.off[c+1]
-		g.off[c] = n
-		if r&stop != stop {
-			n += int32(copy(g.edges[n:], g.edges[lo:hi]))
-		}
-	}
-	g.off[len(region)] = n
-	g.edges = g.edges[:n:n]
 }
 
 // Regions reports how the partition's components split by region.
@@ -376,27 +367,24 @@ func (s *Shard) Regions() Regions {
 
 // mergeBoundary fills boundary by merging the entry and exit lists —
 // both increasing in local and so in global ID, a vertex that is both
-// listed once — and returns the local id of every ordinal and which
-// ordinals are exits.
-func (s *Shard) mergeBoundary() (local []int32, exit []bool) {
+// listed once — and returns the local id of every ordinal.
+func (s *Shard) mergeBoundary() (local []int32) {
 	en, ex := s.sub.Entries, s.sub.Exits
-	n := len(en) + len(ex)
-	local, exit = make([]int32, 0, n), make([]bool, 0, n)
+	local = make([]int32, 0, len(en)+len(ex))
 	for len(en) > 0 || len(ex) > 0 {
 		var lv int32
-		isExit := true
 		switch {
 		case len(ex) == 0 || len(en) > 0 && en[0] < ex[0]:
-			lv, en, isExit = en[0], en[1:], false
+			lv, en = en[0], en[1:]
 		case len(en) == 0 || ex[0] < en[0]:
 			lv, ex = ex[0], ex[1:]
 		default: // an entry that is also an exit
 			lv, en, ex = en[0], en[1:], ex[1:]
 		}
-		local, exit = append(local, lv), append(exit, isExit)
+		local = append(local, lv)
 		s.boundary = append(s.boundary, s.sub.GlobalID(lv))
 	}
-	return local, exit
+	return local
 }
 
 // boundaryList groups the boundary vertices (local ids, listed by
@@ -446,13 +434,13 @@ func (s *Shard) LastRun() RunStats { return s.stats }
 // coordinator knows the fleet collectively covered every seed.
 //
 // A result's Boundary holds the boundary vertices — entries and exits
-// alike — of every component the task's sweep pops: for Forward, those
-// its seeds reach before crossing a stop, for Backward those that reach
-// one of its seeds after the last stop, where a stop is a component on
-// an entry→exit path holding an entry (Forward) or an exit (Backward).
-// A Forward sweep pops only components that reach an exit, a Backward
-// one only components an entry reaches. Hit is set when a target is
-// reached before crossing a stop. Boundary holds ordinals into
+// alike, of a key component its representative alone — of every
+// component the task's sweep pops: for Forward, those its seeds reach
+// before crossing a key component, for Backward those that reach one of
+// its seeds after the last. A Forward sweep pops only components that
+// reach an exit, a Backward one only components an entry reaches. Hit
+// is set when a target is reached before crossing a key component.
+// Boundary holds ordinals into
 // Summary().Boundary, not vertex IDs, and is a function of the shard
 // and the task alone — not of the rest of the batch — so replicas and
 // snapshot-restored shards answer byte-identically: components in the
@@ -540,13 +528,13 @@ func (s *Shard) runKind(tasks []wire.Task, kind wire.TaskKind) {
 // the sink side, where the sweep does not go — to where the sweep can
 // meet them, leaving marks all-zero and every marked component in
 // marked. A mark climbs the reverse edges through sink-side components
-// — whose successors are all sink side and none of which is a stop, so
+// — whose successors are all sink side and none of which is key, so
 // there tmask[c] is exactly the tasks with a target c reaches — and one
 // edge further, onto the last component before the sink side, where it
-// stops; a stop there pushes nothing on, so it takes no mark. On any
+// stops; a key component there pushes nothing on, so it takes no mark. On any
 // seed ⇝ target path the sink-side components are a suffix: either
 // there is none and the target is an aim, or the sweep reaches the
-// component before the suffix through no stop exactly when it finds the
+// component before the suffix through no key component exactly when it finds the
 // mark there, or the seed is itself sink side and parked on a component
 // whose marks are exact. So Hit is mask & tmask on some marked
 // component, or an aim met, and nothing else.
@@ -566,7 +554,7 @@ func (s *Shard) markTargets() {
 					continue
 				}
 				for _, p := range s.cond.In(c) {
-					if s.region[p]&stopForward != stopForward {
+					if s.region[p]&key == 0 {
 						tmask[p] |= tmask[c]
 						s.marks.push(p)
 					}
@@ -608,8 +596,8 @@ func (s *Shard) sweep(forward bool) {
 				active[w] &^= 1 << b
 				c := w<<6 + b
 				// c's mask is final: count its boundary vertices towards
-				// every task in it and push the mask on (a stop's row is
-				// empty).
+				// every task in it and push the mask on (a key
+				// component's row is empty).
 				m := mask[c]
 				touched = append(touched, int32(c))
 				if n := int(off[c+1] - off[c]); n != 0 {
@@ -691,7 +679,7 @@ func nextBit(x uint64, forward bool) int {
 }
 
 // Summary returns the shard's boundary summary — its boundary-vertex
-// set, entry→exit summary edges, and outgoing cross-partition edges,
+// set, first-boundary skeleton edges, and outgoing cross-partition edges,
 // all as global IDs, the boundary list in the strictly increasing order
 // DecodeSummary enforces. This is everything a graph-free coordinator
 // needs from this partition to stitch the global boundary graph. New

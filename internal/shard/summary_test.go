@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -43,10 +44,19 @@ func TestSummaryCompression(t *testing.T) {
 
 func TestSummaryEntryIsExit(t *testing.T) {
 	// 0 -> 1 -> 2 with singleton middle partition {1}: vertex 1 is both
-	// entry and exit, so its summary must contain the pair (1, 1).
+	// entry and exit, its one key component holds nothing else and
+	// reaches no other, so the skeleton has no edge — the pair (1, 1) an
+	// entry→exit summary listed is the closure's reflexivity.
 	got := summaryOf(t, 3, [][2]graph.VertexID{{0, 1}, {1, 2}}, 3)[1]
-	if !slices.Equal(got, [][2]uint32{{1, 1}}) {
-		t.Fatalf("singleton boundary summary = %v, want [[1 1]]", got)
+	if len(got) != 0 {
+		t.Fatalf("singleton boundary summary = %v, want none", got)
+	}
+	// With a cycle 2 -> 3 -> 2 in the middle partition {2, 3}, entry 2
+	// also an exit and 3 an exit, the key component {2, 3} contributes
+	// its cycle and nothing else.
+	got = summaryOf(t, 6, [][2]graph.VertexID{{0, 2}, {2, 3}, {3, 2}, {3, 4}, {2, 5}}, 3)[1]
+	if want := [][2]uint32{{2, 3}, {3, 2}}; !slices.Equal(got, want) {
+		t.Fatalf("two-vertex key component summary = %v, want %v", got, want)
 	}
 }
 
@@ -60,16 +70,17 @@ func TestSummaryDisconnectedBoundary(t *testing.T) {
 
 func TestSummaryMultipleExits(t *testing.T) {
 	// Middle partition {2,3} with entry 2, internal edge 2->3, and both
-	// 2 and 3 exiting: the summary is (2,2) then (2,3), exits increasing.
+	// 2 and 3 exiting: two key components, and the skeleton's one edge
+	// is 2's first reach, (2,3).
 	got := summaryOf(t, 6, [][2]graph.VertexID{{0, 2}, {2, 3}, {2, 4}, {3, 5}}, 3)[1]
-	if want := [][2]uint32{{2, 2}, {2, 3}}; !slices.Equal(got, want) {
+	if want := [][2]uint32{{2, 3}}; !slices.Equal(got, want) {
 		t.Fatalf("summary = %v, want %v", got, want)
 	}
 }
 
-// summaryBFS is the reference summary: one forward vertex-level BFS per
-// entry over the subgraph's own adjacency, O(B·(V+E)) for B entries,
-// each entry's exits sorted by global ID — the order Summary promises.
+// summaryBFS is the entry→exit summary the skeleton replaced: one
+// forward vertex-level BFS per entry over the subgraph's own adjacency,
+// O(B·(V+E)) for B entries, each entry's exits sorted by global ID.
 func summaryBFS(s *partition.Subgraph) [][2]uint32 {
 	isExit := make([]bool, s.NumVertices())
 	for _, x := range s.Exits {
@@ -100,8 +111,8 @@ func summaryBFS(s *partition.Subgraph) [][2]uint32 {
 	return pairs
 }
 
-// summaryIndex reads the summary off scc's bitset index, the mechanism
-// the sweep replaced: entries in order, each one's exits in bit order.
+// summaryIndex reads the entry→exit summary off scc's bitset index:
+// entries in order, each one's exits in bit order.
 func summaryIndex(s *partition.Subgraph) [][2]uint32 {
 	ix := scc.BuildIndex(scc.Condense(s, nil), s.Exits)
 	var pairs [][2]uint32
@@ -146,30 +157,129 @@ func randomPartitions(t *testing.T, seed int64, check func(gi, p int, sub *parti
 	}
 }
 
-// TestSummarySweepVsBFSDifferential pits the sweep's summary against the
-// per-entry BFS on random graphs and partitionings, pair for pair in
-// order.
+// summaryReach is the entry→exit summary read off one component-level
+// BFS per entry, which costs each entry its closure and not the
+// partition: fit for the benchmark graph's hash partitions, where there
+// are tens of thousands of entries.
+func summaryReach(s *Shard) [][2]uint32 {
+	ref := newReference(s)
+	var pairs [][2]uint32
+	var q []int32
+	for _, e := range s.sub.Entries {
+		q = s.bfs([]int32{e}, true, nil, &ref.cvisit, q)
+		var exits []uint32
+		for _, c := range q {
+			for _, v := range ref.members[c] {
+				if ref.isExit[v] {
+					exits = append(exits, s.sub.GlobalID(v))
+				}
+			}
+		}
+		slices.Sort(exits)
+		for _, x := range exits {
+			pairs = append(pairs, [2]uint32{s.sub.GlobalID(e), x})
+		}
+	}
+	return pairs
+}
+
+// checkSkeleton holds s's summary to what the first-boundary skeleton
+// must be, given old, the partition's entry→exit summary: strictly
+// increasing edges between boundary vertices, each one a local path,
+// whose transitive closure over the boundary vertices holds every old
+// pair — so the closure lies inside local reachability and contains
+// everything the old summary stated.
+func checkSkeleton(t testing.TB, name string, s *Shard, old [][2]uint32) {
+	t.Helper()
+	edges := s.Summary().Edges
+	for i := 1; i < len(edges); i++ {
+		if cmp.Or(cmp.Compare(edges[i-1][0], edges[i][0]), cmp.Compare(edges[i-1][1], edges[i][1])) >= 0 {
+			t.Fatalf("%s: summary edges %v, %v out of order", name, edges[i-1], edges[i])
+		}
+	}
+	sk := skeletonOf(t, s)
+	ref := newReference(s)
+	var q []int32
+	for i := 0; i < len(edges); {
+		u := edges[i][0]
+		lu, _ := s.sub.Local(u)
+		q = s.bfs([]int32{lu}, true, nil, &ref.cvisit, q)
+		for ; i < len(edges) && edges[i][0] == u; i++ {
+			if lv, _ := s.sub.Local(edges[i][1]); !ref.cvisit.seen(s.cond.Comp[lv]) {
+				t.Fatalf("%s: summary edge %v is no local path", name, edges[i])
+			}
+		}
+	}
+	list := s.Summary().Boundary
+	ord := func(v uint32) int32 { o, _ := slices.BinarySearch(list, v); return int32(o) }
+	visit := markSet{at: make([]uint32, len(list))}
+	for i := 0; i < len(old); {
+		e := old[i][0]
+		closure(sk.succ, []int32{ord(e)}, &visit)
+		for ; i < len(old) && old[i][0] == e; i++ {
+			if !visit.seen(ord(old[i][1])) {
+				t.Fatalf("%s: old summary edge %v is not in the skeleton's closure", name, old[i])
+			}
+		}
+	}
+}
+
+// TestSummarySweepVsBFSDifferential holds the sweep's skeleton to the
+// per-entry BFS's entry→exit summary on random graphs and
+// partitionings (checkSkeleton).
 func TestSummarySweepVsBFSDifferential(t *testing.T) {
 	randomPartitions(t, 20260728, func(gi, p int, sub *partition.Subgraph) {
-		if got, want := New(p, sub).Summary().Edges, summaryBFS(sub); !slices.Equal(got, want) {
-			t.Fatalf("graph %d partition %d:\nsweep %v\nBFS   %v", gi, p, got, want)
-		}
+		checkSkeleton(t, fmt.Sprintf("graph %d partition %d", gi, p), New(p, sub), summaryBFS(sub))
 	})
 }
 
-// TestSummaryMatchesIndex pins that the sweep's summary is the bitset
-// index's, in sequence — so the wire summary, and with it the
-// coordinator's stitched boundary graph and its component numbering,
-// are what they were when the index computed them: on random partitions
+// TestSummarySkeletonClosure is checkSkeleton on every partition of the
+// sweep's fixtures — the gen families among them — and, outside
+// -short, of the benchmark family's graph (200k vertices, instance 4)
+// at k = 3 under hash and locality (seed 1) partitioning, against the
+// entry→exit summary read off the condensation (summaryReach). The
+// benchmark graph's skeletons must also be smaller than that summary.
+func TestSummarySkeletonClosure(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	for _, fx := range sweepFixtures(t, rng) {
+		for p, sub := range partition.Extract(fx.g, fx.pt) {
+			s := New(p, sub)
+			old := summaryReach(s)
+			if want := summaryBFS(sub); !slices.Equal(old, want) {
+				t.Fatalf("%s partition %d: summaryReach %v, summaryBFS %v", fx.name, p, old, want)
+			}
+			checkSkeleton(t, fmt.Sprintf("%s partition %d", fx.name, p), s, old)
+		}
+	}
+	if testing.Short() {
+		t.Skip("the benchmark graph's partitions: not under -short")
+	}
+	g := gen.Community(rand.New(rand.NewSource(4)), 200_000, 16, 2.5, 0.05, 0.01)
+	for _, strat := range []graph.Partitioner{graph.Hash(), locality.New(locality.Options{Seed: 1})} {
+		pt, err := strat.Partition(g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 3; p++ {
+			s := New(p, partition.ExtractOne(g, pt, p))
+			old := summaryReach(s)
+			checkSkeleton(t, fmt.Sprintf("%s partition %d", strat.Name(), p), s, old)
+			if got := len(s.Summary().Edges); got == 0 || got >= len(old) {
+				t.Errorf("%s partition %d: %d skeleton edges for %d entry→exit pairs", strat.Name(), p, got, len(old))
+			}
+		}
+	}
+}
+
+// TestSummaryMatchesIndex holds the sweep's skeleton to the bitset
+// index's entry→exit summary (checkSkeleton): on random partitions
 // and, outside -short, on the benchmark family's graph (200k vertices)
 // under hash and locality partitioning. The hash partitions' indexes
 // take ~400 MB each, so that half also skips under the race detector,
 // whose shadow memory multiplies it.
 func TestSummaryMatchesIndex(t *testing.T) {
 	randomPartitions(t, 20261015, func(gi, p int, sub *partition.Subgraph) {
-		if got, want := New(p, sub).Summary().Edges, summaryIndex(sub); !slices.Equal(got, want) {
-			t.Fatalf("graph %d partition %d:\nsweep %v\nindex %v", gi, p, got, want)
-		}
+		checkSkeleton(t, fmt.Sprintf("graph %d partition %d", gi, p), New(p, sub), summaryIndex(sub))
 	})
 	if testing.Short() || raceEnabled {
 		t.Skip("the benchmark graph's partitions: not under -short or -race")
@@ -182,11 +292,9 @@ func TestSummaryMatchesIndex(t *testing.T) {
 		}
 		for p := 0; p < 3; p++ {
 			sub := partition.ExtractOne(g, pt, p)
-			got := New(p, sub).Summary().Edges
-			if want := summaryIndex(sub); !slices.Equal(got, want) {
-				t.Fatalf("%s partition %d: the sweep's %d summary edges differ from the index's %d", strat.Name(), p, len(got), len(want))
-			}
-			if len(got) == 0 {
+			s := New(p, sub)
+			checkSkeleton(t, fmt.Sprintf("%s partition %d", strat.Name(), p), s, summaryIndex(sub))
+			if len(s.Summary().Edges) == 0 {
 				t.Fatalf("%s partition %d: no summary edges", strat.Name(), p)
 			}
 		}
@@ -194,12 +302,12 @@ func TestSummaryMatchesIndex(t *testing.T) {
 }
 
 // TestSummaryDigestPinned pins every partition's encoded summary —
-// boundary, entry→exit edges and cross edges, as the wire carries them
+// boundary, skeleton edges and cross edges, as the wire carries them
 // to the coordinator — on the benchmark family's graph (200k vertices,
 // instance 4) at k = 3 under hash and locality (seed 1) partitioning,
-// at the digests they had when the partitioner still marked boundary
-// vertices itself: where an entry or exit is derived may move, what a
-// shard ships may not.
+// at the digests of the first-boundary skeleton: what a shard ships
+// changes only with summary semantics, and a fleet refuses a replica
+// that ships another summary (the hello's summary digest).
 func TestSummaryDigestPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the benchmark graph's partitions: not under -short")
@@ -209,8 +317,8 @@ func TestSummaryDigestPinned(t *testing.T) {
 		strat graph.Partitioner
 		want  string
 	}{
-		{graph.Hash(), "0x1ce0588a6b5cc301"},
-		{locality.New(locality.Options{Seed: 1}), "0x15aa7c3b274927b3"},
+		{graph.Hash(), "0xbe551585e0db0f32"},
+		{locality.New(locality.Options{Seed: 1}), "0x8507d88de44eac25"},
 	} {
 		pt, err := c.strat.Partition(g, 3)
 		if err != nil {

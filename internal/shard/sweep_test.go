@@ -18,15 +18,15 @@ import (
 // reference runs batches the way the sweep's contract reads, one
 // scalar component-level BFS per task over the whole condensation, and
 // is what the sweep is checked against. It is a first-boundary search:
-// it visits a stop component, seed components included, but goes no
-// further — for a Forward task one holding an entry that reaches an
-// exit, for a Backward task one holding an exit that an entry reaches.
-// (An entry that reaches no exit is no stop: the coordinator's summary
-// carries nothing on from it, so a Forward search must go on past it
-// for the task's targets.) Hit is a target's component visited, and
-// Boundary the entries and exits of every visited component that
-// reaches an exit (Forward) or that an entry reaches (Backward), picked
-// out of its member list; the rest the coordinator can do nothing with.
+// it visits a key component — one on an entry→exit path that holds an
+// entry or an exit — seed components included, but goes no further, in
+// either direction. (A boundary vertex on no such path is no stop: the
+// coordinator's skeleton carries nothing on from it, so a search must
+// go on past it.) Hit is a target's component visited, and Boundary the
+// entries and exits of every visited component that reaches an exit
+// (Forward) or that an entry reaches (Backward), picked out of its
+// member list — of a key component only the smallest, its
+// representative; the rest the coordinator can do nothing with.
 // Its answers owe nothing to the Shard's regions or pruned DAGs: it
 // derives what reaches an exit and what an entry reaches itself, with
 // one BFS each. It reads the Shard's graph state and owns its own
@@ -39,15 +39,15 @@ type reference struct {
 	// Per component: it reaches a component holding an exit, an entry's
 	// component reaches it (each itself included).
 	toExit, fromEntry []bool
-	// Per component and direction: the search visits it, but goes no
-	// further.
-	stopFwd, stopBwd []bool
-	cvisit           markSet
-	cqueue           []int32
-	lseeds           []int32
-	results          []wire.Result
-	arena            []uint32
-	visited          int // components visited, summed over the last run's tasks
+	// Per component: it is key — the search visits it, but goes no
+	// further, and reports its representative alone.
+	stop    []bool
+	cvisit  markSet
+	cqueue  []int32
+	lseeds  []int32
+	results []wire.Result
+	arena   []uint32
+	visited int // components visited, summed over the last run's tasks
 	// Those of visited the pruned sweep may expand: not sink side for a
 	// Forward task, regionIn for a Backward one.
 	expandable int
@@ -80,8 +80,7 @@ func newReference(s *Shard) *reference {
 		isExit:    make([]bool, s.sub.NumVertices()),
 		toExit:    make([]bool, n),
 		fromEntry: make([]bool, n),
-		stopFwd:   make([]bool, n),
-		stopBwd:   make([]bool, n),
+		stop:      make([]bool, n),
 		cvisit:    markSet{at: make([]uint32, n)},
 	}
 	for _, e := range s.sub.Entries {
@@ -96,13 +95,9 @@ func newReference(s *Shard) *reference {
 	for _, c := range s.bfs(s.sub.Entries, true, nil, &r.cvisit, nil) {
 		r.fromEntry[c] = true
 	}
-	for _, e := range s.sub.Entries {
-		c := s.cond.Comp[e]
-		r.stopFwd[c] = r.toExit[c]
-	}
-	for _, x := range s.sub.Exits {
-		c := s.cond.Comp[x]
-		r.stopBwd[c] = r.fromEntry[c]
+	for _, v := range append(slices.Clone(s.sub.Entries), s.sub.Exits...) {
+		c := s.cond.Comp[v]
+		r.stop[c] = r.toExit[c] && r.fromEntry[c]
 	}
 	return r
 }
@@ -167,11 +162,11 @@ func (r *reference) run(tasks []wire.Task) []wire.Result {
 		r.lseeds = lseeds
 		out.Owned = uint32(len(lseeds))
 		forward := t.Kind == wire.Forward
-		stop, useful := r.stopBwd, r.fromEntry
+		useful := r.fromEntry
 		if forward {
-			stop, useful = r.stopFwd, r.toExit
+			useful = r.toExit
 		}
-		r.cqueue = s.bfs(lseeds, forward, stop, &r.cvisit, r.cqueue)
+		r.cqueue = s.bfs(lseeds, forward, r.stop, &r.cvisit, r.cqueue)
 		r.visited += len(r.cqueue)
 		for _, c := range r.cqueue {
 			if reg := s.region[c] & regionBits; forward && reg != regionSink || !forward && reg&regionIn != 0 {
@@ -194,6 +189,9 @@ func (r *reference) run(tasks []wire.Task) []wire.Result {
 			for _, v := range r.members[c] {
 				if r.isEntry[v] || r.isExit[v] {
 					arena = append(arena, s.sub.GlobalID(v))
+					if r.stop[c] {
+						break
+					}
 				}
 			}
 		}
@@ -619,22 +617,62 @@ func TestShardBoundaryOrdinals(t *testing.T) {
 	}
 }
 
+// skeleton is a shard's summary edges as adjacency over ordinals,
+// forward (succ) and reversed (pred).
+type skeleton struct{ succ, pred [][]int32 }
+
+func skeletonOf(t testing.TB, s *Shard) skeleton {
+	t.Helper()
+	sum := s.Summary()
+	sk := skeleton{make([][]int32, len(sum.Boundary)), make([][]int32, len(sum.Boundary))}
+	ord := func(v uint32) int32 {
+		i, ok := slices.BinarySearch(sum.Boundary, v)
+		if !ok {
+			t.Fatalf("shard %d: summary edge end %d is not a boundary vertex", s.id, v)
+		}
+		return int32(i)
+	}
+	for _, e := range sum.Edges {
+		u, v := ord(e[0]), ord(e[1])
+		sk.succ[u] = append(sk.succ[u], v)
+		sk.pred[v] = append(sk.pred[v], u)
+	}
+	return sk
+}
+
+// closure marks in visit every ordinal adj leads to from from, from
+// included, and returns them.
+func closure(adj [][]int32, from []int32, visit *markSet) []int32 {
+	visit.reset()
+	var q []int32
+	for _, o := range from {
+		if visit.mark(o) {
+			q = append(q, o)
+		}
+	}
+	for head := 0; head < len(q); head++ {
+		for _, o := range adj[q[head]] {
+			if visit.mark(o) {
+				q = append(q, o)
+			}
+		}
+	}
+	return q
+}
+
 // checkClosesOverSummary runs the batch through s and checks every
-// result, closed over the summary edges the coordinator holds, against
-// the full closure — the reference's BFS with no stop: a Forward task's
-// closure exits are exactly its reported exits and the summary
-// successors of its reported entries, a Backward task's closure entries
-// exactly its reported entries and the entries with a summary edge to
-// one of its reported exits. It returns how many boundary vertices the
+// result, closed over the skeleton the coordinator holds, against the
+// full closure — the reference's BFS with no stop: a Forward task's
+// closure exits are exactly the exits its reported vertices reach in
+// the skeleton, a Backward task's closure entries exactly the entries
+// that reach one of its reported vertices there (reported vertices
+// included either way). It returns how many boundary vertices the
 // results reported and the closures held.
 func checkClosesOverSummary(t testing.TB, s *Shard, ref *reference, tasks []wire.Task) (reported, closed int) {
 	t.Helper()
-	succ := map[uint32][]uint32{}
-	for _, e := range s.Summary().Edges {
-		succ[e[0]] = append(succ[e[0]], e[1])
-	}
-	isEntry := func(v uint32) bool { lv, _ := s.sub.Local(v); return ref.isEntry[lv] }
-	isExit := func(v uint32) bool { lv, _ := s.sub.Local(v); return ref.isExit[lv] }
+	sk := skeletonOf(t, s)
+	list := s.Summary().Boundary
+	visit := markSet{at: make([]uint32, len(list))}
 	var q []int32
 	for i, r := range s.Run(tasks) {
 		task := &tasks[i]
@@ -654,54 +692,39 @@ func checkClosesOverSummary(t testing.TB, s *Shard, ref *reference, tasks []wire
 				}
 			}
 		}
-		got := map[uint32]bool{}
-		verts := reached(t, s, r)
-		for _, v := range verts {
-			if forward && isExit(v) || !forward && isEntry(v) {
-				got[v] = true
-			}
+		from := make([]int32, len(r.Boundary))
+		for j, o := range r.Boundary {
+			from[j] = int32(o)
 		}
+		adj := sk.pred
 		if forward {
-			for _, e := range verts {
-				for _, x := range succ[e] {
-					got[x] = true
-				}
-			}
-		} else {
-			met := map[uint32]bool{}
-			for _, x := range verts {
-				met[x] = isExit(x)
-			}
-			for e, xs := range succ {
-				for _, x := range xs {
-					if met[x] {
-						got[e] = true
-					}
-				}
-			}
+			adj = sk.succ
 		}
-		have := make([]uint32, 0, len(got))
-		for v := range got {
-			have = append(have, v)
+		var have []uint32
+		for _, o := range closure(adj, from, &visit) {
+			lv, _ := s.sub.Local(list[o])
+			if forward && ref.isExit[lv] || !forward && ref.isEntry[lv] {
+				have = append(have, list[o])
+			}
 		}
 		slices.Sort(have)
 		slices.Sort(want)
 		if !slices.Equal(have, want) {
-			t.Fatalf("shard %d task %d %+v: reported %v closes over the summary to %v, the full closure holds %v",
-				s.id, i, *task, verts, have, want)
+			t.Fatalf("shard %d task %d %+v: reported %v closes over the skeleton to %v, the full closure holds %v",
+				s.id, i, *task, reached(t, s, r), have, want)
 		}
-		reported += len(verts)
+		reported += len(r.Boundary)
 		closed += len(want)
 	}
 	return reported, closed
 }
 
 // TestShardResultsCloseOverSummary checks that stopping at the first
-// boundary component loses nothing the coordinator needs: on every
+// key component loses nothing the coordinator needs: on every
 // fixture, and outside -short on the benchmark family's graph (200k
 // vertices, instance 4) at k = 3 under hash and locality (seed 1)
-// partitioning, every result closes over the partition's summary edges
-// to the whole closure. The benchmark graph's batches must also report
+// partitioning, every result closes over the partition's skeleton to
+// the whole closure. The benchmark graph's batches must also report
 // fewer boundary vertices than their closures hold.
 func TestShardResultsCloseOverSummary(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
@@ -856,11 +879,11 @@ func TestShardRunGapExhaustive(t *testing.T) {
 		}
 	}
 	// Counted by hand: how many of partition 0's vertices each of its
-	// vertices 0..12 reaches without crossing a stop, itself included.
-	// Entry 9 reaches exit 10, so its component is a stop and it hits
-	// only itself; entry 5 reaches no exit and is none.
+	// vertices 0..12 reaches without crossing a key component, itself
+	// included. Entry 9 reaches exit 10, so both are key: each hits only
+	// itself, and 12 stops at 10; entry 5 reaches no exit and is not key.
 	want := 0
-	for _, reach := range []int{8, 8, 1, 5, 1, 4, 3, 3, 1, 1, 2, 1, 3} {
+	for _, reach := range []int{8, 8, 1, 5, 1, 4, 3, 3, 1, 1, 1, 1, 2} {
 		want += reach
 	}
 	if hits != want {
@@ -927,8 +950,8 @@ func fuzzShard(data []byte) (g *graph.Graph, part []int32, k int, tasks []wire.T
 
 // FuzzShardRun drives the sweep and the reference with whatever graph,
 // partitioning and batch the fuzz bytes decode to, on every partition,
-// and checks each shard's summary — the same sweep over its entries —
-// against the per-entry BFS.
+// and checks each shard's skeleton — the same sweep over its key
+// components — against the per-entry BFS's entry→exit summary.
 func FuzzShardRun(f *testing.F) {
 	// The committed corpus (testdata/fuzz) holds the small shapes, the
 	// gap graph (gapEdges, with seeds and targets in every region) among
@@ -949,9 +972,7 @@ func FuzzShardRun(f *testing.F) {
 		subs := partition.Extract(g, pt)
 		for p, sub := range subs {
 			s := New(p, sub)
-			if got, want := s.Summary().Edges, summaryBFS(sub); !slices.Equal(got, want) {
-				t.Fatalf("shard %d summary:\nsweep %v\nBFS   %v", p, got, want)
-			}
+			checkSkeleton(t, fmt.Sprintf("shard %d", p), s, summaryBFS(sub))
 			checkAgainstReference(t, s, newReference(s), tasks)
 		}
 	})

@@ -140,8 +140,8 @@ func TestTransportConformance(t *testing.T) {
 				t.Errorf("summary under a cancelled context: %v", err)
 			}
 
-			// Twice round, so every replica of a rotation serves each batch
-			// and reuses its buffers from the batch before.
+			// Twice per replica, so the replica serving each batch has
+			// buffers from the batch before to reuse.
 			replyc := make(chan Reply, 1)
 			for round := 0; round < 2*shape.replicas; round++ {
 				for _, b := range batches {

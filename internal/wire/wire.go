@@ -12,7 +12,7 @@
 //   - MsgSummaryRequest — client -> server: ask for the shard's
 //     boundary summary (no payload beyond the type byte).
 //   - MsgSummary  — server -> client: the shard's boundary summary —
-//     its boundary-vertex set, entry→exit summary edges, and outgoing
+//     its boundary-vertex set, summary edges, and outgoing
 //     cross-partition edges, all as global vertex IDs. The coordinator
 //     stitches the k summaries into the global boundary graph without
 //     ever holding the full graph.
@@ -120,13 +120,14 @@ type TaskKind uint8
 
 const (
 	// Forward is a search from the query's sources within the shard's
-	// partition that stops at the first entry on the way to an exit:
-	// report a hit if a local target is reached, plus the boundary
-	// vertices reached up to there.
+	// partition that stops at the first key component — one on an
+	// entry→exit path holding a boundary vertex — on every path: report
+	// a hit if a local target is reached, plus the boundary vertices
+	// reached up to there.
 	Forward TaskKind = iota
 	// Backward is a reverse search from the query's targets that stops
-	// at the first exit on the way back to an entry: report the
-	// boundary vertices that reach a target locally up to there.
+	// the same way on the way back: report the boundary vertices that
+	// reach a target locally up to there.
 	Backward
 )
 
@@ -148,9 +149,9 @@ type Task struct {
 // (Forward) or ones that reach a target (Backward) — each as its
 // ordinal in the answering shard's Summary.Boundary list, not as a
 // vertex ID. It need not be the whole closure: the search stops at the
-// first boundary component, and the coordinator's summary edges carry
-// a reached entry on to its exits (and an entry on to a reached exit),
-// so together they are. The list is sorted, the
+// first key component, reported by one representative vertex, and the
+// coordinator's summary edges carry it on to the rest, so together they
+// are. The list is sorted, the
 // same on every replica of the partition, and already with the
 // coordinator, so an ordinal is all either end needs. Owned
 // counts how many of the task's Seeds this shard owned — summed over
@@ -170,11 +171,13 @@ type Result struct {
 // shipped in response to a MsgSummaryRequest. All IDs are global.
 // Boundary lists the partition's boundary vertices (entries ∪ exits)
 // in strictly increasing order — the decoder enforces the order, so a
-// decoded Summary is always canonical. Edges holds the entry→exit
-// summary pairs (exit reachable from entry without leaving the
-// partition) and Cross the raw cross-partition edges whose source lies
-// in the partition. Stitched over all k shards these are exactly the
-// edges of the DSR boundary graph.
+// decoded Summary is always canonical. Edges holds summary pairs of
+// boundary vertices, the second reachable from the first without
+// leaving the partition — a shard ships its first-boundary skeleton,
+// whose closure holds every entry→exit pair — and Cross the
+// raw cross-partition edges whose source lies in the partition.
+// Stitched over all k shards these are the edges of the DSR boundary
+// graph.
 type Summary struct {
 	Boundary []uint32
 	Edges    [][2]uint32
