@@ -368,6 +368,7 @@ type replicaSets interface {
 // on error the caller still owns it.
 func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Options) (*Engine, error) {
 	infos := make([]shard.SummaryInfo, k)
+	digests := make([]uint64, k)
 	errs := make([]error, k)
 	sumFetch := o.Metrics.Histogram("dsr_summary_fetch_ns")
 	fetchStart := time.Now()
@@ -377,6 +378,7 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 		sumFetch.ObserveSince(t0)
 		if errs[p] == nil {
 			s := &infos[p].Summary
+			digests[p] = s.Digest()
 			o.Log.Infof("shard %d/%d: summary received (%d boundary vertices, %d summary edges, %d cross edges)",
 				p+1, k, len(s.Boundary), len(s.Edges), len(s.Cross))
 		}
@@ -420,10 +422,8 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 		n = int(infos[ref].Hello.NumVertices)
 	}
 	sums := make([]wire.Summary, k)
-	digests := make([]uint64, k)
 	for p := range infos {
 		sums[p] = infos[p].Summary
-		digests[p] = sums[p].Digest()
 	}
 	// Pin the verified fleet identity on the transport, so every future
 	// redial of an individual replica is held to what the fleet reported

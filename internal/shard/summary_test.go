@@ -45,8 +45,8 @@ func TestSummaryCompression(t *testing.T) {
 func TestSummaryEntryIsExit(t *testing.T) {
 	// 0 -> 1 -> 2 with singleton middle partition {1}: vertex 1 is both
 	// entry and exit, its one key component holds nothing else and
-	// reaches no other, so the skeleton has no edge — the pair (1, 1) an
-	// entry→exit summary listed is the closure's reflexivity.
+	// reaches no other, so the skeleton has no edge: the entry→exit pair
+	// (1, 1) holds by the closure's reflexivity.
 	got := summaryOf(t, 3, [][2]graph.VertexID{{0, 1}, {1, 2}}, 3)[1]
 	if len(got) != 0 {
 		t.Fatalf("singleton boundary summary = %v, want none", got)
