@@ -50,11 +50,12 @@ func counterOr(reg *obs.Registry, name string) *obs.Counter {
 // set of one or more interchangeable replicas — TCP connections to
 // dsr-shard servers (Dial, DialReplicated), in-process workers
 // (NewLoopback), or anything else behind a ReplicaDialer. Submit routes
-// each task batch to the first idle healthy replica in endpoint order —
-// with one round in flight, a partition's rounds all land on one warm
-// replica and its siblings stand by — and because local searches are idempotent — pure reads over an
-// immutable subgraph — a batch whose send or receive fails mid-query is
-// simply retried on a sibling replica. A replica that fails is marked
+// each task batch to the first idle healthy replica in endpoint order,
+// so with one round in flight a partition's rounds all land on one warm
+// replica and its siblings stand by. Because local searches are
+// idempotent — pure reads over an immutable subgraph — a batch whose
+// send or receive fails mid-query is simply retried on a sibling
+// replica. A replica that fails is marked
 // dead and periodically redialed in the background; only when every
 // replica of a partition fails within one Submit does the coordinator
 // see an error Reply, and that Reply's Err details every replica's
@@ -612,10 +613,10 @@ func (rs *replicaSet) release(cn *conn) {
 
 // pick returns the first untried idle healthy replica in endpoint
 // order, or nil if none remains, marking the returned replica busy.
-// Fixed order, not rotation: a partition's rounds stay on the replica
-// whose caches the last round warmed, and a sibling serves only while it
-// is busy or dead — or as a hedge. A standby that dies while idle is
-// found when a round first fails over to it, like any dead replica.
+// The fixed order keeps a partition's rounds on the replica whose
+// caches the last round warmed; a sibling serves only while that one is
+// busy or dead, or as a hedge. A standby that dies while idle is found
+// when a round first fails over to it, like any dead replica.
 // Skipping busy replicas is what keeps a hedge and its primary (and the
 // primary's own sibling retries) on disjoint replicas: each replica
 // serves at most one in-flight batch, so its decode buffers hold one
