@@ -147,8 +147,9 @@ bench-harness-test:
 	cd bench && $(GO) test ./...
 
 # Paired end-to-end evidence for a change: the benchmark BENCHMARK.json
-# names, on PARENT and on the working tree, PAIRS alternating pairs per
-# workload (order flipped every pair, one fresh seed per pair), each
+# names, on PARENT and on the working tree, PAIRS pairs per workload
+# (which side runs first drawn per pair and workload from -seed, runs a
+# second apart, one fresh seed per pair), each
 # side built and run by its own bench/run.sh. Prints per (workload,
 # metric) both medians and quartiles, the pairs won, and a verdict
 # under the metric's bound — `unresolved` where the parent's own spread

@@ -86,7 +86,7 @@ func TestRunQueriesPartialOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 2
-	pt, err := graph.HashPartition(g, k)
+	pt, err := graph.Hash().Partition(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,16 +130,16 @@ func main() {
 	// its snapshot — no edge-list read, no partitioning, no Tarjan; the
 	// summary is one sweep of the entries. The header's shard ID/count
 	// are checked here; its graph fingerprint and partitioning digest
-	// become this shard's handshake identity, so a snapshot from a
-	// foreign graph is refused by the coordinator's fleet cross-check
-	// exactly like a mismatched hello.
+	// become this shard's handshake identity, so the coordinator refuses
+	// a snapshot of a foreign graph like any replica that disagrees with
+	// the fleet (shard.MismatchError).
 	var sh *shard.Shard
 	var numVertices int
 	var graphSum, partSum uint64
 	if snapPath != "" && !*snapVerify {
 		sn, err := snapshot.ReadFile(snapPath)
 		if err == nil {
-			err = sn.Expect(*shardID, *numShards, 0, 0, 0)
+			err = sn.Expect(*shardID, *numShards)
 		}
 		switch {
 		case err == nil:

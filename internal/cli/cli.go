@@ -35,7 +35,7 @@ const (
 	ExitOK       = 0 // clean: every line parsed and every query answered, or a drained shutdown
 	ExitFailure  = 1 // partial or runtime failure: malformed lines skipped, queries failed on unavailable partitions, connect/IO errors, an incomplete drain
 	ExitUsage    = 2 // flag misuse: bad flag values, or graph-describing flags combined with -shards
-	ExitMismatch = 3 // misassembled fleet: shards disagree about graph/partitioning (dsr.MismatchError)
+	ExitMismatch = 3 // misassembled fleet: replicas disagree about the deployment (shard.MismatchError)
 )
 
 var exitNames = [...]string{"ExitOK", "ExitFailure", "ExitUsage", "ExitMismatch"}
@@ -172,7 +172,7 @@ func (c *Coordinator) StartOps() {
 		eps := e.Endpoints()
 		targets := make([]fleet.Target, len(eps))
 		for i, ep := range eps {
-			targets[i] = fleet.Target{Partition: ep.Partition, Replica: ep.Replica, Addr: ep.Addr, MetricsAddr: ep.MetricsAddr, Live: ep.Live}
+			targets[i] = fleet.Target(ep)
 		}
 		return targets
 	}, 0)
@@ -204,7 +204,7 @@ func (c *Coordinator) Connect(hedge shard.HedgeOptions) *dsr.Engine {
 }
 
 func connectExit(err error) int {
-	var me *dsr.MismatchError
+	var me *shard.MismatchError
 	if errors.As(err, &me) {
 		return ExitMismatch
 	}

@@ -11,8 +11,8 @@ import (
 	"strings"
 	"testing"
 
-	"dsr/internal/dsr"
 	"dsr/internal/obs"
+	"dsr/internal/shard"
 )
 
 // TestExitCodeContract pins the constants to the values the README
@@ -30,7 +30,7 @@ func TestExitCodeContract(t *testing.T) {
 // however the error was wrapped; every other connect failure is a plain
 // runtime failure.
 func TestConnectExit(t *testing.T) {
-	mismatch := fmt.Errorf("connect: %w", &dsr.MismatchError{Field: "graph fingerprint", PartB: 2})
+	mismatch := fmt.Errorf("connect: %w", &shard.MismatchError{Field: "graph fingerprint", PartB: 2})
 	WantExit(t, "mismatched fleet", connectExit(mismatch), ExitMismatch)
 	WantExit(t, "dial failure", connectExit(errors.New("connection refused")), ExitFailure)
 }

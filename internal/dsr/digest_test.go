@@ -72,7 +72,7 @@ func TestTCPReplicaSummaryDigestRefused(t *testing.T) {
 	}
 
 	for _, group := range []string{addrs[1] + "|" + oddAddr, oddAddr + "|" + addrs[1]} {
-		var me *MismatchError
+		var me *shard.MismatchError
 		_, err := Connect(t.Context(), ClusterSpec{Groups: []string{addrs[0], group, addrs[2]}})
 		if !errors.As(err, &me) || me.Field != "summary digest" || me.PartA != 1 || me.PartB != 1 {
 			t.Fatalf("partition 1 as %s: Connect = %v, want a summary-digest MismatchError on shard 1", group, err)

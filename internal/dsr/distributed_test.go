@@ -4,8 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +14,7 @@ import (
 	"dsr/internal/partition"
 	"dsr/internal/partition/locality"
 	"dsr/internal/shard"
+	"dsr/internal/snapshot"
 )
 
 // bootShardServers launches one hash-partitioned TCP shard server per
@@ -119,11 +120,11 @@ func TestDistributedTCPDifferential(t *testing.T) {
 }
 
 // TestDistributedTCPFleetMismatch: the graph-free coordinator has no
-// graph of its own to check shards against, so consistency is enforced
-// two ways — the fleet against itself (every shard's handshake identity
-// must agree with every other shard's, surfacing as *MismatchError),
-// and optionally against a caller-pinned digest at dial time. A silent
-// placement disagreement would mean wrong answers, not errors.
+// graph of its own to check shards against, so the fleet is held to
+// itself: the transport takes one identity from the live replicas'
+// hellos and refuses a fleet whose shards disagree with it as a
+// *shard.MismatchError. A silent placement disagreement would mean
+// wrong answers, not errors.
 func TestDistributedTCPFleetMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := randomGraph(rng, 60, 2)
@@ -136,41 +137,132 @@ func TestDistributedTCPFleetMismatch(t *testing.T) {
 	// partitioning digests disagree, so Connect must refuse with a
 	// MismatchError naming the digest field.
 	mixed := []string{hashAddrs[0], hashAddrs[1], locAddrs[2]}
-	var me *MismatchError
+	var me *shard.MismatchError
 	if _, err := Connect(t.Context(), ClusterSpec{Groups: mixed}); !errors.As(err, &me) {
 		t.Fatalf("mixed-partitioner fleet not rejected with MismatchError: %v", err)
 	} else if me.Field != "partitioning digest" {
 		t.Fatalf("wrong mismatch field: %+v", me)
 	}
 
-	// A coherent fleet against the wrong pinned digest: refused replica
-	// by replica at dial time.
-	ptHash, err := graph.HashPartition(g, 3)
+	// A coherent fleet connects and answers correctly.
+	e, err := Connect(t.Context(), ClusterSpec{Groups: locAddrs})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Connect(t.Context(), ClusterSpec{Groups: locAddrs, ExpectDigest: ptHash.Digest()}); err == nil ||
-		!strings.Contains(err.Error(), "different partitioning") {
-		t.Fatalf("wrong pinned digest not rejected: %v", err)
-	}
-	// Pinning the graph fingerprint alongside the right digest connects
-	// fine and answers correctly.
-	ptLoc, err := locality.Partition(g, 3, locality.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Connect(t.Context(), ClusterSpec{
-		Groups: locAddrs, ExpectGraph: g.Fingerprint(), ExpectDigest: ptLoc.Digest(),
-	})
-	if err != nil {
-		t.Fatalf("matching deployment refused: %v", err)
+		t.Fatalf("coherent fleet refused: %v", err)
 	}
 	defer e.Close()
 	for qi := 0; qi < 5; qi++ {
 		S, T := randomSet(rng, 60, 4), randomSet(rng, 60, 4)
 		if got, want := e.Query(S, T), NaiveReach(g, S, T); got != want {
-			t.Fatalf("pinned connect query %d: got %v, oracle %v", qi, got, want)
+			t.Fatalf("coherent fleet query %d: got %v, oracle %v", qi, got, want)
 		}
+	}
+}
+
+// movedPartitioner is Range with vertex v moved to partition to.
+type movedPartitioner struct {
+	v  graph.VertexID
+	to int32
+}
+
+func (movedPartitioner) Name() string { return "range, one vertex moved" }
+
+func (m movedPartitioner) Partition(g *graph.Graph, k int) (*graph.Partitioning, error) {
+	pt, err := graph.Range().Partition(g, k)
+	if err == nil {
+		pt.Part[m.v] = m.to
+	}
+	return pt, err
+}
+
+// TestDistributedTCPSiblingMismatchRefused: in a 3×2 fleet, a live
+// sibling replica built under another partitioning than the rest is
+// refused at connect — whichever replica of its partition it is — as a
+// *shard.MismatchError on the partitioning digest, not quietly evicted.
+// The odd partitioning moves an isolated vertex between partitions 0
+// and 2, so partition 1's summary is the same under both and only the
+// partitioning digest tells the sibling apart.
+func TestDistributedTCPSiblingMismatchRefused(t *testing.T) {
+	const n, k = 61, 3
+	rng := rand.New(rand.NewSource(79))
+	b := graph.NewBuilder(n)
+	for i := 0; i < 2*(n-1); i++ { // vertex n-1 stays isolated
+		b.AddEdge(graph.VertexID(rng.Intn(n-1)), graph.VertexID(rng.Intn(n-1)))
+	}
+	g := b.Build()
+	moved := movedPartitioner{v: n - 1, to: 0}
+	primaries, stopPrimaries := bootShardServersWith(t, g, k, graph.Range())
+	defer stopPrimaries()
+	standbys, stopStandbys := bootShardServersWith(t, g, k, graph.Range())
+	defer stopStandbys()
+	odd, stopOdd := bootShardServersWith(t, g, k, moved)
+	defer stopOdd()
+	ptRange, _ := graph.Range().Partition(g, k)
+	ptMoved, _ := moved.Partition(g, k)
+	if ptRange.Digest() == ptMoved.Digest() ||
+		shard.New(1, partition.ExtractOne(g, ptRange, 1)).Summary().Digest() != shard.New(1, partition.ExtractOne(g, ptMoved, 1)).Summary().Digest() {
+		t.Fatal("fixture: the odd partitioning must differ in digest only, not in partition 1's summary")
+	}
+
+	for _, group := range []string{primaries[1] + "|" + odd[1], odd[1] + "|" + primaries[1]} {
+		groups := []string{primaries[0] + "|" + standbys[0], group, primaries[2] + "|" + standbys[2]}
+		var me *shard.MismatchError
+		e, err := Connect(t.Context(), ClusterSpec{Groups: groups})
+		if err == nil {
+			e.Close()
+		}
+		if !errors.As(err, &me) || me.Field != "partitioning digest" || me.PartA != 0 || me.PartB != 1 {
+			t.Fatalf("partition 1 as %s: Connect = %v, want a partitioning-digest MismatchError between shards 0 and 1", group, err)
+		}
+	}
+}
+
+// TestDistributedTCPSnapshotOfAnotherGraphRefused: a shard booted from
+// a snapshot checks only the snapshot's shard ID and count and
+// announces the snapshot's identity in its hello, as cmd/dsr-shard
+// does, so one booted from a snapshot of another graph beside right
+// shards is refused at connect by the fleet identity, on the graph
+// fingerprint.
+func TestDistributedTCPSnapshotOfAnotherGraphRefused(t *testing.T) {
+	const k, victim = 3, 1
+	rng := rand.New(rand.NewSource(78))
+	g := randomGraph(rng, 60, 2)
+	other := randomGraph(rng, 60, 2) // as many vertices, other edges
+	addrs, stop := bootShardServers(t, g, k)
+	defer stop()
+
+	pt, err := graph.Hash().Partition(other, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), snapshot.Filename(victim, k))
+	sh := shard.New(victim, partition.ExtractOne(other, pt, victim))
+	if _, err := snapshot.WriteFile(path, sh.Snapshot(k, other.NumVertices(), other.Fingerprint(), pt.Digest())); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := snapshot.ReadFile(path)
+	if err == nil {
+		err = sn.Expect(victim, k)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := shard.NewServer(shard.FromSnapshot(sn), k, sn.TotalVertices, sn.GraphFingerprint, sn.PartitioningDigest)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(ln)
+	}()
+	defer func() { srv.Close(); <-served }()
+
+	addrs[victim] = ln.Addr().String()
+	var me *shard.MismatchError
+	if _, err := Connect(t.Context(), ClusterSpec{Groups: addrs}); !errors.As(err, &me) ||
+		me.Field != "graph fingerprint" || me.PartB != victim || me.B != other.Fingerprint() {
+		t.Fatalf("Connect = %v, want a graph-fingerprint MismatchError naming shard %d", err, victim)
 	}
 }
 

@@ -275,8 +275,8 @@ func Build(g *graph.Graph, o Options) (*Engine, error) {
 }
 
 // ClusterSpec describes an existing fleet of shard servers for Connect.
-// It carries addresses and optional expectations — no graph: everything
-// structural comes from the fleet itself.
+// It carries addresses — no graph: everything structural comes from the
+// fleet itself.
 type ClusterSpec struct {
 	// Groups lists one address spec per partition, in partition order.
 	// Groups[i] may name several interchangeable replica servers
@@ -285,13 +285,6 @@ type ClusterSpec struct {
 	// sibling when a replica fails mid-query, and redials dead replicas,
 	// so a partition is only unavailable when every replica is down.
 	Groups []string
-	// ExpectGraph, if non-zero, pins the graph fingerprint
-	// (graph.Fingerprint): any shard built from a different edge set is
-	// refused at dial time. Zero trusts the fleet's own cross-check.
-	ExpectGraph uint64
-	// ExpectDigest, if non-zero, pins the partitioning digest
-	// (graph.Partitioning.Digest) the same way.
-	ExpectDigest uint64
 	// Log, if non-nil, receives human-readable connect progress — one
 	// line per shard summary fetched, one for the stitched result — and
 	// slow-query traces after connect.
@@ -316,8 +309,9 @@ type ClusterSpec struct {
 // identity (vertex count, graph fingerprint, partitioning digest) comes
 // from the TCP handshake, the boundary structure from the summaries
 // every shard ships on request, and the k summaries are stitched into
-// the boundary graph locally. Shards that disagree with each other
-// about the deployment are refused with a *MismatchError.
+// the boundary graph locally. A fleet whose live replicas disagree
+// about the deployment is refused with a *shard.MismatchError (see
+// shard.NewReplicated).
 //
 // ctx bounds connecting — dialing, handshakes, and the summary fetch —
 // and cancels in-flight redials when the engine is closed; it does not
@@ -330,7 +324,7 @@ func Connect(ctx context.Context, spec ClusterSpec) (*Engine, error) {
 	if spec.Hedge.Enabled && !slices.ContainsFunc(groups, func(g []string) bool { return len(g) > 1 }) {
 		spec.Log.Warnf("hedged requests enabled but no partition has a sibling replica to re-submit to; hedging disabled")
 	}
-	tr, err := shard.DialReplicated(ctx, groups, -1, spec.ExpectGraph, spec.ExpectDigest,
+	tr, err := shard.DialReplicated(ctx, groups, -1, 0, 0,
 		shard.ReplicatedOptions{Metrics: spec.Metrics, Hedge: spec.Hedge})
 	if err != nil {
 		return nil, err
@@ -346,11 +340,10 @@ func Connect(ctx context.Context, spec ClusterSpec) (*Engine, error) {
 }
 
 // replicaSets is the read-only book-keeping shard.Replicated offers
-// beyond shard.Transport — identity pinning and the replica books —
-// and a transport wrapped or faked by a test or the benchmark may not.
-// Nothing on the query path asks for it.
+// beyond shard.Transport — the replica books — and a transport wrapped
+// or faked by a test or the benchmark may not. Nothing on the query
+// path asks for it.
 type replicaSets interface {
-	Pin(shard.Expect)
 	Health() []shard.PartitionHealth
 	Endpoints() []shard.EndpointInfo
 }
@@ -359,8 +352,9 @@ type replicaSets interface {
 // hook for embedders (the serving layer's harnesses, chaos rigs) that
 // assemble their own replica fleets in process via shard.NewReplicated
 // or shard.NewLoopback: fetch every shard's boundary summary over tr,
-// cross-check the fleet's handshake identities against each other,
-// stitch, and wire the engine. k is the partition count tr serves;
+// stitch, and wire the engine. Judging the fleet is the transport's job
+// (shard.Replicated holds every replica to one identity); this only
+// reads the vertex count off it. k is the partition count tr serves;
 // n >= 0 pins the global vertex count (transports without a handshake,
 // e.g. in-process shards), n < 0 derives it from the hellos (which
 // fails for transports whose replicas present none). Only o's telemetry
@@ -368,7 +362,6 @@ type replicaSets interface {
 // on error the caller still owns it.
 func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Options) (*Engine, error) {
 	infos := make([]shard.SummaryInfo, k)
-	digests := make([]uint64, k)
 	errs := make([]error, k)
 	sumFetch := o.Metrics.Histogram("dsr_summary_fetch_ns")
 	fetchStart := time.Now()
@@ -378,7 +371,6 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 		sumFetch.ObserveSince(t0)
 		if errs[p] == nil {
 			s := &infos[p].Summary
-			digests[p] = s.Digest()
 			o.Log.Infof("shard %d/%d: summary received (%d boundary vertices, %d summary edges, %d cross edges)",
 				p+1, k, len(s.Boundary), len(s.Edges), len(s.Cross))
 		}
@@ -389,60 +381,15 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 			return nil, fmt.Errorf("dsr: shard %d summary: %w", p, err)
 		}
 	}
-
-	// Cross-check: every shard that presented a handshake identity must
-	// agree with every other. Shards without one (in-process replicas
-	// report a zero Hello) opt out; zero fingerprints/digests mean "not
-	// computed" and skip that field, mirroring the handshake itself.
-	ref := -1
-	for p := range infos {
-		h := infos[p].Hello
-		if h.NumShards == 0 {
-			continue
-		}
-		if ref < 0 {
-			ref = p
-			continue
-		}
-		rh := infos[ref].Hello
-		switch {
-		case h.NumVertices != rh.NumVertices:
-			return nil, &MismatchError{Field: "vertex count", PartA: ref, PartB: p,
-				A: uint64(rh.NumVertices), B: uint64(h.NumVertices)}
-		case h.Graph != 0 && rh.Graph != 0 && h.Graph != rh.Graph:
-			return nil, &MismatchError{Field: "graph fingerprint", PartA: ref, PartB: p, A: rh.Graph, B: h.Graph}
-		case h.Partitioning != 0 && rh.Partitioning != 0 && h.Partitioning != rh.Partitioning:
-			return nil, &MismatchError{Field: "partitioning digest", PartA: ref, PartB: p, A: rh.Partitioning, B: h.Partitioning}
-		}
-	}
-	if n < 0 {
-		if ref < 0 {
-			return nil, fmt.Errorf("dsr: no shard reported its identity; cannot derive the vertex count")
-		}
-		n = int(infos[ref].Hello.NumVertices)
-	}
 	sums := make([]wire.Summary, k)
 	for p := range infos {
 		sums[p] = infos[p].Summary
-	}
-	// Pin the verified fleet identity on the transport, so every future
-	// redial of an individual replica is held to what the fleet reported
-	// at connect time — not just to what the caller chose to expect — and
-	// to the summaries stitched here: every replica of a partition must
-	// ship the one its sibling did, or a round answered on it could
-	// assume summary edges the coordinator does not hold.
-	if r, ok := tr.(replicaSets); ok && ref >= 0 {
-		for _, ep := range r.Endpoints() {
-			if d, want := ep.SummaryDigest, digests[ep.Partition]; ep.Live && d != 0 && d != want {
-				return nil, &MismatchError{Field: "summary digest", PartA: ep.Partition, PartB: ep.Partition, A: want, B: d}
-			}
+		if h := infos[p].Hello; n < 0 && h.NumShards != 0 {
+			n = int(h.NumVertices)
 		}
-		r.Pin(shard.Expect{
-			NumVertices: n,
-			Graph:       infos[ref].Hello.Graph,
-			Part:        infos[ref].Hello.Partitioning,
-			Summaries:   digests,
-		})
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("dsr: no shard reported its identity; cannot derive the vertex count")
 	}
 	stitchStart := time.Now()
 	bg, err := stitchBoundary(n, sums)

@@ -130,7 +130,7 @@ func TestChaosSummaryFetchFailover(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	const k, R, n = 3, 2, 90
 	g := randomGraph(rng, n, 2)
-	pt, err := graph.HashPartition(g, k)
+	pt, err := graph.Hash().Partition(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

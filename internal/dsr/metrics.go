@@ -24,7 +24,6 @@ type engineMetrics struct {
 	finish    *obs.Histogram // dsr_boundary_finish_ns
 	popped    *obs.Histogram // dsr_finish_sweep_components
 	frontier  *obs.Histogram // dsr_frontier_size
-	sumFetch  *obs.Histogram // dsr_summary_fetch_ns
 
 	rpcs      []*obs.Counter   // dsr_rpc_total{partition=p}
 	rpcErrs   []*obs.Counter   // dsr_rpc_failures_total{partition=p}
@@ -53,7 +52,6 @@ func newEngineMetrics(reg *obs.Registry, k int) engineMetrics {
 		finish:        reg.Histogram("dsr_boundary_finish_ns"),
 		popped:        reg.Histogram("dsr_finish_sweep_components"),
 		frontier:      reg.Histogram("dsr_frontier_size"),
-		sumFetch:      reg.Histogram("dsr_summary_fetch_ns"),
 		rpcs:          make([]*obs.Counter, k),
 		rpcErrs:       make([]*obs.Counter, k),
 		rpcLat:        make([]*obs.Histogram, k),

@@ -143,7 +143,7 @@ func TestChaosTCPPartitionDownAndRecovery(t *testing.T) {
 	defer e.Close()
 
 	// A victim query whose sources live in partition 1, plus bystanders.
-	pt, err := graph.HashPartition(g, k)
+	pt, err := graph.Hash().Partition(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,16 +88,6 @@ func RangePartitionFunc(v VertexID, n, k int) int32 {
 	return int32(p)
 }
 
-// HashPartition partitions g into k parts with HashPartitionFunc.
-func HashPartition(g *Graph, k int) (*Partitioning, error) {
-	return PartitionWith(g, k, HashPartitionFunc)
-}
-
-// RangePartition partitions g into k contiguous vertex ranges.
-func RangePartition(g *Graph, k int) (*Partitioning, error) {
-	return PartitionWith(g, k, RangePartitionFunc)
-}
-
 // PartitionWith labels every vertex with fn, refusing a label outside
 // [0, k). It reads no edges.
 func PartitionWith(g *Graph, k int, fn PartitionFunc) (*Partitioning, error) {

@@ -16,8 +16,8 @@ func TestPartitionersAssignEveryVertexOnce(t *testing.T) {
 		name string
 		fn   func(*Graph, int) (*Partitioning, error)
 	}{
-		{"hash", HashPartition},
-		{"range", RangePartition},
+		{"hash", Hash().Partition},
+		{"range", Range().Partition},
 	}
 	sizes := []int{0, 1, 2, 7, 100}
 	ks := []int{1, 2, 3, 8}
@@ -44,14 +44,14 @@ func TestPartitionersAssignEveryVertexOnce(t *testing.T) {
 
 func TestPartitionRejectsBadK(t *testing.T) {
 	for _, k := range []int{0, -1} {
-		if _, err := HashPartition(chain(4), k); err == nil {
-			t.Errorf("HashPartition(k=%d): want error", k)
+		if _, err := Hash().Partition(chain(4), k); err == nil {
+			t.Errorf("Hash().Partition(k=%d): want error", k)
 		}
 	}
 }
 
 func TestRangePartitionContiguous(t *testing.T) {
-	pt, err := RangePartition(chain(10), 3)
+	pt, err := Range().Partition(chain(10), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +64,8 @@ func TestRangePartitionContiguous(t *testing.T) {
 
 func TestHashPartitionDeterministic(t *testing.T) {
 	g := chain(50)
-	a, _ := HashPartition(g, 4)
-	b, _ := HashPartition(g, 4)
+	a, _ := Hash().Partition(g, 4)
+	b, _ := Hash().Partition(g, 4)
 	for v := range a.Part {
 		if a.Part[v] != b.Part[v] {
 			t.Fatalf("hash partition not deterministic at vertex %d", v)

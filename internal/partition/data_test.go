@@ -19,7 +19,7 @@ func dataFixture(t *testing.T, seed int64, n, k, id int) *Subgraph {
 		b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
 	}
 	g := b.Build()
-	pt, err := graph.HashPartition(g, k)
+	pt, err := graph.Hash().Partition(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,9 +105,9 @@ func TestExtractOneMatchesExtract(t *testing.T) {
 		var pt *graph.Partitioning
 		var err error
 		if rng.Intn(2) == 0 {
-			pt, err = graph.HashPartition(g, k)
+			pt, err = graph.Hash().Partition(g, k)
 		} else {
-			pt, err = graph.RangePartition(g, k)
+			pt, err = graph.Range().Partition(g, k)
 		}
 		if err != nil {
 			t.Fatal(err)

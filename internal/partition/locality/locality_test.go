@@ -39,7 +39,7 @@ func TestLocalityBeatsHashOnClusteredGraph(t *testing.T) {
 	g, _ := plantedFixture(t)
 	const k = 4
 
-	hashPt, err := graph.HashPartition(g, k)
+	hashPt, err := graph.Hash().Partition(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +290,8 @@ func BenchmarkPartitionQuality(b *testing.B) {
 		graph func() *graph.Graph
 		part  func(g *graph.Graph) (*graph.Partitioning, error)
 	}{
-		{"hash", nil, func(g *graph.Graph) (*graph.Partitioning, error) { return graph.HashPartition(g, k) }},
-		{"range", nil, func(g *graph.Graph) (*graph.Partitioning, error) { return graph.RangePartition(g, k) }},
+		{"hash", nil, func(g *graph.Graph) (*graph.Partitioning, error) { return graph.Hash().Partition(g, k) }},
+		{"range", nil, func(g *graph.Graph) (*graph.Partitioning, error) { return graph.Range().Partition(g, k) }},
 		{"locality", nil, func(g *graph.Graph) (*graph.Partitioning, error) {
 			return locality.Partition(g, k, locality.Options{})
 		}},

@@ -31,12 +31,12 @@ func TestStatsGoldenTiny(t *testing.T) {
 	}{
 		{
 			"hash",
-			func() (*graph.Partitioning, error) { return graph.HashPartition(g, k) },
+			func() (*graph.Partitioning, error) { return graph.Hash().Partition(g, k) },
 			partition.Stats{K: 2, NumVertices: 8, NumEdges: 9, BoundaryVertices: 7, CutEdges: 4, MaxPart: 5, MinPart: 3, Balance: 1.25},
 		},
 		{
 			"range",
-			func() (*graph.Partitioning, error) { return graph.RangePartition(g, k) },
+			func() (*graph.Partitioning, error) { return graph.Range().Partition(g, k) },
 			partition.Stats{K: 2, NumVertices: 8, NumEdges: 9, BoundaryVertices: 2, CutEdges: 1, MaxPart: 4, MinPart: 4, Balance: 1},
 		},
 		{
@@ -61,7 +61,7 @@ func TestStatsGoldenTiny(t *testing.T) {
 // TestStatsDegenerate covers the empty graph and the k=1 identities.
 func TestStatsDegenerate(t *testing.T) {
 	empty := graph.NewBuilder(0).Build()
-	pt, err := graph.HashPartition(empty, 3)
+	pt, err := graph.Hash().Partition(empty, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestStatsDegenerate(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	g := b.Build()
-	pt, err = graph.HashPartition(g, 1)
+	pt, err = graph.Hash().Partition(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

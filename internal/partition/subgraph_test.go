@@ -19,7 +19,7 @@ func twoBlock(t *testing.T) (*graph.Graph, *graph.Partitioning) {
 		b.AddEdge(e[0], e[1])
 	}
 	g := b.Build()
-	pt, err := graph.RangePartition(g, 2)
+	pt, err := graph.Range().Partition(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestBoundaryDetection(t *testing.T) {
 	b.AddEdge(2, 3)
 	b.AddEdge(3, 0)
 	g := b.Build()
-	pt, err := graph.RangePartition(g, 2)
+	pt, err := graph.Range().Partition(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestBoundaryNoneWhenSinglePartition(t *testing.T) {
 		b.AddEdge(graph.VertexID(i), graph.VertexID(i+1))
 	}
 	g := b.Build()
-	pt, err := graph.HashPartition(g, 1)
+	pt, err := graph.Hash().Partition(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestBoundaryInternalEdgesOnly(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	g := b.Build()
-	pt, err := graph.RangePartition(g, 2)
+	pt, err := graph.Range().Partition(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

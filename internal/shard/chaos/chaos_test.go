@@ -274,7 +274,7 @@ func bootShard(t *testing.T) (string, func()) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	g := b.Build()
-	pt, err := graph.RangePartition(g, 1)
+	pt, err := graph.Range().Partition(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ type ReplicaDialer func(ctx context.Context) (Replica, error)
 // refused on reconnect exactly like at first contact.
 func TCPReplicaDialer(p int, addr string, numShards, wantVertices int, wantGraph, wantPart uint64) ReplicaDialer {
 	return func(ctx context.Context) (Replica, error) {
-		return dialShard(ctx, p, addr, numShards, Expect{NumVertices: wantVertices, Graph: wantGraph, Part: wantPart}, nil)
+		return dialShard(ctx, p, addr, numShards, expect{ref: -1, numVertices: wantVertices, graph: wantGraph, part: wantPart}, nil)
 	}
 }
 

@@ -73,6 +73,7 @@ func counterOr(reg *obs.Registry, name string) *obs.Counter {
 type Replicated struct {
 	sets  []*replicaSet
 	hedge HedgeOptions // defaults filled; Enabled only if some set has a sibling
+	id    *expect      // the fleet identity every redial is held to; set by pin
 
 	// ctx is the transport's lifetime: cancelled by Close so redials
 	// (reconnect loop, in-query last resorts) abort promptly instead of
@@ -87,47 +88,111 @@ type Replicated struct {
 	closed bool
 }
 
-// Expect is a deployment identity a replica's hello is held to: the
-// caller's expectation at every dial and, once pinned (Pin), what the
-// fleet itself reported at connect time — a graph-free coordinator
-// learns vertex count, graph fingerprint and partitioning digest from
-// the fleet, and pinning them makes every redial re-verify that a
-// restarted replica still serves the same deployment. NumVertices < 0
-// skips the vertex-count check; a zero fingerprint or digest on either
-// side skips that check. Summaries, once pinned, holds per partition the
-// digest of the summary the coordinator stitched (wire.Summary.Digest):
-// a replica that ships another summary is refused like one built from
-// another graph. Replicas with no handshake identity (hello
-// NumShards == 0, i.e. in-process replicas) are exempt.
-type Expect struct {
-	NumVertices int
-	Graph       uint64
-	Part        uint64
-	Summaries   []uint64
+// MismatchError reports a replica whose hello disagrees with the
+// identity it is held to: a vertex count, graph fingerprint or
+// partitioning digest other than shard PartA's (-1: the caller's own
+// expectation), or a summary digest other than the one a sibling
+// replica of its partition announced (PartA == PartB). The fleet
+// identity is taken once, at construction, from the live replicas: a
+// live replica that disagrees then fails construction with this error,
+// and one that disagrees at a later redial is refused and stays dead.
+// The coordinator holds no graph of its own to arbitrate with, and a
+// disagreement would mean silently wrong answers, not errors.
+type MismatchError struct {
+	Field        string // "vertex count", "graph fingerprint", "partitioning digest", "summary digest"
+	PartA, PartB int    // where the expected value came from, and the disagreeing shard
+	A, B         uint64 // the expected and the reported value
 }
 
-// check validates a replica's dial-time hello against e.
-func (e *Expect) check(h wire.Hello) error {
+// mismatchWhat says what a disagreement on each identity field means.
+var mismatchWhat = map[string]string{
+	"vertex count":        "has a different number of vertices",
+	"graph fingerprint":   "was built from a different graph",
+	"partitioning digest": "was built with a different partitioning",
+	"summary digest":      "ships a different summary",
+}
+
+func (e *MismatchError) Error() string {
+	ref := fmt.Sprintf("shard %d has", e.PartA)
+	switch {
+	case e.PartA < 0:
+		ref = "expected"
+	case e.PartA == e.PartB:
+		ref = "a sibling replica has"
+	}
+	verb := "%#x"
+	if e.Field == "vertex count" {
+		verb = "%d"
+	}
+	return fmt.Sprintf("shard: fleet mismatch: shard %d %s (%s "+verb+"; %s "+verb+")",
+		e.PartB, mismatchWhat[e.Field], e.Field, e.B, ref, e.A)
+}
+
+// expect is a deployment identity replicas' hellos are held to, by the
+// one rule, check: the caller's expectation at every dial (ref -1), and
+// the fleet's own identity (pin) at construction and every redial after.
+// numVertices < 0 skips the vertex-count check; a zero fingerprint or
+// digest on either side skips that check. summaries holds per partition
+// the summary digest its replicas must announce. Replicas with no
+// handshake identity (hello NumShards == 0, i.e. in-process replicas)
+// are exempt.
+type expect struct {
+	ref         int // the partition whose hello the identity came from; -1: the caller's
+	numVertices int
+	graph, part uint64
+	summaries   []uint64
+}
+
+// check holds a replica's hello to e, reporting a *MismatchError.
+func (e *expect) check(h wire.Hello) error {
+	p := int(h.ShardID)
+	mismatch := func(field string, want, got uint64) error {
+		return &MismatchError{Field: field, PartA: e.ref, PartB: p, A: want, B: got}
+	}
 	switch {
 	case e == nil || h.NumShards == 0:
 		return nil
-	case e.NumVertices >= 0 && int(h.NumVertices) != e.NumVertices:
-		return fmt.Errorf("server graph has %d vertices, expected %d", h.NumVertices, e.NumVertices)
-	case e.Graph != 0 && h.Graph != 0 && h.Graph != e.Graph:
-		return fmt.Errorf("server built from a different graph (fingerprint %#x, expected %#x)", h.Graph, e.Graph)
-	case e.Part != 0 && h.Partitioning != 0 && h.Partitioning != e.Part:
-		return fmt.Errorf("server built with a different partitioning (digest %#x, expected %#x — same -partitioner spec everywhere?)", h.Partitioning, e.Part)
-	case int(h.ShardID) < len(e.Summaries) && e.Summaries[h.ShardID] != 0 && h.SummaryDigest != 0 && h.SummaryDigest != e.Summaries[h.ShardID]:
-		return fmt.Errorf("server ships a different summary (digest %#x, expected %#x — every replica from the same build?)", h.SummaryDigest, e.Summaries[h.ShardID])
+	case e.numVertices >= 0 && int(h.NumVertices) != e.numVertices:
+		return mismatch("vertex count", uint64(e.numVertices), uint64(h.NumVertices))
+	case e.graph != 0 && h.Graph != 0 && h.Graph != e.graph:
+		return mismatch("graph fingerprint", e.graph, h.Graph)
+	case e.part != 0 && h.Partitioning != 0 && h.Partitioning != e.part:
+		return mismatch("partitioning digest", e.part, h.Partitioning)
+	case p < len(e.summaries) && e.summaries[p] != 0 && h.SummaryDigest != 0 && h.SummaryDigest != e.summaries[p]:
+		return &MismatchError{Field: "summary digest", PartA: p, PartB: p, A: e.summaries[p], B: h.SummaryDigest}
 	}
 	return nil
 }
 
-// verify holds rep to the pinned fleet identity, if any.
-func (rs *replicaSet) verify(rep Replica) error {
-	if err := rs.expect.check(rep.Hello()); err != nil {
-		return fmt.Errorf("shard %d: fleet identity pinned at connect: %w", rs.part, err)
+// pin takes the fleet identity from the live replicas' hellos — vertex
+// count, graph fingerprint and partitioning digest from the first that
+// presents a handshake identity, each partition's summary digest from
+// its first live replica — and holds every live replica to it. It runs
+// once, at the end of construction, before anything else sees r.
+func (r *Replicated) pin() error {
+	id := &expect{ref: -1, numVertices: -1, summaries: make([]uint64, len(r.sets))}
+	for _, rs := range r.sets {
+		for i := range rs.eps {
+			cn := rs.eps[i].conn
+			if cn == nil {
+				continue
+			}
+			h := cn.rep.Hello()
+			if err := id.check(h); err != nil {
+				return err
+			}
+			if h.NumShards == 0 {
+				continue
+			}
+			if id.ref < 0 {
+				id.ref, id.numVertices, id.graph, id.part = rs.part, int(h.NumVertices), h.Graph, h.Partitioning
+			}
+			if id.summaries[rs.part] == 0 {
+				id.summaries[rs.part] = h.SummaryDigest
+			}
+		}
 	}
+	r.id = id
 	return nil
 }
 
@@ -142,7 +207,6 @@ type replicaSet struct {
 	eps    []endpoint
 	live   int // endpoints holding a conn; liveG mirrors it
 	closed bool
-	expect *Expect // pinned fleet identity, nil until Pin
 
 	dialMu sync.Mutex // serializes redials so loop and Submit don't race a dial
 
@@ -211,6 +275,10 @@ type call struct {
 // replica per partition (a partition with zero replicas up cannot answer
 // anything); replicas that fail to dial start out dead and are retried
 // by the reconnect loop. groups[p] lists partition p's dialers.
+//
+// The live replicas' hellos fix the fleet identity (pin): a live replica
+// that disagrees with it fails construction with a *MismatchError, and
+// every later redial is held to it.
 func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts ReplicatedOptions) (*Replicated, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("shard: no replica groups")
@@ -254,6 +322,10 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 			return nil, fmt.Errorf("shard: partition %d: no replica reachable: %w", p, rs.allFailed(nil))
 		}
 	}
+	if err := r.pin(); err != nil {
+		r.shutdown()
+		return nil, err
+	}
 	every := opts.ReconnectEvery
 	if every == 0 {
 		every = defaultReconnectEvery
@@ -275,7 +347,7 @@ func DialReplicated(ctx context.Context, groups [][]string, wantVertices int, wa
 	// One set of net_client_* frame counters for every connection: the
 	// first to each address and each redial.
 	met := newNetMetrics(opts.Metrics, "net_client")
-	want := Expect{NumVertices: wantVertices, Graph: wantGraph, Part: wantPart}
+	want := expect{ref: -1, numVertices: wantVertices, graph: wantGraph, part: wantPart}
 	dialers := make([][]ReplicaDialer, len(groups))
 	for p, addrs := range groups {
 		dialers[p] = make([]ReplicaDialer, len(addrs))
@@ -296,43 +368,6 @@ func Dial(ctx context.Context, addrs []string, wantVertices int, wantGraph, want
 		groups[p] = []string{addr}
 	}
 	return DialReplicated(ctx, groups, wantVertices, wantGraph, wantPart, ReplicatedOptions{})
-}
-
-// Pin stores the fleet identity every future redial must re-verify and
-// sweeps currently-live replicas against it, killing any that mismatch
-// (the reconnect loop will redial them, and the redial re-verifies). A
-// graph-free coordinator calls this right after cross-checking the
-// hellos it collected at connect time, closing the window where a
-// replica restarted from a different deployment could rejoin unnoticed.
-func (r *Replicated) Pin(e Expect) {
-	for _, rs := range r.sets {
-		rs.mu.Lock()
-		rs.expect = &e
-		rs.mu.Unlock()
-		rs.evict(rs.verify)
-	}
-}
-
-// evict empties every live endpoint that verdict condemns, recording
-// its error as why the replica died, and closes those replicas —
-// outside the lock: closing one waits for its goroutine.
-func (rs *replicaSet) evict(verdict func(Replica) error) {
-	rs.mu.Lock()
-	var bad []Replica
-	for i := range rs.eps {
-		if ep := &rs.eps[i]; ep.conn != nil {
-			if err := verdict(ep.conn.rep); err != nil {
-				bad = append(bad, ep.conn.rep)
-				ep.conn, ep.lastErr = nil, err
-				rs.live--
-			}
-		}
-	}
-	rs.liveG.Set(int64(rs.live))
-	rs.mu.Unlock()
-	for _, rep := range bad {
-		rep.Close()
-	}
 }
 
 // PartitionHealth is one partition's replica-health snapshot: how many
@@ -420,12 +455,11 @@ func (r *Replicated) Endpoints() []EndpointInfo {
 		for i := range rs.eps {
 			if ep := &rs.eps[i]; ep.addr != "" {
 				eps = append(eps, EndpointInfo{
-					Partition:     rs.part,
-					Replica:       i,
-					Addr:          ep.addr,
-					MetricsAddr:   ep.hello.MetricsAddr,
-					SummaryDigest: ep.hello.SummaryDigest,
-					Live:          ep.conn != nil,
+					Partition:   rs.part,
+					Replica:     i,
+					Addr:        ep.addr,
+					MetricsAddr: ep.hello.MetricsAddr,
+					Live:        ep.conn != nil,
 				})
 			}
 		}
@@ -439,9 +473,11 @@ func (r *Replicated) Endpoints() []EndpointInfo {
 // as a last resort, each failure marking that replica dead — so a
 // replica dying mid-fetch is transparently replaced by a sibling. The
 // SummaryInfo pairs the summary with the serving replica's dial-time
-// hello. ctx bounds the whole attempt chain: it bails out early rather
-// than burning the remaining candidates on a deadline that already
-// passed.
+// hello. A summary whose digest is not the one its replica announced
+// in that hello is refused like a failed fetch: the fleet identity
+// vouches only for announced digests. ctx bounds the whole attempt
+// chain: it bails out early rather than burning the remaining
+// candidates on a deadline that already passed.
 func (r *Replicated) Summary(ctx context.Context, p int) (SummaryInfo, error) {
 	if !r.begin() {
 		return SummaryInfo{}, ErrClosed
@@ -462,6 +498,9 @@ func (r *Replicated) Summary(ctx context.Context, p int) (SummaryInfo, error) {
 		}
 		tried[cn.idx] = true
 		sum, err := cn.rep.Summary(ctx)
+		if d := cn.rep.Hello().SummaryDigest; err == nil && d != 0 && sum.Digest() != d {
+			err = fmt.Errorf("shard %d: summary digest %#x, not the %#x its replica announced", rs.part, sum.Digest(), d)
+		}
 		if err == nil {
 			rs.release(cn)
 			return SummaryInfo{Hello: cn.rep.Hello(), Summary: sum}, nil
@@ -681,14 +720,14 @@ func (rs *replicaSet) redial(ctx context.Context, tried []bool, claim bool) *con
 
 // install stores a freshly dialed replica, returning its conn — marked
 // busy for the caller's own use if claim is set. A replica that fails
-// the pinned fleet identity is closed, with the mismatch as the
-// endpoint's lastErr — it stays dead until it comes back serving the
-// right deployment — as is one whose set was closed mid-dial.
+// the fleet identity is closed, with the mismatch as the endpoint's
+// lastErr — it stays dead until it comes back serving the right
+// deployment — as is one whose set was closed mid-dial.
 func (rs *replicaSet) install(idx int, rep Replica, claim bool) *conn {
 	rs.mu.Lock()
 	ep := &rs.eps[idx]
 	if !rs.closed {
-		ep.lastErr = rs.verify(rep)
+		ep.lastErr = rs.tr.id.check(rep.Hello())
 	}
 	if rs.closed || ep.lastErr != nil {
 		rs.mu.Unlock()
@@ -723,11 +762,24 @@ func (rs *replicaSet) markDead(cn *conn, err error) {
 	cn.rep.Close()
 }
 
+// closeAll empties every live endpoint and closes its replica —
+// outside the lock: closing one waits for its goroutine.
 func (rs *replicaSet) closeAll() {
 	rs.mu.Lock()
 	rs.closed = true
+	var live []Replica
+	for i := range rs.eps {
+		if ep := &rs.eps[i]; ep.conn != nil {
+			live = append(live, ep.conn.rep)
+			ep.conn, ep.lastErr = nil, ErrClosed
+		}
+	}
+	rs.live = 0
+	rs.liveG.Set(0)
 	rs.mu.Unlock()
-	rs.evict(func(Replica) error { return ErrClosed })
+	for _, rep := range live {
+		rep.Close()
+	}
 }
 
 // allFailed snapshots the per-replica detail for a batch or fetch that

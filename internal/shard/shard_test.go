@@ -17,7 +17,7 @@ func buildShards(t testing.TB, n int, edges [][2]graph.VertexID, k int) ([]*Shar
 		b.AddEdge(e[0], e[1])
 	}
 	g := b.Build()
-	pt, err := graph.RangePartition(g, k)
+	pt, err := graph.Range().Partition(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

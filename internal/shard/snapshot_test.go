@@ -23,7 +23,7 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 		b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
 	}
 	g := b.Build()
-	pt, err := graph.HashPartition(g, k)
+	pt, err := graph.Hash().Partition(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -342,7 +342,7 @@ func TestSummaryDigestPinned(t *testing.T) {
 func TestSummaryReplicasShareSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261016))
 	g := gen.Community(rng, 300, 4, 1.6, 0.1, 0.02)
-	pt, err := graph.HashPartition(g, 3)
+	pt, err := graph.Hash().Partition(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestSummaryReplicasShareSubgraph(t *testing.T) {
 func TestShardsShareSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261018))
 	g := gen.Community(rng, 400, 4, 1.6, 0.1, 0.02)
-	pt, err := graph.HashPartition(g, 3)
+	pt, err := graph.Hash().Partition(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -504,7 +504,7 @@ func TestShardRunSweepDifferential(t *testing.T) {
 func TestShardRunBoundaryOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
 	g := gen.Community(rng, 400, 4, 1.6, 0.1, 0.02)
-	pt, err := graph.HashPartition(g, 3)
+	pt, err := graph.Hash().Partition(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

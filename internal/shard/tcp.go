@@ -419,9 +419,9 @@ type summaryReply struct {
 
 // dialShard connects to the dsr-shard server at addr and verifies its
 // hello: it must identify as shard i of numShards and present the
-// deployment identity want describes (Expect's rules). ctx bounds the
+// deployment identity want describes (expect.check). ctx bounds the
 // dial and the handshake.
-func dialShard(ctx context.Context, i int, addr string, numShards int, want Expect, met *netMetrics) (*clientConn, error) {
+func dialShard(ctx context.Context, i int, addr string, numShards int, want expect, met *netMetrics) (*clientConn, error) {
 	d := net.Dialer{Timeout: handshakeTimeout}
 	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {

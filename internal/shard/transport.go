@@ -9,10 +9,8 @@ import (
 
 // SummaryInfo pairs one partition's boundary summary with the hello
 // identity of the endpoint that served it, so a graph-free coordinator
-// can cross-check the fleet's vertex counts, graph fingerprints, and
-// partitioning digests against each other while stitching. In-process
-// replicas present the zero Hello, which every consumer treats as
-// opting out of the check.
+// can read the vertex count off it. In-process replicas present the
+// zero Hello.
 type SummaryInfo struct {
 	Hello   wire.Hello
 	Summary wire.Summary
@@ -21,18 +19,16 @@ type SummaryInfo struct {
 // EndpointInfo describes one endpoint a transport talks to: which
 // partition and replica slot it serves, its dialed address, the metrics
 // (ops-endpoint) address it announced in its hello — empty when the
-// server runs without -metrics-addr — the digest of the summary it
-// ships, and whether it is currently live. Replicated.Endpoints returns
-// one entry per (partition, replica) that was dialed at an address; the
-// fleet aggregator uses it to find every shard registry worth scraping,
-// and the coordinator to hold every replica to the summary it stitched.
+// server runs without -metrics-addr — and whether it is currently live.
+// Replicated.Endpoints returns one entry per (partition, replica) that
+// was dialed at an address; the fleet aggregator uses it to find every
+// shard registry worth scraping.
 type EndpointInfo struct {
-	Partition     int
-	Replica       int
-	Addr          string
-	MetricsAddr   string
-	SummaryDigest uint64
-	Live          bool
+	Partition   int
+	Replica     int
+	Addr        string
+	MetricsAddr string
+	Live        bool
 }
 
 // Reply delivers one shard's results for a submitted batch. On a
@@ -69,7 +65,7 @@ type Reply struct {
 // so tests and the benchmark harness can substitute or wrap it. Nothing
 // on the query path looks behind the interface, so a wrapper loses no
 // behaviour — hedging included; one that should also keep Replicated's
-// books for the engine (Pin, Health, Endpoints) embeds the *Replicated
+// books for the engine (Health, Endpoints) embeds the *Replicated
 // rather than forwarding the three methods below.
 type Transport interface {
 	// Submit ships the batch to shard p under the given batch header.

@@ -61,7 +61,7 @@ func benchSetup(tb testing.TB) *benchState {
 		if err := f.Close(); err != nil {
 			tb.Fatal(err)
 		}
-		pt, err := graph.RangePartition(g, k)
+		pt, err := graph.Range().Partition(g, k)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func (st *benchState) coldBuild(tb testing.TB) *shard.Shard {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pt, err := graph.RangePartition(g, st.shards)
+	pt, err := graph.Range().Partition(g, st.shards)
 	if err != nil {
 		tb.Fatal(err)
 	}

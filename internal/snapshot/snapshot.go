@@ -37,17 +37,18 @@
 // state are byte-identical (what -snapshot-verify's compare relies on).
 //
 // The header identity fields mirror the distributed handshake: a
-// snapshot for the wrong shard ID/count, a foreign graph, or a foreign
-// partitioning is refused via Header.Expect exactly like a mismatched
-// hello. The checksum makes corruption a load error — callers fall back
-// to a rebuild, never to a wrong answer.
+// snapshot for the wrong shard ID/count is refused via Header.Expect,
+// and its graph fingerprint and partitioning digest become the shard's
+// hello, so the coordinator judges a snapshot of a foreign graph or
+// partitioning there, like any other replica. The checksum makes
+// corruption a load error — callers fall back to a rebuild, never to a
+// wrong answer.
 package snapshot
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -109,28 +110,15 @@ type Header struct {
 	PartitioningDigest uint64
 }
 
-// Expect refuses a snapshot whose identity differs from the
-// deployment's. Shard ID and count are always checked; totalVertices,
-// graphSum, and partSum are skipped when 0 — the same "not computed"
-// convention as the wire handshake, since a shard booting from a
-// snapshot alone has nothing to compare the graph fields against (the
-// coordinator's fleet cross-check covers that case).
-func (h Header) Expect(shardID, shardCount, totalVertices int, graphSum, partSum uint64) error {
+// Expect refuses a snapshot of another partition or another shard
+// count than the deployment's. The graph fingerprint and partitioning
+// digest are not checked here: a shard booting from a snapshot alone
+// has nothing to compare them against, and they reach the coordinator
+// in the shard's hello, which holds every replica to one fleet identity.
+func (h Header) Expect(shardID, shardCount int) error {
 	if h.ShardID != shardID || h.ShardCount != shardCount {
 		return fmt.Errorf("%w: snapshot is shard %d/%d, deployment wants %d/%d",
 			ErrMismatch, h.ShardID, h.ShardCount, shardID, shardCount)
-	}
-	if totalVertices != 0 && h.TotalVertices != totalVertices {
-		return fmt.Errorf("%w: snapshot graph has %d vertices, deployment's has %d",
-			ErrMismatch, h.TotalVertices, totalVertices)
-	}
-	if graphSum != 0 && h.GraphFingerprint != graphSum {
-		return fmt.Errorf("%w: graph fingerprint %#x, deployment's is %#x",
-			ErrMismatch, h.GraphFingerprint, graphSum)
-	}
-	if partSum != 0 && h.PartitioningDigest != partSum {
-		return fmt.Errorf("%w: partitioning digest %#x, deployment's is %#x",
-			ErrMismatch, h.PartitioningDigest, partSum)
 	}
 	return nil
 }
@@ -251,16 +239,6 @@ func Encode(sn *Snapshot) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint64(buf[48:], checksum(buf))
 	return buf, nil
-}
-
-// Write encodes sn and writes it to w.
-func Write(w io.Writer, sn *Snapshot) error {
-	buf, err := Encode(sn)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }
 
 // WriteFile atomically persists sn at path via a temp file in the same

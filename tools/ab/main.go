@@ -9,9 +9,13 @@
 // .bench_build/ab/<commit>/ (nothing is registered in .git, and nothing
 // is written outside .bench_build/); each side is built and run by its
 // own bench/run.sh, so each side is measured by its own harness. Pair i
-// runs both sides at one fresh seed, parent first when i is odd, change
-// first when it is even. Every run's result line is appended to
-// .bench_build/ab/runs.jsonl as it arrives.
+// runs both sides of each workload at one fresh seed, seed+i; which
+// side runs first is drawn per (pair, workload) from a generator seeded
+// by -seed, so a run's position (say, right after the other side's run
+// of a heavier workload) cannot line up with one side. Runs are a
+// second of idle apart. Every run's result line, with the side that ran
+// first in its pair, is appended to .bench_build/ab/runs.jsonl as it
+// arrives.
 //
 // Per (workload, end-to-end metric) the report gives both sides' median
 // and quartiles, the pairs the change won (ties count for neither), and
@@ -24,7 +28,7 @@
 // incorrect run, or a larger failed share on the change side.
 //
 // With -bench the pairs run Go microbenchmarks instead of the
-// workloads:
+// workloads, which side runs first drawn per pair the same way:
 //
 //	make ab PARENT=HEAD~1 BENCH=BoundaryFinish PKG=./internal/dsr PAIRS=10 BENCH_TIME=300x
 //
@@ -42,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -49,7 +54,16 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
+	"time"
 )
+
+// defaultSeed is -seed's default: the first pair's seed and the seed of
+// the run-order draw.
+const defaultSeed = 101
+
+// idle is the pause before each run, so one run's tail (a shard still
+// exiting, a page cache still writing back) does not land in the next.
+const idle = time.Second
 
 // spec is the part of BENCHMARK.json the report needs.
 type spec struct {
@@ -84,14 +98,14 @@ func main() {
 	workloads := flag.String("workloads", "", "space-separated workloads; empty means every workload of BENCHMARK.json")
 	pairs := flag.Int("pairs", 10, "parent/change pairs per workload")
 	seconds := flag.Int("seconds", 15, "measured window of each run (BENCHMARK.json's run_seconds is what the gate uses)")
-	seed := flag.Uint64("seed", 101, "seed of the first pair; pair i runs both sides at seed+i")
+	seed := flag.Uint64("seed", defaultSeed, "pair i runs both sides at seed+i; also seeds which side runs first")
 	bench := flag.String("bench", "", "run the Go benchmarks matching this regexp, in -pkg, instead of the workloads")
 	pkg := flag.String("pkg", "./internal/dsr", "package whose benchmarks -bench names")
 	benchtime := flag.String("benchtime", "100x", "-test.benchtime of each -bench run")
 	flag.Parse()
 	var err error
 	if *bench != "" {
-		err = runBench(*parent, *pkg, *bench, *benchtime, *pairs)
+		err = runBench(*parent, *pkg, *bench, *benchtime, *pairs, *seed)
 	} else {
 		err = run(*parent, strings.Fields(*workloads), *pairs, *seconds, *seed)
 	}
@@ -119,10 +133,24 @@ func checkouts(parent string) (sides []*side, abDir string, err error) {
 	}, abDir, nil
 }
 
-// inOrder returns the sides as pair i runs them: parent first when i is
-// odd, change first when it is even.
-func inOrder(sides []*side, i int) []*side {
-	if i%2 == 0 {
+// changeFirst draws, from seed, whether the change runs first in each
+// pair (outer) for each of n workloads (inner).
+func changeFirst(seed uint64, pairs, n int) [][]bool {
+	rng := rand.New(rand.NewPCG(seed, 0))
+	first := make([][]bool, pairs)
+	for i := range first {
+		first[i] = make([]bool, n)
+		for w := range first[i] {
+			first[i][w] = rng.IntN(2) == 1
+		}
+	}
+	return first
+}
+
+// inOrder returns sides (parent, change) in the order one pair runs
+// them.
+func inOrder(sides []*side, changeFirst bool) []*side {
+	if changeFirst {
 		return []*side{sides[1], sides[0]}
 	}
 	return sides
@@ -152,15 +180,19 @@ func run(parent string, workloads []string, pairs, seconds int, seed uint64) err
 	}
 	defer log.Close()
 
+	order := changeFirst(seed, pairs, len(workloads))
 	for i := 1; i <= pairs; i++ {
-		for _, wl := range workloads {
-			for _, s := range inOrder(sides, i) {
+		for w, wl := range workloads {
+			sides := inOrder(sides, order[i-1][w])
+			for _, s := range sides {
+				time.Sleep(idle)
 				r, line, err := s.bench(wl, seed+uint64(i), seconds)
 				if err != nil {
 					return fmt.Errorf("pair %d, %s on %s: %w", i, wl, s.name, err)
 				}
 				s.runs[wl] = append(s.runs[wl], r)
-				fmt.Fprintf(log, `{"pair":%d,"side":%q,"workload":%q,"seed":%d,"result":%s}`+"\n", i, s.name, wl, seed+uint64(i), line)
+				fmt.Fprintf(log, `{"pair":%d,"side":%q,"first":%q,"workload":%q,"seed":%d,"result":%s}`+"\n",
+					i, s.name, sides[0].name, wl, seed+uint64(i), line)
 				fmt.Fprintf(os.Stderr, "pair %d/%d %-12s %-6s %s\n", i, pairs, wl, s.name, line)
 			}
 		}
@@ -174,7 +206,7 @@ func run(parent string, workloads []string, pairs, seconds int, seed uint64) err
 
 // runBench is run for Go microbenchmarks: the rows of the table are the
 // benchmarks of pkg matching re that both sides have.
-func runBench(parent, pkg, re, benchtime string, pairs int) error {
+func runBench(parent, pkg, re, benchtime string, pairs int, seed uint64) error {
 	sides, abDir, err := checkouts(parent)
 	if err != nil {
 		return err
@@ -184,8 +216,10 @@ func runBench(parent, pkg, re, benchtime string, pairs int) error {
 			return fmt.Errorf("building %s's %s tests: %w", s.name, pkg, err)
 		}
 	}
+	order := changeFirst(seed, pairs, 1)
 	for i := 1; i <= pairs; i++ {
-		for _, s := range inOrder(sides, i) {
+		for _, s := range inOrder(sides, order[i-1][0]) {
+			time.Sleep(idle)
 			cmd := exec.Command(s.testBin, "-test.run", "^$", "-test.bench", re, "-test.benchtime", benchtime, "-test.timeout", "30m")
 			cmd.Dir = filepath.Join(s.root, pkg)
 			cmd.Stderr = os.Stderr

@@ -2,6 +2,7 @@ package main
 
 import (
 	"maps"
+	"slices"
 	"testing"
 )
 
@@ -67,5 +68,37 @@ PASS
 	}
 	if got := parseBench(out); !maps.Equal(got, want) {
 		t.Fatalf("parseBench = %v, want %v", got, want)
+	}
+}
+
+// TestChangeFirstMixesOrder: with the default seed, 10 pairs of the four
+// workloads put each side first at least three times per workload, and
+// the workloads do not all run in one order — so a position effect
+// spreads over both sides instead of lining up with one.
+func TestChangeFirstMixesOrder(t *testing.T) {
+	const pairs, workloads = 10, 4
+	first := changeFirst(defaultSeed, pairs, workloads)
+	for w := 0; w < workloads; w++ {
+		change := 0
+		for i := range first {
+			if first[i][w] {
+				change++
+			}
+		}
+		if change < 3 || pairs-change < 3 {
+			t.Errorf("workload %d: change first in %d of %d pairs", w, change, pairs)
+		}
+	}
+	shared := true
+	for i := range first {
+		for w := range first[i] {
+			shared = shared && first[i][w] == first[i][0]
+		}
+	}
+	if shared {
+		t.Error("every workload runs in the same order in every pair")
+	}
+	if again := changeFirst(defaultSeed, pairs, workloads); !slices.EqualFunc(first, again, slices.Equal) {
+		t.Error("the draw is not reproducible from its seed")
 	}
 }
