@@ -213,8 +213,9 @@ fuzz-smoke:
 
 # Godoc hygiene gate: every package must carry a package comment, the
 # packages tools/doccheck lists as strict (internal/serve) must
-# document every exported symbol, and every internal/, cmd/ or tools/
-# path README.md, PAPER.md and docs/*.md name must exist.
+# document every exported symbol, every internal/, cmd/ or tools/
+# path README.md, PAPER.md and docs/*.md name must exist, and every
+# flag a docs/OPERATIONS.md flag-table row names must be defined.
 doc-check:
 	$(GO) run ./tools/doccheck
 

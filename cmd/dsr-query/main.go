@@ -98,7 +98,7 @@ func main() {
 
 	var eng *dsr.Engine
 	if distributed {
-		eng = app.Connect(shard.HedgeOptions{})
+		eng = app.Connect()
 	} else {
 		g, err := graph.LoadEdgeListFile(*graphPath)
 		if err != nil {

@@ -18,18 +18,16 @@ import (
 
 	"dsr/internal/graph"
 	"dsr/internal/serve"
-	"dsr/internal/shard/chaos"
 )
 
 // TestServeBinaryEndToEnd builds the real dsr-shard and dsr-serve
-// binaries and proves the four serving-layer claims against a live TCP
+// binaries and proves the three serving-layer claims against a live TCP
 // deployment: queries from two clients that arrive during a round share
-// the next engine batch, a repeated query is answered from the cache, a
-// saturated server sheds with the typed overload response, and with a
-// chaos-delayed replica hedges fire while every answer stays correct.
-// Plus the contract edges: missing -shards is a usage error (exit 2),
-// SIGTERM drains to exit 0, and a drain that a stalled shard keeps from
-// finishing exits 1 within its budget.
+// the next engine batch, a repeated query is answered from the cache,
+// and a saturated server sheds with the typed overload response. Plus
+// the contract edges: missing -shards, a bound below 1 or an unknown
+// flag is a usage error (exit 2), SIGTERM drains to exit 0, and a drain
+// that a stalled shard keeps from finishing exits 1 within its budget.
 //
 // A round is held by stopping one dsr-shard process (SIGSTOP): every
 // round broadcasts to all k shards, so none returns until it resumes.
@@ -64,21 +62,30 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 
 	// A bound below 1 is a bad flag value: exit 2 before the fleet is
 	// dialed (the address here has no shard behind it), not a silent
-	// rewrite to the default.
+	// rewrite to the default. So is a flag of the deleted hedged
+	// requests: it is no flag at all.
 	t.Run("bad-bounds", func(t *testing.T) {
-		for _, args := range [][]string{{"-batch-max", "0"}, {"-max-queued", "0"}, {"-max-per-client", "-1"}} {
+		for _, tc := range []struct {
+			args []string
+			want string
+		}{
+			{[]string{"-batch-max", "0"}, "-batch-max must be >= 1"},
+			{[]string{"-max-queued", "0"}, "-max-queued must be >= 1"},
+			{[]string{"-max-per-client", "-1"}, "-max-per-client must be >= 1"},
+			{[]string{"-hedge"}, "flag provided but not defined: -hedge"},
+		} {
 			var stderr strings.Builder
 			cmd := exec.Command(filepath.Join(bin, "dsr-serve"),
-				append([]string{"-shards", "127.0.0.1:1", "-connect-timeout", "2s"}, args...)...)
+				append([]string{"-shards", "127.0.0.1:1", "-connect-timeout", "2s"}, tc.args...)...)
 			cmd.Stderr = &stderr
 			err := cmd.Run()
 			var ee *exec.ExitError
 			if !isExit(err, &ee) || ee.ExitCode() != 2 {
-				t.Errorf("%v: %v, want exit 2\nstderr:\n%s", args, err, stderr.String())
+				t.Errorf("%v: %v, want exit 2\nstderr:\n%s", tc.args, err, stderr.String())
 				continue
 			}
-			if want := args[0] + " must be >= 1"; !strings.Contains(stderr.String(), want) {
-				t.Errorf("%v: usage error does not say %q:\n%s", args, want, stderr.String())
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("%v: usage error does not say %q:\n%s", tc.args, tc.want, stderr.String())
 			}
 		}
 	})
@@ -199,51 +206,6 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 		counters := sv.scrape(t).Counters
 		if got := counters["dsr_serve_shed_total{scope=client}"]; got != 2 {
 			t.Errorf("client sheds = %d, want 2", got)
-		}
-		sv.drain(t)
-	})
-
-	t.Run("hedging", func(t *testing.T) {
-		// R=2 per partition: the first replica sits behind a chaos
-		// proxy that delays every frame up to 30ms. Rounds land on the
-		// first idle replica, so whenever the slow one is idle it is the
-		// primary; a 10ms hedge ceiling re-sends those rounds to the
-		// fast sibling.
-		slowAddrs, _ := bootShardFleet(t, bin, graphPath, 3, "hash")
-		groups := make([]string, 3)
-		for p := 0; p < 3; p++ {
-			proxy, err := chaos.NewProxy(slowAddrs[p], chaos.ProxyOptions{
-				Seed: int64(100 + p), DelayProb: 1, MaxDelay: 30 * time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { proxy.Close() })
-			groups[p] = proxy.Addr() + "|" + shardAddrs[p]
-		}
-		sv := startServe(t, bin, "-shards", strings.Join(groups, ","),
-			"-cache", "-1", "-hedge", "-hedge-max", "10ms", "-hedge-min", "1ms")
-		c, err := serve.Dial(sv.addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		// tiny.txt: 0 reaches 7 across the bridge, 7 never reaches 0.
-		for i := 0; i < 30; i++ {
-			if ans, err := c.Query([]graph.VertexID{0}, []graph.VertexID{7}); err != nil || !ans {
-				t.Fatalf("round %d: 0->7 = (%v, %v), want true", i, ans, err)
-			}
-			if ans, err := c.Query([]graph.VertexID{7}, []graph.VertexID{0}); err != nil || ans {
-				t.Fatalf("round %d: 7->0 = (%v, %v), want false", i, ans, err)
-			}
-		}
-		counters := sv.scrape(t).Counters
-		var hedges uint64
-		for p := 0; p < 3; p++ {
-			hedges += counters[fmt.Sprintf("dsr_hedges_total{partition=%d}", p)]
-		}
-		if hedges == 0 {
-			t.Error("no hedge fired despite a delayed replica and a 10ms ceiling")
 		}
 		sv.drain(t)
 	})

@@ -15,9 +15,6 @@
 //   - Result cache: a 2Q LRU over canonicalized query sets (-cache
 //     entries; 0 or negative disables). Sound because the served graph
 //     is immutable for the life of the fleet.
-//   - Hedged requests (-hedge, replica groups required): batches that
-//     outlast a latency quantile are re-sent by the transport to an
-//     idle sibling replica, first answer wins.
 //   - Admission control: -max-queued bounds total outstanding work,
 //     -max-per-client keeps one connection from monopolizing it, and
 //     rejected queries get "error overload: <scope>" immediately
@@ -44,7 +41,6 @@ import (
 
 	"dsr/internal/cli"
 	"dsr/internal/serve"
-	"dsr/internal/shard"
 )
 
 func main() {
@@ -59,11 +55,6 @@ func main() {
 		cacheEntries = flag.Int("cache", 4096, "result-cache capacity in entries; 0 or negative disables caching")
 		maxQueued    = flag.Int("max-queued", 1024, "server-wide bound on queries admitted but not yet answered; beyond it clients get 'error overload: server'")
 		maxPerClient = flag.Int("max-per-client", 256, "per-connection outstanding-query bound; beyond it that client gets 'error overload: client'")
-
-		hedge           = flag.Bool("hedge", false, "hedge slow shard rounds onto idle sibling replicas (requires replica groups in -shards)")
-		hedgePercentile = flag.Float64("hedge-percentile", 0.99, "latency quantile of a partition's primary RPCs that arms the hedge deadline")
-		hedgeMin        = flag.Duration("hedge-min", time.Millisecond, "lower clamp on the hedge deadline")
-		hedgeMax        = flag.Duration("hedge-max", 100*time.Millisecond, "upper clamp on the hedge deadline, and the deadline while latency samples warm up")
 	)
 	flag.Parse()
 	app.Start()
@@ -84,12 +75,7 @@ func main() {
 		*cacheEntries = -1 // serve.Options reads 0 as its default size
 	}
 	app.StartOps()
-	eng := app.Connect(shard.HedgeOptions{
-		Enabled:    *hedge,
-		Percentile: *hedgePercentile,
-		Min:        *hedgeMin,
-		Max:        *hedgeMax,
-	})
+	eng := app.Connect()
 
 	srv := serve.New(eng, serve.Options{
 		MaxBatch:     *batchMax,

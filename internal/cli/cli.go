@@ -183,14 +183,13 @@ func (c *Coordinator) StartOps() {
 // the graph-free engine over it. Failure is fatal: ExitMismatch when the
 // shards disagree with each other about the deployment — a misassembled
 // fleet, distinct from any transport failure — ExitFailure otherwise.
-func (c *Coordinator) Connect(hedge shard.HedgeOptions) *dsr.Engine {
+func (c *Coordinator) Connect() *dsr.Engine {
 	ctx, cancel := context.WithTimeout(context.Background(), *c.connectTimeout)
 	eng, err := dsr.Connect(ctx, dsr.ClusterSpec{
 		Groups:    strings.Split(*c.Shards, ","),
 		Log:       c.Log,
 		Metrics:   c.Reg,
 		SlowQuery: *c.SlowQuery,
-		Hedge:     hedge,
 	})
 	cancel()
 	if err != nil {

@@ -50,7 +50,7 @@ func TestFlagSurface(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for name, flags := range map[string]int{"dsr-query": 9, "dsr-serve": 15, "dsr-shard": 10} {
+	for name, flags := range map[string]int{"dsr-query": 9, "dsr-serve": 11, "dsr-shard": 10} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(filepath.Join(bin, name), "-h")
 		cmd.Stderr = &stderr

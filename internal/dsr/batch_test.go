@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"dsr/internal/graph"
 	"dsr/internal/obs"
 	"dsr/internal/shard"
+	"dsr/internal/wire"
 )
 
 // TestQueryBatchDifferential compares QueryBatch against both the
@@ -160,6 +162,38 @@ func TestCloseStopsGoroutines(t *testing.T) {
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// stallReplica accepts batches and answers none of them until it is
+// closed; then it fails every batch it holds with shard.ErrClosed, as a
+// TCP connection fails its pending requests. The embedded replica serves
+// Summary and Hello. Each parked batch is signalled on parked, if set.
+type stallReplica struct {
+	shard.Replica
+	parked chan<- struct{}
+
+	mu    sync.Mutex
+	dones []func(shard.Reply)
+}
+
+func (s *stallReplica) Submit(_ wire.BatchHeader, _ []wire.Task, done func(shard.Reply)) {
+	s.mu.Lock()
+	s.dones = append(s.dones, done)
+	s.mu.Unlock()
+	if s.parked != nil {
+		s.parked <- struct{}{}
+	}
+}
+
+func (s *stallReplica) Close() error {
+	s.mu.Lock()
+	dones := s.dones
+	s.dones = nil
+	s.mu.Unlock()
+	for _, done := range dones {
+		done(shard.Reply{Err: shard.ErrClosed})
+	}
+	return s.Replica.Close()
 }
 
 // TestCloseEndsStalledRound: a shard that takes a round and never

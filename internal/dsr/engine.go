@@ -296,12 +296,6 @@ type ClusterSpec struct {
 	// SlowQuery, if positive, logs a structured span trace (at WARN) for
 	// every batch that takes longer end to end. 0 disables.
 	SlowQuery time.Duration
-	// Hedge configures hedged shard requests, which the transport owns
-	// (shard.ReplicatedOptions.Hedge): a batch that waits past a high
-	// quantile of the fleet's usual latency is re-sent to an idle sibling
-	// replica and the first reply wins. A partition with a single replica
-	// has no sibling and is never hedged.
-	Hedge shard.HedgeOptions
 }
 
 // Connect joins an existing shard fleet and builds the graph-free
@@ -321,11 +315,7 @@ func Connect(ctx context.Context, spec ClusterSpec) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.Hedge.Enabled && !slices.ContainsFunc(groups, func(g []string) bool { return len(g) > 1 }) {
-		spec.Log.Warnf("hedged requests enabled but no partition has a sibling replica to re-submit to; hedging disabled")
-	}
-	tr, err := shard.DialReplicated(ctx, groups, -1, 0, 0,
-		shard.ReplicatedOptions{Metrics: spec.Metrics, Hedge: spec.Hedge})
+	tr, err := shard.DialReplicated(ctx, groups, -1, 0, 0, shard.ReplicatedOptions{Metrics: spec.Metrics})
 	if err != nil {
 		return nil, err
 	}

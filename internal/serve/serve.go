@@ -1,7 +1,7 @@
 // Package serve is the always-on serving layer over a DSR engine: a
 // TCP server speaking the dsr-query line protocol ("s1 s2 | t1 t2" in,
 // "true"/"false"/"error <kind>" out) that multiplexes many concurrent
-// clients onto one coordinator. Four mechanisms make it a service
+// clients onto one coordinator. Three mechanisms make it a service
 // rather than a socket wrapper:
 //
 //   - Cross-client batching (batcher): one round is in the engine at a
@@ -15,10 +15,6 @@
 //   - Admission control (admission): a server-wide queue bound and a
 //     per-client outstanding bound shed load with a typed
 //     OverloadError instead of letting latency collapse.
-//   - Hedged requests: configured where the fleet is joined
-//     (dsr.ClusterSpec.Hedge) and carried out by the replica-set
-//     transport; the server's batches inherit straggler re-sends
-//     transparently.
 //
 // Per connection, requests are answered in order even though their
 // batches complete out of order: a reader goroutine parses and admits,

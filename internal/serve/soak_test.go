@@ -16,8 +16,8 @@ import (
 	"dsr/internal/wire"
 )
 
-// lagReplica delays every submit by a fixed amount: the deterministic
-// straggler the hedging path needs a sibling to outrun.
+// lagReplica delays every submit by a fixed amount: a deterministic
+// straggler.
 type lagReplica struct {
 	inner shard.Replica
 	d     time.Duration
@@ -51,10 +51,9 @@ func soakSet(rng *rand.Rand, n, size int) []graph.VertexID {
 // TestServeSoak is the serving layer's end-to-end: N concurrent
 // clients hammer one server backed by a k=3, R=2 replicated engine
 // whose first replica — the one rounds land on while it is idle — lags
-// 20ms, with hedging armed at a 2ms ceiling.
-// Every answer must match the whole-graph oracle, the shared cache
-// must actually hit, hedges must fire (and win) against the laggard,
-// and nothing may be shed at these limits.
+// 20ms and is waited for. Every answer must match the whole-graph
+// oracle, the shared cache must actually hit, and nothing may be shed
+// at these limits.
 func TestServeSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	const k, n = 3, 120
@@ -78,11 +77,7 @@ func TestServeSoak(t *testing.T) {
 		}
 	}
 	reg := obs.NewRegistry()
-	tr, err := shard.NewReplicated(t.Context(), groups, shard.ReplicatedOptions{
-		ReconnectEvery: -1,
-		Metrics:        reg,
-		Hedge:          shard.HedgeOptions{Enabled: true, Percentile: 0.95, Min: time.Millisecond, Max: 2 * time.Millisecond},
-	})
+	tr, err := shard.NewReplicated(t.Context(), groups, shard.ReplicatedOptions{ReconnectEvery: -1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,17 +163,6 @@ func TestServeSoak(t *testing.T) {
 	misses := reg.Counter("dsr_cache_misses_total").Load()
 	if batches == 0 || batches > misses {
 		t.Fatalf("batches = %d (misses %d): every batch should carry >= 1 missed query", batches, misses)
-	}
-	var hedges, wins uint64
-	for p := 0; p < k; p++ {
-		hedges += reg.Counter(obs.Name("dsr_hedges_total", "partition", p)).Load()
-		wins += reg.Counter(obs.Name("dsr_hedge_wins_total", "partition", p)).Load()
-	}
-	if hedges == 0 {
-		t.Fatal("no hedge fired despite a 20ms laggard replica and a 2ms deadline")
-	}
-	if wins == 0 {
-		t.Fatal("no hedge won despite the sibling being 20ms faster")
 	}
 	shed := reg.Counter(obs.Name("dsr_serve_shed_total", "scope", "client")).Load() +
 		reg.Counter(obs.Name("dsr_serve_shed_total", "scope", "server")).Load()

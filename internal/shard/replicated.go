@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -30,10 +29,6 @@ type ReplicatedOptions struct {
 	// and per-replica RPC latency histograms (see README.md). Health()
 	// works either way — the counters it reads always exist.
 	Metrics *obs.Registry
-	// Hedge configures hedged requests on the replica sets that have a
-	// sibling to hedge on; it also binds dsr_hedges_total{partition} and
-	// dsr_hedge_wins_total{partition} in Metrics.
-	Hedge HedgeOptions
 }
 
 // counterOr binds name in reg, or returns a standalone counter when reg
@@ -62,18 +57,14 @@ func counterOr(reg *obs.Registry, name string) *obs.Counter {
 // failure. A set of one is the same machinery with no sibling: a
 // failure fails that batch, and the next redials.
 //
-// Built with ReplicatedOptions.Hedge, a set that has a sibling also owns
-// hedging end to end (hedge.go): a batch that outlasts the deadline is
-// re-sent to an idle sibling, the first success is the Submit's one
-// Reply, and the loser is dropped unread when it finally answers.
-//
-// Without hedging, a batch that succeeds at its first replica costs no
-// goroutine, no timer and no allocation: the replica's own goroutine
-// hands the Reply over, aliasing that replica's buffers.
+// Each Submit runs one chain of attempts, one replica at a time: a slow
+// replica is waited for, never raced. A batch that succeeds at its
+// first replica costs no goroutine, no timer and no allocation: the
+// replica's own goroutine hands the Reply over, aliasing that replica's
+// buffers.
 type Replicated struct {
-	sets  []*replicaSet
-	hedge HedgeOptions // defaults filled; Enabled only if some set has a sibling
-	id    *expect      // the fleet identity every redial is held to; set by pin
+	sets []*replicaSet
+	id   *expect // the fleet identity every redial is held to; set by pin
 
 	// ctx is the transport's lifetime: cancelled by Close so redials
 	// (reconnect loop, in-query last resorts) abort promptly instead of
@@ -218,16 +209,6 @@ type replicaSet struct {
 	failovers *obs.Counter // shard_failovers_total{partition=p}
 	redials   *obs.Counter // shard_redials_total{partition=p}
 	liveG     *obs.Gauge   // shard_replicas_live{partition=p}
-
-	// Hedging. hedging marks a set that arms a deadline per call: one with
-	// a sibling, on a transport built to hedge. primary is such a
-	// transport's private sample of this partition's primary latency
-	// (every set feeds the deadline estimate; nil, a no-op, without
-	// hedging), so hedging works the same with metrics disabled.
-	hedging   bool
-	primary   *obs.Histogram
-	hedges    *obs.Counter // dsr_hedges_total{partition=p}: duplicates sent
-	hedgeWins *obs.Counter // dsr_hedge_wins_total{partition=p}: duplicates that answered first
 }
 
 // endpoint is one replica slot of a partition. Everything but dial and
@@ -266,7 +247,6 @@ type call struct {
 	replyc chan<- Reply
 	tried  []bool    // endpoints that already failed this batch; nil until one has
 	start  time.Time // when the current attempt was handed to its replica
-	race   *race     // shared with the call's hedge; nil unless the set is hedging
 }
 
 // NewReplicated dials every replica of every partition and returns the
@@ -283,8 +263,7 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 	if len(groups) == 0 {
 		return nil, errors.New("shard: no replica groups")
 	}
-	r := &Replicated{sets: make([]*replicaSet, len(groups)), hedge: opts.Hedge.withDefaults()}
-	r.hedge.Enabled = r.hedge.Enabled && slices.ContainsFunc(groups, func(g []ReplicaDialer) bool { return len(g) > 1 })
+	r := &Replicated{sets: make([]*replicaSet, len(groups))}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	for p, dialers := range groups {
 		if len(dialers) == 0 {
@@ -299,12 +278,6 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 			failovers: counterOr(opts.Metrics, obs.Name("shard_failovers_total", "partition", p)),
 			redials:   counterOr(opts.Metrics, obs.Name("shard_redials_total", "partition", p)),
 			liveG:     opts.Metrics.Gauge(obs.Name("shard_replicas_live", "partition", p)),
-			hedging:   r.hedge.Enabled && len(dialers) > 1,
-			hedges:    opts.Metrics.Counter(obs.Name("dsr_hedges_total", "partition", p)),
-			hedgeWins: opts.Metrics.Counter(obs.Name("dsr_hedge_wins_total", "partition", p)),
-		}
-		if r.hedge.Enabled {
-			rs.primary = &obs.Histogram{}
 		}
 		r.sets[p] = rs
 		for i, dial := range dialers {
@@ -416,10 +389,10 @@ func (r *Replicated) begin() bool {
 }
 
 // Submit routes the batch to a healthy replica of partition p,
-// retrying siblings on failure; the one Reply (success from whichever
-// replica answered first, or an all-replicas-failed error) is delivered
-// on replyc. It never waits on a replica — the write to one aside — so
-// the coordinator's fan-out is not held up by a slow or dying one.
+// retrying siblings on failure; the one Reply (success from the replica
+// that answered, or an all-replicas-failed error) is delivered on
+// replyc. It never waits on a replica — the write to one aside — so the
+// coordinator's fan-out is not held up by a slow or dying one.
 func (r *Replicated) Submit(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
 	if !r.begin() {
 		replyc <- Reply{Shard: p, Err: ErrClosed}
@@ -427,18 +400,12 @@ func (r *Replicated) Submit(p int, h wire.BatchHeader, tasks []wire.Task, replyc
 	}
 	rs := r.sets[p]
 	c := call{hdr: h, tasks: tasks, replyc: replyc}
-	if rs.hedging {
-		c = rs.enter(c)
-	}
 	if cn := rs.pick(nil); cn != nil {
 		cn.send(c)
 	} else {
 		// No idle live replica: a last-resort redial can take as long as
 		// a dial does, so it runs beside the caller, not in front of it.
 		go rs.attempt(c)
-	}
-	if rs.hedging {
-		rs.arm(c)
 	}
 }
 
@@ -560,19 +527,8 @@ func (rs *replicaSet) attempt(c call) {
 	if cn := rs.acquire(rs.tr.ctx, c.tried); cn != nil {
 		cn.send(c)
 	} else {
-		rs.exhausted(c)
+		rs.finish(c, Reply{Err: rs.allFailed(c.tried)})
 	}
-}
-
-// exhausted ends a chain of attempts that found no replica to answer
-// c: with the error Reply, unless c is a hedging call whose other chain
-// is still running or has already answered.
-func (rs *replicaSet) exhausted(c call) {
-	if c.race != nil && !rs.lost(c) {
-		rs.tr.calls.Done()
-		return
-	}
-	rs.finish(c, Reply{Err: rs.allFailed(c.tried)})
 }
 
 // send starts c on the replica the caller has claimed.
@@ -592,33 +548,23 @@ func (cn *conn) send(c call) {
 // is: its Results alias the replica's buffers, which stay untouched
 // until the replica's next submit — and the set hands a replica one
 // batch at a time, the next no sooner than the coordinator's next
-// Submit, as Transport allows. Only a call the set itself may overlap
-// with a second submit takes the detour through answered.
+// Submit, as Transport allows.
 func (cn *conn) deliver(reply Reply) {
 	rs, c := cn.rs, cn.call
 	rs.eps[cn.idx].lat.ObserveSince(c.start)
-	switch {
-	case reply.Err != nil:
+	if reply.Err != nil {
 		go rs.failed(cn, c, reply.Err)
-	case c.race != nil:
-		rs.answered(cn, c, reply)
-	default:
-		rs.primary.ObserveSince(c.start)
-		rs.release(cn)
-		rs.finish(c, reply)
+		return
 	}
+	rs.release(cn)
+	rs.finish(c, reply)
 }
 
 // failed retires the replica that failed c and moves c on to the next
 // candidate, which is correct because local searches are idempotent
-// reads. A hedge is not moved on, nor is the primary of a call its
-// hedge has answered.
+// reads.
 func (rs *replicaSet) failed(cn *conn, c call, err error) {
 	rs.markDead(cn, err)
-	if c.race != nil && !rs.pursues(cn, c) {
-		rs.exhausted(c)
-		return
-	}
 	if c.tried == nil {
 		c.tried = make([]bool, len(rs.eps))
 	}
@@ -654,12 +600,10 @@ func (rs *replicaSet) release(cn *conn) {
 // order, or nil if none remains, marking the returned replica busy.
 // The fixed order keeps a partition's rounds on the replica whose
 // caches the last round warmed; a sibling serves only while that one is
-// busy or dead, or as a hedge. A standby that dies while idle is found
-// when a round first fails over to it, like any dead replica.
-// Skipping busy replicas is what keeps a hedge and its primary (and the
-// primary's own sibling retries) on disjoint replicas: each replica
-// serves at most one in-flight batch, so its decode buffers hold one
-// reply at a time.
+// busy or dead. A standby that dies while idle is found when a round
+// first fails over to it, like any dead replica. Skipping busy replicas
+// keeps each replica to at most one in-flight batch or summary fetch,
+// so its decode buffers hold one reply at a time.
 func (rs *replicaSet) pick(tried []bool) *conn {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -784,9 +728,9 @@ func (rs *replicaSet) closeAll() {
 
 // allFailed snapshots the per-replica detail for a batch or fetch that
 // found no replica to answer it, having tried the given endpoints (nil:
-// none). A replica that is alive but still serving an earlier batch —
-// a straggler nothing is waiting for any more — says so: that is a gray
-// failure, not an outage.
+// none). A replica that is alive but still serving an earlier call —
+// a batch or summary fetch that a concurrent Submit or Summary on the
+// same set started — says so: that is contention, not an outage.
 func (rs *replicaSet) allFailed(tried []bool) *ReplicaSetError {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()

@@ -99,6 +99,94 @@ func submitOne(t *testing.T, tr Transport, p int, seed int32) Reply {
 	return recv(t, replyc)
 }
 
+func recv(t *testing.T, replyc <-chan Reply) Reply {
+	t.Helper()
+	select {
+	case rep := <-replyc:
+		return rep
+	case <-time.After(10 * time.Second):
+		t.Fatal("no reply")
+		return Reply{}
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// chainTask is a batch of one task: forward from vertex 0, which
+// partition 0 of the chain fixture answers with boundary vertex 1.
+var chainTask = []wire.Task{{Kind: wire.Forward, Query: 1, Seeds: []int32{0}}}
+
+func wantChainAnswer(t *testing.T, who string, rep Reply) {
+	t.Helper()
+	if rep.Err != nil || rep.Shard != 0 || len(rep.Results) != 1 || !slices.Equal(chainReached(0, rep.Results[0].Boundary), []uint32{1}) {
+		t.Fatalf("%s answered wrong: %+v", who, rep)
+	}
+}
+
+// gatedReplica holds every submitted batch and every summary fetch
+// until the gate is released — a deterministic slow replica — and then,
+// if fail is set, answers a held batch with an error instead of running
+// it. Like any Replica it does the waiting on a goroutine of its own,
+// not the submitter's, and Close answers what is in flight: it opens
+// the gate.
+type gatedReplica struct {
+	inner   Replica
+	gate    chan struct{}
+	open    sync.Once
+	fail    atomic.Bool
+	submits atomic.Int32
+	fetches atomic.Int32
+	handed  atomic.Pointer[wire.Task] // first task of the latest batch
+}
+
+func newGated(sh *Shard) *gatedReplica {
+	return &gatedReplica{inner: NewLocalReplica(sh), gate: make(chan struct{})}
+}
+
+// dialer returns a ReplicaDialer that hands out g itself.
+func (g *gatedReplica) dialer() ReplicaDialer {
+	return func(context.Context) (Replica, error) { return g, nil }
+}
+
+// release opens the gate for good: held calls proceed, later ones pass
+// straight through.
+func (g *gatedReplica) release() { g.open.Do(func() { close(g.gate) }) }
+
+func (g *gatedReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(Reply)) {
+	g.handed.Store(&tasks[0])
+	g.submits.Add(1)
+	go func() {
+		<-g.gate
+		if g.fail.Load() {
+			done(Reply{Err: errGated})
+			return
+		}
+		g.inner.Submit(h, tasks, done)
+	}()
+}
+
+func (g *gatedReplica) Summary(ctx context.Context) (wire.Summary, error) {
+	g.fetches.Add(1)
+	<-g.gate
+	return g.inner.Summary(ctx)
+}
+func (g *gatedReplica) Hello() wire.Hello { return g.inner.Hello() }
+func (g *gatedReplica) Close() error {
+	g.release()
+	return g.inner.Close()
+}
+
+var errGated = errors.New("gated: injected failure")
+
 // TestReplicatedFailsOverMidQuery: a batch whose chosen replica dies
 // mid-query is retried on the sibling and still answered correctly.
 func TestReplicatedFailsOverMidQuery(t *testing.T) {
@@ -260,6 +348,131 @@ func TestReplicatedAffinity(t *testing.T) {
 	tr.sets[2].release(held)
 	if b := flaky[2][1].submits.Load(); b != 1 {
 		t.Fatalf("a submit that found replica 0 busy: replica 1 served %d, want 1", b)
+	}
+}
+
+// TestReplicatedSubmitAliasesReplies: a batch that succeeds at its
+// first replica is handed over as that replica answered it — back onto
+// the same replica, the next reply is the same memory — and the
+// transport spends no allocation on it, on a set of one and on a set
+// with a standby alike.
+func TestReplicatedSubmitAliasesReplies(t *testing.T) {
+	for _, R := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", R), func(t *testing.T) {
+			groups, _ := localGroups(t, R)
+			tr, err := NewReplicated(t.Context(), groups, ReplicatedOptions{ReconnectEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			replyc := make(chan Reply, 1)
+			var results [2]*wire.Result
+			for i := range results {
+				tr.Submit(0, wire.BatchHeader{}, chainTask, replyc)
+				rep := recv(t, replyc)
+				wantChainAnswer(t, "the first replica", rep)
+				results[i] = &rep.Results[0]
+			}
+			if results[0] != results[1] {
+				t.Error("replies do not alias the replica's buffers")
+			}
+			if raceEnabled {
+				return // instrumentation allocates
+			}
+			if allocs := testing.AllocsPerRun(200, func() {
+				tr.Submit(0, wire.BatchHeader{}, chainTask, replyc)
+				<-replyc
+			}); allocs != 0 {
+				t.Errorf("%v allocs per Submit, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestReplicaSetErrorNamesBusyReplicas: a batch that finds every
+// replica of its partition alive but still serving an earlier call —
+// a concurrent Submit's batch, or a Summary's fetch — fails, since the
+// transport does not queue, but says what it found: busy replicas are
+// not reported as failed ones, and a replica that did fail under this
+// batch still is.
+func TestReplicaSetErrorNamesBusyReplicas(t *testing.T) {
+	shardsA, _ := chainFixture(t)
+	shardsB, _ := chainFixture(t)
+	a, b := newGated(shardsA[0]), newGated(shardsB[0])
+	tr, err := NewReplicated(t.Context(), [][]ReplicaDialer{{a.dialer(), b.dialer()}}, ReplicatedOptions{ReconnectEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	held := make(chan Reply, 2)
+	tr.Submit(0, wire.BatchHeader{}, chainTask, held)
+	tr.Submit(0, wire.BatchHeader{}, chainTask, held)
+	waitFor(t, "both replicas to be busy", func() bool { return a.submits.Load() == 1 && b.submits.Load() == 1 })
+	if a.handed.Load() != &chainTask[0] {
+		t.Fatal("the replica was handed a copy of the caller's tasks")
+	}
+
+	var rse *ReplicaSetError
+	if rep := submitOne(t, tr, 0, 0); !errors.As(rep.Err, &rse) {
+		t.Fatalf("a third batch over two busy replicas: %+v, want a ReplicaSetError", rep)
+	}
+	for _, re := range rse.Replicas {
+		if msg := re.Err.Error(); !strings.Contains(msg, "busy") || strings.Contains(msg, "failed") {
+			t.Errorf("replica %d is alive and busy, reported as %q", re.Replica, msg)
+		}
+	}
+	if h := tr.Health()[0]; h.Live != 2 || h.Failovers != 0 {
+		t.Fatalf("busy replicas were written off: %+v", h)
+	}
+
+	// Now one that really fails under the batch, beside a busy one.
+	b.fail.Store(true)
+	b.release()
+	if rep := recv(t, held); rep.Err == nil {
+		t.Fatal("the held batch on the failing replica succeeded")
+	}
+	waitFor(t, "the failed replica to be marked dead", func() bool { return tr.Health()[0].Live == 1 })
+	if rep := submitOne(t, tr, 0, 0); !errors.As(rep.Err, &rse) {
+		t.Fatalf("a batch over one busy and one dead replica: %+v, want a ReplicaSetError", rep)
+	}
+	if msg := rse.Replicas[0].Err.Error(); !strings.Contains(msg, "busy") {
+		t.Errorf("replica 0 is alive and busy, reported as %q", msg)
+	}
+	if rse.Replicas[1].Err != errGated {
+		t.Errorf("replica 1 failed, reported as %q", rse.Replicas[1].Err)
+	}
+	a.release()
+	wantChainAnswer(t, "the first held batch", recv(t, held))
+
+	// A summary fetch holds its replica too: a batch whose only other
+	// replica fails under it finds the fetching one busy.
+	c, d := newGated(shardsA[0]), newGated(shardsB[0])
+	tr2, err := NewReplicated(t.Context(), [][]ReplicaDialer{{c.dialer(), d.dialer()}}, ReplicatedOptions{ReconnectEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr2.Close()
+	fetched := make(chan error, 1)
+	go func() {
+		_, err := tr2.Summary(t.Context(), 0)
+		fetched <- err
+	}()
+	waitFor(t, "the summary fetch to hold replica 0", func() bool { return c.fetches.Load() == 1 })
+	d.fail.Store(true)
+	d.release()
+	if rep := submitOne(t, tr2, 0, 0); !errors.As(rep.Err, &rse) {
+		t.Fatalf("a batch beside a summary fetch, its sibling failing: %+v, want a ReplicaSetError", rep)
+	}
+	if msg := rse.Replicas[0].Err.Error(); !strings.Contains(msg, "busy") {
+		t.Errorf("replica 0 is alive and fetching a summary, reported as %q", msg)
+	}
+	if rse.Replicas[1].Err != errGated {
+		t.Errorf("replica 1 failed, reported as %q", rse.Replicas[1].Err)
+	}
+	c.release()
+	if err := <-fetched; err != nil {
+		t.Fatalf("the held summary fetch: %v", err)
 	}
 }
 

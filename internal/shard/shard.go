@@ -2,13 +2,12 @@
 // searches over one partition's subgraph — each stopping at the first
 // key component on its way, the coordinator's skeleton of summary edges
 // carrying the rest — and a Transport carries task batches from the
-// coordinator to shards. There is one transport,
-// Replicated — a set of interchangeable replicas per partition — and
-// two kinds of Replica under it: an in-process worker (NewLoopback) and
-// a TCP connection to a Server speaking the internal/wire protocol
-// (Dial, DialReplicated). The coordinator in internal/dsr only ever
-// speaks Transport — one Reply per Submit; failover, redials and hedged
-// requests (ReplicatedOptions.Hedge) all happen behind it — so the
+// coordinator to shards. There is one transport, Replicated — a set of
+// interchangeable replicas per partition — and two kinds of Replica
+// under it: an in-process worker (NewLoopback) and a TCP connection to
+// a Server speaking the internal/wire protocol (Dial, DialReplicated).
+// The coordinator in internal/dsr only ever speaks Transport — one
+// Reply per Submit; failover and redials happen behind it — so the
 // single-process engine is literally the distributed one running over
 // in-process replicas.
 package shard
@@ -221,7 +220,7 @@ func build(id int, sub *partition.Subgraph, cond *scc.Condensation) *Shard {
 	roff, redges := cond.Reverse()
 	s.bwd = prune(csr{roff, redges}, s.region, func(r uint8) bool { return r&regionIn != 0 })
 	s.fwd = prune(csr{dag.FOff, dag.FEdges}, s.region, func(r uint8) bool { return r&regionBits != regionSink })
-	s.sum = wire.Summary{Boundary: s.boundary, Edges: s.summarize(cycles), Cross: slices.Clone(sub.Cross)}
+	s.sum = wire.Summary{Boundary: s.boundary, Edges: s.summarize(cycles), Cross: sub.Cross}
 	return s
 }
 

@@ -337,8 +337,9 @@ func TestSummaryDigestPinned(t *testing.T) {
 // TestSummaryReplicasShareSubgraph builds three shards over one
 // subgraph, as R local replicas of a partition are, and reads their
 // summaries from three goroutines at once: nothing may be built lazily
-// on the shared subgraph (the race detector would see the writes), and
-// the three must agree.
+// on the shared subgraph (the race detector would see the writes), the
+// three must agree, and each summary's cross edges are the subgraph's
+// own, not a copy.
 func TestSummaryReplicasShareSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261016))
 	g := gen.Community(rng, 300, 4, 1.6, 0.1, 0.02)
@@ -363,8 +364,13 @@ func TestSummaryReplicasShareSubgraph(t *testing.T) {
 			t.Fatalf("replica %d's summary differs from replica 0's", i)
 		}
 	}
-	if len(replicas[0].Summary().Edges) == 0 {
-		t.Fatal("fixture has no summary edges")
+	if len(replicas[0].Summary().Edges) == 0 || len(subs[1].Cross) == 0 {
+		t.Fatal("fixture has no summary edges or no cross edges")
+	}
+	for i, s := range replicas {
+		if cross := s.Summary().Cross; len(cross) != len(subs[1].Cross) || &cross[0] != &subs[1].Cross[0] {
+			t.Fatalf("replica %d's summary holds a copy of the subgraph's cross edges", i)
+		}
 	}
 }
 

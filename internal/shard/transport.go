@@ -49,13 +49,12 @@ type Reply struct {
 // Transport carries task batches from a coordinator to shards. Submit
 // is asynchronous: exactly one Reply per call is delivered on replyc,
 // with Results in task order, however many replicas the transport
-// tried, retried or raced to get it — there is no second submit API,
-// and once the Reply is in, nothing of the caller's is read again. The
-// Results (and their Boundary slices) alias transport-owned buffers and
-// are valid only until the next Submit to the same shard — the
-// coordinator must fully consume a round's replies before starting the
-// next round, which the DSR engine guarantees by serializing rounds
-// under its query lock.
+// tried to get it — there is no second submit API, and once the Reply
+// is in, nothing of the caller's is read again. The Results (and their
+// Boundary slices) alias transport-owned buffers and are valid only
+// until the next Submit to the same shard — the coordinator must fully
+// consume a round's replies before starting the next round, which the
+// DSR engine guarantees by serializing rounds under its query lock.
 //
 // Close shuts the transport down deterministically: when it returns, no
 // transport-owned goroutine is still running. A Submit after Close is
@@ -64,9 +63,9 @@ type Reply struct {
 // Replicated is the one production implementation; the interface stays
 // so tests and the benchmark harness can substitute or wrap it. Nothing
 // on the query path looks behind the interface, so a wrapper loses no
-// behaviour — hedging included; one that should also keep Replicated's
-// books for the engine (Health, Endpoints) embeds the *Replicated
-// rather than forwarding the three methods below.
+// behaviour; one that should also keep Replicated's books for the
+// engine (Health, Endpoints) embeds the *Replicated rather than
+// forwarding the three methods below.
 type Transport interface {
 	// Submit ships the batch to shard p under the given batch header.
 	// tasks must be non-empty and remain untouched until the Reply

@@ -18,8 +18,10 @@
 // arrives.
 //
 // Per (workload, end-to-end metric) the report gives both sides' median
-// and quartiles, the pairs the change won (ties count for neither), and
-// a verdict: "unresolved" when the parent's own interquartile range is
+// and quartiles, the median and quartiles of the per-pair ratio (change
+// over parent, pair by pair — the paired statistic, which does not hang
+// on a single pair's order the way the win count does), the pairs the
+// change won (ties count for neither), and a verdict: "unresolved" when the parent's own interquartile range is
 // wider than the metric's bound, "worse" when the change's median is
 // worse than the parent's by more than the bound, "better" when the
 // change won at least nine pairs in ten and the medians differ by more
@@ -330,6 +332,16 @@ func quartiles(values []float64) (q1, q2, q3 float64) {
 	return at(1), at(2), at(3)
 }
 
+// pairedRatio returns Q1, the median and Q3 of change[i]/parent[i]
+// over the pairs.
+func pairedRatio(parent, change []float64) (q1, q2, q3 float64) {
+	ratios := make([]float64, len(parent))
+	for i, p := range parent {
+		ratios[i] = change[i] / p
+	}
+	return quartiles(ratios)
+}
+
 // verdict judges one (workload, metric) cell from both sides' values
 // in pair order; wins counts the pairs the change won. A metric with no
 // bound (Bound 0) can be neither unresolved nor worse.
@@ -361,7 +373,7 @@ func verdict(m metricSpec, parent, change []float64) (wins int, v string) {
 func report(w *os.File, metrics []metricSpec, workloads []string, parent, change *side) bool {
 	ok := true
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tmetric\tparent median [q1, q3]\tchange median [q1, q3]\tchange\tbound\twins\tverdict")
+	fmt.Fprintln(tw, "workload\tmetric\tparent median [q1, q3]\tchange median [q1, q3]\tchange\tratio median [q1, q3]\tbound\twins\tverdict")
 	for _, wl := range workloads {
 		for _, m := range metrics {
 			pv, cv := values(parent.runs[wl], m.Name), values(change.runs[wl], m.Name)
@@ -369,12 +381,13 @@ func report(w *os.File, metrics []metricSpec, workloads []string, parent, change
 			ok = ok && v != "worse"
 			p1, pm, p3 := quartiles(pv)
 			c1, cm, c3 := quartiles(cv)
+			r1, rm, r3 := pairedRatio(pv, cv)
 			bound := "-"
 			if m.Bound > 0 {
 				bound = fmt.Sprintf("%.0f%%", 100*m.Bound)
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%.4g [%.4g, %.4g]\t%.4g [%.4g, %.4g]\t%+.1f%%\t%s\t%d/%d\t%s\n",
-				wl, m.Name, pm, p1, p3, cm, c1, c3, 100*(cm-pm)/pm, bound, wins, len(pv), v)
+			fmt.Fprintf(tw, "%s\t%s\t%.4g [%.4g, %.4g]\t%.4g [%.4g, %.4g]\t%+.1f%%\t%.3f [%.3f, %.3f]\t%s\t%d/%d\t%s\n",
+				wl, m.Name, pm, p1, p3, cm, c1, c3, 100*(cm-pm)/pm, rm, r1, r3, bound, wins, len(pv), v)
 		}
 	}
 	tw.Flush()

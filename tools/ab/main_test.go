@@ -2,6 +2,7 @@ package main
 
 import (
 	"maps"
+	"math"
 	"slices"
 	"testing"
 )
@@ -11,6 +12,27 @@ func TestQuartiles(t *testing.T) {
 	q1, q2, q3 := quartiles([]float64{10, 1, 9, 2, 8, 3, 7, 4, 6, 5})
 	if q1 != 2.75 || q2 != 5.5 || q3 != 8.25 {
 		t.Fatalf("quartiles = %v, %v, %v, want 2.75, 5.5, 8.25", q1, q2, q3)
+	}
+}
+
+// TestPairedRatio: the ratio is taken pair by pair, not between the
+// sides' medians — ratios 0.1 … 1.0 over parents of every size have
+// the quartiles of 1 … 10 over ten.
+func TestPairedRatio(t *testing.T) {
+	r := []float64{0.3, 1.0, 0.1, 0.8, 0.5, 0.2, 0.9, 0.6, 0.4, 0.7}
+	parent, change := make([]float64, len(r)), make([]float64, len(r))
+	for i := range r {
+		parent[i] = float64(50 * (i + 1))
+		change[i] = parent[i] * r[i]
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+	q1, q2, q3 := pairedRatio(parent, change)
+	if !near(q1, 0.275) || !near(q2, 0.55) || !near(q3, 0.825) {
+		t.Fatalf("pairedRatio = %v, %v, %v, want 0.275, 0.55, 0.825", q1, q2, q3)
+	}
+	_, pm, _ := quartiles(parent)
+	if _, cm, _ := quartiles(change); near(q2, cm/pm) {
+		t.Fatal("the fixture cannot tell a paired ratio from a ratio of medians")
 	}
 }
 

@@ -5,8 +5,9 @@
 // on every exported top-level symbol (types, functions, methods,
 // consts, vars). It also fails when README.md, PAPER.md or a docs/*.md
 // names an internal/…, cmd/… or tools/… path that does not exist, so a
-// deleted package cannot live on in the prose. Run it from the
-// repository root.
+// deleted package cannot live on in the prose, and when a flag-table
+// row of docs/OPERATIONS.md names a flag no binary defines, so a
+// deleted flag cannot either. Run it from the repository root.
 package main
 
 import (
@@ -81,7 +82,8 @@ func check(root string) ([]string, error) {
 		}
 		problems = append(problems, ps...)
 	}
-	return append(problems, checkPaths(root)...), nil
+	problems = append(problems, checkPaths(root)...)
+	return append(problems, checkFlags(root)...), nil
 }
 
 // repoPath matches a source path as the docs write one: it ends on a
@@ -102,6 +104,43 @@ func checkPaths(root string) []string {
 				if _, err := os.Stat(filepath.Join(root, p)); err != nil {
 					problems = append(problems, fmt.Sprintf("%s:%d: names %s, which does not exist", doc, i+1, p))
 				}
+			}
+		}
+	}
+	return problems
+}
+
+// flagDef matches a flag definition as the binaries write one —
+// flag.X("name", …) or flag.XVar(&v, "name", …) — capturing the name.
+var flagDef = regexp.MustCompile(`\bflag\.\w+\(\s*(?:&[\w.]+,\s*)?"([\w-]+)"`)
+
+// docFlag matches a back-quoted flag as the docs write one, `-name`,
+// capturing the name.
+var docFlag = regexp.MustCompile("`-([a-z][\\w-]*)`")
+
+// checkFlags reports every back-quoted flag in a flag-table row of
+// docs/OPERATIONS.md — a table row whose first cell starts with one —
+// that no binary defines: the flags are the flagDef calls in
+// cmd/*/main.go and internal/cli/cli.go, which all three binaries share.
+func checkFlags(root string) []string {
+	srcs, _ := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
+	defined := map[string]bool{}
+	for _, src := range append(srcs, filepath.Join(root, "internal", "cli", "cli.go")) {
+		text, _ := os.ReadFile(src)
+		for _, m := range flagDef.FindAllSubmatch(text, -1) {
+			defined[string(m[1])] = true
+		}
+	}
+	doc := filepath.Join(root, "docs", "OPERATIONS.md")
+	text, _ := os.ReadFile(doc) // a repository without the document names no flag in it
+	var problems []string
+	for i, line := range strings.Split(string(text), "\n") {
+		if !strings.HasPrefix(line, "| `-") {
+			continue
+		}
+		for _, m := range docFlag.FindAllStringSubmatch(line, -1) {
+			if !defined[m[1]] {
+				problems = append(problems, fmt.Sprintf("%s:%d: names flag -%s, which no binary defines", doc, i+1, m[1]))
 			}
 		}
 	}
