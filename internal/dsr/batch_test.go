@@ -164,35 +164,27 @@ func TestCloseStopsGoroutines(t *testing.T) {
 	}
 }
 
-// stallReplica accepts batches and answers none of them until it is
-// closed; then it fails every batch it holds with shard.ErrClosed, as a
-// TCP connection fails its pending requests. The embedded replica serves
+// stallReplica takes batches and answers none of them: Run blocks until
+// the replica is closed, then fails with shard.ErrClosed, as a TCP
+// connection fails the call in flight. The embedded replica serves
 // Summary and Hello. Each parked batch is signalled on parked, if set.
 type stallReplica struct {
 	shard.Replica
 	parked chan<- struct{}
-
-	mu    sync.Mutex
-	dones []func(shard.Reply)
+	closed chan struct{}
+	once   sync.Once
 }
 
-func (s *stallReplica) Submit(_ wire.BatchHeader, _ []wire.Task, done func(shard.Reply)) {
-	s.mu.Lock()
-	s.dones = append(s.dones, done)
-	s.mu.Unlock()
+func (s *stallReplica) Run(wire.BatchHeader, []wire.Task) shard.Reply {
 	if s.parked != nil {
 		s.parked <- struct{}{}
 	}
+	<-s.closed
+	return shard.Reply{Err: shard.ErrClosed}
 }
 
 func (s *stallReplica) Close() error {
-	s.mu.Lock()
-	dones := s.dones
-	s.dones = nil
-	s.mu.Unlock()
-	for _, done := range dones {
-		done(shard.Reply{Err: shard.ErrClosed})
-	}
+	s.once.Do(func() { close(s.closed) })
 	return s.Replica.Close()
 }
 
@@ -212,7 +204,7 @@ func TestCloseEndsStalledRound(t *testing.T) {
 			if rep := shard.NewLocalReplica(sh); p != 1 {
 				return rep, nil
 			} else {
-				return &stallReplica{Replica: rep, parked: parked}, nil
+				return &stallReplica{Replica: rep, parked: parked, closed: make(chan struct{})}, nil
 			}
 		}}
 	}

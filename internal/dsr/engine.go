@@ -452,10 +452,9 @@ func (e *Engine) NumBoundary() int { return e.bg.nverts }
 // which is the point of the graph-free coordinator.
 func (e *Engine) ResidentBytes() int { return e.bg.residentBytes() + e.r.fin.residentBytes() }
 
-// Close closes the transport, idempotently and deterministically:
-// in-process shard goroutines have exited (and TCP connections are
-// closed with their reader goroutines joined, in-flight redials
-// cancelled) by the time it returns. It does not wait for a round in
+// Close closes the transport, idempotently and deterministically: its
+// partition goroutines have exited (TCP connections closed, in-flight
+// redials cancelled) by the time it returns. It does not wait for a round in
 // flight — a shard that never answers cannot hold it up — and that
 // round, like any query after Close, gets shard.ErrClosed from every
 // partition it still needed: its undecided queries fail inside a

@@ -16,15 +16,16 @@ import (
 	"dsr/internal/wire"
 )
 
-// slowReplica delays every submit by a fixed amount — a deterministic
+// slowReplica delays every batch by a fixed amount — a deterministic
 // straggler, unlike chaos's seeded delays.
 type slowReplica struct {
 	inner shard.Replica
 	d     time.Duration
 }
 
-func (s *slowReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(shard.Reply)) {
-	time.AfterFunc(s.d, func() { s.inner.Submit(h, tasks, done) })
+func (s *slowReplica) Run(h wire.BatchHeader, tasks []wire.Task) shard.Reply {
+	time.Sleep(s.d)
+	return s.inner.Run(h, tasks)
 }
 func (s *slowReplica) Summary(ctx context.Context) (wire.Summary, error) { return s.inner.Summary(ctx) }
 func (s *slowReplica) Hello() wire.Hello                                 { return s.inner.Hello() }

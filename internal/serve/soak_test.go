@@ -16,15 +16,16 @@ import (
 	"dsr/internal/wire"
 )
 
-// lagReplica delays every submit by a fixed amount: a deterministic
+// lagReplica delays every batch by a fixed amount: a deterministic
 // straggler.
 type lagReplica struct {
 	inner shard.Replica
 	d     time.Duration
 }
 
-func (s *lagReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(shard.Reply)) {
-	time.AfterFunc(s.d, func() { s.inner.Submit(h, tasks, done) })
+func (s *lagReplica) Run(h wire.BatchHeader, tasks []wire.Task) shard.Reply {
+	time.Sleep(s.d)
+	return s.inner.Run(h, tasks)
 }
 func (s *lagReplica) Summary(ctx context.Context) (wire.Summary, error) { return s.inner.Summary(ctx) }
 func (s *lagReplica) Hello() wire.Hello                                 { return s.inner.Hello() }

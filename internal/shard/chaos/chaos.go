@@ -202,7 +202,9 @@ func (f *Faults) isDead(part, replica int) bool {
 
 // Replica wraps inner with this injector's faults for (part, replica).
 func (f *Faults) Replica(part, replica int, inner shard.Replica) shard.Replica {
-	return &chaosReplica{f: f, part: part, replica: replica, inner: inner}
+	cr := &chaosReplica{f: f, part: part, replica: replica, inner: inner}
+	cr.closed, cr.close = context.WithCancel(context.Background())
+	return cr
 }
 
 // Dialer wraps inner: dials are refused while the replica is killed
@@ -225,20 +227,25 @@ type chaosReplica struct {
 	f             *Faults
 	part, replica int
 	inner         shard.Replica
+	closed        context.Context // done once Close is called
+	close         context.CancelFunc
 }
 
-// Submit decides the batch's fate now — scripted schedules count
-// submits — and acts on it after the injected delay, off the caller's
-// goroutine: a Replica must not make its submitter wait.
-func (cr *chaosReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(shard.Reply)) {
+// Run decides the batch's fate — scripted schedules count submits —
+// and acts on it after the injected delay, which Close cuts short.
+func (cr *chaosReplica) Run(h wire.BatchHeader, tasks []wire.Task) shard.Reply {
 	delay, err := cr.f.decide(cr.part, cr.replica)
-	time.AfterFunc(delay, func() {
-		if err != nil {
-			done(shard.Reply{Shard: cr.part, Err: err})
-			return
+	if delay > 0 {
+		select {
+		case <-time.After(delay):
+		case <-cr.closed.Done():
+			err = shard.ErrClosed
 		}
-		cr.inner.Submit(h, tasks, done)
-	})
+	}
+	if err != nil {
+		return shard.Reply{Shard: cr.part, Err: err}
+	}
+	return cr.inner.Run(h, tasks)
 }
 
 // Summary fails only while the replica is killed; it deliberately does
@@ -256,4 +263,7 @@ func (cr *chaosReplica) Summary(ctx context.Context) (wire.Summary, error) {
 
 func (cr *chaosReplica) Hello() wire.Hello { return cr.inner.Hello() }
 
-func (cr *chaosReplica) Close() error { return cr.inner.Close() }
+func (cr *chaosReplica) Close() error {
+	cr.close()
+	return cr.inner.Close()
+}

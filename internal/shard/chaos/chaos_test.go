@@ -17,11 +17,11 @@ import (
 	"dsr/internal/wire"
 )
 
-// stubReplica answers every submit successfully with a canned result.
+// stubReplica answers every batch successfully with a canned result.
 type stubReplica struct{}
 
-func (stubReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(shard.Reply)) {
-	done(shard.Reply{Results: []wire.Result{{Query: 42}}})
+func (stubReplica) Run(h wire.BatchHeader, tasks []wire.Task) shard.Reply {
+	return shard.Reply{Results: []wire.Result{{Query: 42}}}
 }
 func (stubReplica) Summary(ctx context.Context) (wire.Summary, error) {
 	return wire.Summary{Boundary: []uint32{42}}, nil
@@ -33,15 +33,7 @@ func (stubReplica) Close() error      { return nil }
 // succeeded.
 func submit(t *testing.T, rep shard.Replica) error {
 	t.Helper()
-	replyc := make(chan shard.Reply, 1)
-	rep.Submit(wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward}}, func(r shard.Reply) { replyc <- r })
-	select {
-	case r := <-replyc:
-		return r.Err
-	case <-time.After(10 * time.Second):
-		t.Fatal("no reply")
-		return nil
-	}
+	return rep.Run(wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward}}).Err
 }
 
 // decisions runs n submits through a fresh injector and records which

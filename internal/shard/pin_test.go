@@ -106,11 +106,11 @@ func TestReplicatedPinSweepsMismatches(t *testing.T) {
 			}
 			defer r.Close()
 			oddUp = true
-			r.sets[1].redial(t.Context(), nil, false)
+			r.sets[1].redial(t.Context(), nil)
 			if h := r.Health()[1]; h.Live != 1 || h.Redials != 1 {
 				t.Fatalf("after the odd replica's redial: %+v, want it kept dead", h)
 			}
-			if err := r.sets[1].allFailed(nil).Replicas[1].Err; !errors.As(err, &me) || me.Field != c.field {
+			if err := r.sets[1].allFailed().Replicas[1].Err; !errors.As(err, &me) || me.Field != c.field {
 				t.Fatalf("odd replica's error %v, want a %s MismatchError", err, c.field)
 			}
 		})

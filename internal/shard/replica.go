@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"dsr/internal/wire"
@@ -14,20 +14,18 @@ import (
 // task batches. It is the unit the transport (Replicated) routes to and
 // fails over between: every replica of a partition holds the same
 // subgraph and summary, so any of them can answer any batch for that
-// partition. Close releases the replica's resources; a closed replica
-// answers every further Submit with an error Reply.
+// partition. Calls are synchronous and the transport makes one at a
+// time — its partition goroutine is a replica's only caller — so a
+// replica needs no goroutine of its own. Close may come from another
+// goroutine: it ends a Run or Summary in progress with an error, and
+// a closed replica fails every further call.
 type Replica interface {
-	// Submit starts the batch and returns without waiting for its
-	// answer: exactly one Reply per call is handed to done, on the one
-	// goroutine the replica owns (a connection's reader, an in-process
-	// worker) — or, when the replica is already broken, on the caller's
-	// before Submit returns. Results alias replica-owned buffers that
-	// stay valid until the next Submit to the same replica. The
-	// transport hands a replica one batch at a time.
-	Submit(h wire.BatchHeader, tasks []wire.Task, done func(Reply))
+	// Run answers the batch, Results in task order. Results alias
+	// replica-owned buffers that stay valid until the next Run or
+	// Summary on this replica.
+	Run(h wire.BatchHeader, tasks []wire.Task) Reply
 	// Summary fetches the replica's boundary summary. Same arena
-	// contract as Results: the slices stay valid until the next Submit
-	// or Summary on this replica.
+	// contract as Results.
 	Summary(ctx context.Context) (wire.Summary, error)
 	// Hello reports the identity the replica presented at dial time. A
 	// zero Hello (NumShards == 0) means the replica has no handshake
@@ -58,82 +56,46 @@ func TCPReplicaDialer(p int, addr string, numShards, wantVertices int, wantGraph
 }
 
 // localReplica serves one partition's batches on a dedicated in-process
-// Shard: one worker goroutine running batches off a channel — the
-// original DSR channel fan-out, now one kind of Replica beside the TCP
-// connection. R local replicas of a partition are R independent Shard
-// instances over the same subgraph, so failing over between them is
-// exercised with real buffer ownership. The fast path allocates
-// nothing: a Submit is one channel send, and every buffer involved is
-// owned by the Shard and reused.
+// Shard, on its caller's goroutine. R local replicas of a partition are
+// R independent Shard instances over the same subgraph, so failing
+// over between them is exercised with real buffer ownership. A Run
+// allocates nothing: every buffer involved is owned by the Shard and
+// reused.
 type localReplica struct {
 	sh     *Shard
-	reqs   chan localReq
-	exited chan struct{} // closed when the worker has returned
-
-	mu     sync.Mutex // orders Submit's send against Close's close(reqs)
-	closed bool
+	closed atomic.Bool
 }
 
-type localReq struct {
-	hdr   wire.BatchHeader
-	tasks []wire.Task
-	done  func(Reply)
-}
+// NewLocalReplica wraps sh as a Replica. The Replica takes ownership of
+// sh's scratch: callers must not Run the shard themselves, and replicas
+// of the same partition need distinct Shard instances.
+func NewLocalReplica(sh *Shard) Replica { return &localReplica{sh: sh} }
 
-// NewLocalReplica wraps sh as a Replica and starts its worker; Close
-// stops and joins it. The Replica takes ownership of sh's scratch:
-// callers must not Run the shard themselves, and replicas of the same
-// partition need distinct Shard instances (they may execute
-// concurrently during failover).
-func NewLocalReplica(sh *Shard) Replica {
-	// Capacity 1: a replica is handed one batch at a time, so Submit's
-	// send never waits for a busy worker.
-	lr := &localReplica{sh: sh, reqs: make(chan localReq, 1), exited: make(chan struct{})}
-	go func() {
-		defer close(lr.exited)
-		for req := range lr.reqs {
-			req.done(serveLocal(sh, req.hdr, req.tasks))
-		}
-	}()
-	return lr
-}
-
-// serveLocal runs one batch on sh and builds its Reply, synthesizing
-// the server-timing breakdown (search time only — there is no decode,
-// queue, or encode in process) when the header asks for tracing, so
-// in-process replicas feed the engine's net-vs-server split too. The
-// timing branch is allocation-free: the Reply is built by value.
-func serveLocal(sh *Shard, hdr wire.BatchHeader, tasks []wire.Task) Reply {
-	rep := Reply{Shard: sh.ID(), Batch: hdr.Batch}
-	if hdr.Trace {
+// Run runs the batch on the Shard, synthesizing the server-timing
+// breakdown (search time only — there is no decode, queue, or encode
+// in process) when the header asks for tracing, so in-process replicas
+// feed the engine's net-vs-server split too. The Reply is built by
+// value, so the timing branch allocates nothing either.
+func (lr *localReplica) Run(h wire.BatchHeader, tasks []wire.Task) Reply {
+	rep := Reply{Shard: lr.sh.ID(), Batch: h.Batch}
+	if lr.closed.Load() {
+		rep.Err = ErrClosed
+		return rep
+	}
+	if h.Trace {
 		start := time.Now()
-		rep.Results = sh.Run(tasks)
+		rep.Results = lr.sh.Run(tasks)
 		rep.Timing.Search = uint64(time.Since(start))
 		rep.HasTiming = true
 		return rep
 	}
-	rep.Results = sh.Run(tasks)
+	rep.Results = lr.sh.Run(tasks)
 	return rep
 }
 
-func (lr *localReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(Reply)) {
-	lr.mu.Lock()
-	if lr.closed {
-		lr.mu.Unlock()
-		done(Reply{Shard: lr.sh.ID(), Err: ErrClosed})
-		return
-	}
-	lr.reqs <- localReq{hdr: h, tasks: tasks, done: done}
-	lr.mu.Unlock()
-}
-
-// Summary needs no hop through the worker: the Shard built its summary
-// in New and concurrent reads are safe.
+// Summary reads the summary the Shard built in New.
 func (lr *localReplica) Summary(ctx context.Context) (wire.Summary, error) {
-	lr.mu.Lock()
-	closed := lr.closed
-	lr.mu.Unlock()
-	if closed {
+	if lr.closed.Load() {
 		return wire.Summary{}, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
@@ -146,16 +108,10 @@ func (lr *localReplica) Summary(ctx context.Context) (wire.Summary, error) {
 // identity, which consumers treat as opting out of fleet cross-checks.
 func (lr *localReplica) Hello() wire.Hello { return wire.Hello{} }
 
-// Close stops the worker — after it has answered a batch still queued —
-// and waits for it to exit. Safe to call more than once.
+// Close fails every later call. A Run in progress is a local search
+// that finishes on its own. Safe to call more than once.
 func (lr *localReplica) Close() error {
-	lr.mu.Lock()
-	if !lr.closed {
-		lr.closed = true
-		close(lr.reqs)
-	}
-	lr.mu.Unlock()
-	<-lr.exited
+	lr.closed.Store(true)
 	return nil
 }
 

@@ -43,40 +43,35 @@ func counterOr(reg *obs.Registry, name string) *obs.Counter {
 
 // Replicated is the coordinator's Transport: partition p is served by a
 // set of one or more interchangeable replicas — TCP connections to
-// dsr-shard servers (Dial, DialReplicated), in-process workers
-// (NewLoopback), or anything else behind a ReplicaDialer. Submit routes
-// each task batch to the first idle healthy replica in endpoint order,
-// so with one round in flight a partition's rounds all land on one warm
-// replica and its siblings stand by. Because local searches are
-// idempotent — pure reads over an immutable subgraph — a batch whose
-// send or receive fails mid-query is simply retried on a sibling
-// replica. A replica that fails is marked
-// dead and periodically redialed in the background; only when every
-// replica of a partition fails within one Submit does the coordinator
-// see an error Reply, and that Reply's Err details every replica's
-// failure. A set of one is the same machinery with no sibling: a
+// dsr-shard servers (Dial, DialReplicated), in-process Shards
+// (NewLoopback), or anything else behind a ReplicaDialer. Each
+// partition has one long-lived goroutine that owns its replica set and
+// serves every call for the partition, batch or summary fetch, one at a
+// time, through one failover loop: the first live replica in endpoint
+// order — so a partition's rounds all land on one warm replica and its
+// siblings stand by — then, when that one fails, it is marked dead and
+// the next is tried (local searches are idempotent reads over an
+// immutable subgraph, so a retry is always safe); with none left the
+// dead ones are redialed as a last resort, and only when that fails too
+// does the caller see an error, a *ReplicaSetError detailing every
+// replica's failure. A slow replica is waited for, never raced. Dead
+// replicas are redialed in the background, off the partition
+// goroutines. A set of one is the same machinery with no sibling: a
 // failure fails that batch, and the next redials.
 //
-// Each Submit runs one chain of attempts, one replica at a time: a slow
-// replica is waited for, never raced. A batch that succeeds at its
-// first replica costs no goroutine, no timer and no allocation: the
-// replica's own goroutine hands the Reply over, aliasing that replica's
+// A batch that succeeds at its first replica costs no allocation: the
+// Reply is handed over as the replica built it, aliasing that replica's
 // buffers.
 type Replicated struct {
 	sets []*replicaSet
 	id   *expect // the fleet identity every redial is held to; set by pin
 
-	// ctx is the transport's lifetime: cancelled by Close so redials
-	// (reconnect loop, in-query last resorts) abort promptly instead of
-	// finishing a doomed dial against a dead deployment.
+	// ctx is the transport's lifetime: cancelled by Close, which stops
+	// the partition goroutines and the reconnect loop and aborts
+	// redials in flight.
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	loopWG sync.WaitGroup // background reconnect loop
-	calls  sync.WaitGroup // batches and summary fetches in flight
-
-	mu     sync.Mutex
-	closed bool
+	wg     sync.WaitGroup // partition goroutines and the reconnect loop
 }
 
 // MismatchError reports a replica whose hello disagrees with the
@@ -164,11 +159,11 @@ func (r *Replicated) pin() error {
 	id := &expect{ref: -1, numVertices: -1, summaries: make([]uint64, len(r.sets))}
 	for _, rs := range r.sets {
 		for i := range rs.eps {
-			cn := rs.eps[i].conn
-			if cn == nil {
+			rep := rs.eps[i].rep
+			if rep == nil {
 				continue
 			}
-			h := cn.rep.Hello()
+			h := rep.Hello()
 			if err := id.check(h); err != nil {
 				return err
 			}
@@ -188,18 +183,23 @@ func (r *Replicated) pin() error {
 }
 
 // replicaSet is one partition's replicas: the endpoints are fixed at
-// construction, each holding the conn currently dialed to it or nil
+// construction, each holding the replica currently dialed to it or nil
 // while it is dead.
 type replicaSet struct {
-	tr   *Replicated
-	part int
+	tr    *Replicated
+	part  int
+	tried []bool // endpoints that failed the call in progress; serve's own
+
+	sendMu  sync.Mutex   // orders sends on reqs against Close closing it
+	reqs    chan request // to the partition goroutine, serve
+	stopped bool         // reqs is closed
 
 	mu     sync.Mutex
 	eps    []endpoint
-	live   int // endpoints holding a conn; liveG mirrors it
+	live   int // endpoints holding a replica; liveG mirrors it
 	closed bool
 
-	dialMu sync.Mutex // serializes redials so loop and Submit don't race a dial
+	dialMu sync.Mutex // serializes redials so an endpoint is never dialed twice at once
 
 	// Failover telemetry. The counters are never nil (counterOr) so
 	// Health() reports real numbers even without a registry; liveG and
@@ -216,7 +216,7 @@ type replicaSet struct {
 type endpoint struct {
 	dial    ReplicaDialer
 	lat     *obs.Histogram // shard_rpc_latency_ns{partition=p,replica=i}
-	conn    *conn          // the live replica, nil while dead
+	rep     Replica        // the live replica, nil while dead
 	lastErr error          // why it died, for the all-replicas-failed detail
 
 	// Identity as last observed at a successful dial — kept while the
@@ -227,26 +227,28 @@ type endpoint struct {
 	hello wire.Hello
 }
 
-// conn is one dialed Replica occupying an endpoint. The in-flight batch
-// lives here rather than in the endpoint because a redial can fill the
-// slot with a fresh conn while a failed one still owes its answer.
-type conn struct {
-	rs   *replicaSet
-	idx  int
-	rep  Replica
-	done func(Reply) // cn.deliver, bound once so a Submit allocates nothing
-
-	busy bool // serving a batch or summary fetch; guarded by rs.mu
-	call call // that batch; owned by whoever holds busy
-}
-
-// call is one Submit's progress through a replica set.
-type call struct {
+// request is one call for a partition goroutine: a task batch, answered
+// on replyc, or a summary fetch (sumc set) bounded by ctx.
+type request struct {
 	hdr    wire.BatchHeader
 	tasks  []wire.Task
 	replyc chan<- Reply
-	tried  []bool    // endpoints that already failed this batch; nil until one has
-	start  time.Time // when the current attempt was handed to its replica
+	ctx    context.Context
+	sumc   chan<- summaryReply
+}
+
+type summaryReply struct {
+	info SummaryInfo
+	err  error
+}
+
+// fail answers the request with err.
+func (req *request) fail(part int, err error) {
+	if req.sumc != nil {
+		req.sumc <- summaryReply{err: err}
+	} else {
+		req.replyc <- Reply{Shard: part, Err: err}
+	}
 }
 
 // NewReplicated dials every replica of every partition and returns the
@@ -267,12 +269,14 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	for p, dialers := range groups {
 		if len(dialers) == 0 {
-			r.shutdown()
+			r.Close()
 			return nil, fmt.Errorf("shard: partition %d has no replicas", p)
 		}
 		rs := &replicaSet{
 			tr:        r,
 			part:      p,
+			reqs:      make(chan request, 1), // so a Submit to an idle partition never waits
+			tried:     make([]bool, len(dialers)),
 			eps:       make([]endpoint, len(dialers)),
 			retries:   counterOr(opts.Metrics, obs.Name("shard_retries_total", "partition", p)),
 			failovers: counterOr(opts.Metrics, obs.Name("shard_failovers_total", "partition", p)),
@@ -288,23 +292,27 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 				rs.eps[i].lastErr = err
 				continue
 			}
-			rs.install(i, rep, false)
+			rs.install(i, rep)
 		}
 		if rs.live == 0 { // nothing else can see rs yet
-			r.shutdown()
-			return nil, fmt.Errorf("shard: partition %d: no replica reachable: %w", p, rs.allFailed(nil))
+			r.Close()
+			return nil, fmt.Errorf("shard: partition %d: no replica reachable: %w", p, rs.allFailed())
 		}
 	}
 	if err := r.pin(); err != nil {
-		r.shutdown()
+		r.Close()
 		return nil, err
+	}
+	for _, rs := range r.sets {
+		r.wg.Add(1)
+		go rs.serve()
 	}
 	every := opts.ReconnectEvery
 	if every == 0 {
 		every = defaultReconnectEvery
 	}
 	if every > 0 {
-		r.loopWG.Add(1)
+		r.wg.Add(1)
 		go r.reconnectLoop(every)
 	}
 	return r, nil
@@ -377,35 +385,13 @@ func (r *Replicated) Health() []PartitionHealth {
 	return out
 }
 
-// begin admits one batch or summary fetch unless the transport is
-// closed; an admitted call ends with calls.Done, which Close waits for.
-func (r *Replicated) begin() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.closed {
-		r.calls.Add(1)
-	}
-	return !r.closed
-}
-
-// Submit routes the batch to a healthy replica of partition p,
-// retrying siblings on failure; the one Reply (success from the replica
-// that answered, or an all-replicas-failed error) is delivered on
-// replyc. It never waits on a replica — the write to one aside — so the
-// coordinator's fan-out is not held up by a slow or dying one.
+// Submit hands the batch to partition p's goroutine, which answers it
+// on replyc once it has run through the failover loop. It waits only
+// while an earlier call is queued behind the one that goroutine serves,
+// which the engine, one round at a time, never makes.
 func (r *Replicated) Submit(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
-	if !r.begin() {
+	if !r.sets[p].send(request{hdr: h, tasks: tasks, replyc: replyc}) {
 		replyc <- Reply{Shard: p, Err: ErrClosed}
-		return
-	}
-	rs := r.sets[p]
-	c := call{hdr: h, tasks: tasks, replyc: replyc}
-	if cn := rs.pick(nil); cn != nil {
-		cn.send(c)
-	} else {
-		// No idle live replica: a last-resort redial can take as long as
-		// a dial does, so it runs beside the caller, not in front of it.
-		go rs.attempt(c)
 	}
 }
 
@@ -426,7 +412,7 @@ func (r *Replicated) Endpoints() []EndpointInfo {
 					Replica:     i,
 					Addr:        ep.addr,
 					MetricsAddr: ep.hello.MetricsAddr,
-					Live:        ep.conn != nil,
+					Live:        ep.rep != nil,
 				})
 			}
 		}
@@ -435,75 +421,47 @@ func (r *Replicated) Endpoints() []EndpointInfo {
 	return eps
 }
 
-// Summary fetches partition p's boundary summary with the same failover
-// as Submit: healthy replicas in endpoint order, dead ones redialed
-// as a last resort, each failure marking that replica dead — so a
-// replica dying mid-fetch is transparently replaced by a sibling. The
-// SummaryInfo pairs the summary with the serving replica's dial-time
-// hello. A summary whose digest is not the one its replica announced
-// in that hello is refused like a failed fetch: the fleet identity
-// vouches only for announced digests. ctx bounds the whole attempt
-// chain: it bails out early rather than burning the remaining
-// candidates on a deadline that already passed.
+// Summary fetches partition p's boundary summary through the same
+// failover loop as Submit, so a replica dying mid-fetch is
+// transparently replaced by a sibling. The SummaryInfo pairs the
+// summary with the serving replica's dial-time hello. A summary whose
+// digest is not the one its replica announced in that hello is refused
+// like a failed fetch: the fleet identity vouches only for announced
+// digests. ctx bounds the whole attempt chain: it bails out early
+// rather than burning the remaining candidates on a deadline that
+// already passed.
 func (r *Replicated) Summary(ctx context.Context, p int) (SummaryInfo, error) {
-	if !r.begin() {
+	sumc := make(chan summaryReply, 1)
+	if !r.sets[p].send(request{ctx: ctx, sumc: sumc}) {
 		return SummaryInfo{}, ErrClosed
 	}
-	defer r.calls.Done()
-	rs := r.sets[p]
-	tried := make([]bool, len(rs.eps))
-	for attempts := 0; ; attempts++ {
-		if err := ctx.Err(); err != nil {
-			return SummaryInfo{}, fmt.Errorf("shard %d: summary: %w", rs.part, err)
-		}
-		cn := rs.acquire(ctx, tried)
-		if cn == nil {
-			return SummaryInfo{}, rs.allFailed(tried)
-		}
-		if attempts > 0 {
-			rs.retries.Inc()
-		}
-		tried[cn.idx] = true
-		sum, err := cn.rep.Summary(ctx)
-		if d := cn.rep.Hello().SummaryDigest; err == nil && d != 0 && sum.Digest() != d {
-			err = fmt.Errorf("shard %d: summary digest %#x, not the %#x its replica announced", rs.part, sum.Digest(), d)
-		}
-		if err == nil {
-			rs.release(cn)
-			return SummaryInfo{Hello: cn.rep.Hello(), Summary: sum}, nil
-		}
-		rs.markDead(cn, err)
-	}
+	sr := <-sumc
+	return sr.info, sr.err
 }
 
-// Close stops the reconnect loop, closes every live replica (failing
-// any in-flight batch, whose retry chain then ends in an error Reply),
-// and waits for all transport-owned goroutines. Safe to call more than
-// once.
+// Close stops the reconnect loop, closes every live replica — which
+// ends a call in progress, whose failover loop then finds nothing left
+// to try — and waits for every transport-owned goroutine. Safe to call
+// more than once.
 func (r *Replicated) Close() error {
-	r.mu.Lock()
-	already := r.closed
-	r.closed = true
-	r.mu.Unlock()
-	if !already {
-		r.shutdown()
-	}
-	return nil
-}
-
-func (r *Replicated) shutdown() {
-	r.cancel() // aborts in-flight redials along with the reconnect loop
+	r.cancel()
 	for _, rs := range r.sets {
 		if rs != nil {
 			rs.closeAll()
+			rs.sendMu.Lock()
+			if !rs.stopped {
+				rs.stopped = true
+				close(rs.reqs)
+			}
+			rs.sendMu.Unlock()
 		}
 	}
-	r.loopWG.Wait()
-	r.calls.Wait()
+	r.wg.Wait()
+	return nil
 }
 
 func (r *Replicated) reconnectLoop(every time.Duration) {
-	defer r.loopWG.Done()
+	defer r.wg.Done()
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -512,210 +470,192 @@ func (r *Replicated) reconnectLoop(every time.Duration) {
 			return
 		case <-t.C:
 			for _, rs := range r.sets {
-				rs.redial(r.ctx, nil, false)
+				rs.redial(r.ctx, nil)
 			}
 		}
 	}
 }
 
-// attempt hands c to the next replica worth trying, each at most once
-// per batch: idle healthy replicas first in endpoint order, then —
-// only if none remains — a last-resort redial of the dead ones. Only
-// when every replica has failed does the caller get an error Reply,
-// carrying each replica's failure.
-func (rs *replicaSet) attempt(c call) {
-	if cn := rs.acquire(rs.tr.ctx, c.tried); cn != nil {
-		cn.send(c)
-	} else {
-		rs.finish(c, Reply{Err: rs.allFailed(c.tried)})
+// send hands req to the partition goroutine, which answers it; it
+// reports false, leaving the answer to the caller, once the transport is
+// closed.
+func (rs *replicaSet) send(req request) bool {
+	rs.sendMu.Lock()
+	defer rs.sendMu.Unlock()
+	if !rs.stopped {
+		rs.reqs <- req
+	}
+	return !rs.stopped
+}
+
+// serve is the partition's goroutine: it answers the set's calls one at
+// a time, those sent before Close included.
+func (rs *replicaSet) serve() {
+	defer rs.tr.wg.Done()
+	for req := range rs.reqs {
+		rs.call(&req)
 	}
 }
 
-// send starts c on the replica the caller has claimed.
-func (cn *conn) send(c call) {
-	if c.tried != nil {
-		cn.rs.retries.Inc() // this batch is being re-run on a sibling
+// call runs one request through the failover loop, answering it
+// exactly once: each replica at most once, the first live one in
+// endpoint order first — the fixed order keeps a partition's rounds on
+// the replica whose caches the last round warmed — and, only when none
+// is left, a last-resort redial of the dead ones. A replica that fails
+// is marked dead and the request moves on.
+func (rs *replicaSet) call(req *request) {
+	ctx := rs.tr.ctx
+	if req.sumc != nil {
+		// A fetch, and a redial for it, end with the caller's ctx too.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(req.ctx)
+		defer cancel()
+		defer context.AfterFunc(rs.tr.ctx, cancel)()
 	}
-	c.start = time.Now()
-	cn.call = c
-	cn.rep.Submit(c.hdr, c.tasks, cn.done)
-}
-
-// deliver is the replica's answer to the conn's in-flight batch, on the
-// replica's goroutine. A failure gets a goroutine of its own to retry
-// on: closing the failed replica waits for the very goroutine this may
-// be running on, and a redial may follow. A success is handed over as it
-// is: its Results alias the replica's buffers, which stay untouched
-// until the replica's next submit — and the set hands a replica one
-// batch at a time, the next no sooner than the coordinator's next
-// Submit, as Transport allows.
-func (cn *conn) deliver(reply Reply) {
-	rs, c := cn.rs, cn.call
-	rs.eps[cn.idx].lat.ObserveSince(c.start)
-	if reply.Err != nil {
-		go rs.failed(cn, c, reply.Err)
-		return
+	clear(rs.tried)
+	for attempts := 0; ; attempts++ {
+		if req.sumc != nil && req.ctx.Err() != nil {
+			req.fail(rs.part, fmt.Errorf("shard %d: summary: %w", rs.part, req.ctx.Err()))
+			return
+		}
+		i, rep := rs.pick(rs.tried)
+		if rep == nil {
+			rs.redial(ctx, rs.tried)
+			if i, rep = rs.pick(rs.tried); rep == nil {
+				req.fail(rs.part, rs.allFailed())
+				return
+			}
+		}
+		if attempts > 0 {
+			rs.retries.Inc() // this call is being re-run on a sibling
+		}
+		err := rs.attempt(ctx, req, i, rep)
+		if err == nil {
+			return
+		}
+		rs.tried[i] = true
+		rs.markDead(i, err)
+		rep.Close()
 	}
-	rs.release(cn)
-	rs.finish(c, reply)
 }
 
-// failed retires the replica that failed c and moves c on to the next
-// candidate, which is correct because local searches are idempotent
-// reads.
-func (rs *replicaSet) failed(cn *conn, c call, err error) {
-	rs.markDead(cn, err)
-	if c.tried == nil {
-		c.tried = make([]bool, len(rs.eps))
-	}
-	c.tried[cn.idx] = true
-	rs.attempt(c)
-}
-
-// finish delivers c's one Reply and retires the call.
-func (rs *replicaSet) finish(c call, reply Reply) {
-	reply.Shard = rs.part
-	c.replyc <- reply
-	rs.tr.calls.Done()
-}
-
-// acquire claims the next replica to try for a batch or fetch that has
-// already tried the given endpoints (nil: none yet): an idle live one,
-// or failing that, a dead one brought back.
-func (rs *replicaSet) acquire(ctx context.Context, tried []bool) *conn {
-	if cn := rs.pick(tried); cn != nil {
-		return cn
-	}
-	return rs.redial(ctx, tried, true)
-}
-
-// release returns a claimed conn to the idle pool.
-func (rs *replicaSet) release(cn *conn) {
-	rs.mu.Lock()
-	cn.busy, cn.call = false, call{}
-	rs.mu.Unlock()
-}
-
-// pick returns the first untried idle healthy replica in endpoint
-// order, or nil if none remains, marking the returned replica busy.
-// The fixed order keeps a partition's rounds on the replica whose
-// caches the last round warmed; a sibling serves only while that one is
-// busy or dead. A standby that dies while idle is found when a round
-// first fails over to it, like any dead replica. Skipping busy replicas
-// keeps each replica to at most one in-flight batch or summary fetch,
-// so its decode buffers hold one reply at a time.
-func (rs *replicaSet) pick(tried []bool) *conn {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.pickLocked(tried)
-}
-
-func (rs *replicaSet) pickLocked(tried []bool) *conn {
-	if rs.closed {
+// attempt runs req on replica i, answering it on success.
+func (rs *replicaSet) attempt(ctx context.Context, req *request, i int, rep Replica) error {
+	if req.sumc == nil {
+		start := time.Now()
+		reply := rep.Run(req.hdr, req.tasks)
+		rs.eps[i].lat.ObserveSince(start)
+		if reply.Err != nil {
+			return reply.Err
+		}
+		reply.Shard = rs.part
+		req.replyc <- reply
 		return nil
 	}
-	for idx := range rs.eps {
-		if cn := rs.eps[idx].conn; cn != nil && !cn.busy && !(tried != nil && tried[idx]) {
-			cn.busy = true
-			return cn
-		}
+	sum, err := rep.Summary(ctx)
+	if d := rep.Hello().SummaryDigest; err == nil && d != 0 && sum.Digest() != d {
+		err = fmt.Errorf("shard %d: summary digest %#x, not the %#x its replica announced", rs.part, sum.Digest(), d)
 	}
-	return nil
+	if err == nil {
+		req.sumc <- summaryReply{info: SummaryInfo{Hello: rep.Hello(), Summary: sum}}
+	}
+	return err
 }
 
-// redial dials every untried dead endpoint once; the reconnect loop
-// parks whatever comes back for future picks. With claim set it is the
-// in-query last resort — with no healthy replica left the batch would
-// fail anyway, and a fresh dial catches a replica that came back
-// between reconnect ticks — and returns the first replica to come up,
-// claimed for the caller. Dials are serialized so an endpoint is never
-// dialed twice concurrently.
-func (rs *replicaSet) redial(ctx context.Context, tried []bool, claim bool) *conn {
-	rs.dialMu.Lock()
-	defer rs.dialMu.Unlock()
-	if claim {
-		// Another redial may have revived one while we waited for dialMu.
-		if cn := rs.pick(tried); cn != nil {
-			return cn
+// pick returns the first live replica in endpoint order not in skip,
+// or -1 and nil if none remains.
+func (rs *replicaSet) pick(skip []bool) (int, Replica) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for i := range rs.eps {
+		if rep := rs.eps[i].rep; rep != nil && !rs.closed && !(skip != nil && skip[i]) {
+			return i, rep
 		}
 	}
-	for idx := range rs.eps {
+	return -1, nil
+}
+
+// redial dials every dead endpoint not in skip once and installs what
+// comes back. For the in-query last resort (skip non-nil) it stops as
+// soon as a replica is live: with no healthy replica left the call
+// would fail anyway, and a fresh dial catches a replica that came back
+// between reconnect ticks. Only that redial runs on a partition
+// goroutine; the reconnect loop's dials stay off them.
+func (rs *replicaSet) redial(ctx context.Context, skip []bool) {
+	rs.dialMu.Lock()
+	defer rs.dialMu.Unlock()
+	for i := range rs.eps {
+		if skip != nil {
+			if j, _ := rs.pick(skip); j >= 0 {
+				return // live already, maybe revived by the reconnect loop
+			}
+		}
 		rs.mu.Lock()
-		dead := rs.eps[idx].conn == nil && !rs.closed
+		dead := rs.eps[i].rep == nil && !rs.closed
 		rs.mu.Unlock()
 		// A done ctx: transport closed (or deadline hit) mid-redial.
-		if !dead || (tried != nil && tried[idx]) || ctx.Err() != nil {
+		if !dead || (skip != nil && skip[i]) || ctx.Err() != nil {
 			continue
 		}
 		rs.redials.Inc()
-		rep, err := rs.eps[idx].dial(ctx)
+		rep, err := rs.eps[i].dial(ctx)
 		if err != nil {
 			rs.mu.Lock()
-			rs.eps[idx].lastErr = err
+			rs.eps[i].lastErr = err
 			rs.mu.Unlock()
 			continue
 		}
-		if cn := rs.install(idx, rep, claim); cn != nil && claim {
-			return cn
-		}
+		rs.install(i, rep)
 	}
-	return nil
 }
 
-// install stores a freshly dialed replica, returning its conn — marked
-// busy for the caller's own use if claim is set. A replica that fails
-// the fleet identity is closed, with the mismatch as the endpoint's
-// lastErr — it stays dead until it comes back serving the right
-// deployment — as is one whose set was closed mid-dial.
-func (rs *replicaSet) install(idx int, rep Replica, claim bool) *conn {
+// install stores a freshly dialed replica in endpoint i. A replica that
+// fails the fleet identity is closed, with the mismatch as the
+// endpoint's lastErr — it stays dead until it comes back serving the
+// right deployment — as is one whose set was closed mid-dial.
+func (rs *replicaSet) install(i int, rep Replica) {
 	rs.mu.Lock()
-	ep := &rs.eps[idx]
+	ep := &rs.eps[i]
 	if !rs.closed {
 		ep.lastErr = rs.tr.id.check(rep.Hello())
 	}
 	if rs.closed || ep.lastErr != nil {
 		rs.mu.Unlock()
 		rep.Close()
-		return nil
+		return
 	}
-	cn := &conn{rs: rs, idx: idx, rep: rep, busy: claim}
-	cn.done = cn.deliver
-	ep.conn = cn
+	ep.rep = rep
 	if cc, ok := rep.(*clientConn); ok {
 		ep.addr, ep.hello = cc.addr, cc.hello
 	}
 	rs.live++
 	rs.liveG.Set(int64(rs.live))
 	rs.mu.Unlock()
-	return cn
 }
 
-// markDead releases a claimed conn that failed, records why and closes
-// it — unless a redial already replaced it with a fresh conn (then the
-// fresh one is left alone and only the failed one is closed).
-func (rs *replicaSet) markDead(cn *conn, err error) {
+// markDead empties endpoint i, which failed with err — unless Close
+// emptied it first. The caller closes the replica.
+func (rs *replicaSet) markDead(i int, err error) {
 	rs.mu.Lock()
-	cn.busy, cn.call = false, call{}
-	if ep := &rs.eps[cn.idx]; ep.conn == cn {
-		ep.conn, ep.lastErr = nil, err
+	defer rs.mu.Unlock()
+	if ep := &rs.eps[i]; ep.rep != nil {
+		ep.rep, ep.lastErr = nil, err
 		rs.failovers.Inc() // a live replica just transitioned to dead
 		rs.live--
 		rs.liveG.Set(int64(rs.live))
 	}
-	rs.mu.Unlock()
-	cn.rep.Close()
 }
 
-// closeAll empties every live endpoint and closes its replica —
-// outside the lock: closing one waits for its goroutine.
+// closeAll empties every live endpoint and closes its replica, which
+// ends a call in progress on it.
 func (rs *replicaSet) closeAll() {
 	rs.mu.Lock()
 	rs.closed = true
 	var live []Replica
 	for i := range rs.eps {
-		if ep := &rs.eps[i]; ep.conn != nil {
-			live = append(live, ep.conn.rep)
-			ep.conn, ep.lastErr = nil, ErrClosed
+		if ep := &rs.eps[i]; ep.rep != nil {
+			live = append(live, ep.rep)
+			ep.rep, ep.lastErr = nil, ErrClosed
 		}
 	}
 	rs.live = 0
@@ -726,23 +666,15 @@ func (rs *replicaSet) closeAll() {
 	}
 }
 
-// allFailed snapshots the per-replica detail for a batch or fetch that
-// found no replica to answer it, having tried the given endpoints (nil:
-// none). A replica that is alive but still serving an earlier call —
-// a batch or summary fetch that a concurrent Submit or Summary on the
-// same set started — says so: that is contention, not an outage.
-func (rs *replicaSet) allFailed(tried []bool) *ReplicaSetError {
+// allFailed snapshots the per-replica detail for a call that found no
+// replica to answer it.
+func (rs *replicaSet) allFailed() *ReplicaSetError {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	e := &ReplicaSetError{Part: rs.part, Replicas: make([]ReplicaError, len(rs.eps))}
 	for i := range rs.eps {
-		ep := &rs.eps[i]
-		e.Replicas[i] = ReplicaError{Replica: i, Err: ep.lastErr}
-		switch {
-		case ep.lastErr != nil:
-		case ep.conn != nil && ep.conn.busy && !(tried != nil && tried[i]):
-			e.Replicas[i].Err = errors.New("live, but busy with an earlier batch")
-		default:
+		e.Replicas[i] = ReplicaError{Replica: i, Err: rs.eps[i].lastErr}
+		if e.Replicas[i].Err == nil {
 			e.Replicas[i].Err = errors.New("failed during this batch")
 		}
 	}

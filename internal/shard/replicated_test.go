@@ -19,9 +19,10 @@ import (
 // redial of the endpoint produces a fresh replica instance (as a real
 // dialer would produce a fresh connection) that consults this control.
 type flakyControl struct {
-	failNext atomic.Int32 // submits to fail with an injected error
-	submits  atomic.Int32 // total submits served across all instances
-	dialDown atomic.Bool  // endpoint refuses redials while true
+	failNext atomic.Int32              // batches to fail with an injected error
+	submits  atomic.Int32              // total batches served across all instances
+	dialDown atomic.Bool               // endpoint refuses redials while true
+	handed   atomic.Pointer[wire.Task] // first task of the latest batch
 }
 
 // dialer returns a ReplicaDialer for the endpoint. The shard may be
@@ -41,19 +42,19 @@ type flakyReplica struct {
 	inner Replica
 }
 
-func (f *flakyReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(Reply)) {
+func (f *flakyReplica) Run(h wire.BatchHeader, tasks []wire.Task) Reply {
 	f.ctl.submits.Add(1)
+	f.ctl.handed.Store(&tasks[0])
 	for {
 		n := f.ctl.failNext.Load()
 		if n <= 0 {
 			break
 		}
 		if f.ctl.failNext.CompareAndSwap(n, n-1) {
-			done(Reply{Err: errors.New("flaky: injected failure")})
-			return
+			return Reply{Err: errors.New("flaky: injected failure")}
 		}
 	}
-	f.inner.Submit(h, tasks, done)
+	return f.inner.Run(h, tasks)
 }
 
 func (f *flakyReplica) Summary(ctx context.Context) (wire.Summary, error) {
@@ -110,17 +111,6 @@ func recv(t *testing.T, replyc <-chan Reply) Reply {
 	}
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // chainTask is a batch of one task: forward from vertex 0, which
 // partition 0 of the chain fixture answers with boundary vertex 1.
 var chainTask = []wire.Task{{Kind: wire.Forward, Query: 1, Seeds: []int32{0}}}
@@ -131,61 +121,6 @@ func wantChainAnswer(t *testing.T, who string, rep Reply) {
 		t.Fatalf("%s answered wrong: %+v", who, rep)
 	}
 }
-
-// gatedReplica holds every submitted batch and every summary fetch
-// until the gate is released — a deterministic slow replica — and then,
-// if fail is set, answers a held batch with an error instead of running
-// it. Like any Replica it does the waiting on a goroutine of its own,
-// not the submitter's, and Close answers what is in flight: it opens
-// the gate.
-type gatedReplica struct {
-	inner   Replica
-	gate    chan struct{}
-	open    sync.Once
-	fail    atomic.Bool
-	submits atomic.Int32
-	fetches atomic.Int32
-	handed  atomic.Pointer[wire.Task] // first task of the latest batch
-}
-
-func newGated(sh *Shard) *gatedReplica {
-	return &gatedReplica{inner: NewLocalReplica(sh), gate: make(chan struct{})}
-}
-
-// dialer returns a ReplicaDialer that hands out g itself.
-func (g *gatedReplica) dialer() ReplicaDialer {
-	return func(context.Context) (Replica, error) { return g, nil }
-}
-
-// release opens the gate for good: held calls proceed, later ones pass
-// straight through.
-func (g *gatedReplica) release() { g.open.Do(func() { close(g.gate) }) }
-
-func (g *gatedReplica) Submit(h wire.BatchHeader, tasks []wire.Task, done func(Reply)) {
-	g.handed.Store(&tasks[0])
-	g.submits.Add(1)
-	go func() {
-		<-g.gate
-		if g.fail.Load() {
-			done(Reply{Err: errGated})
-			return
-		}
-		g.inner.Submit(h, tasks, done)
-	}()
-}
-
-func (g *gatedReplica) Summary(ctx context.Context) (wire.Summary, error) {
-	g.fetches.Add(1)
-	<-g.gate
-	return g.inner.Summary(ctx)
-}
-func (g *gatedReplica) Hello() wire.Hello { return g.inner.Hello() }
-func (g *gatedReplica) Close() error {
-	g.release()
-	return g.inner.Close()
-}
-
-var errGated = errors.New("gated: injected failure")
 
 // TestReplicatedFailsOverMidQuery: a batch whose chosen replica dies
 // mid-query is retried on the sibling and still answered correctly.
@@ -321,10 +256,9 @@ func TestReplicatedRedialsWhenNoneLive(t *testing.T) {
 	}
 }
 
-// TestReplicatedAffinity: successive submits land on the first idle
-// healthy replica, so a partition's rounds stay on one warm replica and
-// its sibling stands by; a batch that finds that replica busy goes to
-// the sibling.
+// TestReplicatedAffinity: successive submits land on the first healthy
+// replica, so a partition's rounds stay on one warm replica and its
+// sibling stands by; a batch that replica fails goes to the sibling.
 func TestReplicatedAffinity(t *testing.T) {
 	groups, flaky := localGroups(t, 2)
 	tr, err := NewReplicated(t.Context(), groups, ReplicatedOptions{ReconnectEvery: -1})
@@ -341,13 +275,12 @@ func TestReplicatedAffinity(t *testing.T) {
 	if a != 8 || b != 0 {
 		t.Fatalf("submits not kept on the first replica: replica 0 served %d, replica 1 served %d", a, b)
 	}
-	held := tr.sets[2].pick(nil) // replica 0, busy as if serving a batch
+	flaky[2][0].failNext.Store(1)
 	if rep := submitOne(t, tr, 2, 4); rep.Err != nil {
 		t.Fatal(rep.Err)
 	}
-	tr.sets[2].release(held)
 	if b := flaky[2][1].submits.Load(); b != 1 {
-		t.Fatalf("a submit that found replica 0 busy: replica 1 served %d, want 1", b)
+		t.Fatalf("a submit that replica 0 failed: replica 1 served %d, want 1", b)
 	}
 }
 
@@ -359,7 +292,7 @@ func TestReplicatedAffinity(t *testing.T) {
 func TestReplicatedSubmitAliasesReplies(t *testing.T) {
 	for _, R := range []int{1, 2} {
 		t.Run(fmt.Sprintf("R=%d", R), func(t *testing.T) {
-			groups, _ := localGroups(t, R)
+			groups, ctls := localGroups(t, R)
 			tr, err := NewReplicated(t.Context(), groups, ReplicatedOptions{ReconnectEvery: -1})
 			if err != nil {
 				t.Fatal(err)
@@ -376,6 +309,9 @@ func TestReplicatedSubmitAliasesReplies(t *testing.T) {
 			if results[0] != results[1] {
 				t.Error("replies do not alias the replica's buffers")
 			}
+			if ctls[0][0].handed.Load() != &chainTask[0] {
+				t.Error("the replica was handed a copy of the caller's tasks")
+			}
 			if raceEnabled {
 				return // instrumentation allocates
 			}
@@ -386,93 +322,6 @@ func TestReplicatedSubmitAliasesReplies(t *testing.T) {
 				t.Errorf("%v allocs per Submit, want 0", allocs)
 			}
 		})
-	}
-}
-
-// TestReplicaSetErrorNamesBusyReplicas: a batch that finds every
-// replica of its partition alive but still serving an earlier call —
-// a concurrent Submit's batch, or a Summary's fetch — fails, since the
-// transport does not queue, but says what it found: busy replicas are
-// not reported as failed ones, and a replica that did fail under this
-// batch still is.
-func TestReplicaSetErrorNamesBusyReplicas(t *testing.T) {
-	shardsA, _ := chainFixture(t)
-	shardsB, _ := chainFixture(t)
-	a, b := newGated(shardsA[0]), newGated(shardsB[0])
-	tr, err := NewReplicated(t.Context(), [][]ReplicaDialer{{a.dialer(), b.dialer()}}, ReplicatedOptions{ReconnectEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	held := make(chan Reply, 2)
-	tr.Submit(0, wire.BatchHeader{}, chainTask, held)
-	tr.Submit(0, wire.BatchHeader{}, chainTask, held)
-	waitFor(t, "both replicas to be busy", func() bool { return a.submits.Load() == 1 && b.submits.Load() == 1 })
-	if a.handed.Load() != &chainTask[0] {
-		t.Fatal("the replica was handed a copy of the caller's tasks")
-	}
-
-	var rse *ReplicaSetError
-	if rep := submitOne(t, tr, 0, 0); !errors.As(rep.Err, &rse) {
-		t.Fatalf("a third batch over two busy replicas: %+v, want a ReplicaSetError", rep)
-	}
-	for _, re := range rse.Replicas {
-		if msg := re.Err.Error(); !strings.Contains(msg, "busy") || strings.Contains(msg, "failed") {
-			t.Errorf("replica %d is alive and busy, reported as %q", re.Replica, msg)
-		}
-	}
-	if h := tr.Health()[0]; h.Live != 2 || h.Failovers != 0 {
-		t.Fatalf("busy replicas were written off: %+v", h)
-	}
-
-	// Now one that really fails under the batch, beside a busy one.
-	b.fail.Store(true)
-	b.release()
-	if rep := recv(t, held); rep.Err == nil {
-		t.Fatal("the held batch on the failing replica succeeded")
-	}
-	waitFor(t, "the failed replica to be marked dead", func() bool { return tr.Health()[0].Live == 1 })
-	if rep := submitOne(t, tr, 0, 0); !errors.As(rep.Err, &rse) {
-		t.Fatalf("a batch over one busy and one dead replica: %+v, want a ReplicaSetError", rep)
-	}
-	if msg := rse.Replicas[0].Err.Error(); !strings.Contains(msg, "busy") {
-		t.Errorf("replica 0 is alive and busy, reported as %q", msg)
-	}
-	if rse.Replicas[1].Err != errGated {
-		t.Errorf("replica 1 failed, reported as %q", rse.Replicas[1].Err)
-	}
-	a.release()
-	wantChainAnswer(t, "the first held batch", recv(t, held))
-
-	// A summary fetch holds its replica too: a batch whose only other
-	// replica fails under it finds the fetching one busy.
-	c, d := newGated(shardsA[0]), newGated(shardsB[0])
-	tr2, err := NewReplicated(t.Context(), [][]ReplicaDialer{{c.dialer(), d.dialer()}}, ReplicatedOptions{ReconnectEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr2.Close()
-	fetched := make(chan error, 1)
-	go func() {
-		_, err := tr2.Summary(t.Context(), 0)
-		fetched <- err
-	}()
-	waitFor(t, "the summary fetch to hold replica 0", func() bool { return c.fetches.Load() == 1 })
-	d.fail.Store(true)
-	d.release()
-	if rep := submitOne(t, tr2, 0, 0); !errors.As(rep.Err, &rse) {
-		t.Fatalf("a batch beside a summary fetch, its sibling failing: %+v, want a ReplicaSetError", rep)
-	}
-	if msg := rse.Replicas[0].Err.Error(); !strings.Contains(msg, "busy") {
-		t.Errorf("replica 0 is alive and fetching a summary, reported as %q", msg)
-	}
-	if rse.Replicas[1].Err != errGated {
-		t.Errorf("replica 1 failed, reported as %q", rse.Replicas[1].Err)
-	}
-	c.release()
-	if err := <-fetched; err != nil {
-		t.Fatalf("the held summary fetch: %v", err)
 	}
 }
 

@@ -3,13 +3,14 @@
 // key component on its way, the coordinator's skeleton of summary edges
 // carrying the rest — and a Transport carries task batches from the
 // coordinator to shards. There is one transport, Replicated — a set of
-// interchangeable replicas per partition — and two kinds of Replica
-// under it: an in-process worker (NewLoopback) and a TCP connection to
-// a Server speaking the internal/wire protocol (Dial, DialReplicated).
-// The coordinator in internal/dsr only ever speaks Transport — one
-// Reply per Submit; failover and redials happen behind it — so the
-// single-process engine is literally the distributed one running over
-// in-process replicas.
+// interchangeable replicas per partition, owned by one goroutine that
+// serves the partition's calls one at a time, as the engine makes them
+// — and two kinds of Replica under it, both synchronous: an in-process
+// Shard (NewLoopback) and a TCP connection to a Server speaking the
+// internal/wire protocol (Dial, DialReplicated). The coordinator in
+// internal/dsr only ever speaks Transport — one Reply per Submit;
+// failover and redials happen behind it — so the single-process engine
+// is literally the distributed one running over in-process replicas.
 package shard
 
 import (

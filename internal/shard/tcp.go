@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dsr/internal/obs"
@@ -46,9 +45,10 @@ type Server struct {
 	draining bool
 	wg       sync.WaitGroup
 
-	met  atomic.Pointer[netMetrics] // net_server_* frame counters
-	srv  atomic.Pointer[srvMetrics] // shard_server_* per-batch metrics
-	logp atomic.Pointer[obs.Logger] // protocol-failure logging
+	// Telemetry, set by Instrument before Serve; nil (a no-op) without.
+	met *netMetrics // net_server_* frame counters
+	srv *srvMetrics // shard_server_* per-batch metrics
+	log *obs.Logger // protocol-failure logging
 }
 
 // srvMetrics holds the server's per-batch metrics. The phase
@@ -102,20 +102,19 @@ func (st *srvMetrics) observe(t wire.ServerTiming, tasks int, run RunStats) {
 // shard_components{region=…} gauges — how the partition's components
 // split by what its boundary can see of them (Shard.Regions), which is
 // how much of it no sweep ever expands — and a logger for
-// connection-level protocol failures. Safe to call at any time — before
-// Serve in the normal case, or while serving (the slots are swapped
-// atomically). A nil argument leaves its slot untouched.
+// connection-level protocol failures. Call before Serve. A nil argument
+// leaves its part untouched.
 func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger) {
 	if reg != nil {
-		s.met.Store(newNetMetrics(reg, "net_server"))
-		s.srv.Store(newSrvMetrics(reg))
+		s.met = newNetMetrics(reg, "net_server")
+		s.srv = newSrvMetrics(reg)
 		r := s.sh.Regions()
 		for region, n := range map[string]int{"path": r.Path, "sink": r.Sink, "source": r.Source, "interior": r.Interior} {
 			reg.Gauge(obs.Name("shard_components", "region", region)).Set(int64(n))
 		}
 	}
 	if log != nil {
-		s.logp.Store(log)
+		s.log = log
 	}
 }
 
@@ -130,9 +129,6 @@ func (s *Server) AnnounceMetrics(addr string) {
 	}
 	s.hello.MetricsAddr = addr
 }
-
-// logger returns the instrumented logger (nil, a no-op, by default).
-func (s *Server) logger() *obs.Logger { return s.logp.Load() }
 
 // NewServer returns a server for sh. numShards and numVertices describe
 // the whole deployment, graphSum fingerprints the exact edge set the
@@ -305,22 +301,21 @@ func (s *Server) handle(c net.Conn) {
 	var seedArena []int32
 
 	wbuf = wire.AppendHello(wbuf[:0], s.hello)
-	if sendFrame(bw, wbuf, s.met.Load()) != nil {
+	if sendFrame(bw, wbuf, s.met) != nil {
 		return
 	}
 
 	fail := func(msg string) {
-		s.logger().Warnf("dropping connection from %s: %s", c.RemoteAddr(), msg)
+		s.log.Warnf("dropping connection from %s: %s", c.RemoteAddr(), msg)
 		wbuf = wire.AppendError(wbuf[:0], msg)
-		sendFrame(bw, wbuf, s.met.Load())
+		sendFrame(bw, wbuf, s.met)
 	}
 	for {
 		p, err := wire.ReadFrame(br, rbuf)
 		if err != nil {
 			return // EOF or broken conn: just drop it
 		}
-		met := s.met.Load()
-		met.frameIn(len(p))
+		s.met.frameIn(len(p))
 		if !s.beginBatch(c) {
 			return // draining: refuse batches that haven't started executing
 		}
@@ -329,7 +324,7 @@ func (s *Server) handle(c net.Conn) {
 		switch {
 		case err == nil && ty == wire.MsgSummaryRequest:
 			// Served from the immutable pre-encoded frame; no shard lock.
-			if sendFrame(bw, s.summary, met) != nil {
+			if sendFrame(bw, s.summary, s.met) != nil {
 				return
 			}
 		case err == nil && ty == wire.MsgTasks:
@@ -340,7 +335,7 @@ func (s *Server) handle(c net.Conn) {
 			var hdr wire.BatchHeader
 			hdr, tasks, seedArena, err = wire.DecodeTasks(p, tasks[:0], seedArena[:0])
 			if err != nil {
-				met.decodeErr()
+				s.met.decodeErr()
 				fail(fmt.Sprintf("shard %d: bad task batch: %v", s.sh.ID(), err))
 				return
 			}
@@ -363,15 +358,15 @@ func (s *Server) handle(c net.Conn) {
 				Search: uint64(t3.Sub(t2)),
 				Encode: uint64(t4.Sub(t3)),
 			}
-			s.srv.Load().observe(timing, len(tasks), run)
+			s.srv.observe(timing, len(tasks), run)
 			if hdr.Trace {
 				wbuf = wire.AppendServerTiming(wbuf, timing)
 			}
-			if sendFrame(bw, wbuf, met) != nil {
+			if sendFrame(bw, wbuf, s.met) != nil {
 				return
 			}
 		default:
-			met.decodeErr()
+			s.met.decodeErr()
 			fail(fmt.Sprintf("shard %d: want MsgTasks or MsgSummaryRequest, got %#02x", s.sh.ID(), ty))
 			return
 		}
@@ -382,39 +377,28 @@ func (s *Server) handle(c net.Conn) {
 }
 
 // clientConn is one live connection to a shard server, the TCP kind of
-// Replica: requests are written in Submit order and responses matched
-// back FIFO (the server answers a connection's requests strictly in
-// order) by the connection's reader goroutine, which is also the
-// goroutine that hands each Reply to its submitter.
+// Replica: each call writes its request frame and reads the one
+// response frame on the caller's goroutine. A response that does not
+// answer the call — an error frame, another message type, results
+// for another batch ID — fails the connection, as does any I/O or
+// decode error: a broken connection fails every later call with the
+// error that broke it.
 type clientConn struct {
 	shard int
 	addr  string
 	c     net.Conn
+	br    *bufio.Reader
 	bw    *bufio.Writer
-	hello wire.Hello // the identity the server presented at dial time
+	hello wire.Hello  // the identity the server presented at dial time
+	met   *netMetrics // net_client_* frame counters; nil (a no-op) without a registry
 
-	mu      sync.Mutex // guards writes, pending, broken
-	pending []pendingReq
-	broken  error
-	wbuf    []byte
+	// Buffers reused call to call; replies alias rbuf, results and arena.
+	wbuf, rbuf []byte
+	results    []wire.Result
+	arena      []uint32
 
-	met *netMetrics // net_client_* frame counters; nil (a no-op) without a registry
-
-	done chan struct{} // closed when the reader goroutine exits
-}
-
-// pendingReq is one in-flight request awaiting its response frame.
-// Exactly one of done (a task batch) and sumc (a summary request) is
-// non-nil; the reader uses the tag to decide which decoder a response
-// frame feeds.
-type pendingReq struct {
-	done func(Reply)
-	sumc chan summaryReply
-}
-
-type summaryReply struct {
-	sum wire.Summary
-	err error
+	mu     sync.Mutex // guards broken: Close and a cancelled Summary come from other goroutines
+	broken error
 }
 
 // dialShard connects to the dsr-shard server at addr and verifies its
@@ -432,8 +416,9 @@ func dialShard(ctx context.Context, i int, addr string, numShards int, want expe
 		helloDeadline = dl
 	}
 	c.SetReadDeadline(helloDeadline)
+	br := bufio.NewReader(c)
 	var h wire.Hello
-	p, err := wire.ReadFrame(c, nil)
+	p, err := wire.ReadFrame(br, nil)
 	if err == nil {
 		h, err = wire.DecodeHello(p)
 	}
@@ -452,192 +437,100 @@ func dialShard(ctx context.Context, i int, addr string, numShards int, want expe
 		return nil, fmt.Errorf("shard %d (%s): %w", i, addr, err)
 	}
 	c.SetReadDeadline(time.Time{})
-	cc := &clientConn{shard: i, addr: addr, c: c, bw: bufio.NewWriter(c), hello: h, met: met, done: make(chan struct{})}
-	cc.met.frameIn(len(p)) // the hello frame consumed above
-	go cc.readLoop()
-	return cc, nil
+	met.frameIn(len(p)) // the hello frame consumed above
+	return &clientConn{shard: i, addr: addr, c: c, br: br, bw: bufio.NewWriter(c), hello: h, met: met}, nil
 }
 
-// request registers pr as pending and writes its request frame — the
-// task batch, or for a summary request (pr.sumc set) the bare request —
-// reporting the error of a connection that is, or hereby becomes,
-// broken; pr is then not pending.
-func (cc *clientConn) request(pr pendingReq, h wire.BatchHeader, tasks []wire.Task) error {
+// fail marks the connection broken by err, unless it already is, and
+// closes it, which ends a call blocked on it. It returns the error that
+// broke the connection.
+func (cc *clientConn) fail(err error) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if cc.broken != nil {
-		return cc.broken
+	if cc.broken == nil {
+		cc.broken = err
+		cc.c.Close()
 	}
-	// Register before writing: the reader pops pending FIFO as response
-	// frames arrive, and a response can only follow a completed write.
-	cc.pending = append(cc.pending, pr)
-	if pr.sumc != nil {
-		cc.wbuf = wire.AppendSummaryRequest(cc.wbuf[:0])
-	} else {
-		cc.wbuf = wire.AppendTasks(cc.wbuf[:0], h, tasks)
+	return cc.broken
+}
+
+// roundTrip writes the request frame in wbuf and reads the response
+// frame, failing the connection on an error frame; the caller's decoder
+// refuses a frame of any other type than its own.
+func (cc *clientConn) roundTrip() ([]byte, error) {
+	cc.mu.Lock()
+	err := cc.broken
+	cc.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	if err := sendFrame(cc.bw, cc.wbuf, cc.met); err != nil {
-		cc.broken = fmt.Errorf("shard %d (%s): write: %w", cc.shard, cc.addr, err)
-		cc.pending = cc.pending[:len(cc.pending)-1]
-		cc.c.Close() // wake the reader so it fails any earlier pending
-		return cc.broken
+		return nil, cc.fail(fmt.Errorf("shard %d (%s): write: %w", cc.shard, cc.addr, err))
 	}
-	return nil
+	p, err := wire.ReadFrame(cc.br, cc.rbuf)
+	if err != nil {
+		return nil, cc.fail(fmt.Errorf("shard %d (%s): read: %w", cc.shard, cc.addr, err))
+	}
+	cc.met.frameIn(len(p))
+	cc.rbuf = p
+	if ty, _ := wire.MsgType(p); ty == wire.MsgError {
+		msg, err := wire.DecodeError(p)
+		if err != nil {
+			msg = "undecodable server error"
+		}
+		return nil, cc.fail(fmt.Errorf("shard %d (%s): server error: %s", cc.shard, cc.addr, msg))
+	}
+	return p, nil
 }
 
-// Submit encodes and writes the batch to the connection (Replica
-// interface). The reader hands the Reply to done when the response
-// frame is read; a broken connection answers with its error at once.
-func (cc *clientConn) Submit(h wire.BatchHeader, tasks []wire.Task, done func(Reply)) {
-	if err := cc.request(pendingReq{done: done}, h, tasks); err != nil {
-		done(Reply{Shard: cc.shard, Err: err})
+// Run sends the batch and decodes its answer (Replica interface). The
+// Results alias the connection's decode buffers until its next call.
+func (cc *clientConn) Run(h wire.BatchHeader, tasks []wire.Task) Reply {
+	cc.wbuf = wire.AppendTasks(cc.wbuf[:0], h, tasks)
+	p, err := cc.roundTrip()
+	if err == nil {
+		var info wire.ResultsInfo
+		info, cc.results, cc.arena, err = wire.DecodeResults(p, cc.results[:0], cc.arena[:0])
+		switch {
+		case err != nil:
+			cc.met.decodeErr()
+			err = cc.fail(fmt.Errorf("shard %d (%s): bad response: %w", cc.shard, cc.addr, err))
+		case info.Batch != h.Batch:
+			err = cc.fail(fmt.Errorf("shard %d (%s): response for batch %d does not answer batch %d", cc.shard, cc.addr, info.Batch, h.Batch))
+		default:
+			return Reply{Shard: cc.shard, Results: cc.results, Batch: info.Batch, HasTiming: info.HasTiming, Timing: info.Timing}
+		}
 	}
+	return Reply{Shard: cc.shard, Err: err}
 }
 
-// Summary requests the shard's boundary summary and waits for the
-// response frame (Replica interface). The returned slices alias the
-// reader's decode buffers: valid until the next Submit or Summary on
-// this connection. On ctx cancellation the connection is torn down —
-// the protocol has no way to abandon one in-flight request without
-// desynchronizing the FIFO.
+// Summary requests the shard's boundary summary (Replica interface).
+// The returned slices alias the connection's read buffer until its next
+// call. On ctx cancellation the connection is torn down — the protocol
+// has no way to abandon one request in flight and keep the connection
+// in step.
 func (cc *clientConn) Summary(ctx context.Context) (wire.Summary, error) {
-	sumc := make(chan summaryReply, 1)
-	if err := cc.request(pendingReq{sumc: sumc}, wire.BatchHeader{}, nil); err != nil {
+	defer context.AfterFunc(ctx, func() { cc.fail(ctx.Err()) })()
+	cc.wbuf = wire.AppendSummaryRequest(cc.wbuf[:0])
+	p, err := cc.roundTrip()
+	if err != nil {
 		return wire.Summary{}, err
 	}
-	select {
-	case sr := <-sumc:
-		return sr.sum, sr.err
-	case <-ctx.Done():
-		cc.fail(ctx.Err())
-		cc.c.Close()
-		// fail (here or in the reader) delivers exactly one summaryReply
-		// to the buffered channel; drain it so nothing dangles.
-		sr := <-sumc
-		if sr.err == nil {
-			return sr.sum, nil // response raced the cancellation and won
-		}
-		return wire.Summary{}, ctx.Err()
+	sum, err := wire.DecodeSummary(p)
+	if err != nil {
+		cc.met.decodeErr()
+		return wire.Summary{}, cc.fail(fmt.Errorf("shard %d (%s): bad summary: %w", cc.shard, cc.addr, err))
 	}
+	return sum, nil
 }
 
 // Hello reports the identity the server presented at dial time (Replica
 // interface).
 func (cc *clientConn) Hello() wire.Hello { return cc.hello }
 
-// Close closes the connection and waits for its reader goroutine to
-// exit; pending Submits receive error replies (Replica interface).
+// Close closes the connection; a call in progress fails with ErrClosed
+// (Replica interface).
 func (cc *clientConn) Close() error {
 	cc.fail(ErrClosed)
-	cc.c.Close()
-	<-cc.done
 	return nil
-}
-
-// fail marks the connection broken and delivers err to every pending
-// request — task batches get an error Reply, summary requests an error
-// summaryReply.
-func (cc *clientConn) fail(err error) {
-	cc.mu.Lock()
-	if cc.broken == nil {
-		cc.broken = err
-	} else {
-		err = cc.broken
-	}
-	pending := cc.pending
-	cc.pending = nil
-	cc.mu.Unlock()
-	for _, pr := range pending {
-		if pr.done != nil {
-			pr.done(Reply{Shard: cc.shard, Err: err})
-		} else {
-			pr.sumc <- summaryReply{err: err}
-		}
-	}
-}
-
-func (cc *clientConn) readLoop() {
-	defer close(cc.done)
-	br := bufio.NewReader(cc.c)
-	var rbuf []byte
-	var results []wire.Result
-	var arena []uint32
-	for {
-		p, err := wire.ReadFrame(br, rbuf)
-		if err != nil {
-			cc.fail(fmt.Errorf("shard %d (%s): read: %w", cc.shard, cc.addr, err))
-			return
-		}
-		cc.met.frameIn(len(p))
-		rbuf = p
-		ty, err := wire.MsgType(p)
-		if err == nil && ty == wire.MsgError {
-			msg, derr := wire.DecodeError(p)
-			if derr != nil {
-				msg = "undecodable server error"
-			}
-			cc.fail(fmt.Errorf("shard %d (%s): server error: %s", cc.shard, cc.addr, msg))
-			return
-		}
-		// Match the frame to the oldest pending request BEFORE decoding:
-		// the decode reuses results/arena, whose previous contents the
-		// coordinator may still be reading — only a response matching a
-		// pending request guarantees those buffers are quiescent (the
-		// engine consumes a round fully before submitting the next). The
-		// request's tag decides which decoder the frame must satisfy.
-		// pending can only grow between this peek and the pop, since only
-		// this goroutine pops.
-		cc.mu.Lock()
-		var head pendingReq
-		if len(cc.pending) > 0 {
-			head = cc.pending[0]
-		}
-		cc.mu.Unlock()
-		switch {
-		case head.done == nil && head.sumc == nil:
-			cc.fail(fmt.Errorf("shard %d (%s): unsolicited response frame", cc.shard, cc.addr))
-			return
-		case head.sumc != nil:
-			sum, err := wire.DecodeSummary(p)
-			if err != nil {
-				cc.met.decodeErr()
-				cc.fail(fmt.Errorf("shard %d (%s): bad summary: %w", cc.shard, cc.addr, err))
-				return
-			}
-			if cc.pop() {
-				head.sumc <- summaryReply{sum: sum}
-			}
-		default:
-			var info wire.ResultsInfo
-			info, results, arena, err = wire.DecodeResults(p, results[:0], arena[:0])
-			if err != nil {
-				cc.met.decodeErr()
-				cc.fail(fmt.Errorf("shard %d (%s): bad response: %w", cc.shard, cc.addr, err))
-				return
-			}
-			if cc.pop() {
-				head.done(Reply{
-					Shard:     cc.shard,
-					Results:   results,
-					Batch:     info.Batch,
-					HasTiming: info.HasTiming,
-					Timing:    info.Timing,
-				})
-			}
-		}
-	}
-}
-
-// pop removes the head pending request, reporting whether the caller
-// now owns delivering its response. It reports false when a concurrent
-// fail (Close, or a cancelled Summary) already consumed the queue and
-// delivered errors — the response is then dropped, never double-sent.
-func (cc *clientConn) pop() bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if len(cc.pending) == 0 {
-		return false
-	}
-	cc.pending = cc.pending[1:]
-	return true
 }

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"context"
 	"errors"
+	"io"
 	"net"
 	"slices"
 	"strings"
@@ -265,65 +267,77 @@ func TestTCPClientSubmitAfterServerGone(t *testing.T) {
 	}
 }
 
-// TestTCPClientUnsolicitedFrame covers a protocol-violating server
-// that answers one request with two response frames: the client must
-// surface a clean error on the connection — and must not decode the
-// extra frame into the buffers backing the first (already delivered)
-// reply, which the caller may still be reading.
+// TestTCPClientUnsolicitedFrame: a frame that does not answer the call
+// in flight — a stray results frame ahead of the answer, a second answer
+// to an earlier request, a frame of another type — fails the connection
+// and is never delivered as an answer, neither to that call nor to a
+// later one: the connection stays failed with the same error.
 func TestTCPClientUnsolicitedFrame(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	results := func(batch uint64, boundary ...uint32) []byte {
+		return wire.AppendResults(nil, batch, false, []wire.Result{{Kind: wire.Forward, Boundary: boundary}})
 	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		wire.WriteFrame(c, wire.AppendHello(nil, wire.Hello{ShardID: 0, NumShards: 1, NumVertices: 6}))
-		if _, err := wire.ReadFrame(c, nil); err != nil { // the request
-			return
-		}
-		good := wire.AppendResults(nil, 0, false, []wire.Result{{Kind: wire.Forward, Query: 0, Boundary: []uint32{1, 2}}})
-		evil := wire.AppendResults(nil, 0, false, []wire.Result{{Kind: wire.Forward, Query: 9, Boundary: []uint32{7, 7, 7}}})
-		wire.WriteFrame(c, good)
-		wire.WriteFrame(c, evil) // unsolicited
-		time.Sleep(2 * time.Second)
-	}()
-	cl, err := Dial(t.Context(), []string{ln.Addr().String()}, 6, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		serve func(c net.Conn) // the server's side after its hello
+		ok    int              // calls answered before the connection fails
+		want  string
+	}{
+		{"stray frame before the answer", func(c net.Conn) {
+			wire.WriteFrame(c, results(3, 7, 7, 7))
+			wire.ReadFrame(c, nil)
+			wire.WriteFrame(c, results(1, 1, 2))
+		}, 0, "response for batch 3 does not answer batch 1"},
+		{"second answer to one request", func(c net.Conn) {
+			wire.ReadFrame(c, nil)
+			wire.WriteFrame(c, results(1, 1, 2))
+			wire.WriteFrame(c, results(1, 7, 7, 7))
+			wire.ReadFrame(c, nil)
+			wire.WriteFrame(c, results(2, 1, 2))
+		}, 1, "response for batch 1 does not answer batch 2"},
+		{"summary where results belong", func(c net.Conn) {
+			wire.ReadFrame(c, nil)
+			wire.WriteFrame(c, wire.AppendSummary(nil, wire.Summary{}))
+		}, 0, "message type 0x06, want 0x03"},
 	}
-	defer cl.Close()
-	cc := cl.sets[0].eps[0].conn.rep.(*clientConn)
-	replyc := make(chan Reply, 1)
-	cl.Submit(0, wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 0, Seeds: []int32{0}}}, replyc)
-	rep := <-replyc
-	if rep.Err != nil {
-		t.Fatalf("legitimate reply failed: %v", rep.Err)
-	}
-	// The delivered boundary set must stay intact while the reader
-	// handles (and rejects) the unsolicited frame.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if !slices.Equal(rep.Results[0].Boundary, []uint32{1, 2}) {
-			t.Fatalf("delivered reply mutated by unsolicited frame: %v", rep.Results[0].Boundary)
-		}
-		cc.mu.Lock()
-		broken := cc.broken
-		cc.mu.Unlock()
-		if broken != nil {
-			if !strings.Contains(broken.Error(), "unsolicited") {
-				t.Fatalf("connection broken with %v, want unsolicited-frame error", broken)
+	task := []wire.Task{{Kind: wire.Forward, Seeds: []int32{0}}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("unsolicited frame never surfaced as an error")
-		}
-		time.Sleep(5 * time.Millisecond)
+			defer ln.Close()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				wire.WriteFrame(c, wire.AppendHello(nil, wire.Hello{ShardID: 0, NumShards: 1, NumVertices: 6}))
+				tc.serve(c)
+				io.Copy(io.Discard, c) // until the client hangs up
+			}()
+			rep, err := TCPReplicaDialer(0, ln.Addr().String(), 1, 6, 0, 0)(t.Context())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for batch := uint64(1); batch <= uint64(tc.ok)+2; batch++ {
+				r := rep.Run(wire.BatchHeader{Batch: batch}, task)
+				if batch <= uint64(tc.ok) {
+					if r.Err != nil || !slices.Equal(r.Results[0].Boundary, []uint32{1, 2}) {
+						t.Fatalf("batch %d: %+v, want its answer", batch, r)
+					}
+					continue
+				}
+				if r.Err == nil || !strings.Contains(r.Err.Error(), tc.want) || r.Results != nil {
+					t.Fatalf("batch %d: %+v, want no results and an error naming %q", batch, r, tc.want)
+				}
+			}
+			rep.Close()
+			<-served
+		})
 	}
 }
 
@@ -367,5 +381,26 @@ func TestTCPClientCloseFailsPending(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return")
+	}
+}
+
+// TestTCPSummaryCancelTearsDown: a summary fetch the server never
+// answers ends with its context and takes the connection with it — the
+// protocol cannot abandon one request and keep the connection in step.
+func TestTCPSummaryCancelTearsDown(t *testing.T) {
+	addr, stop := silentServer(t)
+	defer stop()
+	rep, err := TCPReplicaDialer(0, addr, 1, 6, 0, 0)(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	ctx, cancel := context.WithTimeout(t.Context(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := rep.Summary(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("summary past its deadline: %v, want context.DeadlineExceeded", err)
+	}
+	if r := rep.Run(wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Seeds: []int32{0}}}); !errors.Is(r.Err, context.DeadlineExceeded) {
+		t.Fatalf("batch after the cancelled fetch: %v, want the connection failed by the deadline", r.Err)
 	}
 }

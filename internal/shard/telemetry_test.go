@@ -349,9 +349,7 @@ func TestTCPReplicaDialerHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	replyc := make(chan Reply, 1)
-	rep.Submit(wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 7, Seeds: []int32{0}}}, func(r Reply) { replyc <- r })
-	if r := <-replyc; r.Err != nil || len(r.Results) != 1 || r.Results[0].Query != 7 {
+	if r := rep.Run(wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 7, Seeds: []int32{0}}}); r.Err != nil || len(r.Results) != 1 || r.Results[0].Query != 7 {
 		t.Fatalf("bad reply through TCPReplicaDialer: %+v", r)
 	}
 	if h := rep.Hello(); h.NumShards != 3 {

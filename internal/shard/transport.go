@@ -60,12 +60,13 @@ type Reply struct {
 // transport-owned goroutine is still running. A Submit after Close is
 // answered with an ErrClosed Reply.
 //
-// Replicated is the one production implementation; the interface stays
-// so tests and the benchmark harness can substitute or wrap it. Nothing
-// on the query path looks behind the interface, so a wrapper loses no
-// behaviour; one that should also keep Replicated's books for the
-// engine (Health, Endpoints) embeds the *Replicated rather than
-// forwarding the three methods below.
+// Replicated is the one production implementation: one goroutine per
+// partition, which serves that partition's calls one at a time. The
+// interface stays so tests and the benchmark harness can substitute or
+// wrap it. Nothing on the query path looks behind the interface, so a
+// wrapper loses no behaviour; one that should also keep Replicated's
+// books for the engine (Health, Endpoints) embeds the *Replicated
+// rather than forwarding the three methods below.
 type Transport interface {
 	// Submit ships the batch to shard p under the given batch header.
 	// tasks must be non-empty and remain untouched until the Reply
@@ -85,10 +86,10 @@ type Transport interface {
 var ErrClosed = errors.New("shard: transport closed")
 
 // NewLoopback returns the in-process transport over shards: partition
-// p is a replica set of one local replica of shards[p] (its worker is
-// the channel fan-out's goroutine), with no background redial — an
-// in-process replica only ever dies by being closed. Close stops and
-// joins every worker.
+// p is a replica set of one local replica of shards[p], run on the
+// partition's goroutine, with no background redial — an in-process
+// replica only ever dies by being closed. Close stops and joins the
+// partition goroutines.
 func NewLoopback(shards []*Shard) *Replicated {
 	groups := make([][]ReplicaDialer, len(shards))
 	for p, sh := range shards {

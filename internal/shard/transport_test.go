@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"regexp"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -371,6 +373,84 @@ func TestReplicaSetErrorUnwraps(t *testing.T) {
 			}
 			if _, err := tr.Summary(t.Context(), 0); !isClosed(err) {
 				t.Fatalf("summary after Close: %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestReplicatedGoroutineCensus: a Replicated serving k partitions runs k
+// goroutines, one per partition however many replicas stand behind it,
+// plus its reconnect loop when it has one — and none once closed.
+func TestReplicatedGoroutineCensus(t *testing.T) {
+	const k, R = 3, 2
+	// census counts the goroutines the calling goroutine started in
+	// this package, the TCP servers it boots aside.
+	created := regexp.MustCompile(`created by dsr/internal/shard\.(\S+) in goroutine (\d+)`)
+	census := func() int {
+		buf := make([]byte, 1<<20)
+		me := strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+		n := 0
+		for _, m := range created.FindAllStringSubmatch(string(buf[:runtime.Stack(buf, true)]), -1) {
+			if m[2] == me && !strings.HasPrefix(m[1], "serveShards") {
+				n++
+			}
+		}
+		return n
+	}
+	shapes := []struct {
+		name string
+		want int
+		open func(t *testing.T) *Replicated
+	}{
+		{"in-process", k, func(t *testing.T) *Replicated {
+			groups := make([][]ReplicaDialer, k)
+			for r := 0; r < R; r++ {
+				shards, _ := chainFixture(t)
+				for p, sh := range shards {
+					groups[p] = append(groups[p], localDialer(sh))
+				}
+			}
+			tr, err := NewReplicated(t.Context(), groups, ReplicatedOptions{ReconnectEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}},
+		{"TCP", k + 1, func(t *testing.T) *Replicated {
+			groups := make([][]string, k)
+			for r := 0; r < R; r++ {
+				shards, _ := chainFixture(t)
+				addrs, stop := serveShards(t, shards, 6)
+				t.Cleanup(stop)
+				for p, addr := range addrs {
+					groups[p] = append(groups[p], addr)
+				}
+			}
+			tr, err := DialReplicated(t.Context(), groups, 6, testGraphSum, testPartSum, ReplicatedOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}},
+	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			tr := shape.open(t)
+			for p := 0; p < k; p++ {
+				if rep := submitOne(t, tr, p, int32(2*p)); rep.Err != nil {
+					t.Fatal(rep.Err)
+				}
+			}
+			if got := census(); got != shape.want {
+				t.Errorf("%d transport goroutines while serving %d partitions × %d replicas, want %d", got, k, R, shape.want)
+			}
+			tr.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for census() > 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d transport goroutines left after Close", census())
+				}
+				time.Sleep(time.Millisecond)
 			}
 		})
 	}

@@ -21,7 +21,8 @@
 // and quartiles, the median and quartiles of the per-pair ratio (change
 // over parent, pair by pair — the paired statistic, which does not hang
 // on a single pair's order the way the win count does), the pairs the
-// change won (ties count for neither), and a verdict: "unresolved" when the parent's own interquartile range is
+// change won (ties count for neither) with the exact two-sided sign
+// test's p-value for them (ties dropped), and a verdict: "unresolved" when the parent's own interquartile range is
 // wider than the metric's bound, "worse" when the change's median is
 // worse than the parent's by more than the bound, "better" when the
 // change won at least nine pairs in ten and the medians differ by more
@@ -342,22 +343,44 @@ func pairedRatio(parent, change []float64) (q1, q2, q3 float64) {
 	return quartiles(ratios)
 }
 
+// sign makes larger better under m.
+func (m metricSpec) sign() float64 {
+	if m.Better == "lower" {
+		return -1
+	}
+	return 1
+}
+
+// won counts the pairs b won over a under m; ties count for neither.
+func won(m metricSpec, a, b []float64) (n int) {
+	for i := range a {
+		if m.sign()*b[i] > m.sign()*a[i] {
+			n++
+		}
+	}
+	return n
+}
+
+// signTest is the exact two-sided sign test's p-value for a change that
+// won and lost the given pairs, ties dropped: the chance of a split at
+// least as lopsided if each pair were a fair coin.
+func signTest(wins, losses int) float64 {
+	n, tail, c := wins+losses, 0.0, 1.0 // c: n choose i
+	for i := 0; i <= min(wins, losses); i++ {
+		tail += c
+		c = c * float64(n-i) / float64(i+1)
+	}
+	return min(1, 2*tail/math.Exp2(float64(n)))
+}
+
 // verdict judges one (workload, metric) cell from both sides' values
 // in pair order; wins counts the pairs the change won. A metric with no
 // bound (Bound 0) can be neither unresolved nor worse.
 func verdict(m metricSpec, parent, change []float64) (wins int, v string) {
-	sign := 1.0 // makes larger better
-	if m.Better == "lower" {
-		sign = -1
-	}
-	for i := range parent {
-		if sign*change[i] > sign*parent[i] {
-			wins++
-		}
-	}
+	wins = won(m, parent, change)
 	p1, pm, p3 := quartiles(parent)
 	_, cm, _ := quartiles(change)
-	iqr, gain := p3-p1, sign*(cm-pm)
+	iqr, gain := p3-p1, m.sign()*(cm-pm)
 	switch {
 	case m.Bound > 0 && iqr > m.Bound*math.Abs(pm):
 		return wins, "unresolved"
@@ -373,7 +396,7 @@ func verdict(m metricSpec, parent, change []float64) (wins int, v string) {
 func report(w *os.File, metrics []metricSpec, workloads []string, parent, change *side) bool {
 	ok := true
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tmetric\tparent median [q1, q3]\tchange median [q1, q3]\tchange\tratio median [q1, q3]\tbound\twins\tverdict")
+	fmt.Fprintln(tw, "workload\tmetric\tparent median [q1, q3]\tchange median [q1, q3]\tchange\tratio median [q1, q3]\tbound\twins\tsign p\tverdict")
 	for _, wl := range workloads {
 		for _, m := range metrics {
 			pv, cv := values(parent.runs[wl], m.Name), values(change.runs[wl], m.Name)
@@ -386,8 +409,8 @@ func report(w *os.File, metrics []metricSpec, workloads []string, parent, change
 			if m.Bound > 0 {
 				bound = fmt.Sprintf("%.0f%%", 100*m.Bound)
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%.4g [%.4g, %.4g]\t%.4g [%.4g, %.4g]\t%+.1f%%\t%.3f [%.3f, %.3f]\t%s\t%d/%d\t%s\n",
-				wl, m.Name, pm, p1, p3, cm, c1, c3, 100*(cm-pm)/pm, rm, r1, r3, bound, wins, len(pv), v)
+			fmt.Fprintf(tw, "%s\t%s\t%.4g [%.4g, %.4g]\t%.4g [%.4g, %.4g]\t%+.1f%%\t%.3f [%.3f, %.3f]\t%s\t%d/%d\t%.3f\t%s\n",
+				wl, m.Name, pm, p1, p3, cm, c1, c3, 100*(cm-pm)/pm, rm, r1, r3, bound, wins, len(pv), signTest(wins, won(m, cv, pv)), v)
 		}
 	}
 	tw.Flush()

@@ -75,6 +75,31 @@ func TestVerdict(t *testing.T) {
 	}
 }
 
+func TestSignTest(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		wins, losses int
+		want         float64
+	}{
+		{"10 of 10", 10, 0, 2.0 / 1024},
+		{"0 of 10", 0, 10, 2.0 / 1024},
+		{"5 of 10", 5, 5, 1},
+		{"9 of 10", 9, 1, 22.0 / 1024},
+		{"8 won, 2 ties: 8 of 8", 8, 0, 2.0 / 256},
+		{"all ties", 0, 0, 1},
+	} {
+		if got := signTest(c.wins, c.losses); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: p = %v, want %v", c.name, got, c.want)
+		}
+	}
+	higher := metricSpec{Name: "qps", Better: "higher"}
+	parent := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
+	change := []float64{2, 2, 2, 2, 2, 2, 2, 2, 1, 1} // 8 won, 2 tied
+	if w, l := won(higher, parent, change), won(higher, change, parent); w != 8 || l != 0 {
+		t.Errorf("won %d and lost %d pairs, want 8 and 0: ties count for neither", w, l)
+	}
+}
+
 func TestParseBench(t *testing.T) {
 	out := `goos: linux
 pkg: dsr/internal/dsr
