@@ -175,7 +175,7 @@ ab:
 # and the snapshot header decoder against hostile input, the whole
 # snapshot decoder on inputs whose checksum is re-stamped (so mutations
 # reach the section validators) through shard.FromSnapshot and a
-# re-encode, the shard's batched sweep
+# re-encode, the shard's per-task walk
 # against its first-boundary reference (a scalar BFS that stops at the
 # first component holding an entry, or an exit, on an entry→exit path)
 # on graphs, partitionings and task batches decoded from the fuzz

@@ -408,8 +408,8 @@ func TestShardsShareSubgraph(t *testing.T) {
 }
 
 // TestSummaryLeavesQueryStateFresh: building the summary runs the query
-// sweep, and a new shard must not show it — no run statistics, no
-// grown result or boundary buffers, all scratch zero.
+// walk, and a new shard must not show it — no run statistics, no grown
+// result or boundary buffers, no stamp ahead of the counter.
 func TestSummaryLeavesQueryStateFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	for _, fx := range sweepFixtures(t, rng) {

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,9 +16,9 @@ import (
 	"dsr/internal/wire"
 )
 
-// reference runs batches the way the sweep's contract reads, one
-// scalar component-level BFS per task over the whole condensation, and
-// is what the sweep is checked against. It is a first-boundary search:
+// reference runs batches the way Run's contract reads, one scalar
+// component-level BFS per task over the whole condensation, and is what
+// Run is checked against. It is a first-boundary search:
 // it visits a key component — one on an entry→exit path that holds an
 // entry or an exit — seed components included, but goes no further, in
 // either direction. (A boundary vertex on no such path is no stop: the
@@ -48,7 +49,7 @@ type reference struct {
 	results []wire.Result
 	arena   []uint32
 	visited int // components visited, summed over the last run's tasks
-	// Those of visited the pruned sweep may expand: not sink side for a
+	// Those of visited the pruned walk may expand: not sink side for a
 	// Forward task, regionIn for a Backward one.
 	expandable int
 }
@@ -218,33 +219,29 @@ func reached(t testing.TB, s *Shard, r wire.Result) []uint32 {
 	return verts
 }
 
-// checkScratchClean asserts what every sweep relies on finding: the
-// task masks and the target marks, the two frontiers' bitmaps, the
-// per-bit cursors, the chunk and the parked, aims and marked lists all
-// zero.
+// checkScratchClean asserts what every walk relies on finding: one
+// stamp per component in both arrays, and none ahead of the generation
+// counter, so the next walk starts with nothing seen or climbed.
 func checkScratchClean(t testing.TB, s *Shard) {
 	t.Helper()
-	for name, words := range map[string][]uint64{
-		"mask": s.mask, "todo.active": s.todo.active, "todo.top": s.todo.top,
-		"tmask": s.tmask, "marks.active": s.marks.active, "marks.top": s.marks.top,
-	} {
-		for i, w := range words {
-			if w != 0 {
-				t.Fatalf("shard %d: %s[%d] = %#x after Run", s.id, name, i, w)
+	for name, stamps := range map[string][]uint32{"seen": s.seen, "climb": s.climb} {
+		if len(stamps) != s.cond.N {
+			t.Fatalf("shard %d: %d %s stamps for %d components", s.id, len(stamps), name, s.cond.N)
+		}
+		for c, g := range stamps {
+			if g > s.gen {
+				t.Fatalf("shard %d: %s[%d] = %d after Run, ahead of generation %d", s.id, name, c, g, s.gen)
 			}
 		}
 	}
-	if s.cursor != [sweepChunk]int{} || len(s.chunk)+len(s.parked)+len(s.aims)+len(s.marked) != 0 {
-		t.Fatalf("shard %d: cursor %v / chunk %v / parked %v / aims %v / marked %v not reset after Run",
-			s.id, s.cursor, s.chunk, s.parked, s.aims, s.marked)
-	}
 }
 
-// checkAgainstReference runs the batch through the sweep and through
-// the reference and compares task by task: Kind, Query, Hit and Owned
-// exactly, Boundary — the sweep's translated from ordinals — as a set
-// (the two order it differently; neither may repeat a vertex). It also checks LastRun against what the reference
-// saw, and that the scratch is clean afterwards.
+// checkAgainstReference runs the batch through Run and through the
+// reference and compares task by task: Kind, Query, Hit and Owned
+// exactly, Boundary — Run's translated from ordinals — as a set (the
+// two order it differently; neither may repeat a vertex). It also
+// checks LastRun against what the reference saw, and that the scratch
+// is clean afterwards.
 func checkAgainstReference(t testing.TB, s *Shard, ref *reference, tasks []wire.Task) []wire.Result {
 	t.Helper()
 	got, want := s.Run(tasks), ref.run(tasks)
@@ -255,13 +252,13 @@ func checkAgainstReference(t testing.TB, s *Shard, ref *reference, tasks []wire.
 	for i := range tasks {
 		g, w := got[i], want[i]
 		if g.Kind != w.Kind || g.Query != w.Query || g.Hit != w.Hit || g.Owned != w.Owned {
-			t.Fatalf("shard %d task %d %+v:\nsweep     %+v\nreference %+v", s.id, i, tasks[i], g, w)
+			t.Fatalf("shard %d task %d %+v:\nrun       %+v\nreference %+v", s.id, i, tasks[i], g, w)
 		}
 		gb, wb := reached(t, s, g), slices.Clone(w.Boundary)
 		slices.Sort(gb)
 		slices.Sort(wb)
 		if !slices.Equal(gb, wb) {
-			t.Fatalf("shard %d task %d %+v: boundary\nsweep     %v\nreference %v", s.id, i, tasks[i], gb, wb)
+			t.Fatalf("shard %d task %d %+v: boundary\nrun       %v\nreference %v", s.id, i, tasks[i], gb, wb)
 		}
 		if w.Owned == 0 {
 			unowned++
@@ -271,13 +268,12 @@ func checkAgainstReference(t testing.TB, s *Shard, ref *reference, tasks []wire.
 	if st.Unowned != unowned {
 		t.Fatalf("shard %d: LastRun %+v, want %d of %d tasks unowned", s.id, st, unowned, len(tasks))
 	}
-	// Sharing and pruning can only save expansions — a batch may expand
-	// nothing where the reference visits its seeds — and what is expanded
-	// is never a component the direction prunes: of the reference's
-	// closures only the expandable part counts, each component at most
-	// once per task, and at least once if there is any.
-	if st.Components > ref.expandable || ref.expandable > ref.visited || (st.Components == 0) != (ref.expandable == 0) {
-		t.Fatalf("shard %d: swept %d components, the reference visited %d of which %d survive pruning",
+	// Pruning can only save expansions — a task may expand nothing where
+	// the reference visits its seeds — and what is expanded is never a
+	// component the direction prunes: of the reference's closures exactly
+	// the expandable part counts, each component once per task.
+	if st.Components != ref.expandable || ref.expandable > ref.visited {
+		t.Fatalf("shard %d: Run expanded %d components, the reference visited %d of which %d survive pruning",
 			s.id, st.Components, ref.visited, ref.expandable)
 	}
 	checkScratchClean(t, s)
@@ -294,7 +290,7 @@ type sweepFixture struct {
 // The gap graph: partition 0 (vertices 0-12) holds components of all
 // four regions, wired so that the only path from the source-region
 // component {0,1} down to the sink side runs source → interior → sink,
-// crossing the cut the forward sweep stops at one edge above vertex 6;
+// crossing the cut the forward walk stops at one edge above vertex 6;
 // partition 1 (13, 14) is the outside world.
 //
 //	{0,1} source   → 2 (exit, source), → 3
@@ -334,8 +330,8 @@ func gapFixture(t testing.TB) sweepFixture {
 // at all, no boundary at all, the mostly acyclic community graph under
 // each partitioner, and the three shapes pruning could get wrong — a
 // partition with entries and no exit (nothing reaches an exit, so a
-// forward sweep serves Hit alone), one with exits and no entry (no
-// backward sweep expands anything), and the gap graph.
+// forward walk serves Hit alone), one with exits and no entry (no
+// backward walk expands anything), and the gap graph.
 func sweepFixtures(t testing.TB, rng *rand.Rand) []sweepFixture {
 	t.Helper()
 	const n = 400
@@ -405,7 +401,7 @@ func sweepFixtures(t testing.TB, rng *rand.Rand) []sweepFixture {
 // to past n; some tasks have none, some repeat one, many share the hot
 // seed, and some aim at a seed's own vertex (a Hit without expanding
 // anything). With everyOwned each task holds at least one owned seed,
-// so the shard sweeps exactly perDir bits per direction.
+// so the shard walks exactly perDir tasks per direction.
 func sweepBatch(rng *rand.Rand, s *Shard, n, perDir int, everyOwned bool) []wire.Task {
 	own := func() int32 { return int32(s.sub.GlobalID(int32(rng.Intn(s.sub.NumVertices())))) }
 	hot := own()
@@ -459,11 +455,10 @@ func restored(t testing.TB, s *Shard, fx sweepFixture) *Shard {
 	return FromSnapshot(sn)
 }
 
-// TestShardRunSweepDifferential checks the batched sweep against the
-// scalar reference on every fixture, with batches that sit on, just
-// under and just over the chunk size and well past it, and pins what
-// replication relies on: the answer bytes depend on nothing but the
-// shard's state and the batch.
+// TestShardRunSweepDifferential checks Run against the scalar
+// reference on every fixture, with batches of one task per direction up
+// to two hundred, and pins what replication relies on: the answer bytes
+// depend on nothing but the shard's state and the batch.
 func TestShardRunSweepDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260925))
 	bothWays := false // some fixture has an exit that is also an entry
@@ -498,9 +493,10 @@ func TestShardRunSweepDifferential(t *testing.T) {
 }
 
 // TestShardRunBoundaryOrder pins the documented order of a result's
-// Boundary — sweep order of the components, increasing ordinal and so
-// increasing global ID inside one — and that it does not depend on the
-// rest of the batch.
+// Boundary — the components in the direction's topological order
+// (decreasing id for Forward, increasing for Backward), increasing
+// ordinal and so increasing global ID inside one — and that it does not
+// depend on the rest of the batch.
 func TestShardRunBoundaryOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
 	g := gen.Community(rng, 400, 4, 1.6, 0.1, 0.02)
@@ -552,10 +548,11 @@ func TestShardRunBoundaryOrder(t *testing.T) {
 // strictly increasing and is exactly the entries and exits; every
 // Boundary value is an ordinal into it, strictly increasing inside a
 // component; translated, a result is exactly the vertices the scalar
-// reference reports, in the documented order — components as the sweep
-// expands them, increasing global ID inside one; and a shard rebuilt
-// from the graph or restored from a snapshot answers byte-identically,
-// so an ordinal means the same vertex on every replica.
+// reference reports, in the documented order — components in the
+// direction's topological order, increasing global ID inside one; and a
+// shard rebuilt from the graph or restored from a snapshot answers
+// byte-identically, so an ordinal means the same vertex on every
+// replica.
 func TestShardBoundaryOrdinals(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260929))
 	for _, fx := range sweepFixtures(t, rng) {
@@ -821,27 +818,25 @@ func TestShardRegions(t *testing.T) {
 	}
 }
 
-// TestShardSweepStaysInRegion looks at what a sweep expanded, not at
-// what it answered: on every fixture, no Forward sweep expands a
-// sink-side component and no Backward sweep one that no entry reaches.
+// TestShardSweepStaysInRegion looks at what a walk expanded, not at
+// what it answered: on every fixture, one task per Run so that the
+// queue is that task's whole walk, no Forward walk expands a sink-side
+// component, no Backward walk one that no entry reaches, and LastRun
+// counts exactly what was expanded.
 func TestShardSweepStaysInRegion(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260928))
 	for _, fx := range sweepFixtures(t, rng) {
 		subs := partition.Extract(fx.g, fx.pt)
 		for p, sub := range subs {
 			s := New(p, sub)
-			for _, kind := range []wire.TaskKind{wire.Forward, wire.Backward} {
-				var tasks []wire.Task // one chunk's worth, so touched is the whole Run's
-				for _, task := range sweepBatch(rng, s, fx.g.NumVertices(), sweepChunk, false) {
-					if task.Kind == kind {
-						tasks = append(tasks, task)
-					}
+			tasks := sweepBatch(rng, s, fx.g.NumVertices(), 64, false)
+			for i := range tasks {
+				s.Run(tasks[i : i+1])
+				kind := tasks[i].Kind
+				if s.LastRun().Components != len(s.queue) {
+					t.Fatalf("%s shard %d task %+v: %d components counted, %d expanded", fx.name, p, tasks[i], s.LastRun().Components, len(s.queue))
 				}
-				s.Run(tasks)
-				if s.LastRun().Components != len(s.touched) {
-					t.Fatalf("%s shard %d kind %d: %d components counted, %d expanded", fx.name, p, kind, s.LastRun().Components, len(s.touched))
-				}
-				for _, c := range s.touched {
+				for _, c := range s.queue {
 					if r := s.region[c] & regionBits; kind == wire.Forward && r == regionSink || kind == wire.Backward && r&regionIn == 0 {
 						t.Fatalf("%s shard %d kind %d: expanded component %d of region %02b", fx.name, p, kind, c, r)
 					}
@@ -851,14 +846,42 @@ func TestShardSweepStaysInRegion(t *testing.T) {
 	}
 }
 
+// TestShardRunGenerationWrap runs batches across the wrap of the stamp
+// counter against the reference: a first batch leaves stamps of small
+// generations behind, the counter is set just below its maximum, and
+// the batches that follow wrap it, so every generation after the wrap
+// meets a stale stamp of its own value unless the wrap clears both
+// arrays.
+func TestShardRunGenerationWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261020))
+	wrapped := 0
+	for _, fx := range sweepFixtures(t, rng) {
+		subs := partition.Extract(fx.g, fx.pt)
+		for p, sub := range subs {
+			s := New(p, sub)
+			ref := newReference(s)
+			checkAgainstReference(t, s, ref, sweepBatch(rng, s, fx.g.NumVertices(), 64, false))
+			s.gen = math.MaxUint32 - 40
+			for range 3 {
+				checkAgainstReference(t, s, ref, sweepBatch(rng, s, fx.g.NumVertices(), 32, true))
+			}
+			if s.gen < 1000 {
+				wrapped++
+			}
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no shard's stamp counter wrapped")
+	}
+}
+
 // TestShardRunGapExhaustive puts the seed and the target of a Forward
 // task on every pair of vertices of the gap partition in turn, and a
 // Backward seed on every vertex: seed and target in one sink-side
 // component, a target exactly one edge below the last component the
-// forward sweep expands, a target in an interior component reached
+// forward walk expands, a target in an interior component reached
 // without touching anything an entry reaches, and every other
-// combination of regions, in batches that fill and overflow a chunk
-// and alone.
+// combination of regions, in one batch and alone.
 func TestShardRunGapExhaustive(t *testing.T) {
 	fx := gapFixture(t)
 	subs := partition.Extract(fx.g, fx.pt)
@@ -948,16 +971,17 @@ func fuzzShard(data []byte) (g *graph.Graph, part []int32, k int, tasks []wire.T
 	return b.Build(), part, k, tasks
 }
 
-// FuzzShardRun drives the sweep and the reference with whatever graph,
+// FuzzShardRun drives Run and the reference with whatever graph,
 // partitioning and batch the fuzz bytes decode to, on every partition,
-// and checks each shard's skeleton — the same sweep over its key
+// and checks each shard's skeleton — the same walk from its key
 // components — against the per-entry BFS's entry→exit summary.
 func FuzzShardRun(f *testing.F) {
 	// The committed corpus (testdata/fuzz) holds the small shapes, the
 	// gap graph (gapEdges, with seeds and targets in every region) among
-	// them; this seed has more owned tasks per direction and partition than a
-	// chunk holds: two four-vertex paths joined into one cycle, every
-	// vertex the seed of forward and backward tasks alike.
+	// them; this seed is one long batch, 300 one-seed tasks, half of
+	// each direction, so most walks start on the stamps the ones before
+	// them left: two four-vertex paths joined into one cycle, every vertex
+	// the seed of forward and backward tasks alike.
 	big := []byte{7, 1, 8, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 0}
 	for i := 0; i < 300; i++ {
 		big = append(big, byte(2+i%2), byte(1+i/2%8))
@@ -989,13 +1013,12 @@ type benchFleet struct {
 
 // benchFleets lists the fleets. The first two sit at a quarter of the
 // harness's size, under the partitioning that leaves partition
-// interiors nearly edgeless and the one that keeps searches long and
-// overlapping: there a closure is ~100 components and resolving seeds
-// dominates a Run. The other two are the harness's own size, where a
-// locality closure is ~1,000 components and what a sweep expands is
-// what a Run costs — the rows that see pruning — and where hash, with
-// nothing to prune, shows what classifying seeds and marking targets
-// costs a fleet that gains nothing from it.
+// interiors nearly edgeless and the one that keeps searches long. The
+// other two are the harness's own size: there an owned task's walk
+// expands 13–32 components under locality, by partition, and about 3
+// under hash (the batch=64 rounds); hash, with nothing to prune, shows
+// what classifying seeds and climbing from targets costs a fleet that
+// gains nothing from it.
 func benchFleets() []benchFleet {
 	loc := locality.New(locality.Options{Seed: 1})
 	return []benchFleet{
@@ -1094,9 +1117,10 @@ func BenchmarkShardRun(b *testing.B) {
 }
 
 // BenchmarkShardRunReference runs the scalar reference on the same
-// batches: what sharing a sweep buys at batch=64, and the bar at
-// batch=1, where the sweep must stay within 1.15x of it — a lone query
-// pays nothing for the batching.
+// batches: the oracle's own cost, a BFS over the unpruned condensation
+// that finds its stops and boundary vertices in member lists. Beside
+// BenchmarkShardRun it shows what the pruned DAGs and the boundary list
+// save a walk.
 func BenchmarkShardRunReference(b *testing.B) {
 	benchShardRun(b, func(s *Shard) func([]wire.Task) []wire.Result { return newReference(s).run })
 }

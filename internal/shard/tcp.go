@@ -58,8 +58,8 @@ type Server struct {
 // them, what the search did with the batch (Shard.LastRun): how many
 // tasks the broadcast delivered, how many of those held no seed of this
 // partition — the broadcast's waste — and how many components the
-// batch's sweeps expanded, after pruning, which over the task count is
-// the sharing the batch size buys.
+// batch's walks expanded, after pruning, which over the owned task
+// count is the mean closure a search walks.
 type srvMetrics struct {
 	decode *obs.Histogram
 	queue  *obs.Histogram
@@ -101,7 +101,7 @@ func (st *srvMetrics) observe(t wire.ServerTiming, tasks int, run RunStats) {
 // under net_server_* in reg, the per-batch shard_server_* metrics, the
 // shard_components{region=…} gauges — how the partition's components
 // split by what its boundary can see of them (Shard.Regions), which is
-// how much of it no sweep ever expands — and a logger for
+// how much of it no walk ever expands — and a logger for
 // connection-level protocol failures. Call before Serve. A nil argument
 // leaves its part untouched.
 func (s *Server) Instrument(reg *obs.Registry, log *obs.Logger) {
