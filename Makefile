@@ -186,9 +186,10 @@ ab:
 # single-partition extraction (ExtractOne: CSR, entries, exits, cross
 # edges) against the k-way reference on multigraphs and labellings
 # decoded the same way, with the exits a decode derives from the cross
-# edges in any order, the coordinator's two-cursor boundary finish
-# against a per-query BFS on boundary graphs and rounds decoded the same
-# way, the coordinator's bucketed boundary stitch against the
+# edges in any order, the coordinator's boundary finish — the
+# two-cursor sweep and the 2-hop label lookups both — against a
+# per-query BFS on boundary graphs and rounds decoded the same way, the
+# coordinator's bucketed boundary stitch against the
 # binary-search stitch it replaced on fleets of up to four summaries
 # decoded the same way, and the locality partitioner against its
 # full-scan reference on small multigraphs and options decoded the same

@@ -168,6 +168,7 @@ func BenchmarkAbsorb(b *testing.B) {
 			lb.Close()
 			b.Fatal(err)
 		}
+		<-e.labelsDone // the background label build allocates: not inside the timed loop
 		// A real round leaves its tasks behind; partition 0 answers them
 		// once more, outside the engine, for a reply of the real shape.
 		// absorb reads nothing of a task but its kind and query, so the

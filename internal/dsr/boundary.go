@@ -21,7 +21,11 @@ import (
 // smaller number, so a pass in decreasing order sees each component
 // after all its predecessors, and a pass in increasing order over the
 // transpose — kept beside the DAG, as scc.Condense builds both — sees
-// each after all its successors. The finish runs one of each.
+// each after all its successors. The sweep runs one of each.
+//
+// The DAG and its transpose are read by the sweep and by the label
+// build (labels.go) only: once the engine installs labels it drops them
+// (dropDAG), and the finish reads the labels instead.
 //
 // No vertex ID survives the stitch. A shard names a boundary vertex by
 // its ordinal in the boundary list of the shard's own summary, so all
@@ -35,6 +39,7 @@ import (
 // dropped once the graph is condensed.
 type boundaryGraph struct {
 	nverts int       // boundary vertices, over all partitions
+	ncomps int       // components
 	compOf [][]int32 // per partition: ordinal in its boundary list -> component
 	off    []int32   // component-DAG CSR offsets into succ, ncomp+1
 	succ   []int32   // successor components, deduped per row
@@ -43,14 +48,18 @@ type boundaryGraph struct {
 }
 
 // ncomp is the number of components.
-func (bg *boundaryGraph) ncomp() int { return len(bg.off) - 1 }
+func (bg *boundaryGraph) ncomp() int { return bg.ncomps }
 
 // residentBytes is the memory footprint of the stitched boundary graph
-// — the only per-graph state the coordinator retains besides the
-// finish scratch sized to it.
+// — with the finish's state, the only per-graph state the coordinator
+// retains: compOf, and the DAG in both directions until dropDAG.
 func (bg *boundaryGraph) residentBytes() int {
 	return 4 * (bg.nverts + len(bg.off) + len(bg.succ) + len(bg.poff) + len(bg.pred))
 }
+
+// dropDAG releases the component DAG and its transpose, which nothing
+// reads once labels answer the finish.
+func (bg *boundaryGraph) dropDAG() { bg.off, bg.succ, bg.poff, bg.pred = nil, nil, nil, nil }
 
 // csr is the vertex-level boundary graph as stitchBoundary lays it out,
 // alive only long enough to be condensed.
@@ -294,7 +303,7 @@ func condense(owner []int32, sums []wire.Summary, g *csr) *boundaryGraph {
 	cond := scc.Condense(g, nil)
 	d := cond.Data()
 	poff, pred := cond.Reverse()
-	bg := &boundaryGraph{nverts: len(owner), compOf: make([][]int32, len(sums)),
+	bg := &boundaryGraph{nverts: len(owner), ncomps: len(d.FOff) - 1, compOf: make([][]int32, len(sums)),
 		off: d.FOff, succ: d.FEdges, poff: poff, pred: pred}
 	for p := range sums {
 		bg.compOf[p] = make([]int32, 0, len(sums[p].Boundary))
@@ -326,12 +335,23 @@ type cursor struct {
 // coordinator's last step, deciding every query the local searches left
 // open: does any component a query's forward searches reached (its
 // seeds) lead to a component from which its backward searches were
-// reached (its goals)? Up to finishChunk queries share one sweep of the
-// component DAG, each owning one bit of every mask word. Both cursors'
-// mask and active are all-zero between sweeps.
+// reached (its goals)?
+//
+// It answers in one of two ways. Once labels are installed (install),
+// each query is one lookup in the 2-hop cover: the hubs of its seeds'
+// out-labels are stamped, and a goal whose in-label holds a stamped hub
+// is reached. Until then — while the engine builds the labels, or for
+// good if the build gave up — up to finishChunk queries share one sweep
+// of the component DAG, each owning one bit of every mask word. Both
+// cursors' mask and active are all-zero between sweeps.
 type finisher struct {
 	fwd, bwd cursor
 	chunk    []int32 // batch indexes of the queries in the current sweep; bit b is chunk[b]
+
+	lab   *hubLabels // the installed cover; nil while the sweep answers
+	stamp []uint32   // per hub rank: the last query whose seeds reach the hub
+	gen   uint32     // the current query's stamp
+	read  int        // label entries read, over the finisher's life
 }
 
 func newFinisher(ncomp int) *finisher {
@@ -343,15 +363,28 @@ func newFinisher(ncomp int) *finisher {
 	}
 }
 
-// residentBytes is the footprint of the scratch sized to the graph.
+// install hands every later query to l and releases the sweep's masks
+// and bitmaps.
+func (f *finisher) install(l *hubLabels) {
+	f.lab, f.stamp, f.gen = l, make([]uint32, len(l.outOff)-1), 0
+	f.fwd.mask, f.fwd.active, f.bwd.mask, f.bwd.active = nil, nil, nil, nil
+}
+
+// residentBytes is the footprint of the finish's state sized to the
+// graph: the sweep's scratch, or the labels and their stamps.
 func (f *finisher) residentBytes() int {
-	return 8 * (len(f.fwd.mask) + len(f.fwd.active) + len(f.bwd.mask) + len(f.bwd.active))
+	b := 8*(len(f.fwd.mask)+len(f.fwd.active)+len(f.bwd.mask)+len(f.bwd.active)) + 4*len(f.stamp)
+	if f.lab != nil {
+		b += f.lab.residentBytes()
+	}
+	return b
 }
 
 // run settles every query of the round the local searches left open:
 // a local hit is an answer, and the rest — those with both seeds and
-// goals — go through the sweep, finishChunk at a time. It returns how
-// many queries were swept and how many components the sweeps popped.
+// goals — are looked up in the labels one by one or, without labels, go
+// through the sweep finishChunk at a time. It returns how many queries
+// were swept or looked up, and how many components the sweeps popped.
 func (f *finisher) run(bg *boundaryGraph, qs []qstate) (swept, popped int) {
 	for i := range qs {
 		st := &qs[i]
@@ -360,17 +393,51 @@ func (f *finisher) run(bg *boundaryGraph, qs []qstate) (swept, popped int) {
 		case st.hit:
 			st.ans = true
 		case len(st.seeds) > 0 && len(st.goals) > 0:
+			swept++
+			if f.lab != nil {
+				st.ans = f.reach(st.seeds, st.goals)
+				continue
+			}
 			if len(f.chunk) == finishChunk {
 				popped += f.sweep(bg, qs)
 			}
 			f.chunk = append(f.chunk, int32(i))
-			swept++
 		}
 	}
 	if len(f.chunk) > 0 {
 		popped += f.sweep(bg, qs)
 	}
 	return swept, popped
+}
+
+// reach answers one query from the labels: some seed reaches some goal
+// exactly when a hub in a seed's out-label is in a goal's in-label. A
+// fresh stamp per query leaves the previous query's hubs behind; the
+// stamps are cleared only when the counter wraps.
+func (f *finisher) reach(seeds, goals []int32) bool {
+	if f.gen++; f.gen == 0 {
+		clear(f.stamp)
+		f.gen = 1
+	}
+	l := f.lab
+	for _, s := range seeds {
+		row := l.outHub[l.outOff[s]:l.outOff[s+1]]
+		f.read += len(row)
+		for _, h := range row {
+			f.stamp[h] = f.gen
+		}
+	}
+	for _, g := range goals {
+		row := l.inHub[l.inOff[g]:l.inOff[g+1]]
+		for i, h := range row {
+			if f.stamp[h] == f.gen {
+				f.read += i + 1
+				return true
+			}
+		}
+		f.read += len(row)
+	}
+	return false
 }
 
 // sweep answers the chunk's queries — qs[i].ans is set for every one

@@ -9,9 +9,13 @@
 //  2. at query time, per-partition shards run local searches (forward
 //     from S, backward from T) in parallel, and the coordinator finishes
 //     over the small boundary graph — condensed to its component DAG at
-//     stitch time, and swept once per batch, from the seeds down and from
-//     the goals up until the two cursors cross, with every open query
-//     riding one bit of a machine word (boundary.go).
+//     stitch time and covered, off the connect path, by a 2-hop label
+//     index (labels.go), so a query is reached exactly when a hub of its
+//     seeds' out-labels is in its goals' in-labels. Until the labels are
+//     installed, or if the build gives up on a DAG whose cover passes
+//     labelCap, the DAG is swept once per batch, from the seeds down and
+//     from the goals up until the two cursors cross, with every open
+//     query riding one bit of a machine word (boundary.go).
 //
 // Any s->t path decomposes as s ~> x0 -> e1 ~> x1 -> ... ek ~> t, where
 // each ~> stays inside one partition and each -> is a cross-partition
@@ -205,10 +209,31 @@ type Engine struct {
 	wantTiming bool
 
 	// mu guards r, the engine's one round: shards hold per-partition
-	// scratch, so rounds run one at a time.
+	// scratch, so rounds run one at a time. It also guards bg's DAG,
+	// which the label install drops.
 	mu sync.Mutex
 	r  round
+
+	// The label build (labelBoundary): stopLabels asks it to give up
+	// between two hubs, and labelsDone is closed once it has installed
+	// the labels, given up or stopped. resident is ResidentBytes, re-set
+	// at install.
+	stopLabels atomic.Bool
+	labelsDone chan struct{}
+	resident   atomic.Int64
 }
+
+// labelInline is the size, in components plus DAG edges, up to which
+// startLabels labels the boundary DAG before Connect returns: well
+// under a millisecond of work, not worth a goroutine. Bigger DAGs are
+// labelled in the background while the sweep answers.
+const labelInline = 1 << 14
+
+// Test seams over startLabels, both false in the product: while
+// labelsHeld is set engines build no labels, so the sweep answers every
+// round; while labelsAwaited is set they build them before Connect
+// returns, whatever the DAG's size.
+var labelsHeld, labelsAwaited bool
 
 // round is the coordinator's per-round scratch, reused round after
 // round. A round receives exactly one reply per submit, so all of this —
@@ -390,6 +415,7 @@ func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Optio
 	e := newEngine(n, k, bg, tr, o)
 	o.Log.Infof("boundary graph stitched: %d vertices in %d components, %d component edges kept forward and reversed, %d coordinator-resident bytes; ms: fetch %d, stitch %d",
 		bg.nverts, bg.ncomp(), len(bg.succ), e.ResidentBytes(), fetch.Milliseconds(), stitch.Milliseconds())
+	e.startLabels()
 	return e, nil
 }
 
@@ -411,8 +437,58 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, o Options) *Engi
 	e.met.partitions.Set(int64(k))
 	e.met.boundaryVerts.Set(int64(bg.nverts))
 	e.met.boundaryComps.Set(int64(bg.ncomp()))
-	e.met.residentBytes.Set(int64(e.ResidentBytes()))
+	e.setResident()
 	return e
+}
+
+// startLabels starts labelling the boundary DAG: inline if it is small,
+// else on a goroutine that Close stops and joins.
+func (e *Engine) startLabels() {
+	e.labelsDone = make(chan struct{})
+	switch {
+	case labelsHeld:
+		close(e.labelsDone)
+	case labelsAwaited || e.bg.ncomp()+len(e.bg.succ) <= labelInline:
+		e.labelBoundary()
+	default:
+		go e.labelBoundary()
+	}
+}
+
+// labelBoundary builds the 2-hop label cover of the boundary DAG and
+// installs it: from the next round on the finish reads the labels, and
+// the sweep's scratch and the DAG are released. A cover that outgrows
+// labelCap entries per component is abandoned and the sweep keeps
+// answering; a Close stops the build between two hubs.
+func (e *Engine) labelBoundary() {
+	defer close(e.labelsDone)
+	start := time.Now()
+	nc := e.bg.ncomp()
+	l, entries := buildLabels(e.bg, labelCap*nc, &e.stopLabels)
+	switch {
+	case e.stopLabels.Load():
+		return
+	case l == nil:
+		e.log.Warnf("boundary labels abandoned: %d entries passed %d per component over %d components; the sweep answers the finish",
+			entries, labelCap, nc)
+		return
+	}
+	took := time.Since(start)
+	e.mu.Lock()
+	e.r.fin.install(l)
+	e.bg.dropDAG()
+	e.setResident()
+	e.mu.Unlock()
+	e.met.labelEntries.Set(int64(l.entries()))
+	e.log.Infof("boundary labels installed: %d out-entries + %d in-entries over %d components, %d bytes, built in %d ms; %d coordinator-resident bytes",
+		len(l.outHub), len(l.inHub), nc, l.residentBytes(), took.Milliseconds(), e.ResidentBytes())
+}
+
+// setResident re-reads the coordinator's footprint into ResidentBytes
+// and its gauge. Caller holds e.mu, or has not shared e yet.
+func (e *Engine) setResident() {
+	e.resident.Store(int64(e.bg.residentBytes() + e.r.fin.residentBytes()))
+	e.met.residentBytes.Set(e.resident.Load())
 }
 
 // Health reports per-partition replica health — live replica counts
@@ -445,21 +521,26 @@ func (e *Engine) NumPartitions() int { return e.k }
 func (e *Engine) NumBoundary() int { return e.bg.nverts }
 
 // ResidentBytes reports the coordinator's per-graph resident footprint:
-// the stitched boundary graph in condensed form — the component DAG and
-// its transpose — plus the finish scratch sized to its components. It
-// scales with boundary size only — growing partition interiors (vertices
-// and edges that never cross a partition border) leaves it unchanged,
-// which is the point of the graph-free coordinator.
-func (e *Engine) ResidentBytes() int { return e.bg.residentBytes() + e.r.fin.residentBytes() }
+// each boundary vertex's component, plus what the finish reads — the
+// component DAG, its transpose and the sweep's scratch sized to the
+// components until labels are installed, the labels and their stamps
+// after. It scales with boundary size only — growing partition
+// interiors (vertices and edges that never cross a partition border)
+// leaves it unchanged, which is the point of the graph-free coordinator.
+func (e *Engine) ResidentBytes() int { return int(e.resident.Load()) }
 
 // Close closes the transport, idempotently and deterministically: its
 // partition goroutines have exited (TCP connections closed, in-flight
-// redials cancelled) by the time it returns. It does not wait for a round in
-// flight — a shard that never answers cannot hold it up — and that
-// round, like any query after Close, gets shard.ErrClosed from every
-// partition it still needed: its undecided queries fail inside a
-// *BatchError.
-func (e *Engine) Close() { e.tr.Close() }
+// redials cancelled), and a label build in progress has stopped, by the
+// time it returns. It does not wait for a round in flight — a shard
+// that never answers cannot hold it up — and that round, like any query
+// after Close, gets shard.ErrClosed from every partition it still
+// needed: its undecided queries fail inside a *BatchError.
+func (e *Engine) Close() {
+	e.stopLabels.Store(true)
+	e.tr.Close()
+	<-e.labelsDone
+}
 
 // QueryBatchErr answers a batch of queries in one round: all local
 // searches for the whole batch ship to each shard as a single task batch
@@ -608,8 +689,9 @@ func (e *Engine) run(queries []Query) error {
 		e.met.rounds.Inc()
 	}
 
-	// Final pass: every undecided query with both seeds and goals joins
-	// the boundary sweep, 64 to a sweep, then the coverage verdict.
+	// Final pass: every undecided query with both seeds and goals is
+	// looked up in the labels or joins the boundary sweep, 64 to a
+	// sweep, then the coverage verdict.
 	// Queries that lost a partition still run on whatever the survivors
 	// reported: results can only be missing, never wrong, so a local hit
 	// or a boundary path proves the query true regardless of shortfall —

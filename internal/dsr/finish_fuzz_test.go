@@ -78,8 +78,10 @@ func fuzzBytes(shape boundaryShape, round []roundQuery) []byte {
 	return out
 }
 
-// FuzzBoundaryFinish drives the finish and the per-query BFS with
-// whatever boundary graph and round the fuzz bytes decode to.
+// FuzzBoundaryFinish drives the finish — the sweep, and the lookups in
+// the graph's label cover — and the per-query BFS with whatever
+// boundary graph and round the fuzz bytes decode to: both finishes must
+// give the BFS's answer to every query, so each other's too.
 func FuzzBoundaryFinish(f *testing.F) {
 	// The committed corpus (testdata/fuzz) holds hand-sized cases — no
 	// bytes, one edge asked both ways, a cycle, seed component == goal
@@ -103,6 +105,7 @@ func FuzzBoundaryFinish(f *testing.F) {
 		shape, round := fuzzRound(data)
 		g, bg := shape.stitched(t)
 		checkRound(t, shape.name, g, bg, newFinisher(bg.ncomp()), round)
+		checkRound(t, shape.name+"/labels", g, bg, labelFinisher(bg, -1), round)
 	})
 }
 

@@ -327,17 +327,33 @@ func checkRound(t testing.TB, name string, g *csr, bg *boundaryGraph, fin *finis
 	return popped
 }
 
+// labelFinisher is a finisher that answers from bg's label cover, built
+// with at most limit entries (limit < 0: no bound); nil if the cover
+// needs more.
+func labelFinisher(bg *boundaryGraph, limit int) *finisher {
+	l, _ := buildLabels(bg, limit, nil)
+	if l == nil {
+		return nil
+	}
+	fin := &finisher{}
+	fin.install(l)
+	return fin
+}
+
 // TestFinishSweepDifferential runs the finish on fabricated rounds —
 // decided, locally hit and open queries mixed, seed and goal lists that
 // may be empty, overlap, or repeat — and checks every answer against
 // the per-query BFS. One finisher serves every round of a shape, so
 // bits are reused across chunks and rounds, and its arrays must be back
-// to all-zero after each.
+// to all-zero after each. Every round is answered from the shape's label
+// cover too, through one finisher whose stamps carry across rounds —
+// where the cover fits labelCap, as an engine would build it: the long
+// chains' covers do not.
 func TestFinishSweepDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
 	for _, shape := range append(boundaryShapes(rng), seamShapes(76)...) {
 		g, bg := shape.stitched(t)
-		fin := newFinisher(bg.ncomp())
+		fin, byLabels := newFinisher(bg.ncomp()), labelFinisher(bg, labelCap*bg.ncomp())
 		pick := func(from []int32) []int32 {
 			vs := make([]int32, rng.Intn(7))
 			for i := range vs {
@@ -365,6 +381,11 @@ func TestFinishSweepDifferential(t *testing.T) {
 				}
 			}
 			popped := checkRound(t, shape.name, g, bg, fin, round)
+			if byLabels != nil {
+				if p := checkRound(t, shape.name+"/labels", g, bg, byLabels, round); p != 0 {
+					t.Fatalf("%s/labels round of %d: popped %d components", shape.name, size, p)
+				}
+			}
 			if shape.idle && popped != 0 {
 				t.Fatalf("%s round of %d: popped %d components with every seed below every goal", shape.name, size, popped)
 			}
@@ -545,46 +566,89 @@ func benchGraph() (*graph.Graph, int) {
 	return gen.Community(rand.New(rand.NewSource(4)), n, 16, 2.5, 0.05, 0.01), n
 }
 
+// fullBenchGraph is the benchmark harness's graph family at full size.
+func fullBenchGraph() *graph.Graph {
+	return gen.Community(rand.New(rand.NewSource(4)), 200_000, 16, 2.5, 0.05, 0.01)
+}
+
+// sweepEngine builds a k = 3 in-process engine over g whose labels are
+// held back, so its finish state — the DAG and the sweep's scratch —
+// stays for the finish benchmarks to drive.
+func sweepEngine(tb testing.TB, g *graph.Graph, strat graph.Partitioner) *Engine {
+	tb.Helper()
+	labelsHeld = true
+	defer func() { labelsHeld = false }()
+	e, err := Build(g, Options{K: 3, Partitioner: strat})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
 // BenchmarkBoundaryFinish times the coordinator's finish alone — the
 // rounds' state is captured up front from real rounds — under the
 // partitioning that makes nearly every vertex boundary and the one that
-// keeps the boundary small. b.N counts rounds; ns/query divides by the
-// batch, as does components/query — the components the rounds' sweeps
-// popped, a count that repeats exactly from run to run. batch=32 is
-// about what a closed-loop dsr-serve round carries.
+// keeps the boundary small, on the harness's graph at a quarter of its
+// size and at full size (the 200k rows). Each row runs the sweep, and
+// each labels row the same rounds from the DAG's label cover. b.N
+// counts rounds; ns/query divides by the batch, as do the exact counts
+// beside it: the components the sweeps popped (components/query), or
+// the label entries the lookups read (entries/query). batch=32 is about
+// what a closed-loop dsr-serve round carries.
 func BenchmarkBoundaryFinish(b *testing.B) {
-	g, n := benchGraph()
-	for _, strat := range []graph.Partitioner{graph.Hash(), locality.New(locality.Options{Seed: 1})} {
-		e, err := Build(g, Options{K: 3, Partitioner: strat})
-		if err != nil {
-			b.Fatal(err)
-		}
+	small, _ := benchGraph()
+	full := fullBenchGraph()
+	for _, c := range []struct {
+		name  string
+		g     *graph.Graph
+		strat graph.Partitioner
+	}{
+		{"hash", small, graph.Hash()},
+		{"locality", small, locality.New(locality.Options{Seed: 1})},
+		{"hash200k", full, graph.Hash()},
+		{"locality200k", full, locality.New(locality.Options{Seed: 1})},
+	} {
+		e := sweepEngine(b, c.g, c.strat)
+		byLabels := labelFinisher(e.bg, -1)
 		for _, batch := range []int{1, 8, 32, 64} {
-			rounds := captureRounds(e, rand.New(rand.NewSource(int64(batch))), n, batch, 16)
-			b.Run(fmt.Sprintf("%s/batch=%d", strat.Name(), batch), func(b *testing.B) {
-				popped := 0
-				run := func(i int) {
-					qs := rounds[i%len(rounds)]
-					for j := range qs {
-						qs[j].ans = qs[j].done && qs[j].ans
-					}
-					_, n := e.r.fin.run(e.bg, qs)
-					popped += n
-				}
-				for i := range rounds { // fault the scratch in and warm the caches
-					run(i)
-				}
-				popped = 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					run(i)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/query")
-				b.ReportMetric(float64(popped)/float64(b.N*batch), "components/query")
+			rounds := captureRounds(e, rand.New(rand.NewSource(int64(batch))), c.g.NumVertices(), batch, 16)
+			b.Run(fmt.Sprintf("%s/batch=%d", c.name, batch), func(b *testing.B) {
+				benchFinish(b, e.r.fin, e.bg, rounds)
+			})
+			b.Run(fmt.Sprintf("%s/labels/batch=%d", c.name, batch), func(b *testing.B) {
+				benchFinish(b, byLabels, e.bg, rounds)
 			})
 		}
 		e.Close()
+	}
+}
+
+// benchFinish runs the captured rounds through fin, one a b.N.
+func benchFinish(b *testing.B, fin *finisher, bg *boundaryGraph, rounds [][]qstate) {
+	popped := 0
+	run := func(i int) {
+		qs := rounds[i%len(rounds)]
+		for j := range qs {
+			qs[j].ans = qs[j].done && qs[j].ans
+		}
+		_, n := fin.run(bg, qs)
+		popped += n
+	}
+	for i := range rounds { // fault the scratch in and warm the caches
+		run(i)
+	}
+	popped, read := 0, fin.read
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i)
+	}
+	queries := float64(b.N * len(rounds[0]))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/queries, "ns/query")
+	if fin.lab != nil {
+		b.ReportMetric(float64(fin.read-read)/queries, "entries/query")
+	} else {
+		b.ReportMetric(float64(popped)/queries, "components/query")
 	}
 }
 
@@ -597,7 +661,7 @@ func BenchmarkBoundaryFinish(b *testing.B) {
 // half the stitch.
 func BenchmarkStitchBoundary(b *testing.B) {
 	g, _ := benchGraph()
-	full := gen.Community(rand.New(rand.NewSource(4)), 200_000, 16, 2.5, 0.05, 0.01)
+	full := fullBenchGraph()
 	for _, c := range []struct {
 		name  string
 		g     *graph.Graph

@@ -34,6 +34,7 @@ type engineMetrics struct {
 	boundaryVerts *obs.Gauge // dsr_boundary_vertices
 	boundaryComps *obs.Gauge // dsr_boundary_components
 	residentBytes *obs.Gauge // dsr_resident_bytes
+	labelEntries  *obs.Gauge // dsr_boundary_label_entries
 	partitions    *obs.Gauge // dsr_partitions
 }
 
@@ -60,6 +61,7 @@ func newEngineMetrics(reg *obs.Registry, k int) engineMetrics {
 		boundaryVerts: reg.Gauge("dsr_boundary_vertices"),
 		boundaryComps: reg.Gauge("dsr_boundary_components"),
 		residentBytes: reg.Gauge("dsr_resident_bytes"),
+		labelEntries:  reg.Gauge("dsr_boundary_label_entries"),
 		partitions:    reg.Gauge("dsr_partitions"),
 	}
 	for p := 0; p < k; p++ {

@@ -135,7 +135,7 @@ func condenseReference(verts []uint32, sums []wire.Summary, g *csr) *boundaryGra
 	cond := scc.Condense(g, nil)
 	d := cond.Data()
 	poff, pred := cond.Reverse()
-	bg := &boundaryGraph{nverts: len(verts), compOf: make([][]int32, len(sums)),
+	bg := &boundaryGraph{nverts: len(verts), ncomps: len(d.FOff) - 1, compOf: make([][]int32, len(sums)),
 		off: d.FOff, succ: d.FEdges, poff: poff, pred: pred}
 	for p := range sums {
 		tab := make([]int32, len(sums[p].Boundary))
@@ -157,6 +157,8 @@ func sameStitch(got, want *boundaryGraph) string {
 	switch {
 	case got.nverts != want.nverts:
 		return fmt.Sprintf("nverts %d, want %d", got.nverts, want.nverts)
+	case got.ncomps != want.ncomps:
+		return fmt.Sprintf("ncomps %d, want %d", got.ncomps, want.ncomps)
 	case len(got.compOf) != len(want.compOf):
 		return fmt.Sprintf("compOf for %d partitions, want %d", len(got.compOf), len(want.compOf))
 	case !slices.Equal(got.off, want.off):

@@ -15,8 +15,17 @@ import (
 
 // TestEngineMetrics runs batches through an instrumented in-process
 // engine and checks the coordinator's metric catalog fills in: counters
-// count, histograms observe, gauges describe the deployment.
+// count, histograms observe, gauges describe the deployment — with the
+// labels answering the finish, and with them held back.
 func TestEngineMetrics(t *testing.T) {
+	t.Run("labels", func(t *testing.T) { testEngineMetrics(t, true) })
+	t.Run("sweep", func(t *testing.T) {
+		withLabelSeam(t, &labelsHeld)
+		testEngineMetrics(t, false)
+	})
+}
+
+func testEngineMetrics(t *testing.T, labelled bool) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomGraph(rng, 300, 2)
 	reg := obs.NewRegistry()
@@ -53,12 +62,16 @@ func TestEngineMetrics(t *testing.T) {
 			t.Errorf("histogram %s never observed", h)
 		}
 	}
-	// One observation per round, beside the finish's time; a round of
-	// four is one sweep, which pops a component at most once.
+	// One observation per round, beside the finish's time. A round of
+	// four is one sweep, which pops a component at most once; from the
+	// labels it pops none.
 	pops := snap.Histograms["dsr_finish_sweep_components"]
-	if pops.Count != snap.Histograms["dsr_boundary_finish_ns"].Count || pops.Sum == 0 || pops.Sum > uint64(rounds*e.bg.ncomp()) {
-		t.Errorf("dsr_finish_sweep_components: %d observations summing to %d, want one per finish and 1..%d components",
-			pops.Count, pops.Sum, rounds*e.bg.ncomp())
+	if pops.Count != snap.Histograms["dsr_boundary_finish_ns"].Count || (pops.Sum == 0) != labelled || pops.Sum > uint64(rounds*e.bg.ncomp()) {
+		t.Errorf("dsr_finish_sweep_components: %d observations summing to %d, want one per finish, and 0 components from labels or 1..%d from the sweep (labels %v)",
+			pops.Count, pops.Sum, rounds*e.bg.ncomp(), labelled)
+	}
+	if got := snap.Gauges["dsr_boundary_label_entries"]; (got > 0) != labelled {
+		t.Errorf("dsr_boundary_label_entries = %d with labels %v", got, labelled)
 	}
 	lat := snap.Histograms["dsr_query_latency_ns"]
 	if lat.P50 == 0 || lat.P99 < lat.P50 || lat.P999 < lat.P99 {
