@@ -152,8 +152,10 @@ bench-harness-test:
 # second apart, one fresh seed per pair), each
 # side built and run by its own bench/run.sh. Prints per (workload,
 # metric) both medians and quartiles, the pairs won, and a verdict
-# under the metric's bound — `unresolved` where the parent's own spread
-# is wider than the bound (tools/ab has the rules). The parent is
+# under the metric's bound — `worse` past the bound first, and where the
+# parent's own spread is wider than the bound `better` only when every
+# change run beats every parent run, `unresolved` otherwise (tools/ab
+# has the rules). The parent is
 # exported under .bench_build/ab/, and nothing is written outside
 # .bench_build/. A full run is 4 workloads x 2 sides x PAIRS x ~65 s.
 # With BENCH=<regexp> the pairs run PKG's Go benchmarks of that name
@@ -187,30 +189,32 @@ ab:
 # edges) against the k-way reference on multigraphs and labellings
 # decoded the same way, with the exits a decode derives from the cross
 # edges in any order, the coordinator's boundary finish — the
-# two-cursor sweep and the 2-hop label lookups both — against a
+# bidirectional walk and the 2-hop label lookups both — against a
 # per-query BFS on boundary graphs and rounds decoded the same way, the
 # coordinator's bucketed boundary stitch against the
 # binary-search stitch it replaced on fleets of up to four summaries
 # decoded the same way, and the locality partitioner against its
 # full-scan reference on small multigraphs and options decoded the same
 # way — growing the corpus instead of only replaying
-# committed seeds.
+# committed seeds. Minimizing an interesting input is capped at 2 s:
+# go's default (60 s) lets the workers spend a whole FUZZ_TIME
+# shrinking one input and run a few dozen execs.
 # Any crasher go finds is written to testdata/fuzz and fails the run.
 fuzz-smoke:
-	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeTasks$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeResults$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeHello$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeSummary$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/snapshot -run='^$$' -fuzz='^FuzzDecodeSnapshotHeader$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/snapshot -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/shard -run='^$$' -fuzz='^FuzzShardRun$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzSubgraphLocal$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzExtractOne$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzLoadEdgeList$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzBoundaryFinish$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzStitchBoundary$$' -fuzztime=$(FUZZ_TIME)
-	$(GO) test ./internal/partition/locality -run='^$$' -fuzz='^FuzzPartitionMatchesReference$$' -fuzztime=$(FUZZ_TIME)
+	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeTasks$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeResults$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeHello$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeSummary$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/snapshot -run='^$$' -fuzz='^FuzzDecodeSnapshotHeader$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/snapshot -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/shard -run='^$$' -fuzz='^FuzzShardRun$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzSubgraphLocal$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzExtractOne$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzLoadEdgeList$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzBoundaryFinish$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/dsr -run='^$$' -fuzz='^FuzzStitchBoundary$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
+	$(GO) test ./internal/partition/locality -run='^$$' -fuzz='^FuzzPartitionMatchesReference$$' -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=2s
 
 # Godoc hygiene gate: every package must carry a package comment, the
 # packages tools/doccheck lists as strict (internal/serve) must

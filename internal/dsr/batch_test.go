@@ -106,6 +106,7 @@ func TestQueryZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	withLabelSeam(t, &labelsAwaited) // no label build allocating beside the measured rounds
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 2000, 3)
 	reg := obs.NewRegistry()

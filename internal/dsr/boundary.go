@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"dsr/internal/scc"
 	"dsr/internal/wire"
@@ -18,13 +19,13 @@ import (
 // between them — because the finish asks nothing but "which components
 // does this set of components reach". Components are numbered in
 // reverse topological order (scc.Decompose): every DAG edge points at a
-// smaller number, so a pass in decreasing order sees each component
-// after all its predecessors, and a pass in increasing order over the
-// transpose — kept beside the DAG, as scc.Condense builds both — sees
-// each after all its successors. The sweep runs one of each.
+// smaller number, so a path from a seed to a goal never leaves the
+// numbers between them. The walk (finisher.walk) goes down the DAG from
+// the seeds and up its transpose — kept beside the DAG, as scc.Condense
+// builds both — from the goals.
 //
-// The DAG and its transpose are read by the sweep and by the label
-// build (labels.go) only: once the engine installs labels it drops them
+// The DAG and its transpose are read by the walk and by the label build
+// (labels.go) only: once the engine installs labels it drops them
 // (dropDAG), and the finish reads the labels instead.
 //
 // No vertex ID survives the stitch. A shard names a boundary vertex by
@@ -314,66 +315,44 @@ func condense(owner []int32, sums []wire.Summary, g *csr) *boundaryGraph {
 	return bg
 }
 
-// finishChunk is how many undecided queries one sweep answers: one bit
-// of a machine word each.
-const finishChunk = 64
-
-// cursor is one direction of a sweep: the forward one walks the
-// component DAG down from the seeds, the backward one its transpose up
-// from the goals. Words of active outside [lo, hi] are zero; the end of
-// that range a cursor pops from is its position in the sweep.
-type cursor struct {
-	down   bool     // forward: edges point at smaller numbers, so it pops from the top
-	mask   []uint64 // per component: queries whose seeds reach it (forward), whose goals it reaches (backward)
-	active []uint64 // bitmap of components with a non-zero mask not popped yet
-	lo, hi int      // words of active that may hold set bits
-	pops   int      // components popped this sweep
-	edges  int      // DAG edges pushed along this sweep
-}
-
 // finisher is the per-round state of the boundary finish — the
 // coordinator's last step, deciding every query the local searches left
 // open: does any component a query's forward searches reached (its
 // seeds) lead to a component from which its backward searches were
 // reached (its goals)?
 //
-// It answers in one of two ways. Once labels are installed (install),
-// each query is one lookup in the 2-hop cover: the hubs of its seeds'
-// out-labels are stamped, and a goal whose in-label holds a stamped hub
-// is reached. Until then — while the engine builds the labels, or for
-// good if the build gave up — up to finishChunk queries share one sweep
-// of the component DAG, each owning one bit of every mask word. Both
-// cursors' mask and active are all-zero between sweeps.
+// It answers one query at a time, in one of two ways. Once labels are
+// installed (install), a query is one lookup in the 2-hop cover: the
+// hubs of its seeds' out-labels are stamped, and a goal whose in-label
+// holds a stamped hub is reached. Until then — while the engine builds
+// the labels, or for good if the build gave up — a query is one
+// bidirectional walk of the component DAG (walk). Either way a query
+// stamps with a fresh gen, so nothing is cleared between queries; the
+// stamp arrays are cleared only when the counter wraps.
 type finisher struct {
-	fwd, bwd cursor
-	chunk    []int32 // batch indexes of the queries in the current sweep; bit b is chunk[b]
+	seen, goal []uint32 // per component: the last query whose walk reached it forward, backward
+	fwd, bwd   []int32  // the walk's two queues, reused query to query
 
-	lab   *hubLabels // the installed cover; nil while the sweep answers
+	lab   *hubLabels // the installed cover; nil while the walk answers
 	stamp []uint32   // per hub rank: the last query whose seeds reach the hub
 	gen   uint32     // the current query's stamp
 	read  int        // label entries read, over the finisher's life
 }
 
 func newFinisher(ncomp int) *finisher {
-	words := (ncomp + 63) / 64
-	return &finisher{
-		fwd:   cursor{down: true, mask: make([]uint64, ncomp), active: make([]uint64, words)},
-		bwd:   cursor{mask: make([]uint64, ncomp), active: make([]uint64, words)},
-		chunk: make([]int32, 0, finishChunk),
-	}
+	return &finisher{seen: make([]uint32, ncomp), goal: make([]uint32, ncomp)}
 }
 
-// install hands every later query to l and releases the sweep's masks
-// and bitmaps.
+// install hands every later query to l and releases the walk's state.
 func (f *finisher) install(l *hubLabels) {
 	f.lab, f.stamp, f.gen = l, make([]uint32, len(l.outOff)-1), 0
-	f.fwd.mask, f.fwd.active, f.bwd.mask, f.bwd.active = nil, nil, nil, nil
+	f.seen, f.goal, f.fwd, f.bwd = nil, nil, nil, nil
 }
 
 // residentBytes is the footprint of the finish's state sized to the
-// graph: the sweep's scratch, or the labels and their stamps.
+// graph: the walk's stamps, or the labels and theirs.
 func (f *finisher) residentBytes() int {
-	b := 8*(len(f.fwd.mask)+len(f.fwd.active)+len(f.bwd.mask)+len(f.bwd.active)) + 4*len(f.stamp)
+	b := 4 * (len(f.seen) + len(f.goal) + len(f.stamp))
 	if f.lab != nil {
 		b += f.lab.residentBytes()
 	}
@@ -382,10 +361,10 @@ func (f *finisher) residentBytes() int {
 
 // run settles every query of the round the local searches left open:
 // a local hit is an answer, and the rest — those with both seeds and
-// goals — are looked up in the labels one by one or, without labels, go
-// through the sweep finishChunk at a time. It returns how many queries
-// were swept or looked up, and how many components the sweeps popped.
-func (f *finisher) run(bg *boundaryGraph, qs []qstate) (swept, popped int) {
+// goals — are looked up in the labels or, without labels, walked. It
+// returns how many queries were looked up or walked, and how many
+// components the walks expanded.
+func (f *finisher) run(bg *boundaryGraph, qs []qstate) (swept, expanded int) {
 	for i := range qs {
 		st := &qs[i]
 		switch {
@@ -394,31 +373,27 @@ func (f *finisher) run(bg *boundaryGraph, qs []qstate) (swept, popped int) {
 			st.ans = true
 		case len(st.seeds) > 0 && len(st.goals) > 0:
 			swept++
+			if f.gen++; f.gen == 0 {
+				clear(f.seen)
+				clear(f.goal)
+				clear(f.stamp)
+				f.gen = 1
+			}
 			if f.lab != nil {
 				st.ans = f.reach(st.seeds, st.goals)
 				continue
 			}
-			if len(f.chunk) == finishChunk {
-				popped += f.sweep(bg, qs)
-			}
-			f.chunk = append(f.chunk, int32(i))
+			var n int
+			st.ans, n = f.walk(bg, st.seeds, st.goals)
+			expanded += n
 		}
 	}
-	if len(f.chunk) > 0 {
-		popped += f.sweep(bg, qs)
-	}
-	return swept, popped
+	return swept, expanded
 }
 
 // reach answers one query from the labels: some seed reaches some goal
-// exactly when a hub in a seed's out-label is in a goal's in-label. A
-// fresh stamp per query leaves the previous query's hubs behind; the
-// stamps are cleared only when the counter wraps.
+// exactly when a hub in a seed's out-label is in a goal's in-label.
 func (f *finisher) reach(seeds, goals []int32) bool {
-	if f.gen++; f.gen == 0 {
-		clear(f.stamp)
-		f.gen = 1
-	}
 	l := f.lab
 	for _, s := range seeds {
 		row := l.outHub[l.outOff[s]:l.outOff[s+1]]
@@ -440,118 +415,57 @@ func (f *finisher) reach(seeds, goals []int32) bool {
 	return false
 }
 
-// sweep answers the chunk's queries — qs[i].ans is set for every one
-// whose seeds reach a goal — empties the chunk and returns how many
-// components it popped.
+// walk answers one query over the component DAG and returns how many
+// components it expanded. One side searches forward over succ from the
+// seeds, stamping seen; the other backward over pred from the goals,
+// stamping goal. Each step expands the next component of the side with
+// fewer queued, and the walk ends when a push lands on a component the
+// other side has stamped — a seed reaches a goal — or when a side has
+// nothing left to expand: everything it reaches is stamped, and every
+// stamp was tested against the other side's when it was pushed, so the
+// goal or seed it would have met is not there.
 //
-// Two cursors share the walk. The forward one pops components in
-// decreasing order, so each is popped after every predecessor has
-// pushed into its mask, and pushes the mask on to the successors; the
-// backward one does the same in increasing order over the transpose.
-// Each step advances, by one bitmap word, the cursor that has done less
-// work so far, and the sweep ends when the cursors cross or no query is
-// pending: a word is popped by at most one cursor, and the seam falls
-// where the two sides' work balances, wherever the round's seeds and
-// goals put that.
-//
-// Every pop tests the popped mask against the other direction's mask on
-// the same component and retires the hits. That finds every answer:
-// component numbers strictly decrease along a seed→goal path, so either
-// the path has an edge u→v whose ends were popped by different cursors
-// — forward pushed the query onto v's forward mask when it popped u,
-// backward onto u's backward mask when it popped v, and whichever pop
-// came later saw the other's push — or one cursor walked the whole
-// path, onto a component carrying the other direction's seed bit. What
-// the loop leaves behind — seeds and goals beyond the seam, pushes that
-// crossed it, everything once nothing is pending — is never popped and
-// is zeroed by wipe.
-func (f *finisher) sweep(bg *boundaryGraph, qs []qstate) int {
-	fwd, bwd := &f.fwd, &f.bwd
-	fwd.reset()
-	bwd.reset()
-	for b, qi := range f.chunk {
-		st := &qs[qi]
-		bit := uint64(1) << b
-		for _, c := range st.seeds {
-			fwd.seed(c, bit)
-		}
-		for _, c := range st.goals {
-			bwd.seed(c, bit)
-		}
+// Components are numbered in reverse topological order, so every
+// component of a seed→goal path lies within [lo, hi] — the smallest
+// goal, the largest seed — and neither side pushes one outside it: a
+// query whose every seed lies below every goal expands nothing.
+func (f *finisher) walk(bg *boundaryGraph, seeds, goals []int32) (bool, int) {
+	lo, hi := slices.Min(goals), slices.Max(seeds)
+	if lo > hi {
+		return false, 0
 	}
-	pending := ^uint64(0) >> (64 - len(f.chunk))
-	for fwd.hi >= bwd.lo && pending != 0 {
-		var hit uint64
-		if fwd.pops+fwd.edges <= bwd.pops+bwd.edges {
-			hit = fwd.pop(fwd.hi, bwd, bg.off, bg.succ, pending)
-			fwd.hi--
+	bwd, _ := push(goals, lo, hi, f.gen, f.goal, f.seen, f.bwd[:0]) // seen holds no stamp of gen yet
+	fwd, met := push(seeds, lo, hi, f.gen, f.seen, f.goal, f.fwd[:0])
+	n := 0
+	for fh, bh := 0, 0; !met && fh < len(fwd) && bh < len(bwd); n++ {
+		if len(fwd)-fh <= len(bwd)-bh {
+			c := fwd[fh]
+			fh++
+			fwd, met = push(bg.succ[bg.off[c]:bg.off[c+1]], lo, hi, f.gen, f.seen, f.goal, fwd)
 		} else {
-			hit = bwd.pop(bwd.lo, fwd, bg.poff, bg.pred, pending)
-			bwd.lo++
-		}
-		pending &^= hit
-		for ; hit != 0; hit &= hit - 1 {
-			qs[f.chunk[bits.TrailingZeros64(hit)]].ans = true
+			c := bwd[bh]
+			bh++
+			bwd, met = push(bg.pred[bg.poff[c]:bg.poff[c+1]], lo, hi, f.gen, f.goal, f.seen, bwd)
 		}
 	}
-	fwd.wipe()
-	bwd.wipe()
-	f.chunk = f.chunk[:0]
-	return fwd.pops + bwd.pops
+	f.fwd, f.bwd = fwd, bwd
+	return met, n
 }
 
-// reset readies the cursor for a sweep: nothing active, no work done.
-func (cu *cursor) reset() {
-	cu.lo, cu.hi, cu.pops, cu.edges = len(cu.active), -1, 0, 0
-}
-
-// seed adds the queries in bit to component c and activates it.
-func (cu *cursor) seed(c int32, bit uint64) {
-	cu.mask[c] |= bit
-	w := int(c >> 6)
-	cu.active[w] |= 1 << (c & 63)
-	cu.lo, cu.hi = min(cu.lo, w), max(cu.hi, w)
-}
-
-// pop expands every active component of bitmap word w along the
-// cursor's edges (off, adj) — in the direction they point, so a push
-// inside the word lands ahead of the scan and is popped by the same
-// call — and returns the pending queries that met the other cursor's
-// mask on a popped component.
-func (cu *cursor) pop(w int, other *cursor, off, adj []int32, pending uint64) (hits uint64) {
-	for cu.active[w] != 0 {
-		i := bits.TrailingZeros64(cu.active[w])
-		if cu.down {
-			i = bits.Len64(cu.active[w]) - 1
-		}
-		cu.active[w] &^= 1 << i
-		c := w<<6 + i
-		m := cu.mask[c] & pending
-		cu.mask[c] = 0
-		cu.pops++
-		if hit := m & other.mask[c]; hit != 0 {
-			hits |= hit
-			pending &^= hit
-			m &^= hit
-		}
-		if m == 0 {
+// push queues, for one side of a walk, each component of cs within
+// [lo, hi] that the side has not stamped yet, stamping it gen in mine.
+// It stops and reports a meet at the first one the other side has
+// stamped in theirs.
+func push(cs []int32, lo, hi int32, gen uint32, mine, theirs []uint32, q []int32) ([]int32, bool) {
+	for _, c := range cs {
+		if c < lo || c > hi || mine[c] == gen {
 			continue
 		}
-		row := adj[off[c]:off[c+1]]
-		cu.edges += len(row)
-		for _, d := range row {
-			cu.seed(d, m)
+		if theirs[c] == gen {
+			return q, true
 		}
+		mine[c] = gen
+		q = append(q, c)
 	}
-	return hits
-}
-
-// wipe zeroes the masks of the components still active and the bitmap.
-func (cu *cursor) wipe() {
-	for w := cu.lo; w <= cu.hi; w++ {
-		for a := cu.active[w]; a != 0; a &= a - 1 {
-			cu.mask[w<<6+bits.TrailingZeros64(a)] = 0
-		}
-		cu.active[w] = 0
-	}
+	return q, false
 }

@@ -13,9 +13,9 @@
 //     index (labels.go), so a query is reached exactly when a hub of its
 //     seeds' out-labels is in its goals' in-labels. Until the labels are
 //     installed, or if the build gives up on a DAG whose cover passes
-//     labelCap, the DAG is swept once per batch, from the seeds down and
-//     from the goals up until the two cursors cross, with every open
-//     query riding one bit of a machine word (boundary.go).
+//     labelCap, each open query is one walk of the DAG, down from its
+//     seeds and up from its goals until the two sides meet or one runs
+//     dry (boundary.go).
 //
 // Any s->t path decomposes as s ~> x0 -> e1 ~> x1 -> ... ek ~> t, where
 // each ~> stays inside one partition and each -> is a cross-partition
@@ -223,16 +223,10 @@ type Engine struct {
 	resident   atomic.Int64
 }
 
-// labelInline is the size, in components plus DAG edges, up to which
-// startLabels labels the boundary DAG before Connect returns: well
-// under a millisecond of work, not worth a goroutine. Bigger DAGs are
-// labelled in the background while the sweep answers.
-const labelInline = 1 << 14
-
 // Test seams over startLabels, both false in the product: while
-// labelsHeld is set engines build no labels, so the sweep answers every
+// labelsHeld is set engines build no labels, so the walk answers every
 // round; while labelsAwaited is set they build them before Connect
-// returns, whatever the DAG's size.
+// returns.
 var labelsHeld, labelsAwaited bool
 
 // round is the coordinator's per-round scratch, reused round after
@@ -247,7 +241,7 @@ type round struct {
 	arena []int32     // seed storage for the whole round; tasks alias it
 
 	qs    []qstate
-	fin   *finisher // boundary-finish sweep state
+	fin   *finisher // boundary-finish state: the walk's, or the labels
 	trace obs.Trace // span trace, reused: tracing allocates nothing when hot
 
 	batchID uint64 // round counter; the wire batch ID (starts at 1)
@@ -441,14 +435,14 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, o Options) *Engi
 	return e
 }
 
-// startLabels starts labelling the boundary DAG: inline if it is small,
-// else on a goroutine that Close stops and joins.
+// startLabels starts labelling the boundary DAG on a goroutine that
+// Close stops and joins; the walk answers until the labels install.
 func (e *Engine) startLabels() {
 	e.labelsDone = make(chan struct{})
 	switch {
 	case labelsHeld:
 		close(e.labelsDone)
-	case labelsAwaited || e.bg.ncomp()+len(e.bg.succ) <= labelInline:
+	case labelsAwaited:
 		e.labelBoundary()
 	default:
 		go e.labelBoundary()
@@ -457,8 +451,8 @@ func (e *Engine) startLabels() {
 
 // labelBoundary builds the 2-hop label cover of the boundary DAG and
 // installs it: from the next round on the finish reads the labels, and
-// the sweep's scratch and the DAG are released. A cover that outgrows
-// labelCap entries per component is abandoned and the sweep keeps
+// the walk's stamps and the DAG are released. A cover that outgrows
+// labelCap entries per component is abandoned and the walk keeps
 // answering; a Close stops the build between two hubs.
 func (e *Engine) labelBoundary() {
 	defer close(e.labelsDone)
@@ -469,7 +463,7 @@ func (e *Engine) labelBoundary() {
 	case e.stopLabels.Load():
 		return
 	case l == nil:
-		e.log.Warnf("boundary labels abandoned: %d entries passed %d per component over %d components; the sweep answers the finish",
+		e.log.Warnf("boundary labels abandoned: %d entries passed %d per component over %d components; the walk answers the finish",
 			entries, labelCap, nc)
 		return
 	}
@@ -522,7 +516,7 @@ func (e *Engine) NumBoundary() int { return e.bg.nverts }
 
 // ResidentBytes reports the coordinator's per-graph resident footprint:
 // each boundary vertex's component, plus what the finish reads — the
-// component DAG, its transpose and the sweep's scratch sized to the
+// component DAG, its transpose and the walk's stamps sized to the
 // components until labels are installed, the labels and their stamps
 // after. It scales with boundary size only — growing partition
 // interiors (vertices and edges that never cross a partition border)
@@ -690,8 +684,8 @@ func (e *Engine) run(queries []Query) error {
 	}
 
 	// Final pass: every undecided query with both seeds and goals is
-	// looked up in the labels or joins the boundary sweep, 64 to a
-	// sweep, then the coverage verdict.
+	// looked up in the labels or walked over the boundary DAG, then the
+	// coverage verdict.
 	// Queries that lost a partition still run on whatever the survivors
 	// reported: results can only be missing, never wrong, so a local hit
 	// or a boundary path proves the query true regardless of shortfall —
@@ -701,7 +695,7 @@ func (e *Engine) run(queries []Query) error {
 	if err == nil {
 		finStart := r.trace.Since()
 		fin := r.trace.Add("finish", 1, finStart, 0, -1, 0)
-		swept, popped := r.fin.run(e.bg, r.qs[:len(queries)])
+		swept, expanded := r.fin.run(e.bg, r.qs[:len(queries)])
 		failed = 0
 		for i := range queries {
 			st := &r.qs[i]
@@ -714,7 +708,7 @@ func (e *Engine) run(queries []Query) error {
 		r.trace.SetDur(fin, finDur)
 		r.trace.SetN(fin, swept)
 		e.met.finish.Observe(int64(finDur))
-		e.met.popped.Observe(int64(popped))
+		e.met.expanded.Observe(int64(expanded))
 		switch {
 		case perr != nil:
 			be := &BatchError{Partitions: perr, Failed: make([]bool, len(queries))}

@@ -8,7 +8,7 @@ import (
 
 // fuzzRound decodes fuzz bytes into a boundary graph and one round on
 // it. Everything is two bytes, little-endian, and a missing byte reads
-// as zero: the vertex count (1..1024, up to sixteen bitmap words), the
+// as zero: the vertex count (1..1024), the
 // edge count, the edges — each joins two vertices from the smaller to
 // the larger, so the graph is a DAG, unless the top bit of the first
 // end marks a back edge — then the queries until the bytes run out,
@@ -78,7 +78,7 @@ func fuzzBytes(shape boundaryShape, round []roundQuery) []byte {
 	return out
 }
 
-// FuzzBoundaryFinish drives the finish — the sweep, and the lookups in
+// FuzzBoundaryFinish drives the finish — the walk, and the lookups in
 // the graph's label cover — and the per-query BFS with whatever
 // boundary graph and round the fuzz bytes decode to: both finishes must
 // give the BFS's answer to every query, so each other's too.
@@ -86,13 +86,13 @@ func FuzzBoundaryFinish(f *testing.F) {
 	// The committed corpus (testdata/fuzz) holds hand-sized cases — no
 	// bytes, one edge asked both ways, a cycle, seed component == goal
 	// component, a three-word chain, an hourglass across the first word
-	// boundary; these seeds are the seam shapes at four bitmap words (small, because the
-	// fuzzer minimizes whatever it finds interesting), each with a round
-	// of more than one chunk drawn from the shape's own seed and goal
+	// boundary; these seeds are the seam shapes at 256 components (small,
+	// because the fuzzer minimizes whatever it finds interesting), each
+	// with a round of 66 queries drawn from the shape's own seed and goal
 	// vertices.
 	rng := rand.New(rand.NewSource(20260929))
 	for _, shape := range seamShapes(4) {
-		round := make([]roundQuery, finishChunk+2)
+		round := make([]roundQuery, 66)
 		for i := range round {
 			for j := rng.Intn(2); j >= 0; j-- {
 				round[i].seeds = append(round[i].seeds, shape.seeds[rng.Intn(len(shape.seeds))])

@@ -2,6 +2,7 @@ package dsr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,8 +13,8 @@ import (
 	"dsr/internal/wire"
 )
 
-// boundaryReach is the reference the sweep is checked against — the
-// finish this package ran before it: one BFS per query over the
+// boundaryReach is the reference the finish is checked against — the
+// finish this package once ran: one BFS per query over the
 // vertex-level boundary graph, from the seeds until any goal is touched.
 func boundaryReach(g *csr, seeds, goals []int32) bool {
 	goal := make([]bool, g.NumVertices())
@@ -80,12 +81,12 @@ type boundaryShape struct {
 	nb           int // vertices
 	edges        [][2]int32
 	seeds, goals []int32 // the vertices seeds and goals are drawn from; nil means any
-	idle         bool    // every seed lies below every goal in topological order: a sweep pops nothing
-	waist        bool    // an hourglass: a sweep pops its queries' own seeds and goals and the waist, not a fan
+	idle         bool    // every seed lies below every goal in topological order: a walk expands nothing
+	waist        bool    // an hourglass: a walk expands its query's own seeds and goals and the waist, not a fan
 }
 
 // boundaryShapes are the small boundary graphs the finish is exercised
-// on: five bitmap words each, seeds and goals anywhere.
+// on: shapeVerts vertices each, seeds and goals anywhere.
 func boundaryShapes(rng *rand.Rand) []boundaryShape {
 	const nb = shapeVerts
 	random := func(m int) [][2]int32 {
@@ -100,7 +101,7 @@ func boundaryShapes(rng *rand.Rand) []boundaryShape {
 		ring[v] = [2]int32{int32(v), int32((v + 1) % nb)}
 	}
 	// A DAG whose topological order is a random relabelling, so dense
-	// ids say nothing about sweep positions.
+	// ids say nothing about component numbers.
 	label := rng.Perm(nb)
 	dag := random(3 * nb)
 	for i, e := range dag {
@@ -126,7 +127,7 @@ func span(lo, hi int) []int32 {
 }
 
 // chainShape is the path 0 -> 1 -> ... -> nb-1: vertex v is component
-// nb-1-v, one component to a bitmap bit.
+// nb-1-v.
 func chainShape(name string, nb int, seeds, goals []int32, idle bool) boundaryShape {
 	edges := make([][2]int32, nb-1)
 	for v := range edges {
@@ -140,9 +141,8 @@ func chainShape(name string, nb int, seeds, goals []int32, idle bool) boundarySh
 // edge u -> v. Whatever order the decomposition visits vertices in, the
 // sinks complete first, then v, then u, then the sources: v is
 // component `out` and u is `out`+1, which is how a caller places the
-// edge against the bitmap's word boundaries, and the ratio of in to out
-// is how it places it against the point where the two cursors' work
-// balances.
+// edge in the numbering, and the ratio of in to out is how it weighs
+// the walk's two sides against each other.
 func hourglassShape(name string, in, out int) boundaryShape {
 	u, v := int32(in), int32(in+1)
 	edges := [][2]int32{{u, v}}
@@ -155,19 +155,20 @@ func hourglassShape(name string, in, out int) boundaryShape {
 	return boundaryShape{name: name, nb: in + out + 2, edges: edges, seeds: span(0, in), goals: span(in+2, in+2+out), waist: true}
 }
 
-// seamShapes aim at the seam of the two-cursor sweep: graphs of many
-// bitmap words with the seeds and goals placed so the cursors must meet
-// on a chosen edge, inside one word, or not at all. words, even, is the
-// bitmap words a shape spans (the fuzz seeds use the same shapes,
-// smaller).
+// seamShapes are long chains and hourglasses of 64*words components,
+// words even, with the seeds and goals placed so a walk's two sides
+// must meet on a chosen edge, among a few adjacent components, or not
+// at all; the names place them against 64-component words, which the
+// numbering is checked against (TestSeamShapesAim). The fuzz seeds use
+// the same shapes, smaller.
 func seamShapes(words int) []boundaryShape {
 	n := 64 * words
 	return []boundaryShape{
 		// Seeds at the head, goals at the tail: every path crosses every word.
 		chainShape("chain-down", n, span(0, 70), span(n-70, n), false),
-		// The other way round: nothing reaches anything, and nothing is popped.
+		// The other way round: nothing reaches anything, and nothing is expanded.
 		chainShape("chain-up", n, span(n-70, n), span(0, 70), true),
-		// Seeds and goals share one bitmap word (components 64..127) of many.
+		// Seeds and goals share components 64..127 of many.
 		chainShape("chain-one-word", n, span(n-128, n-64), span(n-128, n-64), false),
 		// Seeds and goals are the same few components, words apart.
 		chainShape("chain-same-components", n, []int32{3, int32(n / 2), int32(n - 3)}, []int32{3, int32(n / 2), int32(n - 3)}, false),
@@ -179,7 +180,7 @@ func seamShapes(words int) []boundaryShape {
 }
 
 // stitched stitches a shape, returning both the vertex-level graph (the
-// reference's input) and its condensation (the sweep's).
+// reference's input) and its condensation (the finish's).
 func (s boundaryShape) stitched(t testing.TB) (*csr, *boundaryGraph) {
 	t.Helper()
 	n, sums := summariesOf(s.nb, s.edges)
@@ -190,7 +191,7 @@ func (s boundaryShape) stitched(t testing.TB) (*csr, *boundaryGraph) {
 	return g, condense(owner, sums, g)
 }
 
-// TestCondenseInvariants checks what the sweep relies on: components
+// TestCondenseInvariants checks what the walk relies on: components
 // numbered so every edge points downwards (equal only inside a
 // component), DAG rows strictly downward and duplicate-free.
 func TestCondenseInvariants(t *testing.T) {
@@ -268,8 +269,8 @@ func TestSeamShapesAim(t *testing.T) {
 	}
 }
 
-// finishRoundSizes straddle the 64-query chunk: one query, one short of
-// a chunk, exactly one, one over, and several chunks.
+// finishRoundSizes are the rounds the finish tests run: one query up to
+// a few hundred, every one answered with stamps the previous left.
 var finishRoundSizes = []int{1, 63, 64, 65, 200}
 
 // roundQuery is one fabricated query of a round as the finish meets it:
@@ -281,8 +282,8 @@ type roundQuery struct {
 }
 
 // checkRound runs the finish on a fabricated round and checks every
-// answer against the per-query BFS, the swept count, and that all four
-// scratch arrays are back to all-zero. It returns the components popped.
+// answer against the per-query BFS and the swept count. It returns the
+// components the walks expanded.
 func checkRound(t testing.TB, name string, g *csr, bg *boundaryGraph, fin *finisher, round []roundQuery) int {
 	t.Helper()
 	qs := make([]qstate, len(round))
@@ -309,22 +310,17 @@ func checkRound(t testing.TB, name string, g *csr, bg *boundaryGraph, fin *finis
 			}
 		}
 	}
-	swept, popped := fin.run(bg, qs)
+	swept, expanded := fin.run(bg, qs)
 	if swept != open {
 		t.Fatalf("%s round of %d: swept %d queries, want %d", name, len(round), swept, open)
 	}
 	for i := range qs {
 		if qs[i].ans != want[i] {
-			t.Fatalf("%s round of %d query %d: sweep = %v, per-query BFS = %v (seeds %v goals %v)",
+			t.Fatalf("%s round of %d query %d: finish = %v, per-query BFS = %v (seeds %v goals %v)",
 				name, len(round), i, qs[i].ans, want[i], qs[i].seeds, qs[i].goals)
 		}
 	}
-	for _, arr := range [][]uint64{fin.fwd.mask, fin.fwd.active, fin.bwd.mask, fin.bwd.active} {
-		if slices.ContainsFunc(arr, func(w uint64) bool { return w != 0 }) {
-			t.Fatalf("%s round of %d: finisher scratch not zeroed after the round", name, len(round))
-		}
-	}
-	return popped
+	return expanded
 }
 
 // labelFinisher is a finisher that answers from bg's label cover, built
@@ -344,11 +340,10 @@ func labelFinisher(bg *boundaryGraph, limit int) *finisher {
 // decided, locally hit and open queries mixed, seed and goal lists that
 // may be empty, overlap, or repeat — and checks every answer against
 // the per-query BFS. One finisher serves every round of a shape, so
-// bits are reused across chunks and rounds, and its arrays must be back
-// to all-zero after each. Every round is answered from the shape's label
-// cover too, through one finisher whose stamps carry across rounds —
-// where the cover fits labelCap, as an engine would build it: the long
-// chains' covers do not.
+// each query meets the stamps of every query before it. Every round is
+// answered from the shape's label cover too, through one finisher whose
+// stamps carry across rounds — where the cover fits labelCap, as an
+// engine would build it: the long chains' covers do not.
 func TestFinishSweepDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
 	for _, shape := range append(boundaryShapes(rng), seamShapes(76)...) {
@@ -380,49 +375,55 @@ func TestFinishSweepDifferential(t *testing.T) {
 					q.hit = true
 				}
 			}
-			popped := checkRound(t, shape.name, g, bg, fin, round)
+			expanded := checkRound(t, shape.name, g, bg, fin, round)
 			if byLabels != nil {
-				if p := checkRound(t, shape.name+"/labels", g, bg, byLabels, round); p != 0 {
-					t.Fatalf("%s/labels round of %d: popped %d components", shape.name, size, p)
+				if x := checkRound(t, shape.name+"/labels", g, bg, byLabels, round); x != 0 {
+					t.Fatalf("%s/labels round of %d: expanded %d components", shape.name, size, x)
 				}
 			}
-			if shape.idle && popped != 0 {
-				t.Fatalf("%s round of %d: popped %d components with every seed below every goal", shape.name, size, popped)
+			if shape.idle && expanded != 0 {
+				t.Fatalf("%s round of %d: expanded %d components with every seed below every goal", shape.name, size, expanded)
 			}
-			// At most 6 seeds and 7 goals a query, the waist once a sweep:
-			// a cursor that ran on alone would pop a whole fan, thousands.
-			if bound := 13*size + 2*(size/finishChunk+1); shape.waist && popped > bound {
-				t.Fatalf("%s round of %d: popped %d components, more than the %d its seeds, goals and waist account for",
-					shape.name, size, popped, bound)
+			// At most 6 seeds and 7 goals a query, and the waist: a side
+			// that ran on past the meet would expand a whole fan, thousands.
+			if bound := 13 * size; shape.waist && expanded > bound {
+				t.Fatalf("%s round of %d: expanded %d components, more than the %d its seeds, goals and waist account for",
+					shape.name, size, expanded, bound)
 			}
 		}
 	}
 }
 
-// TestCursorPopOrder pins the order a cursor pops one bitmap word in:
-// on a diamond that fits a word, either direction must pop each of the
-// four components once, with its mask complete — popping from the wrong
-// end re-expands a component every time a push lands behind it, which
-// costs work and changes no answer.
-func TestCursorPopOrder(t *testing.T) {
-	// Components 3 -> 2 -> {1, 0}, 1 -> 0: one topological order, so the numbering is forced.
-	shape := boundaryShape{name: "diamond", nb: 4, edges: [][2]int32{{0, 1}, {1, 2}, {1, 3}, {2, 3}}}
-	_, bg := shape.stitched(t)
-	for v := int32(0); v < 4; v++ {
-		if bg.compOfDense(v) != 3-v {
-			t.Fatalf("vertex %d is component %d, want %d", v, bg.compOfDense(v), 3-v)
+// TestFinishStampWrap runs a finisher's stamp counter across its wrap,
+// through the walk and through the labels. The shape is a chain and one
+// vertex s off it. A query from the chain's head to its tail stamps
+// the chain with some gen g; the counter is then set to its last value,
+// so the next query wraps it and the g-th after the jump takes g again.
+// A stamp left from before the wrap hides the tail from a walk's
+// backward side, so head to tail reads false, and puts the head's hubs
+// in the middle's in-label, so s to the middle reads true: every stamp
+// array must be cleared on the wrap.
+func TestFinishStampWrap(t *testing.T) {
+	const m = 40
+	chain := chainShape("chain", m, nil, nil, false)
+	shape := boundaryShape{name: "chain-and-one", nb: m + 1, edges: chain.edges}
+	g, bg := shape.stitched(t)
+	down := roundQuery{seeds: []int32{0}, goals: []int32{m - 1}}
+	across := roundQuery{seeds: []int32{m}, goals: []int32{m / 2}}
+	for name, fin := range map[string]*finisher{"walk": newFinisher(bg.ncomp()), "labels": labelFinisher(bg, -1)} {
+		for _, q := range []roundQuery{down, across} {
+			checkRound(t, name+" before the wrap", g, bg, fin, []roundQuery{down})
+			stale := fin.gen
+			fin.gen = math.MaxUint32
+			after := make([]roundQuery, stale)
+			for i := range after {
+				after[i] = q
+			}
+			checkRound(t, name+" across the wrap", g, bg, fin, after)
+			if fin.gen != stale {
+				t.Fatalf("%s: stamp counter at %d after the round, want %d: it did not wrap", name, fin.gen, stale)
+			}
 		}
-	}
-	fin := newFinisher(bg.ncomp())
-	fin.fwd.reset()
-	fin.fwd.seed(3, 1)
-	fin.fwd.pop(0, &fin.bwd, bg.off, bg.succ, 1)
-	fin.bwd.reset()
-	fin.bwd.seed(0, 1)
-	fin.bwd.pop(0, &fin.fwd, bg.poff, bg.pred, 1)
-	if fin.fwd.pops != 4 || fin.fwd.edges != 4 || fin.bwd.pops != 4 || fin.bwd.edges != 4 {
-		t.Fatalf("forward popped %d components along %d edges, backward %d along %d; want 4 and 4 both ways",
-			fin.fwd.pops, fin.fwd.edges, fin.bwd.pops, fin.bwd.edges)
 	}
 }
 
@@ -433,7 +434,7 @@ func finishStrategies() []graph.Partitioner {
 }
 
 // sweptLastRound reads the last round's finish span: how many queries
-// went through the sweep.
+// were looked up or walked.
 func sweptLastRound(e *Engine) int {
 	for _, s := range e.r.trace.Spans() {
 		if s.Name == "finish" {
@@ -446,8 +447,8 @@ func sweptLastRound(e *Engine) int {
 // TestFinishAgainstOracle drives whole rounds through the engine on a
 // cyclic graph (gen.Planted: the boundary graph is one giant component,
 // every seed and goal shares it) and a mostly acyclic one, under every
-// partitioner, in rounds that straddle the sweep's chunk size, against
-// the whole-graph oracle.
+// partitioner, in rounds of one query up to a thousand, against the
+// whole-graph oracle.
 func TestFinishAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260927))
 	const n = 600
@@ -465,27 +466,18 @@ func TestFinishAgainstOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			maxSwept := 0
-			// The last round is big enough that even a locality
-			// partitioning, which settles most queries inside one
-			// shard, leaves more than a chunk of them open.
 			for _, size := range append(finishRoundSizes, 1000) {
 				queries := make([]Query, size)
 				for i := range queries {
 					queries[i] = Query{S: randomSet(rng, n+5, 3), T: randomSet(rng, n+5, 3)}
 				}
 				got := e.QueryBatch(queries)
-				maxSwept = max(maxSwept, sweptLastRound(e))
 				for i, q := range queries {
 					if want := NaiveReach(g, q.S, q.T); got[i] != want {
 						t.Fatalf("%s/%s round of %d query %d: got %v, oracle %v (S=%v T=%v)",
 							gname, strat.Name(), size, i, got[i], want, q.S, q.T)
 					}
 				}
-			}
-			if maxSwept <= finishChunk {
-				t.Errorf("%s/%s: no round swept more than %d queries (max %d): the chunk boundary was never crossed",
-					gname, strat.Name(), finishChunk, maxSwept)
 			}
 			e.Close()
 		}
@@ -572,7 +564,7 @@ func fullBenchGraph() *graph.Graph {
 }
 
 // sweepEngine builds a k = 3 in-process engine over g whose labels are
-// held back, so its finish state — the DAG and the sweep's scratch —
+// held back, so its finish state — the DAG and the walk's stamps —
 // stays for the finish benchmarks to drive.
 func sweepEngine(tb testing.TB, g *graph.Graph, strat graph.Partitioner) *Engine {
 	tb.Helper()
@@ -589,10 +581,10 @@ func sweepEngine(tb testing.TB, g *graph.Graph, strat graph.Partitioner) *Engine
 // rounds' state is captured up front from real rounds — under the
 // partitioning that makes nearly every vertex boundary and the one that
 // keeps the boundary small, on the harness's graph at a quarter of its
-// size and at full size (the 200k rows). Each row runs the sweep, and
+// size and at full size (the 200k rows). Each row runs the walk, and
 // each labels row the same rounds from the DAG's label cover. b.N
 // counts rounds; ns/query divides by the batch, as do the exact counts
-// beside it: the components the sweeps popped (components/query), or
+// beside it: the components the walks expanded (components/query), or
 // the label entries the lookups read (entries/query). batch=32 is about
 // what a closed-loop dsr-serve round carries.
 func BenchmarkBoundaryFinish(b *testing.B) {
@@ -625,19 +617,19 @@ func BenchmarkBoundaryFinish(b *testing.B) {
 
 // benchFinish runs the captured rounds through fin, one a b.N.
 func benchFinish(b *testing.B, fin *finisher, bg *boundaryGraph, rounds [][]qstate) {
-	popped := 0
+	expanded := 0
 	run := func(i int) {
 		qs := rounds[i%len(rounds)]
 		for j := range qs {
 			qs[j].ans = qs[j].done && qs[j].ans
 		}
 		_, n := fin.run(bg, qs)
-		popped += n
+		expanded += n
 	}
 	for i := range rounds { // fault the scratch in and warm the caches
 		run(i)
 	}
-	popped, read := 0, fin.read
+	expanded, read := 0, fin.read
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -648,7 +640,7 @@ func benchFinish(b *testing.B, fin *finisher, bg *boundaryGraph, rounds [][]qsta
 	if fin.lab != nil {
 		b.ReportMetric(float64(fin.read-read)/queries, "entries/query")
 	} else {
-		b.ReportMetric(float64(popped)/queries, "components/query")
+		b.ReportMetric(float64(expanded)/queries, "components/query")
 	}
 }
 

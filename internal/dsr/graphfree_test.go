@@ -37,6 +37,7 @@ func interiorGraph(rng *rand.Rand, m, extraEdges int) *graph.Graph {
 // ResidentBytes at all, because none of it ever reaches the
 // coordinator.
 func TestResidentBytesIndependentOfInterior(t *testing.T) {
+	withLabelSeam(t, &labelsAwaited) // both engines read after their labels install
 	rng := rand.New(rand.NewSource(42))
 	small, err := Build(interiorGraph(rng, 1_000, 4_000), Options{K: 2, Partitioner: graph.Range()})
 	if err != nil {

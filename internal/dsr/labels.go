@@ -38,7 +38,7 @@ func (l *hubLabels) residentBytes() int {
 // about 10 under hash partitioning and 3 to 7 under locality; a DAG
 // that needs more than a few tens is one the cover does not suit (a
 // dense bipartite core, a long chain), and the build gives up and
-// leaves the sweep in charge.
+// leaves the walk in charge.
 const labelCap = 32
 
 // labelRow is one component's label while the build grows it, beside

@@ -130,7 +130,7 @@ func bipartiteShape(side int) boundaryShape {
 
 // TestLabelCapLeavesSweep plants a DAG whose cover passes labelCap: the
 // engine's build gives up, says so in its log, installs nothing, and the
-// sweep keeps answering right.
+// walk keeps answering right.
 func TestLabelCapLeavesSweep(t *testing.T) {
 	shape := bipartiteShape(120)
 	g, bg := shape.stitched(t)
@@ -154,8 +154,8 @@ func TestLabelCapLeavesSweep(t *testing.T) {
 	for i := range round {
 		round[i] = roundQuery{seeds: []int32{int32(i % 120), int32(120 + i)}, goals: []int32{int32(120 + (i*7)%120)}}
 	}
-	if popped := checkRound(t, shape.name, g, bg, e.r.fin, round); popped == 0 {
-		t.Fatal("the sweep popped nothing: it did not answer the round")
+	if expanded := checkRound(t, shape.name, g, bg, e.r.fin, round); expanded == 0 {
+		t.Fatal("the walk expanded nothing: it did not answer the round")
 	}
 }
 
@@ -167,9 +167,6 @@ func TestCloseStopsLabelBuild(t *testing.T) {
 	e, err := Build(g, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.bg.ncomp()+len(e.bg.succ) <= labelInline {
-		t.Fatalf("the DAG (%d components) is labelled inline, not in the background", e.bg.ncomp())
 	}
 	start := time.Now()
 	e.Close()
@@ -236,8 +233,8 @@ func TestLabelsInstallDuringRounds(t *testing.T) {
 }
 
 // TestLabelsAnswerFinish checks the install: an engine that awaits its
-// labels answers every round from them — no component popped — with the
-// sweep's state and the DAG released, the gauge and ResidentBytes
+// labels answers every round from them — no component expanded — with
+// the walk's stamps and the DAG released, the gauge and ResidentBytes
 // telling the new footprint, and the connect log the build's line.
 func TestLabelsAnswerFinish(t *testing.T) {
 	withLabelSeam(t, &labelsAwaited)
@@ -255,8 +252,8 @@ func TestLabelsAnswerFinish(t *testing.T) {
 	if l == nil {
 		t.Fatal("no labels installed")
 	}
-	if e.bg.succ != nil || e.bg.pred != nil || e.r.fin.fwd.mask != nil || e.r.fin.bwd.active != nil {
-		t.Error("the sweep's scratch or the DAG outlived the install")
+	if e.bg.succ != nil || e.bg.pred != nil || e.r.fin.seen != nil || e.r.fin.goal != nil {
+		t.Error("the walk's stamps or the DAG outlived the install")
 	}
 	if want := 4*(e.NumBoundary()+len(e.r.fin.stamp)) + l.residentBytes(); e.ResidentBytes() != want {
 		t.Errorf("ResidentBytes = %d, want compOf + stamps + labels = %d", e.ResidentBytes(), want)
@@ -286,7 +283,7 @@ func TestLabelsAnswerFinish(t *testing.T) {
 }
 
 // TestFinishModes runs the engine-level differential tests with the
-// labels held back, so the sweep answers every round, and with them
+// labels held back, so the walk answers every round, and with them
 // awaited, so the labels answer every one.
 func TestFinishModes(t *testing.T) {
 	for _, mode := range []struct {

@@ -22,7 +22,7 @@ type engineMetrics struct {
 	batchSize *obs.Histogram // dsr_batch_size
 	faninWait *obs.Histogram // dsr_fanin_wait_ns
 	finish    *obs.Histogram // dsr_boundary_finish_ns
-	popped    *obs.Histogram // dsr_finish_sweep_components
+	expanded  *obs.Histogram // dsr_finish_sweep_components
 	frontier  *obs.Histogram // dsr_frontier_size
 
 	rpcs      []*obs.Counter   // dsr_rpc_total{partition=p}
@@ -51,7 +51,7 @@ func newEngineMetrics(reg *obs.Registry, k int) engineMetrics {
 		batchSize:     reg.Histogram("dsr_batch_size"),
 		faninWait:     reg.Histogram("dsr_fanin_wait_ns"),
 		finish:        reg.Histogram("dsr_boundary_finish_ns"),
-		popped:        reg.Histogram("dsr_finish_sweep_components"),
+		expanded:      reg.Histogram("dsr_finish_sweep_components"),
 		frontier:      reg.Histogram("dsr_frontier_size"),
 		rpcs:          make([]*obs.Counter, k),
 		rpcErrs:       make([]*obs.Counter, k),

@@ -18,7 +18,10 @@ import (
 // count, histograms observe, gauges describe the deployment — with the
 // labels answering the finish, and with them held back.
 func TestEngineMetrics(t *testing.T) {
-	t.Run("labels", func(t *testing.T) { testEngineMetrics(t, true) })
+	t.Run("labels", func(t *testing.T) {
+		withLabelSeam(t, &labelsAwaited)
+		testEngineMetrics(t, true)
+	})
 	t.Run("sweep", func(t *testing.T) {
 		withLabelSeam(t, &labelsHeld)
 		testEngineMetrics(t, false)
@@ -62,12 +65,11 @@ func testEngineMetrics(t *testing.T, labelled bool) {
 			t.Errorf("histogram %s never observed", h)
 		}
 	}
-	// One observation per round, beside the finish's time. A round of
-	// four is one sweep, which pops a component at most once; from the
-	// labels it pops none.
+	// One observation per round, beside the finish's time. The walks
+	// expand components; from the labels a round expands none.
 	pops := snap.Histograms["dsr_finish_sweep_components"]
 	if pops.Count != snap.Histograms["dsr_boundary_finish_ns"].Count || (pops.Sum == 0) != labelled || pops.Sum > uint64(rounds*e.bg.ncomp()) {
-		t.Errorf("dsr_finish_sweep_components: %d observations summing to %d, want one per finish, and 0 components from labels or 1..%d from the sweep (labels %v)",
+		t.Errorf("dsr_finish_sweep_components: %d observations summing to %d, want one per finish, and 0 components from labels or 1..%d from the walk (labels %v)",
 			pops.Count, pops.Sum, rounds*e.bg.ncomp(), labelled)
 	}
 	if got := snap.Gauges["dsr_boundary_label_entries"]; (got > 0) != labelled {
@@ -182,6 +184,7 @@ func TestEngineHealthLoopback(t *testing.T) {
 // distributed operator sees: one per shard summary, one for the stitch,
 // which ends with the connect's two phases in milliseconds.
 func TestConnectLogsProgress(t *testing.T) {
+	withLabelSeam(t, &labelsAwaited) // the label build's line is written before the log is read
 	rng := rand.New(rand.NewSource(10))
 	g := randomGraph(rng, 120, 2)
 	var buf bytes.Buffer

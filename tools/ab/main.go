@@ -22,11 +22,14 @@
 // over parent, pair by pair — the paired statistic, which does not hang
 // on a single pair's order the way the win count does), the pairs the
 // change won (ties count for neither) with the exact two-sided sign
-// test's p-value for them (ties dropped), and a verdict: "unresolved" when the parent's own interquartile range is
-// wider than the metric's bound, "worse" when the change's median is
-// worse than the parent's by more than the bound, "better" when the
-// change won at least nine pairs in ten and the medians differ by more
-// than the parent's interquartile range, "same" otherwise. Failed
+// test's p-value for them (ties dropped), and a verdict: "worse" when
+// the change's median is worse than the parent's by more than the
+// metric's bound, however noisy the parent; where the parent's own
+// interquartile range is wider than the bound, "better" only when
+// every change run beats every parent run and "unresolved" otherwise;
+// else "better" when the change won at least nine pairs in ten and the
+// medians differ by more than the parent's interquartile range, "same"
+// otherwise. Failed
 // operations are summed per side. Exit status 1 on any "worse", any
 // incorrect run, or a larger failed share on the change side.
 //
@@ -361,6 +364,19 @@ func won(m metricSpec, a, b []float64) (n int) {
 	return n
 }
 
+// beatsAll reports whether every value of b beats every value of a
+// under m.
+func beatsAll(m metricSpec, a, b []float64) bool {
+	worst, best := math.Inf(1), math.Inf(-1)
+	for _, v := range b {
+		worst = min(worst, m.sign()*v)
+	}
+	for _, v := range a {
+		best = max(best, m.sign()*v)
+	}
+	return worst > best
+}
+
 // signTest is the exact two-sided sign test's p-value for a change that
 // won and lost the given pairs, ties dropped: the chance of a split at
 // least as lopsided if each pair were a fair coin.
@@ -374,18 +390,25 @@ func signTest(wins, losses int) float64 {
 }
 
 // verdict judges one (workload, metric) cell from both sides' values
-// in pair order; wins counts the pairs the change won. A metric with no
-// bound (Bound 0) can be neither unresolved nor worse.
+// in pair order; wins counts the pairs the change won. A median past
+// the bound is worse first of all. A parent whose own spread is wider
+// than the bound hides a gain of its medians, so there the change is
+// better only when every run of it beats every parent run, and
+// unresolved otherwise. A metric with no bound (Bound 0) can be neither
+// unresolved nor worse.
 func verdict(m metricSpec, parent, change []float64) (wins int, v string) {
 	wins = won(m, parent, change)
 	p1, pm, p3 := quartiles(parent)
 	_, cm, _ := quartiles(change)
 	iqr, gain := p3-p1, m.sign()*(cm-pm)
 	switch {
-	case m.Bound > 0 && iqr > m.Bound*math.Abs(pm):
-		return wins, "unresolved"
 	case m.Bound > 0 && -gain > m.Bound*math.Abs(pm):
 		return wins, "worse"
+	case m.Bound > 0 && iqr > m.Bound*math.Abs(pm):
+		if beatsAll(m, parent, change) {
+			return wins, "better"
+		}
+		return wins, "unresolved"
 	case 10*wins >= 9*len(parent) && gain > iqr:
 		return wins, "better"
 	}

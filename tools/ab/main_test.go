@@ -49,6 +49,13 @@ func TestVerdict(t *testing.T) {
 		return vs
 	}
 	wide := []float64{60, 140, 70, 130, 80, 120, 90, 110, 100, 100}
+	scaled := func(vs []float64, f float64) []float64 {
+		out := make([]float64, len(vs))
+		for i, v := range vs {
+			out[i] = f * v
+		}
+		return out
+	}
 	for _, c := range []struct {
 		name           string
 		m              metricSpec
@@ -63,7 +70,10 @@ func TestVerdict(t *testing.T) {
 		{"higher is better, change past the bound", higher, tight, shifted(-30), 0, "worse"},
 		{"a gain inside the parent's spread", higher, tight, shifted(1), 10, "same"},
 		{"ties win nothing", higher, tight, tight, 0, "same"},
-		{"parent spread wider than the bound", higher, wide, shifted(-50), 0, "unresolved"},
+		{"parent spread wider than the bound", higher, wide, shifted(-50), 0, "worse"},
+		{"wide parent, lower is better, median 50% worse", lower, wide, scaled(wide, 1.5), 0, "worse"},
+		{"wide parent, every change run beats every parent run", higher, wide, shifted(50), 10, "better"},
+		{"wide parent, a gain short of that", higher, wide, shifted(30), 8, "unresolved"},
 		{"no bound, change lower", unbound, tight, shifted(-10), 10, "better"},
 		{"no bound, change far higher: reported, never worse", unbound, tight, shifted(300), 0, "same"},
 		{"no bound, wide parent: never unresolved", unbound, wide, shifted(-20), 7, "same"},
