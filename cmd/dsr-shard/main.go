@@ -46,10 +46,10 @@
 // dsr-query's -shards). Replicas need no awareness of each other; the
 // optional -replica flag only labels this process's logs. On SIGTERM
 // or SIGINT the server drains gracefully: new connections are refused,
-// in-flight task batches finish and are answered, then the process
-// exits 0 — so a rolling restart never drops an accepted batch, and a
-// replicated coordinator fails the severed connections over to a
-// sibling replica.
+// a connection between batches is dropped at once, a task batch the
+// server has read finishes and is answered, then the process exits 0 —
+// so a rolling restart never drops an accepted batch, and a replicated
+// coordinator fails the severed connections over to a sibling replica.
 package main
 
 import (

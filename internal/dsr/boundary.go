@@ -190,52 +190,29 @@ func stitchRows(n int, sums []wire.Summary) (owner []int32, g *csr, err error) {
 }
 
 // mergeBoundaries merges the k strictly increasing boundary lists into
-// one sorted list of total vertices, through a min-heap of the lists'
-// heads, and records beside each vertex the partition that listed it. A
-// vertex two shards list comes out as adjacent equal entries, so the
-// first such pair is the smallest vertex claimed twice.
+// one sorted list of total vertices, taking at each step the least of
+// the lists' heads by a scan (k is the partition count, a handful), and
+// records beside each vertex the partition that listed it. A vertex two
+// shards list comes out as adjacent equal entries, so the first such
+// pair is the smallest vertex claimed twice.
 func mergeBoundaries(sums []wire.Summary, total int) (verts []uint32, owner []int32, err error) {
 	verts = make([]uint32, 0, total)
 	owner = make([]int32, 0, total)
 	pos := make([]int, len(sums))
-	head := func(p int32) uint32 { return sums[p].Boundary[pos[p]] }
-	heap := make([]int32, 0, len(sums)) // partitions with vertices left, keyed by head
-	down := func(i int) {
-		for {
-			m := i
-			for _, c := range [2]int{2*i + 1, 2*i + 2} {
-				if c < len(heap) && head(heap[c]) < head(heap[m]) {
-					m = c
-				}
+	for range total {
+		p := -1
+		for q := range sums {
+			if pos[q] < len(sums[q].Boundary) && (p < 0 || sums[q].Boundary[pos[q]] < sums[p].Boundary[pos[p]]) {
+				p = q
 			}
-			if m == i {
-				return
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
 		}
-	}
-	for p := range sums {
-		if len(sums[p].Boundary) > 0 {
-			heap = append(heap, int32(p))
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for len(heap) > 0 {
-		p := heap[0]
-		v := head(p)
+		v := sums[p].Boundary[pos[p]]
+		pos[p]++
 		if len(verts) > 0 && verts[len(verts)-1] == v {
 			return nil, nil, fmt.Errorf("dsr: boundary vertex %d claimed by two shards — the fleet was not built from one partitioning", v)
 		}
 		verts = append(verts, v)
-		owner = append(owner, p)
-		if pos[p]++; pos[p] == len(sums[p].Boundary) {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		down(0)
+		owner = append(owner, int32(p))
 	}
 	return verts, owner, nil
 }

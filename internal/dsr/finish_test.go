@@ -394,6 +394,62 @@ func TestFinishSweepDifferential(t *testing.T) {
 	}
 }
 
+// TestFinishWalkPrunes pins the walk's two pruning rules on one DAG
+// where each saves most of the work: a wide seed side above a narrow
+// goal side, with a chain hanging below the goal that every seed
+// reaches and a chain above the seeds that reaches the goal side. From
+// the top down: the chain above (a_dep -> ... -> a_1 -> m_1), the
+// seeds s_1..s_wide (s_1 -> m_depth, every seed -> d_depth), the goal
+// chain (m_depth -> ... -> m_1 -> goal), and the chain below (d_depth
+// -> ... -> d_1). From all seeds to the goal the pruned walk expands
+// the goal chain alone, depth+1 components: a backward side that climbs
+// the chain above, or a forward side that takes turns with the shorter
+// backward queue, expands about twice that. From one seed that reaches
+// only the chain below, it expands that seed alone.
+func TestFinishWalkPrunes(t *testing.T) {
+	const below, depth, wide, above = 32, 16, 32, 32
+	// Vertex ids in this order give every block the components it is
+	// named for: the decomposition numbers each of these chains and
+	// lone vertices as it meets them, counting up.
+	d, goal, m, s, a := 0, below, below+1, below+1+depth, below+1+depth+wide
+	var edges [][2]int32
+	link := func(from, to int) { edges = append(edges, [2]int32{int32(from), int32(to)}) }
+	for i := 1; i < below; i++ {
+		link(d+i, d+i-1)
+	}
+	link(m, goal)
+	for i := 1; i < depth; i++ {
+		link(m+i, m+i-1)
+	}
+	link(s, m+depth-1)
+	for i := range wide {
+		link(s+i, d+below-1)
+	}
+	link(a, m)
+	for i := 1; i < above; i++ {
+		link(a+i, a+i-1)
+	}
+	shape := boundaryShape{name: "wide-over-narrow", nb: a + above, edges: edges}
+	g, bg := shape.stitched(t)
+	for v := int32(0); v < int32(shape.nb); v++ {
+		if bg.compOfDense(v) != v {
+			t.Fatalf("vertex %d is component %d: the blocks are not where the walk's bounds expect them", v, bg.compOfDense(v))
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		q     roundQuery
+		bound int
+	}{
+		{"all seeds to the goal", roundQuery{seeds: span(s, s+wide), goals: []int32{int32(goal)}}, depth + 1},
+		{"one seed over the chain below", roundQuery{seeds: []int32{int32(s + 1)}, goals: []int32{int32(goal)}}, 1},
+	} {
+		if x := checkRound(t, c.name, g, bg, newFinisher(bg.ncomp()), []roundQuery{c.q}); x > c.bound {
+			t.Errorf("%s: the walk expanded %d components, want at most %d", c.name, x, c.bound)
+		}
+	}
+}
+
 // TestFinishStampWrap runs a finisher's stamp counter across its wrap,
 // through the walk and through the labels. The shape is a chain and one
 // vertex s off it. A query from the chain's head to its tail stamps

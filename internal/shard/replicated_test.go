@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dsr/internal/obs"
 	"dsr/internal/wire"
 )
 
@@ -573,4 +574,72 @@ func TestServerShutdownDrains(t *testing.T) {
 	}
 	// ...and Shutdown stays idempotent alongside Close.
 	srv.Shutdown()
+}
+
+// TestServerShutdownAnswersReadBatch: a batch whose frame the handler
+// has read when the drain begins is answered before the connection is
+// dropped, however long it waits for the shard, and a second Shutdown
+// waits with the first.
+func TestServerShutdownAnswersReadBatch(t *testing.T) {
+	shards, _ := chainFixture(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(shards[0], 3, 6, testGraphSum, testPartSum)
+	reg := obs.NewRegistry()
+	srv.Instrument(reg, nil)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := wire.ReadFrame(c, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Hold the shard so the handler stops between reading the batch and
+	// running it, then drain.
+	srv.runMu.Lock()
+	req := wire.AppendTasks(nil, wire.BatchHeader{Batch: 9}, []wire.Task{{Kind: wire.Forward, Seeds: []int32{0}}})
+	if err := wire.WriteFrame(c, req); err != nil {
+		t.Fatal(err)
+	}
+	for reg.Counter("net_server_frames_in_total").Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	drained := make(chan struct{}, 2)
+	for range 2 {
+		go func() {
+			srv.Shutdown()
+			drained <- struct{}{}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-drained:
+		t.Fatal("Shutdown returned while a read batch was unanswered")
+	default:
+	}
+	srv.runMu.Unlock()
+
+	p, err := wire.ReadFrame(c, nil)
+	if err != nil {
+		t.Fatalf("read batch not answered: %v", err)
+	}
+	info, res, _, err := wire.DecodeResults(p, nil, nil)
+	if err != nil || info.Batch != 9 || len(res) != 1 || !slices.Equal(chainReached(0, res[0].Boundary), []uint32{1}) {
+		t.Fatalf("answer = %+v %+v, %v", info, res, err)
+	}
+	if _, err := wire.ReadFrame(c, nil); err == nil {
+		t.Fatal("connection survived the drain after its answer")
+	}
+	<-drained
+	<-drained
+	if err := <-served; err != nil {
+		t.Fatalf("Serve after Shutdown = %v", err)
+	}
 }

@@ -16,9 +16,10 @@ import (
 // shard's hello frame.
 const handshakeTimeout = 10 * time.Second
 
-// drainTimeout bounds how long a graceful Shutdown lets a busy
-// connection finish writing its in-flight response. Without it a peer
-// that stops draining its socket would block Shutdown — and a
+// drainTimeout bounds how long a graceful Shutdown lets a connection
+// finish writing the response to a batch it had already read: it is
+// every live connection's write deadline once the drain begins. Without
+// it a peer that stops draining its socket would block Shutdown — and a
 // SIGTERMed dsr-shard — forever on a full send buffer.
 const drainTimeout = 30 * time.Second
 
@@ -30,7 +31,9 @@ const drainTimeout = 30 * time.Second
 // frame and the connection is dropped; the server itself keeps running.
 //
 // Connections share the one Shard, so Run (and the encoding of its
-// aliasing results) is serialized under a mutex.
+// aliasing results) is serialized under a mutex. A connection carries
+// one call at a time, so the server keeps no per-connection state: a
+// drain stops a handler at its next read (Shutdown).
 type Server struct {
 	sh      *Shard
 	hello   wire.Hello
@@ -38,12 +41,11 @@ type Server struct {
 
 	runMu sync.Mutex // serializes Shard.Run + result encoding
 
-	mu       sync.Mutex // guards ln, conns, closed, draining
-	ln       net.Listener
-	conns    map[net.Conn]bool // value: mid-batch (busy) rather than between batches
-	closed   bool
-	draining bool
-	wg       sync.WaitGroup
+	mu      sync.Mutex // guards ln, conns, stopped
+	ln      net.Listener
+	conns   map[net.Conn]struct{}
+	stopped bool // set by the first Close or Shutdown
+	wg      sync.WaitGroup
 
 	// Telemetry, set by Instrument before Serve; nil (a no-op) without.
 	met *netMetrics // net_server_* frame counters
@@ -155,15 +157,16 @@ func NewServer(sh *Shard, numShards, numVertices int, graphSum, partSum uint64) 
 		// MsgSummaryRequest is answered by writing the same immutable
 		// payload — no lock, no re-encoding.
 		summary: wire.AppendSummary(nil, sh.Summary()),
-		conns:   make(map[net.Conn]bool),
+		conns:   make(map[net.Conn]struct{}),
 	}
 }
 
-// Serve accepts connections on ln until Close. It returns nil after
-// Close, or the accept error otherwise.
+// Serve accepts connections on ln until Close or Shutdown. It returns
+// nil after either, ErrClosed if one came first, or the accept error
+// otherwise.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.closed || s.draining {
+	if s.stopped {
 		s.mu.Unlock()
 		ln.Close()
 		return ErrClosed
@@ -172,22 +175,19 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Unlock()
 	for {
 		c, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			stopping := s.closed || s.draining
-			s.mu.Unlock()
-			if stopping {
-				return nil
-			}
-			return err
-		}
 		s.mu.Lock()
-		if s.closed || s.draining {
+		if s.stopped {
 			s.mu.Unlock()
-			c.Close()
+			if err == nil {
+				c.Close()
+			}
 			return nil
 		}
-		s.conns[c] = false
+		if err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		s.conns[c] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go s.handle(c)
@@ -195,49 +195,43 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close stops accepting, closes every live connection, and waits for
-// all connection handlers to exit.
+// all connection handlers to exit. It also ends a Shutdown that is
+// waiting on a peer.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
-	return nil
+	return s.stop(true)
 }
 
 // Shutdown drains the server gracefully: the listener is closed so new
-// connections are refused, idle connections (waiting between batches)
-// are closed, and connections mid-batch finish executing and writing
-// their response before their handler exits. When Shutdown returns, no
-// handler is running and every accepted batch has been answered —
-// SIGTERM handling in cmd/dsr-shard rides on this, and a coordinator
-// with replicas fails the dropped connections over to a sibling. Safe
-// to call more than once and concurrently with Close.
+// connections are refused, and every live connection's read deadline
+// becomes now and its write deadline now + drainTimeout. A connection
+// between batches is dropped at once; one whose handler has already
+// read a batch finishes it, writes the answer and is dropped at its
+// next read. When Shutdown returns, no handler is running and every
+// batch the server read has been answered, unless its peer stopped
+// reading for drainTimeout — SIGTERM handling in cmd/dsr-shard rides
+// on this, and a coordinator with replicas fails the dropped
+// connections over to a sibling. Safe to call more than once and
+// concurrently with Close; only the first call sets deadlines.
 func (s *Server) Shutdown() error {
+	return s.stop(false)
+}
+
+// stop marks the server stopped, closes every live connection (force)
+// or, on the first stop only, sets its drain deadlines, then closes
+// the listener and waits for the handlers.
+func (s *Server) stop(force bool) error {
 	s.mu.Lock()
-	already := s.closed || s.draining
-	s.draining = true
+	first := !s.stopped
+	s.stopped = true
 	ln := s.ln
-	if !already {
-		for c, busy := range s.conns {
-			if !busy {
-				c.Close()
-			} else {
-				// Busy handlers get drainTimeout to flush their response;
-				// a peer that won't read loses the conn instead of wedging
-				// the drain.
-				c.SetDeadline(time.Now().Add(drainTimeout))
-			}
+	now := time.Now()
+	for c := range s.conns {
+		switch {
+		case force:
+			c.Close()
+		case first:
+			c.SetReadDeadline(now)
+			c.SetWriteDeadline(now.Add(drainTimeout))
 		}
 	}
 	s.mu.Unlock()
@@ -246,29 +240,6 @@ func (s *Server) Shutdown() error {
 	}
 	s.wg.Wait()
 	return nil
-}
-
-// beginBatch marks c busy; it reports false (and the handler must hang
-// up without answering) when the server started draining before the
-// batch began executing.
-func (s *Server) beginBatch(c net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		return false
-	}
-	s.conns[c] = true
-	return true
-}
-
-// endBatch marks c idle again; it reports false when the server is
-// draining, telling the handler to exit now that its in-flight batch
-// has been fully answered.
-func (s *Server) endBatch(c net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.conns[c] = false
-	return !(s.closed || s.draining)
 }
 
 func (s *Server) dropConn(c net.Conn) {
@@ -313,12 +284,9 @@ func (s *Server) handle(c net.Conn) {
 	for {
 		p, err := wire.ReadFrame(br, rbuf)
 		if err != nil {
-			return // EOF or broken conn: just drop it
+			return // EOF, broken conn, or a drain's read deadline: drop it
 		}
 		s.met.frameIn(len(p))
-		if !s.beginBatch(c) {
-			return // draining: refuse batches that haven't started executing
-		}
 		rbuf = p
 		ty, err := wire.MsgType(p)
 		switch {
@@ -369,9 +337,6 @@ func (s *Server) handle(c net.Conn) {
 			s.met.decodeErr()
 			fail(fmt.Sprintf("shard %d: want MsgTasks or MsgSummaryRequest, got %#02x", s.sh.ID(), ty))
 			return
-		}
-		if !s.endBatch(c) {
-			return // draining: this request was answered, now hang up
 		}
 	}
 }
